@@ -1,8 +1,9 @@
 """Distributed-transport ladder: simulated vs socket MPI, ranks x K.
 
-Runs the same fixed-seed distributed Gibbs chain through both comm
-worlds — the in-memory :class:`~repro.mpi.simmpi.SimCommWorld` (zero
-wire cost, the orchestrated baseline) and the socket-backed
+Runs the same fixed-seed distributed Gibbs chain — one rank program —
+through both comm worlds: the in-memory
+:class:`~repro.mpi.simmpi.SimCommWorld` (zero wire cost, ranks taking
+turns on one core: the baseline) and the socket-backed
 :class:`~repro.mpi.net.SocketCommWorld` (real localhost TCP links, the
 frame codec, receiver threads, flush barriers) — across a grid of rank
 counts and latent dimensions.  Because the socket chain is bit-identical

@@ -1,6 +1,8 @@
 """Distributed BPMF (Section IV of the paper).
 
-Built on the simulated MPI substrate (:mod:`repro.mpi`):
+Built on the message-passing substrate (:mod:`repro.mpi`): one rank
+program that runs unchanged on the simulated in-process world and on the
+socket world (:mod:`repro.mpi.net`):
 
 * :mod:`repro.distributed.partition` — distributes the rows of ``U`` and
   ``V`` over the ranks using the paper's workload model (fixed cost plus a
@@ -13,7 +15,9 @@ Built on the simulated MPI substrate (:mod:`repro.mpi`):
   sampler: ranks hold their own copies of the factor matrices, update the
   items they own, stream the updates through send buffers and apply the
   buffers they receive; the result is statistically identical to the
-  sequential sampler.
+  sequential sampler (bit-identical with gathered hyperparameters).
+* :mod:`repro.distributed.spmd` — ``run_local_socket_world``: an N-rank
+  socket world driven from one thread per rank.
 * :mod:`repro.distributed.sync_sampler` — the bulk-synchronous baseline
   that exchanges everything at the end of each phase in single large
   messages (the "more common synchronous approach" the paper outperforms).

@@ -42,14 +42,9 @@ class CommunicationPlan:
     def n_ranks(self) -> int:
         return self.partition.n_ranks
 
-    # -- aggregate traffic -------------------------------------------------
-
-    def items_between(self, phase: str) -> np.ndarray:
-        """``(n_ranks, n_ranks)`` matrix of item transfers for one phase.
-
-        Entry ``[src, dst]`` counts items owned by ``src`` that must reach
-        ``dst`` after the given phase (``"movies"`` or ``"users"``).
-        """
+    def _edges(self, phase: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(owner, item, destination)`` of every planned transfer of one
+        phase (``"movies"`` or ``"users"``), item-major."""
         if phase == "movies":
             owners = self.partition.movie_owner
             destinations = self.movie_destinations
@@ -58,12 +53,32 @@ class CommunicationPlan:
             destinations = self.user_destinations
         else:
             raise ValidationError(f"phase must be 'movies' or 'users', got {phase!r}")
+        lengths = np.fromiter((dests.shape[0] for dests in destinations),
+                              dtype=np.int64, count=len(destinations))
+        items = np.repeat(np.arange(len(destinations), dtype=np.int64), lengths)
+        dests = np.concatenate([np.empty(0, dtype=np.int64), *destinations])
+        return np.asarray(owners, dtype=np.int64)[items], items, dests
+
+    def expected_incoming(self, phase: str, rank: int) -> np.ndarray:
+        """Ascending ids of the items ``rank`` must receive in one phase.
+
+        The plan inverted for one rank: this is what lets a phase's
+        receive loop *count* instead of guessing when the exchange is
+        done.  (An item's owner never appears among its destinations.)
+        """
+        _, items, dests = self._edges(phase)
+        return items[dests == rank]
+
+    # -- aggregate traffic -------------------------------------------------
+
+    def items_between(self, phase: str) -> np.ndarray:
+        """``(n_ranks, n_ranks)`` matrix of item transfers for one phase.
+
+        Entry ``[src, dst]`` counts items owned by ``src`` that must reach
+        ``dst`` after the given phase (``"movies"`` or ``"users"``).
+        """
+        src, _, dst = self._edges(phase)
         matrix = np.zeros((self.n_ranks, self.n_ranks), dtype=np.int64)
-        lengths = np.array([dests.shape[0] for dests in destinations], dtype=np.int64)
-        if lengths.sum() == 0:
-            return matrix
-        src = np.repeat(np.asarray(owners, dtype=np.int64), lengths)
-        dst = np.concatenate([d for d in destinations if d.shape[0]])
         np.add.at(matrix, (src, dst), 1)
         return matrix
 

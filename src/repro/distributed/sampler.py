@@ -1,33 +1,40 @@
-"""Asynchronous distributed BPMF Gibbs sampler on the simulated MPI world.
+"""Asynchronous distributed BPMF Gibbs sampler: one rank program.
 
-Every simulated rank owns a block of users and a block of movies (from the
-workload-aware partition) and keeps its *own copies* of ``U`` and ``V``.
-Within one iteration:
+Every rank owns a block of users and a block of movies (from the
+workload-aware partition), keeps its *own copies* of ``U`` and ``V``, and
+runs the same blocking program (:meth:`DistributedGibbsSampler._rank_program`)
+against its communicator — on every simulated rank of a
+:class:`~repro.mpi.simmpi.SimCommWorld`, or once per process on a socket
+world; only *who calls it* differs per transport.  Within one iteration,
+per entity class (movies, then users):
 
-1. movie hyperparameters are obtained from an allreduce of per-rank
-   sufficient statistics (or a gather of the factor matrix when exact
-   reproducibility against the sequential sampler is wanted);
-2. every rank updates the movies it owns, using the user factors it holds
-   locally (authoritative for its own users, last-received copies for
-   remote users — which are up to date because they were exchanged at the
-   end of the previous user phase);
-3. as items are updated they are appended to per-destination send buffers
-   which are shipped with non-blocking sends when full ("communication
-   overlapping computation"); leftover buffers are flushed at the end of
-   the phase and every rank applies the factor rows it received;
-4. the user phase repeats steps 1–3 with the roles swapped;
-5. the test points are predicted from the authoritative rows gathered at
-   rank 0 and the RMSE traces are recorded.
+1. the ranks agree on the Normal–Wishart posterior — an allreduce of
+   per-rank sufficient statistics, or (``hyper_mode="gather"``, exact
+   parity with the sequential sampler) the owned rows gathered at rank 0
+   and the posterior broadcast back — and every rank draws the prior and
+   the full noise matrix from its copy of one replicated generator;
+2. the rank updates the items it owns, reading the other class's factors
+   it holds locally (authoritative for its own items, last-received
+   copies for remote ones — up to date because they were exchanged at the
+   end of the phase that wrote them);
+3. refreshed rows stream through per-destination send buffers, shipped
+   with non-blocking sends when full and flushed at the end of the phase;
+   the rank then receives until every row the communication plan promises
+   it has arrived (arrival order cannot matter: rows land in disjoint
+   slices) and raises on a row it never planned for.
 
-Because ranks only ever see remote data that arrived in messages, a wrong
-or incomplete communication plan makes the result diverge from the
-sequential reference — the accuracy-parity tests exploit exactly this.
+After both phases the authoritative rows are gathered at rank 0, which
+alone owns the predictor, the RMSE traces and the checkpointer.  Ranks
+only ever see remote data that arrived in messages, so an inconsistent
+communication plan fails loudly (stray row, would-deadlock, or the
+pending-message audit) instead of diverging.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from enum import IntEnum
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +42,7 @@ from repro.core.batch_engine import make_update_engine
 from repro.core.gibbs import BPMFResult, ResumeLike
 from repro.core.metrics import rmse
 from repro.core.predict import PosteriorPredictor
-from repro.core.priors import BPMFConfig, GaussianPrior
+from repro.core.priors import BPMFConfig, NormalWishartPrior
 from repro.core.state import BPMFState, initialize_state
 from repro.core.updates import HybridUpdatePolicy, UpdateMethod
 from repro.core.wishart import (
@@ -46,9 +53,10 @@ from repro.core.wishart import (
 from repro.distributed.comm_plan import CommunicationPlan, build_comm_plan
 from repro.distributed.partition import Partition, partition_ratings
 from repro.mpi.buffers import BufferStats, SendBuffer
-from repro.mpi.simmpi import SimComm, SimCommWorld
+from repro.mpi.simmpi import SimCommWorld
+from repro.obs.trace import maybe_span
 from repro.parallel.cost_model import WorkloadModel
-from repro.sparse.csr import RatingMatrix
+from repro.sparse.csr import CompressedAxis, RatingMatrix
 from repro.sparse.split import RatingSplit
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import ValidationError, check_in, check_positive
@@ -56,9 +64,18 @@ from repro.utils.validation import ValidationError, check_in, check_positive
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving -> core)
     from repro.serving.checkpoint import CheckpointConfig
 
-__all__ = ["DistributedOptions", "DistributedGibbsSampler", "DistributedRunInfo"]
+__all__ = ["DistributedOptions", "DistributedGibbsSampler",
+           "DistributedRunInfo", "Tag"]
 
-_PHASE_TAGS = {"movies": 1, "users": 2}
+
+class Tag(IntEnum):
+    """Message tags of the rank program (the same on every transport)."""
+
+    MOVIES = 1  # refreshed movie rows, owner -> every rank that reads them
+    USERS = 2  # refreshed user rows
+    EVAL = 50  # authoritative rows + update count -> rank 0, once per sweep
+    GATHER_MOVIES = 101  # hyper_mode="gather": owned movie rows -> rank 0
+    GATHER_USERS = 102  # hyper_mode="gather": owned user rows -> rank 0
 
 
 @dataclass
@@ -66,11 +83,11 @@ class DistributedOptions:
     """Execution options of the distributed sampler.
 
     ``checkpoint`` enables save-every-k-sweeps posterior snapshots of the
-    authoritative gathered state.  At a sweep boundary every rank's copy of
-    each factor row it will read next sweep equals the authoritative row
-    (they were exchanged at the end of the phase that last wrote them), so
-    resuming by handing all ranks the gathered state reproduces the
-    uninterrupted chain exactly.
+    authoritative gathered state, written by rank 0.  At a sweep boundary
+    every rank's copy of each factor row it will read next sweep equals
+    the authoritative row (they were exchanged at the end of the phase
+    that last wrote them), so resuming by handing all ranks the gathered
+    state reproduces the uninterrupted chain exactly.
     """
 
     n_ranks: int = 4
@@ -107,29 +124,36 @@ class DistributedRunInfo:
     items_exchanged_per_iteration: int
 
 
-class _RankState:
-    """One rank's private copies of the factor matrices."""
+@dataclass
+class _Block:
+    """One entity class as one rank sees it."""
 
-    def __init__(self, rank: int, user_factors: np.ndarray, movie_factors: np.ndarray):
-        self.rank = rank
-        self.user_factors = user_factors.copy()
-        self.movie_factors = movie_factors.copy()
+    name: str  # "movies" | "users"
+    tag: Tag
+    gather_tag: Tag
+    hyperprior: NormalWishartPrior
+    axis: CompressedAxis
+    factors: np.ndarray  # this rank's copy of the whole class
+    owned: np.ndarray  # ids this rank updates and is authoritative for
+    destinations: Tuple[np.ndarray, ...]  # per item: the ranks that read it
+    expected: np.ndarray  # mask of the ids this rank receives every phase
 
 
 class DistributedGibbsSampler:
-    """Distributed BPMF over a :class:`repro.mpi.simmpi.SimCommWorld`."""
+    """Distributed BPMF: one rank program over any communicator."""
 
     def __init__(self, config: BPMFConfig | None = None,
                  options: DistributedOptions | None = None):
         self.config = config or BPMFConfig()
         self.options = options or DistributedOptions()
-        # One engine shared by all simulated ranks: the bucket plans it
-        # caches are keyed per (axis, owned-items) pair, so each rank's
-        # subset gets its own plan while the arithmetic stays per-item
-        # deterministic (identical rows to a full-matrix plan).  With
-        # engine="shared" each rank's per-node phase runs across the
-        # engine's process pool, so node- and core-level parallelism
-        # compose as in the paper's cluster runs.
+        # One engine per sampler, shared by the simulated ranks (which
+        # never run concurrently): the bucket plans it caches are keyed
+        # per (axis, owned-items) pair, so each rank's subset gets its own
+        # plan while the arithmetic stays per-item deterministic
+        # (identical rows to a full-matrix plan).  With engine="shared"
+        # each rank's per-node phase runs across the engine's process
+        # pool, so node- and core-level parallelism compose as in the
+        # paper's cluster runs.
         self._engine = make_update_engine(self.options.engine,
                                           update_method=self.options.update_method,
                                           policy=self.options.policy,
@@ -140,173 +164,206 @@ class DistributedGibbsSampler:
     # hyperparameter step
     # ------------------------------------------------------------------ #
 
-    def _sample_prior(self, entity: str, rank_states: List[_RankState],
-                      partition: Partition, comms: List[SimComm],
-                      rng: np.random.Generator, iteration: int) -> GaussianPrior:
-        """Resample one entity class's Gaussian prior across all ranks."""
-        hyperprior = (self.config.movie_hyperprior if entity == "movies"
-                      else self.config.user_hyperprior)
-        owned_of = partition.movies_of if entity == "movies" else partition.users_of
-
-        def local_rows(state: _RankState, owned: np.ndarray) -> np.ndarray:
-            matrix = state.movie_factors if entity == "movies" else state.user_factors
-            return matrix[owned]
-
-        if self.options.hyper_mode == "gather":
-            # Every rank sends its authoritative rows to rank 0, which
-            # rebuilds the full matrix in canonical order (bitwise identical
-            # to what the sequential sampler sees).
-            tag = 100 + _PHASE_TAGS[entity]
-            n_items = partition.n_movies if entity == "movies" else partition.n_users
-            full = np.zeros((n_items, self.config.num_latent))
-            for rank, state in enumerate(rank_states):
-                owned = owned_of(rank)
-                if rank == 0:
-                    full[owned] = local_rows(state, owned)
-                else:
-                    comms[rank].isend((owned, local_rows(state, owned)), dest=0,
-                                      tag=tag, description=f"gather-{entity}")
-            for _ in range(len(rank_states) - 1):
-                owned, rows = comms[0].recv(tag=tag)
-                full[owned] = rows
-            posterior = normal_wishart_posterior(full, hyperprior)
+    def _agree_posterior(self, comm, block: _Block,
+                         iteration: int) -> NormalWishartPrior:
+        """The posterior of one class's Gaussian prior, identical on every rank."""
+        k = self.config.num_latent
+        rows = block.factors[block.owned]
+        if self.options.hyper_mode == "stats":
+            # Sufficient statistics (count, sum, sum of outer products)
+            # flattened into one vector per rank, reduced in rank order.
+            stats = np.concatenate([
+                [float(rows.shape[0])],
+                rows.sum(axis=0) if rows.size else np.zeros(k),
+                (rows.T @ rows).ravel() if rows.size else np.zeros(k * k),
+            ])
+            total = comm.allreduce(stats, key=f"hyper-{block.name}-{iteration}")
+            return normal_wishart_posterior_from_stats(
+                int(round(total[0])), total[1:1 + k],
+                total[1 + k:].reshape(k, k), block.hyperprior)
+        shared = None
+        if comm.rank == 0:
+            # Rank 0 rebuilds the full matrix in canonical order — bitwise
+            # what the sequential sampler sees.
+            full = np.zeros_like(block.factors)
+            full[block.owned] = rows
+            for _ in range(comm.size - 1):
+                owned, their_rows = comm.recv(tag=block.gather_tag)
+                full[np.asarray(owned)] = np.asarray(their_rows)
+            posterior = normal_wishart_posterior(full, block.hyperprior)
+            shared = {"mu0": posterior.mu0, "beta0": float(posterior.beta0),
+                      "W0": posterior.W0, "nu0": float(posterior.nu0)}
         else:
-            # Sufficient-statistics allreduce: (count, sum, sum of outer
-            # products) flattened into one vector per rank.
-            k = self.config.num_latent
-            key = f"hyper-{entity}-{iteration}"
-            result = None
-            for rank, state in enumerate(rank_states):
-                owned = owned_of(rank)
-                rows = local_rows(state, owned)
-                stats = np.concatenate([
-                    [float(rows.shape[0])],
-                    rows.sum(axis=0) if rows.size else np.zeros(k),
-                    (rows.T @ rows).ravel() if rows.size else np.zeros(k * k),
-                ])
-                contribution = comms[rank].allreduce(stats, key=key)
-                if contribution is not None:
-                    result = contribution
-            if result is None:  # pragma: no cover - defensive
-                raise ValidationError("allreduce did not complete")
-            for rank in range(len(rank_states) - 1):
-                comms[rank].fetch_allreduce(key=key)
-            n = int(round(result[0]))
-            factor_sum = result[1:1 + k]
-            factor_outer = result[1 + k:].reshape(k, k)
-            posterior = normal_wishart_posterior_from_stats(
-                n, factor_sum, factor_outer, hyperprior)
-
-        # Rank 0 draws; the value is broadcast (functionally shared here,
-        # with the messages posted so the traffic is still auditable).
-        prior = sample_normal_wishart(posterior, rng)
-        for rank in range(1, len(rank_states)):
-            comms[0].isend((prior.mean, prior.precision), dest=rank,
-                           tag=90 + _PHASE_TAGS[entity], description="bcast-prior")
-        for rank in range(1, len(rank_states)):
-            comms[rank].recv(source=0, tag=90 + _PHASE_TAGS[entity])
-        return prior
+            comm.isend((block.owned, rows), dest=0, tag=block.gather_tag,
+                       description=f"gather-{block.name}")
+        # Arrays cross a wire as exact binary blocks, the scalars as JSON,
+        # which round-trips IEEE doubles exactly.
+        shared = comm.bcast(shared, root=0)
+        return NormalWishartPrior(
+            mu0=np.asarray(shared["mu0"], dtype=np.float64),
+            beta0=float(shared["beta0"]),
+            W0=np.asarray(shared["W0"], dtype=np.float64),
+            nu0=float(shared["nu0"]))
 
     # ------------------------------------------------------------------ #
-    # one phase
+    # exchange after one phase
     # ------------------------------------------------------------------ #
 
-    def _run_phase(self, entity: str, ratings: RatingMatrix,
-                   rank_states: List[_RankState], partition: Partition,
-                   plan: CommunicationPlan, comms: List[SimComm],
-                   prior: GaussianPrior, noise: np.ndarray,
-                   buffer_stats: BufferStats) -> int:
-        """Update all items of one entity class and exchange the results."""
-        tag = _PHASE_TAGS[entity]
-        if entity == "movies":
-            owned_of = partition.movies_of
-            destinations = plan.movie_destinations
-            axis = ratings.by_movie
-        else:
-            owned_of = partition.users_of
-            destinations = plan.user_destinations
-            axis = ratings.by_user
-
-        updated = 0
-        for rank, state in enumerate(rank_states):
-            comm = comms[rank]
-            target = state.movie_factors if entity == "movies" else state.user_factors
-            source = state.user_factors if entity == "movies" else state.movie_factors
+    def _exchange(self, comm, block: _Block) -> BufferStats:
+        """Ship the refreshed owned rows, then receive the planned ones."""
+        stats = BufferStats()
+        with maybe_span("mpi.exchange", phase=block.name, rank=comm.rank):
             buffers: Dict[int, SendBuffer] = {}
 
-            def flush(dest: int, ids: np.ndarray, payload: np.ndarray,
-                      _comm=comm, _tag=tag) -> None:
-                _comm.isend((ids, payload), dest=dest, tag=_tag,
-                            description=f"{entity}-update")
+            def flush(dest: int, ids: np.ndarray, payload: np.ndarray) -> None:
+                comm.isend((ids, payload), dest=dest, tag=block.tag,
+                           description=f"{block.name}-update")
 
-            # Update all of this rank's items through the engine, then
-            # stream the refreshed rows into the per-destination buffers.
-            # Within a phase an item's conditional never reads same-class
-            # factors, so updating before enqueueing sends the same values
-            # (and the same message pattern) as the old interleaved loop.
-            owned = np.asarray(owned_of(rank), dtype=np.int64)
-            updated += self._engine.update_items(
-                target, source, axis, prior, self.config.alpha, noise,
-                items=owned)
-            for item in owned:
+            for item in block.owned:
                 item = int(item)
-                for dest in destinations[item]:
+                for dest in block.destinations[item]:
                     dest = int(dest)
                     if dest not in buffers:
                         buffers[dest] = SendBuffer(
                             dest, self.options.buffer_capacity,
                             self.config.num_latent, on_flush=flush)
-                    buffers[dest].add(int(item), target[item])
+                    buffers[dest].add(item, block.factors[item])
             for buffer in buffers.values():
                 buffer.flush(partial=True)
-                buffer_stats_local = buffer.stats
-                buffer_stats.n_items += buffer_stats_local.n_items
-                buffer_stats.n_messages += buffer_stats_local.n_messages
-                buffer_stats.n_flushes_full += buffer_stats_local.n_flushes_full
-                buffer_stats.n_flushes_partial += buffer_stats_local.n_flushes_partial
+                stats = stats.merge(buffer.stats)
 
-        # Apply received updates: every rank drains its mailbox for this tag.
-        for rank, state in enumerate(rank_states):
-            target = state.movie_factors if entity == "movies" else state.user_factors
-            for ids, payload in comms[rank].drain(tag=tag):
-                target[ids] = payload
-        return updated
+            remaining = block.expected.copy()
+            while remaining.any():
+                ids, payload = comm.recv(tag=block.tag)
+                ids = np.asarray(ids)
+                stray = ids[~remaining[ids]]
+                if stray.size:
+                    raise ValidationError(
+                        f"rank {comm.rank} received {block.name} rows "
+                        f"{stray[:5].tolist()} it never planned for — the "
+                        "communication plan and the exchange loop are "
+                        "inconsistent")
+                remaining[ids] = False
+                block.factors[ids] = np.asarray(payload)
+        return stats
 
     # ------------------------------------------------------------------ #
-    # gather for evaluation
+    # the rank program
     # ------------------------------------------------------------------ #
 
-    def _gather_state(self, rank_states: List[_RankState], partition: Partition,
-                      comms: List[SimComm], user_prior: GaussianPrior,
-                      movie_prior: GaussianPrior, iteration: int) -> BPMFState:
-        """Assemble the authoritative factor rows at rank 0 for evaluation."""
-        n_users, n_movies = partition.n_users, partition.n_movies
-        k = self.config.num_latent
-        user_factors = np.zeros((n_users, k))
-        movie_factors = np.zeros((n_movies, k))
-        tag = 50
-        for rank, state in enumerate(rank_states):
-            users = partition.users_of(rank)
-            movies = partition.movies_of(rank)
-            if rank == 0:
-                user_factors[users] = state.user_factors[users]
-                movie_factors[movies] = state.movie_factors[movies]
+    def _rank_program(self, comm, train: RatingMatrix,
+                      split: Optional[RatingSplit], seed: SeedLike,
+                      plan: CommunicationPlan, resume: Optional[ResumeLike]
+                      ) -> Tuple[Optional[BPMFResult], BufferStats]:
+        """What one rank runs; returns ``(result on rank 0, buffer stats)``.
+
+        Every rank is called with the same arguments: partitioning and the
+        replicated generator both assume identical inputs.
+        """
+        from repro.serving.checkpoint import TrainingCheckpointer
+
+        config, rank = self.config, comm.rank
+        snapshot, state, rng = TrainingCheckpointer.open_resume(
+            resume, None, as_generator(seed))
+        if state is None:
+            state = initialize_state(train, config, rng)
+        elif (state.n_users, state.n_movies) != (train.n_users, train.n_movies):
+            raise ValidationError(
+                "snapshot shape does not match the rating matrix")
+
+        def block(name, tag, gather_tag, hyperprior, axis, factors, owned,
+                  destinations) -> _Block:
+            expected = np.zeros(factors.shape[0], dtype=bool)
+            expected[plan.expected_incoming(name, rank)] = True
+            return _Block(name, tag, gather_tag, hyperprior, axis, factors,
+                          np.asarray(owned, dtype=np.int64), destinations,
+                          expected)
+
+        partition = plan.partition
+        movies = block("movies", Tag.MOVIES, Tag.GATHER_MOVIES,
+                       config.movie_hyperprior, train.by_movie,
+                       state.movie_factors, partition.movies_of(rank),
+                       plan.movie_destinations)
+        users = block("users", Tag.USERS, Tag.GATHER_USERS,
+                      config.user_hyperprior, train.by_user,
+                      state.user_factors, partition.users_of(rank),
+                      plan.user_destinations)
+
+        if rank == 0:
+            if split is not None and split.n_test > 0:
+                test_users, test_movies, test_values = split.test_triplets()
             else:
-                comms[rank].isend(
-                    (users, state.user_factors[users], movies,
-                     state.movie_factors[movies]),
-                    dest=0, tag=tag, description="gather-eval")
-        for _ in range(len(rank_states) - 1):
-            users, user_rows, movies, movie_rows = comms[0].recv(tag=tag)
-            user_factors[users] = user_rows
-            movie_factors[movies] = movie_rows
-        return BPMFState(
-            user_factors=user_factors,
-            movie_factors=movie_factors,
-            user_prior=user_prior,
-            movie_prior=movie_prior,
-            iteration=iteration,
-        )
+                test_users, test_movies, test_values = train.triplets()
+            predictor = PosteriorPredictor(
+                test_users, test_movies,
+                keep_samples=self.options.keep_sample_predictions)
+            checkpointer = TrainingCheckpointer(
+                config, self.options.checkpoint, snapshot, state, predictor)
+        gathered = state if snapshot is not None else None
+        buffer_stats = BufferStats()
+
+        for iteration in range(state.iteration, config.total_iterations):
+            with maybe_span("mpi.sweep", iteration=iteration, rank=rank):
+                updated, priors = 0, {}
+                for this, other in ((movies, users), (users, movies)):
+                    posterior = self._agree_posterior(comm, this, iteration)
+                    priors[this.name] = sample_normal_wishart(posterior, rng)
+                    noise = rng.standard_normal(this.factors.shape)
+                    updated += self._engine.update_items(
+                        this.factors, other.factors, this.axis,
+                        priors[this.name], config.alpha, noise,
+                        items=this.owned)
+                    buffer_stats = buffer_stats.merge(
+                        self._exchange(comm, this))
+
+                # Authoritative rows (and this rank's update count) to rank 0.
+                mine = (users.owned, users.factors[users.owned], movies.owned,
+                        movies.factors[movies.owned], int(updated))
+                if rank != 0:
+                    comm.isend(mine, dest=0, tag=Tag.EVAL,
+                               description="gather-eval")
+                    continue
+                gathered = BPMFState(
+                    user_factors=np.zeros_like(users.factors),
+                    movie_factors=np.zeros_like(movies.factors),
+                    user_prior=priors["users"], movie_prior=priors["movies"],
+                    iteration=iteration + 1)
+                theirs = [comm.recv(tag=Tag.EVAL) for _ in range(comm.size - 1)]
+                for user_ids, user_rows, movie_ids, movie_rows, count in (
+                        mine, *theirs):
+                    gathered.user_factors[np.asarray(user_ids)] = \
+                        np.asarray(user_rows)
+                    gathered.movie_factors[np.asarray(movie_ids)] = \
+                        np.asarray(movie_rows)
+                    checkpointer.items_updated += int(count)
+
+                sample_pred = gathered.predict(test_users, test_movies)
+                if iteration >= config.burn_in:
+                    predictor.accumulate(gathered)
+                    mean_rmse = rmse(predictor.mean_prediction(), test_values)
+                else:
+                    mean_rmse = None
+                checkpointer.record(iteration, gathered,
+                                    rmse(sample_pred, test_values), mean_rmse)
+                checkpointer.maybe_save(iteration, gathered, rng, predictor)
+        # Everyone finishes before anyone tears its links down.
+        comm.barrier()
+
+        if rank != 0:
+            return None, buffer_stats
+        return BPMFResult(
+            config=config,
+            state=gathered,
+            rmse_per_sample=checkpointer.rmse_per_sample,
+            rmse_running_mean=checkpointer.rmse_running_mean,
+            rmse_burn_in=checkpointer.rmse_burn_in,
+            predictions=predictor.mean_prediction(),
+            sample_predictions=(predictor.sample_matrix()
+                                if self.options.keep_sample_predictions else None),
+            items_updated=checkpointer.items_updated,
+            factor_means=(checkpointer.factor_means
+                          if checkpointer.factor_means.n_samples else None),
+        ), buffer_stats
 
     # ------------------------------------------------------------------ #
     # full run
@@ -318,126 +375,52 @@ class DistributedGibbsSampler:
             comm_world=None) -> Tuple[Optional[BPMFResult], DistributedRunInfo]:
         """Run the distributed sampler; returns ``(result, diagnostics)``.
 
-        ``resume`` continues a checkpointed chain: every rank is seeded with
-        the snapshot's authoritative factor matrices (exactly what its own
-        copies held at that sweep boundary — see :class:`DistributedOptions`)
-        and the generator state is restored, so the completed run matches an
-        uninterrupted one bit for bit.  Traffic diagnostics
-        (:class:`DistributedRunInfo`) restart from zero at the resume point.
+        ``comm_world`` selects the transport, and with it who calls the
+        rank program.  ``None`` (the default) or a
+        :class:`~repro.mpi.simmpi.SimCommWorld` runs *every* rank
+        in-process: the result is rank 0's and the diagnostics cover the
+        whole world (its message log holds the run's traffic).  A
+        per-process world — anything with the socket-world surface
+        ``n_ranks`` / ``comm()`` / ``pending_messages()`` /
+        ``total_messages_sent()`` / ``total_bytes_sent()``, e.g.
+        :class:`repro.mpi.net.SocketCommWorld` — runs only this process's
+        rank: every process calls ``run`` with the same arguments, the
+        result comes back on rank 0 only (``None`` elsewhere), the
+        diagnostics count this rank's traffic, and the caller owns the
+        world's lifetime.  The chain is bit-identical on every transport.
 
-        ``comm_world`` selects the transport.  ``None`` (the default)
-        orchestrates all ranks in-process over a fresh
-        :class:`~repro.mpi.simmpi.SimCommWorld`; passing a ``SimCommWorld``
-        orchestrates over that world instead (its message log then holds
-        the run's traffic).  Passing a *real* per-process world — anything
-        with a ``rank`` attribute, e.g.
-        :class:`repro.mpi.net.SocketCommWorld` — switches to the SPMD
-        path (:func:`repro.distributed.spmd.run_spmd`): this process runs
-        only its own rank and exchanges factors over the wire.  The same
-        partition and communication plan drive every transport, and the
-        socket chain is bit-identical to the simulated one.  In SPMD mode
-        the result comes back on rank 0 only (``None`` elsewhere) and
-        checkpoint/resume are rejected.
+        ``resume`` continues a checkpointed chain on any world: every rank
+        restores the snapshot's authoritative factor matrices (exactly
+        what its own copies held at that sweep boundary — see
+        :class:`DistributedOptions`) and generator state, so the
+        completed run matches an uninterrupted one bit for bit.  Traffic
+        diagnostics restart from zero at the resume point.
         """
-        from repro.serving.checkpoint import TrainingCheckpointer
-
-        if comm_world is not None and not isinstance(comm_world, SimCommWorld):
-            if not hasattr(comm_world, "rank"):
-                raise ValidationError(
-                    "comm_world must be None, a SimCommWorld, or a "
-                    "per-process world with a .rank (e.g. SocketCommWorld)")
-            if resume is not None:
-                raise ValidationError(
-                    "resume is an orchestrated-run feature; SPMD worlds "
-                    "cannot restore a gathered snapshot")
-            from repro.distributed.spmd import run_spmd
-            return run_spmd(self, comm_world, train, split=split, seed=seed,
-                            partition=partition)
-
-        rng = as_generator(seed)
-        snapshot, resumed_state, rng = TrainingCheckpointer.open_resume(
-            resume, None, rng)
-        if resumed_state is not None:
-            if resumed_state.n_users != train.n_users \
-                    or resumed_state.n_movies != train.n_movies:
-                raise ValidationError(
-                    "snapshot shape does not match the rating matrix")
-            reference_state = resumed_state
-        else:
-            reference_state = initialize_state(train, self.config, rng)
-
+        options = self.options
+        world = SimCommWorld(options.n_ranks) if comm_world is None \
+            else comm_world
+        if world.n_ranks != options.n_ranks:
+            raise ValidationError(
+                f"comm_world has {world.n_ranks} ranks but options.n_ranks "
+                f"is {options.n_ranks} — the partition would not match")
         if partition is None:
             partition = partition_ratings(
-                train, self.options.n_ranks, workload=self.options.workload,
-                reorder=self.options.reorder)
-        elif partition.n_ranks != self.options.n_ranks:
+                train, options.n_ranks, workload=options.workload,
+                reorder=options.reorder)
+        elif partition.n_ranks != options.n_ranks:
             raise ValidationError("partition rank count does not match options")
         plan = build_comm_plan(train, partition)
 
-        if comm_world is None:
-            world = SimCommWorld(self.options.n_ranks)
-        else:
-            world = comm_world
-            if world.n_ranks != self.options.n_ranks:
-                raise ValidationError(
-                    f"comm_world has {world.n_ranks} ranks but "
-                    f"options.n_ranks is {self.options.n_ranks}")
-        comms = world.comms()
-        rank_states = [
-            _RankState(rank, reference_state.user_factors,
-                       reference_state.movie_factors)
-            for rank in range(self.options.n_ranks)
-        ]
-
-        if split is not None and split.n_test > 0:
-            test_users, test_movies, test_values = split.test_triplets()
-        else:
-            test_users, test_movies, test_values = train.triplets()
-        predictor = PosteriorPredictor(
-            test_users, test_movies,
-            keep_samples=self.options.keep_sample_predictions)
-        checkpointer = TrainingCheckpointer(self.config, self.options.checkpoint,
-                                            snapshot, reference_state, predictor)
-
-        buffer_stats = BufferStats()
-        user_prior = GaussianPrior.standard(self.config.num_latent)
-        movie_prior = GaussianPrior.standard(self.config.num_latent)
-        gathered = reference_state if snapshot is not None else None
+        def program(comm):
+            return self._rank_program(comm, train, split, seed, plan, resume)
 
         # engine="shared" owns worker processes and shared-memory segments;
         # the finally releases them even when a phase raises mid-run.
         try:
-            for iteration in range(checkpointer.start_iteration,
-                                   self.config.total_iterations):
-                movie_prior = self._sample_prior("movies", rank_states,
-                                                 partition, comms, rng,
-                                                 iteration)
-                movie_noise = rng.standard_normal((train.n_movies,
-                                                   self.config.num_latent))
-                checkpointer.items_updated += self._run_phase(
-                    "movies", train, rank_states, partition, plan, comms,
-                    movie_prior, movie_noise, buffer_stats)
-                user_prior = self._sample_prior("users", rank_states,
-                                                partition, comms, rng,
-                                                iteration)
-                user_noise = rng.standard_normal((train.n_users,
-                                                  self.config.num_latent))
-                checkpointer.items_updated += self._run_phase(
-                    "users", train, rank_states, partition, plan, comms,
-                    user_prior, user_noise, buffer_stats)
-
-                gathered = self._gather_state(rank_states, partition, comms,
-                                              user_prior, movie_prior,
-                                              iteration + 1)
-                sample_pred = gathered.predict(test_users, test_movies)
-                if iteration >= self.config.burn_in:
-                    predictor.accumulate(gathered)
-                    mean_rmse = rmse(predictor.mean_prediction(), test_values)
-                else:
-                    mean_rmse = None
-                checkpointer.record(iteration, gathered,
-                                    rmse(sample_pred, test_values), mean_rmse)
-                checkpointer.maybe_save(iteration, gathered, rng, predictor)
+            if isinstance(world, SimCommWorld):
+                outcomes = world.run(program)
+            else:
+                outcomes = [program(world.comm())]
         finally:
             self._engine.close()
 
@@ -445,27 +428,15 @@ class DistributedGibbsSampler:
             raise ValidationError(
                 f"{world.pending_messages()} messages were never received — "
                 "the communication plan and the exchange loop are inconsistent")
-
-        log = world.message_log
-        result = BPMFResult(
-            config=self.config,
-            state=gathered,
-            rmse_per_sample=checkpointer.rmse_per_sample,
-            rmse_running_mean=checkpointer.rmse_running_mean,
-            rmse_burn_in=checkpointer.rmse_burn_in,
-            predictions=predictor.mean_prediction(),
-            sample_predictions=(predictor.sample_matrix()
-                                if self.options.keep_sample_predictions else None),
-            items_updated=checkpointer.items_updated,
-            factor_means=(checkpointer.factor_means
-                          if checkpointer.factor_means.n_samples else None),
-        )
+        buffer_stats = BufferStats()
+        for _, rank_stats in outcomes:
+            buffer_stats = buffer_stats.merge(rank_stats)
         info = DistributedRunInfo(
             partition=partition,
             plan=plan,
             buffer_stats=buffer_stats,
-            n_messages=len(log),
-            bytes_sent=float(sum(record.n_bytes for record in log)),
+            n_messages=world.total_messages_sent(),
+            bytes_sent=float(world.total_bytes_sent()),
             items_exchanged_per_iteration=plan.total_items_exchanged(),
         )
-        return result, info
+        return outcomes[0][0], info

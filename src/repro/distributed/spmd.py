@@ -1,285 +1,24 @@
-"""Per-rank SPMD training loop: one process, one rank, a real wire.
+"""Drive an N-rank socket world inside one process.
 
-The orchestrated sampler (:mod:`repro.distributed.sampler`) steps every
-simulated rank from a single process — fine over
-:class:`~repro.mpi.simmpi.SimCommWorld`, impossible over real sockets
-where each rank lives in its own process.  :func:`run_spmd` is the same
-algorithm re-expressed as the program *one* rank runs: every rank owns
-its partition block, updates it through the shared engine, exchanges
-refreshed rows through its communicator, and rank 0 additionally
-evaluates the chain.
-
-**Bit-parity with the orchestrated run** is the design constraint, and
-it falls out of four decisions:
-
-* *Replicated RNG.*  Every rank holds an identical generator seeded the
-  same way and performs the identical draw sequence the orchestrated
-  loop performs on its single stream: ``initialize_state``, then per
-  sweep one normal-wishart draw and one full noise matrix per entity
-  class.  Ranks draw the *full* noise matrix (not just their slice) so
-  the streams stay in lockstep — noise is O(items × K) doubles per
-  sweep, trivially affordable next to the factor exchange itself.
-* *Rank-order reductions.*  ``SocketComm.allreduce`` gathers to rank 0
-  and reduces with :class:`~repro.mpi.simmpi.ReduceOp` in rank order —
-  the exact floating-point association the simulated world uses.
-* *Exact wire.*  Factor rows, sufficient statistics and posterior
-  parameters cross the wire as binary float64 frames
-  (:mod:`repro.serving.net.protocol`), bit-preserving by construction.
-* *Plan-counted receives.*  A phase's receive loop knows exactly which
-  item ids must arrive (the communication plan inverted for this rank)
-  and runs until they all have.  Received rows land in disjoint slices,
-  so arrival order — the one thing a real network does not guarantee —
-  cannot affect the result; an unexpected id raises instead (a wrong
-  plan must fail loudly, exactly like the orchestrated run's
-  pending-message audit).
-
-Checkpoint/resume stays an orchestrated-run feature: snapshots capture
-the *gathered* authoritative state, which only rank 0 holds here, and
-restart coordination across real processes belongs to a launcher, not a
-sampler.  ``run_spmd`` refuses checkpoint options rather than silently
-dropping them.
+The distributed sampler has one rank program
+(:mod:`repro.distributed.sampler`); on a socket world each rank's owner
+calls ``sampler.run(..., comm_world=world)`` itself.  Real deployments
+do that from one OS process per rank (``python -m repro.mpi.net``);
+:func:`run_local_socket_world` does it from one thread per rank, for
+tests, the quickstart example and the benchmarks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+import threading
+from typing import List, Optional, Tuple
 
-import numpy as np
-
-from repro.core.gibbs import BPMFResult
-from repro.core.metrics import rmse
-from repro.core.predict import PosteriorPredictor
-from repro.core.priors import GaussianPrior
-from repro.core.state import BPMFState, initialize_state
-from repro.core.wishart import (
-    NormalWishartPrior,
-    normal_wishart_posterior,
-    normal_wishart_posterior_from_stats,
-    sample_normal_wishart,
-)
-from repro.distributed.comm_plan import CommunicationPlan, build_comm_plan
-from repro.distributed.partition import Partition, partition_ratings
-from repro.mpi.buffers import BufferStats, SendBuffer
-from repro.obs.trace import maybe_span
+from repro.distributed.partition import Partition
 from repro.sparse.csr import RatingMatrix
 from repro.sparse.split import RatingSplit
-from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import ValidationError
+from repro.utils.rng import SeedLike
 
-__all__ = ["run_spmd", "expected_incoming", "run_local_socket_world"]
-
-_PHASE_TAGS = {"movies": 1, "users": 2}
-_GATHER_BASE_TAG = 100
-_EVAL_TAG = 50
-
-
-def expected_incoming(owner: np.ndarray,
-                      destinations: List[np.ndarray],
-                      rank: int) -> Set[int]:
-    """Item ids this rank must receive in one phase.
-
-    The communication plan lists, per item, the ranks that need its
-    refreshed row; inverting it for ``rank`` gives the exact receive
-    set, which is what lets the phase's receive loop *count* instead of
-    guessing when the exchange is done.
-    """
-    expected: Set[int] = set()
-    for item, dests in enumerate(destinations):
-        if int(owner[item]) != rank and rank in dests:
-            expected.add(item)
-    return expected
-
-
-def _bcast_posterior(comm, posterior: Optional[NormalWishartPrior],
-                     root: int = 0) -> NormalWishartPrior:
-    """Share a normal-wishart posterior bit-exactly from ``root``.
-
-    The arrays ride the binary frame form (exact); the scalars ride
-    JSON, which round-trips IEEE doubles exactly.
-    """
-    if comm.rank == root:
-        assert posterior is not None
-        payload = {"mu0": posterior.mu0, "beta0": float(posterior.beta0),
-                   "W0": posterior.W0, "nu0": float(posterior.nu0)}
-        comm.bcast(payload, root=root)
-        return posterior
-    payload = comm.bcast(None, root=root)
-    return NormalWishartPrior(
-        mu0=np.array(payload["mu0"], dtype=np.float64),
-        beta0=float(payload["beta0"]),
-        W0=np.array(payload["W0"], dtype=np.float64),
-        nu0=float(payload["nu0"]),
-    )
-
-
-class _SpmdRank:
-    """The state one rank carries through an SPMD run."""
-
-    def __init__(self, sampler, comm, train: RatingMatrix,
-                 partition: Partition, plan: CommunicationPlan,
-                 rng: np.random.Generator, state: BPMFState):
-        self.sampler = sampler
-        self.comm = comm
-        self.rank = comm.rank
-        self.train = train
-        self.partition = partition
-        self.plan = plan
-        self.rng = rng
-        self.user_factors = state.user_factors.copy()
-        self.movie_factors = state.movie_factors.copy()
-        self.buffer_stats = BufferStats()
-        self.items_updated = 0
-        self.expected: Dict[str, Set[int]] = {
-            "movies": expected_incoming(partition.movie_owner,
-                                        plan.movie_destinations, self.rank),
-            "users": expected_incoming(partition.user_owner,
-                                       plan.user_destinations, self.rank),
-        }
-
-    # -- hyperparameters ---------------------------------------------------
-
-    def sample_prior(self, entity: str, iteration: int) -> GaussianPrior:
-        """The SPMD half of ``DistributedGibbsSampler._sample_prior``.
-
-        Both modes end with *every* rank holding the identical posterior
-        and drawing ``sample_normal_wishart`` from its own (lockstep)
-        generator — the draw that the orchestrated loop performs once on
-        its single stream.
-        """
-        config, options = self.sampler.config, self.sampler.options
-        comm = self.comm
-        hyperprior = (config.movie_hyperprior if entity == "movies"
-                      else config.user_hyperprior)
-        owned = (self.partition.movies_of(self.rank) if entity == "movies"
-                 else self.partition.users_of(self.rank))
-        matrix = (self.movie_factors if entity == "movies"
-                  else self.user_factors)
-        rows = matrix[owned]
-
-        if options.hyper_mode == "gather":
-            tag = _GATHER_BASE_TAG + _PHASE_TAGS[entity]
-            if self.rank == 0:
-                n_items = (self.partition.n_movies if entity == "movies"
-                           else self.partition.n_users)
-                full = np.zeros((n_items, config.num_latent))
-                full[owned] = rows
-                for _ in range(comm.size - 1):
-                    got_owned, got_rows = comm.recv(tag=tag)
-                    full[np.asarray(got_owned)] = np.asarray(got_rows)
-                posterior = normal_wishart_posterior(full, hyperprior)
-                posterior = _bcast_posterior(comm, posterior)
-            else:
-                comm.isend((owned, rows), dest=0, tag=tag,
-                           description=f"gather-{entity}")
-                posterior = _bcast_posterior(comm, None)
-        else:
-            k = config.num_latent
-            stats = np.concatenate([
-                [float(rows.shape[0])],
-                rows.sum(axis=0) if rows.size else np.zeros(k),
-                (rows.T @ rows).ravel() if rows.size else np.zeros(k * k),
-            ])
-            result = comm.allreduce(stats, key=f"hyper-{entity}-{iteration}")
-            n = int(round(result[0]))
-            factor_sum = result[1:1 + k]
-            factor_outer = result[1 + k:].reshape(k, k)
-            posterior = normal_wishart_posterior_from_stats(
-                n, factor_sum, factor_outer, hyperprior)
-        return sample_normal_wishart(posterior, self.rng)
-
-    # -- one phase ---------------------------------------------------------
-
-    def run_phase(self, entity: str, prior: GaussianPrior,
-                  noise: np.ndarray) -> None:
-        """Update the owned block, then exchange refreshed rows."""
-        config, options = self.sampler.config, self.sampler.options
-        comm = self.comm
-        tag = _PHASE_TAGS[entity]
-        if entity == "movies":
-            owned_of = self.partition.movies_of
-            destinations = self.plan.movie_destinations
-            axis = self.train.by_movie
-            target, source = self.movie_factors, self.user_factors
-        else:
-            owned_of = self.partition.users_of
-            destinations = self.plan.user_destinations
-            axis = self.train.by_user
-            target, source = self.user_factors, self.movie_factors
-
-        owned = np.asarray(owned_of(self.rank), dtype=np.int64)
-        self.items_updated += self.sampler._engine.update_items(
-            target, source, axis, prior, config.alpha, noise, items=owned)
-
-        with maybe_span("mpi.exchange", phase=entity, rank=self.rank):
-            buffers: Dict[int, SendBuffer] = {}
-
-            def flush(dest: int, ids: np.ndarray,
-                      payload: np.ndarray) -> None:
-                comm.isend((ids, payload), dest=dest, tag=tag,
-                           description=f"{entity}-update")
-
-            for item in owned:
-                item = int(item)
-                for dest in destinations[item]:
-                    dest = int(dest)
-                    if dest not in buffers:
-                        buffers[dest] = SendBuffer(
-                            dest, options.buffer_capacity,
-                            config.num_latent, on_flush=flush)
-                    buffers[dest].add(item, target[item])
-            for buffer in buffers.values():
-                buffer.flush(partial=True)
-                self.buffer_stats = self.buffer_stats.merge(buffer.stats)
-
-            # Counted receive: run until every planned incoming row of
-            # this phase has arrived.  Rows land in disjoint slices, so
-            # arrival order cannot change the state.
-            remaining = set(self.expected[entity])
-            while remaining:
-                ids, payload = comm.recv(tag=tag)
-                ids = np.asarray(ids)
-                id_list = [int(item) for item in ids]
-                stray = [item for item in id_list if item not in remaining]
-                if stray:
-                    raise ValidationError(
-                        f"rank {self.rank} received {entity} rows "
-                        f"{stray[:5]} it never planned for — the "
-                        f"communication plan and the exchange loop are "
-                        f"inconsistent")
-                remaining.difference_update(id_list)
-                target[ids] = np.asarray(payload)
-
-    # -- evaluation gather -------------------------------------------------
-
-    def gather_state(self, user_prior: GaussianPrior,
-                     movie_prior: GaussianPrior,
-                     iteration: int) -> Optional[BPMFState]:
-        """Authoritative rows to rank 0 (mirrors ``_gather_state``)."""
-        comm = self.comm
-        users = self.partition.users_of(self.rank)
-        movies = self.partition.movies_of(self.rank)
-        if self.rank != 0:
-            comm.isend((users, self.user_factors[users], movies,
-                        self.movie_factors[movies]),
-                       dest=0, tag=_EVAL_TAG, description="gather-eval")
-            return None
-        k = self.sampler.config.num_latent
-        user_factors = np.zeros((self.partition.n_users, k))
-        movie_factors = np.zeros((self.partition.n_movies, k))
-        user_factors[users] = self.user_factors[users]
-        movie_factors[movies] = self.movie_factors[movies]
-        for _ in range(comm.size - 1):
-            got = comm.recv(tag=_EVAL_TAG)
-            got_users, user_rows, got_movies, movie_rows = got
-            user_factors[np.asarray(got_users)] = np.asarray(user_rows)
-            movie_factors[np.asarray(got_movies)] = np.asarray(movie_rows)
-        return BPMFState(
-            user_factors=user_factors,
-            movie_factors=movie_factors,
-            user_prior=user_prior,
-            movie_prior=movie_prior,
-            iteration=iteration,
-        )
+__all__ = ["run_local_socket_world"]
 
 
 def run_local_socket_world(make_sampler, n_ranks: int, train: RatingMatrix,
@@ -297,12 +36,7 @@ def run_local_socket_world(make_sampler, n_ranks: int, train: RatingMatrix,
     shared across threads.  Returns the per-rank ``(result, info)``
     pairs (result is ``None`` except on rank 0); the worlds are closed
     before returning, and the first rank failure is re-raised.
-
-    Tests, the quickstart example and the bench ladder use this; real
-    deployments use one process per rank via ``python -m repro.mpi.net``.
     """
-    import threading
-
     from repro.mpi.net import start_local_world
 
     worlds = start_local_world(n_ranks, injectors=injectors,
@@ -323,7 +57,7 @@ def run_local_socket_world(make_sampler, n_ranks: int, train: RatingMatrix,
             worlds[rank].abort(f"rank {rank} failed: {error}")
 
     threads = [threading.Thread(target=drive, args=(rank,), daemon=True,
-                                name=f"repro-spmd-rank-{rank}")
+                                name=f"repro-socket-rank-{rank}")
                for rank in range(n_ranks)]
     try:
         for thread in threads:
@@ -337,124 +71,3 @@ def run_local_socket_world(make_sampler, n_ranks: int, train: RatingMatrix,
     if failures:
         raise failures[0]
     return results  # type: ignore[return-value]
-
-
-def run_spmd(sampler, world, train: RatingMatrix,
-             split: Optional[RatingSplit] = None, seed: SeedLike = 0,
-             partition: Optional[Partition] = None
-             ) -> Tuple[Optional[BPMFResult], "DistributedRunInfo"]:
-    """Run one rank of the distributed sampler over a real comm world.
-
-    Every participating process calls this with the *same* ``train``,
-    ``split``, ``seed`` and options (the SPMD contract: partitioning and
-    RNG replication both assume identical inputs).  Rank 0 returns the
-    full :class:`BPMFResult`; the other ranks return ``None`` for the
-    result — they hold only their blocks.  Diagnostics come back on
-    every rank, with traffic counted from this rank's transport.
-
-    ``world`` is anything with the socket-world surface (``rank``,
-    ``n_ranks``, ``comm()`` — see :class:`repro.mpi.net.SocketCommWorld`).
-    The caller owns the world's lifetime; ``run_spmd`` leaves it open.
-    """
-    from repro.distributed.sampler import DistributedRunInfo
-
-    config, options = sampler.config, sampler.options
-    if options.checkpoint is not None:
-        raise ValidationError(
-            "checkpointing is an orchestrated-run feature; run the "
-            "socket world without DistributedOptions.checkpoint")
-    comm = world.comm()
-    if world.n_ranks != options.n_ranks:
-        raise ValidationError(
-            f"world has {world.n_ranks} ranks but options.n_ranks is "
-            f"{options.n_ranks} — the partition would not match")
-
-    rng = as_generator(seed)
-    reference_state = initialize_state(train, config, rng)
-    if partition is None:
-        partition = partition_ratings(
-            train, options.n_ranks, workload=options.workload,
-            reorder=options.reorder)
-    elif partition.n_ranks != options.n_ranks:
-        raise ValidationError("partition rank count does not match options")
-    plan = build_comm_plan(train, partition)
-    rank_state = _SpmdRank(sampler, comm, train, partition, plan, rng,
-                           reference_state)
-
-    if split is not None and split.n_test > 0:
-        test_users, test_movies, test_values = split.test_triplets()
-    else:
-        test_users, test_movies, test_values = train.triplets()
-    predictor = PosteriorPredictor(
-        test_users, test_movies,
-        keep_samples=options.keep_sample_predictions)
-
-    rmse_burn_in: List[float] = []
-    rmse_per_sample: List[float] = []
-    rmse_running_mean: List[float] = []
-    items_updated_total = 0
-    user_prior = GaussianPrior.standard(config.num_latent)
-    movie_prior = GaussianPrior.standard(config.num_latent)
-    gathered: Optional[BPMFState] = None
-
-    try:
-        for iteration in range(config.total_iterations):
-            with maybe_span("mpi.sweep", iteration=iteration,
-                            rank=comm.rank):
-                movie_prior = rank_state.sample_prior("movies", iteration)
-                movie_noise = rng.standard_normal((train.n_movies,
-                                                   config.num_latent))
-                rank_state.run_phase("movies", movie_prior, movie_noise)
-                user_prior = rank_state.sample_prior("users", iteration)
-                user_noise = rng.standard_normal((train.n_users,
-                                                  config.num_latent))
-                rank_state.run_phase("users", user_prior, user_noise)
-
-                state = rank_state.gather_state(user_prior, movie_prior,
-                                                iteration + 1)
-                if comm.rank == 0:
-                    gathered = state
-                    sample_pred = gathered.predict(test_users, test_movies)
-                    if iteration >= config.burn_in:
-                        predictor.accumulate(gathered)
-                        rmse_per_sample.append(
-                            rmse(sample_pred, test_values))
-                        rmse_running_mean.append(
-                            rmse(predictor.mean_prediction(), test_values))
-                    else:
-                        rmse_burn_in.append(rmse(sample_pred, test_values))
-        # Everyone finishes before anyone tears its links down.
-        comm.barrier()
-    finally:
-        sampler._engine.close()
-
-    items_updated_total = rank_state.items_updated
-    if world.pending_messages():
-        raise ValidationError(
-            f"rank {comm.rank} holds {world.pending_messages()} messages "
-            f"that were never received — the communication plan and the "
-            f"exchange loop are inconsistent")
-
-    result: Optional[BPMFResult] = None
-    if comm.rank == 0:
-        result = BPMFResult(
-            config=config,
-            state=gathered,
-            rmse_per_sample=rmse_per_sample,
-            rmse_running_mean=rmse_running_mean,
-            rmse_burn_in=rmse_burn_in,
-            predictions=predictor.mean_prediction(),
-            sample_predictions=(predictor.sample_matrix()
-                                if options.keep_sample_predictions else None),
-            items_updated=items_updated_total,
-            factor_means=None,
-        )
-    info = DistributedRunInfo(
-        partition=partition,
-        plan=plan,
-        buffer_stats=rank_state.buffer_stats,
-        n_messages=world.total_messages_sent(),
-        bytes_sent=float(world.total_bytes_sent()),
-        items_exchanged_per_iteration=plan.total_items_exchanged(),
-    )
-    return result, info

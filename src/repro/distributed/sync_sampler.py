@@ -16,6 +16,8 @@ ablation benchmark quantifies the benefit the paper claims.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core.priors import BPMFConfig
 from repro.distributed.sampler import DistributedGibbsSampler, DistributedOptions
 
@@ -32,23 +34,8 @@ class BulkSynchronousGibbsSampler(DistributedGibbsSampler):
 
     def __init__(self, config: BPMFConfig | None = None,
                  options: DistributedOptions | None = None):
-        options = options or DistributedOptions()
-        # Work on a copy so the caller's options object is not mutated, and
-        # give the buffer a capacity no phase can ever fill, which collapses
-        # the streaming exchange into one message per communicating pair.
-        bulk_options = DistributedOptions(
-            n_ranks=options.n_ranks,
-            buffer_capacity=2**31 - 1,
-            reorder=options.reorder,
-            hyper_mode=options.hyper_mode,
-            update_method=options.update_method,
-            policy=options.policy,
-            engine=options.engine,
-            workload=options.workload,
-            keep_sample_predictions=options.keep_sample_predictions,
-        )
-        super().__init__(config, bulk_options)
-
-    @property
-    def is_bulk_synchronous(self) -> bool:
-        return True
+        # A copy (the caller's options object is not mutated) whose buffer
+        # no phase can ever fill, which collapses the streaming exchange
+        # into one message per communicating pair.
+        super().__init__(config, replace(options or DistributedOptions(),
+                                         buffer_capacity=2**31 - 1))

@@ -7,9 +7,12 @@ distributed experiments run on an in-process substrate with two layers:
   every simulated rank its own mailbox and the familiar ``Isend`` /
   ``Irecv`` / ``Allreduce`` / ``Barrier`` verbs.  Ranks keep *separate
   copies* of the factor matrices; an item only becomes visible on another
-  rank when a message carrying it is delivered.  This is what makes the
+  rank when a message carrying it is delivered, and
+  ``SimCommWorld.run`` executes one blocking rank program on every rank
+  under a deterministic turn-taking scheduler.  This is what makes the
   distributed sampler's correctness checkable: forget to send an item and
-  the result diverges from the sequential reference.
+  the run raises (stray row, would-deadlock) or diverges from the
+  sequential reference.
 * **Performance layer** (:mod:`repro.mpi.network`,
   :mod:`repro.mpi.trace`) — a cluster/network model (per-message overhead,
   link latency and bandwidth, rack topology with a shared inter-rack

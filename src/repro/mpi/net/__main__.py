@@ -12,16 +12,18 @@ Three entry modes:
 ``--spawn --world N``
     Spawn N rank processes of this same module on localhost, wait for
     them, and — for the train program — verify the socket chain is
-    bit-identical to the orchestrated ``SimCommWorld`` reference
-    computed in-process.
+    bit-identical to the same rank program run on a ``SimCommWorld``
+    in-process.
 
 ``--smoke --world N [--out report.json]``
-    The CI dist-smoke: three spawned phases — clean, benign faults
+    The CI dist-smoke: four spawned phases — clean, benign faults
     (seeded delays/slow-reads through the chaos layer's
-    ``net.send``/``net.recv`` sites; must stay bit-identical), and a
-    lethal fault (an injected connection reset; every rank must *fail
-    fast* instead of hanging).  Writes a JSON report of phase outcomes,
-    parity booleans, fault logs and transport counters.
+    ``net.send``/``net.recv`` sites; must stay bit-identical), a lethal
+    fault (an injected connection reset; every rank must *fail fast*
+    instead of hanging), and resume (half the chain with rank 0
+    checkpointing, then fresh processes resume from the file; must land
+    on the uninterrupted chain bit for bit).  Writes a JSON report of
+    phase outcomes, parity booleans, fault logs and transport counters.
 
 Exit codes: 0 success, 2 usage/validation, 3 transport failure
 (``MpiTransportError`` — the expected outcome under lethal faults),
@@ -159,12 +161,15 @@ def _train_sampler(args, n_ranks: int):
         DistributedGibbsSampler,
         DistributedOptions,
     )
+    from repro.serving.checkpoint import CheckpointConfig
 
     config = BPMFConfig(num_latent=args.num_latent, burn_in=args.burn_in,
                         n_samples=args.n_samples, alpha=args.alpha)
-    options = DistributedOptions(n_ranks=n_ranks,
-                                 hyper_mode=args.hyper_mode,
-                                 buffer_capacity=args.buffer_capacity)
+    options = DistributedOptions(
+        n_ranks=n_ranks, hyper_mode=args.hyper_mode,
+        buffer_capacity=args.buffer_capacity,
+        checkpoint=(CheckpointConfig(path=args.checkpoint)
+                    if args.checkpoint else None))
     return DistributedGibbsSampler(config, options)
 
 
@@ -173,7 +178,7 @@ def _program_train(world: SocketCommWorld, args) -> Dict[str, object]:
     data = _train_dataset(args)
     sampler = _train_sampler(args, world.n_ranks)
     result, info = sampler.run(data.split.train, data.split, seed=args.seed,
-                               comm_world=world)
+                               resume=args.resume, comm_world=world)
     summary: Dict[str, object] = {
         "n_messages": info.n_messages,
         "bytes_sent": info.bytes_sent,
@@ -272,6 +277,7 @@ def _write_rank_report(args, report: Dict[str, object],
 def _spawn_ranks(args, workdir: Path, fault_mode: str,
                  timeout: float) -> Dict[str, object]:
     """Launch one process per rank; wait; collect exits and reports."""
+    workdir.mkdir(parents=True, exist_ok=True)
     port = free_port(args.host)
     processes: List[subprocess.Popen] = []
     for rank in range(args.world):
@@ -297,8 +303,12 @@ def _spawn_ranks(args, workdir: Path, fault_mode: str,
                 "--seed", str(args.seed),
                 "--data-seed", str(args.data_seed),
             ]
+            if args.resume:
+                command += ["--resume", args.resume]
             if rank == 0:
                 command += ["--out", str(workdir / "chain.npz")]
+                if args.checkpoint:
+                    command += ["--checkpoint", args.checkpoint]
         if args.trace_dir:
             command += ["--trace-dir", args.trace_dir]
         processes.append(subprocess.Popen(command))
@@ -326,8 +336,25 @@ def _spawn_ranks(args, workdir: Path, fault_mode: str,
             "chain": workdir / "chain.npz"}
 
 
+def _spawn_resumed(args, workdir: Path, timeout: float) -> Dict[str, object]:
+    """Half the chain with rank 0 checkpointing, then fresh processes
+    resume from the file and finish it."""
+    snapshot = str(workdir / "half.npz")
+    first_half = argparse.Namespace(**{
+        **vars(args), "n_samples": max(args.n_samples // 2, 1),
+        "checkpoint": snapshot})
+    first = _spawn_ranks(first_half, workdir / "first-half", "off", timeout)
+    if first["hung"] or any(first["exit_codes"]):
+        return first
+    # A resumed chain takes its generator from the snapshot, so launching
+    # with the wrong seed proves the processes really resumed.
+    rest = argparse.Namespace(**{**vars(args), "resume": snapshot,
+                                 "seed": args.seed + 1})
+    return _spawn_ranks(rest, workdir, "off", timeout)
+
+
 def _reference_chain(args) -> Dict[str, np.ndarray]:
-    """The orchestrated SimCommWorld chain for the same configuration."""
+    """The same rank program on a SimCommWorld, uninterrupted."""
     data = _train_dataset(args)
     sampler = _train_sampler(args, args.world)
     result, _ = sampler.run(data.split.train, data.split, seed=args.seed)
@@ -355,7 +382,6 @@ def _check_parity(chain_path: Path, reference: Dict[str, np.ndarray]
 def run_spawn(args) -> int:
     """``--spawn``: one multi-process run, parity-checked for train."""
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="repro-mpi-"))
-    workdir.mkdir(parents=True, exist_ok=True)
     outcome = _spawn_ranks(args, workdir, args.fault_mode, args.timeout)
     ok = not outcome["hung"] and all(code == 0
                                      for code in outcome["exit_codes"])
@@ -371,7 +397,7 @@ def run_spawn(args) -> int:
 
 
 def run_smoke(args) -> int:
-    """``--smoke``: clean + benign-fault + lethal-fault phases."""
+    """``--smoke``: clean, benign-fault, lethal-fault and resume phases."""
     workroot = Path(args.workdir or tempfile.mkdtemp(prefix="repro-mpi-"))
     report: Dict[str, object] = {
         "world": args.world, "program": args.program,
@@ -390,11 +416,14 @@ def run_smoke(args) -> int:
     for phase, fault_mode, expect_clean in (
             ("baseline", "off", True),
             ("benign-faults", "benign", True),
-            ("lethal-fault", "lethal", False)):
-        workdir = workroot / phase
-        workdir.mkdir(parents=True, exist_ok=True)
+            ("lethal-fault", "lethal", False),
+            ("resume", "off", True)):
         started = time.monotonic()
-        outcome = _spawn_ranks(args, workdir, fault_mode, args.timeout)
+        if phase == "resume":
+            outcome = _spawn_resumed(args, workroot / phase, args.timeout)
+        else:
+            outcome = _spawn_ranks(args, workroot / phase, fault_mode,
+                                   args.timeout)
         duration = round(time.monotonic() - started, 3)
         entry: Dict[str, object] = {
             "phase": phase, "fault_mode": fault_mode,
@@ -449,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--spawn", action="store_true",
                       help="spawn --world rank processes locally and verify")
     mode.add_argument("--smoke", action="store_true",
-                      help="CI smoke: clean + benign + lethal fault phases")
+                      help="CI smoke: clean + benign + lethal fault + "
+                           "resume phases")
     parser.add_argument("--world", type=int, default=4,
                         help="total number of ranks (default 4)")
     parser.add_argument("--rendezvous", type=_parse_rendezvous,
@@ -507,6 +537,11 @@ def build_parser() -> argparse.ArgumentParser:
                        default=TRAIN_DEFAULTS["hyper_mode"])
     train.add_argument("--buffer-capacity", type=int,
                        default=TRAIN_DEFAULTS["buffer_capacity"])
+    train.add_argument("--checkpoint", default=None, metavar="PATH",
+                       help="rank 0 saves the final posterior snapshot here")
+    train.add_argument("--resume", default=None, metavar="PATH",
+                       help="every rank restores this snapshot and the "
+                            "chain continues from its sweep")
     return parser
 
 

@@ -6,8 +6,8 @@ rank; :meth:`SocketCommWorld.connect` rendezvouses the ranks (everyone
 reports its data listener to rank 0, rank 0 replies with the address
 map) and builds a full TCP mesh — one framed, bidirectional link per
 rank pair.  :meth:`SocketCommWorld.comm` then hands back a
-:class:`SocketComm` with the verb surface the distributed samplers
-already speak against :class:`~repro.mpi.simmpi.SimComm`: tagged
+:class:`SocketComm` with the verb surface the distributed sampler's
+rank program speaks against :class:`~repro.mpi.simmpi.SimComm`: tagged
 non-blocking ``isend``/``irecv``, blocking ``recv``, ``iprobe`` with
 ``ANY_TAG``/``ANY_SOURCE``, ``allreduce``, ``bcast`` and ``barrier``.
 
@@ -28,16 +28,15 @@ a *flush* barrier (every rank exchanges a flush marker with every peer
 on the data link itself, so completing the barrier proves all
 pre-barrier traffic has been enqueued); together they make receive
 matching after a barrier a pure function of the program, byte-timing
-independent — exactly the order an orchestrated ``SimCommWorld`` run
-produces when ranks are stepped in rank order.
+independent — exactly the order ``SimCommWorld.run`` produces by giving
+the ranks their turns in rank order.
 
 **Collectives** are rooted at rank 0 (gather, reduce in rank order with
 the *same* :class:`~repro.mpi.simmpi.ReduceOp` arithmetic as the
 simulated world, scatter) and matched by a per-world collective sequence
 number — every rank must issue its collectives in the same program
-order, the usual SPMD contract.  Unlike ``SimComm`` (whose orchestrated
-``allreduce`` returns ``None`` until the last contributor arrives), the
-socket verbs *block* and return the result directly on every rank.
+order, the usual SPMD contract.  Like ``SimComm``'s, the verbs block and
+return the result directly on every rank.
 
 **Failure model.**  A dead or misbehaving link (peer exit, injected
 reset, stream corruption) marks the world failed and wakes every
@@ -794,12 +793,10 @@ class SocketCommWorld:
 class SocketComm:
     """One rank's verb surface over a :class:`SocketCommWorld`.
 
-    Mirrors :class:`repro.mpi.simmpi.SimComm`, with two deliberate
-    differences a per-process program needs: blocking verbs *wait*
-    (instead of raising when no message has been posted yet), and
-    ``allreduce`` returns the reduced array directly on every rank (the
-    orchestrated ``None``-until-last / ``fetch_allreduce`` dance exists
-    only because the simulated world has no concurrency).
+    Mirrors :class:`repro.mpi.simmpi.SimComm` verb for verb, so one rank
+    program runs on either.  Blocking verbs *wait* for the peer process
+    (bounded by the world's ``op_timeout``) where the simulated world
+    yields its rank's turn.
     """
 
     world: SocketCommWorld
@@ -880,13 +877,6 @@ class SocketComm:
         mismatches between ranks raise instead of deadlocking.
         """
         return self.world._allreduce(array, op, key, timeout)
-
-    def fetch_allreduce(self, key: str = "allreduce") -> np.ndarray:
-        """Orchestration-only verb: the socket world has no deferred
-        collectives (``allreduce`` already returned the result)."""
-        raise ValidationError(
-            "SocketComm.allreduce returns the reduced array directly; "
-            "fetch_allreduce only exists for the orchestrated SimComm world")
 
     def bcast(self, payload: Any, root: int = 0, tag: int = 999_999) -> Any:
         """Broadcast ``payload`` from ``root``; blocks on the other ranks."""

@@ -9,11 +9,25 @@ barrier.  Delivery is immediate and reliable (the performance layer in
 but the discipline is real: a rank can only see another rank's data if a
 message carrying it was posted, and every message is logged so tests and
 the benchmark harness can audit the traffic.
+
+:meth:`SimCommWorld.run` executes one blocking *rank program* on every
+rank (what a socket world runs one process per rank), one thread per rank
+under strict turn-taking: a rank keeps the turn until a blocking verb has
+nothing to match, then the next unfinished rank in rank order gets it; a
+completed collective hands it back to the lowest unfinished rank, so after
+a barrier the ranks post in rank order — the matching order the socket
+world's flush barrier reproduces.  The interleaving is a pure function of
+the program (same ``message_log`` every run), and once every unfinished
+rank has blocked with nothing posted in between they all raise the "would
+deadlock" :class:`ValidationError` instead of hanging.  Outside ``run``
+there is no second thread of control, so a blocking verb that cannot
+complete raises that error at once.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
@@ -61,6 +75,7 @@ class SimRequest:
     _completed: bool = False
     _payload: Any = None
     _poll: Optional[Callable[[], Tuple[bool, Any]]] = None
+    _block: Optional[Callable[[], Any]] = None
 
     def test(self) -> bool:
         """Non-blocking completion check."""
@@ -74,11 +89,10 @@ class SimRequest:
         return self._completed
 
     def wait(self) -> Any:
-        """Block (conceptually) until complete and return the payload."""
+        """Block until complete and return the payload (``None`` for sends)."""
         if not self.test():
-            raise ValidationError(
-                "SimRequest.wait would deadlock: no matching message has been "
-                "posted yet (the simulated world has no concurrent progress)")
+            self._payload = self._block()
+            self._completed = True
         return self._payload
 
 
@@ -102,6 +116,70 @@ class ReduceOp:
         return cls._FUNCS[op](arrays)
 
 
+class _Turns:
+    """Strict turn-taking among the rank threads of one :meth:`SimCommWorld.run`.
+
+    Only the turn holder executes, so the world's mailboxes need no lock;
+    this object's condition is the single hand-off point.
+    """
+
+    def __init__(self, n_ranks: int):
+        self._cond = threading.Condition()
+        self._live = list(range(n_ranks))  # unfinished ranks, ascending
+        self._turn = 0
+        self._stalled = 0  # ranks that blocked since anything was posted
+        self._posted = 0  # the world's post count at the last block
+        self._deadlocked = False
+        self.failure: Optional[BaseException] = None  # first one raised
+
+    def _hand_over(self, rank: int) -> None:
+        """Wake the new turn holder; park ``rank`` until its own turn."""
+        self._cond.notify_all()
+        self._cond.wait_for(lambda: self._deadlocked or self._turn == rank)
+
+    def enter(self, rank: int) -> None:
+        """Park a starting rank thread until its first turn."""
+        with self._cond:
+            self._hand_over(rank)
+
+    def block(self, rank: int, error: ValidationError, posted: int) -> None:
+        """Pass the turn on; return when it comes back.  Once every
+        unfinished rank has blocked with nothing posted in between, no
+        turn can ever succeed: every parked rank raises its ``error``."""
+        with self._cond:
+            if posted != self._posted:
+                self._posted, self._stalled = posted, 0
+            self._stalled += 1
+            if self._stalled >= len(self._live):
+                self._deadlocked = True
+                if self.failure is None:
+                    self.failure = error
+            else:
+                self._turn = self._live[
+                    (self._live.index(rank) + 1) % len(self._live)]
+            self._hand_over(rank)
+            if self._deadlocked:
+                raise error
+
+    def restart(self, rank: int) -> None:
+        """``rank`` completed a collective: everyone resumes in rank order,
+        lowest unfinished rank first."""
+        with self._cond:
+            self._turn = self._live[0]
+            self._hand_over(rank)
+
+    def leave(self, rank: int, error: Optional[BaseException]) -> None:
+        """A rank program returned or raised: hand the turn to the next."""
+        with self._cond:
+            if error is not None and self.failure is None:
+                self.failure = error
+            index = self._live.index(rank)
+            self._live.remove(rank)
+            if self._live:
+                self._turn = self._live[index % len(self._live)]
+            self._cond.notify_all()
+
+
 class SimCommWorld:
     """The shared state of all simulated ranks.
 
@@ -117,7 +195,10 @@ class SimCommWorld:
         self._mailboxes: List[Deque[_Envelope]] = [deque() for _ in range(n_ranks)]
         self._message_log: List[MessageRecord] = []
         self._message_counter = itertools.count()
-        self._collective_slots: Dict[str, Dict[int, Any]] = {}
+        self._contributions: Dict[str, Dict[int, np.ndarray]] = {}
+        self._reduced: Dict[Tuple[str, int], np.ndarray] = {}
+        self._posted = 0  # messages + collective contributions so far
+        self._turns: Optional[_Turns] = None  # set for the length of run()
 
     # -- rank handles --------------------------------------------------------
 
@@ -130,6 +211,44 @@ class SimCommWorld:
     def comms(self) -> List["SimComm"]:
         """Endpoints for every rank, indexed by rank."""
         return [self.comm(rank) for rank in range(self.n_ranks)]
+
+    def run(self, program: Callable[["SimComm"], Any]) -> List[Any]:
+        """Run ``program(comm)`` once per rank; returns the per-rank results.
+
+        One thread per rank, strict turn-taking (see the module
+        docstring).  The first exception any rank raised — a program
+        error as itself, or the would-deadlock error of the rank that
+        detected the deadlock — is re-raised here after every thread has
+        finished.
+        """
+        if self._turns is not None:
+            raise ValidationError("SimCommWorld.run is already in progress")
+        turns = self._turns = _Turns(self.n_ranks)
+        results: List[Any] = [None] * self.n_ranks
+
+        def drive(rank: int) -> None:
+            turns.enter(rank)
+            error: Optional[BaseException] = None
+            try:
+                results[rank] = program(self.comm(rank))
+            except BaseException as caught:  # re-raised by run() below
+                error = caught
+            finally:
+                turns.leave(rank, error)
+
+        threads = [threading.Thread(target=drive, args=(rank,), daemon=True,
+                                    name=f"repro-sim-rank-{rank}")
+                   for rank in range(self.n_ranks)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            self._turns = None
+        if turns.failure is not None:
+            raise turns.failure
+        return results
 
     # -- message plumbing ----------------------------------------------------
 
@@ -147,15 +266,33 @@ class SimCommWorld:
         )
         self._mailboxes[destination].append(_Envelope(record, payload))
         self._message_log.append(record)
+        self._posted += 1
         return record
 
-    def _match(self, rank: int, source: int, tag: int) -> Optional[_Envelope]:
+    def _await(self, rank: int, ready: Callable[[], Any], what: str) -> Any:
+        """``ready()``'s first non-``None`` value; while it has none the
+        rank yields its turn (inside :meth:`run`) or raises (outside)."""
+        while True:
+            value = ready()
+            if value is not None:
+                return value
+            error = ValidationError(
+                f"rank {rank}: {what} would deadlock — nothing that could "
+                "complete it has been posted")
+            if self._turns is None:
+                raise error
+            self._turns.block(rank, error, self._posted)
+
+    def _match(self, rank: int, source: int, tag: int,
+               pop: bool = True) -> Optional[_Envelope]:
+        """The first waiting message matching ``(source, tag)``, if any."""
         mailbox = self._mailboxes[rank]
         for index, envelope in enumerate(mailbox):
             source_ok = source == ANY_SOURCE or envelope.record.source == source
             tag_ok = tag == ANY_TAG or envelope.record.tag == tag
             if source_ok and tag_ok:
-                del mailbox[index]
+                if pop:
+                    del mailbox[index]
                 return envelope
         return None
 
@@ -177,6 +314,12 @@ class SimCommWorld:
         """Messages posted but not yet received (should be 0 after a clean run)."""
         return sum(len(mailbox) for mailbox in self._mailboxes)
 
+    def total_messages_sent(self) -> int:
+        return len(self._message_log)
+
+    def total_bytes_sent(self) -> int:
+        return sum(record.n_bytes for record in self._message_log)
+
     def reset_log(self) -> None:
         self._message_log.clear()
 
@@ -197,8 +340,8 @@ class SimComm:
     def isend(self, payload: Any, dest: int, tag: int = 0,
               description: str = "") -> SimRequest:
         """Non-blocking send (delivery is immediate in the functional layer)."""
-        n_bytes = _payload_bytes(payload)
-        self.world._post(self.rank, dest, tag, payload, n_bytes, description)
+        self.world._post(self.rank, dest, tag, payload,
+                         _payload_bytes(payload), description)
         return SimRequest(_completed=True, _payload=None)
 
     def send(self, payload: Any, dest: int, tag: int = 0,
@@ -214,26 +357,17 @@ class SimComm:
                 return False, None
             return True, envelope.payload
 
-        return SimRequest(_poll=poll)
+        return SimRequest(_poll=poll, _block=lambda: self.recv(source, tag))
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
-        """Blocking receive; raises if no matching message has been posted."""
-        envelope = self.world._match(self.rank, source, tag)
-        if envelope is None:
-            raise ValidationError(
-                f"rank {self.rank}: recv(source={source}, tag={tag}) would "
-                "deadlock — no matching message has been posted")
-        return envelope.payload
+        """Blocking receive of the first matching message."""
+        return self.world._await(
+            self.rank, lambda: self.world._match(self.rank, source, tag),
+            f"recv(source={source}, tag={tag})").payload
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """True when a matching message is waiting."""
-        mailbox = self.world._mailboxes[self.rank]
-        for envelope in mailbox:
-            source_ok = source == ANY_SOURCE or envelope.record.source == source
-            tag_ok = tag == ANY_TAG or envelope.record.tag == tag
-            if source_ok and tag_ok:
-                return True
-        return False
+        return self.world._match(self.rank, source, tag, pop=False) is not None
 
     def drain(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> List[Any]:
         """Receive every currently waiting matching message."""
@@ -246,45 +380,30 @@ class SimComm:
 
     def allreduce(self, array: np.ndarray, op: str = ReduceOp.SUM,
                   key: str = "allreduce") -> np.ndarray:
-        """All-ranks reduction.
+        """All-ranks reduction; blocks until every rank has contributed.
 
-        The orchestrator calls this once per rank (any order); every call
-        contributes the rank's array, and the reduced result is returned as
-        soon as all contributions for the collective ``key`` are in.  Ranks
-        calling with mismatched keys raise, mirroring an MPI collective
-        mismatch hang.
+        The last contributor reduces in rank order and leaves every rank
+        its own copy of the result.  Ranks calling with mismatched keys
+        wait on different collectives and raise would-deadlock, mirroring
+        an MPI collective mismatch hang.
         """
-        slot = self.world._collective_slots.setdefault(key, {})
-        if self.rank in slot:
+        world = self.world
+        parts = world._contributions.setdefault(key, {})
+        if self.rank in parts:
             raise ValidationError(
                 f"rank {self.rank} called collective {key!r} twice")
-        slot[self.rank] = np.asarray(array, dtype=np.float64).copy()
-        if len(slot) < self.size:
-            # Not everyone has contributed yet; the caller retries via
-            # complete_allreduce once the orchestration loop has stepped the
-            # remaining ranks.
-            return None  # type: ignore[return-value]
-        arrays = [slot[rank] for rank in range(self.size)]
-        result = ReduceOp.apply(op, arrays)
-        if self.size == 1:
-            del self.world._collective_slots[key]
-            return result.copy()
-        # Keep the result so the other size-1 ranks can fetch it; the slot is
-        # cleared when the last of them has fetched.
-        self.world._collective_slots[key] = {"__result__": result, "__fetched__": 0,
-                                             "__n__": self.size - 1}
-        return result.copy()
-
-    def fetch_allreduce(self, key: str = "allreduce") -> np.ndarray:
-        """Fetch the result of a completed collective (for ranks that contributed early)."""
-        slot = self.world._collective_slots.get(key)
-        if not slot or "__result__" not in slot:
-            raise ValidationError(f"collective {key!r} has not completed")
-        result = slot["__result__"].copy()
-        slot["__fetched__"] += 1
-        if slot["__fetched__"] >= slot["__n__"] :
-            del self.world._collective_slots[key]
-        return result
+        parts[self.rank] = np.asarray(array, dtype=np.float64).copy()
+        world._posted += 1
+        if len(parts) == self.size:
+            del world._contributions[key]
+            result = ReduceOp.apply(op, [parts[r] for r in range(self.size)])
+            for rank in range(self.size):
+                world._reduced[key, rank] = result.copy()
+            if world._turns is not None:
+                world._turns.restart(self.rank)
+        return world._await(
+            self.rank, lambda: world._reduced.pop((key, self.rank), None),
+            f"allreduce(key={key!r})")
 
     def bcast(self, payload: Any, root: int = 0, tag: int = 999_999) -> Any:
         """Broadcast from ``root``: root posts one message per other rank."""
@@ -296,7 +415,11 @@ class SimComm:
         return self.recv(source=root, tag=tag)
 
     def barrier(self) -> None:
-        """No-op in the functional layer (time is handled by the trace model)."""
+        """Inside :meth:`SimCommWorld.run`, returns once every rank has
+        entered; outside it the caller is the only thread of control and
+        there is nothing to wait for (time is the trace model's business)."""
+        if self.world._turns is not None:
+            self.allreduce(np.zeros(0), key="barrier")
 
 
 def _payload_bytes(payload: Any) -> int:

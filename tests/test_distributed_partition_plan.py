@@ -124,6 +124,23 @@ class TestCommunicationPlan:
         assert matrix.sum() == sum(len(d) for d in plan.movie_destinations)
         assert np.trace(matrix) == 0
 
+    def test_expected_incoming_inverts_the_destination_lists(self, chembl_tiny):
+        """The vectorised inversion against the per-item loop it replaced."""
+        partition = partition_ratings(chembl_tiny.ratings, 3)
+        plan = build_comm_plan(chembl_tiny.ratings, partition)
+        for phase, owner, destinations in (
+                ("movies", partition.movie_owner, plan.movie_destinations),
+                ("users", partition.user_owner, plan.user_destinations)):
+            for rank in range(3):
+                by_loop = [item for item, dests in enumerate(destinations)
+                           if int(owner[item]) != rank and rank in dests]
+                assert plan.expected_incoming(phase, rank).tolist() == by_loop
+            received = sum(plan.expected_incoming(phase, rank).size
+                           for rank in range(3))
+            assert received == plan.items_between(phase).sum()
+        with pytest.raises(ValidationError):
+            plan.expected_incoming("bogus", 0)
+
     def test_single_rank_has_no_traffic(self, chembl_tiny):
         partition = partition_ratings(chembl_tiny.ratings, 1)
         plan = build_comm_plan(chembl_tiny.ratings, partition)

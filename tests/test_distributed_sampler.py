@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,9 +25,13 @@ class TestDistributedSamplerParity:
             tiny_config, DistributedOptions(n_ranks=4, hyper_mode="gather",
                                             buffer_capacity=8)
         ).run(tiny_dataset.split.train, tiny_dataset.split, seed=21)
-        np.testing.assert_allclose(dist.state.user_factors, seq.state.user_factors)
-        np.testing.assert_allclose(dist.state.movie_factors, seq.state.movie_factors)
-        assert dist.final_rmse == pytest.approx(seq.final_rmse)
+        # Exactly: with one rank program on every world, the sequential
+        # sampler is the independent reference.
+        np.testing.assert_array_equal(dist.state.user_factors,
+                                      seq.state.user_factors)
+        np.testing.assert_array_equal(dist.state.movie_factors,
+                                      seq.state.movie_factors)
+        assert dist.final_rmse == seq.final_rmse
 
     def test_shared_engine_matches_batched_distributed_run(self, tiny_dataset,
                                                            tiny_config):
@@ -88,6 +94,64 @@ class TestDistributedSamplerParity:
         assert bulk_info.buffer_stats.n_messages < streaming_info.buffer_stats.n_messages
         # The caller's options object must not have been mutated.
         assert options.buffer_capacity == 4
+
+    def test_bulk_synchronous_sampler_keeps_every_option(self, tmp_path):
+        from repro.serving.checkpoint import CheckpointConfig
+
+        checkpoint = CheckpointConfig(path=tmp_path / "bulk.npz")
+        options = DistributedOptions(n_ranks=2, compute_dtype="float32",
+                                     engine="shared", n_workers=2,
+                                     checkpoint=checkpoint)
+        bulk = BulkSynchronousGibbsSampler(options=options).options
+        assert bulk == replace(options, buffer_capacity=2**31 - 1)
+
+    def test_bulk_synchronous_float32_checkpointing_run(self, tiny_dataset,
+                                                        tiny_config, tmp_path):
+        """A float32, checkpointing bulk run really is float32 and really
+        checkpoints — same chain as the streaming sampler's."""
+        from repro.serving.checkpoint import CheckpointConfig, load_snapshot
+
+        def options(name):
+            return DistributedOptions(
+                n_ranks=2, compute_dtype="float32",
+                checkpoint=CheckpointConfig(path=tmp_path / name))
+
+        train, split = tiny_dataset.split.train, tiny_dataset.split
+        streaming, _ = DistributedGibbsSampler(
+            tiny_config, options("streaming.npz")).run(train, split, seed=4)
+        bulk, _ = BulkSynchronousGibbsSampler(
+            tiny_config, options("bulk.npz")).run(train, split, seed=4)
+        np.testing.assert_array_equal(bulk.state.user_factors,
+                                      streaming.state.user_factors)
+        assert load_snapshot(tmp_path / "bulk.npz").state.iteration \
+            == tiny_config.total_iterations
+
+
+class TestInconsistentPlanFailsLoudly:
+    """The send side follows the plan, the receive side counts against its
+    inversion; when the two disagree the run must raise, not diverge."""
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda plan, ids: ids[1:], "inconsistent"),  # a stray row arrives
+        (lambda plan, ids: ids[:0], "inconsistent"),  # rows left in the mailbox
+        (lambda plan, ids: np.append(ids, plan.partition.movies_of(1)[0]),
+         "would deadlock"),  # a row nobody sends
+    ])
+    def test_tampered_receive_set(self, tiny_dataset, tiny_config,
+                                  monkeypatch, tamper, message):
+        from repro.distributed.comm_plan import CommunicationPlan
+
+        honest = CommunicationPlan.expected_incoming
+
+        def tampered(plan, phase, rank):
+            ids = honest(plan, phase, rank)
+            return tamper(plan, ids) if (phase, rank) == ("movies", 1) else ids
+
+        monkeypatch.setattr(CommunicationPlan, "expected_incoming", tampered)
+        with pytest.raises(ValidationError, match=message):
+            DistributedGibbsSampler(
+                tiny_config, DistributedOptions(n_ranks=3, buffer_capacity=4)
+            ).run(tiny_dataset.split.train, tiny_dataset.split, seed=2)
 
 
 class TestDistributedDiagnostics:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -113,16 +115,12 @@ class TestAudit:
 
 class TestCollectives:
     def test_allreduce_sum(self):
-        world = SimCommWorld(3)
-        comms = world.comms()
-        key = "stats"
-        results = [comms[rank].allreduce(np.full(4, float(rank + 1)), key=key)
-                   for rank in range(3)]
-        # Only the last contributor gets the value directly.
-        assert results[0] is None and results[1] is None
-        np.testing.assert_allclose(results[2], np.full(4, 6.0))
-        np.testing.assert_allclose(comms[0].fetch_allreduce(key), np.full(4, 6.0))
-        np.testing.assert_allclose(comms[1].fetch_allreduce(key), np.full(4, 6.0))
+        results = SimCommWorld(3).run(lambda comm: comm.allreduce(
+            np.full(4, float(comm.rank + 1)), key="stats"))
+        for result in results:
+            np.testing.assert_allclose(result, np.full(4, 6.0))
+        # Every rank gets its own copy of the reduced array.
+        assert results[0] is not results[1]
 
     def test_allreduce_max_and_min(self):
         arrays = [np.array([1.0, 5.0]), np.array([3.0, 2.0])]
@@ -138,25 +136,135 @@ class TestCollectives:
 
     def test_double_contribution_rejected(self):
         world = SimCommWorld(2)
-        world.comm(0).allreduce(np.zeros(2), key="k")
-        with pytest.raises(ValidationError):
+        # Outside run() nobody else can contribute: like an unmatched recv.
+        with pytest.raises(ValidationError, match="would deadlock"):
+            world.comm(0).allreduce(np.zeros(2), key="k")
+        with pytest.raises(ValidationError, match="twice"):
             world.comm(0).allreduce(np.zeros(2), key="k")
 
-    def test_fetch_before_completion_raises(self):
-        world = SimCommWorld(2)
-        world.comm(0).allreduce(np.zeros(2), key="incomplete")
-        with pytest.raises(ValidationError):
-            world.comm(0).fetch_allreduce(key="incomplete")
+    def test_mismatched_collective_keys_would_deadlock(self):
+        with pytest.raises(ValidationError, match="would deadlock"):
+            SimCommWorld(2).run(lambda comm: comm.allreduce(
+                np.zeros(2), key=f"key-{comm.rank}"))
 
     def test_bcast(self):
-        world = SimCommWorld(3)
-        comms = world.comms()
-        assert comms[0].bcast("hello", root=0) == "hello"
-        assert comms[1].bcast(None, root=0) == "hello"
-        assert comms[2].bcast(None, root=0) == "hello"
+        results = SimCommWorld(3).run(lambda comm: comm.bcast(
+            "hello" if comm.rank == 0 else None, root=0))
+        assert results == ["hello", "hello", "hello"]
 
     def test_barrier_is_noop(self):
         SimCommWorld(2).comm(0).barrier()
+
+
+# ---------------------------------------------------------------------------
+# SimCommWorld.run: the turn-taking scheduler
+# ---------------------------------------------------------------------------
+
+def _run_bounded(world, program, seconds=30.0):
+    """``world.run(program)`` on a side thread with a bounded join, so a
+    scheduler bug fails the test instead of hanging the suite."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["results"] = world.run(program)
+        except BaseException as error:
+            outcome["error"] = error
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), "SimCommWorld.run hung"
+    return outcome
+
+
+class TestRun:
+    def test_rank_keeps_the_turn_until_it_blocks(self):
+        trace = []
+
+        def program(comm):
+            trace.append(f"{comm.rank}:start")
+            if comm.rank == 0:
+                trace.append(("0:got", comm.recv(source=2, tag=1)))
+            elif comm.rank == 2:
+                comm.isend("x", dest=0, tag=1)
+            trace.append(f"{comm.rank}:end")
+            return comm.rank * 10
+
+        outcome = _run_bounded(SimCommWorld(3), program)
+        assert outcome["results"] == [0, 10, 20]
+        assert trace == ["0:start", "1:start", "1:end", "2:start", "2:end",
+                         ("0:got", "x"), "0:end"]
+
+    def test_barrier_resumes_the_ranks_in_rank_order(self):
+        order = []
+
+        def program(comm):
+            comm.barrier()  # the last rank to arrive completes it ...
+            order.append(comm.rank)  # ... but rank 0 is the first to leave
+
+        assert "error" not in _run_bounded(SimCommWorld(3), program)
+        assert order == [0, 1, 2]
+
+    def test_unmatched_recv_raises_in_every_rank(self):
+        raised = {}
+
+        def program(comm):
+            try:
+                comm.recv(source=(comm.rank + 1) % comm.size, tag=7)
+            except ValidationError as error:
+                raised[comm.rank] = str(error)
+                raise
+
+        outcome = _run_bounded(SimCommWorld(3), program)
+        assert isinstance(outcome["error"], ValidationError)
+        assert sorted(raised) == [0, 1, 2]
+        assert all("would deadlock" in text for text in raised.values())
+
+    def test_rank_exception_surfaces_as_itself(self):
+        def program(comm):
+            if comm.rank == 1:
+                raise KeyError("boom")
+            return comm.recv(source=1, tag=3)  # never sent: rank 1 is dead
+
+        outcome = _run_bounded(SimCommWorld(3), program)
+        assert isinstance(outcome["error"], KeyError)
+
+    def test_message_log_is_a_pure_function_of_the_program(self):
+        def program(comm):
+            for dest in range(comm.size):
+                comm.isend(np.arange(comm.rank + 1.0), dest, tag=comm.rank)
+            total = comm.allreduce(np.array([float(comm.rank)]), key="sum")
+            got = [comm.recv(source=ANY_SOURCE, tag=ANY_TAG).size
+                   for _ in range(comm.size)]
+            comm.barrier()
+            if comm.rank == 0:
+                comm.bcast(float(total[0]), root=0)
+                return got
+            return got + [comm.bcast(None, root=0)]
+
+        logs, results = [], []
+        for _ in range(2):
+            world = SimCommWorld(4)
+            results.append(_run_bounded(world, program)["results"])
+            logs.append(world.message_log)
+        assert logs[0] == logs[1] and len(logs[0]) == 4 * 4 + 3
+        assert results[0] == results[1]
+        assert world.pending_messages() == 0
+
+    def test_irecv_wait_blocks_until_the_message_is_posted(self):
+        def program(comm):
+            if comm.rank == 0:
+                return comm.irecv(source=1, tag=5).wait()
+            comm.isend(42, dest=0, tag=5)
+
+        assert _run_bounded(SimCommWorld(2), program)["results"][0] == 42
+
+    def test_world_is_reusable_after_a_failed_run(self):
+        world = SimCommWorld(2)
+        with pytest.raises(ValidationError):
+            world.run(lambda comm: comm.recv(tag=1))
+        assert world.run(lambda comm: comm.rank) == [0, 1]
 
 
 # ---------------------------------------------------------------------------

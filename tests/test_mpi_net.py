@@ -1,7 +1,7 @@
-"""Socket-backed MPI world: verbs, SPMD training parity, chaos, obs.
+"""Socket-backed MPI world: verbs, training parity, chaos, obs.
 
 The acceptance bar for ``repro.mpi.net`` is *bit-parity*: a socket-world
-run of the distributed sampler must reproduce the orchestrated
+run of the distributed sampler's rank program must reproduce the
 ``SimCommWorld`` chain exactly — factors, RMSE trajectory, predictions,
 ties included.  Everything here runs over real localhost TCP links; the
 final test crosses real process boundaries via the launcher.
@@ -176,10 +176,6 @@ class TestVerbs:
         for reduced in results:
             assert np.asarray(reduced).tobytes() == expected.tobytes()
 
-    def test_fetch_allreduce_is_orchestration_only(self, world_pair):
-        with pytest.raises(ValidationError):
-            world_pair[0].comm().fetch_allreduce()
-
     def test_bcast_from_nonzero_root(self, world_quad):
         def body(rank, comm):
             value = {"w": [1, 2, 3]} if rank == 2 else None
@@ -222,7 +218,7 @@ class TestVerbs:
 
 
 # ---------------------------------------------------------------------------
-# SPMD training parity (the acceptance criterion)
+# training parity (the acceptance criterion)
 # ---------------------------------------------------------------------------
 
 def _config():
@@ -230,7 +226,7 @@ def _config():
 
 
 def _run_pair(tiny_dataset, n_ranks, hyper_mode, injectors=None):
-    """(orchestrated result, socket-world rank-0 result) for one setup."""
+    """(simulated-world result, info, socket-world outcomes) for one setup."""
     opts = dict(n_ranks=n_ranks, hyper_mode=hyper_mode, buffer_capacity=8)
     reference, ref_info = DistributedGibbsSampler(
         _config(), DistributedOptions(**opts)).run(
@@ -260,6 +256,15 @@ class TestTrainingParity:
         assert result.rmse_per_sample == reference.rmse_per_sample
         assert result.rmse_running_mean == reference.rmse_running_mean
         assert np.array_equal(result.predictions, reference.predictions)
+        # Rank 0 reports the whole world's work on either transport.
+        train = tiny_dataset.split.train
+        assert result.items_updated == reference.items_updated == (
+            (train.n_users + train.n_movies) * _config().total_iterations)
+        assert result.factor_means.n_samples == _config().n_samples
+        assert np.array_equal(result.factor_means.user_sum,
+                              reference.factor_means.user_sum)
+        assert np.array_equal(result.factor_means.movie_sum,
+                              reference.factor_means.movie_sum)
         # Non-root ranks hold only their blocks.
         assert all(outcomes[rank][0] is None for rank in range(1, n_ranks))
         # Traffic flowed over real sockets.
@@ -319,21 +324,46 @@ class TestTrainingParity:
             assert np.array_equal(saved["predictions"],
                                   reference.predictions)
 
-    def test_spmd_rejects_checkpoint_and_resume(self, tiny_dataset):
+    def test_socket_checkpoint_then_resume_is_bit_identical(
+            self, tiny_dataset, tmp_path):
+        """Half the chain with rank 0 checkpointing, then fresh worlds
+        resume from the file: the finished chain is the uninterrupted one."""
         from repro.serving.checkpoint import CheckpointConfig
 
-        worlds = start_local_world(1)
-        try:
-            sampler = DistributedGibbsSampler(
-                _config(), DistributedOptions(
-                    n_ranks=1,
-                    checkpoint=CheckpointConfig(path="/tmp/x.npz")))
-            with pytest.raises(ValidationError):
-                sampler.run(tiny_dataset.split.train, tiny_dataset.split,
-                            comm_world=worlds[0])
-        finally:
-            for world in worlds:
-                world.close()
+        path = tmp_path / "socket.npz"
+        train, split = tiny_dataset.split.train, tiny_dataset.split
+        half = BPMFConfig(num_latent=3, burn_in=2, n_samples=1, alpha=4.0)
+
+        def on_sockets(config, **run_kwargs):
+            options = dict(n_ranks=2, buffer_capacity=8)
+            if "resume" not in run_kwargs:
+                options["checkpoint"] = CheckpointConfig(path=path)
+            worlds = start_local_world(2, op_timeout=30.0)
+            try:
+                return run_on_ranks(worlds, lambda rank, comm: (
+                    DistributedGibbsSampler(
+                        config, DistributedOptions(**options)).run(
+                        train, split, comm_world=worlds[rank],
+                        **run_kwargs)))
+            finally:
+                for world in worlds:
+                    world.close()
+
+        full, _ = DistributedGibbsSampler(
+            _config(), DistributedOptions(n_ranks=2, buffer_capacity=8)).run(
+            train, split, seed=11)
+        on_sockets(half, seed=11)
+        outcomes = on_sockets(_config(), resume=path)
+        resumed, _ = outcomes[0]
+        assert outcomes[1][0] is None
+        assert np.array_equal(resumed.state.user_factors,
+                              full.state.user_factors)
+        assert np.array_equal(resumed.state.movie_factors,
+                              full.state.movie_factors)
+        assert resumed.rmse_burn_in == full.rmse_burn_in
+        assert resumed.rmse_running_mean == full.rmse_running_mean
+        assert np.array_equal(resumed.predictions, full.predictions)
+        assert resumed.items_updated == full.items_updated
 
     def test_world_rank_count_must_match_options(self, tiny_dataset):
         worlds = start_local_world(2)
@@ -348,6 +378,8 @@ class TestTrainingParity:
                 world.close()
 
     def test_orchestrated_run_accepts_external_simworld(self, tiny_dataset):
+        """A caller-supplied ``SimCommWorld`` runs the same chain and
+        keeps the run's traffic in its message log."""
         from repro.mpi.simmpi import SimCommWorld
 
         opts = DistributedOptions(n_ranks=2, hyper_mode="gather")

@@ -1,17 +1,18 @@
 """Hypothesis verb parity: SimComm and SocketComm match identically.
 
-Random round-structured programs — rank-major tagged sends, a barrier,
-then per-rank receive descriptors (some weakened to ``ANY_SOURCE`` /
-``ANY_TAG``), optionally an allreduce — execute on both worlds.  The
+Random round-structured programs — tagged sends, a barrier, then
+per-rank receive descriptors (some weakened to ``ANY_SOURCE`` /
+``ANY_TAG``), optionally an allreduce — run as ONE rank program on both
+worlds (``SimCommWorld.run`` and a thread per rank over sockets).  The
 property: every rank receives the *identical payload sequence*, i.e. the
 socket world's deterministic ``(epoch, source, seq)`` matching order
 equals the simulated world's posting order, weakened wildcards included.
 
 Programs whose weakened descriptors steal a message an exact descriptor
-needed later make the simulated run raise (it matches eagerly and then
-deadlocks); those are skipped via ``assume`` — the socket world would
-block on exactly the same missing message, which a parity test cannot
-observe in bounded time.
+needed later make the simulated run raise would-deadlock; those are
+skipped via ``assume`` — the socket world would block on exactly the
+same missing message, which a parity test cannot observe in bounded
+time.
 """
 
 from __future__ import annotations
@@ -74,57 +75,20 @@ def round_programs(draw):
     return n_ranks, rounds
 
 
-def _run_sim(n_ranks, rounds):
-    """Orchestrated execution: rank-major posting, in-order receives."""
-    world = SimCommWorld(n_ranks)
-    comms = world.comms()
-    received = {rank: [] for rank in range(n_ranks)}
-    for index, (sends, recvs, contributions) in enumerate(rounds):
-        for src, dst, tag, payload in sends:
-            comms[src].isend(payload, dst, tag=tag)
-        for rank in range(n_ranks):
-            for source, tag in recvs[rank]:
-                received[rank].append(comms[rank].recv(source=source,
-                                                       tag=tag))
-        if contributions is not None:
-            key = f"round-{index}"
-            result = None
-            for rank in range(n_ranks):
-                value = comms[rank].allreduce(contributions[rank], key=key)
-                if value is not None:
-                    result = value
-            for _ in range(n_ranks - 1):
-                comms[0].fetch_allreduce(key=key)
-            for rank in range(n_ranks):
-                received[rank].append(("allreduce", result.tobytes()))
-    return received
+def _on_sim(n_ranks, body):
+    """``body(rank, comm)`` on every rank of a simulated world."""
+    return SimCommWorld(n_ranks).run(lambda comm: body(comm.rank, comm))
 
 
-def _run_socket(n_ranks, rounds):
-    """The same program, one thread per rank over localhost sockets."""
-    worlds = start_local_world(n_ranks, op_timeout=30.0)
-    received = {rank: [] for rank in range(n_ranks)}
+def _on_sockets(n_ranks, body):
+    """The same body, one thread per rank over localhost sockets."""
+    worlds = start_local_world(n_ranks, op_timeout=20.0)
+    results = [None] * n_ranks
     errors = [None] * n_ranks
 
     def drive(rank):
-        comm = worlds[rank].comm()
         try:
-            for sends, recvs, contributions in rounds:
-                for src, dst, tag, payload in sends:
-                    if src == rank:
-                        comm.isend(payload, dst, tag=tag)
-                # Flush barrier: every send above is now in a mailbox,
-                # epoch-stamped below any later round's traffic.
-                comm.barrier()
-                for source, tag in recvs[rank]:
-                    received[rank].append(comm.recv(source=source, tag=tag,
-                                                    timeout=20.0))
-                if contributions is not None:
-                    value = comm.allreduce(contributions[rank])
-                    received[rank].append(("allreduce", value.tobytes()))
-                # Round boundary: receives of this round happen before
-                # any rank posts the next round's sends.
-                comm.barrier()
+            results[rank] = body(rank, worlds[rank].comm())
         except BaseException as error:  # surfaced to hypothesis below
             errors[rank] = error
             worlds[rank].abort(f"rank {rank} failed: {error}")
@@ -142,7 +106,31 @@ def _run_socket(n_ranks, rounds):
     failures = [error for error in errors if error is not None]
     if failures:
         raise failures[0]
-    return received
+    return results
+
+
+def _round_program(rounds):
+    """The rank program of one drawn ``rounds`` list (either world)."""
+    def body(rank, comm):
+        received = []
+        for sends, recvs, contributions in rounds:
+            for src, dst, tag, payload in sends:
+                if src == rank:
+                    comm.isend(payload, dst, tag=tag)
+            # Flush barrier: every send above is now in a mailbox, in
+            # rank-major order, below any later round's traffic.
+            comm.barrier()
+            for source, tag in recvs[rank]:
+                received.append(comm.recv(source=source, tag=tag))
+            if contributions is not None:
+                value = comm.allreduce(contributions[rank])
+                received.append(("allreduce", value.tobytes()))
+            # Round boundary: receives of this round happen before any
+            # rank posts the next round's sends.
+            comm.barrier()
+        return received
+
+    return body
 
 
 def _canonical(sequence):
@@ -161,13 +149,13 @@ def _canonical(sequence):
 def test_socket_and_sim_deliver_identical_sequences(program):
     n_ranks, rounds = program
     try:
-        sim = _run_sim(n_ranks, rounds)
+        sim = _on_sim(n_ranks, _round_program(rounds))
     except ValidationError:
         # A weakened wildcard consumed a message an exact descriptor
         # needed: the program deadlocks on any transport.  Skip.
         assume(False)
         return
-    socket = _run_socket(n_ranks, rounds)
+    socket = _on_sockets(n_ranks, _round_program(rounds))
     for rank in range(n_ranks):
         assert _canonical(socket[rank]) == _canonical(sim[rank]), (
             f"rank {rank}: socket={socket[rank]} sim={sim[rank]}")
@@ -185,38 +173,9 @@ def test_allreduce_bitwise_matches_sim(n_ranks, values):
     contributions = [base * (rank + 1) + rank / 3.0
                      for rank in range(n_ranks)]
 
-    sim_world = SimCommWorld(n_ranks)
-    sim_comms = sim_world.comms()
-    expected = None
-    for rank in range(n_ranks):
-        value = sim_comms[rank].allreduce(contributions[rank], key="p")
-        if value is not None:
-            expected = value
-    for _ in range(n_ranks - 1):
-        sim_comms[0].fetch_allreduce(key="p")
+    def body(rank, comm):
+        return comm.allreduce(contributions[rank].copy(), key="p")
 
-    worlds = start_local_world(n_ranks, op_timeout=30.0)
-    results = [None] * n_ranks
-    errors = [None] * n_ranks
-
-    def drive(rank):
-        try:
-            results[rank] = worlds[rank].comm().allreduce(
-                contributions[rank].copy(), key="p")
-        except BaseException as error:
-            errors[rank] = error
-            worlds[rank].abort(f"rank {rank} failed: {error}")
-
-    threads = [threading.Thread(target=drive, args=(rank,), daemon=True)
-               for rank in range(n_ranks)]
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        for world in worlds:
-            world.close()
-    assert not [error for error in errors if error is not None]
-    for result in results:
+    expected = _on_sim(n_ranks, body)[0]
+    for result in _on_sockets(n_ranks, body):
         assert np.asarray(result).tobytes() == expected.tobytes()
