@@ -32,6 +32,7 @@ pending-message audit) instead of diverging.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
@@ -219,10 +220,8 @@ class DistributedGibbsSampler:
                 comm.isend((ids, payload), dest=dest, tag=block.tag,
                            description=f"{block.name}-update")
 
-            for item in block.owned:
-                item = int(item)
-                for dest in block.destinations[item]:
-                    dest = int(dest)
+            for item in block.owned.tolist():
+                for dest in block.destinations[item].tolist():
                     if dest not in buffers:
                         buffers[dest] = SendBuffer(
                             dest, self.options.buffer_capacity,
@@ -252,19 +251,19 @@ class DistributedGibbsSampler:
     # ------------------------------------------------------------------ #
 
     def _rank_program(self, comm, train: RatingMatrix,
-                      split: Optional[RatingSplit], seed: SeedLike,
+                      split: Optional[RatingSplit], rng: np.random.Generator,
                       plan: CommunicationPlan, resume: Optional[ResumeLike]
                       ) -> Tuple[Optional[BPMFResult], BufferStats]:
         """What one rank runs; returns ``(result on rank 0, buffer stats)``.
 
-        Every rank is called with the same arguments: partitioning and the
-        replicated generator both assume identical inputs.
+        Every rank is called with equal arguments and its *own* ``rng``,
+        all at the same point of one stream (the replicated generator).
         """
         from repro.serving.checkpoint import TrainingCheckpointer
 
         config, rank = self.config, comm.rank
         snapshot, state, rng = TrainingCheckpointer.open_resume(
-            resume, None, as_generator(seed))
+            resume, None, rng)
         if state is None:
             state = initialize_state(train, config, rng)
         elif (state.n_users, state.n_movies) != (train.n_users, train.n_movies):
@@ -390,15 +389,13 @@ class DistributedGibbsSampler:
         world's lifetime.  The chain is bit-identical on every transport.
 
         ``resume`` continues a checkpointed chain on any world: every rank
-        restores the snapshot's authoritative factor matrices (exactly
-        what its own copies held at that sweep boundary — see
+        restores the snapshot's authoritative factor matrices (see
         :class:`DistributedOptions`) and generator state, so the
         completed run matches an uninterrupted one bit for bit.  Traffic
         diagnostics restart from zero at the resume point.
         """
         options = self.options
-        world = SimCommWorld(options.n_ranks) if comm_world is None \
-            else comm_world
+        world = SimCommWorld(options.n_ranks) if comm_world is None else comm_world
         if world.n_ranks != options.n_ranks:
             raise ValidationError(
                 f"comm_world has {world.n_ranks} ranks but options.n_ranks "
@@ -410,17 +407,21 @@ class DistributedGibbsSampler:
         elif partition.n_ranks != options.n_ranks:
             raise ValidationError("partition rank count does not match options")
         plan = build_comm_plan(train, partition)
+        rng = as_generator(seed)
 
-        def program(comm):
-            return self._rank_program(comm, train, split, seed, plan, resume)
+        def program(comm, rng):
+            return self._rank_program(comm, train, split, rng, plan, resume)
 
         # engine="shared" owns worker processes and shared-memory segments;
         # the finally releases them even when a phase raises mid-run.
         try:
             if isinstance(world, SimCommWorld):
-                outcomes = world.run(program)
+                # Rank 0 draws from the caller's generator (so it advances
+                # as in a sequential run), the others from copies of it.
+                rngs = [rng] + [copy.deepcopy(rng) for _ in world.comms()[1:]]
+                outcomes = world.run(lambda comm: program(comm, rngs[comm.rank]))
             else:
-                outcomes = [program(world.comm())]
+                outcomes = [program(world.comm(), rng)]
         finally:
             self._engine.close()
 

@@ -10,6 +10,7 @@ tests, the quickstart example and the benchmarks.
 
 from __future__ import annotations
 
+import copy
 import threading
 from typing import List, Optional, Tuple
 
@@ -41,15 +42,15 @@ def run_local_socket_world(make_sampler, n_ranks: int, train: RatingMatrix,
 
     worlds = start_local_world(n_ranks, injectors=injectors,
                                op_timeout=op_timeout)
+    # A Generator seed must not be shared: every rank draws from its own copy.
+    seeds = [copy.deepcopy(seed) for _ in range(n_ranks)]
     results: List[Optional[Tuple]] = [None] * n_ranks
     errors: List[Optional[BaseException]] = [None] * n_ranks
 
     def drive(rank: int) -> None:
         try:
-            sampler = make_sampler()
-            results[rank] = sampler.run(train, split, seed=seed,
-                                        partition=partition,
-                                        comm_world=worlds[rank])
+            results[rank] = make_sampler().run(
+                train, split, seeds[rank], partition, comm_world=worlds[rank])
         except BaseException as error:  # re-raised below
             errors[rank] = error
             # A dead process drops its sockets; a dead thread must too,

@@ -19,9 +19,8 @@ a barrier the ranks post in rank order — the matching order the socket
 world's flush barrier reproduces.  The interleaving is a pure function of
 the program (same ``message_log`` every run), and once every unfinished
 rank has blocked with nothing posted in between they all raise the "would
-deadlock" :class:`ValidationError` instead of hanging.  Outside ``run``
-there is no second thread of control, so a blocking verb that cannot
-complete raises that error at once.
+deadlock" :class:`ValidationError` instead of hanging; outside ``run``
+a blocking verb that cannot complete raises it at once.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -79,9 +78,7 @@ class SimRequest:
 
     def test(self) -> bool:
         """Non-blocking completion check."""
-        if self._completed:
-            return True
-        if self._poll is not None:
+        if not self._completed and self._poll is not None:
             done, payload = self._poll()
             if done:
                 self._completed = True
@@ -218,8 +215,8 @@ class SimCommWorld:
         One thread per rank, strict turn-taking (see the module
         docstring).  The first exception any rank raised — a program
         error as itself, or the would-deadlock error of the rank that
-        detected the deadlock — is re-raised here after every thread has
-        finished.
+        detected it — is re-raised here once every thread has finished,
+        and the failed run's unreceived traffic is dropped.
         """
         if self._turns is not None:
             raise ValidationError("SimCommWorld.run is already in progress")
@@ -247,6 +244,10 @@ class SimCommWorld:
         finally:
             self._turns = None
         if turns.failure is not None:
+            self._contributions.clear()
+            self._reduced.clear()
+            for mailbox in self._mailboxes:
+                mailbox.clear()
             raise turns.failure
         return results
 
@@ -353,9 +354,7 @@ class SimComm:
         """Non-blocking receive; completes when a matching message exists."""
         def poll() -> Tuple[bool, Any]:
             envelope = self.world._match(self.rank, source, tag)
-            if envelope is None:
-                return False, None
-            return True, envelope.payload
+            return (False, None) if envelope is None else (True, envelope.payload)
 
         return SimRequest(_poll=poll, _block=lambda: self.recv(source, tag))
 
@@ -416,8 +415,7 @@ class SimComm:
 
     def barrier(self) -> None:
         """Inside :meth:`SimCommWorld.run`, returns once every rank has
-        entered; outside it the caller is the only thread of control and
-        there is nothing to wait for (time is the trace model's business)."""
+        entered; outside it there is no other thread to wait for."""
         if self.world._turns is not None:
             self.allreduce(np.zeros(0), key="barrier")
 

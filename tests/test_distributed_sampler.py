@@ -33,6 +33,29 @@ class TestDistributedSamplerParity:
                                       seq.state.movie_factors)
         assert dist.final_rmse == seq.final_rmse
 
+    @pytest.mark.parametrize("n_ranks", [2, 4])
+    @pytest.mark.parametrize("hyper_mode", ["gather", "stats"])
+    def test_generator_seed_equals_int_seed(self, tiny_dataset, tiny_config,
+                                            n_ranks, hyper_mode):
+        """``SeedLike`` admits a Generator: every simulated rank must draw
+        from its own copy of it, not from one shared object — and the
+        caller's generator advances exactly as in a sequential run."""
+        sampler = DistributedGibbsSampler(
+            tiny_config, DistributedOptions(n_ranks=n_ranks,
+                                            hyper_mode=hyper_mode))
+        train, split = tiny_dataset.split.train, tiny_dataset.split
+        from_int, _ = sampler.run(train, split, seed=5)
+        rng = np.random.default_rng(5)
+        from_rng, _ = sampler.run(train, split, seed=rng)
+        np.testing.assert_array_equal(from_rng.state.user_factors,
+                                      from_int.state.user_factors)
+        np.testing.assert_array_equal(from_rng.state.movie_factors,
+                                      from_int.state.movie_factors)
+        assert from_rng.rmse_running_mean == from_int.rmse_running_mean
+        sequential = np.random.default_rng(5)
+        GibbsSampler(tiny_config).run(train, split, seed=sequential)
+        assert rng.bit_generator.state == sequential.bit_generator.state
+
     def test_shared_engine_matches_batched_distributed_run(self, tiny_dataset,
                                                            tiny_config):
         """Each rank's per-node phase through the process pool is

@@ -266,6 +266,27 @@ class TestRun:
             world.run(lambda comm: comm.recv(tag=1))
         assert world.run(lambda comm: comm.rank) == [0, 1]
 
+    def test_failed_run_leaves_no_collective_or_mailbox_state(self):
+        """Rank 1 dies after rank 0 contributed to a collective and both
+        posted messages; the next run on the world starts clean."""
+        world = SimCommWorld(2)
+
+        def failing(comm):
+            comm.isend(np.ones(2), dest=1 - comm.rank, tag=9)
+            if comm.rank == 1:
+                raise RuntimeError("rank 1 died")
+            return comm.allreduce(np.ones(1), key="k")
+
+        error = _run_bounded(world, failing)["error"]
+        assert isinstance(error, RuntimeError) and "rank 1 died" in str(error)
+        assert world.pending_messages() == 0
+
+        def clean(comm):
+            comm.barrier()
+            return float(comm.allreduce(np.ones(1), key="k")[0])
+
+        assert _run_bounded(world, clean)["results"] == [2.0, 2.0]
+
 
 # ---------------------------------------------------------------------------
 # send buffers

@@ -270,6 +270,21 @@ class TestTrainingParity:
         # Traffic flowed over real sockets.
         assert info.n_messages > 0 and info.bytes_sent > 0
 
+    def test_generator_seed_is_copied_per_rank_thread(self, tiny_dataset):
+        """The rank threads of a local socket world must not share one
+        Generator object: each draws from its own copy."""
+        reference, _, _ = _run_pair(tiny_dataset, 2, "gather")
+        outcomes = run_local_socket_world(
+            lambda: DistributedGibbsSampler(
+                _config(), DistributedOptions(n_ranks=2, hyper_mode="gather",
+                                              buffer_capacity=8)),
+            2, tiny_dataset.split.train, tiny_dataset.split,
+            seed=np.random.default_rng(11))
+        assert np.array_equal(outcomes[0][0].state.user_factors,
+                              reference.state.user_factors)
+        assert np.array_equal(outcomes[0][0].state.movie_factors,
+                              reference.state.movie_factors)
+
     def test_four_rank_subprocess_chain_bit_identical(self, tmp_path):
         """The full acceptance criterion: 4 real OS processes, one rank
         each, rendezvous + mesh over TCP — bit-identical to SimCommWorld."""
