@@ -4,7 +4,7 @@ Workloads are session-scoped so the figure benchmarks that share a dataset
 (Figures 4 and 5, the ablations) generate it only once.  Sizes are chosen
 so the full ``pytest benchmarks/ --benchmark-only`` run finishes in a few
 minutes on one core; every driver accepts larger sizes for a
-closer-to-paper-scale run (see EXPERIMENTS.md).
+closer-to-paper-scale run (see each ``repro.bench`` driver's signature).
 """
 
 from __future__ import annotations

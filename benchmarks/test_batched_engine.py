@@ -6,6 +6,11 @@ must beat the per-item Python loop by a wide margin (the acceptance floor
 is 3x at K = 32 on the synthetic workload; in practice the gap is one to
 two orders of magnitude, because the loop pays interpreter and dispatch
 overhead per item while the engine pays it per bucket).
+
+The speed floors and microbenchmarks carry the ``perf`` marker (their
+verdict depends on a measured duration), so tier-1 deselects them; run
+them with ``python -m pytest -m perf benchmarks``.  The ``*_same_chain_*``
+parity tests are deterministic and stay in tier-1.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.bench.fig2_update_methods import run_fig2_batched
 from repro.core.gibbs import GibbsSampler, SamplerOptions
 from repro.core.priors import BPMFConfig
+from repro.core.state import initialize_state
 from repro.datasets.synthetic import SyntheticConfig, make_low_rank_dataset
 from repro.utils.timing import time_call
 
@@ -49,6 +54,7 @@ def _sweep_seconds(engine: str, data, repeats: int = 2,
     return seconds
 
 
+@pytest.mark.perf
 def test_batched_engine_speedup_on_synthetic_workload(workload):
     """Acceptance criterion: >= 3x over the per-item loop at K = 32."""
     reference = _sweep_seconds("reference", workload)
@@ -72,26 +78,37 @@ def test_batched_engine_same_chain_on_benchmark_workload(workload):
 
 def _warm_sweep_seconds(engine: str, data, n_workers: int | None = None,
                         sweeps: int = 3, repeats: int = 3) -> float:
-    """Per-sweep seconds with a persistent engine and warm plans/pool.
+    """Best-of-``repeats`` per-sweep seconds with a persistent engine.
 
-    Delegates to the same measurement methodology `python -m repro.bench
-    engines` records to BENCH_*.json (warm-up sweep outside the timing,
-    best-of-repeats), so the floor asserted here is the quantity the
-    recorded ladder reports.
+    One untimed warm-up sweep first, so plan construction and (for the
+    shared engine) pool spawning are paid outside the measurement — that
+    matches production use, where the pool persists across a whole run.
     """
-    from repro.bench.engines import time_engine_case
-
     config = BPMFConfig(num_latent=NUM_LATENT, burn_in=0, n_samples=1,
                         alpha=4.0)
-    return time_engine_case(engine, n_workers, "float64", data.split.train,
-                            config, sweeps, repeats)
+    train = data.split.train
+    sampler = GibbsSampler(config, SamplerOptions(
+        engine=engine, n_workers=n_workers))
+    try:
+        state = initialize_state(train, config, np.random.default_rng(1234))
+        rng = np.random.default_rng(5678)
+        sampler.sweep(state, train, rng)  # warm-up
+
+        def measured() -> None:
+            for _ in range(sweeps):
+                sampler.sweep(state, train, rng)
+
+        seconds, _ = time_call(measured, repeats=repeats)
+        return seconds / sweeps
+    finally:
+        sampler.engine.close()
 
 
+@pytest.mark.perf
 @pytest.mark.skipif(
     AVAILABLE_CORES < 4,
     reason=f"shared-engine speedup floor needs >= 4 cores, "
-           f"have {AVAILABLE_CORES} (the engine cannot beat physics; "
-           "BENCH_pr3.json records the honest single-core overhead)")
+           f"have {AVAILABLE_CORES} (the engine cannot beat physics)")
 def test_shared_engine_speedup_on_synthetic_workload(workload):
     """Acceptance criterion: shared@4 workers >= 1.8x over batched@1.
 
@@ -125,23 +142,7 @@ def test_shared_engine_same_chain_on_benchmark_workload(workload):
                                   bat.state.movie_factors)
 
 
-def test_fig2_batched_ablation_table(benchmark):
-    """The per-degree ablation behind the Figure 2 batched variant."""
-    result = benchmark.pedantic(
-        run_fig2_batched,
-        kwargs=dict(degrees=(1, 4, 16, 64, 256), num_latent=NUM_LATENT,
-                    batch_size=128, repeats=3),
-        rounds=1, iterations=1)
-    print()
-    print(result.to_table().render())
-    # The batched engine wins at every degree — decisively for the light
-    # items where the per-item loop is pure interpreter overhead, by a
-    # smaller (noise-prone) margin in the serial-Cholesky band where one
-    # BLAS call already dominates the loop body.
-    assert result.min_speedup >= 1.5
-    assert max(result.speedups) >= 10.0
-
-
+@pytest.mark.perf
 @pytest.mark.parametrize("engine", ["reference", "batched"])
 def test_sweep_microbench(benchmark, workload, engine):
     """Record both engines' absolute sweep cost on this machine."""

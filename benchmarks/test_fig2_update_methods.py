@@ -3,7 +3,9 @@
 Regenerates the measured and modelled curves for the three update kernels
 and checks the crossover structure that motivates the paper's 1000-rating
 hybrid threshold.  The individual kernels are also micro-benchmarked with
-pytest-benchmark so their absolute cost on this machine is recorded.
+pytest-benchmark so their absolute cost on this machine is recorded; those
+and the one assert on a *measured* series carry the ``perf`` marker and
+run with ``python -m pytest -m perf benchmarks``, not in tier-1.
 """
 
 from __future__ import annotations
@@ -22,13 +24,15 @@ from repro.core.updates import (
 NUM_LATENT = 32
 
 
+FIG2_KWARGS = dict(
+    degrees=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096),
+    num_latent=NUM_LATENT, repeats=1, max_rank_one_degree=1024)
+
+
 def test_fig2_update_method_curves(benchmark):
     """The full Figure 2 sweep (measured + modelled series)."""
-    result = benchmark.pedantic(
-        run_fig2,
-        kwargs=dict(degrees=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096),
-                    num_latent=NUM_LATENT, repeats=1, max_rank_one_degree=1024),
-        rounds=1, iterations=1)
+    result = benchmark.pedantic(run_fig2, kwargs=FIG2_KWARGS,
+                                rounds=1, iterations=1)
 
     print()
     print(result.to_table("measured").render())
@@ -46,12 +50,17 @@ def test_fig2_update_method_curves(benchmark):
     assert rank1_to_serial is not None and rank1_to_serial <= 256
     assert serial_to_parallel is not None and 256 <= serial_to_parallel <= 4096
 
-    # Measured (pure-Python) curves keep the same large-item behaviour: the
-    # Gram-based kernels grow slowly while rank-one grows linearly.
+
+@pytest.mark.perf
+def test_fig2_measured_serial_cholesky_grows_slowly():
+    """Measured (pure-Python) curves keep the same large-item behaviour: the
+    Gram-based kernels grow slowly while rank-one grows linearly."""
+    result = run_fig2(**FIG2_KWARGS)
     measured_serial = np.array(result.measured["serial Cholesky"])
     assert measured_serial[-1] < 50 * measured_serial[0]
 
 
+@pytest.mark.perf
 @pytest.mark.parametrize("degree", [8, 128, 2048])
 def test_kernel_serial_cholesky_microbench(benchmark, degree):
     rng = np.random.default_rng(0)
@@ -63,6 +72,7 @@ def test_kernel_serial_cholesky_microbench(benchmark, degree):
               noise=noise)
 
 
+@pytest.mark.perf
 @pytest.mark.parametrize("degree", [8, 128])
 def test_kernel_rank_one_microbench(benchmark, degree):
     rng = np.random.default_rng(0)
@@ -73,6 +83,7 @@ def test_kernel_rank_one_microbench(benchmark, degree):
     benchmark(sample_item_rank_one, neighbours, ratings, prior, 2.0, noise=noise)
 
 
+@pytest.mark.perf
 @pytest.mark.parametrize("degree", [2048])
 def test_kernel_parallel_cholesky_microbench(benchmark, degree):
     rng = np.random.default_rng(0)

@@ -3,7 +3,9 @@
 Every experiment in the paper's evaluation section has a driver here that
 builds the workload, runs the relevant part of the library and returns the
 figure's data series as a :class:`repro.utils.tables.Table` plus structured
-results the ``benchmarks/`` pytest targets assert shape properties on:
+results the ``benchmarks/`` pytest targets assert shape properties on.
+They are shape checks, not a timing harness: speed claims are judged by
+``python3 -m perfbench`` alone.
 
 ============================  =========================================
 Experiment                    Driver

@@ -1,30 +1,18 @@
 """Command-line entry point: ``python -m repro.bench [experiment ...]``.
 
 Runs the requested experiments (default: all of them) and prints each
-figure's data table.  Pass ``--list`` to see what is available, and
-``--record [PATH]`` to persist recordable timings (the ``engines`` and
-``serving`` ladders) as ``BENCH_*.json`` documents — without an explicit
-PATH each ladder goes to its committed default
-(``BENCH_pr3.json``/``BENCH_pr9.json``).
+figure's data table.  Pass ``--list`` to see what is available.  The
+tables are *shape* checks against the paper; how fast the code runs is
+measured by ``python3 -m perfbench`` and nowhere else.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from repro.bench.runner import available_experiments, run_experiment
 from repro.utils.logging import set_verbosity
-
-#: Committed baseline path per recordable experiment.
-DEFAULT_RECORD_PATHS = {"engines": "BENCH_pr3.json",
-                        "serving": "BENCH_pr9.json",
-                        "distributed": "BENCH_pr10.json"}
-
-#: --transport choices mapped to the serving ladder's ``transports`` arg.
-_TRANSPORTS = {"inproc": ("inproc",), "tcp": ("tcp",),
-               "both": ("inproc", "tcp")}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -39,18 +27,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="run reduced-size versions of every experiment "
                              "(the CI smoke configuration)")
-    parser.add_argument("--record", nargs="?", const="auto",
-                        default=None, metavar="PATH",
-                        help="write recordable timings (engines, serving) "
-                             "to PATH as JSON; without PATH each ladder "
-                             "goes to its committed default "
-                             f"({DEFAULT_RECORD_PATHS}); adds the "
-                             "'engines' experiment if none is selected")
-    parser.add_argument("--transport", choices=sorted(_TRANSPORTS),
-                        default="both",
-                        help="serving-ladder rungs: direct in-process "
-                             "calls, the framed-RPC TCP frontend, or both "
-                             "(other experiments ignore this)")
     parser.add_argument("--log-level", default=None,
                         choices=("debug", "info", "warning", "error"),
                         help="emit library logs on stderr at this level "
@@ -71,33 +47,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         print(f"available: {', '.join(registry)}", file=sys.stderr)
         return 2
-    if args.record and not any(name in DEFAULT_RECORD_PATHS
-                               for name in names):
-        names.append("engines")
-    recordable = [name for name in names if name in DEFAULT_RECORD_PATHS]
-    if args.record not in (None, "auto") and len(recordable) > 1:
-        print(f"--record {args.record} is ambiguous for "
-              f"{'+'.join(recordable)}: each would overwrite the file; "
-              "select one experiment or use bare --record for the "
-              "per-experiment defaults", file=sys.stderr)
-        return 2
 
     for name in names:
-        extra = ({"transports": _TRANSPORTS[args.transport]}
-                 if name == "serving" else {})
-        outcome = run_experiment(name, quick=args.quick, **extra)
-        print(outcome.render())
+        print(run_experiment(name, quick=args.quick).render())
         print()
-        if args.record and name in DEFAULT_RECORD_PATHS:
-            payload = outcome.result.to_json_payload()
-            payload["quick"] = bool(args.quick)
-            payload["wall_seconds"] = round(outcome.seconds, 2)
-            path = (DEFAULT_RECORD_PATHS[name] if args.record == "auto"
-                    else args.record)
-            with open(path, "w", encoding="utf8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"recorded {name} timings -> {path}")
     return 0
 
 

@@ -22,7 +22,6 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.core.batch_engine import make_update_engine
 from repro.core.priors import GaussianPrior
 from repro.core.updates import (
     UpdateMethod,
@@ -31,13 +30,11 @@ from repro.core.updates import (
     sample_item_serial_cholesky,
 )
 from repro.parallel.cost_model import DEFAULT_COST_MODEL, UpdateCostModel
-from repro.sparse.csr import CompressedAxis
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.tables import Table
 from repro.utils.timing import time_call
 
-__all__ = ["Fig2Result", "run_fig2", "DEFAULT_DEGREES",
-           "Fig2BatchedResult", "run_fig2_batched", "DEFAULT_BATCHED_DEGREES"]
+__all__ = ["Fig2Result", "run_fig2", "DEFAULT_DEGREES"]
 
 #: Rating counts swept on the x-axis (log-spaced like the paper's 1..100 000).
 DEFAULT_DEGREES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
@@ -132,110 +129,4 @@ def run_fig2(
         modelled=modelled,
         num_latent=num_latent,
         parallel_workers=parallel_workers,
-    )
-
-
-# ---------------------------------------------------------------------------
-# batched-engine variant: amortised per-item cost of the stacked kernels
-# ---------------------------------------------------------------------------
-
-#: Degrees swept by the batched ablation (smaller than the Figure 2 sweep —
-#: the point is the batching dimension, not the degree asymptotics).
-DEFAULT_BATCHED_DEGREES = (1, 4, 16, 64, 256, 1024)
-
-
-@dataclass
-class Fig2BatchedResult:
-    """Amortised per-item update time: per-item loop vs batched engine.
-
-    For every degree ``d`` a batch of ``batch_size`` items with ``d``
-    ratings each is updated once by the reference per-item loop and once by
-    the batched engine (identical inputs and noise); times are per item.
-    """
-
-    degrees: List[int]
-    batch_size: int
-    num_latent: int
-    per_item: List[float]
-    batched: List[float]
-
-    @property
-    def speedups(self) -> List[float]:
-        """Per-degree speedup of the batched engine over the per-item loop."""
-        return [loop / vec for loop, vec in zip(self.per_item, self.batched)]
-
-    @property
-    def min_speedup(self) -> float:
-        return min(self.speedups)
-
-    def to_table(self) -> Table:
-        table = Table(
-            ["#ratings", "per-item loop (s)", "batched (s)", "speedup"],
-            title=(f"Figure 2 (batched variant) — amortised per-item update "
-                   f"time, batches of {self.batch_size}, K={self.num_latent}"),
-        )
-        for row, degree in enumerate(self.degrees):
-            table.add_row(degree, self.per_item[row], self.batched[row],
-                          self.speedups[row])
-        return table
-
-
-def _uniform_degree_axis(n_items: int, degree: int, n_source: int,
-                         rng: np.random.Generator) -> CompressedAxis:
-    """A synthetic compressed axis where every item has exactly ``degree``."""
-    indptr = np.arange(0, (n_items + 1) * degree, max(degree, 1),
-                       dtype=np.int64)
-    if degree == 0:
-        indptr = np.zeros(n_items + 1, dtype=np.int64)
-    nnz = n_items * degree
-    return CompressedAxis(
-        indptr=indptr,
-        indices=rng.integers(0, n_source, size=nnz).astype(np.int64),
-        values=rng.normal(size=nnz),
-    )
-
-
-def run_fig2_batched(
-    degrees: Sequence[int] = DEFAULT_BATCHED_DEGREES,
-    num_latent: int = 32,
-    batch_size: int = 256,
-    n_source: int = 4096,
-    repeats: int = 3,
-    seed: SeedLike = 0,
-) -> Fig2BatchedResult:
-    """Measure the batched engine's amortised speedup over the per-item loop.
-
-    This is the ablation behind the batched-engine acceptance criterion:
-    at ``K = 32`` the stacked kernels must beat the per-item Python loop by
-    a wide margin across the whole degree range, because the loop pays
-    interpreter overhead per item while the engine pays it per bucket.
-    """
-    rng = as_generator(seed)
-    prior = GaussianPrior.standard(num_latent)
-    alpha = 2.0
-    source = rng.normal(size=(n_source, num_latent))
-    reference = make_update_engine("reference")
-    batched = make_update_engine("batched")
-
-    per_item: List[float] = []
-    batched_times: List[float] = []
-    for degree in degrees:
-        axis = _uniform_degree_axis(batch_size, int(degree), n_source, rng)
-        noise = rng.standard_normal((batch_size, num_latent))
-        target_loop = np.zeros((batch_size, num_latent))
-        target_batched = np.zeros((batch_size, num_latent))
-
-        t_loop, _ = time_call(reference.update_items, target_loop, source,
-                              axis, prior, alpha, noise, repeats=repeats)
-        t_batched, _ = time_call(batched.update_items, target_batched, source,
-                                 axis, prior, alpha, noise, repeats=repeats)
-        per_item.append(t_loop / batch_size)
-        batched_times.append(t_batched / batch_size)
-
-    return Fig2BatchedResult(
-        degrees=list(degrees),
-        batch_size=batch_size,
-        num_latent=num_latent,
-        per_item=per_item,
-        batched=batched_times,
     )

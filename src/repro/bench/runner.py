@@ -7,11 +7,11 @@ can run any experiment by name and print its table.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from repro.utils.tables import Table
-from repro.utils.timing import Stopwatch
 from repro.utils.validation import check_in
 
 __all__ = ["ExperimentResult", "available_experiments", "run_experiment"]
@@ -34,31 +34,15 @@ class ExperimentResult:
 def _experiments() -> Dict[str, Tuple[Callable[[], object], Callable[[object], Table], str]]:
     # Imported lazily to keep `import repro.bench.runner` cheap.
     from repro.bench.accuracy import run_accuracy_parity
-    from repro.bench.distributed import run_distributed_bench
-    from repro.bench.engines import run_engine_bench
-    from repro.bench.fig2_update_methods import run_fig2, run_fig2_batched
+    from repro.bench.fig2_update_methods import run_fig2
     from repro.bench.fig3_multicore import run_fig3
     from repro.bench.fig4_strong_scaling import run_fig4
     from repro.bench.fig5_overlap import run_fig5
-    from repro.bench.serving import run_serving_bench
     from repro.bench.speedup_summary import run_speedup_summary
 
     return {
         "fig2": (run_fig2, lambda r: r.to_table("modelled"),
                  "Figure 2: per-item update time vs rating count"),
-        "fig2-batched": (run_fig2_batched, lambda r: r.to_table(),
-                         "Figure 2 variant: batched engine vs per-item loop"),
-        "engines": (run_engine_bench, lambda r: r.to_table(),
-                    "Engine ladder: reference vs batched vs shared-memory "
-                    "process pool (records BENCH_*.json via --record)"),
-        "serving": (run_serving_bench, lambda r: r.to_table(),
-                    "Serving ladder: single-process top-N vs sharded "
-                    "cluster, shards x workers (records BENCH_*.json via "
-                    "--record)"),
-        "distributed": (run_distributed_bench, lambda r: r.to_table(),
-                        "Distributed ladder: simulated vs socket comm "
-                        "world, ranks x K (records BENCH_*.json via "
-                        "--record)"),
         "fig3": (run_fig3, lambda r: r.to_table(),
                  "Figure 3: multicore throughput vs threads"),
         "fig4": (run_fig4, lambda r: r.to_table(),
@@ -84,19 +68,6 @@ def _quick_overrides() -> Dict[str, Dict[str, object]]:
     return {
         "fig2": dict(degrees=(1, 8, 64, 512), repeats=1,
                      max_rank_one_degree=64),
-        "fig2-batched": dict(degrees=(1, 8, 64), batch_size=64,
-                             n_source=512, repeats=1),
-        # The CI smoke entry exercises the shared engine on 2 workers.
-        "engines": dict(n_users=400, n_movies=300, density=0.03,
-                        num_latents=(8,), worker_counts=(1, 2),
-                        sweeps=1, repeats=1),
-        # The serving-cluster smoke: a 2-shard gateway on a small posterior.
-        "serving": dict(n_users=300, n_items=400, num_latent=8,
-                        shard_counts=(1, 2), n_queries=60, warmup=5,
-                        wal_writes=40, wal_sync_ladder=(1,)),
-        "distributed": dict(n_users=120, n_movies=90, density=0.1,
-                            num_latents=(4,), rank_counts=(2,),
-                            burn_in=1, n_samples=2),
         "fig3": dict(chembl_scale=10.0, thread_counts=(1, 2)),
         "fig4": dict(n_ratings=100_000, node_counts=(1, 4)),
         "fig5": dict(n_ratings=100_000, node_counts=(1, 4)),
@@ -122,8 +93,8 @@ def run_experiment(name: str, quick: bool = False, **kwargs) -> ExperimentResult
     runner, tabulate, _ = registry[name]
     if quick:
         kwargs = {**_quick_overrides().get(name, {}), **kwargs}
-    watch = Stopwatch().start()
+    start = time.perf_counter()
     result = runner(**kwargs)
-    seconds = watch.stop()
+    seconds = time.perf_counter() - start
     return ExperimentResult(name=name, result=result, table=tabulate(result),
                             seconds=seconds)

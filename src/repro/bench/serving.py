@@ -1,130 +1,19 @@
-"""Serving throughput/latency ladder: in-process, sharded, and TCP.
+"""A synthetic posterior snapshot for serving tests and benchmarks.
 
-Measures ranked-retrieval (``top_n``) traffic against one synthetic
-posterior: the single-process
-:class:`~repro.serving.service.PredictionService` baseline first, then the
-:class:`~repro.serving.cluster.ShardedScorer` across a shards x workers
-grid, then (``transports`` including ``"tcp"``) the same stream through
-the network frontend.  The TCP rungs walk the dispatch gap one fix at a
-time: ``tcp-json`` (sequential framed RPC, JSON payloads), ``tcp-bin``
-(the negotiated binary array encoding), ``tcp-bin-pipelined`` (binary
-plus many in-flight frames on one connection), and ``tcp-fused`` (a
-concurrent client storm whose windows the server-side query fuser
-batches).  Every rung answers the same query stream, so the rows are
-directly comparable; per-query wall-clock latencies feed the p50/p95
-columns and the aggregate queries-per-second.  For the pipelined rung a
-query's latency is its window's wall clock divided by the window size —
-the amortised cost a batch caller actually pays.
-
-With ``"tcp"`` in the transports the ladder also times the *write*
-path: ``tcp-wal-mem`` commits ``rate`` mutations through the replicated
-in-memory log (validate → append → apply → ship to the follower → ack —
-the replication-only floor), and the ``tcp-wal-fsyncN`` rungs add the
-durable segment WAL with an fsync every N appends, walking the
-durability/throughput trade (``fsync1`` is the strict
-fsync-before-every-ack default).
-
-The recorded document (``python -m repro.bench serving --record`` writes
-``BENCH_pr7.json``) carries the same machine metadata as the engine
-ladder — on a single-core container the sharded rungs can only measure
-their IPC overhead, and the JSON will honestly show that (the committed
-baseline is exactly such a container; see ``environment.cpu_count``).
-
-The service's LRU score cache is sized *below* the user population here,
-so the measured baseline is GEMV throughput, not cache hits — the regime
-the cluster exists for.
+This import path is frozen: ``perfbench/workloads/serve.py`` and the
+serving / network / WAL test modules import :func:`make_bench_snapshot`
+from here.
 """
 
 from __future__ import annotations
 
-import datetime
-import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
 import numpy as np
 
-from repro.utils.environment import machine_environment
 from repro.core.priors import BPMFConfig, GaussianPrior
 from repro.core.state import BPMFState
 from repro.serving.checkpoint import Snapshot, _CONFIG_FIELDS
-from repro.serving.cluster import ShardedScorer
-from repro.serving.service import PredictionService
-from repro.utils.tables import Table
-from repro.utils.validation import check_positive
 
-__all__ = ["ServingBenchRow", "ServingBenchResult", "run_serving_bench",
-           "make_bench_snapshot"]
-
-
-@dataclass
-class ServingBenchRow:
-    """One timed serving configuration."""
-
-    backend: str
-    shards: Optional[int]
-    workers: Optional[int]
-    queries: int
-    seconds: float
-    qps: float
-    p50_ms: float
-    p95_ms: float
-    speedup_vs_single: Optional[float] = None
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "backend": self.backend,
-            "shards": self.shards,
-            "workers": self.workers,
-            "queries": self.queries,
-            "seconds": self.seconds,
-            "qps": self.qps,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "speedup_vs_single": self.speedup_vs_single,
-        }
-
-
-@dataclass
-class ServingBenchResult:
-    """All timed configurations plus workload and machine metadata."""
-
-    rows: List[ServingBenchRow]
-    workload: Dict[str, object]
-    environment: Dict[str, object]
-    top_n: int
-
-    def to_table(self) -> Table:
-        table = Table(
-            ["backend", "shards", "workers", "queries", "qps", "p50 ms",
-             "p95 ms", "vs single"],
-            title=f"Serving ladder — top-{self.top_n} query wall clock",
-        )
-        for row in self.rows:
-            table.add_row(
-                row.backend,
-                "-" if row.shards is None else row.shards,
-                "-" if row.workers is None else row.workers,
-                row.queries,
-                round(row.qps, 1),
-                round(row.p50_ms, 3),
-                round(row.p95_ms, 3),
-                ("-" if row.speedup_vs_single is None
-                 else f"{row.speedup_vs_single:.2f}x"),
-            )
-        return table
-
-    def to_json_payload(self) -> Dict[str, object]:
-        """The ``BENCH_*.json`` document for this run."""
-        return {
-            "benchmark": "serving-ladder",
-            "created": datetime.datetime.now(datetime.timezone.utc)
-            .isoformat(timespec="seconds"),
-            "environment": dict(self.environment),
-            "workload": dict(self.workload),
-            "top_n": self.top_n,
-            "results": [row.to_json() for row in self.rows],
-        }
+__all__ = ["make_bench_snapshot"]
 
 
 def make_bench_snapshot(n_users: int, n_items: int, num_latent: int,
@@ -147,303 +36,4 @@ def make_bench_snapshot(n_users: int, n_items: int, num_latent: int,
         state=state,
         config={key: float(getattr(config, key)) for key in _CONFIG_FIELDS},
         offset=3.5,
-    )
-
-
-def _time_queries(top_n_callable, users: np.ndarray, n: int,
-                  warmup: int) -> Tuple[float, np.ndarray]:
-    """Total seconds and per-query latencies for one query stream."""
-    for user in users[:warmup]:
-        top_n_callable(int(user), n=n)
-    latencies = np.empty(users.shape[0] - warmup)
-    start = time.perf_counter()
-    for index, user in enumerate(users[warmup:]):
-        begin = time.perf_counter()
-        top_n_callable(int(user), n=n)
-        latencies[index] = time.perf_counter() - begin
-    return time.perf_counter() - start, latencies
-
-
-def _time_tcp(make_service, users: np.ndarray, n: int, warmup: int,
-              fuse_window_ms=2.0, binary: bool = True,
-              pipeline: bool = False, pipeline_window: int = 32,
-              n_clients: int = 1,
-              trace: bool = False) -> Tuple[float, np.ndarray]:
-    """Time the query stream through a TCP replica.
-
-    With one client the stream is sequential (pure transport overhead on
-    top of the in-process rung); with ``pipeline`` it is sent in windows
-    of ``pipeline_window`` in-flight frames on one connection (each
-    query's latency is its window's wall clock over the window size);
-    with several clients, the stream is split across concurrent threads
-    so the server's query fuser gets windows to coalesce, and
-    ``seconds`` is the storm's wall clock.  ``binary`` picks the wire
-    encoding the client negotiates.  ``trace`` runs both ends with a
-    shared in-memory tracer, so every query carries trace context and
-    opens its client/admission/execute spans — the cost of tracing
-    *enabled*, judged against the identical untraced rung.
-    """
-    import threading
-
-    from repro.obs import Tracer
-    from repro.serving.net import ReplicaSet, ServingClient
-
-    tracer = Tracer(capacity=4096) if trace else None
-    with ReplicaSet(make_service, n_replicas=1,
-                    fuse_window_ms=fuse_window_ms,
-                    tracer=tracer) as replicas:
-        with ServingClient(replicas.addresses, binary=binary,
-                           tracer=tracer) as warm:
-            for user in users[:warmup]:
-                warm.top_n(int(user), n=n)
-        timed = users[warmup:]
-        if pipeline:
-            with ServingClient(replicas.addresses, binary=binary) as client:
-                client.top_n(int(users[0]), n=n)  # untimed primer
-                windows = np.array_split(
-                    timed, max(1, timed.shape[0] // pipeline_window))
-                sink: List[np.ndarray] = []
-                start = time.perf_counter()
-                for window in windows:
-                    begin = time.perf_counter()
-                    client.top_n_pipelined([int(user) for user in window],
-                                           n=n,
-                                           max_in_flight=pipeline_window)
-                    elapsed = time.perf_counter() - begin
-                    sink.append(np.full(window.shape[0],
-                                        elapsed / window.shape[0]))
-                return time.perf_counter() - start, np.concatenate(sink)
-        if n_clients == 1:
-            with ServingClient(replicas.addresses, binary=binary,
-                               tracer=tracer) as client:
-                # Untimed primer: connect + handshake must not land in
-                # the first timed sample.
-                client.top_n(int(users[0]), n=n)
-                latencies = np.empty(timed.shape[0])
-                start = time.perf_counter()
-                for index, user in enumerate(timed):
-                    begin = time.perf_counter()
-                    client.top_n(int(user), n=n)
-                    latencies[index] = time.perf_counter() - begin
-                return time.perf_counter() - start, latencies
-
-        chunks = np.array_split(timed, n_clients)
-        outputs: List[List[float]] = [[] for _ in range(n_clients)]
-        barrier = threading.Barrier(n_clients + 1)
-
-        def storm(chunk: np.ndarray, sink: List[float]) -> None:
-            with ServingClient(replicas.addresses, binary=binary,
-                               tracer=tracer) as client:
-                client.top_n(int(users[0]), n=n)  # untimed primer
-                barrier.wait()
-                for user in chunk:
-                    begin = time.perf_counter()
-                    client.top_n(int(user), n=n)
-                    sink.append(time.perf_counter() - begin)
-
-        threads = [threading.Thread(target=storm, args=(chunk, sink))
-                   for chunk, sink in zip(chunks, outputs)]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        start = time.perf_counter()
-        for thread in threads:
-            thread.join()
-        seconds = time.perf_counter() - start
-        return seconds, np.concatenate([np.asarray(sink)
-                                        for sink in outputs])
-
-
-def _time_tcp_wal(make_service, n_writes: int, sync_every: Optional[int],
-                  n_items: int) -> Tuple[float, np.ndarray]:
-    """Time a mutation stream through a 2-replica set's write leader.
-
-    Each timed write is a full replicated commit: validate → append to
-    the log (fsync per ``sync_every``) → apply → ship to the follower →
-    ack.  ``sync_every=None`` runs the log in memory — the
-    replication-only floor the fsync rungs are judged against.  The
-    client pins the leader so the rung measures the commit, not an
-    extra forward hop.
-    """
-    import tempfile
-
-    from repro.serving.net import ReplicaSet, ServingClient
-
-    with tempfile.TemporaryDirectory() as tmp:
-        wal_kwargs = ({"wal_dir": tmp, "wal_sync_every": sync_every}
-                      if sync_every is not None else {})
-        with ReplicaSet(make_service, n_replicas=2,
-                        **wal_kwargs) as replicas:
-            with ServingClient(replicas.addresses[:1]) as client:
-                user = client.fold_in(np.array([0]), np.array([4.0]))
-                client.rate(user, np.array([0]),
-                            np.array([3.0]))  # untimed primer
-                latencies = np.empty(n_writes)
-                start = time.perf_counter()
-                for index in range(n_writes):
-                    begin = time.perf_counter()
-                    client.rate(user, np.array([index % n_items]),
-                                np.array([float(1 + index % 5)]))
-                    latencies[index] = time.perf_counter() - begin
-                seconds = time.perf_counter() - start
-        return seconds, latencies
-
-
-def run_serving_bench(
-    n_users: int = 2000,
-    n_items: int = 4000,
-    num_latent: int = 32,
-    shard_counts: Sequence[int] = (1, 2, 4),
-    workers_grid: Optional[Sequence[Tuple[int, int]]] = None,
-    n_queries: int = 300,
-    top_n: int = 10,
-    warmup: int = 10,
-    seed: int = 42,
-    transports: Sequence[str] = ("inproc", "tcp"),
-    fuse_window_ms: float = 2.0,
-    fused_clients: int = 4,
-    pipeline_window: int = 32,
-    wal_writes: int = 300,
-    wal_sync_ladder: Sequence[int] = (1, 8, 64),
-) -> ServingBenchResult:
-    """Time the query stream against every serving configuration.
-
-    Parameters
-    ----------
-    n_users, n_items, num_latent:
-        Synthetic posterior shape (items dominate top-N cost).
-    shard_counts:
-        Shard counts to ladder through with one worker per shard.
-    workers_grid:
-        Optional explicit ``(shards, workers)`` pairs *replacing* the
-        one-worker-per-shard ladder (the shards x workers grid of the
-        recorded document concatenates both by default: the ladder plus a
-        fewer-workers-than-shards rung).
-    n_queries, top_n, warmup:
-        Query stream shape; ``warmup`` queries are excluded from timing
-        (pool spawn and first-touch costs are paid there).
-    transports:
-        ``"inproc"`` runs the direct ladder, ``"tcp"`` adds the network
-        rungs against fused-by-default single-process replicas:
-        sequential JSON (``tcp-json``), sequential binary (``tcp-bin``),
-        the same binary stream with end-to-end tracing enabled
-        (``tcp-bin-traced`` — the tracing-overhead rung, judged against
-        ``tcp-bin``), ``pipeline_window`` in-flight binary frames on one
-        connection (``tcp-bin-pipelined``), and a ``fused_clients``-way
-        concurrent storm (``tcp-fused``, fallback window
-        ``fuse_window_ms``).
-    pipeline_window:
-        In-flight frames per window for the pipelined rung.
-    wal_writes, wal_sync_ladder:
-        Replicated-write rungs (with ``"tcp"``): ``wal_writes`` timed
-        ``rate`` commits through the in-memory log (``tcp-wal-mem``)
-        and through the durable WAL at each fsync cadence in
-        ``wal_sync_ladder`` (``tcp-wal-fsyncN``).
-    """
-    check_positive("n_queries", n_queries)
-    check_positive("top_n", top_n)
-    if warmup >= n_queries:
-        raise ValueError("warmup must be smaller than n_queries")
-    unknown_transports = set(transports) - {"inproc", "tcp"}
-    if unknown_transports:
-        raise ValueError(f"unknown transports: {sorted(unknown_transports)}")
-    snapshot = make_bench_snapshot(n_users, n_items, num_latent, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    users = rng.integers(0, n_users, size=n_queries)
-
-    cases: List[Tuple[int, int]] = (
-        list(workers_grid) if workers_grid is not None
-        else [(shards, shards) for shards in shard_counts])
-    if workers_grid is None and max(shard_counts) >= 4:
-        cases.append((max(shard_counts), max(shard_counts) // 2))
-
-    rows: List[ServingBenchRow] = []
-    service = PredictionService(snapshot, cache_size=max(1, n_users // 16))
-    seconds, latencies = _time_queries(service.top_n, users, top_n, warmup)
-    baseline_qps = latencies.shape[0] / seconds
-    rows.append(ServingBenchRow(
-        backend="single", shards=None, workers=None,
-        queries=latencies.shape[0], seconds=seconds, qps=baseline_qps,
-        p50_ms=float(np.percentile(latencies, 50) * 1e3),
-        p95_ms=float(np.percentile(latencies, 95) * 1e3),
-        speedup_vs_single=1.0,
-    ))
-
-    if "inproc" in transports:
-        for shards, workers in cases:
-            with ShardedScorer(snapshot, n_shards=shards,
-                               n_workers=workers) as scorer:
-                seconds, latencies = _time_queries(scorer.top_n, users,
-                                                   top_n, warmup)
-            qps = latencies.shape[0] / seconds
-            rows.append(ServingBenchRow(
-                backend="sharded", shards=shards, workers=workers,
-                queries=latencies.shape[0], seconds=seconds, qps=qps,
-                p50_ms=float(np.percentile(latencies, 50) * 1e3),
-                p95_ms=float(np.percentile(latencies, 95) * 1e3),
-                speedup_vs_single=qps / baseline_qps,
-            ))
-
-    if "tcp" in transports:
-        tcp_cases = [
-            ("tcp-json", False, False, 1, False),
-            ("tcp-bin", True, False, 1, False),
-            ("tcp-bin-traced", True, False, 1, True),
-            ("tcp-bin-pipelined", True, True, 1, False),
-            ("tcp-fused", True, False, fused_clients, False),
-        ]
-        make_service = (lambda index:
-                        PredictionService(snapshot,
-                                          cache_size=max(1, n_users // 16)))
-        for backend, binary, pipeline, n_clients, trace in tcp_cases:
-            seconds, latencies = _time_tcp(
-                make_service, users, top_n, warmup,
-                fuse_window_ms=fuse_window_ms, binary=binary,
-                pipeline=pipeline, pipeline_window=pipeline_window,
-                n_clients=n_clients, trace=trace)
-            qps = latencies.shape[0] / seconds
-            rows.append(ServingBenchRow(
-                backend=backend, shards=None, workers=None,
-                queries=latencies.shape[0], seconds=seconds, qps=qps,
-                p50_ms=float(np.percentile(latencies, 50) * 1e3),
-                p95_ms=float(np.percentile(latencies, 95) * 1e3),
-                speedup_vs_single=qps / baseline_qps,
-            ))
-
-        # Write path: qps is replicated commits per second; the read
-        # baseline is not comparable, so "vs single" stays blank.
-        wal_cases = [("tcp-wal-mem", None)] + [
-            (f"tcp-wal-fsync{cadence}", cadence)
-            for cadence in wal_sync_ladder]
-        for backend, sync_every in wal_cases:
-            seconds, latencies = _time_tcp_wal(
-                make_service, wal_writes, sync_every, n_items)
-            rows.append(ServingBenchRow(
-                backend=backend, shards=None, workers=None,
-                queries=latencies.shape[0], seconds=seconds,
-                qps=latencies.shape[0] / seconds,
-                p50_ms=float(np.percentile(latencies, 50) * 1e3),
-                p95_ms=float(np.percentile(latencies, 95) * 1e3),
-                speedup_vs_single=None,
-            ))
-
-    return ServingBenchResult(
-        rows=rows,
-        workload={
-            "dataset": "synthetic-posterior",
-            "n_users": n_users,
-            "n_items": n_items,
-            "num_latent": num_latent,
-            "n_queries": n_queries,
-            "warmup": warmup,
-            "seed": seed,
-            "transports": list(transports),
-            "fuse_window_ms": fuse_window_ms,
-            "fused_clients": fused_clients,
-            "pipeline_window": pipeline_window,
-            "wal_writes": wal_writes,
-            "wal_sync_ladder": list(wal_sync_ladder),
-        },
-        environment=machine_environment(),
-        top_n=top_n,
     )

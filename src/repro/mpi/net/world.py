@@ -902,7 +902,7 @@ def start_local_world(
     Every rank gets its own :class:`SocketCommWorld` over real localhost
     TCP links — the full wire path (framing, binary payloads, receiver
     threads, flush barriers) without spawning OS processes.  Tests, the
-    quickstart example and the bench ladder use this; the launcher
+    quickstart example and perfbench use this; the launcher
     (``python -m repro.mpi.net``) builds the same mesh across real
     processes.  Caller ranks must run on separate threads (the verbs
     block); each should close its world when done.

@@ -414,10 +414,19 @@ class SimComm:
         return self.recv(source=root, tag=tag)
 
     def barrier(self) -> None:
-        """Inside :meth:`SimCommWorld.run`, returns once every rank has
-        entered; outside it there is no other thread to wait for."""
-        if self.world._turns is not None:
+        """Returns once every rank has entered.
+
+        The same collective inside and outside :meth:`SimCommWorld.run`:
+        with one thread of control nobody else can enter a multi-rank
+        barrier, so it raises would-deadlock like an unmatched ``recv``.
+        """
+        try:
             self.allreduce(np.zeros(0), key="barrier")
+        except ValidationError:
+            # Withdraw the contribution, or the next barrier on this world
+            # would be rejected as a double call.
+            self.world._contributions.get("barrier", {}).pop(self.rank, None)
+            raise
 
 
 def _payload_bytes(payload: Any) -> int:

@@ -6,7 +6,7 @@ lightweight logging, plain-text table rendering and argument validation.
 """
 
 from repro.utils.rng import RngRegistry, as_generator, spawn_generators
-from repro.utils.timing import Stopwatch, Timer, time_call
+from repro.utils.timing import time_call
 from repro.utils.logging import get_logger, set_verbosity
 from repro.utils.tables import Table, format_float, render_table
 from repro.utils.validation import (
@@ -22,8 +22,6 @@ __all__ = [
     "RngRegistry",
     "as_generator",
     "spawn_generators",
-    "Stopwatch",
-    "Timer",
     "time_call",
     "get_logger",
     "set_verbosity",

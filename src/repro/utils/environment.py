@@ -1,8 +1,8 @@
 """Machine metadata stamped into recorded benchmark/smoke JSON documents.
 
 Recorded timings are only interpretable next to the machine that produced
-them (the committed baselines come from a single-core container); every
-``BENCH_*.json``-writing surface embeds this one dictionary.
+them; perfbench's result files and the smoke drills' reports embed this
+one dictionary.
 """
 
 from __future__ import annotations

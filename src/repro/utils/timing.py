@@ -1,110 +1,11 @@
-"""Wall-clock timing helpers used by the calibration and benchmark code."""
+"""The wall-clock timing helper used by the calibration and Figure 2 code."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Tuple
 
-__all__ = ["Stopwatch", "Timer", "time_call"]
-
-
-class Stopwatch:
-    """A resettable stopwatch measuring elapsed wall-clock seconds.
-
-    The stopwatch accumulates time across multiple ``start``/``stop`` pairs,
-    which is how the tracing code accounts compute time that is interleaved
-    with message progression.
-    """
-
-    def __init__(self) -> None:
-        self._start: float | None = None
-        self._elapsed: float = 0.0
-
-    def start(self) -> "Stopwatch":
-        if self._start is not None:
-            raise RuntimeError("stopwatch already running")
-        self._start = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError("stopwatch is not running")
-        self._elapsed += time.perf_counter() - self._start
-        self._start = None
-        return self._elapsed
-
-    @property
-    def running(self) -> bool:
-        return self._start is not None
-
-    @property
-    def elapsed(self) -> float:
-        """Total accumulated seconds (including the running segment)."""
-        extra = 0.0 if self._start is None else time.perf_counter() - self._start
-        return self._elapsed + extra
-
-    def reset(self) -> None:
-        self._start = None
-        self._elapsed = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
-@dataclass
-class Timer:
-    """Named accumulating timers, e.g. ``timer.add("compute", 0.8)``.
-
-    Used by the samplers to produce the compute / communicate / both
-    breakdown of Figure 5 and by the benchmark harness for per-phase
-    reporting.
-    """
-
-    totals: Dict[str, float] = field(default_factory=dict)
-    counts: Dict[str, int] = field(default_factory=dict)
-
-    def add(self, name: str, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError(f"negative duration for {name!r}: {seconds}")
-        self.totals[name] = self.totals.get(name, 0.0) + seconds
-        self.counts[name] = self.counts.get(name, 0) + 1
-
-    def measure(self, name: str):
-        """Context manager measuring a block and adding it under ``name``."""
-        timer = self
-
-        class _Ctx:
-            def __enter__(self_inner):
-                self_inner._sw = Stopwatch().start()
-                return self_inner
-
-            def __exit__(self_inner, *exc):
-                timer.add(name, self_inner._sw.stop())
-
-        return _Ctx()
-
-    def total(self, name: str) -> float:
-        return self.totals.get(name, 0.0)
-
-    def mean(self, name: str) -> float:
-        count = self.counts.get(name, 0)
-        return self.totals.get(name, 0.0) / count if count else 0.0
-
-    def merge(self, other: "Timer") -> "Timer":
-        """Return a new Timer with the sums of both operands."""
-        merged = Timer(dict(self.totals), dict(self.counts))
-        for name, seconds in other.totals.items():
-            merged.totals[name] = merged.totals.get(name, 0.0) + seconds
-        for name, count in other.counts.items():
-            merged.counts[name] = merged.counts.get(name, 0) + count
-        return merged
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self.totals)
+__all__ = ["time_call"]
 
 
 def time_call(func: Callable, *args, repeats: int = 1, **kwargs) -> Tuple[float, object]:

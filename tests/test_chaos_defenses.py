@@ -175,7 +175,13 @@ def test_expired_deadline_is_shed_at_the_server_gate(snapshot):
                 target=lambda: ServingClient(replicas.addresses,
                                              timeout=10.0).predict(0, 1))
             hold.start()
-            time.sleep(0.2)  # the holder owns the slot, behind the stall
+            # The server counts a request and takes the free slot in one
+            # event-loop step, so two counted requests (the warm-up read
+            # and the holder's) mean the holder owns the slot.
+            give_up = time.monotonic() + 10.0
+            while server.stats()["n_requests"] < 2:
+                assert time.monotonic() < give_up, "holder never arrived"
+                time.sleep(0.001)
             begin = time.monotonic()
             with pytest.raises(DeadlineError):
                 client.top_n(1, n=5, deadline_ms=200)

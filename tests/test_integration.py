@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,3 +100,56 @@ class TestCommandLine:
             capture_output=True, text=True, timeout=120)
         assert completed.returncode == 2
         assert "unknown" in completed.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--record"], "unrecognized arguments"),
+        (["--transport", "tcp"], "unrecognized arguments"),
+        (["engines"], "unknown experiments: engines"),
+    ], ids=["record", "transport", "engines"])
+    def test_bench_module_has_no_ladder_surface(self, argv, message):
+        """Speed is measured by perfbench alone: the bench CLI neither
+        records timings nor knows a ladder experiment."""
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.bench", *argv],
+            capture_output=True, text=True, timeout=120)
+        assert completed.returncode == 2
+        assert message in completed.stderr
+
+
+class TestPerfMarker:
+    """Tier-1 must be deterministically green, so every ``benchmarks/``
+    test whose verdict depends on a measured duration is ``perf``-marked
+    and deselected by the default ``addopts`` in ``pyproject.toml``."""
+
+    PERF_TESTS = {
+        "test_batched_engine_speedup_on_synthetic_workload",
+        "test_shared_engine_speedup_on_synthetic_workload",
+        "test_sweep_microbench",
+        "test_kernel_serial_cholesky_microbench",
+        "test_kernel_rank_one_microbench",
+        "test_kernel_parallel_cholesky_microbench",
+        "test_fig2_measured_serial_cholesky_grows_slowly",
+    }
+
+    @staticmethod
+    def _collected(*selection):
+        root = Path(__file__).resolve().parent.parent
+        # The outer run's injected options (a --junitxml path, say) must
+        # not leak into the nested collection.
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTEST_ADDOPTS"}
+        env["PYTHONPATH"] = str(root / "src")
+        completed = subprocess.run(
+            [sys.executable, "-m", "pytest", "--collect-only", "-q",
+             *selection, "benchmarks"],
+            capture_output=True, text=True, timeout=120, cwd=root, env=env)
+        assert completed.returncode == 0, completed.stdout + completed.stderr
+        return {line.split("::")[1].split("[")[0]
+                for line in completed.stdout.splitlines() if "::" in line}
+
+    def test_default_collection_selects_no_perf_test(self):
+        collected = self._collected()
+        assert collected and not collected & self.PERF_TESTS
+
+    def test_perf_selection_is_exactly_the_speed_floors(self):
+        assert self._collected("-m", "perf") == self.PERF_TESTS

@@ -152,8 +152,16 @@ class TestCollectives:
             "hello" if comm.rank == 0 else None, root=0))
         assert results == ["hello", "hello", "hello"]
 
-    def test_barrier_is_noop(self):
-        SimCommWorld(2).comm(0).barrier()
+    def test_barrier_outside_run_is_the_same_collective(self):
+        SimCommWorld(1).comm(0).barrier()  # a 1-rank world: nobody to wait for
+        world = SimCommWorld(2)
+        # One thread of control, two ranks: rank 1 can never enter.  The
+        # second call fails the same way (not as a double contribution) ...
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="would deadlock"):
+                world.comm(0).barrier()
+        # ... and the world is still usable.
+        assert world.run(lambda comm: comm.barrier()) == [None, None]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from repro.utils.logging import get_logger, set_verbosity
 from repro.utils.rng import RngRegistry, as_generator, spawn_generators
 from repro.utils.tables import Table, format_float, render_table
-from repro.utils.timing import Stopwatch, Timer, time_call
+from repro.utils.timing import time_call
 from repro.utils.validation import (
     ValidationError,
     check_in,
@@ -119,78 +119,6 @@ class TestRngRegistry:
 # ---------------------------------------------------------------------------
 # timing
 # ---------------------------------------------------------------------------
-
-class TestStopwatch:
-    def test_measures_elapsed_time(self):
-        watch = Stopwatch().start()
-        time.sleep(0.01)
-        assert watch.stop() >= 0.009
-
-    def test_accumulates_over_segments(self):
-        watch = Stopwatch()
-        watch.start(); time.sleep(0.005); watch.stop()
-        watch.start(); time.sleep(0.005); total = watch.stop()
-        assert total >= 0.009
-
-    def test_double_start_raises(self):
-        watch = Stopwatch().start()
-        with pytest.raises(RuntimeError):
-            watch.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_context_manager(self):
-        with Stopwatch() as watch:
-            time.sleep(0.002)
-        assert watch.elapsed >= 0.001
-
-    def test_reset(self):
-        watch = Stopwatch()
-        watch.start(); watch.stop()
-        watch.reset()
-        assert watch.elapsed == 0.0
-        assert not watch.running
-
-
-class TestTimer:
-    def test_add_and_total(self):
-        timer = Timer()
-        timer.add("compute", 1.0)
-        timer.add("compute", 0.5)
-        assert timer.total("compute") == pytest.approx(1.5)
-        assert timer.mean("compute") == pytest.approx(0.75)
-
-    def test_missing_name_is_zero(self):
-        assert Timer().total("nothing") == 0.0
-        assert Timer().mean("nothing") == 0.0
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            Timer().add("x", -1.0)
-
-    def test_measure_context(self):
-        timer = Timer()
-        with timer.measure("block"):
-            time.sleep(0.002)
-        assert timer.total("block") >= 0.001
-        assert timer.counts["block"] == 1
-
-    def test_merge(self):
-        a = Timer(); a.add("x", 1.0)
-        b = Timer(); b.add("x", 2.0); b.add("y", 3.0)
-        merged = a.merge(b)
-        assert merged.total("x") == pytest.approx(3.0)
-        assert merged.total("y") == pytest.approx(3.0)
-        # operands untouched
-        assert a.total("x") == pytest.approx(1.0)
-
-    def test_as_dict(self):
-        timer = Timer()
-        timer.add("a", 1.0)
-        assert timer.as_dict() == {"a": 1.0}
-
 
 class TestTimeCall:
     def test_returns_result_and_positive_time(self):
