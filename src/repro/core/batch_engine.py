@@ -11,14 +11,16 @@ factors the *execution strategy* out of the samplers behind a shared
   :func:`repro.core.updates.sample_item`.  Kept as the semantic oracle for
   the parity harness and for per-item thread scheduling experiments.
 * :class:`BatchedUpdateEngine` — groups items into exact-degree buckets
-  (:mod:`repro.sparse.buckets`), forms every bucket's Gram matrices with
-  one stacked ``matmul``, factorises them with one stacked
-  ``np.linalg.cholesky`` and draws all conditional samples with batched
-  solves.  The paper's hybrid method selection survives as *bucket-boundary
-  policy*: a bucket whose degree falls in the parallel-Cholesky regime has
-  its Gram accumulation split into the same row blocks the parallel kernel
-  would use, so the blocked summation structure (and its parallelism
-  opportunity) is preserved at bucket granularity.
+  (:mod:`repro.sparse.buckets`), cuts and packs them into item blocks,
+  forms each block's augmented Gram matrices with stacked ``matmul``,
+  factorises them with one stacked ``np.linalg.cholesky`` — which also
+  yields the forward solve — and finishes with one back-substitution
+  vectorised over the block's items.  The paper's hybrid method selection
+  survives as *bucket-boundary policy*: a bucket whose degree falls in the
+  parallel-Cholesky regime has its Gram accumulation split into the same
+  row blocks the parallel kernel would use, so the blocked summation
+  structure (and its parallelism opportunity) is preserved at bucket
+  granularity.
 
 Both engines consume a pre-drawn ``(n_items, K)`` noise matrix in
 canonical item order.  Because ``rng.standard_normal((n, k))`` reads the
@@ -28,15 +30,17 @@ engine sees the same random stream as the historical per-item loop — this
 is the pre-drawn-noise parity trick extended to the batched order.
 
 Per-item arithmetic inside the batched engine uses only per-slice LAPACK
-operations (stacked ``matmul``/``cholesky``/``solve`` apply one routine per
-slice), so an item's sample does not depend on which other items share its
-bucket.  The distributed sampler exploits this: per-rank subsets produce
+operations (stacked ``matmul``/``cholesky`` apply one routine per slice)
+and elementwise ufuncs, so an item's sample does not depend on which other
+items share its bucket or block, how large the blocks are, or which thread
+or process runs them.  The distributed sampler and the shared-memory
+engine exploit this: per-rank subsets and worker-side blocks produce
 bitwise-identical rows to the full-matrix plan.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,9 +64,41 @@ __all__ = [
 #: reference chain.
 COMPUTE_DTYPES = ("float64", "float32")
 
+#: Byte budget of one item block: ``BLOCK_BYTES // (8 K^2)`` items, so a
+#: block's item-last ``(K, K, B)`` factor stack stays near this size.
+#: Buckets larger than a block are cut into row pieces (bounding peak
+#: memory); small buckets are packed together (the ``3K`` elementwise
+#: back-substitution calls are paid once per block, not once per bucket).
+#: On one core 1 MB ran the sparse (K=16) user phase a few percent faster
+#: than 2 MB and the dense (K=32) phases equally fast.
+BLOCK_BYTES = 1024 * 1024
+
 #: ``parallel_map(func, items)`` calls ``func(item)`` for every item; the
 #: multicore sampler passes its thread backend's ``map_items`` here.
 ParallelMap = Callable[[Callable[[int], None], Sequence[int]], object]
+
+#: Rows ``start:stop`` of one degree bucket — the unit a block is packed from.
+Piece = Tuple[DegreeBucket, int, int]
+
+
+def _pack_blocks(buckets: Sequence[DegreeBucket],
+                 num_latent: int) -> List[List[Piece]]:
+    """Cut and pack ``buckets`` into consecutive blocks of at most
+    ``BLOCK_BYTES // (8 K^2)`` items, in bucket order."""
+    size = max(1, BLOCK_BYTES // (8 * num_latent * num_latent))
+    blocks: List[List[Piece]] = []
+    room = 0
+    for bucket in buckets:
+        start = 0
+        while start < bucket.n_items:
+            if room == 0:
+                blocks.append([])
+                room = size
+            stop = min(bucket.n_items, start + room)
+            blocks[-1].append((bucket, start, stop))
+            room -= stop - start
+            start = stop
+    return blocks
 
 
 class UpdateEngine:
@@ -140,8 +176,8 @@ class UpdateEngine:
             sampler passes each rank's owned items); default all.
         parallel_map:
             Optional ``map(func, indices)`` used to execute independent
-            units (items for the reference engine, buckets for the batched
-            engine) concurrently.  Default: a plain loop.
+            units (items for the reference engine, item blocks for the
+            batched engine) concurrently.  Default: a plain loop.
         """
         raise NotImplementedError
 
@@ -187,17 +223,35 @@ class ReferenceUpdateEngine(UpdateEngine):
 
 
 class BatchedUpdateEngine(UpdateEngine):
-    """Stacked-BLAS execution: one LAPACK pass per exact-degree bucket.
+    """Stacked-BLAS execution: one Cholesky and one triangular solve per
+    item block.
 
-    For a bucket of ``m`` items of degree ``d`` the engine gathers the
-    ``(m, d, K)`` neighbour factor tensor ``X`` and computes, for all items
-    at once::
+    For ``m`` items of degree ``d`` the engine gathers the ``(m, d, K+1)``
+    augmented tensor ``Z = [X | r]`` (neighbour factor rows beside the
+    ratings) and computes, for all items at once::
 
-        precision = Lambda + alpha * X^T X          (stacked matmul)
-        rhs       = Lambda mu + alpha * X^T r       (stacked matmul)
-        L         = cholesky(precision)             (stacked potrf)
-        mean      = solve(precision, rhs)           (stacked solve)
-        sample    = mean + solve(L^T, z)            (stacked solve)
+        A0 = [[Lambda,       Lambda mu      ],      (once per phase)
+              [mu^T Lambda,  1 + mu^T Lambda mu]]
+        A  = A0 + alpha * Z^T Z                     (stacked matmul)
+           = [[precision, rhs], [rhs^T, c]]
+        cholesky(A) = [[L, 0], [y^T, s]]            (stacked potrf)
+        sample = L^-T (y + z)                       (back-substitution)
+
+    The factor's top-left block is ``L = chol(precision)`` and its last row
+    is ``y = L^-1 rhs``, so the forward solve comes out of the factorisation
+    and ``L^-T y`` is the conditional mean.  Before factorising, the corner
+    ``c`` is doubled: the Schur complement ``s^2 = c - |y|^2`` then exceeds
+    half the corner, so no precision (float32 included) can fail on the
+    last pivot; ``s`` itself is never used.  The back-substitution runs
+    ``K`` vectorised steps over an item-last ``(K, K, B)`` block with
+    elementwise ufuncs only.
+
+    Items are processed in blocks of ``BLOCK_BYTES // (8 K^2)``: buckets
+    larger than a block are cut into row pieces, small ones are packed into
+    a shared block.  Every item's arithmetic depends only on its own row, so
+    the block layout — and hence rank subsets, ``parallel_map`` threads and
+    shared-memory workers, which each build their own blocks — never
+    changes an output bit.
 
     Buckets in the parallel-Cholesky regime (degree >=
     ``policy.parallel_threshold``) accumulate ``X^T X`` over the same row
@@ -217,10 +271,10 @@ class BatchedUpdateEngine(UpdateEngine):
     instances touching the same axis — pay no planning cost.
 
     ``compute_dtype`` selects the arithmetic precision of the stacked
-    kernels.  ``float64`` (default) is bit-identical to the historical
-    behaviour; ``float32`` halves the memory traffic of the gather and
-    matmul passes and agrees with the float64 chain to single-precision
-    tolerance (factor rows are cast back to the target's dtype on store).
+    kernels.  ``float64`` (default) keeps the parity guarantees;
+    ``float32`` halves the memory traffic of the gather and matmul passes
+    and agrees with the float64 chain to single-precision tolerance
+    (factor rows are cast back to the target's dtype on store).
     """
 
     name = "batched"
@@ -233,62 +287,109 @@ class BatchedUpdateEngine(UpdateEngine):
 
     # -- the batched kernel ----------------------------------------------
 
-    def _update_bucket(self, bucket: DegreeBucket, target: np.ndarray,
-                       source: np.ndarray, prior: GaussianPrior, alpha: float,
-                       noise: np.ndarray) -> None:
-        """One stacked update; ``source`` and ``bucket.values`` must already
-        be in the compute dtype (``update_items`` and the shared-memory
-        workers guarantee this)."""
-        m, d = bucket.n_items, bucket.degree
+    def _augmented_prior(self, prior: GaussianPrior) -> np.ndarray:
+        """``A0``, the prior part of every augmented Gram, in the compute
+        dtype (built once per phase)."""
         k = prior.num_latent
-        dtype = self._dtype
-        # (m, d, K) neighbour factor blocks and (m, d, 1) rating columns.
-        blocks = source[bucket.neighbours]
-        values = bucket.values[:, :, None]
+        precision = np.asarray(prior.precision, dtype=self._dtype)
+        mean = np.asarray(prior.mean, dtype=self._dtype)
+        weighted = precision @ mean
+        a0 = np.empty((k + 1, k + 1), dtype=self._dtype)
+        a0[:k, :k] = precision
+        a0[:k, k] = weighted
+        a0[k, :k] = weighted
+        a0[k, k] = 1 + mean @ weighted
+        return a0
 
-        prior_precision = np.asarray(prior.precision, dtype=dtype)
-        prior_mean = np.asarray(prior.mean, dtype=dtype)
-        alpha = dtype.type(alpha)
-        precision = np.broadcast_to(prior_precision, (m, k, k)).copy()
-        rhs = np.broadcast_to(prior_precision @ prior_mean, (m, k)).copy()
-        if d:
-            method = self._choose_method(d)
-            if method is UpdateMethod.PARALLEL_CHOLESKY:
+    def _augmented_grams(self, block: Sequence[Piece], n_items: int,
+                         source: np.ndarray, a0: np.ndarray,
+                         alpha) -> np.ndarray:
+        """``A0 + alpha Z^T Z`` for every item of the block, corner
+        doubled; ``source`` and the bucket values must already be in the
+        compute dtype (``update_items`` and the shared-memory workers
+        guarantee this)."""
+        k = a0.shape[0] - 1
+        aug = np.empty((n_items, k + 1, k + 1), dtype=self._dtype)
+        row = 0
+        for bucket, start, stop in block:
+            d = bucket.degree
+            out = aug[row:row + stop - start]
+            row += stop - start
+            if d == 0:
+                out[...] = a0
+                continue
+            z = np.empty((stop - start, d, k + 1), dtype=self._dtype)
+            z[:, :, :k] = source[bucket.neighbours[start:stop]]
+            z[:, :, k] = bucket.values[start:stop]
+            if self._choose_method(d) is UpdateMethod.PARALLEL_CHOLESKY:
                 # Mirror the parallel kernel's blocked Gram accumulation.
+                out[...] = a0
                 n_blocks = min(self.policy.n_subtasks(d), d)
                 for rows in np.array_split(np.arange(d), n_blocks):
-                    sub = blocks[:, rows, :]
-                    precision += alpha * (sub.transpose(0, 2, 1) @ sub)
-                    rhs += alpha * (sub.transpose(0, 2, 1)
-                                    @ values[:, rows, :])[:, :, 0]
+                    sub = z[:, rows, :]
+                    out += alpha * (sub.transpose(0, 2, 1) @ sub)
             else:
-                precision += alpha * (blocks.transpose(0, 2, 1) @ blocks)
-                rhs += alpha * (blocks.transpose(0, 2, 1) @ values)[:, :, 0]
+                np.matmul(z.transpose(0, 2, 1), z, out=out)
+                out *= alpha
+                out += a0
+        aug[:, k, k] *= 2  # Schur complement >= half the corner: see class
+        return aug
 
-        chol = np.linalg.cholesky(precision)
-        # mean + L^-T z  ==  L^-T (L^-1 rhs + z): two stacked triangular
-        # solves reusing the factor just computed, instead of refactorising
-        # `precision` for the mean.
-        z = np.asarray(noise[bucket.items], dtype=dtype)[:, :, None]
-        half = np.linalg.solve(chol, rhs[:, :, None])
-        sample = np.linalg.solve(chol.transpose(0, 2, 1), half + z)
-        target[bucket.items] = sample[:, :, 0]
+    def _update_block(self, block: Sequence[Piece], target: np.ndarray,
+                      source: np.ndarray, a0: np.ndarray, alpha,
+                      noise: np.ndarray) -> None:
+        """One Cholesky and one back-substitution for a block of pieces."""
+        k = a0.shape[0] - 1
+        items = np.concatenate([bucket.items[start:stop]
+                                for bucket, start, stop in block])
+        # The Gram stack dies as soon as it is factorised, so the allocator
+        # hands its memory to the item-last copy below; keeping it alive
+        # too (at a 2 MB budget) made every block fault in fresh pages and
+        # the sparse-workload sweep ran 1.7x slower on one core.
+        chol = np.linalg.cholesky(self._augmented_grams(
+            block, items.shape[0], source, a0, alpha))
+
+        # L^T x = y + z on item-last arrays: factor[i, j] is L_ij across
+        # the block's items and x[i] the running right-hand side.
+        factor = chol[:, :k, :k].transpose(1, 2, 0).copy()
+        x = np.empty((k, items.shape[0]), dtype=self._dtype)
+        np.add(chol[:, k, :k].T,
+               np.asarray(noise[items], dtype=self._dtype).T, out=x)
+        scratch = np.empty_like(x)
+        for i in range(k - 1, -1, -1):
+            np.divide(x[i], factor[i, i], out=x[i])
+            if i:
+                np.multiply(factor[i, :i], x[i], out=scratch[:i])
+                np.subtract(x[:i], scratch[:i], out=x[:i])
+        target[items] = x.T
+
+    def _update_buckets(self, buckets: Sequence[DegreeBucket],
+                        target: np.ndarray, source: np.ndarray,
+                        prior: GaussianPrior, alpha: float,
+                        noise: np.ndarray,
+                        parallel_map: Optional[ParallelMap] = None) -> None:
+        """Update every item of ``buckets`` block by block."""
+        a0 = self._augmented_prior(prior)
+        alpha = self._dtype.type(alpha)
+        blocks = _pack_blocks(buckets, prior.num_latent)
+
+        def run_block(index: int) -> None:
+            self._update_block(blocks[index], target, source, a0, alpha,
+                               noise)
+
+        if parallel_map is None:
+            for index in range(len(blocks)):
+                run_block(index)
+        else:
+            # Blocks touch disjoint target rows, so they are race-free units.
+            parallel_map(run_block, range(len(blocks)))
 
     def update_items(self, target, source, axis, prior, alpha, noise,
                      items=None, parallel_map=None):
         plan = self._plan_for(axis, items)
-        source = np.asarray(source, dtype=self._dtype)
-
-        def run_bucket(index: int) -> None:
-            self._update_bucket(plan.buckets[index], target, source,
-                                prior, alpha, noise)
-
-        if parallel_map is None:
-            for index in range(plan.n_buckets):
-                run_bucket(index)
-        else:
-            # Buckets touch disjoint target rows, so they are race-free units.
-            parallel_map(run_bucket, range(plan.n_buckets))
+        self._update_buckets(plan.buckets, target,
+                             np.asarray(source, dtype=self._dtype), prior,
+                             alpha, noise, parallel_map)
         return plan.n_planned_items
 
 

@@ -342,8 +342,9 @@ def _worker_main(worker_id: int, untrack_attachments: bool,
     """Execute plan/phase messages until a stop message arrives.
 
     The worker owns a private :class:`BatchedUpdateEngine` built from the
-    parent's configuration, so the per-bucket kernel is literally the same
-    code (and the same arithmetic) the single-process engine runs.
+    parent's configuration and packs its member buckets into blocks with
+    the same routine, so the kernel is literally the same code (and the
+    same per-item arithmetic) the single-process engine runs.
     """
     update_method, policy, compute_dtype = engine_config
     engine = BatchedUpdateEngine(update_method=update_method, policy=policy,
@@ -381,7 +382,7 @@ def _worker_main(worker_id: int, untrack_attachments: bool,
             values_flat = view(plan["values"])
             prior = GaussianPrior(mean=phase["prior_mean"],
                                   precision=phase["prior_precision"])
-            alpha = phase["alpha"]
+            buckets = []
             for super_id in phase["super_ids"]:
                 flat_offset, row_offset, n_rows, pad, members = \
                     plan["supers"][super_id]
@@ -393,14 +394,14 @@ def _worker_main(worker_id: int, untrack_attachments: bool,
                 items = items_flat[row_offset:row_offset + n_rows]
                 for degree, member_offset, n_members in members:
                     rows = slice(member_offset, member_offset + n_members)
-                    bucket = DegreeBucket(
+                    buckets.append(DegreeBucket(
                         degree=degree,
                         items=items[rows],
                         neighbours=neighbours[rows, :degree],
                         values=values[rows, :degree],
-                    )
-                    engine._update_bucket(bucket, target, source, prior,
-                                          alpha, noise)
+                    ))
+            engine._update_buckets(buckets, target, source, prior,
+                                   phase["alpha"], noise)
             result_queue.put(("done", worker_id, sequence))
         except BaseException:
             result_queue.put(("error", worker_id, sequence,

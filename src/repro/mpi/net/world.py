@@ -905,7 +905,9 @@ def start_local_world(
     quickstart example and perfbench use this; the launcher
     (``python -m repro.mpi.net``) builds the same mesh across real
     processes.  Caller ranks must run on separate threads (the verbs
-    block); each should close its world when done.
+    block); each should close its world when done.  Fails fast: the first
+    rank error is raised as soon as it is recorded, without waiting for
+    the other ranks' connects to time out.
     """
     check_positive("n_ranks", n_ranks)
     if injectors is not None and len(injectors) != n_ranks:
@@ -913,25 +915,34 @@ def start_local_world(
     rendezvous = (host, free_port(host))
     worlds: List[Optional[SocketCommWorld]] = [None] * n_ranks
     errors: List[Optional[BaseException]] = [None] * n_ranks
+    abandoned = threading.Event()
 
     def connect(rank: int) -> None:
         try:
-            worlds[rank] = SocketCommWorld.connect(
+            world = SocketCommWorld.connect(
                 rank, n_ranks, rendezvous,
                 injector=injectors[rank] if injectors else None,
                 op_timeout=op_timeout)
         except BaseException as error:  # re-raised by the parent below
             errors[rank] = error
+            return
+        worlds[rank] = world
+        if abandoned.is_set():  # the parent already failed; nobody owns it
+            world.close()
 
     threads = [threading.Thread(target=connect, args=(rank,), daemon=True,
                                 name=f"repro-mpi-connect-{rank}")
                for rank in range(n_ranks)]
     for thread in threads:
         thread.start()
+    deadline = time.monotonic() + CONNECT_TIMEOUT + 5.0
     for thread in threads:
-        thread.join(timeout=CONNECT_TIMEOUT + 5.0)
+        while thread.is_alive() and time.monotonic() < deadline \
+                and all(error is None for error in errors):
+            thread.join(timeout=0.05)
     failures = [error for error in errors if error is not None]
     if failures or any(world is None for world in worlds):
+        abandoned.set()
         for world in worlds:
             if world is not None:
                 world.close()

@@ -95,8 +95,8 @@ class MulticoreGibbsSampler:
                                           compute_dtype=self.options.compute_dtype,
                                           n_workers=n_workers)
         # chunk_size is tuned for per-item mapping; the batched engine's
-        # parallel units are degree buckets (typically a few dozen per
-        # phase), which must be submitted one per task or every bucket
+        # parallel units are item blocks (typically a few dozen per
+        # phase), which must be submitted one per task or every block
         # lands in a single chunk on a single thread.
         chunk = 1 if isinstance(self._engine, BatchedUpdateEngine) \
             else self.options.chunk_size

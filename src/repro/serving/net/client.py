@@ -853,7 +853,11 @@ class AsyncServingClient(_ClientCore):
     async def _connect(self, index: int) -> _AsyncConnection:
         cached = self._connections.get(index)
         if cached is not None:
-            return cached
+            if cached.reader_task is None or not cached.reader_task.done():
+                return cached
+            # The reader loop ended (the replica closed the link): nothing
+            # would answer a request sent here before the timeout.
+            await self._drop(index)
         host, port = self._ring.addresses[index]
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(host, port), timeout=self.timeout)

@@ -311,9 +311,10 @@ class SuperBucketPlan:
 def _bucket_cost(n_items: int, degree: int, num_latent: int) -> float:
     """Rough flop count of one stacked bucket update.
 
-    Gram accumulation is ``d * K^2`` per item, factorisation plus the two
-    triangular solves ``~K^3 / 3 + 2 K^2``; constants are irrelevant because
-    the estimate is only used to *balance* tasks, never to time them.
+    Gram accumulation is ``d * K^2`` per item, the augmented factorisation
+    (which includes the forward solve) plus the back-substitution
+    ``~K^3 / 3 + 2 K^2``; constants are irrelevant because the estimate is
+    only used to *balance* tasks, never to time them.
     """
     k = float(num_latent)
     return float(n_items) * (float(degree) * k * k + (k ** 3) / 3.0 + 2 * k * k)

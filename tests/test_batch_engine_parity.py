@@ -14,6 +14,7 @@ import gc
 import numpy as np
 import pytest
 
+from repro.core import batch_engine
 from repro.core.batch_engine import (
     BatchedUpdateEngine,
     ReferenceUpdateEngine,
@@ -23,8 +24,13 @@ from repro.core.batch_engine import (
 from repro.core.gibbs import GibbsSampler, SamplerOptions
 from repro.core.priors import BPMFConfig, GaussianPrior
 from repro.core.shared_engine import SharedMemoryUpdateEngine, WorkerPoolError
-from repro.core.updates import HybridUpdatePolicy, UpdateMethod
+from repro.core.updates import (
+    HybridUpdatePolicy,
+    UpdateMethod,
+    conditional_distribution,
+)
 from repro.datasets.synthetic import SyntheticConfig, make_low_rank_dataset
+from repro.parallel.thread_backend import ThreadPoolBackend
 from repro.sparse.buckets import (
     build_bucket_plan,
     cached_bucket_plan,
@@ -34,9 +40,13 @@ from repro.sparse.csr import CompressedAxis, RatingMatrix
 from repro.utils.validation import ValidationError
 
 #: Engine-vs-engine tolerance.  The two paths share per-item arithmetic up
-#: to the solver used (``cho_solve`` vs LU), so they agree far tighter than
-#: this in practice; the bound leaves room for other BLAS builds.
+#: to the solver used (``cho_solve`` vs the augmented factor's last row and
+#: an elementwise back-substitution), so they agree far tighter than this
+#: in practice; the bound leaves room for other BLAS builds.
 TOL = dict(rtol=1e-7, atol=1e-9)
+
+#: float32-vs-float64 engine tolerance (single-precision kernels).
+F32_TOL = dict(rtol=5e-3, atol=5e-4)
 
 
 def _random_axis(rng, n_items, n_source, degrees) -> CompressedAxis:
@@ -52,13 +62,19 @@ def _random_axis(rng, n_items, n_source, degrees) -> CompressedAxis:
     )
 
 
-def _run_both(axis, n_source, k, method=None, policy=None, items=None, seed=0):
-    """Run one phase through both engines on identical inputs."""
+def _phase_inputs(axis, n_source, k, seed):
+    """``(source, prior, noise)`` for one phase over ``axis``."""
     rng = np.random.default_rng(seed)
     source = rng.normal(size=(n_source, k))
     prior = GaussianPrior(mean=rng.normal(size=k),
                           precision=np.eye(k) * rng.uniform(0.5, 3.0))
     noise = rng.standard_normal((axis.n, k))
+    return source, prior, noise
+
+
+def _run_both(axis, n_source, k, method=None, policy=None, items=None, seed=0):
+    """Run one phase through both engines on identical inputs."""
+    source, prior, noise = _phase_inputs(axis, n_source, k, seed)
     outputs = []
     for engine_cls in (ReferenceUpdateEngine, BatchedUpdateEngine):
         engine = engine_cls(update_method=method, policy=policy)
@@ -106,23 +122,45 @@ class TestPhaseParity:
         reference, batched = _run_both(axis, 4, 8)
         np.testing.assert_allclose(batched, reference, **TOL)
 
-    def test_subset_items_match_full_plan_rows(self):
-        """Distributed-style subsets produce the same rows as the full plan."""
+    def test_subset_items_match_full_plan_rows(self, monkeypatch):
+        """Every block layout produces the same rows as the full plan:
+        a rank subset, 3-item blocks, thread-mapped blocks and the
+        shared-memory workers' own blocks."""
         rng = np.random.default_rng(11)
         degrees = rng.integers(0, 15, size=24)
         axis = _random_axis(rng, 24, 30, degrees)
         subset = np.array([1, 4, 5, 9, 17, 23])
+        k = 8
 
-        full_ref, full_bat = _run_both(axis, 30, 8, seed=42)
-        sub_ref, sub_bat = _run_both(axis, 30, 8, items=subset, seed=42)
+        full_ref, full_bat = _run_both(axis, 30, k, seed=42)
+        sub_ref, sub_bat = _run_both(axis, 30, k, items=subset, seed=42)
         np.testing.assert_allclose(sub_bat[subset], sub_ref[subset], **TOL)
         # Subset rows are bitwise identical to the full-plan rows: stacked
-        # LAPACK applies one routine per slice, so an item's sample cannot
-        # depend on which other items share its bucket.
+        # LAPACK applies one routine per slice and the back-substitution
+        # is elementwise, so an item's sample cannot depend on which other
+        # items share its bucket or block.
         np.testing.assert_array_equal(sub_bat[subset], full_bat[subset])
         # Non-subset rows were never touched.
         untouched = np.setdiff1d(np.arange(24), subset)
         assert (sub_bat[untouched] == 0).all()
+
+        source, prior, noise = _phase_inputs(axis, 30, k, seed=42)
+
+        def run(engine, parallel_map=None):
+            target = np.zeros((axis.n, k))
+            engine.update_items(target, source, axis, prior, 2.0, noise,
+                                parallel_map=parallel_map)
+            return target
+
+        with make_update_engine("shared", n_workers=2) as shared:
+            np.testing.assert_array_equal(run(shared), full_bat)
+        monkeypatch.setattr(batch_engine, "BLOCK_BYTES", 3 * 8 * k * k)
+        assert len(batch_engine._pack_blocks(
+            BatchedUpdateEngine()._plan_for(axis, None).buckets, k)) == 8
+        np.testing.assert_array_equal(run(BatchedUpdateEngine()), full_bat)
+        threads = ThreadPoolBackend(n_threads=3, chunk_size=1)
+        np.testing.assert_array_equal(
+            run(BatchedUpdateEngine(), threads.map_items), full_bat)
 
     def test_noise_rows_consumed_by_global_item_id(self):
         """Item ``i`` consumes ``noise[i]`` regardless of bucket order."""
@@ -143,6 +181,89 @@ class TestPhaseParity:
                                            2.0, noise2)
         assert not np.allclose(perturbed[2], base[2])
         np.testing.assert_array_equal(perturbed[[0, 1, 3]], base[[0, 1, 3]])
+
+
+class TestKernelNumerics:
+    """The batched kernel against the target distribution itself.
+
+    Parity with the reference engine shows the engines agree; these tests
+    check what the batched kernel draws, and that reduced precision cannot
+    break its factorisation.
+    """
+
+    #: Item replicas per degree and noise matrices drawn: 1000 x 8 = 8000
+    #: draws per degree.  Whitened draws ``L^T (x - mean)`` must be
+    #: N(0, I): their mean within 4/sqrt(n) = 0.045 of 0 and their
+    #: covariance within 5 sqrt(2/n) = 0.079 of I (>= 4 standard errors).
+    N_REPLICAS, N_DRAWS = 1000, 8
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_sample_moments_match_conditional(self, dtype):
+        """Degrees 0, 1, d < K, d > K and the parallel-Cholesky regime."""
+        k, n_source, alpha = 4, 20, 2.0
+        degrees = [0, 1, 3, 7, 16]
+        policy = HybridUpdatePolicy(parallel_threshold=12,
+                                    rank_one_threshold=2, block_grain=5)
+        assert policy.choose(16) is UpdateMethod.PARALLEL_CHOLESKY
+        rng = np.random.default_rng(2024)
+        source = rng.normal(size=(n_source, k))
+        spread = rng.normal(size=(k, k))
+        prior = GaussianPrior(mean=rng.normal(size=k),
+                              precision=spread @ spread.T / k + np.eye(k))
+        templates = [(rng.integers(0, n_source, size=d), rng.normal(size=d))
+                     for d in degrees]
+        # Every degree's template is replicated N_REPLICAS times, so each
+        # noise matrix yields N_REPLICAS independent draws per template.
+        n = self.N_REPLICAS
+        axis = CompressedAxis(
+            indptr=np.concatenate(
+                [[0], np.cumsum(np.repeat(degrees, n))]).astype(np.int64),
+            indices=np.concatenate([np.tile(idx, n) for idx, _ in templates]),
+            values=np.concatenate([np.tile(val, n) for _, val in templates]))
+        engine = BatchedUpdateEngine(policy=policy, compute_dtype=dtype)
+        draws = []
+        for _ in range(self.N_DRAWS):
+            target = np.zeros((axis.n, k))
+            engine.update_items(target, source, axis, prior, alpha,
+                                rng.standard_normal((axis.n, k)))
+            draws.append(target.reshape(len(degrees), n, k))
+        draws = np.concatenate(draws, axis=1)
+
+        n_draws = n * self.N_DRAWS
+        for (idx, values), samples in zip(templates, draws):
+            mean, chol = conditional_distribution(source[idx], values,
+                                                  prior, alpha)
+            white = (samples - mean) @ chol
+            np.testing.assert_array_less(np.abs(white.mean(axis=0)),
+                                         4.0 / np.sqrt(n_draws))
+            np.testing.assert_array_less(
+                np.abs(np.cov(white, rowvar=False) - np.eye(k)),
+                5.0 * np.sqrt(2.0 / n_draws))
+
+    def test_float32_heavy_item_factorises(self):
+        """A degree-2500 float32 bucket whose ratings (around +-5) the
+        neighbours explain exactly: the augmented Gram is singular but for
+        the prior, so its last pivot cancels to rounding noise (and fails
+        to factorise) unless the corner is padded."""
+        rng = np.random.default_rng(47)
+        k, n_source, degree, n_items = 8, 3000, 2500, 8
+        source = rng.normal(size=(n_source, k))
+        indices = rng.integers(0, n_source, size=n_items * degree)
+        truth = rng.normal(size=k)
+        truth *= 5.0 / np.linalg.norm(truth)
+        values = source[indices] @ truth
+        axis = CompressedAxis(
+            indptr=np.arange(0, (n_items + 1) * degree, degree),
+            indices=indices, values=values)
+        prior = GaussianPrior(mean=np.zeros(k), precision=np.eye(k) * 1e-6)
+        noise = rng.standard_normal((n_items, k))
+        exact = np.zeros((n_items, k))
+        BatchedUpdateEngine().update_items(exact, source, axis, prior, 2.0,
+                                           noise)
+        narrowed = np.zeros((n_items, k))
+        BatchedUpdateEngine(compute_dtype="float32").update_items(
+            narrowed, source, axis, prior, 2.0, noise)
+        np.testing.assert_allclose(narrowed, exact, **F32_TOL)
 
 
 class TestSamplerParity:
@@ -417,7 +538,7 @@ class TestSharedEngine:
         narrowed = np.zeros_like(noise)
         BatchedUpdateEngine(compute_dtype="float32").update_items(
             narrowed, source, axis, prior, 2.0, noise)
-        np.testing.assert_allclose(narrowed, exact, rtol=5e-3, atol=5e-4)
+        np.testing.assert_allclose(narrowed, exact, **F32_TOL)
         assert not np.array_equal(narrowed, exact)  # genuinely narrowed
         with make_update_engine("shared", n_workers=2,
                                 compute_dtype="float32") as engine:

@@ -171,6 +171,26 @@ def test_async_client_fails_over_too(snapshot, reference):
     assert health["status"] == "ok"
 
 
+def test_async_client_redials_a_connection_the_replica_closed(snapshot):
+    """A killed replica closes its links; the cached connection's reader
+    sees EOF, and the next request must redial (refused: fail over at
+    once) rather than send into the dead link and wait out its timeout."""
+    import asyncio
+
+    with ReplicaSet(lambda index: PredictionService(snapshot),
+                    n_replicas=2) as replicas:
+        async def exercise():
+            async with AsyncServingClient(replicas.addresses[:1]) as client:
+                await client.top_n(3, n=5)
+                reader = client._connections[0].reader_task
+                replicas.kill(0)
+                await asyncio.wait_for(reader, timeout=10.0)
+                with pytest.raises(ConnectionRefusedError):
+                    await client._connect(0)
+
+        asyncio.run(exercise())
+
+
 def test_mutations_replicate_to_every_replica(snapshot):
     """fold-in through any replica is readable on all of them."""
     with ReplicaSet(lambda index: PredictionService(snapshot),
