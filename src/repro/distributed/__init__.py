@@ -13,9 +13,10 @@ socket world (:mod:`repro.mpi.net`):
   item needs to be sent").
 * :mod:`repro.distributed.sampler` — the asynchronous distributed Gibbs
   sampler: ranks hold their own copies of the factor matrices, update the
-  items they own, stream the updates through send buffers and apply the
-  buffers they receive; the result is statistically identical to the
-  sequential sampler (bit-identical with gathered hyperparameters).
+  items they own, send the updates in the messages of a precomputed send
+  schedule and apply the messages they receive; the result is
+  statistically identical to the sequential sampler (bit-identical with
+  gathered hyperparameters).
 * :mod:`repro.distributed.spmd` — ``run_local_socket_world``: an N-rank
   socket world driven from one thread per rank.
 * :mod:`repro.distributed.sync_sampler` — the bulk-synchronous baseline

@@ -6,68 +6,68 @@ updates movie ``m`` it must ship the new factor row to every rank that owns
 at least one user who rated ``m`` (those ranks will read ``V_m`` during the
 next user phase), and symmetrically for users.
 
-:class:`CommunicationPlan` stores, for every item, the set of destination
-ranks, plus aggregate per-rank-pair item counts which feed both the
-performance model (Figures 4–5) and the partitioning-quality ablation.
+:class:`CommunicationPlan` stores every planned transfer as an *edge*
+``(owner, item, destination)``, one :class:`PlanEdges` triple of parallel
+arrays per phase, item-major with ascending destinations inside an item.
+Everything else is a one-line reduction over those arrays: the ids a rank
+receives, the per-rank-pair item counts that feed the performance model
+(Figures 4–5) and the partitioning-quality ablation, and the per-rank send
+schedules of the exchange (:func:`repro.mpi.buffers.send_schedule`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.distributed.partition import Partition
-from repro.sparse.csr import RatingMatrix
+from repro.sparse.csr import CompressedAxis, RatingMatrix
 from repro.utils.validation import ValidationError
 
-__all__ = ["CommunicationPlan", "build_comm_plan"]
+__all__ = ["CommunicationPlan", "PlanEdges", "build_comm_plan"]
+
+
+class PlanEdges(NamedTuple):
+    """The transfers of one phase: ``item`` (owned by ``owner``) must reach
+    ``dest`` after its update.  Item-major, destinations ascending within an
+    item; an item's owner never appears among its destinations."""
+
+    owner: np.ndarray
+    item: np.ndarray
+    dest: np.ndarray
 
 
 @dataclass(frozen=True)
 class CommunicationPlan:
-    """Destinations of every item's update, plus traffic summaries.
-
-    ``movie_destinations[m]`` (resp. ``user_destinations[u]``) is a sorted
-    integer array of ranks that must receive movie ``m`` (user ``u``) after
-    its owner updates it.  The owner itself never appears.
-    """
+    """Every item's destinations (as edge arrays), plus traffic summaries."""
 
     partition: Partition
-    movie_destinations: Tuple[np.ndarray, ...]
-    user_destinations: Tuple[np.ndarray, ...]
+    movie_edges: PlanEdges
+    user_edges: PlanEdges
 
     @property
     def n_ranks(self) -> int:
         return self.partition.n_ranks
 
-    def _edges(self, phase: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(owner, item, destination)`` of every planned transfer of one
-        phase (``"movies"`` or ``"users"``), item-major."""
+    def edges(self, phase: str) -> PlanEdges:
+        """The planned transfers of one phase (``"movies"`` or ``"users"``)."""
         if phase == "movies":
-            owners = self.partition.movie_owner
-            destinations = self.movie_destinations
-        elif phase == "users":
-            owners = self.partition.user_owner
-            destinations = self.user_destinations
-        else:
-            raise ValidationError(f"phase must be 'movies' or 'users', got {phase!r}")
-        lengths = np.fromiter((dests.shape[0] for dests in destinations),
-                              dtype=np.int64, count=len(destinations))
-        items = np.repeat(np.arange(len(destinations), dtype=np.int64), lengths)
-        dests = np.concatenate([np.empty(0, dtype=np.int64), *destinations])
-        return np.asarray(owners, dtype=np.int64)[items], items, dests
+            return self.movie_edges
+        if phase == "users":
+            return self.user_edges
+        raise ValidationError(f"phase must be 'movies' or 'users', got {phase!r}")
 
     def expected_incoming(self, phase: str, rank: int) -> np.ndarray:
         """Ascending ids of the items ``rank`` must receive in one phase.
 
         The plan inverted for one rank: this is what lets a phase's
         receive loop *count* instead of guessing when the exchange is
-        done.  (An item's owner never appears among its destinations.)
+        done.
         """
-        _, items, dests = self._edges(phase)
-        return items[dests == rank]
+        edges = self.edges(phase)
+        return edges.item[edges.dest == rank]
 
     # -- aggregate traffic -------------------------------------------------
 
@@ -77,65 +77,57 @@ class CommunicationPlan:
         Entry ``[src, dst]`` counts items owned by ``src`` that must reach
         ``dst`` after the given phase (``"movies"`` or ``"users"``).
         """
-        src, _, dst = self._edges(phase)
-        matrix = np.zeros((self.n_ranks, self.n_ranks), dtype=np.int64)
-        np.add.at(matrix, (src, dst), 1)
-        return matrix
+        edges, n = self.edges(phase), self.n_ranks
+        return np.bincount(edges.owner * n + edges.dest,
+                           minlength=n * n).reshape(n, n)
 
     def total_items_exchanged(self) -> int:
         """Total item transfers per iteration (both phases)."""
-        return int(self.items_between("movies").sum()
-                   + self.items_between("users").sum())
+        return int(self.movie_edges.item.size + self.user_edges.item.size)
 
     def replication_factor(self, phase: str) -> float:
         """Average number of extra ranks each item must be copied to."""
-        destinations = (self.movie_destinations if phase == "movies"
-                        else self.user_destinations)
-        if not destinations:
-            return 0.0
-        return float(np.mean([len(d) for d in destinations]))
+        n_items = (self.partition.n_movies if phase == "movies"
+                   else self.partition.n_users)
+        return self.edges(phase).item.size / n_items if n_items else 0.0
 
 
-def _destinations_for_axis(owners_of_items: np.ndarray,
-                           owners_of_partners: np.ndarray,
-                           axis) -> Tuple[np.ndarray, ...]:
-    """For each item, ranks (other than its owner) owning a rating partner.
+def _edges_for_axis(owners_of_items: np.ndarray,
+                    owners_of_partners: np.ndarray,
+                    axis: CompressedAxis, n_ranks: int) -> PlanEdges:
+    """For each item, the ranks (other than its owner) owning a rating partner.
 
-    Vectorised so the plan can be derived for paper-scale workloads: every
-    stored rating contributes an ``(item, partner_owner)`` key; the unique
-    keys, minus the item's own owner, are exactly the destination sets.
+    Every stored rating contributes an ``item * n_ranks + partner_owner``
+    key; the distinct keys in ascending order, minus the item's own owner,
+    are exactly the item-major edges.
     """
-    n_items = int(owners_of_items.shape[0])
-    n_ranks = int(owners_of_items.max(initial=0)) + 1 if n_items else 1
-    n_ranks = max(n_ranks, int(owners_of_partners.max(initial=0)) + 1)
-    degrees = np.diff(axis.indptr)
-    if axis.nnz == 0:
-        return tuple(np.empty(0, dtype=np.int64) for _ in range(n_items))
-
-    item_of_entry = np.repeat(np.arange(n_items, dtype=np.int64), degrees)
-    partner_owner = owners_of_partners[axis.indices]
-    keys = np.unique(item_of_entry * np.int64(n_ranks) + partner_owner)
-    key_items = keys // n_ranks
-    key_ranks = keys % n_ranks
-    keep = key_ranks != owners_of_items[key_items]
-    key_items = key_items[keep]
-    key_ranks = key_ranks[keep]
-
-    boundaries = np.searchsorted(key_items, np.arange(n_items + 1))
-    return tuple(key_ranks[boundaries[i]:boundaries[i + 1]].copy()
-                 for i in range(n_items))
+    n_items = owners_of_items.shape[0]
+    items = np.repeat(np.arange(n_items, dtype=np.int64), np.diff(axis.indptr))
+    keys = items * n_ranks + owners_of_partners[axis.indices]
+    if n_items * n_ranks <= 4 * keys.size:
+        # A dense (item, rank) mark is several times cheaper than a sort
+        # and, bounded by the rating count, no larger than the matrix.
+        mark = np.zeros(n_items * n_ranks, dtype=bool)
+        mark[keys] = True
+        keys = np.flatnonzero(mark)
+    else:
+        keys = np.unique(keys)
+    item, dest = np.divmod(keys, n_ranks)
+    owner = owners_of_items[item]
+    keep = dest != owner
+    return PlanEdges(owner[keep], item[keep], dest[keep])
 
 
 def build_comm_plan(ratings: RatingMatrix, partition: Partition) -> CommunicationPlan:
     """Derive the communication plan from the sparsity pattern and partition."""
     if partition.n_users != ratings.n_users or partition.n_movies != ratings.n_movies:
         raise ValidationError("partition shape does not match the rating matrix")
-    movie_destinations = _destinations_for_axis(
-        partition.movie_owner, partition.user_owner, ratings.by_movie)
-    user_destinations = _destinations_for_axis(
-        partition.user_owner, partition.movie_owner, ratings.by_user)
+    user_owner = np.asarray(partition.user_owner, dtype=np.int64)
+    movie_owner = np.asarray(partition.movie_owner, dtype=np.int64)
     return CommunicationPlan(
         partition=partition,
-        movie_destinations=movie_destinations,
-        user_destinations=user_destinations,
+        movie_edges=_edges_for_axis(movie_owner, user_owner, ratings.by_movie,
+                                    partition.n_ranks),
+        user_edges=_edges_for_axis(user_owner, movie_owner, ratings.by_user,
+                                   partition.n_ranks),
     )

@@ -17,11 +17,12 @@ per entity class (movies, then users):
    it holds locally (authoritative for its own items, last-received
    copies for remote ones — up to date because they were exchanged at the
    end of the phase that wrote them);
-3. refreshed rows stream through per-destination send buffers, shipped
-   with non-blocking sends when full and flushed at the end of the phase;
-   the rank then receives until every row the communication plan promises
-   it has arrived (arrival order cannot matter: rows land in disjoint
-   slices) and raises on a row it never planned for.
+3. the refreshed rows leave in the messages of the rank's send schedule
+   for the phase — what per-destination send buffers would post, computed
+   once per run from the communication plan — as non-blocking sends; the
+   rank then receives until every row the plan promises it has arrived
+   (arrival order cannot matter: rows land in disjoint slices) and raises
+   on a row it never planned for.
 
 After both phases the authoritative rows are gathered at rank 0, which
 alone owns the predictor, the RMSE traces and the checkpointer.  Ranks
@@ -35,7 +36,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from repro.core.wishart import (
 )
 from repro.distributed.comm_plan import CommunicationPlan, build_comm_plan
 from repro.distributed.partition import Partition, partition_ratings
-from repro.mpi.buffers import BufferStats, SendBuffer
+from repro.mpi.buffers import BufferStats, send_schedule
 from repro.mpi.simmpi import SimCommWorld
 from repro.obs.trace import maybe_span
 from repro.parallel.cost_model import WorkloadModel
@@ -136,7 +137,8 @@ class _Block:
     axis: CompressedAxis
     factors: np.ndarray  # this rank's copy of the whole class
     owned: np.ndarray  # ids this rank updates and is authoritative for
-    destinations: Tuple[np.ndarray, ...]  # per item: the ranks that read it
+    schedule: List[Tuple[int, np.ndarray]]  # (dest, ids) sent every phase
+    send_stats: BufferStats  # the schedule's traffic, per phase
     expected: np.ndarray  # mask of the ids this rank receives every phase
 
 
@@ -212,24 +214,10 @@ class DistributedGibbsSampler:
 
     def _exchange(self, comm, block: _Block) -> BufferStats:
         """Ship the refreshed owned rows, then receive the planned ones."""
-        stats = BufferStats()
         with maybe_span("mpi.exchange", phase=block.name, rank=comm.rank):
-            buffers: Dict[int, SendBuffer] = {}
-
-            def flush(dest: int, ids: np.ndarray, payload: np.ndarray) -> None:
-                comm.isend((ids, payload), dest=dest, tag=block.tag,
+            for dest, ids in block.schedule:
+                comm.isend((ids, block.factors[ids]), dest=dest, tag=block.tag,
                            description=f"{block.name}-update")
-
-            for item in block.owned.tolist():
-                for dest in block.destinations[item].tolist():
-                    if dest not in buffers:
-                        buffers[dest] = SendBuffer(
-                            dest, self.options.buffer_capacity,
-                            self.config.num_latent, on_flush=flush)
-                    buffers[dest].add(item, block.factors[item])
-            for buffer in buffers.values():
-                buffer.flush(partial=True)
-                stats = stats.merge(buffer.stats)
 
             remaining = block.expected.copy()
             while remaining.any():
@@ -244,7 +232,7 @@ class DistributedGibbsSampler:
                         "inconsistent")
                 remaining[ids] = False
                 block.factors[ids] = np.asarray(payload)
-        return stats
+        return block.send_stats
 
     # ------------------------------------------------------------------ #
     # the rank program
@@ -270,23 +258,28 @@ class DistributedGibbsSampler:
             raise ValidationError(
                 "snapshot shape does not match the rating matrix")
 
-        def block(name, tag, gather_tag, hyperprior, axis, factors, owned,
-                  destinations) -> _Block:
+        def block(name, tag, gather_tag, hyperprior, axis, factors,
+                  owned) -> _Block:
+            # The send side follows the plan's edges, the receive side
+            # counts against their inversion.
+            edges = plan.edges(name)
+            mine = edges.owner == rank
+            schedule, send_stats = send_schedule(
+                edges.item[mine], edges.dest[mine],
+                self.options.buffer_capacity)
             expected = np.zeros(factors.shape[0], dtype=bool)
             expected[plan.expected_incoming(name, rank)] = True
             return _Block(name, tag, gather_tag, hyperprior, axis, factors,
-                          np.asarray(owned, dtype=np.int64), destinations,
-                          expected)
+                          np.asarray(owned, dtype=np.int64), schedule,
+                          send_stats, expected)
 
         partition = plan.partition
         movies = block("movies", Tag.MOVIES, Tag.GATHER_MOVIES,
                        config.movie_hyperprior, train.by_movie,
-                       state.movie_factors, partition.movies_of(rank),
-                       plan.movie_destinations)
+                       state.movie_factors, partition.movies_of(rank))
         users = block("users", Tag.USERS, Tag.GATHER_USERS,
                       config.user_hyperprior, train.by_user,
-                      state.user_factors, partition.users_of(rank),
-                      plan.user_destinations)
+                      state.user_factors, partition.users_of(rank))
 
         if rank == 0:
             if split is not None and split.n_test > 0:

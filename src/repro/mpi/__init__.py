@@ -22,12 +22,12 @@ distributed experiments run on an in-process substrate with two layers:
 
 Send-buffer aggregation (:mod:`repro.mpi.buffers`) reproduces the paper's
 optimisation of batching updated items into fixed-size buffers instead of
-sending each item individually.
+sending each item individually, as a message schedule computed once per run.
 """
 
 from repro.mpi.network import ClusterSpec, NetworkModel
 from repro.mpi.simmpi import SimCommWorld, SimComm, SimRequest, MessageRecord
-from repro.mpi.buffers import SendBuffer, BufferStats
+from repro.mpi.buffers import BufferStats, send_schedule
 from repro.mpi.trace import RankTimeline, PhaseBreakdown, combine_breakdowns
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
     "SimComm",
     "SimRequest",
     "MessageRecord",
-    "SendBuffer",
+    "send_schedule",
     "BufferStats",
     "RankTimeline",
     "PhaseBreakdown",

@@ -4,29 +4,33 @@
 each item ... Hence we store items that need to be sent in a temporary
 buffer and only send when the buffer is full."*
 
-:class:`SendBuffer` implements exactly that policy for one destination
-rank: items are appended and a flush callback is invoked whenever the
-buffer reaches its capacity (and once more at the end of the phase for the
-remainder).  :class:`BufferStats` records how many messages and how many
-items were sent, which is what the buffering ablation benchmark compares
-against the one-message-per-item strategy.
+The policy, per destination rank: items join the destination's buffer in
+the order they are updated, a message leaves as soon as the buffer holds
+``capacity`` items, and the remainders are flushed at the end of the phase.
+Which items go where is fixed by the communication plan for the whole run,
+so the messages that policy emits are too: :func:`send_schedule` computes
+them once, vectorised, and a phase then posts one message per scheduled
+``(dest, ids)`` pair — no per-item work on the exchange path.
+:class:`BufferStats` records how many messages and how many items were
+sent, which is what the buffering ablation benchmark compares against the
+one-message-per-item strategy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.utils.validation import check_positive
+from repro.utils.validation import ValidationError, check_positive
 
-__all__ = ["SendBuffer", "BufferStats"]
+__all__ = ["BufferStats", "send_schedule"]
 
 
 @dataclass
 class BufferStats:
-    """Counters describing the message traffic produced by one buffer."""
+    """Counters describing the message traffic produced by send buffers."""
 
     n_items: int = 0
     n_messages: int = 0
@@ -46,76 +50,41 @@ class BufferStats:
         )
 
 
-class SendBuffer:
-    """Aggregates per-item factor updates destined for one rank.
+def send_schedule(items: np.ndarray, destinations: np.ndarray, capacity: int
+                  ) -> Tuple[List[Tuple[int, np.ndarray]], BufferStats]:
+    """The messages one phase's send buffers emit, in posting order.
 
-    Parameters
-    ----------
-    destination:
-        Target rank (carried through to the flush callback).
-    capacity:
-        Number of items per message.  ``capacity=1`` degenerates to the
-        unbuffered one-message-per-item scheme (the ablation baseline).
-    num_latent:
-        Factor dimension, used to pre-allocate the payload.
-    on_flush:
-        Callback ``(destination, item_ids, payload)`` invoked per message;
-        typically :meth:`repro.mpi.simmpi.SimComm.isend`.
+    ``items[i]`` must reach rank ``destinations[i]``; the pairs come in the
+    order the items are updated.  Returns ``(messages, stats)``:
+    ``messages`` lists ``(dest, item_ids)`` exactly as per-destination
+    buffers of ``capacity`` items would post them — a destination's k-th
+    full message when its ``k * capacity``-th item is added, then the
+    partial remainders in order of each destination's first appearance —
+    and ``stats`` counts them.
     """
-
-    def __init__(self, destination: int, capacity: int, num_latent: int,
-                 on_flush: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None):
-        check_positive("capacity", capacity)
-        check_positive("num_latent", num_latent)
-        self.destination = destination
-        self.capacity = capacity
-        self.num_latent = num_latent
-        self.on_flush = on_flush
-        self.stats = BufferStats()
-        self._ids: List[int] = []
-        self._payload: List[np.ndarray] = []
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    @property
-    def empty(self) -> bool:
-        return not self._ids
-
-    def add(self, item_id: int, factor: np.ndarray) -> bool:
-        """Append one item; flushes automatically when full.
-
-        Returns ``True`` when the append triggered a flush.
-        """
-        factor = np.asarray(factor, dtype=np.float64)
-        if factor.shape != (self.num_latent,):
-            raise ValueError(
-                f"factor must have shape ({self.num_latent},), got {factor.shape}")
-        self._ids.append(int(item_id))
-        self._payload.append(factor.copy())
-        self.stats.n_items += 1
-        if len(self._ids) >= self.capacity:
-            self.flush(partial=False)
-            return True
-        return False
-
-    def flush(self, partial: bool = True) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Emit the buffered items as one message; no-op when empty.
-
-        Returns the ``(item_ids, payload)`` pair that was flushed (also
-        handed to ``on_flush``), or ``None`` when there was nothing to send.
-        """
-        if not self._ids:
-            return None
-        ids = np.array(self._ids, dtype=np.int64)
-        payload = np.vstack(self._payload)
-        self._ids.clear()
-        self._payload.clear()
-        self.stats.n_messages += 1
-        if partial:
-            self.stats.n_flushes_partial += 1
-        else:
-            self.stats.n_flushes_full += 1
-        if self.on_flush is not None:
-            self.on_flush(self.destination, ids, payload)
-        return ids, payload
+    check_positive("capacity", capacity)
+    items = np.asarray(items, dtype=np.int64)
+    destinations = np.asarray(destinations, dtype=np.int64)
+    if items.shape != destinations.shape or items.ndim != 1:
+        raise ValidationError("items and destinations must be equal-length vectors")
+    n = items.shape[0]
+    # Each destination's items in adding order, destinations side by side.
+    by_dest = np.argsort(destinations, kind="stable")
+    sorted_dests = destinations[by_dest]
+    positions = np.arange(n)
+    new_dest = np.ones(n, dtype=bool)
+    new_dest[1:] = sorted_dests[1:] != sorted_dests[:-1]
+    dest_start = np.maximum.accumulate(np.where(new_dest, positions, 0))
+    starts = np.flatnonzero((positions - dest_start) % capacity == 0)
+    ends = np.append(starts, n)[1:]
+    full = ends - starts == capacity
+    # A full message leaves with its last item; the remainders follow, in
+    # order of the first item each destination was sent.
+    posted_at = np.where(full, by_dest[ends - 1],
+                         n + by_dest[dest_start[starts]])
+    messages = [(int(sorted_dests[starts[m]]), items[by_dest[starts[m]:ends[m]]])
+                for m in np.argsort(posted_at)]
+    n_full = int(full.sum())
+    return messages, BufferStats(n_items=n, n_messages=len(messages),
+                                 n_flushes_full=n_full,
+                                 n_flushes_partial=len(messages) - n_full)

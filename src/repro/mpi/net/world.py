@@ -274,6 +274,16 @@ class SocketCommWorld:
         the chaos ``net.connect`` site and every mesh socket is wrapped
         in :class:`ChaosSocket` (``net.send``/``net.recv`` sites).
         """
+        return cls._join(rank, n_ranks, rendezvous, timeout, injector,
+                         op_timeout, server=None)
+
+    @classmethod
+    def _join(cls, rank: int, n_ranks: int, rendezvous: Tuple[str, int],
+              timeout: float, injector: Optional[FaultInjector],
+              op_timeout: float,
+              server: Optional[socket.socket]) -> "SocketCommWorld":
+        """:meth:`connect`; rank 0 takes the rendezvous on ``server`` when
+        handed one already listening, instead of binding it itself."""
         check_positive("n_ranks", n_ranks)
         if not 0 <= rank < n_ranks:
             raise ValidationError(f"rank {rank} out of range [0, {n_ranks})")
@@ -283,7 +293,7 @@ class SocketCommWorld:
         try:
             my_port = int(listener.getsockname()[1])
             addresses = cls._rendezvous(rank, n_ranks, (host, port),
-                                        (host, my_port), deadline)
+                                        (host, my_port), deadline, server)
             peers: Dict[int, _Peer] = {}
             try:
                 # Dial the lower ranks; their listeners are up (bound
@@ -372,13 +382,16 @@ class SocketCommWorld:
     @classmethod
     def _rendezvous(cls, rank: int, n_ranks: int,
                     rendezvous: Tuple[str, int], my_address: Tuple[str, int],
-                    deadline: float) -> Dict[int, Tuple[str, int]]:
-        """Exchange data-listener addresses through rank 0."""
+                    deadline: float, server: Optional[socket.socket] = None
+                    ) -> Dict[int, Tuple[str, int]]:
+        """Exchange data-listener addresses through rank 0 (listening on
+        ``server`` when given, else binding ``rendezvous`` itself)."""
         if n_ranks == 1:
             return {0: my_address}
         if rank == 0:
-            server = socket.create_server(rendezvous,
-                                          backlog=max(n_ranks, 1))
+            if server is None:
+                server = socket.create_server(rendezvous,
+                                              backlog=max(n_ranks, 1))
             conns: List[Tuple[socket.socket, int]] = []
             addresses = {0: my_address}
             try:
@@ -912,17 +925,20 @@ def start_local_world(
     check_positive("n_ranks", n_ranks)
     if injectors is not None and len(injectors) != n_ranks:
         raise ValidationError("need one injector slot per rank")
-    rendezvous = (host, free_port(host))
+    # The rendezvous listener is bound before any rank starts, so no rank
+    # can dial it before rank 0 listens (and nobody can take the port).
+    server = socket.create_server((host, 0), backlog=max(n_ranks, 1))
+    rendezvous = (host, int(server.getsockname()[1]))
     worlds: List[Optional[SocketCommWorld]] = [None] * n_ranks
     errors: List[Optional[BaseException]] = [None] * n_ranks
     abandoned = threading.Event()
 
     def connect(rank: int) -> None:
         try:
-            world = SocketCommWorld.connect(
-                rank, n_ranks, rendezvous,
-                injector=injectors[rank] if injectors else None,
-                op_timeout=op_timeout)
+            world = SocketCommWorld._join(
+                rank, n_ranks, rendezvous, CONNECT_TIMEOUT,
+                injectors[rank] if injectors else None, op_timeout,
+                server=server if rank == 0 else None)
         except BaseException as error:  # re-raised by the parent below
             errors[rank] = error
             return
@@ -933,13 +949,16 @@ def start_local_world(
     threads = [threading.Thread(target=connect, args=(rank,), daemon=True,
                                 name=f"repro-mpi-connect-{rank}")
                for rank in range(n_ranks)]
-    for thread in threads:
-        thread.start()
-    deadline = time.monotonic() + CONNECT_TIMEOUT + 5.0
-    for thread in threads:
-        while thread.is_alive() and time.monotonic() < deadline \
-                and all(error is None for error in errors):
-            thread.join(timeout=0.05)
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + CONNECT_TIMEOUT + 5.0
+        for thread in threads:
+            while thread.is_alive() and time.monotonic() < deadline \
+                    and all(error is None for error in errors):
+                thread.join(timeout=0.05)
+    finally:
+        server.close()  # rank 0 is done with it, or the world is abandoned
     failures = [error for error in errors if error is not None]
     if failures or any(world is None for world in worlds):
         abandoned.set()

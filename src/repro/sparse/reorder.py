@@ -14,8 +14,7 @@ convention used by :meth:`repro.sparse.RatingMatrix.permute`.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -52,10 +51,57 @@ def degree_order(degrees: np.ndarray, descending: bool = True) -> np.ndarray:
     return perm.astype(np.int64)
 
 
-def _bipartite_adjacency(ratings: RatingMatrix) -> Tuple[np.ndarray, np.ndarray]:
-    """Adjacency of the bipartite user-movie graph with movies offset by n_users."""
-    users, movies, _ = ratings.triplets()
-    return users, movies + ratings.n_users
+def _bipartite_csr(ratings: RatingMatrix) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the bipartite user-movie graph: users are
+    nodes ``0..n_users-1``, movies follow, each row in stored order."""
+    by_user, by_movie = ratings.by_user, ratings.by_movie
+    indptr = np.concatenate([by_user.indptr,
+                             by_user.indptr[-1] + by_movie.indptr[1:]])
+    indices = np.concatenate([by_user.indices + ratings.n_users,
+                              by_movie.indices])
+    return indptr.astype(np.int64), indices.astype(np.int64)
+
+
+def _split_ordering(ordering: np.ndarray,
+                    n_users: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-axis permutations from a node ordering of the bipartite graph,
+    compacting each axis to ``0..n-1`` while keeping the relative order."""
+    users = ordering[ordering < n_users]
+    movies = ordering[ordering >= n_users] - n_users
+    user_perm = np.empty(users.shape[0], dtype=np.int64)
+    user_perm[users] = np.arange(users.shape[0])
+    movie_perm = np.empty(movies.shape[0], dtype=np.int64)
+    movie_perm[movies] = np.arange(movies.shape[0])
+    return user_perm, movie_perm
+
+
+def _cuthill_mckee_levels(start: int, indptr: np.ndarray, indices: np.ndarray,
+                          degrees: np.ndarray,
+                          visited: np.ndarray) -> List[np.ndarray]:
+    """Breadth-first levels of ``start``'s component, one level at a time.
+
+    This is the FIFO Cuthill–McKee visit: a node's unvisited neighbours
+    join the next level behind those of the nodes before it, sorted by
+    degree (ties in adjacency order), and a node reached from several
+    nodes of the level joins behind the first of them.
+    """
+    levels = []
+    frontier = np.array([start], dtype=np.int64)
+    visited[start] = True
+    while frontier.shape[0]:
+        levels.append(frontier)
+        counts = degrees[frontier]
+        parent = np.repeat(np.arange(frontier.shape[0]), counts)
+        slots = np.arange(parent.shape[0]) + np.repeat(
+            indptr[frontier] - (np.cumsum(counts) - counts), counts)
+        neighbours = indices[slots]
+        seen = np.flatnonzero(~visited[neighbours])
+        _, first = np.unique(neighbours[seen], return_index=True)
+        seen = seen[first]
+        seen = seen[np.lexsort((seen, degrees[neighbours[seen]], parent[seen]))]
+        frontier = neighbours[seen]
+        visited[frontier] = True
+    return levels
 
 
 def reverse_cuthill_mckee(ratings: RatingMatrix) -> Tuple[np.ndarray, np.ndarray]:
@@ -64,58 +110,31 @@ def reverse_cuthill_mckee(ratings: RatingMatrix) -> Tuple[np.ndarray, np.ndarray
     A classic bandwidth-reducing ordering: after permuting, users and movies
     that interact end up close together, so a contiguous block split of
     ``U``/``V`` cuts few ratings — exactly the locality property the paper's
-    data distribution relies on.
+    data distribution relies on.  The breadth-first visit runs one whole
+    level per step (:func:`_cuthill_mckee_levels`), which yields exactly the
+    node-at-a-time FIFO order.
 
     Returns ``(user_perm, movie_perm)`` in the "new index of old" convention.
     """
-    n_users, n_movies = ratings.n_users, ratings.n_movies
-    n_total = n_users + n_movies
+    indptr, indices = _bipartite_csr(ratings)
+    degrees = np.diff(indptr)
+    visited = np.zeros(degrees.shape[0], dtype=bool)
 
-    # Build adjacency lists for the bipartite graph once.
-    adjacency: list[np.ndarray] = [None] * n_total  # type: ignore[list-item]
-    for user in range(n_users):
-        movie_idx, _ = ratings.user_ratings(user)
-        adjacency[user] = movie_idx + n_users
-    for movie in range(n_movies):
-        user_idx, _ = ratings.movie_ratings(movie)
-        adjacency[n_users + movie] = user_idx
+    # Every component starts from its minimum-degree vertex (the standard
+    # CM heuristic for a pseudo-peripheral start).  Isolated vertices sort
+    # first and are whole components on their own.
+    starts = np.argsort(degrees, kind="stable")
+    n_isolated = int(np.count_nonzero(degrees == 0))
+    levels = [starts[:n_isolated]]
+    visited[levels[0]] = True
+    pending = starts[n_isolated:]
+    while pending.shape[0]:
+        levels += _cuthill_mckee_levels(int(pending[0]), indptr, indices,
+                                        degrees, visited)
+        pending = pending[~visited[pending]]
 
-    degrees = np.array([a.shape[0] for a in adjacency])
-    visited = np.zeros(n_total, dtype=bool)
-    ordering: list[int] = []
-
-    # Process every connected component, starting each from a minimum-degree
-    # vertex (the standard CM heuristic for a pseudo-peripheral start).
-    remaining = np.argsort(degrees, kind="stable")
-    for start in remaining:
-        if visited[start]:
-            continue
-        visited[start] = True
-        queue = deque([int(start)])
-        while queue:
-            node = queue.popleft()
-            ordering.append(node)
-            neighbours = adjacency[node]
-            if neighbours.shape[0]:
-                unvisited = neighbours[~visited[neighbours]]
-                if unvisited.shape[0]:
-                    unvisited = unvisited[np.argsort(degrees[unvisited], kind="stable")]
-                    visited[unvisited] = True
-                    queue.extend(int(v) for v in unvisited)
-
-    ordering_arr = np.array(ordering[::-1], dtype=np.int64)  # reverse CM
-    position = np.empty(n_total, dtype=np.int64)
-    position[ordering_arr] = np.arange(n_total)
-
-    # Split back into per-axis permutations, compacting each axis to 0..n-1
-    # while preserving the relative RCM order.
-    user_positions = position[:n_users]
-    movie_positions = position[n_users:]
-    user_perm = np.empty(n_users, dtype=np.int64)
-    user_perm[np.argsort(user_positions, kind="stable")] = np.arange(n_users)
-    movie_perm = np.empty(n_movies, dtype=np.int64)
-    movie_perm[np.argsort(movie_positions, kind="stable")] = np.arange(n_movies)
-    return user_perm, movie_perm
+    ordering = np.concatenate(levels)[::-1]  # reverse CM
+    return _split_ordering(ordering, ratings.n_users)
 
 
 def _scipy_bipartite_rcm(ratings: RatingMatrix) -> Tuple[np.ndarray, np.ndarray]:
@@ -136,16 +155,7 @@ def _scipy_bipartite_rcm(ratings: RatingMatrix) -> Tuple[np.ndarray, np.ndarray]
                           shape=(n_total, n_total))
     adjacency = (upper + upper.T).tocsr()
     ordering = np.asarray(_rcm(adjacency, symmetric_mode=True), dtype=np.int64)
-    position = np.empty(n_total, dtype=np.int64)
-    position[ordering] = np.arange(n_total)
-
-    user_positions = position[:n_users]
-    movie_positions = position[n_users:]
-    user_perm = np.empty(n_users, dtype=np.int64)
-    user_perm[np.argsort(user_positions, kind="stable")] = np.arange(n_users)
-    movie_perm = np.empty(n_movies, dtype=np.int64)
-    movie_perm[np.argsort(movie_positions, kind="stable")] = np.arange(n_movies)
-    return user_perm, movie_perm
+    return _split_ordering(ordering, n_users)
 
 
 def bipartite_rcm(ratings: RatingMatrix,

@@ -90,6 +90,12 @@ class TestPartition:
         assert partition.movie_owner.max() < 8
 
 
+def destinations(plan, phase, item):
+    """The ranks one item is shipped to, read off the plan's edge arrays."""
+    edges = plan.edges(phase)
+    return edges.dest[edges.item == item].tolist()
+
+
 class TestCommunicationPlan:
     def test_destinations_are_exactly_the_partner_owners(self, simple_ratings):
         partition = Partition(
@@ -99,41 +105,70 @@ class TestCommunicationPlan:
         )
         plan = build_comm_plan(simple_ratings, partition)
         # Movie 0 (owner 0) is rated by users 0,1 (rank 0) and 3 (rank 1):
-        assert plan.movie_destinations[0].tolist() == [1]
+        assert destinations(plan, "movies", 0) == [1]
         # Movie 1 (owner 1) is rated by users 0,3 -> ranks 0,1; owner removed:
-        assert plan.movie_destinations[1].tolist() == [0]
+        assert destinations(plan, "movies", 1) == [0]
         # Movie 2 (owner 1) is rated by users 1 (rank 0), 2 (rank 1):
-        assert plan.movie_destinations[2].tolist() == [0]
+        assert destinations(plan, "movies", 2) == [0]
         # User 0 (owner 0) rated movies 0 (rank 0), 1 (rank 1):
-        assert plan.user_destinations[0].tolist() == [1]
+        assert destinations(plan, "users", 0) == [1]
         # User 2 (owner 1) rated movies 1, 2 (both rank 1): nothing to send.
-        assert plan.user_destinations[2].tolist() == []
+        assert destinations(plan, "users", 2) == []
+        # The edges carry each item's owner, item-major.
+        assert plan.movie_edges.owner.tolist() == [0, 1, 1]
+        assert plan.movie_edges.item.tolist() == [0, 1, 2]
 
     def test_owner_never_in_destinations(self, chembl_tiny):
         partition = partition_ratings(chembl_tiny.ratings, 4)
         plan = build_comm_plan(chembl_tiny.ratings, partition)
-        for movie, dests in enumerate(plan.movie_destinations):
-            assert partition.movie_owner[movie] not in dests
-        for user, dests in enumerate(plan.user_destinations):
-            assert partition.user_owner[user] not in dests
+        for phase, owners in (("movies", partition.movie_owner),
+                              ("users", partition.user_owner)):
+            edges = plan.edges(phase)
+            assert (edges.owner == owners[edges.item]).all()
+            assert (edges.dest != edges.owner).all()
+
+    @pytest.mark.parametrize("n_ranks", [1, 3, 64])
+    def test_edges_match_a_per_rating_derivation(self, chembl_tiny, n_ranks):
+        """Item-major, ascending destinations, nothing missing or extra —
+        on both sides of the dense-mark / sort threshold."""
+        ratings = chembl_tiny.ratings
+        partition = partition_ratings(ratings, n_ranks)
+        plan = build_comm_plan(ratings, partition)
+        users, movies, _ = ratings.triplets()
+        for phase, items, partners, owners, partner_owners in (
+                ("movies", movies, users, partition.movie_owner,
+                 partition.user_owner),
+                ("users", users, movies, partition.user_owner,
+                 partition.movie_owner)):
+            expected = sorted({(int(item), int(partner_owners[partner]))
+                               for item, partner in zip(items, partners)
+                               if partner_owners[partner] != owners[item]})
+            edges = plan.edges(phase)
+            assert list(zip(edges.item.tolist(), edges.dest.tolist())) \
+                == expected
 
     def test_items_between_matches_destination_lists(self, chembl_tiny):
         partition = partition_ratings(chembl_tiny.ratings, 3)
         plan = build_comm_plan(chembl_tiny.ratings, partition)
         matrix = plan.items_between("movies")
-        assert matrix.sum() == sum(len(d) for d in plan.movie_destinations)
+        assert matrix.sum() == plan.movie_edges.item.size
         assert np.trace(matrix) == 0
+        for src in range(3):
+            for dst in range(3):
+                assert matrix[src, dst] == np.count_nonzero(
+                    (plan.movie_edges.owner == src)
+                    & (plan.movie_edges.dest == dst))
 
     def test_expected_incoming_inverts_the_destination_lists(self, chembl_tiny):
-        """The vectorised inversion against the per-item loop it replaced."""
+        """The vectorised inversion against a per-item loop."""
         partition = partition_ratings(chembl_tiny.ratings, 3)
         plan = build_comm_plan(chembl_tiny.ratings, partition)
-        for phase, owner, destinations in (
-                ("movies", partition.movie_owner, plan.movie_destinations),
-                ("users", partition.user_owner, plan.user_destinations)):
+        for phase, owner in (("movies", partition.movie_owner),
+                             ("users", partition.user_owner)):
             for rank in range(3):
-                by_loop = [item for item, dests in enumerate(destinations)
-                           if int(owner[item]) != rank and rank in dests]
+                by_loop = [item for item in range(owner.shape[0])
+                           if int(owner[item]) != rank
+                           and rank in destinations(plan, phase, item)]
                 assert plan.expected_incoming(phase, rank).tolist() == by_loop
             received = sum(plan.expected_incoming(phase, rank).size
                            for rank in range(3))
@@ -178,5 +213,5 @@ class TestCommunicationPlan:
             user_rank = partition.user_owner[u]
             movie_rank = partition.movie_owner[m]
             if user_rank != movie_rank:
-                assert user_rank in plan.movie_destinations[m]
-                assert movie_rank in plan.user_destinations[u]
+                assert user_rank in destinations(plan, "movies", m)
+                assert movie_rank in destinations(plan, "users", u)

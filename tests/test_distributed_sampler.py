@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,8 @@ from repro.core.gibbs import GibbsSampler
 from repro.core.priors import BPMFConfig
 from repro.distributed.sampler import DistributedGibbsSampler, DistributedOptions
 from repro.distributed.sync_sampler import BulkSynchronousGibbsSampler
+from repro.mpi.buffers import BufferStats
+from repro.mpi.simmpi import SimCommWorld
 from repro.utils.validation import ValidationError
 
 
@@ -189,6 +192,26 @@ class TestDistributedDiagnostics:
         assert info.bytes_sent > 0
         assert result.items_updated == tiny_config.total_iterations * (
             tiny_dataset.split.train.n_users + tiny_dataset.split.train.n_movies)
+
+    def test_wire_traffic_is_pinned(self, tiny_dataset, tiny_config):
+        """Message count, bytes, buffer counters and the posting order of a
+        fixed 3-rank run (every owner feeds two destinations, so full
+        buffers interleave across them).  A change to the wire traffic
+        must be deliberate: it re-records these constants."""
+        world = SimCommWorld(3)
+        _, info = DistributedGibbsSampler(
+            tiny_config, DistributedOptions(n_ranks=3, buffer_capacity=4)
+        ).run(tiny_dataset.split.train, tiny_dataset.split, seed=2,
+              comm_world=world)
+        assert info.n_messages == 304
+        assert info.bytes_sent == 42880
+        assert info.buffer_stats == BufferStats(
+            n_items=976, n_messages=288, n_flushes_full=208,
+            n_flushes_partial=80)
+        log = [(record.source, record.destination, int(record.tag),
+                record.n_bytes) for record in world.message_log]
+        assert hashlib.sha256(repr(log).encode()).hexdigest() == (
+            "d334b290c302e2831903b548948c3b89793c5ec7f3a7ed180ed6961b8a916ed7")
 
     def test_partition_can_be_supplied(self, tiny_dataset, tiny_config):
         from repro.distributed.partition import partition_ratings

@@ -1,4 +1,4 @@
-"""Unit tests for the simulated MPI substrate (world, buffers, network, trace)."""
+"""Unit tests for the simulated MPI substrate (world, send schedules, network, trace)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.mpi.buffers import BufferStats, SendBuffer
+from repro.mpi.buffers import BufferStats, send_schedule
 from repro.mpi.network import ClusterSpec, NetworkModel
 from repro.mpi.simmpi import ANY_SOURCE, ANY_TAG, ReduceOp, SimCommWorld
 from repro.mpi.trace import PhaseBreakdown, RankTimeline, combine_breakdowns
@@ -301,47 +301,50 @@ class TestRun:
 # ---------------------------------------------------------------------------
 
 class TestSendBuffer:
+    """The paper's per-destination send buffers, as a precomputed schedule."""
+
     def test_flushes_when_full(self):
-        flushed = []
-        buffer = SendBuffer(destination=3, capacity=2, num_latent=4,
-                            on_flush=lambda dest, ids, payload: flushed.append(
-                                (dest, ids.copy(), payload.copy())))
-        assert not buffer.add(1, np.ones(4))
-        assert buffer.add(2, np.full(4, 2.0))
-        assert len(flushed) == 1
-        dest, ids, payload = flushed[0]
+        messages, stats = send_schedule([1, 2], [3, 3], capacity=2)
+        assert len(messages) == 1
+        dest, ids = messages[0]
         assert dest == 3
         assert ids.tolist() == [1, 2]
-        assert payload.shape == (2, 4)
+        assert stats.n_flushes_full == 1 and stats.n_flushes_partial == 0
 
     def test_partial_flush(self):
-        buffer = SendBuffer(destination=0, capacity=10, num_latent=2)
-        buffer.add(5, np.zeros(2))
-        ids, payload = buffer.flush()
-        assert ids.tolist() == [5]
-        assert buffer.empty
-        assert buffer.stats.n_flushes_partial == 1
+        messages, stats = send_schedule([5], [0], capacity=10)
+        assert [(dest, ids.tolist()) for dest, ids in messages] == [(0, [5])]
+        assert stats.n_flushes_partial == 1
 
     def test_flush_empty_is_noop(self):
-        buffer = SendBuffer(destination=0, capacity=4, num_latent=2)
-        assert buffer.flush() is None
-        assert buffer.stats.n_messages == 0
+        messages, stats = send_schedule([], [], capacity=4)
+        assert messages == []
+        assert stats.n_messages == 0
 
     def test_stats_counters(self):
-        buffer = SendBuffer(destination=0, capacity=2, num_latent=2)
-        for item in range(5):
-            buffer.add(item, np.zeros(2))
-        buffer.flush()
-        assert buffer.stats.n_items == 5
-        assert buffer.stats.n_messages == 3
-        assert buffer.stats.n_flushes_full == 2
-        assert buffer.stats.n_flushes_partial == 1
-        assert buffer.stats.items_per_message == pytest.approx(5 / 3)
+        _, stats = send_schedule(np.arange(5), np.zeros(5), capacity=2)
+        assert stats.n_items == 5
+        assert stats.n_messages == 3
+        assert stats.n_flushes_full == 2
+        assert stats.n_flushes_partial == 1
+        assert stats.items_per_message == pytest.approx(5 / 3)
 
-    def test_wrong_factor_shape(self):
-        buffer = SendBuffer(destination=0, capacity=2, num_latent=3)
-        with pytest.raises(ValueError):
-            buffer.add(0, np.zeros(4))
+    def test_full_messages_interleave_before_remainders(self):
+        """Full buffers leave as they fill, across destinations; the
+        remainders follow in order of each destination's first item."""
+        messages, _ = send_schedule([0, 0, 1, 2, 2, 3],
+                                    [2, 1, 1, 2, 1, 1], capacity=2)
+        assert [(dest, ids.tolist()) for dest, ids in messages] == [
+            (1, [0, 1]), (2, [0, 2]), (1, [2, 3])]
+        messages, _ = send_schedule([0, 1, 2], [2, 1, 2], capacity=5)
+        assert [(dest, ids.tolist()) for dest, ids in messages] == [
+            (2, [0, 2]), (1, [1])]
+
+    def test_mismatched_edge_arrays_rejected(self):
+        with pytest.raises(ValidationError):
+            send_schedule([0, 1], [1], capacity=2)
+        with pytest.raises(ValidationError):
+            send_schedule([0], [1], capacity=0)
 
     def test_stats_merge(self):
         a = BufferStats(n_items=3, n_messages=1)
@@ -350,10 +353,8 @@ class TestSendBuffer:
         assert merged.n_items == 5 and merged.n_messages == 3
 
     def test_capacity_one_is_per_item_messaging(self):
-        buffer = SendBuffer(destination=0, capacity=1, num_latent=2)
-        for item in range(4):
-            buffer.add(item, np.zeros(2))
-        assert buffer.stats.n_messages == 4
+        messages, stats = send_schedule(np.arange(4), np.zeros(4), capacity=1)
+        assert stats.n_messages == len(messages) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ import json
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -206,6 +208,41 @@ class TestVerbs:
             for world in worlds:
                 world.close()
 
+    def test_late_rank_zero_costs_no_dial_retry(self, monkeypatch):
+        """The rendezvous listener is bound before any rank starts: ranks
+        dialling ahead of a slow rank 0 queue in its backlog instead of
+        being refused and sleeping out a retry."""
+        import repro.mpi.net.world as world_module
+        from repro.mpi.net.world import SocketCommWorld
+
+        rendezvous = SocketCommWorld._rendezvous
+
+        def late_rank_zero(rank, *args, **kwargs):
+            if rank == 0:
+                time.sleep(0.3)
+            return rendezvous(rank, *args, **kwargs)
+
+        retry_sleeps = []
+
+        def recording_sleep(seconds):
+            retry_sleeps.append(seconds)
+            time.sleep(seconds)
+
+        monkeypatch.setattr(SocketCommWorld, "_rendezvous",
+                            staticmethod(late_rank_zero))
+        monkeypatch.setattr(world_module, "time", SimpleNamespace(
+            monotonic=time.monotonic, sleep=recording_sleep))
+        worlds = start_local_world(3, op_timeout=30.0)
+        try:
+            assert [world.rank for world in worlds] == [0, 1, 2]
+            results = run_on_ranks(worlds, lambda rank, comm: comm.allreduce(
+                np.ones(1), key="up"))
+            assert [float(result[0]) for result in results] == [3.0] * 3
+        finally:
+            for world in worlds:
+                world.close()
+        assert retry_sleeps == []
+
     def test_pending_messages_counts_undelivered(self, world_pair):
         def body(rank, comm):
             if rank == 0:
@@ -269,6 +306,17 @@ class TestTrainingParity:
         assert all(outcomes[rank][0] is None for rank in range(1, n_ranks))
         # Traffic flowed over real sockets.
         assert info.n_messages > 0 and info.bytes_sent > 0
+
+    def test_socket_traffic_is_pinned(self, tiny_dataset):
+        """Per-rank frames and wire bytes of a fixed 2-rank socket run
+        (data, collectives and barriers).  A change to the wire traffic
+        must be deliberate: it re-records these constants."""
+        outcomes = run_local_socket_world(
+            lambda: DistributedGibbsSampler(
+                _config(), DistributedOptions(n_ranks=2, buffer_capacity=8)),
+            2, tiny_dataset.split.train, tiny_dataset.split, seed=11)
+        assert [info.n_messages for _, info in outcomes] == [36, 36]
+        assert [info.bytes_sent for _, info in outcomes] == [10767, 14997]
 
     def test_generator_seed_is_copied_per_rank_thread(self, tiny_dataset):
         """The rank threads of a local socket world must not share one

@@ -17,7 +17,9 @@ from repro.core.updates import (
     sample_item_serial_cholesky,
 )
 from repro.core.wishart import normal_wishart_posterior, sample_wishart
-from repro.mpi.buffers import SendBuffer
+from repro.distributed.comm_plan import build_comm_plan
+from repro.distributed.partition import Partition
+from repro.mpi.buffers import BufferStats, send_schedule
 from repro.parallel.simulator import SimTask
 from repro.parallel.static_scheduler import StaticScheduler
 from repro.parallel.work_stealing import WorkStealingScheduler
@@ -278,13 +280,66 @@ class TestSchedulingProperties:
     @COMMON_SETTINGS
     @given(st.integers(1, 20), st.integers(1, 50))
     def test_send_buffer_never_loses_items(self, capacity, n_items):
-        sent = []
-        buffer = SendBuffer(destination=0, capacity=capacity, num_latent=3,
-                            on_flush=lambda dest, ids, payload: sent.extend(ids.tolist()))
-        for item in range(n_items):
-            buffer.add(item, np.full(3, float(item)))
-        buffer.flush()
-        assert sorted(sent) == list(range(n_items))
-        assert buffer.stats.n_items == n_items
+        messages, stats = send_schedule(np.arange(n_items),
+                                        np.zeros(n_items), capacity)
+        sent = [item for _, ids in messages for item in ids.tolist()]
+        assert sent == list(range(n_items))
+        assert stats.n_items == n_items
         expected_messages = int(np.ceil(n_items / capacity))
-        assert buffer.stats.n_messages == expected_messages
+        assert stats.n_messages == len(messages) == expected_messages
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), sparse_triplets(), st.integers(1, 5),
+           st.one_of(st.integers(1, 4), st.just(2**31 - 1)))
+    def test_send_schedule_matches_per_item_buffers(self, data, triplets,
+                                                    n_ranks, capacity):
+        """Over random partitions and plans, the precomputed schedule is
+        exactly what per-destination buffers fed one item at a time post."""
+        n_rows, n_cols, rows, cols, values = triplets
+        ratings = RatingMatrix.from_coo(CooMatrix.from_arrays(
+            n_rows, n_cols, np.array(rows, dtype=np.int64),
+            np.array(cols, dtype=np.int64), np.array(values)))
+        owners = st.integers(0, n_ranks - 1)
+        partition = Partition(
+            n_ranks=n_ranks,
+            user_owner=np.array(data.draw(st.lists(
+                owners, min_size=n_rows, max_size=n_rows)), dtype=np.int64),
+            movie_owner=np.array(data.draw(st.lists(
+                owners, min_size=n_cols, max_size=n_cols)), dtype=np.int64))
+        plan = build_comm_plan(ratings, partition)
+        for phase in ("movies", "users"):
+            edges = plan.edges(phase)
+            for rank in range(n_ranks):
+                mine = edges.owner == rank
+                messages, stats = send_schedule(edges.item[mine],
+                                                edges.dest[mine], capacity)
+                owned = (partition.movies_of(rank) if phase == "movies"
+                         else partition.users_of(rank))
+                expected, expected_stats = per_item_buffers(
+                    owned.tolist(),
+                    lambda item: edges.dest[edges.item == item].tolist(),
+                    capacity)
+                assert [(dest, ids.tolist()) for dest, ids in messages] \
+                    == expected
+                assert stats == expected_stats
+
+
+def per_item_buffers(owned, destinations_of, capacity):
+    """The per-item send-buffer loop the schedule replaced: append every
+    (item, destination) pair, post a buffer when full, flush the rest."""
+    buffers, messages, stats = {}, [], BufferStats()
+    for item in owned:
+        for dest in destinations_of(item):
+            buffer = buffers.setdefault(dest, [])
+            buffer.append(item)
+            stats.n_items += 1
+            if len(buffer) == capacity:
+                messages.append((dest, buffer[:]))
+                buffer.clear()
+                stats.n_flushes_full += 1
+    for dest, buffer in buffers.items():
+        if buffer:
+            messages.append((dest, buffer))
+            stats.n_flushes_partial += 1
+    stats.n_messages = len(messages)
+    return messages, stats

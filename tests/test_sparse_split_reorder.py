@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sparse.coo import CooMatrix
 from repro.sparse.csr import RatingMatrix
@@ -144,6 +147,76 @@ class TestReverseCuthillMckee:
         user_perm, movie_perm = reverse_cuthill_mckee(matrix)
         assert sorted(user_perm.tolist()) == list(range(5))
         assert sorted(movie_perm.tolist()) == list(range(4))
+
+
+def per_node_rcm(ratings):
+    """Reverse Cuthill–McKee one node at a time: the FIFO queue the
+    level-synchronous :func:`reverse_cuthill_mckee` must reproduce."""
+    n_users, n_movies = ratings.n_users, ratings.n_movies
+    adjacency = ([ratings.user_ratings(u)[0] + n_users for u in range(n_users)]
+                 + [ratings.movie_ratings(m)[0] for m in range(n_movies)])
+    degrees = np.array([a.shape[0] for a in adjacency], dtype=np.int64)
+    visited = np.zeros(n_users + n_movies, dtype=bool)
+    ordering = []
+    for start in np.argsort(degrees, kind="stable"):
+        if visited[start]:
+            continue
+        visited[start] = True
+        queue = deque([int(start)])
+        while queue:
+            node = queue.popleft()
+            ordering.append(node)
+            unvisited = adjacency[node][~visited[adjacency[node]]]
+            unvisited = unvisited[np.argsort(degrees[unvisited], kind="stable")]
+            visited[unvisited] = True
+            queue.extend(int(v) for v in unvisited)
+    position = np.empty(n_users + n_movies, dtype=np.int64)
+    position[np.array(ordering[::-1], dtype=np.int64)] = np.arange(len(ordering))
+    user_perm = np.empty(n_users, dtype=np.int64)
+    user_perm[np.argsort(position[:n_users], kind="stable")] = np.arange(n_users)
+    movie_perm = np.empty(n_movies, dtype=np.int64)
+    movie_perm[np.argsort(position[n_users:], kind="stable")] = np.arange(n_movies)
+    return user_perm, movie_perm
+
+
+def assert_same_rcm(ratings):
+    expected_users, expected_movies = per_node_rcm(ratings)
+    user_perm, movie_perm = reverse_cuthill_mckee(ratings)
+    np.testing.assert_array_equal(user_perm, expected_users)
+    np.testing.assert_array_equal(movie_perm, expected_movies)
+
+
+class TestLevelSynchronousRcm:
+    """The level-at-a-time visit yields the node-at-a-time permutation."""
+
+    def test_movielens_generator(self):
+        from repro.datasets import make_movielens_like
+        assert_same_rcm(make_movielens_like(scale=40.0, seed=7).split.train)
+
+    def test_chembl_generator(self):
+        from repro.datasets.chembl import ChemblLikeConfig, make_chembl_like
+        # Thousands of isolated compounds plus a few small components.
+        assert_same_rcm(make_chembl_like(ChemblLikeConfig(scale=25.0,
+                                                          seed=7)).ratings)
+
+    def test_synthetic_generator(self, small_dataset):
+        assert_same_rcm(small_dataset.split.train)
+
+    def test_empty_matrix(self):
+        assert_same_rcm(RatingMatrix.from_arrays(3, 4, [], [], []))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 15), st.integers(1, 12), st.data())
+    def test_random_bipartite_graphs(self, n_users, n_movies, data):
+        """Sparse random graphs: isolated users and movies, several
+        components, and (no ratings at all) the empty matrix."""
+        cells = data.draw(st.lists(
+            st.tuples(st.integers(0, n_users - 1), st.integers(0, n_movies - 1)),
+            max_size=n_users * n_movies // 3, unique=True))
+        users = [u for u, _ in cells]
+        movies = [m for _, m in cells]
+        assert_same_rcm(RatingMatrix.from_arrays(n_users, n_movies, users,
+                                                 movies, np.ones(len(cells))))
 
 
 class TestBandwidth:
