@@ -97,22 +97,15 @@ def _edges_for_axis(owners_of_items: np.ndarray,
                     axis: CompressedAxis, n_ranks: int) -> PlanEdges:
     """For each item, the ranks (other than its owner) owning a rating partner.
 
-    Every stored rating contributes an ``item * n_ranks + partner_owner``
-    key; the distinct keys in ascending order, minus the item's own owner,
-    are exactly the item-major edges.
+    Every stored rating marks its ``(item, partner owner)`` cell of a dense
+    ``n_items x n_ranks`` grid; the marked cells in ascending order, minus
+    the item's own owner, are exactly the item-major edges.
     """
     n_items = owners_of_items.shape[0]
     items = np.repeat(np.arange(n_items, dtype=np.int64), np.diff(axis.indptr))
-    keys = items * n_ranks + owners_of_partners[axis.indices]
-    if n_items * n_ranks <= 4 * keys.size:
-        # A dense (item, rank) mark is several times cheaper than a sort
-        # and, bounded by the rating count, no larger than the matrix.
-        mark = np.zeros(n_items * n_ranks, dtype=bool)
-        mark[keys] = True
-        keys = np.flatnonzero(mark)
-    else:
-        keys = np.unique(keys)
-    item, dest = np.divmod(keys, n_ranks)
+    mark = np.zeros(n_items * n_ranks, dtype=bool)
+    mark[items * n_ranks + owners_of_partners[axis.indices]] = True
+    item, dest = np.divmod(np.flatnonzero(mark), n_ranks)
     owner = owners_of_items[item]
     keep = dest != owner
     return PlanEdges(owner[keep], item[keep], dest[keep])

@@ -130,7 +130,7 @@ class TestCommunicationPlan:
     @pytest.mark.parametrize("n_ranks", [1, 3, 64])
     def test_edges_match_a_per_rating_derivation(self, chembl_tiny, n_ranks):
         """Item-major, ascending destinations, nothing missing or extra —
-        on both sides of the dense-mark / sort threshold."""
+        from one rank up to more ranks than most items have partners."""
         ratings = chembl_tiny.ratings
         partition = partition_ratings(ratings, n_ranks)
         plan = build_comm_plan(ratings, partition)

@@ -205,6 +205,18 @@ class TestLevelSynchronousRcm:
     def test_empty_matrix(self):
         assert_same_rcm(RatingMatrix.from_arrays(3, 4, [], [], []))
 
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_many_tiny_components(self, size):
+        """Hundreds of two-node (user-movie) or four-node (path) components,
+        each visited from its own start, in start order."""
+        n = 600
+        pairs = np.arange(0, n, 2)
+        users = [np.arange(n)] if size == 2 else [pairs, pairs, pairs + 1]
+        movies = [np.arange(n)] if size == 2 else [pairs, pairs + 1, pairs + 1]
+        users, movies = np.concatenate(users), np.concatenate(movies)
+        assert_same_rcm(RatingMatrix.from_arrays(n, n, users, movies,
+                                                 np.ones(users.shape[0])))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 15), st.integers(1, 12), st.data())
     def test_random_bipartite_graphs(self, n_users, n_movies, data):
