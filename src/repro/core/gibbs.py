@@ -264,11 +264,12 @@ class GibbsSampler:
             for iteration in range(checkpointer.start_iteration,
                                    self.config.total_iterations):
                 checkpointer.items_updated += self.sweep(state, train, rng)
-                sample_pred = state.predict(test_users, test_movies)
                 if iteration >= self.config.burn_in:
-                    predictor.accumulate(state)
+                    # accumulate() predicts the test set: one predict a sweep.
+                    sample_pred = predictor.accumulate(state)
                     mean_rmse = rmse(predictor.mean_prediction(), test_values)
                 else:
+                    sample_pred = state.predict(test_users, test_movies)
                     mean_rmse = None
                 checkpointer.record(iteration, state,
                                     rmse(sample_pred, test_values), mean_rmse)

@@ -329,11 +329,12 @@ class DistributedGibbsSampler:
                         np.asarray(movie_rows)
                     checkpointer.items_updated += int(count)
 
-                sample_pred = gathered.predict(test_users, test_movies)
                 if iteration >= config.burn_in:
-                    predictor.accumulate(gathered)
+                    # accumulate() predicts the test set: one predict a sweep.
+                    sample_pred = predictor.accumulate(gathered)
                     mean_rmse = rmse(predictor.mean_prediction(), test_values)
                 else:
+                    sample_pred = gathered.predict(test_users, test_movies)
                     mean_rmse = None
                 checkpointer.record(iteration, gathered,
                                     rmse(sample_pred, test_values), mean_rmse)

@@ -46,6 +46,12 @@ Two wire-speed features ride on the same connections:
 Every decoded frame a read produces is queued per connection and
 consumed in order — a read that completes two replies can never drop
 the second one.
+
+On :class:`AsyncServingClient` one request costs one loop timer: the
+round-trip's deadline is a single ``call_later`` handle that fails the
+reply future when it fires and is cancelled when the reply lands.  A
+request's waits are not wrapped in ``asyncio.wait_for``, which gives
+each wait its own waiter future, timer and (for a coroutine) Task.
 """
 
 from __future__ import annotations
@@ -156,6 +162,12 @@ class _AddressRing:
         self._failures[index] = failures
         self._dead_until[index] = (time.monotonic()
                                    + self.backoff.delay(failures))
+
+
+def _expire(future: asyncio.Future) -> None:
+    """A round-trip's deadline timer fired: fail its reply future."""
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
 
 
 def _recommendation(payload: Dict[str, object]) -> Recommendation:
@@ -957,23 +969,38 @@ class AsyncServingClient(_ClientCore):
 
     async def _roundtrip(self, connection: _AsyncConnection, frame: Frame,
                          timeout: Optional[float] = None) -> Frame:
+        """Send one id-tagged request and await its reply.
+
+        One deadline covers the whole round-trip: a single loop timer
+        fails the reply future with :class:`asyncio.TimeoutError` when
+        it fires, and is cancelled when the reply lands first.
+        ``drain()`` is awaited only while the transport's write buffer
+        is non-empty (the socket refused part of the frame), and then
+        under the same deadline.
+        """
         wait = self.timeout if timeout is None else float(timeout)
         request_id = self._next_id
         self._next_id += 1
         frame.payload["id"] = request_id
-        future = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
         connection.pending[request_id] = future
+        timer = loop.call_later(wait, _expire, future)
         try:
-            connection.writer.write(encode_frame(frame,
-                                                 binary=connection.binary))
-            await asyncio.wait_for(connection.writer.drain(), timeout=wait)
-            reply = await asyncio.wait_for(future, timeout=wait)
+            writer = connection.writer
+            writer.write(encode_frame(frame, binary=connection.binary))
+            if writer.transport.get_write_buffer_size():
+                await asyncio.wait_for(writer.drain(),
+                                       timeout=timer.when() - loop.time())
+            reply = await future
         except BaseException:
             abandoned = connection.pending.pop(request_id, None)
             if (abandoned is not None and abandoned.done()
                     and not abandoned.cancelled()):
                 abandoned.exception()  # mark retrieved
             raise
+        finally:
+            timer.cancel()
         reply.payload.pop("id", None)
         return reply
 

@@ -49,11 +49,23 @@ REPL line format (pinned bit-identical by a golden transcript test).
 A connection starts with a ``hello`` handshake carrying the protocol
 version; servers refuse mismatched versions with an explicit ``error``
 frame before closing, so old clients fail loudly instead of misparsing.
+
+**Per-frame cost.**  Every served request crosses this codec four times
+(request and reply, each encoded once and decoded once), so the
+encoder does no work per frame that depends only on the frame's kind or
+an array's dtype: one module-level :class:`json.JSONEncoder` (the exact
+arguments the wire has always used, so the bytes are unchanged), and
+precomputed kind-code, dtype and dimension tables.  The decoder is the
+trust boundary: any byte string either decodes or raises
+:class:`ProtocolError` — array element counts are exact Python integers
+checked against the body, and JSON that is too deep or has an
+over-long integer is refused like any other malformed payload.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -123,7 +135,10 @@ _KIND_CODES = {
     "error": 17,
     "mpi_ctl": 18,
 }
-_CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
+#: wire code (binary flag included) -> (kind name, binary payload?).
+_CODE_KINDS = {code | flag: (kind, bool(flag))
+               for kind, code in _KIND_CODES.items()
+               for flag in (0, _BINARY_FLAG)}
 
 #: Request kinds that are safe to retry on another replica: they either
 #: read state or are deterministic lookups.  ``rate``/``foldin`` mutate
@@ -145,7 +160,14 @@ MUTATION_KINDS = frozenset({"rate", "foldin"})
 #: architecture, and ``astype`` is zero-copy on little-endian hosts.
 _DTYPE_CODES = {"<f8": 0, "<i8": 1, "<f4": 2, "<i4": 3}
 _CODE_DTYPES = {code: np.dtype(tag) for tag, code in _DTYPE_CODES.items()}
+#: An outgoing array's dtype (either byte order) -> (wire code,
+#: little-endian wire dtype).
+_WIRE_DTYPES = {dtype.newbyteorder(order): (code, dtype)
+                for code, dtype in _CODE_DTYPES.items() for order in "<>"}
 _ARRAY_HEADER = struct.Struct(">BB")
+#: The ``u32 dim[ndim]`` block of an array header, per ndim (a u8).
+_DIMS = tuple(struct.Struct(f">{ndim}I") for ndim in range(256))
+_JSON_LENGTH = struct.Struct(">I")
 _ARRAY_MARKER = "__nd__"
 
 
@@ -208,6 +230,17 @@ def _json_default(value):
         f"payload value of type {type(value).__name__} is not JSON-able")
 
 
+#: The one JSON encoder of the wire: exactly what ``json.dumps(payload,
+#: separators=(",", ":"), sort_keys=True, default=_json_default)`` builds
+#: afresh per call.  ``encode`` keeps no state between calls, so every
+#: thread shares it.
+_JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
+                         default=_json_default)
+
+#: JSON leaf types the array walks pass through without a call.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _extract_arrays(value, arrays: List[np.ndarray]):
     """Replace every ndarray in ``value`` by a ``{"__nd__": i}`` marker.
 
@@ -224,59 +257,64 @@ def _extract_arrays(value, arrays: List[np.ndarray]):
             raise ProtocolError(
                 f"payload objects must not use the reserved key "
                 f"{_ARRAY_MARKER!r}")
-        return {key: _extract_arrays(item, arrays)
+        return {key: item if type(item) in _SCALARS
+                else _extract_arrays(item, arrays)
                 for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_extract_arrays(item, arrays) for item in value]
+        return [item if type(item) in _SCALARS
+                else _extract_arrays(item, arrays) for item in value]
     return value
 
 
 def _restore_arrays(value, arrays: List[np.ndarray]):
     """Inverse of :func:`_extract_arrays` on a decoded JSON structure."""
     if isinstance(value, dict):
-        if set(value) == {_ARRAY_MARKER}:
+        if len(value) == 1 and _ARRAY_MARKER in value:
             index = value[_ARRAY_MARKER]
             if not isinstance(index, int) or not 0 <= index < len(arrays):
                 raise ProtocolError(
                     f"binary payload references array {index!r}, frame "
                     f"carries {len(arrays)}")
             return arrays[index]
-        return {key: _restore_arrays(item, arrays)
+        return {key: item if type(item) in _SCALARS
+                else _restore_arrays(item, arrays)
                 for key, item in value.items()}
     if isinstance(value, list):
-        return [_restore_arrays(item, arrays) for item in value]
+        return [item if type(item) in _SCALARS
+                else _restore_arrays(item, arrays) for item in value]
     return value
 
 
 def _encode_binary_payload(payload: Dict[str, object]) -> bytes:
     """The binary array payload: JSON part + raw array blocks."""
     arrays: List[np.ndarray] = []
-    substituted = _extract_arrays(payload, arrays)
-    json_part = json.dumps(substituted, separators=(",", ":"),
-                           sort_keys=True, default=_json_default
-                           ).encode("utf8")
-    blocks = [struct.pack(">I", len(json_part)), json_part]
+    json_part = _JSON.encode(_extract_arrays(payload, arrays)).encode("utf8")
+    blocks = [_JSON_LENGTH.pack(len(json_part)), json_part]
     for array in arrays:
-        tag = array.dtype.newbyteorder("<").str
-        code = _DTYPE_CODES.get(tag)
-        if code is None:
+        wire = _WIRE_DTYPES.get(array.dtype)
+        if wire is None:
             raise ProtocolError(
                 f"array dtype {array.dtype} has no binary wire form")
         if array.ndim > 255:
             raise ProtocolError(f"{array.ndim}-dimensional array payload")
-        wire = np.ascontiguousarray(array).astype(tag, copy=False)
-        blocks.append(_ARRAY_HEADER.pack(code, wire.ndim))
-        blocks.append(struct.pack(f">{wire.ndim}I", *wire.shape))
-        blocks.append(wire.tobytes())
+        code, dtype = wire
+        # ascontiguousarray makes a 0-d array 1-d: shipped as shape (1,).
+        array = np.ascontiguousarray(array).astype(dtype, copy=False)
+        blocks.append(_ARRAY_HEADER.pack(code, array.ndim))
+        blocks.append(_DIMS[array.ndim].pack(*array.shape))
+        blocks.append(array.tobytes())
     return b"".join(blocks)
 
 
 def _decode_binary_payload(body: bytes) -> Dict[str, object]:
     """Parse the binary array payload back into a payload dict."""
     try:
-        (json_length,) = struct.unpack_from(">I", body)
-        cursor = 4 + json_length
-        substituted = json.loads(body[4:cursor].decode("utf8"))
+        (json_length,) = _JSON_LENGTH.unpack_from(body)
+        cursor = _JSON_LENGTH.size + json_length
+        if cursor > len(body):
+            raise ProtocolError("binary payload truncates its JSON part")
+        substituted = json.loads(body[_JSON_LENGTH.size:cursor]
+                                 .decode("utf8"))
         arrays: List[np.ndarray] = []
         while cursor < len(body):
             code, ndim = _ARRAY_HEADER.unpack_from(body, cursor)
@@ -284,9 +322,12 @@ def _decode_binary_payload(body: bytes) -> Dict[str, object]:
             dtype = _CODE_DTYPES.get(code)
             if dtype is None:
                 raise ProtocolError(f"unknown array dtype code {code}")
-            shape = struct.unpack_from(f">{ndim}I", body, cursor)
-            cursor += 4 * ndim
-            count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+            dims = _DIMS[ndim]
+            shape = dims.unpack_from(body, cursor)
+            cursor += dims.size
+            # Exact: a fixed-width product of u32 dims can wrap negative
+            # and slip past the bounds check below.
+            count = math.prod(shape)
             end = cursor + count * dtype.itemsize
             if end > len(body):
                 raise ProtocolError("binary payload truncates an array")
@@ -295,14 +336,18 @@ def _decode_binary_payload(body: bytes) -> Dict[str, object]:
             arrays.append(np.frombuffer(body, dtype=dtype, count=count,
                                         offset=cursor).reshape(shape))
             cursor = end
-    except (struct.error, UnicodeDecodeError,
-            json.JSONDecodeError) as error:
+        if not isinstance(substituted, dict):
+            raise ProtocolError(
+                f"frame payload must be a JSON object, got "
+                f"{type(substituted).__name__}")
+        return _restore_arrays(substituted, arrays)
+    except ProtocolError:
+        raise
+    except (struct.error, ValueError, RecursionError) as error:
+        # ValueError covers bad UTF-8, bad JSON, an over-long integer
+        # literal and a shape numpy cannot hold; RecursionError, JSON
+        # nested deeper than the interpreter stack.
         raise ProtocolError(f"malformed binary payload: {error}") from error
-    if not isinstance(substituted, dict):
-        raise ProtocolError(
-            f"frame payload must be a JSON object, got "
-            f"{type(substituted).__name__}")
-    return _restore_arrays(substituted, arrays)
 
 
 def encode_frame(frame: Frame, binary: bool = False) -> bytes:
@@ -314,16 +359,14 @@ def encode_frame(frame: Frame, binary: bool = False) -> bytes:
     to JSON lists (exact for float64/int64 — Python's JSON round-trips
     IEEE doubles).
     """
-    if frame.kind not in _KIND_CODES:
+    code = _KIND_CODES.get(frame.kind)
+    if code is None:
         raise ProtocolError(f"unknown frame kind {frame.kind!r}")
-    code = _KIND_CODES[frame.kind]
     if binary:
         body = _encode_binary_payload(frame.payload)
         code |= _BINARY_FLAG
     else:
-        body = json.dumps(frame.payload, separators=(",", ":"),
-                          sort_keys=True, default=_json_default
-                          ).encode("utf8")
+        body = _JSON.encode(frame.payload).encode("utf8")
     if len(body) > MAX_PAYLOAD:
         raise ProtocolError(
             f"payload of {len(body)} bytes exceeds the {MAX_PAYLOAD}-byte "
@@ -370,10 +413,10 @@ class FrameDecoder:
             raise ProtocolError(
                 f"frame advertises a {length}-byte payload, over the "
                 f"{MAX_PAYLOAD}-byte limit")
-        binary = bool(code & _BINARY_FLAG)
-        kind = _CODE_KINDS.get(code & ~_BINARY_FLAG)
-        if kind is None:
+        entry = _CODE_KINDS.get(code)
+        if entry is None:
             raise ProtocolError(f"unknown frame kind code {code}")
+        kind, binary = entry
         end = _HEADER.size + length
         if len(self._buffer) < end:
             return None
@@ -384,7 +427,7 @@ class FrameDecoder:
             return Frame(kind=kind, payload=payload, version=version)
         try:
             payload = json.loads(body.decode("utf8")) if length else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (ValueError, RecursionError) as error:  # see binary form
             raise ProtocolError(f"malformed frame payload: {error}") from error
         if not isinstance(payload, dict):
             raise ProtocolError(

@@ -32,9 +32,18 @@
   request finish and its reply flush, then closes connections; pair it
   with a SIGTERM handler (the CLI does) and the existing gateway teardown
   closes worker pools and unlinks the shared-memory segments.
+  Connection reads are plain ``reader.read()`` awaits: :meth:`stop`
+  wakes each idle reader itself (pause the transport, then feed EOF),
+  so no read races a drain signal.
 * **Hot reload** — an optional :class:`SnapshotWatcher` is started and
   stopped with the server; its double-buffered swap happens under the
   gateway lock, so a reload never drops a connection or a request.
+
+**The request path.**  Per connection, one task reads and decodes.  An
+id-tagged request gets its own task (:meth:`NetServer._respond`:
+admission, the deadline gate, the fuser or the gateway executor, the
+reply); a bare one is served inline, in order.  Scoring and every
+gateway call run on the one gateway executor.
 """
 
 from __future__ import annotations
@@ -166,8 +175,11 @@ class NetServer:
                                     tracer=tracer)
         self._server: Optional[asyncio.base_events.Server] = None
         self._slots: Optional[asyncio.Semaphore] = None
-        self._closing: Optional[asyncio.Event] = None
-        self._connections: Set[asyncio.Task] = set()
+        self._draining = False
+        # connection task -> its streams, so stop() can wake idle readers
+        self._connections: Dict[asyncio.Task,
+                                Tuple[asyncio.StreamReader,
+                                      asyncio.StreamWriter]] = {}
         self.wal = None
         self._wal_io: Optional[ThreadPoolExecutor] = None
         self.n_connections = 0
@@ -243,7 +255,7 @@ class NetServer:
         if self._server is not None:
             return self
         self._slots = asyncio.Semaphore(self.max_in_flight)
-        self._closing = asyncio.Event()
+        self._draining = False
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -261,11 +273,13 @@ class NetServer:
         if self._server is None:
             return
         self._server.close()
-        # The drain signal must be raised *before* awaiting wait_closed():
-        # on Python >= 3.12.1 wait_closed() blocks until every connection
-        # handler returns, and the handlers only return once _closing is
-        # set — the old order deadlocks under any idle connection.
-        self._closing.set()
+        # Idle readers are woken *before* awaiting wait_closed(): on
+        # Python >= 3.12.1 wait_closed() blocks until every connection
+        # handler returns, and an idle handler returns only once its
+        # read does.
+        self._draining = True
+        for reader, writer in self._connections.values():
+            self._end_reads(reader, writer)
         if self.watcher is not None:
             self.watcher.stop()
         if self.fuser is not None:
@@ -312,40 +326,48 @@ class NetServer:
                        writer: asyncio.StreamWriter) -> None:
         task = asyncio.get_running_loop().create_task(
             self._serve_connection(reader, writer))
-        self._connections.add(task)
-        task.add_done_callback(self._connections.discard)
+        self._connections[task] = (reader, writer)
+        task.add_done_callback(self._forget_connection)
+        if self._draining:  # accepted in the same loop pass as stop()
+            self._end_reads(reader, writer)
+
+    def _forget_connection(self, task: asyncio.Task) -> None:
+        self._connections.pop(task, None)
+
+    @staticmethod
+    def _end_reads(reader: asyncio.StreamReader,
+                   writer: asyncio.StreamWriter) -> None:
+        """Drain wake-up: stop the transport reading, then feed EOF, so
+        a pending (or the next) read returns at once.  Pausing first
+        means no ``feed_data`` can follow the EOF."""
+        writer.transport.pause_reading()
+        reader.feed_eof()
 
     async def _read_chunk(self, reader: asyncio.StreamReader,
-                          closing_task: asyncio.Task) -> bytes:
-        """One transport read, interruptible by the drain signal."""
-        read = asyncio.get_running_loop().create_task(
-            reader.read(_READ_CHUNK))
-        done, _ = await asyncio.wait({read, closing_task},
-                                     return_when=asyncio.FIRST_COMPLETED)
-        if read in done:
-            return read.result()
-        read.cancel()
-        try:
-            await read
-        except (asyncio.CancelledError, ConnectionError):
-            pass
-        return b""  # draining: treated exactly like client EOF
+                          writer: asyncio.StreamWriter) -> bytes:
+        """One transport read; empty (client EOF) once draining."""
+        data = await reader.read(_READ_CHUNK)
+        if self._draining:
+            # read() resumes a transport its own flow control paused
+            # once it consumes the backlog; pause again before the loop
+            # polls, so no feed_data follows the EOF stop() fed.
+            writer.transport.pause_reading()
+            return b""
+        return data
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         self.n_connections += 1
         decoder = FrameDecoder()
-        closing_task = asyncio.get_running_loop().create_task(
-            self._closing.wait())
         pending: Set[asyncio.Task] = set()
         try:
             binary = await self._handshake(reader, writer, decoder,
-                                           closing_task, pending)
+                                           pending)
             if binary is None:
                 return
-            while not self._closing.is_set():
+            while not self._draining:
                 try:
-                    data = await self._read_chunk(reader, closing_task)
+                    data = await self._read_chunk(reader, writer)
                 except (ConnectionError, asyncio.IncompleteReadError):
                     return
                 if not data:
@@ -366,11 +388,6 @@ class NetServer:
             # socket closes, so a drain never truncates a pipeline.
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
-            closing_task.cancel()
-            try:
-                await closing_task
-            except asyncio.CancelledError:
-                pass
             writer.close()
             try:
                 await writer.wait_closed()
@@ -403,7 +420,6 @@ class NetServer:
     async def _handshake(self, reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter,
                          decoder: FrameDecoder,
-                         closing_task: asyncio.Task,
                          pending: Set[asyncio.Task]) -> Optional[bool]:
         """Read the hello frame; refuse version/shape mismatches.
 
@@ -413,7 +429,7 @@ class NetServer:
         """
         while True:
             try:
-                data = await self._read_chunk(reader, closing_task)
+                data = await self._read_chunk(reader, writer)
             except (ConnectionError, asyncio.IncompleteReadError):
                 return None
             if not data:
@@ -683,10 +699,13 @@ class NetServer:
             user = int(payload["user"])
             n = int(payload.get("n", 10))
             check_positive("n", n)
-            check_user_range(np.array([user], dtype=np.int64),
-                             self.service.n_users,
-                             self.service.n_train_users)
-        except (ValidationError, KeyError, TypeError, ValueError) as error:
+            if not 0 <= user < self.service.n_users:
+                # Raises: the shared out-of-range message.
+                check_user_range(np.array([user], dtype=np.int64),
+                                 self.service.n_users,
+                                 self.service.n_train_users)
+        except (ValidationError, KeyError, TypeError, ValueError,
+                OverflowError) as error:
             return Frame("error", {"message": str(error)})
         try:
             recommendation = await self.fuser.top_n(

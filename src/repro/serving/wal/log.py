@@ -343,8 +343,10 @@ class WriteAheadLog:
     def _append_record(self, payload: Dict[str, object]) -> int:
         seqno = self.high_seqno + 1
         encoded = _encode_record(seqno, payload)
+        # The in-memory copy is exactly what recovery reads back: the
+        # logged body, decoded.
         record = WalRecord(seqno=seqno, payload=json.loads(
-            json.dumps(payload, separators=(",", ":"), sort_keys=True)))
+            encoded[_RECORD_HEADER.size:].decode("utf8")))
         fault = self._injected_append_fault()
         if fault == "enospc":
             self.n_injected_faults += 1

@@ -46,6 +46,22 @@ def chembl_tiny():
 
 
 @pytest.fixture(scope="session")
+def wrapped_array_frame():
+    """A 65-byte binary ``ok`` frame whose one ``<f8`` array block
+    declares dims ``(2**32-1, 2**32-1)``: an int64 product of those dims
+    wraps negative, which once slipped past the decoder's bounds check
+    and escaped as ``ValueError`` instead of ``ProtocolError``."""
+    import struct
+
+    from repro.serving.net.protocol import (PROTOCOL_VERSION, _BINARY_FLAG,
+                                            _HEADER, _KIND_CODES, _MAGIC)
+    body = struct.pack(">I2sBB2I", 2, b"{}", 0, 2, 2**32 - 1, 2**32 - 1)
+    body += bytes(55 - len(body))
+    return _HEADER.pack(_MAGIC, PROTOCOL_VERSION,
+                        _KIND_CODES["ok"] | _BINARY_FLAG, len(body)) + body
+
+
+@pytest.fixture(scope="session")
 def tiny_config():
     """A BPMF configuration sized for the tiny dataset."""
     return BPMFConfig(num_latent=3, burn_in=3, n_samples=5, alpha=4.0)

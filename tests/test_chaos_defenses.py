@@ -11,6 +11,8 @@ deterministic, capped exponential.
 from __future__ import annotations
 
 import asyncio
+import collections
+import socket
 import threading
 import time
 
@@ -22,12 +24,17 @@ from repro.bench.serving import make_bench_snapshot
 from repro.serving.net import (
     Backoff,
     DeadlineError,
+    Frame,
+    FrameDecoder,
     NetError,
     QueryFuser,
     ReplicaSet,
     ServingClient,
+    encode_frame,
 )
 from repro.serving.net.fusion import DeadlineExpired
+from repro.serving.net.protocol import (ERROR_DEADLINE, ERROR_OVERLOADED,
+                                        hello_frame)
 from repro.serving.service import PredictionService
 
 N_USERS, N_ITEMS, K = 40, 31, 4
@@ -157,42 +164,136 @@ def test_expired_waiter_behind_inflight_batch_is_shed():
 
 
 # ---------------------------------------------------------------------------
-# server-side deadline gate and client DeadlineError semantics
+# driving the admission path by hand
+# ---------------------------------------------------------------------------
+#
+# The tests below hold the lone in-flight slot behind ``server.stall``
+# and then wait on the server's own counters (``n_requests``,
+# ``queue_depth``) before sending the next request, so their verdicts
+# never depend on how fast a thread got scheduled.  Raw connections send
+# id-tagged frames — the frames the async client sends — and check the
+# reply codes on the wire; a :class:`ServingClient` then checks what a
+# caller sees of the same sheds.
+
+class _RawConnection:
+    """One hand-driven protocol connection (JSON encoding)."""
+
+    def __init__(self, address):
+        self.sock = socket.create_connection(address, timeout=10.0)
+        self.sock.settimeout(10.0)
+        self.decoder = FrameDecoder()
+        self.frames = collections.deque()
+        self.send(hello_frame(("json",)))
+        assert not self.reply().is_error
+
+    def send(self, frame: Frame) -> None:
+        self.sock.sendall(encode_frame(frame))
+
+    def reply(self) -> Frame:
+        while not self.frames:
+            data = self.sock.recv(1 << 16)
+            if not data:
+                raise ConnectionError("server closed the connection")
+            self.frames.extend(self.decoder.feed(data))
+        return self.frames.popleft()
+
+    def close(self) -> None:
+        self.sock.close()
+
+
+def _wait_for(server, condition, what: str) -> None:
+    """Spin until ``condition(server.stats())`` holds: the server has
+    taken in what the test sent.  The bound only turns a hang into a
+    failure; no verdict depends on it."""
+    give_up = time.monotonic() + 10.0
+    while not condition(server.stats()):
+        assert time.monotonic() < give_up, f"server never reached: {what}"
+
+
+def _top_n(user: int, request_id: int, **extra) -> Frame:
+    return Frame("top_n", {"user": user, "n": 5, "id": request_id, **extra})
+
+
+def _one_slot_fleet(snapshot, **options):
+    return ReplicaSet(lambda index: PredictionService(snapshot),
+                      n_replicas=1, max_in_flight=1, **options)
+
+
+# ---------------------------------------------------------------------------
+# server-side deadline gate
 # ---------------------------------------------------------------------------
 
-def test_expired_deadline_is_shed_at_the_server_gate(snapshot):
-    """With the lone dispatch slot held, a deadlined request expires
-    while queueing and comes back ``deadline_exceeded`` — raised as
-    DeadlineError without marking the replica dead."""
-    with ReplicaSet(lambda index: PredictionService(snapshot),
-                    n_replicas=1, max_in_flight=1,
-                    fuse_window_ms=None) as replicas:
+def _check_deadline_gate(snapshot, reference, fuse_window_ms):
+    """With the lone dispatch slot held behind a 1 s stall, a request
+    with a 200 ms budget expires while it queues: the reply is a
+    retryable ``deadline_exceeded`` error, counted once, and the holder
+    is served normally."""
+    with _one_slot_fleet(snapshot, fuse_window_ms=fuse_window_ms) \
+            as replicas:
         server = replicas.replicas[0].server
+        holder, late = (_RawConnection(replicas.addresses[0])
+                        for _ in range(2))
+        server.stall(1.0)
+        holder.send(_top_n(0, 1))
+        _wait_for(server, lambda stats: stats["n_requests"] == 1,
+                  "the holder owns the slot")
+        late.send(_top_n(1, 2, deadline_ms=200))
+        shed = late.reply()
+        assert shed.is_error and shed.payload["id"] == 2
+        assert shed.payload["code"] == ERROR_DEADLINE
+        assert shed.payload["retryable"] is True
+        served = holder.reply()
+        assert served.payload["items"] == reference.top_n(0, n=5).items.tolist()
+        assert server.stats()["n_deadline_shed"] == 1
+        holder.close()
+        late.close()
+
+
+def test_expired_deadline_is_shed_at_the_server_gate(snapshot, reference):
+    _check_deadline_gate(snapshot, reference, fuse_window_ms=None)
+
+
+def test_fused_expired_deadline_is_shed_at_the_server_gate(snapshot,
+                                                           reference):
+    _check_deadline_gate(snapshot, reference, fuse_window_ms=2.0)
+
+
+def test_deadline_reply_raises_deadline_error_without_failover(
+        snapshot, reference, monkeypatch):
+    """A server-gate ``deadline_exceeded`` reply ends a client request
+    at once as :class:`DeadlineError`: no failover, the replica stays in
+    the ring and the next request succeeds on the same connection."""
+    with _one_slot_fleet(snapshot, fuse_window_ms=None) as replicas:
+        server = replicas.replicas[0].server
+        # One-way latency ate the whole budget: the server sees every
+        # deadlined request expired on arrival.  Without this the gate
+        # could only fire after the client's own clock has run out (the
+        # server measures the budget from a later arrival), and the
+        # client would end the request itself.
+        monkeypatch.setattr(
+            server, "_frame_deadline",
+            lambda frame, arrival: (
+                arrival if frame.payload.get("deadline_ms") is not None
+                else None))
         with ServingClient(replicas.addresses, timeout=10.0) as client:
             client.top_n(0, n=5)  # connection + handshake up front
+            holder = _RawConnection(replicas.addresses[0])
             server.stall(1.0)
-            hold = threading.Thread(
-                target=lambda: ServingClient(replicas.addresses,
-                                             timeout=10.0).predict(0, 1))
-            hold.start()
-            # The server counts a request and takes the free slot in one
-            # event-loop step, so two counted requests (the warm-up read
-            # and the holder's) mean the holder owns the slot.
-            give_up = time.monotonic() + 10.0
-            while server.stats()["n_requests"] < 2:
-                assert time.monotonic() < give_up, "holder never arrived"
-                time.sleep(0.001)
-            begin = time.monotonic()
-            with pytest.raises(DeadlineError):
-                client.top_n(1, n=5, deadline_ms=200)
-            elapsed = time.monotonic() - begin
-            assert elapsed < 5.0  # shed at the gate, not timed out
-            hold.join(timeout=10.0)
-            assert server.stats()["n_deadline_shed"] >= 1
-            # The replica was never failed over or marked dead: the
-            # very next plain request succeeds on the same connection.
+            holder.send(_top_n(0, 1))
+            _wait_for(server, lambda stats: stats["n_requests"] == 2,
+                      "the holder owns the slot")
+            with pytest.raises(DeadlineError, match="budget queueing"):
+                client.top_n(1, n=5, deadline_ms=10_000)
             assert client.n_failovers == 0
-            assert len(client.top_n(2, n=5)) == 5
+            assert server.stats()["n_deadline_shed"] == 1
+            assert holder.reply().payload["items"] == \
+                reference.top_n(0, n=5).items.tolist()
+            assert client.top_n(2, n=5).items.tolist() == \
+                reference.top_n(2, n=5).items.tolist()
+            assert client.n_failovers == 0
+            # The warm-up connection served all three client calls.
+            assert server.stats()["n_connections"] == 2
+            holder.close()
 
 
 def test_client_side_deadline_preempts_sending(snapshot):
@@ -213,12 +314,12 @@ def test_per_call_timeout_override(snapshot):
         with ServingClient(replicas.addresses, timeout=30.0) as client:
             client.top_n(0, n=5)
             server.stall(1.2)
-            begin = time.monotonic()
+            # Under the 30 s default this request would simply be served
+            # once the stall ends; the 0.15 s override makes it fail.
             with pytest.raises(NetError):
                 client.top_n(0, n=5, timeout=0.15)
-            assert time.monotonic() - begin < 1.0
+            server.call_serialized(lambda: None)  # the stall has drained
             # The cached connection's timeout is restored afterwards.
-            time.sleep(1.2)
             assert len(client.top_n(0, n=5)) == 5
 
 
@@ -226,86 +327,95 @@ def test_per_call_timeout_override(snapshot):
 # admission control
 # ---------------------------------------------------------------------------
 
-def test_overload_sheds_with_retryable_error(snapshot):
-    """One slot, queue depth one: the third concurrent request is shed
-    with a retryable ``overloaded`` error instead of queueing."""
-    with ReplicaSet(lambda index: PredictionService(snapshot),
-                    n_replicas=1, max_in_flight=1, max_queue_depth=1,
-                    fuse_window_ms=None) as replicas:
+def _check_overload_shedding(snapshot, reference, fuse_window_ms):
+    """One slot, queue depth one: with the slot held and one request
+    queued, the third is shed with a retryable ``overloaded`` error
+    instead of queueing — and a client sees the same shed as a
+    retryable :class:`NetError`; the first two are served once the
+    stall clears."""
+    with _one_slot_fleet(snapshot, max_queue_depth=1,
+                         fuse_window_ms=fuse_window_ms) as replicas:
         server = replicas.replicas[0].server
-        results = []
-
-        def call(delay):
-            time.sleep(delay)
-            try:
-                with ServingClient(replicas.addresses,
-                                   timeout=10.0) as client:
-                    client.predict(0, 1)
-                results.append("ok")
-            except NetError as error:
-                results.append(error)
-
-        server.stall(1.5)
-        threads = [threading.Thread(target=call, args=(delay,))
-                   for delay in (0.0, 0.3, 0.6, 0.7)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=20.0)
-        assert not any(thread.is_alive() for thread in threads)
-        shed = [r for r in results if isinstance(r, NetError)]
-        assert shed, f"nothing was shed: {results}"
-        assert all(error.retryable for error in shed)
+        first, second, third = (_RawConnection(replicas.addresses[0])
+                                for _ in range(3))
+        server.stall(1.0)
+        first.send(_top_n(0, 1))
+        _wait_for(server, lambda stats: stats["n_requests"] == 1,
+                  "the first request owns the slot")
+        second.send(_top_n(1, 2))
+        _wait_for(server, lambda stats: stats["queue_depth"]["read"] == 1,
+                  "the second request queues")
+        third.send(_top_n(2, 3))
+        shed = third.reply()
+        assert shed.is_error and shed.payload["id"] == 3
+        assert shed.payload["code"] == ERROR_OVERLOADED
+        assert shed.payload["retryable"] is True
+        # The lone replica declined without applying anything: the
+        # client runs out of replicas and says the request may be
+        # retried.
+        with ServingClient(replicas.addresses, timeout=10.0) as client:
+            with pytest.raises(NetError, match="overloaded") as caught:
+                client.top_n(3, n=5)
+            assert caught.value.retryable is True
+        for connection, user in ((first, 0), (second, 1)):
+            served = connection.reply()
+            assert served.payload["items"] == \
+                reference.top_n(user, n=5).items.tolist()
         stats = server.stats()
-        assert stats["n_overload_shed"]["read"] >= 1
+        assert stats["n_overload_shed"] == {"read": 2, "write": 0}
+        assert stats["queue_depth"] == {"read": 0, "write": 0}
         assert stats["max_queue_depth"] == 1
+        for connection in (first, second, third):
+            connection.close()
         # Back to normal once the stall clears.
         with ServingClient(replicas.addresses) as client:
             assert client.predict(0, 1) == pytest.approx(
-                PredictionService(snapshot).predict(0, 1))
+                reference.predict(0, 1))
+
+
+def test_overload_sheds_with_retryable_error(snapshot, reference):
+    _check_overload_shedding(snapshot, reference, fuse_window_ms=None)
+
+
+def test_fused_overload_sheds_with_retryable_error(snapshot, reference):
+    _check_overload_shedding(snapshot, reference, fuse_window_ms=2.0)
 
 
 def test_reads_and_writes_shed_independently(snapshot):
     """The write queue filling up must not shed reads (and vice
     versa): the two classes have separate depth counters."""
-    with ReplicaSet(lambda index: PredictionService(snapshot),
-                    n_replicas=1, max_in_flight=1, max_queue_depth=1,
-                    fuse_window_ms=None, replicate=False) as replicas:
+    with _one_slot_fleet(snapshot, max_queue_depth=1, fuse_window_ms=None,
+                         replicate=False) as replicas:
         server = replicas.replicas[0].server
-        outcomes = {"write_shed": 0, "read_ok": 0}
-        lock = threading.Lock()
+        writers = [_RawConnection(replicas.addresses[0]) for _ in range(3)]
+        reader = _RawConnection(replicas.addresses[0])
 
-        def write(delay):
-            time.sleep(delay)
-            try:
-                with ServingClient(replicas.addresses, timeout=10.0,
-                                   retry_writes=False) as client:
-                    client.rate(0, np.array([1]), np.array([3.0]))
-            except NetError:
-                with lock:
-                    outcomes["write_shed"] += 1
+        def rate(request_id: int) -> Frame:
+            return Frame("rate", {"user": 0, "items": [1], "values": [3.0],
+                                  "id": request_id})
 
-        def read(delay):
-            time.sleep(delay)
-            with ServingClient(replicas.addresses,
-                               timeout=10.0) as client:
-                client.predict(0, 1)
-            with lock:
-                outcomes["read_ok"] += 1
-
-        server.stall(1.5)
-        threads = [threading.Thread(target=write, args=(d,))
-                   for d in (0.0, 0.2, 0.4, 0.5)] + \
-                  [threading.Thread(target=read, args=(0.6,))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=20.0)
-        assert not any(thread.is_alive() for thread in threads)
-        # Writes saturated their queue and shed; the read rode through.
-        assert server.stats()["n_overload_shed"]["write"] >= 1
-        assert server.stats()["n_overload_shed"]["read"] == 0
-        assert outcomes["read_ok"] == 1
+        server.stall(1.0)
+        writers[0].send(rate(1))
+        _wait_for(server, lambda stats: stats["n_requests"] == 1,
+                  "the first write owns the slot")
+        writers[1].send(rate(2))
+        _wait_for(server, lambda stats: stats["queue_depth"]["write"] == 1,
+                  "the second write queues")
+        writers[2].send(rate(3))
+        shed = writers[2].reply()
+        assert shed.payload["code"] == ERROR_OVERLOADED
+        # Writes saturated their queue and shed; the read rides through.
+        reader.send(_top_n(0, 4))
+        _wait_for(server, lambda stats: stats["queue_depth"]["read"] == 1,
+                  "the read queues")
+        assert not reader.reply().is_error
+        for writer in writers[:2]:
+            # Dispatched, not shed (user 0 is not folded in, so the
+            # gateway answers with a domain error, uncoded).
+            assert "code" not in writer.reply().payload
+        assert server.stats()["n_overload_shed"] == {"read": 0, "write": 1}
+        for connection in (*writers, reader):
+            connection.close()
 
 
 def test_queue_depth_is_surfaced_in_health(snapshot):

@@ -114,6 +114,52 @@ def test_socket_world_reproduces_the_golden_chain(dataset):
     assert np.array_equal(result.predictions, reference.predictions)
 
 
+def _sequential(dataset):
+    return _run(dataset, "batched")
+
+
+def _multicore(dataset):
+    from repro.multicore.sampler import MulticoreGibbsSampler
+    return MulticoreGibbsSampler(BPMFConfig(**CONFIG)).run(
+        dataset.split.train, dataset.split, seed=SEED)
+
+
+def _rank_program(dataset):
+    from repro.distributed.sampler import (
+        DistributedGibbsSampler,
+        DistributedOptions,
+    )
+    result, _ = DistributedGibbsSampler(
+        BPMFConfig(**CONFIG),
+        DistributedOptions(n_ranks=2, hyper_mode="gather")).run(
+        dataset.split.train, dataset.split, seed=SEED)
+    return result
+
+
+@pytest.mark.parametrize("run", [_sequential, _multicore, _rank_program],
+                         ids=["sequential", "multicore", "rank_program"])
+def test_one_test_set_predict_per_sweep(dataset, monkeypatch, run):
+    """Every chain loop predicts the test set once per sweep: after
+    burn-in the sample's predictions are the ones the posterior
+    predictor accumulates, not a second predict — and the golden
+    trajectory does not move."""
+    from repro.core.state import BPMFState
+    calls = []
+    predict = BPMFState.predict
+
+    def counted(self, users, movies):
+        calls.append(len(users))
+        return predict(self, users, movies)
+
+    monkeypatch.setattr(BPMFState, "predict", counted)
+    result = run(dataset)
+    assert len(calls) == CONFIG["burn_in"] + CONFIG["n_samples"]
+    np.testing.assert_allclose(result.rmse_burn_in, GOLDEN_BURN_IN,
+                               atol=EXACT_ATOL)
+    np.testing.assert_allclose(result.rmse_running_mean, GOLDEN_RUNNING_MEAN,
+                               atol=EXACT_ATOL)
+
+
 def test_engines_agree_on_the_full_golden_run(dataset):
     """20-sweep cross-engine agreement on the same seed (chain-level)."""
     ref = _run(dataset, "reference")

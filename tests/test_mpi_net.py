@@ -208,6 +208,21 @@ class TestVerbs:
             for world in worlds:
                 world.close()
 
+    def test_undecodable_frame_fails_the_rank_fast(self, wrapped_array_frame):
+        """A frame the decoder refuses kills the link through the
+        receiver thread's failure path: the rank's next blocking verb
+        raises MpiTransportError at once instead of waiting out its
+        timeout."""
+        worlds = start_local_world(2, op_timeout=30.0)
+        try:
+            worlds[1]._peers[0].sock.sendall(wrapped_array_frame)
+            with pytest.raises(MpiTransportError,
+                               match="truncates an array"):
+                worlds[0].comm().recv(source=1, tag=1, timeout=20.0)
+        finally:
+            for world in worlds:
+                world.close()
+
     def test_late_rank_zero_costs_no_dial_retry(self, monkeypatch):
         """The rendezvous listener is bound before any rank starts: ranks
         dialling ahead of a slow rank 0 queue in its backlog instead of

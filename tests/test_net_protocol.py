@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from repro.serving.net.protocol import (
 from repro.serving.net.protocol import (
     _BINARY_FLAG,
     _HEADER,
+    _JSON_LENGTH,
     _KIND_CODES,
     _MAGIC,
     _encode_binary_payload,
@@ -170,6 +172,129 @@ def test_binary_round_trip_is_bit_exact(kind, arrays, scalars, cut):
     assert decoder.pending_bytes == 0
 
 
+# ---------------------------------------------------------------------------
+# same bytes on the wire
+# ---------------------------------------------------------------------------
+
+def _reference_default(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    raise TypeError(type(value).__name__)
+
+
+def _reference_extract(value, arrays):
+    if isinstance(value, np.ndarray):
+        arrays.append(value)
+        return {"__nd__": len(arrays) - 1}
+    if isinstance(value, dict):
+        return {key: _reference_extract(item, arrays)
+                for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_extract(item, arrays) for item in value]
+    return value
+
+
+def _reference_encode(frame: Frame, binary: bool) -> bytes:
+    """The encoder the wire format was defined by: a fresh ``json.dumps``
+    per frame and per-array dtype/shape formatting.  The codec must stay
+    byte-identical to it."""
+    code = _KIND_CODES[frame.kind]
+    if not binary:
+        body = json.dumps(frame.payload, separators=(",", ":"),
+                          sort_keys=True, default=_reference_default
+                          ).encode("utf8")
+    else:
+        code |= _BINARY_FLAG
+        arrays = []
+        json_part = json.dumps(_reference_extract(frame.payload, arrays),
+                               separators=(",", ":"), sort_keys=True,
+                               default=_reference_default).encode("utf8")
+        blocks = [struct.pack(">I", len(json_part)), json_part]
+        for array in arrays:
+            tag = array.dtype.newbyteorder("<").str
+            wire = np.ascontiguousarray(array).astype(tag, copy=False)
+            blocks.append(struct.pack(">BB", {"<f8": 0, "<i8": 1, "<f4": 2,
+                                              "<i4": 3}[tag], wire.ndim))
+            blocks.append(struct.pack(f">{wire.ndim}I", *wire.shape))
+            blocks.append(wire.tobytes())
+        body = b"".join(blocks)
+    return _HEADER.pack(_MAGIC, frame.version, code, len(body)) + body
+
+
+@st.composite
+def _wire_arrays(draw):
+    """Arrays of every wire dtype in either byte order, 0-d, sliced
+    (non-contiguous) and empty ones included."""
+    array = draw(_ndarrays())
+    order = draw(st.sampled_from("<>"))
+    array = array.astype(array.dtype.newbyteorder(order))
+    if draw(st.booleans()) and array.ndim:
+        array = array[::2]
+    if draw(st.booleans()):
+        array = np.asarray(array.ravel()[:1].reshape(()) if array.size
+                           else array)
+    return array
+
+
+_numpy_scalars = st.one_of(
+    st.integers(-2**31, 2**31 - 1).map(np.int64),
+    st.integers(-2**31, 2**31 - 1).map(np.int32),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64))
+_wire_values = st.recursive(
+    st.one_of(_json_scalars, st.floats(), _numpy_scalars, _wire_arrays()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_marker_free_keys, children, max_size=4)),
+    max_leaves=10)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(ALL_KINDS), binary=st.booleans(),
+       payload=st.dictionaries(_marker_free_keys, _wire_values, max_size=5))
+def test_encoder_is_byte_identical_to_the_reference(kind, binary, payload):
+    frame = Frame(kind, payload)
+    assert encode_frame(frame, binary=binary) == \
+        _reference_encode(frame, binary)
+
+
+#: A fixed request and its binary reply, hex-recorded before the codec
+#: was reworked: the wire bytes may not move.
+_PINNED_REQUEST = Frame("top_n", {"user": 7, "n": 10, "exclude_seen": True,
+                                  "id": 3, "deadline_ms": 250.5})
+_PINNED_REPLY = Frame("ok", {
+    "user": 7, "id": 3,
+    "items": np.array([3, 141, 59, 2653, 589, 79, 323, 846, 26, 433],
+                      dtype=np.int64),
+    "scores": np.array([4.5, 4.25, 3.875, 3.5, 3.0625, 2.75, 2.5, 1.125,
+                        -0.5, -1.0e-3])})
+
+
+def test_pinned_frames_keep_their_bytes():
+    assert encode_frame(_PINNED_REQUEST, binary=True).hex() == (
+        "5250524f018200000044000000407b22646561646c696e655f6d73223a3235302e"
+        "352c226578636c7564655f7365656e223a747275652c226964223a332c226e223a"
+        "31302c2275736572223a377d")
+    assert encode_frame(_PINNED_REQUEST).hex() == (
+        "5250524f0102000000407b22646561646c696e655f6d73223a3235302e352c2265"
+        "78636c7564655f7365656e223a747275652c226964223a332c226e223a31302c22"
+        "75736572223a377d")
+    assert encode_frame(_PINNED_REPLY, binary=True).hex() == (
+        "5250524f0190000000ec0000003c7b226964223a332c226974656d73223a7b225f"
+        "5f6e645f5f223a307d2c2273636f726573223a7b225f5f6e645f5f223a317d2c22"
+        "75736572223a377d01010000000a03000000000000008d00000000000000"
+        "3b000000000000005d0a0000000000004d020000000000004f0000000000"
+        "000043010000000000004e030000000000001a00000000000000b1010000"
+        "0000000000010000000a000000000000124000000000000011400000000000"
+        "000f400000000000000c40000000000080084000000000000006400000000"
+        "000000440000000000000f23f000000000000e0bffca9f1d24d6250bf")
+
+
 def test_binary_and_json_frames_share_one_stream():
     """The binary flag is per frame: both forms interleave on one socket."""
     scores = np.random.default_rng(0).standard_normal(8)
@@ -230,6 +355,101 @@ def test_binary_array_reference_out_of_range_is_rejected():
                         _KIND_CODES["ok"] | _BINARY_FLAG, len(framed))
     with pytest.raises(ProtocolError, match="references array"):
         FrameDecoder().feed(wire + framed)
+
+
+def test_wrapped_array_element_count_is_rejected(wrapped_array_frame):
+    """Dims whose product overflows int64 are counted exactly and fail
+    the bounds check as a ProtocolError (they used to escape as
+    ``ValueError`` out of ``reshape``)."""
+    assert len(wrapped_array_frame) == 65
+    with pytest.raises(ProtocolError, match="truncates an array"):
+        FrameDecoder().feed(wrapped_array_frame)
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["json", "binary"])
+@pytest.mark.parametrize("text", [b"[" * 100_000,
+                                  b'{"n":' + b"1" * 5000 + b"}"],
+                         ids=["deep", "long_int"])
+def test_hostile_json_decodes_or_is_a_protocol_error(text, binary):
+    """JSON nested past the interpreter stack, or an integer literal over
+    the int-conversion digit limit, raises ``RecursionError`` /
+    ``ValueError`` inside ``json.loads``; the decoder refuses both."""
+    body = _JSON_LENGTH.pack(len(text)) + text if binary else text
+    code = _KIND_CODES["ok"] | (_BINARY_FLAG if binary else 0)
+    wire = _HEADER.pack(_MAGIC, PROTOCOL_VERSION, code, len(body)) + body
+    try:
+        frames = FrameDecoder().feed(wire)
+    except ProtocolError:
+        return
+    assert frames[0].payload == json.loads(text)
+
+
+
+
+def _mutations(draw, wire: bytearray) -> bytearray:
+    """One damage to an encoded frame (see the fuzz test below)."""
+    mutation = draw(st.sampled_from(
+        ["overwrite", "truncate", "u32", "dims"]))
+    if mutation == "overwrite":
+        for _ in range(draw(st.integers(1, 4))):
+            wire[draw(st.integers(0, len(wire) - 1))] = draw(
+                st.integers(0, 255))
+    elif mutation == "truncate":
+        # Cut the body and rewrite the header length to match, so the
+        # decoder parses the torn payload instead of waiting for more.
+        cut = draw(st.integers(_HEADER.size, len(wire)))
+        del wire[cut:]
+        wire[_HEADER.size - 4:_HEADER.size] = _JSON_LENGTH.pack(
+            cut - _HEADER.size)
+    elif mutation == "u32":
+        # Rewrite any aligned-or-not u32: the header length, the binary
+        # JSON length, an array dim.
+        at = draw(st.integers(_HEADER.size - 4, max(_HEADER.size - 4,
+                                                    len(wire) - 4)))
+        wire[at:at + 4] = _JSON_LENGTH.pack(draw(st.integers(0, 2**32 - 1)))
+    elif wire[5] & _BINARY_FLAG:
+        # Every dim of the first array block, when there is one, made
+        # huge: their product overflows any fixed-width element count.
+        (json_length,) = _JSON_LENGTH.unpack_from(wire, _HEADER.size)
+        block = _HEADER.size + _JSON_LENGTH.size + json_length
+        if block + 2 <= len(wire):
+            ndim = wire[block + 1]
+            for axis in range(ndim):
+                at = block + 2 + 4 * axis
+                wire[at:at + 4] = _JSON_LENGTH.pack(
+                    draw(st.integers(2**30, 2**32 - 1)))
+    return wire
+
+
+_MPI_KINDS = ("mpi_msg", "mpi_ctl")
+
+
+@st.composite
+def _damaged_frames(draw):
+    kind = draw(st.sampled_from(ALL_KINDS))
+    binary = draw(st.booleans())
+    payload = dict(draw(_marker_free_payloads))
+    if kind in _MPI_KINDS:
+        payload.update(epoch=0, src=1, seq=draw(st.integers(0, 99)), tag=7)
+    for index, array in enumerate(draw(st.lists(_ndarrays(), max_size=2))):
+        payload[f"array_{index}"] = array
+    wire = bytearray(encode_frame(Frame(kind, payload), binary=binary))
+    return bytes(_mutations(draw, wire))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(wire=_damaged_frames())
+def test_damaged_frames_decode_or_raise_protocol_error(wire):
+    """The decoder is the trust boundary of every socket reader (async
+    client, server, MPI rank): mutated, truncated and length-rewritten
+    encodings of every kind, in both encodings, either decode or raise
+    :class:`ProtocolError` — never anything else."""
+    try:
+        frames = FrameDecoder().feed(wire)
+    except ProtocolError:
+        return
+    for frame in frames:
+        assert isinstance(frame.payload, dict)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ import pytest
 from repro.bench.serving import make_bench_snapshot
 from repro.serving.cluster import ShardedScorer
 from repro.serving.net import (
+    AsyncServingClient,
     Frame,
     FrameDecoder,
     NetError,
@@ -172,6 +174,169 @@ def test_request_before_hello_is_refused(replica_set):
     reply = _raw_exchange(replica_set.addresses[0], encode_frame(
         Frame("top_n", {"user": 0, "n": 3})))
     assert reply.is_error and "handshake" in reply.payload["message"]
+
+
+def test_malformed_array_block_is_a_counted_protocol_error(
+        replica_set, wrapped_array_frame):
+    """The server answers an undecodable array block with an error frame
+    and counts it, like any other framing violation."""
+    server = replica_set.replicas[0].server
+    address = replica_set.addresses[0]
+    with socket.create_connection(address, timeout=10.0) as sock:
+        sock.settimeout(10.0)
+        sock.sendall(encode_frame(Frame("hello",
+                                        {"version": PROTOCOL_VERSION})))
+        decoder = FrameDecoder()
+        frames = decoder.feed(sock.recv(1 << 16))
+        sock.sendall(wrapped_array_frame)
+        while len(frames) < 2:
+            data = sock.recv(1 << 16)
+            if not data:
+                break  # closed without an error frame
+            frames += decoder.feed(data)
+    hello, refusal = frames
+    assert not hello.is_error
+    assert refusal.is_error
+    assert "truncates an array" in refusal.payload["message"]
+    assert server.stats()["n_protocol_errors"] == 1
+
+
+def test_async_client_fails_a_malformed_reply_at_once(wrapped_array_frame):
+    """A reply the decoder refuses fails its request through the reader
+    task (no wait for the request's 30 s timeout): the error is the
+    protocol error, not a timeout."""
+    async def fake_replica(reader, writer):
+        decoder = FrameDecoder()
+
+        async def next_frame():
+            frames = []
+            while not frames:
+                data = await reader.read(1 << 16)
+                if not data:
+                    raise ConnectionError("client hung up")
+                frames = decoder.feed(data)
+
+        await next_frame()  # the hello
+        writer.write(encode_frame(Frame("ok", {
+            "version": PROTOCOL_VERSION, "encodings": ["binary", "json"]})))
+        await next_frame()  # the request
+        writer.write(wrapped_array_frame)
+        await reader.read()  # until the client hangs up
+        writer.close()
+
+    async def scenario():
+        server = await asyncio.start_server(fake_replica, "127.0.0.1", 0)
+        address = server.sockets[0].getsockname()[:2]
+        try:
+            async with AsyncServingClient([address], timeout=30.0) as client:
+                with pytest.raises(NetError, match="truncates an array"):
+                    await client.top_n(0, n=3)
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(scenario())
+
+
+def test_async_roundtrip_deadline_and_cancel_leave_nothing_behind(snapshot):
+    """One timer per request: a request to a stalled server fails when
+    its timer fires, and both it and a cancelled request leave an empty
+    ``pending`` map and no live timer handle."""
+    with ReplicaSet(lambda index: PredictionService(snapshot),
+                    n_replicas=1) as replicas:
+        server = replicas.replicas[0].server
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            timers = []  # (handle, fired?)
+            real_call_later = loop.call_later
+
+            def call_later(delay, callback, *args, **kwargs):
+                fired = []
+
+                def fire(*fire_args):
+                    fired.append(True)
+                    return callback(*fire_args)
+
+                handle = real_call_later(delay, fire, *args, **kwargs)
+                timers.append((handle, fired))
+                return handle
+
+            def live_timers():
+                return [handle for handle, fired in timers
+                        if not handle.cancelled() and not fired]
+
+            async with AsyncServingClient(replicas.addresses,
+                                          timeout=30.0) as client:
+                await client.top_n(0, n=3)  # connect + handshake
+                first = client._connections[0]
+                loop.call_later = call_later
+                server.stall(1.0)
+                begin = loop.time()
+                with pytest.raises(NetError, match="TimeoutError"):
+                    await client.top_n(1, n=3, timeout=0.2)
+                assert loop.time() - begin >= 0.2
+                assert [fired for _, fired in timers] == [[True]]
+                assert first.pending == {} and live_timers() == []
+
+                request = asyncio.ensure_future(client.top_n(2, n=3))
+                while not (client._connections
+                           and client._connections[0].pending):
+                    await asyncio.sleep(0.001)
+                second = client._connections[0]
+                request.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await request
+                assert second.pending == {} and live_timers() == []
+                del loop.call_later
+
+        asyncio.run(scenario())
+
+
+def test_stop_flushes_a_held_fused_reply_and_closes_idle_links(snapshot):
+    """stop() with one id-tagged ``top_n`` held behind a stalled gateway
+    and another connection idle: the held reply arrives before its
+    socket closes, and the idle connection is closed — nobody waits out
+    a timeout."""
+    hello = encode_frame(Frame("hello", {"version": PROTOCOL_VERSION}))
+    replicas = ReplicaSet(lambda index: PredictionService(snapshot),
+                          n_replicas=1).start()
+    server = replicas.replicas[0].server
+    address = replicas.addresses[0]
+    held = socket.create_connection(address, timeout=10.0)
+    idle = socket.create_connection(address, timeout=10.0)
+    decoders = {held: FrameDecoder(), idle: FrameDecoder()}
+    try:
+        for sock in (held, idle):  # both handshakes done before stop()
+            sock.settimeout(10.0)
+            sock.sendall(hello)
+            assert not decoders[sock].feed(sock.recv(1 << 16))[0].is_error
+        server.stall(0.3)
+        held.sendall(encode_frame(Frame("top_n",
+                                        {"user": 4, "n": 3, "id": 9})))
+        give_up = time.monotonic() + 10.0
+        while server.stats()["n_requests"] < 1:  # the server holds it
+            assert time.monotonic() < give_up, "request never admitted"
+        replicas.stop()
+        frames = {}
+        for sock in (held, idle):
+            frames[sock] = []
+            while True:
+                data = sock.recv(1 << 16)  # EOF ends the loop
+                if not data:
+                    break
+                frames[sock] += decoders[sock].feed(data)
+    finally:
+        held.close()
+        idle.close()
+        replicas.stop()
+    assert frames[idle] == []
+    (reply,) = frames[held]
+    expected = PredictionService(snapshot).top_n(4, n=3)
+    assert reply.payload["id"] == 9
+    assert reply.payload["items"] == expected.items.tolist()
+    assert np.array(reply.payload["scores"]).tobytes() == \
+        expected.scores.tobytes()
 
 
 def test_request_ids_are_echoed(replica_set):
