@@ -49,23 +49,25 @@ def main() -> None:
     #    "gather" hyper-parameter mode the distributed chain consumes the
     #    random stream exactly like the sequential sampler, so the two
     #    match bit for bit.
-    options = DistributedOptions(n_ranks=2, hyper_mode="gather",
-                                 buffer_capacity=16)
+    options = DistributedOptions(n_ranks=2, hyper_mode="gather")
     simulated, sim_info = DistributedGibbsSampler(config, options).run(
         train, split, seed=seed)
+    sweeps = config.total_iterations
     print(f"simulated MPI     final RMSE {simulated.final_rmse:.6f} "
-          f"({sim_info.n_messages} messages)")
+          f"({sim_info.n_messages / sweeps:.1f} messages and "
+          f"{sim_info.bytes_sent / sweeps / 1e3:.1f} kB per sweep)")
 
-    # 4. The same chain again, over a 2-rank socket world: every factor
-    #    block crosses a real TCP link as a binary frame.  Rank 0 holds
-    #    the evaluated result; rank 1 holds only its own blocks.
+    # 4. The same chain again, over a 2-rank socket world: each phase's
+    #    refreshed rows cross a real TCP link as one binary frame per
+    #    peer, and rank 1 sends rank 0 its test predictions.  Rank 0
+    #    holds the evaluated result; rank 1 holds only its own blocks.
     outcomes = run_local_socket_world(
         lambda: DistributedGibbsSampler(config, options),
         2, train, split, seed=seed)
     socket_result, socket_info = outcomes[0]
     print(f"socket MPI        final RMSE {socket_result.final_rmse:.6f} "
-          f"({socket_info.n_messages} messages from rank 0, "
-          f"{socket_info.bytes_sent / 1e3:.1f} kB)")
+          f"(rank 0 sent {socket_info.n_messages / sweeps:.1f} frames and "
+          f"{socket_info.bytes_sent / sweeps / 1e3:.1f} kB per sweep)")
 
     # 5. Bit-parity, not approximate agreement.
     for name, result in [("simulated", simulated), ("socket", socket_result)]:

@@ -50,7 +50,7 @@ def main() -> None:
     sequential = GibbsSampler(config).run(train, split, seed=0)
     distributed, info = DistributedGibbsSampler(
         config,
-        DistributedOptions(n_ranks=4, buffer_capacity=64, hyper_mode="gather"),
+        DistributedOptions(n_ranks=4, hyper_mode="gather"),
     ).run(train, split, seed=0)
 
     table = Table(["implementation", "test RMSE (stars)"],
@@ -66,9 +66,10 @@ def main() -> None:
     print("\ndata distribution over ranks (users, movies):",
           ", ".join(f"rank {r}: {u}/{m}" for r, (u, m) in enumerate(sizes)))
     print(f"items exchanged per iteration : {info.items_exchanged_per_iteration}")
+    sweeps = config.total_iterations
     print(f"messages posted (whole run)   : {info.n_messages}")
-    print(f"average items per message     : {info.buffer_stats.items_per_message:.1f}")
-    print(f"data volume sent              : {info.bytes_sent / 1e6:.1f} MB")
+    print(f"messages per sweep            : {info.n_messages / sweeps:.1f}")
+    print(f"data volume per sweep         : {info.bytes_sent / sweeps / 1e3:.1f} kB")
 
     # Top-5 recommendations for the three most active users.
     state = distributed.state

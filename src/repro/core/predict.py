@@ -91,7 +91,17 @@ class PosteriorPredictor:
         """Add one posterior sample; returns that sample's predictions."""
         _check_index_range("test_users", self.test_users, state.n_users)
         _check_index_range("test_movies", self.test_movies, state.n_movies)
-        predictions = state.predict(self.test_users, self.test_movies)
+        return self.add(state.predict(self.test_users, self.test_movies))
+
+    def add(self, predictions: np.ndarray) -> np.ndarray:
+        """Add one sample's predictions of the tracked cells, in their
+        order (made elsewhere, e.g. by the ranks owning the cells);
+        returns them."""
+        predictions = np.asarray(predictions, dtype=np.float64)
+        if predictions.shape != self._sum.shape:
+            raise ValidationError(
+                f"predictions have shape {predictions.shape}, expected "
+                f"{self._sum.shape}")
         self._sum += predictions
         self._count += 1
         if self._keep:

@@ -13,15 +13,12 @@ socket world (:mod:`repro.mpi.net`):
   item needs to be sent").
 * :mod:`repro.distributed.sampler` — the asynchronous distributed Gibbs
   sampler: ranks hold their own copies of the factor matrices, update the
-  items they own, send the updates in the messages of a precomputed send
-  schedule and apply the messages they receive; the result is
-  statistically identical to the sequential sampler (bit-identical with
-  gathered hyperparameters).
+  items they own, send the updates in one frame per destination and
+  phase, apply the frames they receive and predict the test cells of
+  their own users; the result is statistically identical to the
+  sequential sampler (bit-identical with gathered hyperparameters).
 * :mod:`repro.distributed.spmd` — ``run_local_socket_world``: an N-rank
   socket world driven from one thread per rank.
-* :mod:`repro.distributed.sync_sampler` — the bulk-synchronous baseline
-  that exchanges everything at the end of each phase in single large
-  messages (the "more common synchronous approach" the paper outperforms).
 * :mod:`repro.distributed.scaling` — the strong-scaling performance model
   (nodes, racks, cache effects, message overheads) that regenerates
   Figures 4 and 5.
@@ -30,7 +27,6 @@ socket world (:mod:`repro.mpi.net`):
 from repro.distributed.partition import Partition, partition_ratings
 from repro.distributed.comm_plan import CommunicationPlan, build_comm_plan
 from repro.distributed.sampler import DistributedGibbsSampler, DistributedOptions
-from repro.distributed.sync_sampler import BulkSynchronousGibbsSampler
 from repro.distributed.scaling import (
     ScalingConfig,
     ScalingPoint,
@@ -45,7 +41,6 @@ __all__ = [
     "build_comm_plan",
     "DistributedGibbsSampler",
     "DistributedOptions",
-    "BulkSynchronousGibbsSampler",
     "ScalingConfig",
     "ScalingPoint",
     "StrongScalingResult",

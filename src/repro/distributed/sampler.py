@@ -17,18 +17,25 @@ per entity class (movies, then users):
    it holds locally (authoritative for its own items, last-received
    copies for remote ones — up to date because they were exchanged at the
    end of the phase that wrote them);
-3. the refreshed rows leave in the messages of the rank's send schedule
-   for the phase — what per-destination send buffers would post, computed
-   once per run from the communication plan — as non-blocking sends; the
-   rank then receives until every row the plan promises it has arrived
-   (arrival order cannot matter: rows land in disjoint slices) and raises
-   on a row it never planned for.
+3. the refreshed rows leave as one non-blocking frame per destination —
+   ``<i4`` ids plus their rows, grouped by destination from the
+   communication plan once per run; the rank then receives until every
+   row the plan promises it has arrived (arrival order cannot matter:
+   rows land in disjoint slices) and raises on a row it never planned
+   for.
 
-After both phases the authoritative rows are gathered at rank 0, which
-alone owns the predictor, the RMSE traces and the checkpointer.  Ranks
-only ever see remote data that arrived in messages, so an inconsistent
-communication plan fails loudly (stray row, would-deadlock, or the
-pending-message audit) instead of diverging.
+After both phases every rank predicts the held-out cells of the users it
+owns (the plan ships each such cell's movie row there) and adds its owned
+rows to its share of the posterior-mean factor sums.  Rank 0 receives
+every other rank's predictions and update count, scatters the
+predictions into test order and alone owns the predictor, the RMSE traces
+and the checkpointer.  The owned rows and factor sums travel to rank 0
+only on a *gathering* sweep: the last one and every one the checkpoint
+policy saves (:meth:`~repro.serving.checkpoint.CheckpointConfig.due` is a
+pure function, so every rank knows them).  Ranks only ever see remote
+data that arrived in messages, so an inconsistent communication plan
+fails loudly (stray row, would-deadlock, or the pending-message audit)
+instead of diverging.
 """
 
 from __future__ import annotations
@@ -52,9 +59,12 @@ from repro.core.wishart import (
     normal_wishart_posterior_from_stats,
     sample_normal_wishart,
 )
-from repro.distributed.comm_plan import CommunicationPlan, build_comm_plan
+from repro.distributed.comm_plan import (
+    CommunicationPlan,
+    build_comm_plan,
+    send_schedule,
+)
 from repro.distributed.partition import Partition, partition_ratings
-from repro.mpi.buffers import BufferStats, send_schedule
 from repro.mpi.simmpi import SimCommWorld
 from repro.obs.trace import maybe_span
 from repro.parallel.cost_model import WorkloadModel
@@ -73,9 +83,10 @@ __all__ = ["DistributedOptions", "DistributedGibbsSampler",
 class Tag(IntEnum):
     """Message tags of the rank program (the same on every transport)."""
 
-    MOVIES = 1  # refreshed movie rows, owner -> every rank that reads them
-    USERS = 2  # refreshed user rows
-    EVAL = 50  # authoritative rows + update count -> rank 0, once per sweep
+    MOVIES = 1  # one frame per (owner, reader): <i4 ids + refreshed movie rows
+    USERS = 2  # the same for refreshed user rows
+    EVAL = 50  # -> rank 0 every sweep: test predictions + update count, and
+    # on gathering sweeps the owned rows and factor-mean sums
     GATHER_MOVIES = 101  # hyper_mode="gather": owned movie rows -> rank 0
     GATHER_USERS = 102  # hyper_mode="gather": owned user rows -> rank 0
 
@@ -85,15 +96,16 @@ class DistributedOptions:
     """Execution options of the distributed sampler.
 
     ``checkpoint`` enables save-every-k-sweeps posterior snapshots of the
-    authoritative gathered state, written by rank 0.  At a sweep boundary
-    every rank's copy of each factor row it will read next sweep equals
-    the authoritative row (they were exchanged at the end of the phase
-    that last wrote them), so resuming by handing all ranks the gathered
-    state reproduces the uninterrupted chain exactly.
+    authoritative gathered state, written by rank 0.  Every rank must be
+    given the same policy: the ranks gather at rank 0 on the sweeps it
+    saves.  At a sweep boundary every rank's copy of each factor row it
+    will read next sweep equals the authoritative row (they were
+    exchanged at the end of the phase that last wrote them), so resuming
+    by handing all ranks the gathered state reproduces the uninterrupted
+    chain exactly.
     """
 
     n_ranks: int = 4
-    buffer_capacity: int = 64
     reorder: bool = True
     hyper_mode: str = "stats"  # "stats" (allreduce) or "gather" (exact parity)
     update_method: Optional[UpdateMethod] = None
@@ -110,7 +122,6 @@ class DistributedOptions:
 
     def __post_init__(self):
         check_positive("n_ranks", self.n_ranks)
-        check_positive("buffer_capacity", self.buffer_capacity)
         check_in("hyper_mode", self.hyper_mode, ("stats", "gather"))
 
 
@@ -120,7 +131,6 @@ class DistributedRunInfo:
 
     partition: Partition
     plan: CommunicationPlan
-    buffer_stats: BufferStats
     n_messages: int
     bytes_sent: float
     items_exchanged_per_iteration: int
@@ -138,8 +148,8 @@ class _Block:
     factors: np.ndarray  # this rank's copy of the whole class
     owned: np.ndarray  # ids this rank updates and is authoritative for
     schedule: List[Tuple[int, np.ndarray]]  # (dest, ids) sent every phase
-    send_stats: BufferStats  # the schedule's traffic, per phase
     expected: np.ndarray  # mask of the ids this rank receives every phase
+    mean_sum: np.ndarray  # the owned rows summed over post-burn-in sweeps
 
 
 class DistributedGibbsSampler:
@@ -212,7 +222,7 @@ class DistributedGibbsSampler:
     # exchange after one phase
     # ------------------------------------------------------------------ #
 
-    def _exchange(self, comm, block: _Block) -> BufferStats:
+    def _exchange(self, comm, block: _Block) -> None:
         """Ship the refreshed owned rows, then receive the planned ones."""
         with maybe_span("mpi.exchange", phase=block.name, rank=comm.rank):
             for dest, ids in block.schedule:
@@ -232,20 +242,20 @@ class DistributedGibbsSampler:
                         "inconsistent")
                 remaining[ids] = False
                 block.factors[ids] = np.asarray(payload)
-        return block.send_stats
 
     # ------------------------------------------------------------------ #
     # the rank program
     # ------------------------------------------------------------------ #
 
     def _rank_program(self, comm, train: RatingMatrix,
-                      split: Optional[RatingSplit], rng: np.random.Generator,
-                      plan: CommunicationPlan, resume: Optional[ResumeLike]
-                      ) -> Tuple[Optional[BPMFResult], BufferStats]:
-        """What one rank runs; returns ``(result on rank 0, buffer stats)``.
+                      test: Tuple[np.ndarray, np.ndarray, np.ndarray],
+                      rng: np.random.Generator, plan: CommunicationPlan,
+                      resume: Optional[ResumeLike]) -> Optional[BPMFResult]:
+        """What one rank runs; returns the result on rank 0, else ``None``.
 
         Every rank is called with equal arguments and its *own* ``rng``,
         all at the same point of one stream (the replicated generator).
+        ``test`` is the ``(users, movies, values)`` of the held-out cells.
         """
         from repro.serving.checkpoint import TrainingCheckpointer
 
@@ -264,14 +274,13 @@ class DistributedGibbsSampler:
             # counts against their inversion.
             edges = plan.edges(name)
             mine = edges.owner == rank
-            schedule, send_stats = send_schedule(
-                edges.item[mine], edges.dest[mine],
-                self.options.buffer_capacity)
             expected = np.zeros(factors.shape[0], dtype=bool)
             expected[plan.expected_incoming(name, rank)] = True
+            owned = np.asarray(owned, dtype=np.int64)
             return _Block(name, tag, gather_tag, hyperprior, axis, factors,
-                          np.asarray(owned, dtype=np.int64), schedule,
-                          send_stats, expected)
+                          owned, send_schedule(edges.item[mine],
+                                               edges.dest[mine]),
+                          expected, np.zeros((owned.size, factors.shape[1])))
 
         partition = plan.partition
         movies = block("movies", Tag.MOVIES, Tag.GATHER_MOVIES,
@@ -280,21 +289,29 @@ class DistributedGibbsSampler:
         users = block("users", Tag.USERS, Tag.GATHER_USERS,
                       config.user_hyperprior, train.by_user,
                       state.user_factors, partition.users_of(rank))
+        n_means = 0
+        if snapshot is not None and snapshot.mean_user_sum is not None:
+            # This rank's share of the checkpointed factor-mean sums.
+            users.mean_sum = snapshot.mean_user_sum[users.owned]
+            movies.mean_sum = snapshot.mean_movie_sum[movies.owned]
+            n_means = snapshot.mean_count
 
+        # The held-out cells each rank predicts: those of the users it owns.
+        test_users, test_movies, test_values = test
+        cell_owner = partition.user_owner[test_users]
+        cells = np.split(np.argsort(cell_owner, kind="stable"), np.cumsum(
+            np.bincount(cell_owner, minlength=comm.size))[:-1])
+        my_users, my_movies = test_users[cells[rank]], test_movies[cells[rank]]
         if rank == 0:
-            if split is not None and split.n_test > 0:
-                test_users, test_movies, test_values = split.test_triplets()
-            else:
-                test_users, test_movies, test_values = train.triplets()
             predictor = PosteriorPredictor(
                 test_users, test_movies,
                 keep_samples=self.options.keep_sample_predictions)
             checkpointer = TrainingCheckpointer(
                 config, self.options.checkpoint, snapshot, state, predictor)
         gathered = state if snapshot is not None else None
-        buffer_stats = BufferStats()
+        checkpoint, total = self.options.checkpoint, config.total_iterations
 
-        for iteration in range(state.iteration, config.total_iterations):
+        for iteration in range(state.iteration, total):
             with maybe_span("mpi.sweep", iteration=iteration, rank=rank):
                 updated, priors = 0, {}
                 for this, other in ((movies, users), (users, movies)):
@@ -305,45 +322,68 @@ class DistributedGibbsSampler:
                         this.factors, other.factors, this.axis,
                         priors[this.name], config.alpha, noise,
                         items=this.owned)
-                    buffer_stats = buffer_stats.merge(
-                        self._exchange(comm, this))
+                    self._exchange(comm, this)
+                if iteration >= config.burn_in:
+                    for this in (movies, users):
+                        # A new array, not +=: a sent frame may alias it.
+                        this.mean_sum = this.mean_sum + this.factors[this.owned]
+                    n_means += 1
 
-                # Authoritative rows (and this rank's update count) to rank 0.
-                mine = (users.owned, users.factors[users.owned], movies.owned,
-                        movies.factors[movies.owned], int(updated))
+                gathering = iteration + 1 == total or (
+                    checkpoint is not None and checkpoint.due(iteration, total))
+                frame = (state.predict(my_users, my_movies), int(updated))
+                if gathering:
+                    frame += (users.factors[users.owned],
+                              movies.factors[movies.owned],
+                              users.mean_sum, movies.mean_sum)
                 if rank != 0:
-                    comm.isend(mine, dest=0, tag=Tag.EVAL,
-                               description="gather-eval")
+                    comm.isend(frame, dest=0, tag=Tag.EVAL, description="eval")
                     continue
-                gathered = BPMFState(
-                    user_factors=np.zeros_like(users.factors),
-                    movie_factors=np.zeros_like(movies.factors),
-                    user_prior=priors["users"], movie_prior=priors["movies"],
-                    iteration=iteration + 1)
-                theirs = [comm.recv(tag=Tag.EVAL) for _ in range(comm.size - 1)]
-                for user_ids, user_rows, movie_ids, movie_rows, count in (
-                        mine, *theirs):
-                    gathered.user_factors[np.asarray(user_ids)] = \
-                        np.asarray(user_rows)
-                    gathered.movie_factors[np.asarray(movie_ids)] = \
-                        np.asarray(movie_rows)
-                    checkpointer.items_updated += int(count)
+                frames = [frame] + [comm.recv(source=source, tag=Tag.EVAL)
+                                    for source in range(1, comm.size)]
+                predictions = np.empty(test_values.shape[0])
+                for source, theirs in enumerate(frames):
+                    if len(theirs) != len(frame):
+                        raise ValidationError(
+                            f"rank {source} and rank 0 disagree on whether "
+                            f"sweep {iteration} gathers: every rank needs "
+                            "the same checkpoint policy")
+                    predictions[cells[source]] = theirs[0]
+                    checkpointer.items_updated += int(theirs[1])
+                if gathering:
+                    gathered = BPMFState(
+                        user_factors=np.zeros_like(users.factors),
+                        movie_factors=np.zeros_like(movies.factors),
+                        user_prior=priors["users"],
+                        movie_prior=priors["movies"], iteration=iteration + 1)
+                    user_sum = np.zeros_like(users.factors)
+                    movie_sum = np.zeros_like(movies.factors)
+                    for source, (_, _, user_rows, movie_rows, their_user_sum,
+                                 their_movie_sum) in enumerate(frames):
+                        their_users = partition.users_of(source)
+                        their_movies = partition.movies_of(source)
+                        gathered.user_factors[their_users] = user_rows
+                        gathered.movie_factors[their_movies] = movie_rows
+                        user_sum[their_users] = their_user_sum
+                        movie_sum[their_movies] = their_movie_sum
+                    checkpointer.factor_means.restore(user_sum, movie_sum,
+                                                      n_means)
 
                 if iteration >= config.burn_in:
-                    # accumulate() predicts the test set: one predict a sweep.
-                    sample_pred = predictor.accumulate(gathered)
+                    predictor.add(predictions)
                     mean_rmse = rmse(predictor.mean_prediction(), test_values)
                 else:
-                    sample_pred = gathered.predict(test_users, test_movies)
                     mean_rmse = None
-                checkpointer.record(iteration, gathered,
-                                    rmse(sample_pred, test_values), mean_rmse)
-                checkpointer.maybe_save(iteration, gathered, rng, predictor)
+                checkpointer.record(iteration, None,
+                                    rmse(predictions, test_values), mean_rmse)
+                if gathering:
+                    checkpointer.maybe_save(iteration, gathered, rng,
+                                            predictor)
         # Everyone finishes before anyone tears its links down.
         comm.barrier()
 
         if rank != 0:
-            return None, buffer_stats
+            return None
         return BPMFResult(
             config=config,
             state=gathered,
@@ -356,7 +396,7 @@ class DistributedGibbsSampler:
             items_updated=checkpointer.items_updated,
             factor_means=(checkpointer.factor_means
                           if checkpointer.factor_means.n_samples else None),
-        ), buffer_stats
+        )
 
     # ------------------------------------------------------------------ #
     # full run
@@ -400,11 +440,15 @@ class DistributedGibbsSampler:
                 reorder=options.reorder)
         elif partition.n_ranks != options.n_ranks:
             raise ValidationError("partition rank count does not match options")
-        plan = build_comm_plan(train, partition)
+        if split is not None and split.n_test > 0:
+            test = split.test_triplets()
+        else:
+            test = train.triplets()
+        plan = build_comm_plan(train, partition, test_pairs=test[:2])
         rng = as_generator(seed)
 
         def program(comm, rng):
-            return self._rank_program(comm, train, split, rng, plan, resume)
+            return self._rank_program(comm, train, test, rng, plan, resume)
 
         # engine="shared" owns worker processes and shared-memory segments;
         # the finally releases them even when a phase raises mid-run.
@@ -423,15 +467,11 @@ class DistributedGibbsSampler:
             raise ValidationError(
                 f"{world.pending_messages()} messages were never received — "
                 "the communication plan and the exchange loop are inconsistent")
-        buffer_stats = BufferStats()
-        for _, rank_stats in outcomes:
-            buffer_stats = buffer_stats.merge(rank_stats)
         info = DistributedRunInfo(
             partition=partition,
             plan=plan,
-            buffer_stats=buffer_stats,
             n_messages=world.total_messages_sent(),
             bytes_sent=float(world.total_bytes_sent()),
             items_exchanged_per_iteration=plan.total_items_exchanged(),
         )
-        return outcomes[0][0], info
+        return outcomes[0], info

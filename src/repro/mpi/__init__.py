@@ -19,15 +19,10 @@ distributed experiments run on an in-process substrate with two layers:
   uplink, per-node cache capacity) and a per-rank time-line accounting of
   compute / communicate / overlap, used by the strong-scaling driver to
   regenerate Figures 4 and 5.
-
-Send-buffer aggregation (:mod:`repro.mpi.buffers`) reproduces the paper's
-optimisation of batching updated items into fixed-size buffers instead of
-sending each item individually, as a message schedule computed once per run.
 """
 
 from repro.mpi.network import ClusterSpec, NetworkModel
 from repro.mpi.simmpi import SimCommWorld, SimComm, SimRequest, MessageRecord
-from repro.mpi.buffers import BufferStats, send_schedule
 from repro.mpi.trace import RankTimeline, PhaseBreakdown, combine_breakdowns
 
 __all__ = [
@@ -37,8 +32,6 @@ __all__ = [
     "SimComm",
     "SimRequest",
     "MessageRecord",
-    "send_schedule",
-    "BufferStats",
     "RankTimeline",
     "PhaseBreakdown",
     "combine_breakdowns",

@@ -23,7 +23,8 @@ Three entry modes:
     instead of hanging), and resume (half the chain with rank 0
     checkpointing, then fresh processes resume from the file; must land
     on the uninterrupted chain bit for bit).  Writes a JSON report of
-    phase outcomes, parity booleans, fault logs and transport counters.
+    phase outcomes, parity booleans, fault logs, transport counters and
+    the clean phase's frames and bytes per sweep.
 
 Exit codes: 0 success, 2 usage/validation, 3 transport failure
 (``MpiTransportError`` — the expected outcome under lethal faults),
@@ -60,7 +61,7 @@ from repro.utils.validation import ValidationError
 TRAIN_DEFAULTS = dict(users=60, movies=45, data_rank=4, density=0.25,
                       noise_std=0.3, test_fraction=0.2, data_seed=321,
                       num_latent=4, burn_in=2, n_samples=3, alpha=4.0,
-                      seed=7, hyper_mode="gather", buffer_capacity=16)
+                      seed=7, hyper_mode="gather")
 
 
 def _parse_rendezvous(value: str) -> Tuple[str, int]:
@@ -167,7 +168,6 @@ def _train_sampler(args, n_ranks: int):
                         n_samples=args.n_samples, alpha=args.alpha)
     options = DistributedOptions(
         n_ranks=n_ranks, hyper_mode=args.hyper_mode,
-        buffer_capacity=args.buffer_capacity,
         checkpoint=(CheckpointConfig(path=args.checkpoint)
                     if args.checkpoint else None))
     return DistributedGibbsSampler(config, options)
@@ -175,14 +175,19 @@ def _train_sampler(args, n_ranks: int):
 
 def _program_train(world: SocketCommWorld, args) -> Dict[str, object]:
     """One rank of the distributed sampler; rank 0 writes the chain."""
+    from repro.serving.checkpoint import coerce_snapshot
+
     data = _train_dataset(args)
     sampler = _train_sampler(args, world.n_ranks)
     result, info = sampler.run(data.split.train, data.split, seed=args.seed,
                                resume=args.resume, comm_world=world)
+    sweeps = sampler.config.total_iterations - (
+        coerce_snapshot(args.resume).iteration if args.resume else 0)
     summary: Dict[str, object] = {
         "n_messages": info.n_messages,
         "bytes_sent": info.bytes_sent,
-        "items_per_message": info.buffer_stats.items_per_message,
+        "frames_per_sweep": info.n_messages / max(sweeps, 1),
+        "bytes_per_sweep": info.bytes_sent / max(sweeps, 1),
     }
     if world.rank == 0 and args.out:
         np.savez(args.out,
@@ -299,16 +304,16 @@ def _spawn_ranks(args, workdir: Path, fault_mode: str,
                 "--burn-in", str(args.burn_in),
                 "--n-samples", str(args.n_samples),
                 "--hyper-mode", args.hyper_mode,
-                "--buffer-capacity", str(args.buffer_capacity),
                 "--seed", str(args.seed),
                 "--data-seed", str(args.data_seed),
             ]
             if args.resume:
                 command += ["--resume", args.resume]
+            if args.checkpoint:
+                # Every rank gathers to rank 0 on the sweeps it saves.
+                command += ["--checkpoint", args.checkpoint]
             if rank == 0:
                 command += ["--out", str(workdir / "chain.npz")]
-                if args.checkpoint:
-                    command += ["--checkpoint", args.checkpoint]
         if args.trace_dir:
             command += ["--trace-dir", args.trace_dir]
         processes.append(subprocess.Popen(command))
@@ -337,8 +342,8 @@ def _spawn_ranks(args, workdir: Path, fault_mode: str,
 
 
 def _spawn_resumed(args, workdir: Path, timeout: float) -> Dict[str, object]:
-    """Half the chain with rank 0 checkpointing, then fresh processes
-    resume from the file and finish it."""
+    """Half the chain with rank 0 checkpointing (every rank knows the
+    policy), then fresh processes resume from the file and finish it."""
     snapshot = str(workdir / "half.npz")
     first_half = argparse.Namespace(**{
         **vars(args), "n_samples": max(args.n_samples // 2, 1),
@@ -403,7 +408,7 @@ def run_smoke(args) -> int:
         "world": args.world, "program": args.program,
         "train": {key: getattr(args, key) for key in
                   ("users", "movies", "num_latent", "burn_in", "n_samples",
-                   "hyper_mode", "buffer_capacity", "seed", "data_seed")},
+                   "hyper_mode", "seed", "data_seed")},
         "fault_plans": {
             "benign_digest": benign_fault_plan(
                 args.fault_seed * 1000).digest(),
@@ -439,6 +444,13 @@ def run_smoke(args) -> int:
                 entry["bit_identical"] = parity
                 entry["parity_fields"] = fields
                 phase_ok = parity
+            if phase == "baseline" and reference is not None:
+                # The wire shape of one clean sweep, every rank's sends.
+                sent = [rank_report.get("result", {})
+                        for rank_report in outcome["reports"]]
+                entry["per_sweep"] = {
+                    key: sum(result.get(key, 0) for result in sent)
+                    for key in ("frames_per_sweep", "bytes_per_sweep")}
             if fault_mode == "benign":
                 # The schedule must actually have perturbed the wire.
                 entry["faults_fired"] = outcome["faults_triggered"] > 0
@@ -457,6 +469,8 @@ def run_smoke(args) -> int:
         report["phases"].append(entry)
         print(f"[{phase}] ok={phase_ok} exits={outcome['exit_codes']} "
               f"faults={outcome['faults_triggered']} {duration}s")
+        if "per_sweep" in entry:
+            print(f"[{phase}] per sweep: {entry['per_sweep']}")
     report["ok"] = all_ok
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=2, default=str))
@@ -535,10 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int, default=TRAIN_DEFAULTS["seed"])
     train.add_argument("--hyper-mode", choices=("stats", "gather"),
                        default=TRAIN_DEFAULTS["hyper_mode"])
-    train.add_argument("--buffer-capacity", type=int,
-                       default=TRAIN_DEFAULTS["buffer_capacity"])
     train.add_argument("--checkpoint", default=None, metavar="PATH",
-                       help="rank 0 saves the final posterior snapshot here")
+                       help="rank 0 saves the final posterior snapshot "
+                            "here; give it to every rank")
     train.add_argument("--resume", default=None, metavar="PATH",
                        help="every rank restores this snapshot and the "
                             "chain continues from its sweep")

@@ -13,8 +13,8 @@ non-blocking ``isend``/``irecv``, blocking ``recv``, ``iprobe`` with
 
 Wire format is the serving frontend's frame codec
 (:mod:`repro.serving.net.protocol`): every envelope ships as an
-``mpi_msg`` frame with the binary array payload form, so factor blocks
-cross the wire as raw little-endian float64/int64 blocks — bit-exact by
+``mpi_msg`` frame with the binary array payload form, so factor rows and
+their ids cross the wire as raw little-endian blocks — bit-exact by
 construction, which is what lets a socket-world training chain match the
 simulated world bit for bit.  JSON-only payload values round-trip
 exactly too; the one wire artefact is that tuples come back as lists.
@@ -39,11 +39,11 @@ order, the usual SPMD contract.  Like ``SimComm``'s, the verbs block and
 return the result directly on every rank.
 
 **Failure model.**  A dead or misbehaving link (peer exit, injected
-reset, stream corruption) marks the world failed and wakes every
-blocked verb with :class:`MpiTransportError` — training over sockets
-fails fast instead of hanging.  Blocking receives also carry a default
-timeout (:class:`MpiTimeoutError`) so a lost message can never wedge a
-CI job.  Chaos-layer fault injection rides the existing
+reset, stream corruption, a malformed envelope) marks the world failed
+and wakes every blocked verb with :class:`MpiTransportError` — training
+over sockets fails fast instead of hanging.  Blocking receives also
+carry a default timeout (:class:`MpiTimeoutError`) so a lost message
+can never wedge a CI job.  Chaos-layer fault injection rides the existing
 ``net.connect``/``net.send``/``net.recv`` sites: pass a
 :class:`~repro.serving.chaos.plan.FaultInjector` and every mesh socket
 is wrapped in :class:`~repro.serving.chaos.shims.ChaosSocket`.
@@ -138,6 +138,17 @@ class _FrameStream:
                 raise MpiTransportError("peer closed during handshake")
             self._ready.extend(self.decoder.feed(data))
         return self._ready.pop(0)
+
+
+def _int_fields(payload: Dict[str, Any], keys: Sequence[str],
+                what: str) -> List[int]:
+    """The int values of ``keys`` in an envelope, or :class:`ProtocolError`."""
+    values = [payload.get(key) for key in keys]
+    for key, value in zip(keys, values):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ProtocolError(f"{what} envelope field {key!r} is {value!r}, "
+                                "not an int")
+    return [int(value) for value in values]
 
 
 @dataclass
@@ -454,11 +465,11 @@ class SocketCommWorld:
     def _recv_loop(self, peer: _Peer) -> None:
         backlog = getattr(peer, "_backlog", None)
         decoder = FrameDecoder()
-        if backlog is not None:
-            frames, decoder = backlog
-            for frame in frames:
-                self._dispatch(frame, peer)
         try:
+            if backlog is not None:
+                frames, decoder = backlog
+                for frame in frames:
+                    self._dispatch(frame, peer)
             while True:
                 data = peer.sock.recv(_RECV_CHUNK)
                 if not data:
@@ -481,36 +492,39 @@ class SocketCommWorld:
                 self._cond.notify_all()
 
     def _dispatch(self, frame: Frame, peer: _Peer) -> None:
+        """File one frame; a malformed envelope raises
+        :class:`ProtocolError`, which fails the link (see ``_recv_loop``)."""
         payload = frame.payload
+        if not isinstance(payload, dict):
+            raise ProtocolError(f"{frame.kind!r} frame from rank {peer.rank} "
+                                "carries no envelope")
         if frame.kind == "mpi_msg":
-            envelope = _Envelope(
-                epoch=int(payload["epoch"]), source=int(payload["src"]),
-                seq=int(payload["seq"]), tag=int(payload["tag"]),
-                payload=payload.get("data"))
+            epoch, source, seq, tag = _int_fields(
+                payload, ("epoch", "src", "seq", "tag"), frame.kind)
+            envelope = _Envelope(epoch=epoch, source=source, seq=seq,
+                                 tag=tag, payload=payload.get("data"))
             with self._cond:
                 peer.received_messages += 1
                 self._insert(envelope)
                 self._cond.notify_all()
             return
-        if frame.kind == "mpi_ctl":
-            kind = payload.get("ctl")
-            with self._cond:
-                peer.received_messages += 1
-                if kind == "flush":
-                    self._flushes.setdefault(
-                        int(payload["cseq"]), set()).add(int(payload["src"]))
-                elif kind == "coll":
-                    self._coll.append(payload)
-                elif kind == "bye":
-                    peer.departed = True
-                else:
-                    self._failure = (f"unknown mpi_ctl {kind!r} from rank "
-                                     f"{peer.rank}")
-                self._cond.notify_all()
-            return
+        if frame.kind != "mpi_ctl":
+            raise ProtocolError(f"unexpected {frame.kind!r} frame from rank "
+                                f"{peer.rank}")
+        kind = payload.get("ctl")
+        if kind not in ("flush", "coll", "bye"):
+            raise ProtocolError(f"unknown mpi_ctl {kind!r} from rank "
+                                f"{peer.rank}")
+        if kind != "bye":
+            cseq, source = _int_fields(payload, ("cseq", "src"), kind)
         with self._cond:
-            self._failure = (f"unexpected {frame.kind!r} frame from rank "
-                             f"{peer.rank}")
+            peer.received_messages += 1
+            if kind == "flush":
+                self._flushes.setdefault(cseq, set()).add(source)
+            elif kind == "coll":
+                self._coll.append(payload)
+            else:
+                peer.departed = True
             self._cond.notify_all()
 
     def _insert(self, envelope: _Envelope) -> None:

@@ -492,13 +492,15 @@ class TrainingCheckpointer:
             rng = restore_generator(snapshot.rng_state)
         return snapshot, snapshot.state.copy(), rng
 
-    def record(self, iteration: int, state: BPMFState,
+    def record(self, iteration: int, state: Optional[BPMFState],
                sample_rmse: float, mean_rmse: Optional[float]) -> None:
-        """Append one sweep's traces and accumulate the factor means."""
+        """Append one sweep's traces and accumulate the factor means
+        (``state=None``: the caller keeps ``factor_means`` itself)."""
         if iteration < self.config.burn_in:
             self.rmse_burn_in.append(sample_rmse)
         else:
-            self.factor_means.accumulate(state)
+            if state is not None:
+                self.factor_means.accumulate(state)
             self.rmse_per_sample.append(sample_rmse)
             if mean_rmse is not None:
                 self.rmse_running_mean.append(mean_rmse)

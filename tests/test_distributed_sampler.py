@@ -1,19 +1,21 @@
-"""Correctness tests for the distributed (and bulk-synchronous) samplers."""
+"""Correctness tests for the distributed sampler."""
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.gibbs import GibbsSampler
 from repro.core.priors import BPMFConfig
-from repro.distributed.sampler import DistributedGibbsSampler, DistributedOptions
-from repro.distributed.sync_sampler import BulkSynchronousGibbsSampler
-from repro.mpi.buffers import BufferStats
-from repro.mpi.simmpi import SimCommWorld
+from repro.distributed.sampler import (
+    DistributedGibbsSampler,
+    DistributedOptions,
+    Tag,
+)
+from repro.mpi.simmpi import SimComm, SimCommWorld
 from repro.utils.validation import ValidationError
 
 
@@ -25,8 +27,7 @@ class TestDistributedSamplerParity:
         seq = GibbsSampler(tiny_config).run(tiny_dataset.split.train,
                                             tiny_dataset.split, seed=21)
         dist, _ = DistributedGibbsSampler(
-            tiny_config, DistributedOptions(n_ranks=4, hyper_mode="gather",
-                                            buffer_capacity=8)
+            tiny_config, DistributedOptions(n_ranks=4, hyper_mode="gather")
         ).run(tiny_dataset.split.train, tiny_dataset.split, seed=21)
         # Exactly: with one rank program on every world, the sequential
         # sampler is the independent reference.
@@ -85,72 +86,57 @@ class TestDistributedSamplerParity:
         ).run(tiny_dataset.split.train, tiny_dataset.split, seed=21)
         assert abs(dist.final_rmse - seq.final_rmse) < 0.1
 
-    def test_rank_count_does_not_change_gather_results(self, tiny_dataset, tiny_config):
-        results = []
+    def test_rank_count_does_not_change_gather_results(self, tiny_dataset,
+                                                       tiny_config):
+        """In gather mode every rank count runs the sequential chain bit
+        for bit — every result field, the per-rank evaluation included."""
+        train, split = tiny_dataset.split.train, tiny_dataset.split
+        sequential = GibbsSampler(tiny_config).run(train, split, seed=8)
         for n_ranks in (1, 2, 5):
             result, _ = DistributedGibbsSampler(
-                tiny_config, DistributedOptions(n_ranks=n_ranks, hyper_mode="gather")
-            ).run(tiny_dataset.split.train, tiny_dataset.split, seed=8)
-            results.append(result)
-        for result in results[1:]:
-            np.testing.assert_allclose(result.state.user_factors,
-                                       results[0].state.user_factors, atol=1e-8)
+                tiny_config, DistributedOptions(n_ranks=n_ranks,
+                                                hyper_mode="gather")
+            ).run(train, split, seed=8)
+            assert_same_chain(result, sequential)
 
-    def test_buffer_capacity_does_not_change_results(self, tiny_dataset, tiny_config):
-        small_buffers, _ = DistributedGibbsSampler(
-            tiny_config, DistributedOptions(n_ranks=3, buffer_capacity=1,
-                                            hyper_mode="gather")
-        ).run(tiny_dataset.split.train, tiny_dataset.split, seed=5)
-        large_buffers, _ = DistributedGibbsSampler(
-            tiny_config, DistributedOptions(n_ranks=3, buffer_capacity=1000,
-                                            hyper_mode="gather")
-        ).run(tiny_dataset.split.train, tiny_dataset.split, seed=5)
-        np.testing.assert_allclose(small_buffers.state.user_factors,
-                                   large_buffers.state.user_factors)
-
-    def test_bulk_synchronous_sampler_same_samples_fewer_messages(self, tiny_dataset,
-                                                                  tiny_config):
-        options = DistributedOptions(n_ranks=4, buffer_capacity=4, hyper_mode="gather")
-        streaming, streaming_info = DistributedGibbsSampler(tiny_config, options).run(
-            tiny_dataset.split.train, tiny_dataset.split, seed=13)
-        bulk, bulk_info = BulkSynchronousGibbsSampler(tiny_config, options).run(
-            tiny_dataset.split.train, tiny_dataset.split, seed=13)
-        np.testing.assert_allclose(bulk.state.user_factors,
-                                   streaming.state.user_factors)
-        assert bulk_info.buffer_stats.n_messages < streaming_info.buffer_stats.n_messages
-        # The caller's options object must not have been mutated.
-        assert options.buffer_capacity == 4
-
-    def test_bulk_synchronous_sampler_keeps_every_option(self, tmp_path):
-        from repro.serving.checkpoint import CheckpointConfig
-
-        checkpoint = CheckpointConfig(path=tmp_path / "bulk.npz")
-        options = DistributedOptions(n_ranks=2, compute_dtype="float32",
-                                     engine="shared", n_workers=2,
-                                     checkpoint=checkpoint)
-        bulk = BulkSynchronousGibbsSampler(options=options).options
-        assert bulk == replace(options, buffer_capacity=2**31 - 1)
-
-    def test_bulk_synchronous_float32_checkpointing_run(self, tiny_dataset,
-                                                        tiny_config, tmp_path):
-        """A float32, checkpointing bulk run really is float32 and really
-        checkpoints — same chain as the streaming sampler's."""
+    def test_float32_checkpointing_run(self, tiny_dataset, tiny_config,
+                                       tmp_path):
+        """A float32, checkpointing run really is float32 and really
+        checkpoints — the same chain as without the checkpoint."""
         from repro.serving.checkpoint import CheckpointConfig, load_snapshot
 
-        def options(name):
-            return DistributedOptions(
-                n_ranks=2, compute_dtype="float32",
-                checkpoint=CheckpointConfig(path=tmp_path / name))
-
         train, split = tiny_dataset.split.train, tiny_dataset.split
-        streaming, _ = DistributedGibbsSampler(
-            tiny_config, options("streaming.npz")).run(train, split, seed=4)
-        bulk, _ = BulkSynchronousGibbsSampler(
-            tiny_config, options("bulk.npz")).run(train, split, seed=4)
-        np.testing.assert_array_equal(bulk.state.user_factors,
-                                      streaming.state.user_factors)
-        assert load_snapshot(tmp_path / "bulk.npz").state.iteration \
-            == tiny_config.total_iterations
+        plain, _ = DistributedGibbsSampler(
+            tiny_config, DistributedOptions(n_ranks=2, compute_dtype="float32")
+        ).run(train, split, seed=4)
+        saved, _ = DistributedGibbsSampler(
+            tiny_config, DistributedOptions(
+                n_ranks=2, compute_dtype="float32",
+                checkpoint=CheckpointConfig(path=tmp_path / "f32.npz"))
+        ).run(train, split, seed=4)
+        assert_same_chain(saved, plain)
+        snapshot = load_snapshot(tmp_path / "f32.npz")
+        assert snapshot.state.iteration == tiny_config.total_iterations
+        np.testing.assert_array_equal(snapshot.state.user_factors,
+                                      plain.state.user_factors)
+
+
+def assert_same_chain(result, reference):
+    """Bitwise equality of every field of two ``BPMFResult``s."""
+    np.testing.assert_array_equal(result.state.user_factors,
+                                  reference.state.user_factors)
+    np.testing.assert_array_equal(result.state.movie_factors,
+                                  reference.state.movie_factors)
+    assert result.rmse_burn_in == reference.rmse_burn_in
+    assert result.rmse_per_sample == reference.rmse_per_sample
+    assert result.rmse_running_mean == reference.rmse_running_mean
+    np.testing.assert_array_equal(result.predictions, reference.predictions)
+    assert result.factor_means.n_samples == reference.factor_means.n_samples
+    np.testing.assert_array_equal(result.factor_means.user_sum,
+                                  reference.factor_means.user_sum)
+    np.testing.assert_array_equal(result.factor_means.movie_sum,
+                                  reference.factor_means.movie_sum)
+    assert result.items_updated == reference.items_updated
 
 
 class TestInconsistentPlanFailsLoudly:
@@ -176,42 +162,64 @@ class TestInconsistentPlanFailsLoudly:
         monkeypatch.setattr(CommunicationPlan, "expected_incoming", tampered)
         with pytest.raises(ValidationError, match=message):
             DistributedGibbsSampler(
-                tiny_config, DistributedOptions(n_ranks=3, buffer_capacity=4)
+                tiny_config, DistributedOptions(n_ranks=3)
             ).run(tiny_dataset.split.train, tiny_dataset.split, seed=2)
 
 
 class TestDistributedDiagnostics:
     def test_run_info_traffic_consistency(self, tiny_dataset, tiny_config):
+        world = SimCommWorld(4)
         result, info = DistributedGibbsSampler(
-            tiny_config, DistributedOptions(n_ranks=4, buffer_capacity=8)
-        ).run(tiny_dataset.split.train, tiny_dataset.split, seed=2)
-        # Every item exchange planned must have happened each iteration.
-        expected_items = info.items_exchanged_per_iteration * tiny_config.total_iterations
-        assert info.buffer_stats.n_items == expected_items
+            tiny_config, DistributedOptions(n_ranks=4)
+        ).run(tiny_dataset.split.train, tiny_dataset.split, seed=2,
+              comm_world=world)
+        # Every item exchange planned must have happened each iteration:
+        # an exchanged item costs its <i4 id and its K float64s.
+        k = tiny_config.num_latent
+        exchanged = sum(record.n_bytes for record in world.message_log
+                        if record.tag in (Tag.MOVIES, Tag.USERS))
+        assert exchanged == (info.items_exchanged_per_iteration
+                             * tiny_config.total_iterations * (4 + 8 * k))
         assert info.n_messages > 0
         assert info.bytes_sent > 0
         assert result.items_updated == tiny_config.total_iterations * (
             tiny_dataset.split.train.n_users + tiny_dataset.split.train.n_movies)
 
-    def test_wire_traffic_is_pinned(self, tiny_dataset, tiny_config):
-        """Message count, bytes, buffer counters and the posting order of a
-        fixed 3-rank run (every owner feeds two destinations, so full
-        buffers interleave across them).  A change to the wire traffic
-        must be deliberate: it re-records these constants."""
+    def test_wire_traffic_is_pinned(self, tiny_dataset, tiny_config,
+                                    monkeypatch):
+        """Frame count, bytes and posting order of a fixed 3-rank run.
+
+        Per sweep the frames are one exchange frame per communicating
+        (owner, reader) pair and phase plus one eval frame from each rank
+        but 0 (the stats-mode allreduces and the barrier log no
+        messages).  A change to the wire traffic must be deliberate: it
+        re-records these constants."""
+        sent = []
+        isend = SimComm.isend
+
+        def recorded(comm, payload, dest, tag=0, description=""):
+            sent.append((int(tag), payload))
+            return isend(comm, payload, dest, tag, description)
+
+        monkeypatch.setattr(SimComm, "isend", recorded)
         world = SimCommWorld(3)
         _, info = DistributedGibbsSampler(
-            tiny_config, DistributedOptions(n_ranks=3, buffer_capacity=4)
+            tiny_config, DistributedOptions(n_ranks=3)
         ).run(tiny_dataset.split.train, tiny_dataset.split, seed=2,
               comm_world=world)
-        assert info.n_messages == 304
-        assert info.bytes_sent == 42880
-        assert info.buffer_stats == BufferStats(
-            n_items=976, n_messages=288, n_flushes_full=208,
-            n_flushes_partial=80)
+        pairs = sum(int(np.count_nonzero(info.plan.items_between(phase)))
+                    for phase in ("movies", "users"))
+        assert info.n_messages == tiny_config.total_iterations * (pairs + 2)
+        assert info.n_messages == 112
+        assert info.bytes_sent == 33328
+        ids = [payload[0] for tag, payload in sent
+               if tag in (Tag.MOVIES, Tag.USERS)]
+        assert len(ids) == tiny_config.total_iterations * pairs
+        assert all(block.dtype == np.dtype("<i4") for block in ids)
         log = [(record.source, record.destination, int(record.tag),
                 record.n_bytes) for record in world.message_log]
         assert hashlib.sha256(repr(log).encode()).hexdigest() == (
-            "d334b290c302e2831903b548948c3b89793c5ec7f3a7ed180ed6961b8a916ed7")
+            "f93211fbca4499ffd27926dd9f33bf56617096a007359d8a1ec40178f34fba23")
 
     def test_partition_can_be_supplied(self, tiny_dataset, tiny_config):
         from repro.distributed.partition import partition_ratings
@@ -242,3 +250,128 @@ class TestDistributedDiagnostics:
             config, DistributedOptions(n_ranks=4)
         ).run(small_dataset.split.train, small_dataset.split, seed=3)
         assert result.final_rmse < 2.5 * small_dataset.config.noise_std
+
+
+@pytest.fixture(scope="module")
+def lopsided_eval(tiny_dataset):
+    """Held-out cells laid out against a hand-made 3-rank partition.
+
+    Rank 2 owns user 0 and movie 0 only, and one held-out cell
+    ``(0, movie)`` whose movie user 0 never rated in training and rank 2
+    does not own: only the plan's eval read edge brings that row to rank
+    2.  Every other held-out cell belongs to a user of rank 0, so rank 1
+    predicts nothing."""
+    from repro.distributed.partition import Partition
+    from repro.sparse.split import RatingSplit
+
+    train = tiny_dataset.split.train
+    rated = set(train.by_user.indices[
+        train.by_user.indptr[0]:train.by_user.indptr[1]].tolist())
+    unread = next(m for m in range(1, train.n_movies) if m not in rated)
+    user_owner = np.where(np.arange(train.n_users) < 20, 0, 1)
+    user_owner[0] = 2
+    movie_owner = np.arange(train.n_movies) % 2
+    movie_owner[0] = 2
+    users, movies, values = tiny_dataset.split.test_triplets()
+    keep = user_owner[users] == 0
+    split = RatingSplit(train, np.append(users[keep], 0),
+                        np.append(movies[keep], unread),
+                        np.append(values[keep], 1.0))
+    partition = Partition(n_ranks=3, user_owner=user_owner,
+                          movie_owner=movie_owner)
+    return split, partition, unread
+
+
+class TestDistributedEvaluation:
+    """Each rank predicts the held-out cells of its own users; rank 0
+    scatters them into test order and runs the sequential arithmetic."""
+
+    def _gather_run(self, config, split, partition):
+        result, _ = DistributedGibbsSampler(
+            config, DistributedOptions(n_ranks=3, hyper_mode="gather")
+        ).run(split.train, split, seed=6, partition=partition)
+        return result
+
+    def test_unread_test_movie_reaches_its_predicting_rank(
+            self, tiny_config, lopsided_eval, monkeypatch):
+        import repro.distributed.sampler as sampler_module
+
+        split, partition, unread = lopsided_eval
+        train = split.train
+        assert 2 not in partition.user_owner[train.by_movie.indices[
+            train.by_movie.indptr[unread]:train.by_movie.indptr[unread + 1]]]
+        sequential = GibbsSampler(tiny_config).run(train, split, seed=6)
+        assert_same_chain(self._gather_run(tiny_config, split, partition),
+                          sequential)
+
+        # Without the eval read edges rank 2 predicts from a stale row.
+        build = sampler_module.build_comm_plan
+        monkeypatch.setattr(sampler_module, "build_comm_plan",
+                            lambda train, partition, test_pairs: build(
+                                train, partition))
+        stale = self._gather_run(tiny_config, split, partition)
+        assert stale.predictions[-1] != sequential.predictions[-1]
+        np.testing.assert_array_equal(stale.predictions[:-1],
+                                      sequential.predictions[:-1])
+
+    def test_rank_with_no_test_cells(self, tiny_config, lopsided_eval):
+        from repro.distributed.spmd import run_local_socket_world
+
+        split, partition, _ = lopsided_eval
+        assert 1 not in partition.user_owner[split.test_users]
+        sequential = GibbsSampler(tiny_config).run(split.train, split, seed=6)
+        assert_same_chain(self._gather_run(tiny_config, split, partition),
+                          sequential)
+        outcomes = run_local_socket_world(
+            lambda: DistributedGibbsSampler(
+                tiny_config, DistributedOptions(n_ranks=3,
+                                                hyper_mode="gather")),
+            3, split.train, split, seed=6, partition=partition)
+        assert_same_chain(outcomes[0][0], sequential)
+
+    def test_gathering_sweep_checkpoint_resumes_on_sockets(
+            self, tiny_dataset, tiny_config, tmp_path, monkeypatch):
+        """A snapshot saved on a gathering sweep mid-run (not the last)
+        of a 3-rank simulated world resumes on a 3-rank socket world and
+        finishes on the uninterrupted chain, bit for bit."""
+        import repro.serving.checkpoint as checkpoint_module
+        from repro.mpi.net import start_local_world
+        from repro.serving.checkpoint import CheckpointConfig
+
+        # Keep every save under its own name, not just the last one.
+        save = checkpoint_module.save_snapshot
+
+        def save_each(snapshot, path, **kwargs):
+            save(snapshot, f"{path}.{snapshot.iteration}", **kwargs)
+            return save(snapshot, path, **kwargs)
+
+        monkeypatch.setattr(checkpoint_module, "save_snapshot", save_each)
+        train, split = tiny_dataset.split.train, tiny_dataset.split
+        uninterrupted, _ = DistributedGibbsSampler(
+            tiny_config, DistributedOptions(n_ranks=3)).run(
+            train, split, seed=9)
+        path = tmp_path / "every3.npz"
+        DistributedGibbsSampler(tiny_config, DistributedOptions(
+            n_ranks=3, checkpoint=CheckpointConfig(path=path, every=3))
+        ).run(train, split, seed=9)
+        # Sweep 6 of 8: past burn-in, so factor-mean sums were gathered.
+        resumed = [None] * 3
+        worlds = start_local_world(3, op_timeout=30.0)
+
+        def drive(rank):
+            resumed[rank], _ = DistributedGibbsSampler(
+                tiny_config, DistributedOptions(n_ranks=3)).run(
+                train, split, resume=f"{path}.6", comm_world=worlds[rank])
+
+        threads = [threading.Thread(target=drive, args=(rank,))
+                   for rank in range(3)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            for world in worlds:
+                world.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert_same_chain(resumed[0], uninterrupted)

@@ -92,7 +92,7 @@ def test_socket_world_reproduces_the_golden_chain(dataset):
     )
     from repro.distributed.spmd import run_local_socket_world
 
-    opts = dict(n_ranks=4, hyper_mode="gather", buffer_capacity=16)
+    opts = dict(n_ranks=4, hyper_mode="gather")
     reference, _ = DistributedGibbsSampler(
         BPMFConfig(**CONFIG), DistributedOptions(**opts)).run(
         dataset.split.train, dataset.split, seed=SEED)
@@ -141,7 +141,8 @@ def _rank_program(dataset):
 def test_one_test_set_predict_per_sweep(dataset, monkeypatch, run):
     """Every chain loop predicts the test set once per sweep: after
     burn-in the sample's predictions are the ones the posterior
-    predictor accumulates, not a second predict — and the golden
+    predictor accumulates, not a second predict (the rank program's
+    ranks each predict their own users' cells) — and the golden
     trajectory does not move."""
     from repro.core.state import BPMFState
     calls = []
@@ -153,7 +154,8 @@ def test_one_test_set_predict_per_sweep(dataset, monkeypatch, run):
 
     monkeypatch.setattr(BPMFState, "predict", counted)
     result = run(dataset)
-    assert len(calls) == CONFIG["burn_in"] + CONFIG["n_samples"]
+    assert sum(calls) == (CONFIG["burn_in"] + CONFIG["n_samples"]) \
+        * dataset.split.n_test
     np.testing.assert_allclose(result.rmse_burn_in, GOLDEN_BURN_IN,
                                atol=EXACT_ATOL)
     np.testing.assert_allclose(result.rmse_running_mean, GOLDEN_RUNNING_MEAN,

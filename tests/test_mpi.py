@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.mpi.buffers import BufferStats, send_schedule
+from repro.distributed.comm_plan import send_schedule
 from repro.mpi.network import ClusterSpec, NetworkModel
 from repro.mpi.simmpi import ANY_SOURCE, ANY_TAG, ReduceOp, SimCommWorld
 from repro.mpi.trace import PhaseBreakdown, RankTimeline, combine_breakdowns
@@ -301,60 +301,21 @@ class TestRun:
 # ---------------------------------------------------------------------------
 
 class TestSendBuffer:
-    """The paper's per-destination send buffers, as a precomputed schedule."""
+    """The paper's per-destination send buffers, one message per
+    destination and phase, as a precomputed schedule."""
 
-    def test_flushes_when_full(self):
-        messages, stats = send_schedule([1, 2], [3, 3], capacity=2)
-        assert len(messages) == 1
-        dest, ids = messages[0]
-        assert dest == 3
-        assert ids.tolist() == [1, 2]
-        assert stats.n_flushes_full == 1 and stats.n_flushes_partial == 0
-
-    def test_partial_flush(self):
-        messages, stats = send_schedule([5], [0], capacity=10)
-        assert [(dest, ids.tolist()) for dest, ids in messages] == [(0, [5])]
-        assert stats.n_flushes_partial == 1
+    def test_one_message_per_destination_ascending(self):
+        messages = send_schedule([0, 0, 1, 2, 2, 3], [2, 1, 1, 2, 1, 1])
+        assert [(dest, ids.tolist()) for dest, ids in messages] == [
+            (1, [0, 1, 2, 3]), (2, [0, 2])]
+        assert all(ids.dtype == np.dtype("<i4") for _, ids in messages)
 
     def test_flush_empty_is_noop(self):
-        messages, stats = send_schedule([], [], capacity=4)
-        assert messages == []
-        assert stats.n_messages == 0
-
-    def test_stats_counters(self):
-        _, stats = send_schedule(np.arange(5), np.zeros(5), capacity=2)
-        assert stats.n_items == 5
-        assert stats.n_messages == 3
-        assert stats.n_flushes_full == 2
-        assert stats.n_flushes_partial == 1
-        assert stats.items_per_message == pytest.approx(5 / 3)
-
-    def test_full_messages_interleave_before_remainders(self):
-        """Full buffers leave as they fill, across destinations; the
-        remainders follow in order of each destination's first item."""
-        messages, _ = send_schedule([0, 0, 1, 2, 2, 3],
-                                    [2, 1, 1, 2, 1, 1], capacity=2)
-        assert [(dest, ids.tolist()) for dest, ids in messages] == [
-            (1, [0, 1]), (2, [0, 2]), (1, [2, 3])]
-        messages, _ = send_schedule([0, 1, 2], [2, 1, 2], capacity=5)
-        assert [(dest, ids.tolist()) for dest, ids in messages] == [
-            (2, [0, 2]), (1, [1])]
+        assert send_schedule([], []) == []
 
     def test_mismatched_edge_arrays_rejected(self):
         with pytest.raises(ValidationError):
-            send_schedule([0, 1], [1], capacity=2)
-        with pytest.raises(ValidationError):
-            send_schedule([0], [1], capacity=0)
-
-    def test_stats_merge(self):
-        a = BufferStats(n_items=3, n_messages=1)
-        b = BufferStats(n_items=2, n_messages=2, n_flushes_partial=1)
-        merged = a.merge(b)
-        assert merged.n_items == 5 and merged.n_messages == 3
-
-    def test_capacity_one_is_per_item_messaging(self):
-        messages, stats = send_schedule(np.arange(4), np.zeros(4), capacity=1)
-        assert stats.n_messages == len(messages) == 4
+            send_schedule([0, 1], [1])
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,14 @@ from repro.core.priors import BPMFConfig
 from repro.distributed.sampler import (
     DistributedGibbsSampler,
     DistributedOptions,
+    Tag,
 )
 from repro.distributed.spmd import run_local_socket_world
 from repro.mpi.net import (
     ANY_SOURCE,
     ANY_TAG,
     MpiTransportError,
+    SocketComm,
     free_port,
     start_local_world,
 )
@@ -223,6 +225,27 @@ class TestVerbs:
             for world in worlds:
                 world.close()
 
+    def test_malformed_envelope_fails_the_rank_fast(self):
+        """A well-framed ``mpi_msg`` without an ``epoch`` fails the link:
+        the receiver thread records the failure before it exits, so the
+        blocked recv raises MpiTransportError at once — not the
+        MpiTimeoutError of waiting out the 30 s op_timeout."""
+        from repro.serving.net.protocol import Frame, encode_frame
+
+        worlds = start_local_world(2, op_timeout=30.0)
+        try:
+            worlds[1]._peers[0].sock.sendall(encode_frame(
+                Frame("mpi_msg", {"src": 1, "dst": 0, "tag": 1, "seq": 0,
+                                  "data": None}), binary=True))
+            with pytest.raises(MpiTransportError, match="'epoch'"):
+                worlds[0].comm().recv(source=1, tag=1)
+            receiver = worlds[0]._threads[0]
+            receiver.join(timeout=5.0)
+            assert not receiver.is_alive()
+        finally:
+            for world in worlds:
+                world.close()
+
     def test_late_rank_zero_costs_no_dial_retry(self, monkeypatch):
         """The rendezvous listener is bound before any rank starts: ranks
         dialling ahead of a slow rank 0 queue in its backlog instead of
@@ -279,7 +302,7 @@ def _config():
 
 def _run_pair(tiny_dataset, n_ranks, hyper_mode, injectors=None):
     """(simulated-world result, info, socket-world outcomes) for one setup."""
-    opts = dict(n_ranks=n_ranks, hyper_mode=hyper_mode, buffer_capacity=8)
+    opts = dict(n_ranks=n_ranks, hyper_mode=hyper_mode)
     reference, ref_info = DistributedGibbsSampler(
         _config(), DistributedOptions(**opts)).run(
         tiny_dataset.split.train, tiny_dataset.split, seed=11)
@@ -322,16 +345,36 @@ class TestTrainingParity:
         # Traffic flowed over real sockets.
         assert info.n_messages > 0 and info.bytes_sent > 0
 
-    def test_socket_traffic_is_pinned(self, tiny_dataset):
-        """Per-rank frames and wire bytes of a fixed 2-rank socket run
-        (data, collectives and barriers).  A change to the wire traffic
-        must be deliberate: it re-records these constants."""
+    def test_socket_traffic_is_pinned(self, tiny_dataset, monkeypatch):
+        """Per-rank frames and wire bytes of a fixed 2-rank socket run.
+
+        Per sweep each rank sends one exchange frame per reader and phase
+        and its two allreduce frames (rank 1 its contributions, rank 0
+        the results); rank 1 adds its eval frame, and each rank one flush
+        marker for the final barrier.  A change to the wire traffic must
+        be deliberate: it re-records these constants."""
+        ids = []
+        isend = SocketComm.isend
+
+        def recorded(comm, payload, dest, tag=0, description=""):
+            if tag in (Tag.MOVIES, Tag.USERS):
+                ids.append(payload[0].dtype)
+            return isend(comm, payload, dest, tag, description)
+
+        monkeypatch.setattr(SocketComm, "isend", recorded)
         outcomes = run_local_socket_world(
             lambda: DistributedGibbsSampler(
-                _config(), DistributedOptions(n_ranks=2, buffer_capacity=8)),
+                _config(), DistributedOptions(n_ranks=2)),
             2, tiny_dataset.split.train, tiny_dataset.split, seed=11)
-        assert [info.n_messages for _, info in outcomes] == [36, 36]
-        assert [info.bytes_sent for _, info in outcomes] == [10767, 14997]
+        plan, sweeps = outcomes[0][1].plan, _config().total_iterations
+        exchange = sum(np.count_nonzero(plan.items_between(phase), axis=1)
+                       for phase in ("movies", "users"))
+        assert [info.n_messages for _, info in outcomes] == [
+            sweeps * (exchange[rank] + 2 + rank) + 1 for rank in (0, 1)]
+        assert [info.n_messages for _, info in outcomes] == [21, 26]
+        assert [info.bytes_sent for _, info in outcomes] == [8392, 10678]
+        assert len(ids) == sweeps * exchange.sum()
+        assert set(ids) == {np.dtype("<i4")}
 
     def test_generator_seed_is_copied_per_rank_thread(self, tiny_dataset):
         """The rank threads of a local socket world must not share one
@@ -339,8 +382,7 @@ class TestTrainingParity:
         reference, _, _ = _run_pair(tiny_dataset, 2, "gather")
         outcomes = run_local_socket_world(
             lambda: DistributedGibbsSampler(
-                _config(), DistributedOptions(n_ranks=2, hyper_mode="gather",
-                                              buffer_capacity=8)),
+                _config(), DistributedOptions(n_ranks=2, hyper_mode="gather")),
             2, tiny_dataset.split.train, tiny_dataset.split,
             seed=np.random.default_rng(11))
         assert np.array_equal(outcomes[0][0].state.user_factors,
@@ -389,8 +431,7 @@ class TestTrainingParity:
                             burn_in=sizes["burn_in"],
                             n_samples=sizes["n_samples"], alpha=4.0)
         reference, _ = DistributedGibbsSampler(
-            config, DistributedOptions(n_ranks=4, hyper_mode="gather",
-                                       buffer_capacity=16)).run(
+            config, DistributedOptions(n_ranks=4, hyper_mode="gather")).run(
             data.split.train, data.split, seed=sizes["seed"])
         with np.load(chain) as saved:
             assert np.array_equal(saved["user_factors"],
@@ -413,7 +454,7 @@ class TestTrainingParity:
         half = BPMFConfig(num_latent=3, burn_in=2, n_samples=1, alpha=4.0)
 
         def on_sockets(config, **run_kwargs):
-            options = dict(n_ranks=2, buffer_capacity=8)
+            options = dict(n_ranks=2)
             if "resume" not in run_kwargs:
                 options["checkpoint"] = CheckpointConfig(path=path)
             worlds = start_local_world(2, op_timeout=30.0)
@@ -428,7 +469,7 @@ class TestTrainingParity:
                     world.close()
 
         full, _ = DistributedGibbsSampler(
-            _config(), DistributedOptions(n_ranks=2, buffer_capacity=8)).run(
+            _config(), DistributedOptions(n_ranks=2)).run(
             train, split, seed=11)
         on_sockets(half, seed=11)
         outcomes = on_sockets(_config(), resume=path)
@@ -501,7 +542,7 @@ class TestChaos:
         lethal = FaultPlan(seed=2, events=[
             FaultEvent(site="net.recv", step=8, action="reset")])
         injectors = [None, FaultInjector(lethal)]
-        opts = dict(n_ranks=2, hyper_mode="gather", buffer_capacity=8)
+        opts = dict(n_ranks=2, hyper_mode="gather")
         with pytest.raises(MpiTransportError):
             run_local_socket_world(
                 lambda: DistributedGibbsSampler(

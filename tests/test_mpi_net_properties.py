@@ -179,3 +179,57 @@ def test_allreduce_bitwise_matches_sim(n_ranks, values):
     expected = _on_sim(n_ranks, body)[0]
     for result in _on_sockets(n_ranks, body):
         assert np.asarray(result).tobytes() == expected.tobytes()
+
+
+# Envelope values: the right types, the wrong ones, and missing keys.
+_ENVELOPE_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 5),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2))
+_SENTINEL_TAG = 2 ** 40
+
+
+@st.composite
+def envelopes(draw):
+    """``(kind, payload)`` of an ``mpi_msg`` / ``mpi_ctl`` frame."""
+    kind = draw(st.sampled_from(["mpi_msg", "mpi_ctl"]))
+    keys = draw(st.sets(st.sampled_from(
+        ["epoch", "src", "dst", "seq", "tag", "cseq", "key", "op", "data"])))
+    payload = {key: draw(_ENVELOPE_VALUES) for key in keys}
+    if draw(st.booleans()):
+        payload["ctl"] = draw(st.one_of(
+            st.sampled_from(["flush", "coll", "bye"]), _ENVELOPE_VALUES))
+    return kind, payload
+
+
+@given(envelopes())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_any_envelope_dispatches_or_fails_the_link(envelope):
+    """Any dict envelope of either kind is filed or fails the link; the
+    receiver thread never dies with the world's failure unset (a blocked
+    verb would then wait out its timeout).  A well-formed sentinel sent
+    behind it tells "filed" from "failed"."""
+    import socket
+
+    from repro.mpi.net import MpiTransportError, SocketCommWorld
+    from repro.mpi.net.world import _Peer
+    from repro.serving.net.protocol import Frame, encode_frame
+
+    kind, payload = envelope
+    ours, theirs = socket.socketpair()
+    world = SocketCommWorld(0, 2, {1: _Peer(1, ours)}, op_timeout=10.0)
+    try:
+        theirs.sendall(encode_frame(Frame(kind, payload), binary=True)
+                       + encode_frame(Frame("mpi_msg", {
+                           "src": 1, "dst": 0, "tag": _SENTINEL_TAG,
+                           "seq": 0, "epoch": 0, "data": "sentinel"}),
+                           binary=True))
+        try:
+            world.comm().recv(source=1, tag=_SENTINEL_TAG)
+        except MpiTransportError:
+            world._threads[0].join(timeout=5.0)
+            assert not world._threads[0].is_alive()
+        assert world._threads[0].is_alive() or world._failure is not None
+    finally:
+        world.close()
+        theirs.close()

@@ -17,9 +17,8 @@ from repro.core.updates import (
     sample_item_serial_cholesky,
 )
 from repro.core.wishart import normal_wishart_posterior, sample_wishart
-from repro.distributed.comm_plan import build_comm_plan
+from repro.distributed.comm_plan import build_comm_plan, send_schedule
 from repro.distributed.partition import Partition
-from repro.mpi.buffers import BufferStats, send_schedule
 from repro.parallel.simulator import SimTask
 from repro.parallel.static_scheduler import StaticScheduler
 from repro.parallel.work_stealing import WorkStealingScheduler
@@ -278,23 +277,20 @@ class TestSchedulingProperties:
         assert result.core_busy.sum() == pytest.approx(sum(durations))
 
     @COMMON_SETTINGS
-    @given(st.integers(1, 20), st.integers(1, 50))
-    def test_send_buffer_never_loses_items(self, capacity, n_items):
-        messages, stats = send_schedule(np.arange(n_items),
-                                        np.zeros(n_items), capacity)
-        sent = [item for _, ids in messages for item in ids.tolist()]
-        assert sent == list(range(n_items))
-        assert stats.n_items == n_items
-        expected_messages = int(np.ceil(n_items / capacity))
-        assert stats.n_messages == len(messages) == expected_messages
+    @given(st.lists(st.integers(0, 4), max_size=50))
+    def test_send_buffer_never_loses_items(self, destinations):
+        messages = send_schedule(np.arange(len(destinations)), destinations)
+        sent = sorted(item for _, ids in messages for item in ids.tolist())
+        assert sent == list(range(len(destinations)))
+        assert [dest for dest, _ in messages] == sorted(set(destinations))
 
     @settings(max_examples=100, deadline=None)
-    @given(st.data(), sparse_triplets(), st.integers(1, 5),
-           st.one_of(st.integers(1, 4), st.just(2**31 - 1)))
+    @given(st.data(), sparse_triplets(), st.integers(1, 5))
     def test_send_schedule_matches_per_item_buffers(self, data, triplets,
-                                                    n_ranks, capacity):
+                                                    n_ranks):
         """Over random partitions and plans, the precomputed schedule is
-        exactly what per-destination buffers fed one item at a time post."""
+        exactly what per-destination buffers fed one item at a time post
+        at the end of the phase, destinations ascending."""
         n_rows, n_cols, rows, cols, values = triplets
         ratings = RatingMatrix.from_coo(CooMatrix.from_arrays(
             n_rows, n_cols, np.array(rows, dtype=np.int64),
@@ -311,35 +307,21 @@ class TestSchedulingProperties:
             edges = plan.edges(phase)
             for rank in range(n_ranks):
                 mine = edges.owner == rank
-                messages, stats = send_schedule(edges.item[mine],
-                                                edges.dest[mine], capacity)
+                messages = send_schedule(edges.item[mine], edges.dest[mine])
                 owned = (partition.movies_of(rank) if phase == "movies"
                          else partition.users_of(rank))
-                expected, expected_stats = per_item_buffers(
-                    owned.tolist(),
-                    lambda item: edges.dest[edges.item == item].tolist(),
-                    capacity)
                 assert [(dest, ids.tolist()) for dest, ids in messages] \
-                    == expected
-                assert stats == expected_stats
+                    == per_item_buffers(
+                        owned.tolist(),
+                        lambda item: edges.dest[edges.item == item].tolist())
 
 
-def per_item_buffers(owned, destinations_of, capacity):
+def per_item_buffers(owned, destinations_of):
     """The per-item send-buffer loop the schedule replaced: append every
-    (item, destination) pair, post a buffer when full, flush the rest."""
-    buffers, messages, stats = {}, [], BufferStats()
+    (item, destination) pair, then post each buffer, destinations
+    ascending."""
+    buffers = {}
     for item in owned:
         for dest in destinations_of(item):
-            buffer = buffers.setdefault(dest, [])
-            buffer.append(item)
-            stats.n_items += 1
-            if len(buffer) == capacity:
-                messages.append((dest, buffer[:]))
-                buffer.clear()
-                stats.n_flushes_full += 1
-    for dest, buffer in buffers.items():
-        if buffer:
-            messages.append((dest, buffer))
-            stats.n_flushes_partial += 1
-    stats.n_messages = len(messages)
-    return messages, stats
+            buffers.setdefault(dest, []).append(item)
+    return sorted(buffers.items())
