@@ -7,8 +7,8 @@ activity prediction): compounds act as "users", protein targets as
 
 1. generates a ChEMBL-like bioactivity matrix (heavy-tailed target
    popularity, ~2 measured activities per compound);
-2. trains BPMF with the multicore sampler, centring the activities on the
-   training mean as is standard for zero-mean factor priors;
+2. trains BPMF on two threads, centring the activities on the training
+   mean as is standard for zero-mean factor priors;
 3. reports test RMSE and shows how the hybrid update policy classifies the
    items (which is what makes load balancing necessary);
 4. reproduces the Figure 3 thread sweep on the same workload.
@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import BPMFConfig, HybridUpdatePolicy, MulticoreGibbsSampler
+from repro import BPMFConfig, GibbsSampler, HybridUpdatePolicy, SamplerOptions
 from repro.core.updates import UpdateMethod
 from repro.datasets import make_chembl_like
-from repro.multicore import MulticoreOptions, multicore_thread_sweep
+from repro.multicore import multicore_thread_sweep
 from repro.sparse.csr import RatingMatrix
 from repro.sparse.split import RatingSplit
 from repro.utils.tables import Table
@@ -65,10 +65,10 @@ def main() -> None:
         table.add_row(method.value, n_targets, n_compounds)
     print(table.render())
 
-    # Train the multicore sampler on the centred activities.
+    # Train on two threads on the centred activities.
     split, mean = centre_split(data.split)
     config = BPMFConfig(num_latent=16, alpha=4.0, burn_in=8, n_samples=20)
-    sampler = MulticoreGibbsSampler(config, MulticoreOptions(n_threads=2))
+    sampler = GibbsSampler(config, SamplerOptions(n_threads=2))
     result = sampler.run(split.train, split, seed=0)
     baseline = float(np.sqrt(np.mean(split.test_values ** 2)))
     print(f"\ntest RMSE (pIC50 units): {result.final_rmse:.3f} "

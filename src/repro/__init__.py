@@ -24,7 +24,7 @@ Package map
 ``repro.datasets``      synthetic ChEMBL-like / MovieLens-like workloads
 ``repro.baselines``     ALS and SGD matrix factorization
 ``repro.parallel``      simulated multicore machine + schedulers
-``repro.multicore``     shared-memory parallel BPMF (Figure 3)
+``repro.multicore``     the modelled multicore study (Figure 3)
 ``repro.mpi``           simulated MPI world, network model, tracing
 ``repro.distributed``   distributed BPMF and the strong-scaling model (Figures 4-5)
 ``repro.serving``       posterior snapshots, exact resume, online serving
@@ -58,7 +58,7 @@ from repro.distributed import (
     DistributedOptions,
     strong_scaling_study,
 )
-from repro.multicore import MulticoreGibbsSampler, MulticoreOptions, multicore_thread_sweep
+from repro.multicore import multicore_thread_sweep
 from repro.serving import (
     CheckpointConfig,
     PredictionService,
@@ -97,8 +97,6 @@ __all__ = [
     "DistributedGibbsSampler",
     "DistributedOptions",
     "strong_scaling_study",
-    "MulticoreGibbsSampler",
-    "MulticoreOptions",
     "multicore_thread_sweep",
     "CheckpointConfig",
     "PredictionService",

@@ -11,14 +11,14 @@ paper:
   — rank-one Cholesky updates, a serial Cholesky solve and a blocked
   "parallel" Cholesky — plus the hybrid policy that picks between them
   based on the item's rating count (:mod:`repro.core.updates`);
-* the sequential Gibbs sampler, posterior-mean prediction and RMSE
+* the Gibbs sampler's one chain loop, posterior-mean prediction and RMSE
   evaluation (:mod:`repro.core.gibbs`, :mod:`repro.core.predict`,
   :mod:`repro.core.metrics`).
 
-The multicore (:mod:`repro.multicore`) and distributed
-(:mod:`repro.distributed`) samplers are built from the same state and
-update functions, which is what guarantees the paper's "all versions reach
-the same level of prediction accuracy" property.
+Multicore sampling is the same sampler with ``SamplerOptions(n_threads=)``
+and the distributed sampler (:mod:`repro.distributed`) runs the same loop
+on every rank of a world, which is what guarantees the paper's "all
+versions reach the same level of prediction accuracy" property.
 """
 
 from repro.core.priors import BPMFConfig, NormalWishartPrior, GaussianPrior

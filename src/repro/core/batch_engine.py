@@ -73,8 +73,9 @@ COMPUTE_DTYPES = ("float64", "float32")
 #: than 2 MB and the dense (K=32) phases equally fast.
 BLOCK_BYTES = 1024 * 1024
 
-#: ``parallel_map(func, items)`` calls ``func(item)`` for every item; the
-#: multicore sampler passes its thread backend's ``map_items`` here.
+#: ``parallel_map(func, items)`` calls ``func(item)`` for every item; with
+#: ``SamplerOptions(n_threads>1)`` the sampler passes its thread backend's
+#: ``map_items`` here.
 ParallelMap = Callable[[Callable[[int], None], Sequence[int]], object]
 
 #: Rows ``start:stop`` of one degree bucket — the unit a block is packed from.

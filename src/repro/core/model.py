@@ -27,7 +27,6 @@ from repro.core.recommend import Recommendation, recommend_for_user
 from repro.core.sideinfo import MacauGibbsSampler, SideInfo
 from repro.core.state import BPMFState
 from repro.distributed.sampler import DistributedGibbsSampler, DistributedOptions
-from repro.multicore.sampler import MulticoreGibbsSampler, MulticoreOptions
 from repro.sparse.csr import RatingMatrix
 from repro.sparse.split import RatingSplit
 from repro.utils.rng import SeedLike
@@ -129,12 +128,10 @@ class BPMF:
         centred_train, centred_split = self._centred(train, split)
         self._train = train
 
-        if self.backend == "sequential":
-            result = GibbsSampler(config).run(centred_train, centred_split, seed=seed)
-        elif self.backend == "multicore":
-            result = MulticoreGibbsSampler(
-                config, MulticoreOptions(n_threads=self.n_threads)
-            ).run(centred_train, centred_split, seed=seed)
+        if self.backend in ("sequential", "multicore"):
+            threads = self.n_threads if self.backend == "multicore" else 1
+            result = GibbsSampler(config, SamplerOptions(n_threads=threads)).run(
+                centred_train, centred_split, seed=seed)
         elif self.backend == "distributed":
             result, _ = DistributedGibbsSampler(
                 config, DistributedOptions(n_ranks=self.n_ranks)

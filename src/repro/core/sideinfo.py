@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from repro.core.gibbs import BPMFResult, GibbsSampler, SamplerOptions
+from repro.core.gibbs import GibbsSampler, SamplerOptions
 from repro.core.priors import BPMFConfig, GaussianPrior
 from repro.core.state import BPMFState
 from repro.core.updates import sample_item
@@ -198,9 +198,10 @@ class MacauGibbsSampler(GibbsSampler):
         self._phase(state, ratings, "movies", rng)
         self._phase(state, ratings, "users", rng)
         state.iteration += 1
+        self._last_state = state
         return ratings.n_movies + ratings.n_users
 
-    # run() is inherited unchanged from GibbsSampler.
+    # run() is GibbsSampler's chain loop, which calls this sweep.
 
     def cold_start_means(self, entity: str = "movies") -> np.ndarray:
         """Prior predictive factor means from features alone (cold start).
@@ -219,11 +220,5 @@ class MacauGibbsSampler(GibbsSampler):
             raise ValidationError("cold_start_means requires a completed run")
         prior = getattr(self._last_state, prior_attr)
         return prior.mean + side.features @ link
-
-    def run(self, train: RatingMatrix, split=None, seed: SeedLike = 0,
-            state: BPMFState | None = None) -> BPMFResult:
-        result = super().run(train, split, seed=seed, state=state)
-        self._last_state = result.state
-        return result
 
     _last_state: Optional[BPMFState] = None

@@ -11,12 +11,9 @@ socket world (:mod:`repro.mpi.net`):
   and the partition, exactly which updated items each rank must send to
   which other ranks ("the rating matrix R determines to what nodes this
   item needs to be sent").
-* :mod:`repro.distributed.sampler` — the asynchronous distributed Gibbs
-  sampler: ranks hold their own copies of the factor matrices, update the
-  items they own, send the updates in one frame per destination and
-  phase, apply the frames they receive and predict the test cells of
-  their own users; the result is statistically identical to the
-  sequential sampler (bit-identical with gathered hyperparameters).
+* :mod:`repro.distributed.sampler` — the core chain loop on every rank:
+  each rank's layout and the message-passing world seams; bit-identical
+  to the sequential sampler with gathered hyperparameters.
 * :mod:`repro.distributed.spmd` — ``run_local_socket_world``: an N-rank
   socket world driven from one thread per rank.
 * :mod:`repro.distributed.scaling` — the strong-scaling performance model

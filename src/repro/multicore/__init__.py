@@ -1,21 +1,19 @@
 """Multi-core BPMF (Section III of the paper).
 
-Two complementary pieces:
+The functionally parallel sampler is the one Gibbs sampler with
+``SamplerOptions(n_threads=...)``: within a phase every item's conditional
+depends only on the other class's frozen factors, so the engine's units
+run on a thread pool and the chain stays bit-for-bit the sequential one.
+This package keeps the performance study:
 
-* :mod:`repro.multicore.sampler` — a functionally parallel Gibbs sampler
-  that decomposes each sweep into independent per-item updates and runs
-  them through a thread-pool backend.  It produces *exactly* the same
-  samples as the sequential reference (verified by the test-suite), which
-  is the reproduction of the paper's accuracy-parity claim.
-* :mod:`repro.multicore.sweep` — the performance study: the same per-item
-  task sets are placed on the simulated multicore machine by the
-  work-stealing (TBB-like), static (OpenMP-like) and vertex-engine
-  (GraphLab-like) schedulers to regenerate Figure 3's throughput-vs-threads
-  curves.
+* :mod:`repro.multicore.tasks` — the per-item task sets of one sweep;
+* :mod:`repro.multicore.sweep` — those tasks placed on the simulated
+  multicore machine by the work-stealing (TBB-like), static (OpenMP-like)
+  and vertex-engine (GraphLab-like) schedulers to regenerate Figure 3's
+  throughput-vs-threads curves.
 """
 
 from repro.multicore.tasks import phase_tasks, sweep_tasks
-from repro.multicore.sampler import MulticoreGibbsSampler, MulticoreOptions
 from repro.multicore.sweep import (
     ThreadSweepResult,
     multicore_thread_sweep,
@@ -25,8 +23,6 @@ from repro.multicore.sweep import (
 __all__ = [
     "phase_tasks",
     "sweep_tasks",
-    "MulticoreGibbsSampler",
-    "MulticoreOptions",
     "ThreadSweepResult",
     "multicore_thread_sweep",
     "default_schedulers",

@@ -20,10 +20,7 @@ demonstrate scaling.  Instead this package provides:
   on which three *real scheduling algorithms*
   (:mod:`repro.parallel.work_stealing`, :mod:`repro.parallel.static_scheduler`,
   :mod:`repro.parallel.graph_engine`) place the real task multiset derived
-  from the dataset's sparsity pattern;
-* a **thread-pool backend** (:mod:`repro.parallel.thread_backend`) that runs
-  the same task decomposition with genuine Python threads for functional
-  (correctness) validation.
+  from the dataset's sparsity pattern.
 
 Only *time* is simulated; the tasks, their sizes and the scheduling
 decisions are all real, which is what lets the Figure 3 shape emerge from
@@ -46,7 +43,6 @@ from repro.parallel.simulator import (
 from repro.parallel.work_stealing import WorkStealingScheduler
 from repro.parallel.static_scheduler import StaticScheduler, DynamicChunkScheduler
 from repro.parallel.graph_engine import GraphEngineScheduler
-from repro.parallel.thread_backend import ThreadPoolBackend
 
 __all__ = [
     "UpdateCostModel",
@@ -62,5 +58,4 @@ __all__ = [
     "StaticScheduler",
     "DynamicChunkScheduler",
     "GraphEngineScheduler",
-    "ThreadPoolBackend",
 ]

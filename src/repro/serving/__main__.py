@@ -53,7 +53,6 @@ from repro.core.gibbs import GibbsSampler, SamplerOptions
 from repro.core.priors import BPMFConfig
 from repro.core.recommend import recommend_for_user
 from repro.datasets.synthetic import SyntheticConfig, make_low_rank_dataset
-from repro.multicore.sampler import MulticoreGibbsSampler, MulticoreOptions
 from repro.obs import Tracer
 from repro.serving.checkpoint import CheckpointConfig, load_snapshot
 from repro.serving.cluster import ClusterError, ShardedScorer, SnapshotWatcher
@@ -104,14 +103,11 @@ def _cmd_train(args) -> int:
     checkpoint = CheckpointConfig(path=args.snapshot,
                                   every=args.checkpoint_every
                                   or config.total_iterations)
-    n_workers = args.workers if args.engine == "shared" else None
-    if args.backend == "multicore":
-        sampler = MulticoreGibbsSampler(config, MulticoreOptions(
-            n_threads=args.threads, engine=args.engine, n_workers=n_workers,
-            checkpoint=checkpoint))
-    else:
-        sampler = GibbsSampler(config, SamplerOptions(
-            engine=args.engine, n_workers=n_workers, checkpoint=checkpoint))
+    sampler = GibbsSampler(config, SamplerOptions(
+        engine=args.engine,
+        n_workers=args.workers if args.engine == "shared" else None,
+        n_threads=args.threads if args.backend == "multicore" else 1,
+        checkpoint=checkpoint))
     result = sampler.run(data.split.train, data.split, seed=args.seed,
                          resume=args.resume)
     print(f"trained {config.total_iterations} sweeps on "

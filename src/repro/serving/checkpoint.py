@@ -13,7 +13,7 @@ integrity checksum over every stored payload; a corrupted or truncated
 snapshot fails to load instead of silently serving garbage.
 
 :class:`CheckpointConfig` is the save-every-k-sweeps policy consumed by
-``SamplerOptions.checkpoint`` (and its multicore/distributed counterparts).
+``SamplerOptions.checkpoint`` (which ``DistributedOptions`` inherits).
 Writes are atomic (write to a temporary sibling, then ``os.replace``), so a
 crash mid-save never destroys the previous checkpoint.
 """
@@ -427,33 +427,29 @@ def coerce_snapshot(source: Union[Snapshot, PathLike]) -> Snapshot:
 # ---------------------------------------------------------------------------
 
 class TrainingCheckpointer:
-    """Shared save/restore logic for all three samplers.
+    """Save/restore logic around the chain loop.
 
-    The samplers own the training loop; this object owns everything a
-    checkpoint must capture around it.  One instance is created per
-    ``run()`` call (possibly from a resume snapshot), accumulates the
-    posterior-mean factors, and writes snapshots whenever the
-    :class:`CheckpointConfig` says one is due.
+    The loop (:meth:`repro.core.gibbs.GibbsSampler._rank_program`) owns the
+    sweeps; this object, held by rank 0, owns everything a checkpoint must
+    capture around them.  One instance is created per ``run()`` call
+    (possibly from a resume snapshot), keeps the RMSE traces, holds the
+    loop's posterior-mean factor accumulator, and writes snapshots
+    whenever the :class:`CheckpointConfig` says one is due.
     """
 
     def __init__(self, config: BPMFConfig,
                  checkpoint: Optional[CheckpointConfig],
-                 resume: Optional[Snapshot], state: BPMFState,
+                 resume: Optional[Snapshot],
+                 factor_means: FactorMeanAccumulator,
                  predictor: PosteriorPredictor):
         self.checkpoint = checkpoint
         self.config = config
-        self.factor_means = FactorMeanAccumulator.for_state(state)
+        self.factor_means = factor_means
         self.rmse_burn_in: List[float] = []
         self.rmse_per_sample: List[float] = []
         self.rmse_running_mean: List[float] = []
         self.items_updated = 0
-        self.start_iteration = 0
         if resume is not None:
-            self.start_iteration = resume.state.iteration
-            if self.start_iteration > config.total_iterations:
-                raise ValidationError(
-                    f"snapshot is at sweep {self.start_iteration}, beyond the "
-                    f"configured total of {config.total_iterations}")
             # The model (and the burn-in boundary the accumulators already
             # honoured) must match; only n_samples may grow on resume.
             for key in ("num_latent", "alpha", "burn_in", "beta0"):
@@ -467,10 +463,6 @@ class TrainingCheckpointer:
             self.rmse_burn_in = list(resume.rmse_burn_in)
             self.rmse_per_sample = list(resume.rmse_per_sample)
             self.rmse_running_mean = list(resume.rmse_running_mean)
-            if resume.mean_user_sum is not None:
-                self.factor_means.restore(resume.mean_user_sum,
-                                          resume.mean_movie_sum,
-                                          resume.mean_count)
             if resume.prediction_sum is not None:
                 predictor.restore(resume.prediction_sum,
                                   resume.prediction_count)
@@ -491,19 +483,6 @@ class TrainingCheckpointer:
         if snapshot.rng_state is not None:
             rng = restore_generator(snapshot.rng_state)
         return snapshot, snapshot.state.copy(), rng
-
-    def record(self, iteration: int, state: Optional[BPMFState],
-               sample_rmse: float, mean_rmse: Optional[float]) -> None:
-        """Append one sweep's traces and accumulate the factor means
-        (``state=None``: the caller keeps ``factor_means`` itself)."""
-        if iteration < self.config.burn_in:
-            self.rmse_burn_in.append(sample_rmse)
-        else:
-            if state is not None:
-                self.factor_means.accumulate(state)
-            self.rmse_per_sample.append(sample_rmse)
-            if mean_rmse is not None:
-                self.rmse_running_mean.append(mean_rmse)
 
     def maybe_save(self, iteration: int, state: BPMFState,
                    rng: np.random.Generator,

@@ -1,14 +1,14 @@
-"""Real-thread execution backend for functional validation.
+"""Real-thread execution backend for the samplers' ``n_threads``.
 
-The simulated schedulers answer the paper's *performance* questions; this
-backend answers the *correctness* question: the multicore sampler really
-can update disjoint items concurrently (the conditional of item ``i`` never
-reads another item of the same entity class, only the other class's
-factors, which are frozen during the phase).  It runs item updates on a
-:class:`concurrent.futures.ThreadPoolExecutor`; with CPython's GIL and a
-single available core this brings no speed-up — it exists to prove the
-decomposition is race-free and to exercise the same code path a real
-multicore deployment would use.
+The simulated schedulers of :mod:`repro.parallel` answer the paper's
+*performance* questions; this backend answers the *correctness* question:
+a phase really can update disjoint items concurrently (the conditional of
+item ``i`` never reads another item of the same entity class, only the
+other class's factors, which are frozen during the phase).  It runs item
+updates on a :class:`concurrent.futures.ThreadPoolExecutor`; with CPython's
+GIL and a single available core this brings no speed-up — it exists to
+prove the decomposition is race-free and to exercise the same code path a
+real multicore deployment would use.
 """
 
 from __future__ import annotations

@@ -67,6 +67,30 @@ def tiny_config():
     return BPMFConfig(num_latent=3, burn_in=3, n_samples=5, alpha=4.0)
 
 
+@pytest.fixture(scope="session")
+def assert_same_chain():
+    """Bitwise equality of every field of two ``BPMFResult``s."""
+    def check(result, reference):
+        np.testing.assert_array_equal(result.state.user_factors,
+                                      reference.state.user_factors)
+        np.testing.assert_array_equal(result.state.movie_factors,
+                                      reference.state.movie_factors)
+        assert result.state.iteration == reference.state.iteration
+        assert result.rmse_burn_in == reference.rmse_burn_in
+        assert result.rmse_per_sample == reference.rmse_per_sample
+        assert result.rmse_running_mean == reference.rmse_running_mean
+        np.testing.assert_array_equal(result.predictions,
+                                      reference.predictions)
+        assert result.factor_means.n_samples == reference.factor_means.n_samples
+        np.testing.assert_array_equal(result.factor_means.user_sum,
+                                      reference.factor_means.user_sum)
+        np.testing.assert_array_equal(result.factor_means.movie_sum,
+                                      reference.factor_means.movie_sum)
+        assert result.items_updated == reference.items_updated
+
+    return check
+
+
 @pytest.fixture
 def simple_ratings():
     """A hand-written 4x3 rating matrix with a known pattern.

@@ -30,7 +30,7 @@ from repro.core.updates import (
     conditional_distribution,
 )
 from repro.datasets.synthetic import SyntheticConfig, make_low_rank_dataset
-from repro.parallel.thread_backend import ThreadPoolBackend
+from repro.utils.thread_backend import ThreadPoolBackend
 from repro.sparse.buckets import (
     build_bucket_plan,
     cached_bucket_plan,

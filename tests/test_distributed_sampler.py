@@ -86,8 +86,8 @@ class TestDistributedSamplerParity:
         ).run(tiny_dataset.split.train, tiny_dataset.split, seed=21)
         assert abs(dist.final_rmse - seq.final_rmse) < 0.1
 
-    def test_rank_count_does_not_change_gather_results(self, tiny_dataset,
-                                                       tiny_config):
+    def test_rank_count_does_not_change_gather_results(
+            self, tiny_dataset, tiny_config, assert_same_chain):
         """In gather mode every rank count runs the sequential chain bit
         for bit — every result field, the per-rank evaluation included."""
         train, split = tiny_dataset.split.train, tiny_dataset.split
@@ -100,7 +100,7 @@ class TestDistributedSamplerParity:
             assert_same_chain(result, sequential)
 
     def test_float32_checkpointing_run(self, tiny_dataset, tiny_config,
-                                       tmp_path):
+                                       tmp_path, assert_same_chain):
         """A float32, checkpointing run really is float32 and really
         checkpoints — the same chain as without the checkpoint."""
         from repro.serving.checkpoint import CheckpointConfig, load_snapshot
@@ -119,24 +119,6 @@ class TestDistributedSamplerParity:
         assert snapshot.state.iteration == tiny_config.total_iterations
         np.testing.assert_array_equal(snapshot.state.user_factors,
                                       plain.state.user_factors)
-
-
-def assert_same_chain(result, reference):
-    """Bitwise equality of every field of two ``BPMFResult``s."""
-    np.testing.assert_array_equal(result.state.user_factors,
-                                  reference.state.user_factors)
-    np.testing.assert_array_equal(result.state.movie_factors,
-                                  reference.state.movie_factors)
-    assert result.rmse_burn_in == reference.rmse_burn_in
-    assert result.rmse_per_sample == reference.rmse_per_sample
-    assert result.rmse_running_mean == reference.rmse_running_mean
-    np.testing.assert_array_equal(result.predictions, reference.predictions)
-    assert result.factor_means.n_samples == reference.factor_means.n_samples
-    np.testing.assert_array_equal(result.factor_means.user_sum,
-                                  reference.factor_means.user_sum)
-    np.testing.assert_array_equal(result.factor_means.movie_sum,
-                                  reference.factor_means.movie_sum)
-    assert result.items_updated == reference.items_updated
 
 
 class TestInconsistentPlanFailsLoudly:
@@ -293,7 +275,7 @@ class TestDistributedEvaluation:
         return result
 
     def test_unread_test_movie_reaches_its_predicting_rank(
-            self, tiny_config, lopsided_eval, monkeypatch):
+            self, tiny_config, lopsided_eval, monkeypatch, assert_same_chain):
         import repro.distributed.sampler as sampler_module
 
         split, partition, unread = lopsided_eval
@@ -314,7 +296,8 @@ class TestDistributedEvaluation:
         np.testing.assert_array_equal(stale.predictions[:-1],
                                       sequential.predictions[:-1])
 
-    def test_rank_with_no_test_cells(self, tiny_config, lopsided_eval):
+    def test_rank_with_no_test_cells(self, tiny_config, lopsided_eval,
+                                     assert_same_chain):
         from repro.distributed.spmd import run_local_socket_world
 
         split, partition, _ = lopsided_eval
@@ -330,7 +313,8 @@ class TestDistributedEvaluation:
         assert_same_chain(outcomes[0][0], sequential)
 
     def test_gathering_sweep_checkpoint_resumes_on_sockets(
-            self, tiny_dataset, tiny_config, tmp_path, monkeypatch):
+            self, tiny_dataset, tiny_config, tmp_path, monkeypatch,
+            assert_same_chain):
         """A snapshot saved on a gathering sweep mid-run (not the last)
         of a 3-rank simulated world resumes on a 3-rank socket world and
         finishes on the uninterrupted chain, bit for bit."""

@@ -119,8 +119,7 @@ def _sequential(dataset):
 
 
 def _multicore(dataset):
-    from repro.multicore.sampler import MulticoreGibbsSampler
-    return MulticoreGibbsSampler(BPMFConfig(**CONFIG)).run(
+    return GibbsSampler(BPMFConfig(**CONFIG), SamplerOptions(n_threads=2)).run(
         dataset.split.train, dataset.split, seed=SEED)
 
 
@@ -139,11 +138,10 @@ def _rank_program(dataset):
 @pytest.mark.parametrize("run", [_sequential, _multicore, _rank_program],
                          ids=["sequential", "multicore", "rank_program"])
 def test_one_test_set_predict_per_sweep(dataset, monkeypatch, run):
-    """Every chain loop predicts the test set once per sweep: after
-    burn-in the sample's predictions are the ones the posterior
-    predictor accumulates, not a second predict (the rank program's
-    ranks each predict their own users' cells) — and the golden
-    trajectory does not move."""
+    """The chain loop predicts the test set once per sweep on every world:
+    after burn-in the sample's predictions are the ones the posterior
+    predictor accumulates, not a second predict (the ranks each predict
+    their own users' cells) — and the golden trajectory does not move."""
     from repro.core.state import BPMFState
     calls = []
     predict = BPMFState.predict

@@ -16,7 +16,7 @@ from repro import (
     DistributedGibbsSampler,
     DistributedOptions,
     GibbsSampler,
-    MulticoreGibbsSampler,
+    SamplerOptions,
     available_datasets,
     load_dataset,
     make_chembl_like,
@@ -59,7 +59,8 @@ class TestEndToEndRecommendationPipeline:
         config = BPMFConfig(num_latent=4, burn_in=4, n_samples=8, alpha=3.0)
 
         sequential = GibbsSampler(config).run(split.train, split, seed=0)
-        multicore = MulticoreGibbsSampler(config).run(split.train, split, seed=0)
+        multicore = GibbsSampler(config, SamplerOptions(n_threads=2)).run(
+            split.train, split, seed=0)
         distributed, info = DistributedGibbsSampler(
             config, DistributedOptions(n_ranks=3, hyper_mode="gather")
         ).run(split.train, split, seed=0)

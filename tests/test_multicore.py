@@ -1,13 +1,12 @@
-"""Tests for the multicore sampler (correctness) and the Figure 3 sweep (shape)."""
+"""Tests for threaded sampling (correctness) and the Figure 3 sweep (shape)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.gibbs import GibbsSampler
+from repro.core.gibbs import GibbsSampler, SamplerOptions
 from repro.core.priors import BPMFConfig
-from repro.multicore.sampler import MulticoreGibbsSampler, MulticoreOptions
 from repro.multicore.sweep import default_schedulers, multicore_thread_sweep
 from repro.multicore.tasks import phase_tasks, sweep_tasks
 
@@ -39,25 +38,8 @@ class TestMulticoreTasks:
 
 
 class TestMulticoreSamplerCorrectness:
-    def test_bitwise_parity_with_sequential(self, tiny_dataset, tiny_config):
-        """The multicore sampler must reproduce the sequential chain exactly."""
-        seq = GibbsSampler(tiny_config).run(tiny_dataset.split.train,
-                                            tiny_dataset.split, seed=9)
-        multi = MulticoreGibbsSampler(tiny_config).run(tiny_dataset.split.train,
-                                                       tiny_dataset.split, seed=9)
-        np.testing.assert_allclose(multi.state.user_factors, seq.state.user_factors)
-        np.testing.assert_allclose(multi.state.movie_factors, seq.state.movie_factors)
-        assert multi.final_rmse == pytest.approx(seq.final_rmse)
-
-    def test_thread_count_does_not_change_results(self, tiny_dataset, tiny_config):
-        single = MulticoreGibbsSampler(
-            tiny_config, MulticoreOptions(n_threads=1)).run(
-            tiny_dataset.split.train, tiny_dataset.split, seed=3)
-        threaded = MulticoreGibbsSampler(
-            tiny_config, MulticoreOptions(n_threads=4, chunk_size=5)).run(
-            tiny_dataset.split.train, tiny_dataset.split, seed=3)
-        np.testing.assert_allclose(threaded.state.user_factors,
-                                   single.state.user_factors)
+    """``SamplerOptions(n_threads=...)``: the one sampler on a thread pool
+    (its bitwise parity is pinned by ``tests/test_one_chain.py``)."""
 
     def test_shared_engine_bitwise_parity_with_sequential(self, tiny_dataset,
                                                           tiny_config):
@@ -65,26 +47,26 @@ class TestMulticoreSamplerCorrectness:
         and the run tears its worker pool down on exit."""
         seq = GibbsSampler(tiny_config).run(tiny_dataset.split.train,
                                             tiny_dataset.split, seed=9)
-        sampler = MulticoreGibbsSampler(
-            tiny_config, MulticoreOptions(engine="shared", n_threads=2))
+        sampler = GibbsSampler(
+            tiny_config, SamplerOptions(engine="shared", n_workers=2))
         shared = sampler.run(tiny_dataset.split.train, tiny_dataset.split,
                              seed=9)
         np.testing.assert_array_equal(shared.state.user_factors,
                                       seq.state.user_factors)
         np.testing.assert_array_equal(shared.state.movie_factors,
                                       seq.state.movie_factors)
-        assert shared.final_rmse == pytest.approx(seq.final_rmse)
-        assert not sampler._engine.pool_running  # closed by run()'s finally
+        assert shared.final_rmse == seq.final_rmse
+        assert not sampler.engine.pool_running  # closed by run()'s finally
 
     def test_trace_lengths(self, tiny_dataset, tiny_config):
-        result = MulticoreGibbsSampler(tiny_config).run(
+        result = GibbsSampler(tiny_config, SamplerOptions(n_threads=2)).run(
             tiny_dataset.split.train, tiny_dataset.split, seed=0)
         assert len(result.rmse_burn_in) == tiny_config.burn_in
         assert len(result.rmse_running_mean) == tiny_config.n_samples
 
     def test_accuracy_on_low_rank_signal(self, small_dataset):
         config = BPMFConfig(num_latent=5, burn_in=6, n_samples=10, alpha=8.0)
-        result = MulticoreGibbsSampler(config, MulticoreOptions(n_threads=2)).run(
+        result = GibbsSampler(config, SamplerOptions(n_threads=2)).run(
             small_dataset.split.train, small_dataset.split, seed=1)
         assert result.final_rmse < 2.5 * small_dataset.config.noise_std
 
@@ -92,9 +74,9 @@ class TestMulticoreSamplerCorrectness:
         from repro.core.state import initialize_state
         state = initialize_state(small_dataset.split.train, tiny_config, 0)
         with pytest.raises(Exception):
-            MulticoreGibbsSampler(tiny_config).run(tiny_dataset.split.train,
-                                                   tiny_dataset.split, seed=0,
-                                                   state=state)
+            GibbsSampler(tiny_config, SamplerOptions(n_threads=2)).run(
+                tiny_dataset.split.train, tiny_dataset.split, seed=0,
+                state=state)
 
 
 class TestFigure3Sweep:

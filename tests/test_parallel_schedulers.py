@@ -15,7 +15,7 @@ from repro.parallel.simulator import (
     tasks_from_degrees,
 )
 from repro.parallel.static_scheduler import DynamicChunkScheduler, StaticScheduler
-from repro.parallel.thread_backend import ThreadPoolBackend
+from repro.utils.thread_backend import ThreadPoolBackend
 from repro.parallel.work_stealing import WorkStealingScheduler
 from repro.utils.validation import ValidationError
 
