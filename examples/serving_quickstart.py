@@ -6,7 +6,7 @@ Walks the full lifecycle of the serving subsystem (`repro.serving`):
 1. train BPMF with save-every-k-sweeps checkpointing;
 2. resume the chain from the snapshot (bit-identical continuation);
 3. load the snapshot into a :class:`PredictionService` and answer point,
-   micro-batched and top-N queries;
+   batched and top-N queries;
 4. fold in a cold-start user who was never seen at training time.
 
 Run with:  PYTHONPATH=src python examples/serving_quickstart.py
@@ -67,14 +67,11 @@ def main() -> None:
         print(f"\nserving {service.n_users} users x {service.n_items} items; "
               f"test RMSE from the snapshot: {rmse:.4f}")
 
-        # Point queries go through a micro-batcher under heavy traffic:
-        # requests queue up and execute as one vectorized batch.
-        batcher = service.batcher(max_batch=64)
-        handles = [batcher.submit(int(user), int(movie))
-                   for user, movie in zip(users[:10], movies[:10])]
-        batcher.flush()
-        print(f"micro-batched 10 requests in {batcher.n_flushes} flush(es); "
-              f"first prediction {handles[0].result():.3f}")
+        # Many point queries cost one vectorized gather: collect the
+        # pairs and answer them with a single predict_batch call.
+        batch = service.predict_batch(users[:10], movies[:10])
+        print(f"batched 10 point queries in one call; "
+              f"first prediction {batch[0]:.3f}")
 
         # Ranked retrieval hits the precomputed item block + LRU cache.
         top = service.top_n(0, n=5)

@@ -8,7 +8,7 @@ recommender:
   posterior snapshots with exact-resume support (the samplers' checkpoint
   hook lives here too);
 * :mod:`repro.serving.service` — :class:`PredictionService`: predictions,
-  micro-batched lookups and top-N ranked retrieval over one or more
+  batched lookups and top-N ranked retrieval over one or more
   snapshots, with an LRU score cache;
 * :mod:`repro.serving.foldin` — conditional-Gaussian fold-in for
   cold-start users, executed through the batched block-Cholesky engine,
@@ -41,7 +41,7 @@ from repro.serving.foldin import (
     fold_in_user,
     fold_in_users,
 )
-from repro.serving.service import MicroBatcher, PendingPrediction, PredictionService
+from repro.serving.service import PredictionService
 from repro.serving.cluster import ClusterError, ShardedScorer, SnapshotWatcher
 from repro.serving.net import (
     AsyncServingClient,
@@ -66,8 +66,6 @@ __all__ = [
     "fold_in_posterior",
     "FoldInState",
     "PredictionService",
-    "MicroBatcher",
-    "PendingPrediction",
     "ShardedScorer",
     "SnapshotWatcher",
     "ClusterError",

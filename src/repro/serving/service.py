@@ -13,15 +13,10 @@ a C-contiguous item-factor block for fast ranked retrieval, and answers
   training time (:mod:`repro.serving.foldin`) and serve them like any
   other user.
 
-Two serving-throughput mechanisms are built in:
-
-* a bounded **LRU score cache** of per-user full score vectors, so repeat
-  ``top_n``/score traffic for hot users costs one dict lookup instead of a
-  GEMV;
-* **request micro-batching** (:class:`MicroBatcher`): single-pair lookups
-  are queued and executed as one vectorized gather when the batch fills or
-  a result is demanded — the classic trick for amortizing per-request
-  overhead under heavy traffic.
+A bounded **LRU score cache** of per-user full score vectors makes
+repeat ``top_n``/score traffic for hot users cost one dict lookup instead
+of a GEMV.  Many single-pair lookups go through one ``predict_batch``
+call (the TCP frontend fuses concurrent ``top_n`` requests the same way).
 """
 
 from __future__ import annotations
@@ -40,8 +35,7 @@ from repro.serving.foldin import FoldInRegistry, fold_in_users
 from repro.sparse.csr import RatingMatrix
 from repro.utils.validation import ValidationError, check_in, check_positive
 
-__all__ = ["PredictionService", "MicroBatcher", "PendingPrediction",
-           "check_user_range", "check_item_range"]
+__all__ = ["PredictionService", "check_user_range", "check_item_range"]
 
 SnapshotLike = Union[Snapshot, PathLike]
 
@@ -228,10 +222,6 @@ class PredictionService:
         """Predicted rating for one (user, item) pair."""
         return float(self.predict_batch(np.array([user]), np.array([item]))[0])
 
-    def batcher(self, max_batch: int = 256) -> "MicroBatcher":
-        """A micro-batching front-end over this service (see class docs)."""
-        return MicroBatcher(self, max_batch=max_batch)
-
     # -- ranked retrieval ----------------------------------------------------
 
     def _user_scores(self, user: int) -> np.ndarray:
@@ -399,80 +389,3 @@ class PredictionService:
         self._user_buffer[used:used + n_new] = rows
         self._user_factors = self._user_buffer[:used + n_new]
 
-
-class PendingPrediction:
-    """Handle for one queued prediction (resolved when the batch runs)."""
-
-    __slots__ = ("user", "item", "_value")
-
-    def __init__(self, user: int, item: int):
-        self.user = int(user)
-        self.item = int(item)
-        self._value: Optional[float] = None
-
-    @property
-    def done(self) -> bool:
-        return self._value is not None
-
-    def _resolve(self, value: float) -> None:
-        self._value = float(value)
-
-    def result(self) -> float:
-        """The predicted rating; raises if the batch has not run yet."""
-        if self._value is None:
-            raise ValidationError(
-                "prediction is still queued — call MicroBatcher.flush() "
-                "(or use MicroBatcher.result(handle))")
-        return self._value
-
-
-class MicroBatcher:
-    """Queues single-pair requests and executes them as vectorized batches.
-
-    ``submit`` is O(1); the queue drains through one
-    :meth:`PredictionService.predict_batch` call when ``max_batch``
-    requests have accumulated, when :meth:`flush` is called, or when
-    :meth:`result` demands an unresolved handle.
-    """
-
-    def __init__(self, service: PredictionService, max_batch: int = 256):
-        check_positive("max_batch", max_batch)
-        self.service = service
-        self.max_batch = int(max_batch)
-        self._queue: List[PendingPrediction] = []
-        self.n_flushes = 0
-        self.n_requests = 0
-
-    def submit(self, user: int, item: int) -> PendingPrediction:
-        """Queue one request; auto-flushes when the batch is full.
-
-        Indices are validated here, so a bad request fails at submit time
-        instead of poisoning the whole batch at flush time.
-        """
-        pending = PendingPrediction(user, item)
-        self.service._check_users(np.array([pending.user], dtype=np.int64))
-        self.service._check_items(np.array([pending.item], dtype=np.int64))
-        self._queue.append(pending)
-        self.n_requests += 1
-        if len(self._queue) >= self.max_batch:
-            self.flush()
-        return pending
-
-    def flush(self) -> int:
-        """Run every queued request in one vectorized call; returns count."""
-        if not self._queue:
-            return 0
-        batch, self._queue = self._queue, []
-        users = np.array([pending.user for pending in batch], dtype=np.int64)
-        items = np.array([pending.item for pending in batch], dtype=np.int64)
-        values = self.service.predict_batch(users, items)
-        for pending, value in zip(batch, values):
-            pending._resolve(value)
-        self.n_flushes += 1
-        return len(batch)
-
-    def result(self, pending: PendingPrediction) -> float:
-        """Resolve (flushing if needed) and return one request's value."""
-        if not pending.done:
-            self.flush()
-        return pending.result()

@@ -72,6 +72,14 @@ def test_query_without_arguments_errors(trained_snapshot, capsys):
     assert main(["query", "--snapshot", str(trained_snapshot)]) == 2
 
 
+@pytest.mark.parametrize("bad", [["--pairs", "0"], ["--pairs", "0:x"],
+                                 ["--user", "9999"], ["--pairs", "0:9999"]])
+def test_query_rejects_bad_input_without_a_traceback(trained_snapshot,
+                                                     capsys, bad):
+    assert main(["query", "--snapshot", str(trained_snapshot)] + bad) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_serve_line_protocol(trained_snapshot, capsys, monkeypatch):
     commands = "predict 0 1\ntop 0 3\nfoldin 0:4.5 1:3.0\npredict 60 2\nbogus\nquit\n"
     monkeypatch.setattr("sys.stdin", io.StringIO(commands))

@@ -1,5 +1,5 @@
 """PredictionService tests: parity with the in-memory paths, caching,
-micro-batching, multi-snapshot pooling and cold-start fold-in serving."""
+multi-snapshot pooling and cold-start fold-in serving."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from repro.serving.checkpoint import (
     save_snapshot,
     snapshot_from_result,
 )
-from repro.serving.service import MicroBatcher, PredictionService
+from repro.serving.service import PredictionService
 from repro.utils.validation import ValidationError
 
 
@@ -211,47 +211,6 @@ class TestFoldInServing:
         np.testing.assert_allclose(service._user_factors[cold],
                                    plain._user_factors[cold_plain],
                                    rtol=1e-12, atol=1e-12)
-
-
-class TestMicroBatcher:
-    def test_batches_resolve_to_individual_predictions(self, snapshot):
-        service = PredictionService(snapshot)
-        batcher = service.batcher(max_batch=4)
-        handles = [batcher.submit(user, item)
-                   for user, item in [(0, 1), (2, 3), (4, 5)]]
-        assert not any(handle.done for handle in handles)
-        batcher.flush()
-        for handle in handles:
-            assert handle.result() == pytest.approx(
-                service.predict(handle.user, handle.item))
-
-    def test_auto_flush_at_capacity(self, snapshot):
-        service = PredictionService(snapshot)
-        batcher = MicroBatcher(service, max_batch=2)
-        first = batcher.submit(0, 0)
-        assert not first.done
-        batcher.submit(1, 1)  # hits max_batch -> auto flush
-        assert first.done and batcher.n_flushes == 1
-
-    def test_result_triggers_flush(self, snapshot):
-        batcher = PredictionService(snapshot).batcher()
-        handle = batcher.submit(3, 3)
-        assert batcher.result(handle) == pytest.approx(handle.result())
-
-    def test_unresolved_result_raises(self, snapshot):
-        batcher = PredictionService(snapshot).batcher()
-        handle = batcher.submit(0, 0)
-        with pytest.raises(ValidationError, match="queued"):
-            handle.result()
-
-    def test_bad_submit_rejected_without_poisoning_queue(self, snapshot):
-        service = PredictionService(snapshot)
-        batcher = service.batcher()
-        good = batcher.submit(0, 0)
-        with pytest.raises(ValidationError):
-            batcher.submit(service.n_users + 5, 0)
-        batcher.flush()
-        assert good.done
 
 
 class TestMultiSnapshot:

@@ -9,23 +9,19 @@ What is pinned here (the PR's acceptance bar):
 * acked writes are immediately readable on every live replica
   (read-your-writes across the fleet), with bit-identical state
   digests;
-* killing the write leader mid-storm loses **zero acked writes**: after
-  a restart the fleet converges to the same bytes as a fresh service
-  replaying the log from scratch;
+* killing the write leader mid-storm loses **zero acked writes** (the
+  ``wal-smoke`` drill, run in ``tests/test_serving_drills.py``);
 * a follower that missed shipments (cooldown, restart) closes the gap
   by seqno-range catch-up.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-
 import numpy as np
 import pytest
 
 from repro.bench.serving import make_bench_snapshot
-from repro.serving.net import NetError, ReplicaSet, ServingClient
+from repro.serving.net import ReplicaSet, ServingClient
 from repro.serving.service import PredictionService
 from repro.serving.wal import (
     LeaderCoordinator,
@@ -167,73 +163,6 @@ def test_restarted_follower_catches_up_by_seqno_range(snapshot):
         assert stats["applied_seqno"] == 3
         assert stats["catchup_batches"] >= 1
         assert len(_digests(replicas)) == 1
-
-
-def test_leader_kill_mid_storm_loses_no_acked_write(snapshot, tmp_path):
-    wal_dir = tmp_path / "log"
-    with ReplicaSet(lambda index: PredictionService(snapshot),
-                    n_replicas=3, wal_dir=str(wal_dir)) as replicas:
-        acked = []
-        errors = []
-        lock = threading.Lock()
-
-        def storm(worker: int) -> None:
-            with ServingClient(replicas.addresses,
-                               cooldown=0.05) as client:
-                user = client.fold_in(np.array([worker]),
-                                      np.array([4.0]))
-                deadline = time.monotonic() + 60.0
-                for i in range(30):
-                    while True:
-                        try:
-                            client.rate(user, np.array([i % N_ITEMS]),
-                                        np.array([float(1 + i % 5)]))
-                            break
-                        except NetError as error:
-                            with lock:
-                                errors.append(error)
-                            if time.monotonic() > deadline:
-                                return
-                            time.sleep(0.02)
-                    with lock:
-                        acked.append(client.last_seqno)
-
-        threads = [threading.Thread(target=storm, args=(i,))
-                   for i in range(2)]
-        for thread in threads:
-            thread.start()
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            with lock:
-                if len(acked) >= 10:
-                    break
-            time.sleep(0.01)
-        replicas.kill(0)
-        time.sleep(0.2)
-        replicas.restart(0)
-        for thread in threads:
-            thread.join(timeout=120.0)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(acked) == 2 * 30
-
-        # Post-restart write succeeds and the fleet converges.
-        with ServingClient(replicas.addresses) as client:
-            cold = client.fold_in(np.array([5]), np.array([2.0]))
-            client.rate(cold, np.array([0]), np.array([1.0]))
-            final_seqno = client.last_seqno
-        assert final_seqno >= max(acked)
-        digests = _digests(replicas)
-        assert len(digests) == 1, "fleet diverged across the leader kill"
-        fleet_digest = digests.pop()
-
-    # Ground truth: a fresh service replaying the recovered log lands on
-    # the same bytes — every acked write survived the crash.
-    replayed = PredictionService(snapshot)
-    with WriteAheadLog(wal_dir) as log:
-        replayer = MutationReplayer(replayed)
-        replayer.apply_all(log.records())
-    assert replayer.applied_seqno == final_seqno
-    assert str(replayed.state_digest()) == fleet_digest
 
 
 def test_wal_counters_surface_in_health_and_stats(snapshot):
