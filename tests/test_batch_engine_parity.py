@@ -240,6 +240,68 @@ class TestKernelNumerics:
                 np.abs(np.cov(white, rowvar=False) - np.eye(k)),
                 5.0 * np.sqrt(2.0 / n_draws))
 
+    #: Degree 0, the rank-one regime (below 4), the Gram path and the
+    #: blocked parallel path (12 and up); degrees 5 and 13 are one-item
+    #: buckets.
+    AFFINE_DEGREES = [0, 1, 1, 2, 3, 3, 5, 7, 7, 11, 13, 20, 20]
+    AFFINE_POLICY = HybridUpdatePolicy(parallel_threshold=12,
+                                       rank_one_threshold=4, block_grain=5)
+
+    @pytest.mark.parametrize("engine", ["reference", "batched", "shared",
+                                        "rank_subset"])
+    def test_draw_is_mean_plus_covariance_square_root(self, engine):
+        """Exact, not Monte Carlo: every regime of every engine draws
+        ``u(z) = u(0) + J z`` with ``u(0)`` the conditional mean
+        ``P^-1 (Lambda mu + alpha X^T r)`` and ``J J^T = P^-1``, where
+        ``P = Lambda + alpha X^T X``.  Any square root of the conditional
+        covariance passes; a wrong mean or a wrong root fails."""
+        k, n_source, alpha, rel = 4, 25, 2.0, 1e-10
+        degrees = self.AFFINE_DEGREES
+        assert {self.AFFINE_POLICY.choose(d) for d in degrees} \
+            == set(UpdateMethod)
+        rng = np.random.default_rng(99)
+        axis = _random_axis(rng, len(degrees), n_source, degrees)
+        source = rng.normal(size=(n_source, k))
+        spread = rng.normal(size=(k, k))
+        prior = GaussianPrior(mean=rng.normal(size=k),
+                              precision=spread @ spread.T / k + np.eye(k))
+        items = np.array([0, 2, 4, 6, 9, 10, 12]) \
+            if engine == "rank_subset" else np.arange(axis.n)
+        noise = rng.standard_normal((axis.n, k))
+        with make_update_engine(
+                "batched" if engine == "rank_subset" else engine,
+                policy=self.AFFINE_POLICY,
+                **({"n_workers": 2} if engine == "shared" else {})) as run:
+
+            def draw(z):
+                target = np.zeros((axis.n, k))
+                run.update_items(target, source, axis, prior, alpha,
+                                 np.broadcast_to(z, (axis.n, k)).copy(),
+                                 items=None if engine != "rank_subset"
+                                 else items)
+                return target[items]
+
+            at_zero = draw(np.zeros(k))
+            # jacobian[i] is item i's J: column j is u(e_j) - u(0).
+            jacobian = np.stack([draw(unit) - at_zero
+                                 for unit in np.eye(k)], axis=2)
+            at_noise = draw(noise)
+
+        def relative(actual, expected):
+            return np.abs(actual - expected).max() / np.abs(expected).max()
+
+        for row, item in enumerate(items):
+            idx, values = axis.slice(int(item))
+            mean, chol = conditional_distribution(source[idx], values, prior,
+                                                  alpha)
+            covariance = np.linalg.inv(chol @ chol.T)
+            assert relative(at_zero[row], mean) < rel
+            assert relative(jacobian[row] @ jacobian[row].T,
+                            covariance) < rel
+            # Affine in z: the noise enters linearly, whatever the root.
+            assert relative(at_noise[row], at_zero[row]
+                            + jacobian[row] @ noise[item]) < rel
+
     def test_float32_heavy_item_factorises(self):
         """A degree-2500 float32 bucket whose ratings (around +-5) the
         neighbours explain exactly: the augmented Gram is singular but for
