@@ -42,7 +42,16 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.obs.trace import Span, TraceContext, Tracer
 
-__all__ = ["QueryFuser", "DeadlineExpired"]
+__all__ = ["QueryFuser", "DeadlineExpired", "FuserClosed"]
+
+
+class FuserClosed(RuntimeError):
+    """A window could not be dispatched: the gateway executor is shut down.
+
+    The replica is going away (stopped or killed), so nothing was scored
+    and the request is safe to retry on another replica; the server turns
+    this into a retryable error frame.
+    """
 
 
 class DeadlineExpired(RuntimeError):
@@ -212,11 +221,31 @@ class QueryFuser:
                 return self._top_n_batch(users, n=n,
                                          exclude_seen=exclude_seen)
 
-        task = loop.run_in_executor(self._executor, run_batch)
-        self._in_flight.add(task)
+        task = self._dispatch(loop, run_batch,
+                              [future for _, future, _, _ in waiters])
+        if task is None:
+            if window_span is not None:
+                window_span.finish()
+            return
         task.add_done_callback(
             lambda done: self._on_batch_done(key, waiters, done,
                                              window_span))
+
+    def _dispatch(self, loop, call, futures) -> Optional[asyncio.Future]:
+        """Run ``call`` on the executor as an in-flight batch; if the
+        executor is shut down, fail ``futures`` with :class:`FuserClosed`
+        instead (the window was already popped, so nobody else would
+        resolve them) and return ``None``."""
+        try:
+            task = loop.run_in_executor(self._executor, call)
+        except RuntimeError as error:  # cannot schedule after shutdown
+            for future in futures:
+                if not future.done():
+                    future.set_exception(FuserClosed(
+                        f"fused top_n not dispatched: {error}"))
+            return None
+        self._in_flight.add(task)
+        return task
 
     def _on_batch_done(self, key: Tuple[int, bool], waiters,
                        done: asyncio.Future,
@@ -289,14 +318,13 @@ class QueryFuser:
         n, exclude_seen = key
         loop = asyncio.get_running_loop()
         for user, futures in by_user.items():
-            task = loop.run_in_executor(
-                self._executor,
-                lambda u=user: self._top_n_batch(
-                    [u], n=n, exclude_seen=exclude_seen))
-            self._in_flight.add(task)
-            task.add_done_callback(
-                lambda done, u=user, fs=futures:
-                self._resolve_single(u, fs, done))
+            task = self._dispatch(
+                loop, lambda u=user: self._top_n_batch(
+                    [u], n=n, exclude_seen=exclude_seen), futures)
+            if task is not None:
+                task.add_done_callback(
+                    lambda done, u=user, fs=futures:
+                    self._resolve_single(u, fs, done))
 
     def _resolve_single(self, user: int, futures, done) -> None:
         self._in_flight.discard(done)

@@ -57,7 +57,7 @@ import numpy as np
 
 from repro.obs.metrics import MetricsRegistry, dotted_stats
 from repro.obs.trace import TraceContext, Tracer
-from repro.serving.net.fusion import DeadlineExpired, QueryFuser
+from repro.serving.net.fusion import DeadlineExpired, FuserClosed, QueryFuser
 from repro.serving.net.protocol import (
     ENCODINGS,
     ERROR_DEADLINE,
@@ -717,6 +717,8 @@ class NetServer:
             self.n_deadline_shed += 1
             return error_frame(str(error), code=ERROR_DEADLINE,
                                retryable=True)
+        except FuserClosed as error:
+            return error_frame(str(error), retryable=True)
         except Exception as error:  # noqa: BLE001 - worker/gateway failure
             return Frame("error", {"message": str(error)})
         return Frame("ok", recommendation_payload(recommendation,

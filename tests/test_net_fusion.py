@@ -189,3 +189,31 @@ def test_drain_settles_everything():
         assert isinstance(futures[0].exception(), LookupError)
         assert futures[1].exception() is None
     _run(scenario())
+
+
+def test_window_flushed_after_executor_shutdown_fails_retryably(caplog):
+    """A replica killed with a window pending: the flush cannot reach the
+    shut-down gateway executor, and every popped waiter gets a retryable
+    FuserClosed instead of staying pending behind a logged RuntimeError."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.serving.net.fusion import FuserClosed
+
+    gateway = _Gateway()
+    executor = ThreadPoolExecutor(max_workers=1)
+    executor.shutdown()
+
+    async def scenario():
+        fuser = QueryFuser(gateway.top_n_batch, executor=executor)
+        futures = [asyncio.ensure_future(fuser.top_n(user, n=4))
+                   for user in (1, 2)]
+        for _ in range(3):
+            await asyncio.sleep(0)
+        return futures
+
+    with caplog.at_level("INFO"):
+        futures = _run(scenario())
+    assert all(isinstance(future.exception(), FuserClosed)
+               for future in futures)
+    assert gateway.calls == []
+    assert caplog.records == []
