@@ -53,21 +53,22 @@ def main() -> None:
     print(f"activities per target: median {int(np.median(degrees))}, "
           f"max {int(degrees.max())}  <- the load imbalance the paper addresses")
 
-    # How the paper's hybrid policy classifies the per-item updates.
+    # How the paper's hybrid policy classifies the per-item updates at K=16.
+    config = BPMFConfig(num_latent=16, alpha=4.0, burn_in=8, n_samples=20)
     policy = HybridUpdatePolicy()
     table = Table(["update kernel", "#targets", "#compounds"],
                   title="\nHybrid update-policy classification")
     compound_degrees = ratings.user_degrees()
     for method in UpdateMethod:
-        n_targets = int(sum(1 for d in degrees if policy.choose(int(d)) is method))
+        n_targets = int(sum(1 for d in degrees
+                            if policy.choose(int(d), config.num_latent) is method))
         n_compounds = int(sum(1 for d in compound_degrees
-                              if policy.choose(int(d)) is method))
+                              if policy.choose(int(d), config.num_latent) is method))
         table.add_row(method.value, n_targets, n_compounds)
     print(table.render())
 
     # Train on two threads on the centred activities.
     split, mean = centre_split(data.split)
-    config = BPMFConfig(num_latent=16, alpha=4.0, burn_in=8, n_samples=20)
     sampler = GibbsSampler(config, SamplerOptions(n_threads=2))
     result = sampler.run(split.train, split, seed=0)
     baseline = float(np.sqrt(np.mean(split.test_values ** 2)))

@@ -7,9 +7,10 @@ hybrid policy (parallel Cholesky for items with >= ~1000 ratings).
 
 Two curves are produced for every method:
 
-* ``measured`` — wall-clock timings of this package's numpy kernels
-  (honest, but the rank-one kernel is a Python-level loop so its crossover
-  sits at much lower rating counts than the paper's C++/Eigen kernels);
+* ``measured`` — wall-clock timings of this package's per-item numpy
+  kernels (honest, but the data-space rank-one kernel factors a ``d x d``
+  matrix, so its crossover sits at much lower rating counts than the
+  paper's C++/Eigen kernels);
 * ``modelled`` — the compiled-kernel cost model
   (:data:`repro.parallel.cost_model.DEFAULT_COST_MODEL`), whose crossovers
   reproduce the paper's shape, including the ~1000-rating threshold.
@@ -80,9 +81,9 @@ def run_fig2(
 ) -> Fig2Result:
     """Regenerate Figure 2's data.
 
-    ``max_rank_one_degree`` caps the measured rank-one curve (the Python
-    loop becomes prohibitively slow beyond a few thousand ratings); the
-    modelled curve covers the full range.
+    ``max_rank_one_degree`` caps the measured rank-one curve (its
+    ``d x d`` factor grows as ``d^3``, prohibitive beyond a few thousand
+    ratings); the modelled curve covers the full range.
     """
     rng = as_generator(seed)
     cost_model = cost_model or DEFAULT_COST_MODEL

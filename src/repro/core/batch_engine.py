@@ -11,23 +11,31 @@ factors the *execution strategy* out of the samplers behind a shared
   :func:`repro.core.updates.sample_item`.  Kept as the semantic oracle for
   the parity harness and for per-item thread scheduling experiments.
 * :class:`BatchedUpdateEngine` — groups items into exact-degree buckets
-  (:mod:`repro.sparse.buckets`), cuts and packs them into item blocks,
-  forms each block's augmented Gram matrices with stacked ``matmul``,
-  factorises them with one stacked ``np.linalg.cholesky`` — which also
-  yields the forward solve — and finishes with one back-substitution
-  vectorised over the block's items.  The paper's hybrid method selection
-  survives as *bucket-boundary policy*: a bucket whose degree falls in the
-  parallel-Cholesky regime has its Gram accumulation split into the same
-  row blocks the parallel kernel would use, so the blocked summation
-  structure (and its parallelism opportunity) is preserved at bucket
-  granularity.
+  (:mod:`repro.sparse.buckets`) and cuts and packs them into item blocks.
+  The paper's hybrid method selection survives as *bucket-boundary
+  policy*, one regime per bucket:
+
+  - the low-degree (``RANK_ONE``) regime, degree 0 included, is drawn in
+    data space: the prior's Cholesky ``Lambda = L L^T`` once per phase,
+    one ``d x d`` factor per item formed with elementwise steps over the
+    bucket, and the item's existing noise row (see
+    :func:`repro.core.updates.sample_item_rank_one`);
+  - every other bucket forms its augmented Gram matrices with stacked
+    ``matmul`` and factorises them with one stacked ``np.linalg.cholesky``,
+    which also yields the forward solve; a bucket in the parallel-Cholesky
+    regime splits its Gram accumulation into the row blocks the parallel
+    kernel would use.
+
+  Both finish with a ``K``-step back-substitution vectorised over the
+  block's items (the shared ``L`` for data-space items).
 
 Both engines consume a pre-drawn ``(n_items, K)`` noise matrix in
-canonical item order.  Because ``rng.standard_normal((n, k))`` reads the
-underlying bit stream exactly like ``n`` successive ``standard_normal(k)``
-calls, a sampler that pre-draws the phase noise and then runs *either*
-engine sees the same random stream as the historical per-item loop — this
-is the pre-drawn-noise parity trick extended to the batched order.
+canonical item order, one row per item whatever its regime.  Because
+``rng.standard_normal((n, k))`` reads the underlying bit stream exactly
+like ``n`` successive ``standard_normal(k)`` calls, a sampler that
+pre-draws the phase noise and then runs *either* engine sees the same
+random stream as the historical per-item loop — this is the
+pre-drawn-noise parity trick extended to the batched order.
 
 Per-item arithmetic inside the batched engine uses only per-slice LAPACK
 operations (stacked ``matmul``/``cholesky`` apply one routine per slice)
@@ -40,6 +48,7 @@ bitwise-identical rows to the full-matrix plan.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,13 +73,14 @@ __all__ = [
 #: reference chain.
 COMPUTE_DTYPES = ("float64", "float32")
 
-#: Byte budget of one item block: ``BLOCK_BYTES // (8 K^2)`` items, so a
-#: block's item-last ``(K, K, B)`` factor stack stays near this size.
-#: Buckets larger than a block are cut into row pieces (bounding peak
-#: memory); small buckets are packed together (the ``3K`` elementwise
-#: back-substitution calls are paid once per block, not once per bucket).
-#: On one core 1 MB ran the sparse (K=16) user phase a few percent faster
-#: than 2 MB and the dense (K=32) phases equally fast.
+#: Byte budget of one item block: ``BLOCK_BYTES // (8 K^2)`` Gram-path
+#: items, so a block's item-last ``(K, K, B)`` factor stack stays near this
+#: size; a data-space item needs only ``O(d K)`` bytes, so several times
+#: more of them fit.  Buckets larger than a block are cut into row pieces
+#: (bounding peak memory); small buckets are packed together (the ``3K``
+#: elementwise back-substitution calls are paid once per block, not once
+#: per bucket).  On one core 1 MB ran the sparse (K=16) user phase a few
+#: percent faster than 2 MB and the dense (K=32) phases equally fast.
 BLOCK_BYTES = 1024 * 1024
 
 #: ``parallel_map(func, items)`` calls ``func(item)`` for every item; with
@@ -83,23 +93,117 @@ Piece = Tuple[DegreeBucket, int, int]
 
 
 def _pack_blocks(buckets: Sequence[DegreeBucket],
-                 num_latent: int) -> List[List[Piece]]:
+                 item_bytes: Sequence[int]) -> List[List[Piece]]:
     """Cut and pack ``buckets`` into consecutive blocks of at most
-    ``BLOCK_BYTES // (8 K^2)`` items, in bucket order."""
-    size = max(1, BLOCK_BYTES // (8 * num_latent * num_latent))
+    ``BLOCK_BYTES`` (at least one item each), in bucket order;
+    ``item_bytes[b]`` is the working set one item of bucket ``b`` needs."""
     blocks: List[List[Piece]] = []
     room = 0
-    for bucket in buckets:
+    for bucket, cost in zip(buckets, item_bytes):
         start = 0
         while start < bucket.n_items:
-            if room == 0:
+            if room < cost:
                 blocks.append([])
-                room = size
-            stop = min(bucket.n_items, start + room)
+                room = max(BLOCK_BYTES, cost)
+            stop = min(bucket.n_items, start + room // cost)
             blocks[-1].append((bucket, start, stop))
-            room -= stop - start
+            room -= (stop - start) * cost
             start = stop
     return blocks
+
+
+#: A rank-one piece joins the group of the next larger degree in its block
+#: when padding it there takes fewer zero rows than this.  Each group pays
+#: about ``10 d`` elementwise calls for its factor and solves whatever its
+#: size, so tiny buckets (sparse movie phases, rank subsets) share them.
+PAD_ROWS = 256
+
+
+def _pad_groups(pieces: Sequence[Piece]) -> List[List[Piece]]:
+    """Group a block's rank-one pieces for the data-space kernel, each
+    group led by its largest degree; degree-0 pieces stay alone."""
+    groups: List[List[Piece]] = []
+    for piece in sorted(pieces, key=lambda piece: -piece[0].degree):
+        degree, size = piece[0].degree, piece[2] - piece[1]
+        if groups and degree \
+                and size * (groups[-1][0][0].degree - degree) < PAD_ROWS:
+            groups[-1].append(piece)
+        else:
+            groups.append([piece])
+    return groups
+
+
+def _back_substitute(factor: np.ndarray, x: np.ndarray) -> None:
+    """Solve ``L^T u = x`` in place on item-last arrays: ``factor[i, j]``
+    is ``L_ij`` across the items (or ``(K, K, 1)`` for one ``L`` shared by
+    all of them) and ``x[i]`` the running right-hand side.  Elementwise
+    ufuncs only, so an item's result never depends on its neighbours."""
+    scratch = np.empty_like(x)
+    for i in range(x.shape[0] - 1, -1, -1):
+        np.divide(x[i], factor[i, i], out=x[i])
+        if i:
+            np.multiply(factor[i, :i], x[i], out=scratch[:i])
+            np.subtract(x[:i], scratch[:i], out=x[:i])
+
+
+class _Phase:
+    """What one phase's blocks share: the prior in both kernels' forms and
+    the whitened source rows the rank-one pieces read."""
+
+    def __init__(self, engine: "BatchedUpdateEngine", prior: GaussianPrior,
+                 alpha: float, source: np.ndarray,
+                 buckets: Sequence[DegreeBucket]):
+        dtype = engine._dtype
+        k = prior.num_latent
+        # choose() returns RANK_ONE exactly below rank_one_limit.
+        method = engine.update_method
+        if method is None:
+            self.rank_one_below = engine.policy.rank_one_limit(k)
+        else:
+            self.rank_one_below = math.inf \
+                if method is UpdateMethod.RANK_ONE else 0
+        self.alpha = dtype.type(alpha)
+        self.inv_alpha = dtype.type(1.0 / alpha)
+        self.shift = dtype.type(1.0 / np.sqrt(alpha))
+        self.a0 = engine._augmented_prior(prior)
+        chol = np.linalg.cholesky(prior.precision)
+        self.chol = chol.astype(dtype)
+        self.c0 = (chol.T @ prior.mean).astype(dtype)
+        # L^-1 x for every source row a rank-one piece reads, by forward
+        # substitution (elementwise, so a row's bits never depend on which
+        # other rows are whitened with it), compacted: source row r is row
+        # position[r] of white.
+        read = np.zeros(source.shape[0], dtype=bool)
+        for bucket in buckets:
+            if bucket.degree and self.rank_one(bucket):
+                read[bucket.neighbours] = True
+        rows = np.flatnonzero(read)
+        self.position = self.white = None
+        if not rows.size:
+            return
+        self.position = np.empty(source.shape[0], dtype=np.intp)
+        self.position[rows] = np.arange(rows.size)
+        white = source[rows].T.copy()
+        scratch = np.empty_like(white)
+        for j in range(k):
+            np.divide(white[j], self.chol[j, j], out=white[j])
+            if j + 1 < k:
+                np.multiply(self.chol[j + 1:, j, None], white[j],
+                            out=scratch[j + 1:])
+                np.subtract(white[j + 1:], scratch[j + 1:], out=white[j + 1:])
+        self.white = white.T.copy()
+
+    def rank_one(self, bucket: DegreeBucket) -> bool:
+        return bucket.degree < self.rank_one_below
+
+    def item_bytes(self, bucket: DegreeBucket) -> int:
+        """One item's working set: its ``K x K`` factor on the Gram path;
+        on the rank-one path its ``d + 1`` gathered rows, the right-hand
+        side and solve scratch (``K`` each) and the ``d x d`` products."""
+        k, d = self.chol.shape[0], bucket.degree
+        if self.rank_one(bucket):
+            return 8 * (k * (d + 4) + 2 * d * (d + 1))
+        return 8 * k * k
 
 
 class UpdateEngine:
@@ -182,10 +286,10 @@ class UpdateEngine:
         """
         raise NotImplementedError
 
-    def _choose_method(self, degree: int) -> UpdateMethod:
+    def _choose_method(self, degree: int, num_latent: int) -> UpdateMethod:
         if self.update_method is not None:
             return self.update_method
-        return self.policy.choose(degree)
+        return self.policy.choose(degree, num_latent)
 
 
 class ReferenceUpdateEngine(UpdateEngine):
@@ -224,12 +328,25 @@ class ReferenceUpdateEngine(UpdateEngine):
 
 
 class BatchedUpdateEngine(UpdateEngine):
-    """Stacked-BLAS execution: one Cholesky and one triangular solve per
-    item block.
+    """Stacked execution: per item block, the low-degree items in data
+    space and the others through one stacked Cholesky, then one
+    back-substitution per kind.
 
-    For ``m`` items of degree ``d`` the engine gathers the ``(m, d, K+1)``
-    augmented tensor ``Z = [X | r]`` (neighbour factor rows beside the
-    ratings) and computes, for all items at once::
+    A bucket in the rank-one regime (``policy.choose`` gives ``RANK_ONE``
+    for its degree and ``K``, or ``RANK_ONE`` is forced) is drawn in data
+    space, as :func:`repro.core.updates.sample_item_rank_one` does per
+    item: with ``W = X L^-T`` gathered from the whitened source rows
+    (``Lambda = L L^T`` factored once per phase), the products with ``W``
+    as stacked ``matmul``, one ``d x d`` factor ``W W^T + I/alpha = C C^T``
+    per item built by ``O(d)`` elementwise column steps over the bucket,
+    two triangular passes with ``C`` and ``C + alpha^-1/2 I``, and
+    ``L^-T`` last.  It costs ``O(d K + d^2)`` work per item and no LAPACK
+    call; small pieces of a block share their factor steps, padded with
+    zero rows, which changes no bit.
+
+    Every other bucket of ``m`` items of degree ``d`` gathers the
+    ``(m, d, K+1)`` augmented tensor ``Z = [X | r]`` (neighbour factor rows
+    beside the ratings) and computes, for all items at once::
 
         A0 = [[Lambda,       Lambda mu      ],      (once per phase)
               [mu^T Lambda,  1 + mu^T Lambda mu]]
@@ -243,28 +360,19 @@ class BatchedUpdateEngine(UpdateEngine):
     and ``L^-T y`` is the conditional mean.  Before factorising, the corner
     ``c`` is doubled: the Schur complement ``s^2 = c - |y|^2`` then exceeds
     half the corner, so no precision (float32 included) can fail on the
-    last pivot; ``s`` itself is never used.  The back-substitution runs
-    ``K`` vectorised steps over an item-last ``(K, K, B)`` block with
-    elementwise ufuncs only.
-
-    Items are processed in blocks of ``BLOCK_BYTES // (8 K^2)``: buckets
-    larger than a block are cut into row pieces, small ones are packed into
-    a shared block.  Every item's arithmetic depends only on its own row, so
-    the block layout — and hence rank subsets, ``parallel_map`` threads and
-    shared-memory workers, which each build their own blocks — never
-    changes an output bit.
-
-    Buckets in the parallel-Cholesky regime (degree >=
-    ``policy.parallel_threshold``) accumulate ``X^T X`` over the same row
-    blocks :func:`repro.core.updates.sample_item_parallel_cholesky` uses,
+    last pivot; ``s`` itself is never used.  Buckets in the
+    parallel-Cholesky regime (degree >= ``policy.parallel_threshold``)
+    accumulate ``X^T X`` over the same row blocks
+    :func:`repro.core.updates.sample_item_parallel_cholesky` uses,
     preserving the paper's blocked-Gram structure at bucket granularity.
-    The method selection (forced or policy-chosen) controls *only* that
-    accumulation structure: this engine never runs the incremental
-    rank-one kernel — a bucket in the rank-one regime (or with a forced
-    ``RANK_ONE``) takes the single-pass Gram path, which samples the same
-    distribution at lower cost.  Experiments that need the literal
-    per-kernel execution (e.g. Figure 2 timings) must use the reference
-    engine.
+
+    Both kinds end in ``K`` vectorised back-substitution steps over
+    item-last arrays with elementwise ufuncs only.  Items are packed into
+    blocks of about ``BLOCK_BYTES``: buckets larger than a block are cut
+    into row pieces, small ones share a block.  Every item's arithmetic
+    depends only on its own row, so the block layout — and hence rank
+    subsets, ``parallel_map`` threads and shared-memory workers, which
+    each build their own blocks — never changes an output bit.
 
     Bucket plans are structural (sparsity-only) and cached per
     ``(axis, items)`` pair in the module-level cache of
@@ -322,7 +430,7 @@ class BatchedUpdateEngine(UpdateEngine):
             z = np.empty((stop - start, d, k + 1), dtype=self._dtype)
             z[:, :, :k] = source[bucket.neighbours[start:stop]]
             z[:, :, k] = bucket.values[start:stop]
-            if self._choose_method(d) is UpdateMethod.PARALLEL_CHOLESKY:
+            if self._choose_method(d, k) is UpdateMethod.PARALLEL_CHOLESKY:
                 # Mirror the parallel kernel's blocked Gram accumulation.
                 out[...] = a0
                 n_blocks = min(self.policy.n_subtasks(d), d)
@@ -336,32 +444,121 @@ class BatchedUpdateEngine(UpdateEngine):
         aug[:, k, k] *= 2  # Schur complement >= half the corner: see class
         return aug
 
-    def _update_block(self, block: Sequence[Piece], target: np.ndarray,
-                      source: np.ndarray, a0: np.ndarray, alpha,
-                      noise: np.ndarray) -> None:
-        """One Cholesky and one back-substitution for a block of pieces."""
-        k = a0.shape[0] - 1
+    def _data_space_rhs(self, group: Sequence[Piece], phase: "_Phase",
+                        noise: np.ndarray, out: np.ndarray) -> None:
+        """``L^T u`` for the items of one group of rank-one pieces,
+        item-last in ``out`` (``K x m``): the data-space draw of
+        :func:`repro.core.updates.sample_item_rank_one` before its final
+        ``L^-T``.
+
+        With ``c = c0 + alpha W^T r`` (``c0 = L^T mu``) the draw is
+        ``c0 + z + W^T (alpha r - C^-T [C^-1 W c + (C + alpha^-1/2 I)^-1
+        W z])``, and ``W c = W c0 + alpha W W^T r`` needs no ``c``.  The
+        products with ``W`` are stacked ``matmul`` per piece (one BLAS call
+        of one shape per item).  The ``d x d`` factor and its solves are
+        ``O(d)`` elementwise column steps over the whole group, padded to
+        its first (largest) degree: a padded row is zero in ``W W^T``,
+        ``W c`` and ``W z`` and factors as an isolated ``alpha^-1/2``
+        pivot, so it adds exact zeros to every real entry and padding
+        never changes a bit."""
+        k, m = out.shape
+        d = group[0][0].degree
         items = np.concatenate([bucket.items[start:stop]
-                                for bucket, start, stop in block])
+                                for bucket, start, stop in group])
+        z = np.asarray(noise[items], dtype=self._dtype)
+        np.add(phase.c0[:, None], z.T, out=out)
+        if d == 0:
+            return
+        # Item-last and zero-padded: gram = W W^T, solved = [W c, W z].
+        gram = np.zeros((d, d, m), dtype=self._dtype)
+        solved = np.zeros((2, d, m), dtype=self._dtype)
+        ratings = np.zeros((d, m), dtype=self._dtype)
+        pieces, column = [], 0
+        for bucket, start, stop in group:
+            span, own = slice(column, column + stop - start), bucket.degree
+            column = span.stop
+            # rows[i] = [W; z; c0] and products[i] = rows[i] W^T: W W^T,
+            # then (W z)^T and (W c0)^T.
+            rows = np.empty((stop - start, own + 2, k), dtype=self._dtype)
+            rows[:, own] = z[span]
+            rows[:, own + 1] = phase.c0
+            columns = phase.position[bucket.neighbours[start:stop]]
+            rows[:, :own] = phase.white[columns]
+            products = np.matmul(rows, rows[:, :own].transpose(0, 2, 1))
+            values = np.ascontiguousarray(bucket.values[start:stop])
+            fit = np.matmul(products[:, :own], values[:, :, None])[:, :, 0]
+            fit *= phase.alpha
+            fit += products[:, own + 1]
+            gram[:own, :own, span] = products[:, :own].transpose(1, 2, 0)
+            solved[0, :own, span] = fit.T
+            solved[1, :own, span] = products[:, own].T
+            ratings[:own, span] = values.T
+            pieces.append((span, rows[:, :own]))
+        diagonal = gram.reshape(d * d, m)[::d + 1]
+        diagonal += phase.inv_alpha
+        # G = W W^T + I/alpha = C C^T in place (lower), right-looking.
+        for j in range(d):
+            np.sqrt(gram[j, j], out=gram[j, j])
+            if j + 1 < d:
+                gram[j + 1:, j] /= gram[j, j]
+                tail = gram[j + 1:, j]
+                gram[j + 1:, j + 1:] -= tail[:, None] * tail
+        # C^-1 W c and (C + alpha^-1/2 I)^-1 W z in one forward pass,
+        # then C^-T of their sum.
+        pivots = np.stack([diagonal, diagonal + phase.shift])
+        for j in range(d):
+            solved[:, j] /= pivots[:, j]
+            if j + 1 < d:
+                solved[:, j + 1:] -= gram[j + 1:, j] * solved[:, j, None]
+        back = solved[0] + solved[1]
+        for j in range(d - 1, -1, -1):
+            back[j] /= gram[j, j]
+            if j:
+                back[:j] -= gram[j, :j] * back[j]
+        weights = ratings * phase.alpha
+        weights -= back
+        for span, white in pieces:
+            own = white.shape[1]
+            weight = np.ascontiguousarray(weights[:own, span].T)[:, None]
+            out[:, span] += np.matmul(weight, white)[:, 0].T
+
+    def _update_block(self, block: Sequence[Piece], target: np.ndarray,
+                      source: np.ndarray, phase: "_Phase",
+                      noise: np.ndarray) -> None:
+        """Rank-one pieces in data space, the others through one stacked
+        Cholesky, then one back-substitution per kind."""
+        k = phase.chol.shape[0]
+        groups = _pad_groups([piece for piece in block
+                              if phase.rank_one(piece[0])])
+        gram = [piece for piece in block if not phase.rank_one(piece[0])]
+        pieces = [piece for group in groups for piece in group] + gram
+        items = np.concatenate([bucket.items[start:stop]
+                                for bucket, start, stop in pieces])
+        x = np.empty((k, items.shape[0]), dtype=self._dtype)
+        n_ranked = 0
+        for group in groups:
+            size = sum(stop - start for _, start, stop in group)
+            self._data_space_rhs(group, phase, noise,
+                                 x[:, n_ranked:n_ranked + size])
+            n_ranked += size
+        if groups:
+            _back_substitute(phase.chol[:, :, None], x[:, :n_ranked])
+        if not gram:
+            target[items] = x.T
+            return
         # The Gram stack dies as soon as it is factorised, so the allocator
         # hands its memory to the item-last copy below; keeping it alive
         # too (at a 2 MB budget) made every block fault in fresh pages and
         # the sparse-workload sweep ran 1.7x slower on one core.
         chol = np.linalg.cholesky(self._augmented_grams(
-            block, items.shape[0], source, a0, alpha))
-
+            gram, items.shape[0] - n_ranked, source, phase.a0, phase.alpha))
         # L^T x = y + z on item-last arrays: factor[i, j] is L_ij across
-        # the block's items and x[i] the running right-hand side.
-        factor = chol[:, :k, :k].transpose(1, 2, 0).copy()
-        x = np.empty((k, items.shape[0]), dtype=self._dtype)
+        # the Gram items and x[i] the running right-hand side.
         np.add(chol[:, k, :k].T,
-               np.asarray(noise[items], dtype=self._dtype).T, out=x)
-        scratch = np.empty_like(x)
-        for i in range(k - 1, -1, -1):
-            np.divide(x[i], factor[i, i], out=x[i])
-            if i:
-                np.multiply(factor[i, :i], x[i], out=scratch[:i])
-                np.subtract(x[:i], scratch[:i], out=x[:i])
+               np.asarray(noise[items[n_ranked:]], dtype=self._dtype).T,
+               out=x[:, n_ranked:])
+        _back_substitute(chol[:, :k, :k].transpose(1, 2, 0).copy(),
+                         x[:, n_ranked:])
         target[items] = x.T
 
     def _update_buckets(self, buckets: Sequence[DegreeBucket],
@@ -370,13 +567,12 @@ class BatchedUpdateEngine(UpdateEngine):
                         noise: np.ndarray,
                         parallel_map: Optional[ParallelMap] = None) -> None:
         """Update every item of ``buckets`` block by block."""
-        a0 = self._augmented_prior(prior)
-        alpha = self._dtype.type(alpha)
-        blocks = _pack_blocks(buckets, prior.num_latent)
+        phase = _Phase(self, prior, alpha, source, buckets)
+        blocks = _pack_blocks(buckets, [phase.item_bytes(bucket)
+                                        for bucket in buckets])
 
         def run_block(index: int) -> None:
-            self._update_block(blocks[index], target, source, a0, alpha,
-                               noise)
+            self._update_block(blocks[index], target, source, phase, noise)
 
         if parallel_map is None:
             for index in range(len(blocks)):

@@ -66,15 +66,18 @@ class SamplerOptions:
     """Execution options orthogonal to the statistical model.
 
     ``update_method`` forces one of the three kernels for every item;
-    ``None`` (default) uses the hybrid policy, as the paper does.  Under
-    the ``"reference"`` engine the forced kernel is executed literally;
-    the ``"batched"`` engine always factorises the stacked Gram matrices
-    and honours the method only as accumulation structure (blocked for
-    ``PARALLEL_CHOLESKY``, single-pass otherwise — a forced ``RANK_ONE``
-    runs the single-pass Gram path).  All kernels sample the same
-    distribution, so this changes cost profile, never statistics; use
-    ``engine="reference"`` when per-kernel timing fidelity matters (as
-    the Figure 2 driver does).
+    ``None`` (default) uses the hybrid policy, as the paper does: the
+    data-space rank-one kernel below a degree boundary that depends on
+    ``K`` (:meth:`HybridUpdatePolicy.rank_one_limit`), the Gram path above
+    it, the blocked Gram path from ``parallel_threshold``.  Under the
+    ``"reference"`` engine the kernel runs literally, one item at a time;
+    the ``"batched"`` engine runs the same formulas stacked over each
+    bucket (a forced ``SERIAL_CHOLESKY`` or ``PARALLEL_CHOLESKY`` only
+    changes the Gram accumulation).  All kernels sample the same
+    distribution, so this changes cost profile, never statistics; the
+    rank-one kernel takes another square root of it, so forcing it moves
+    the chain.  Use ``engine="reference"`` when per-kernel timing fidelity
+    matters (as the Figure 2 driver does).
 
     ``engine`` selects how a phase's item updates are *executed*:
     ``"batched"`` (default) runs them through the stacked-BLAS

@@ -166,7 +166,7 @@ def _hybrid_item_costs(degrees: np.ndarray, config: ScalingConfig
     k = config.num_latent
     rank_one = np.asarray(model.cost(degrees, UpdateMethod.RANK_ONE, k))
     serial = np.asarray(model.cost(degrees, UpdateMethod.SERIAL_CHOLESKY, k))
-    costs = np.where(degrees < policy.rank_one_threshold, rank_one, serial)
+    costs = np.where(degrees < policy.rank_one_limit(k), rank_one, serial)
     # Heavy items are splittable: their contribution to the critical path is
     # one Gram block plus the factorisation tail, not the whole item.
     heavy = degrees >= policy.parallel_threshold

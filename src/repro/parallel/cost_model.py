@@ -82,8 +82,9 @@ class UpdateCostModel:
     ----------
     k_ref:
         Latent dimension the coefficients were calibrated at.  Costs scale
-        with ``(K / k_ref)^2`` for the per-rating terms and ``(K / k_ref)^3``
-        for the factorisation term, following the kernels' complexity.
+        with ``(K / k_ref)^2`` for the per-rating terms and the whole
+        rank-one kernel, and ``(K / k_ref)^3`` for the factorisation term,
+        following the kernels' complexity.
     rank_one_fixed, rank_one_per_rating:
         Coefficients of the rank-one update kernel.
     chol_fixed, chol_per_rating, chol_factorize:
@@ -118,7 +119,8 @@ class UpdateCostModel:
         sq, cb = self._scale(num_latent)
         n = np.asarray(n_ratings, dtype=float)
         if method is UpdateMethod.RANK_ONE:
-            return self.rank_one_fixed + self.rank_one_per_rating * sq * n
+            # Data space: even the fixed part is a K x K back-substitution.
+            return (self.rank_one_fixed + self.rank_one_per_rating * n) * sq
         if method is UpdateMethod.SERIAL_CHOLESKY:
             return (self.chol_fixed + self.chol_per_rating * sq * n
                     + self.chol_factorize * cb)
@@ -154,10 +156,9 @@ class UpdateCostModel:
 #: Cholesky pays the factorisation once, and the parallel Cholesky adds a
 #: task-spawn/reduction overhead that only pays off near the paper's
 #: 1000-rating threshold.  Use :func:`calibrate_cost_model` instead to fit
-#: the coefficients to the *measured* pure-Python kernels of this package
-#: (their crossovers sit at much lower rating counts because the rank-one
-#: update is a Python-level loop — this discrepancy is discussed in
-#: EXPERIMENTS.md under Figure 2).
+#: the coefficients to the *measured* per-item numpy kernels of this
+#: package (their crossovers sit at much lower rating counts because the
+#: data-space rank-one kernel factors a ``d x d`` matrix per item).
 DEFAULT_COST_MODEL = UpdateCostModel()
 
 

@@ -183,7 +183,7 @@ def tasks_from_degrees(
     tasks: List[SimTask] = []
     for index, degree in enumerate(degrees):
         n = int(degree)
-        method = policy.choose(n)
+        method = policy.choose(n, num_latent)
         serial_duration = float(cost_model.cost(
             n, method if method is not UpdateMethod.PARALLEL_CHOLESKY
             else UpdateMethod.SERIAL_CHOLESKY, num_latent))

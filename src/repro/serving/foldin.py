@@ -13,11 +13,12 @@ conditional Gaussian as any training user,
 evaluated against the *fixed* posterior item factors — the PMF-style
 fold-in.  Rather than reimplementing that linear algebra, this module
 builds a one-phase :class:`~repro.sparse.csr.CompressedAxis` over the new
-users' ratings and pushes it through the batched block-Cholesky engine
-(:class:`~repro.core.batch_engine.BatchedUpdateEngine`): with zero noise
-the engine's ``mean + L^{-T} z`` sample *is* the posterior mean, and with
-real noise it is a posterior sample.  Folding in a thousand cold-start
-users therefore costs one stacked LAPACK pass per distinct degree.
+users' ratings and pushes it through the batched engine
+(:class:`~repro.core.batch_engine.BatchedUpdateEngine`): every regime's
+draw is ``mean + J z``, so with zero noise it *is* the posterior mean
+(low-degree users take the data-space rank-one kernel), and with real
+noise it is a posterior sample.  Folding in a thousand cold-start users
+therefore costs one stacked pass per distinct degree.
 """
 
 from __future__ import annotations

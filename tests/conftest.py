@@ -91,6 +91,19 @@ def assert_same_chain():
     return check
 
 
+@pytest.fixture(scope="session")
+def affine_map():
+    """``(u(0), J)`` of a per-item kernel's draw ``u(z) = u(0) + J z``."""
+    def split(kernel, neighbours, ratings, prior, alpha):
+        at_zero = kernel(neighbours, ratings, prior, alpha,
+                         noise=np.zeros(prior.num_latent))
+        return at_zero, np.column_stack([
+            kernel(neighbours, ratings, prior, alpha, noise=unit) - at_zero
+            for unit in np.eye(prior.num_latent)])
+
+    return split
+
+
 @pytest.fixture
 def simple_ratings():
     """A hand-written 4x3 rating matrix with a known pattern.

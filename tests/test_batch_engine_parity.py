@@ -128,9 +128,14 @@ class TestPhaseParity:
         shared-memory workers' own blocks."""
         rng = np.random.default_rng(11)
         degrees = rng.integers(0, 15, size=24)
+        # Item 0 is a one-item bucket of the rank-one regime (K = 8: below
+        # degree 6), in the full plan and in the subset alike.
+        degrees[degrees == 3] = 4
+        degrees[0] = 3
         axis = _random_axis(rng, 24, 30, degrees)
-        subset = np.array([1, 4, 5, 9, 17, 23])
+        subset = np.array([0, 1, 4, 5, 9, 17, 23])
         k = 8
+        assert HybridUpdatePolicy().choose(3, k) is UpdateMethod.RANK_ONE
 
         full_ref, full_bat = _run_both(axis, 30, k, seed=42)
         sub_ref, sub_bat = _run_both(axis, 30, k, items=subset, seed=42)
@@ -154,9 +159,11 @@ class TestPhaseParity:
 
         with make_update_engine("shared", n_workers=2) as shared:
             np.testing.assert_array_equal(run(shared), full_bat)
+        # Three Gram items per block, pieces of rank-one buckets alike.
         monkeypatch.setattr(batch_engine, "BLOCK_BYTES", 3 * 8 * k * k)
+        buckets = BatchedUpdateEngine()._plan_for(axis, None).buckets
         assert len(batch_engine._pack_blocks(
-            BatchedUpdateEngine()._plan_for(axis, None).buckets, k)) == 8
+            buckets, [8 * k * k] * len(buckets))) == 8
         np.testing.assert_array_equal(run(BatchedUpdateEngine()), full_bat)
         threads = ThreadPoolBackend(n_threads=3, chunk_size=1)
         np.testing.assert_array_equal(

@@ -104,16 +104,25 @@ class TestConditionalDistribution:
 class TestKernelEquivalence:
     """All three kernels must sample from the same distribution."""
 
-    def test_identical_given_same_noise(self, item_problem):
+    def test_identical_given_same_noise(self, item_problem, affine_map):
+        """The Cholesky kernels share one square root, so one noise row
+        gives one sample.  The rank-one kernel takes another root of the
+        same conditional: the same mean and the same covariance."""
         neighbours, ratings, prior = item_problem
         noise = np.random.default_rng(7).standard_normal(prior.num_latent)
         serial = sample_item_serial_cholesky(neighbours, ratings, prior, 2.0,
                                              noise=noise)
-        rank_one = sample_item_rank_one(neighbours, ratings, prior, 2.0, noise=noise)
         parallel = sample_item_parallel_cholesky(neighbours, ratings, prior, 2.0,
                                                  noise=noise, n_blocks=4)
-        np.testing.assert_allclose(rank_one, serial, atol=1e-8)
         np.testing.assert_allclose(parallel, serial, atol=1e-8)
+        mean, root = affine_map(sample_item_serial_cholesky, neighbours,
+                                ratings, prior, 2.0)
+        rank_one_mean, rank_one_root = affine_map(sample_item_rank_one,
+                                                  neighbours, ratings, prior,
+                                                  2.0)
+        np.testing.assert_allclose(rank_one_mean, mean, atol=1e-8)
+        np.testing.assert_allclose(rank_one_root @ rank_one_root.T,
+                                   root @ root.T, atol=1e-8)
 
     def test_parallel_block_count_does_not_change_result(self, item_problem):
         neighbours, ratings, prior = item_problem

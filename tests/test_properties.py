@@ -135,7 +135,8 @@ class TestNumericProperties:
 
     @COMMON_SETTINGS
     @given(st.integers(1, 5), st.integers(0, 25), st.integers(0, 2**31 - 1))
-    def test_update_kernels_always_agree(self, k, n_ratings, seed):
+    def test_update_kernels_always_agree(self, affine_map, k, n_ratings,
+                                         seed):
         rng = np.random.default_rng(seed)
         neighbours = rng.normal(size=(n_ratings, k))
         ratings = rng.normal(size=n_ratings)
@@ -144,12 +145,22 @@ class TestNumericProperties:
         noise = rng.standard_normal(k)
         serial = sample_item_serial_cholesky(neighbours, ratings, prior, 2.0,
                                              noise=noise)
-        rank_one = sample_item_rank_one(neighbours, ratings, prior, 2.0, noise=noise)
         parallel = sample_item_parallel_cholesky(neighbours, ratings, prior, 2.0,
                                                  noise=noise, n_blocks=3)
-        np.testing.assert_allclose(rank_one, serial, rtol=1e-6, atol=1e-6)
         np.testing.assert_allclose(parallel, serial, rtol=1e-6, atol=1e-6)
         assert np.isfinite(serial).all()
+        # The rank-one kernel takes another square root of the same
+        # conditional: u(z) = mean + J z with the same mean and J J^T.
+        mean, root = affine_map(sample_item_serial_cholesky, neighbours,
+                                ratings, prior, 2.0)
+        rank_one_mean, rank_one_root = affine_map(
+            sample_item_rank_one, neighbours, ratings, prior, 2.0)
+        np.testing.assert_allclose(rank_one_mean, mean, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(rank_one_root @ rank_one_root.T,
+                                   root @ root.T, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(
+            sample_item_rank_one(neighbours, ratings, prior, 2.0, noise=noise),
+            rank_one_mean + rank_one_root @ noise, rtol=1e-6, atol=1e-6)
 
     @COMMON_SETTINGS
     @given(st.integers(1, 5), st.integers(1, 40), st.integers(0, 2**31 - 1))

@@ -6,10 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.priors import GaussianPrior
-from repro.core.updates import (
-    conditional_distribution,
-    sample_item_serial_cholesky,
-)
+from repro.core.updates import conditional_distribution, sample_item
 from repro.serving.foldin import fold_in_posterior, fold_in_user, fold_in_users
 from repro.utils.validation import ValidationError
 
@@ -102,8 +99,8 @@ class TestFoldInSample:
         noise = rng.standard_normal(5)
         folded = fold_in_user(item_factors, prior, 4.0, items, values,
                               noise=noise)
-        reference = sample_item_serial_cholesky(item_factors[items], values,
-                                                prior, 4.0, noise=noise)
+        reference = sample_item(item_factors[items], values, prior, 4.0,
+                                noise=noise)
         np.testing.assert_allclose(folded, reference, rtol=1e-7, atol=1e-9)
 
 
