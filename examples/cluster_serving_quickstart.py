@@ -94,7 +94,7 @@ def main() -> None:
 
 
 def load_iteration(path: Path) -> int:
-    from repro.serving.checkpoint import load_snapshot
+    from repro.core.checkpoint import load_snapshot
 
     return load_snapshot(path).state.iteration
 

@@ -19,7 +19,8 @@ True
 
 Package map
 -----------
-``repro.core``          the BPMF Gibbs sampler and its update kernels
+``repro.core``          the BPMF Gibbs sampler, its update kernels and
+                        posterior snapshots / exact resume
 ``repro.sparse``        sparse rating-matrix substrate
 ``repro.datasets``      synthetic ChEMBL-like / MovieLens-like workloads
 ``repro.baselines``     ALS and SGD matrix factorization
@@ -27,47 +28,14 @@ Package map
 ``repro.multicore``     the modelled multicore study (Figure 3)
 ``repro.mpi``           simulated MPI world, network model, tracing
 ``repro.distributed``   distributed BPMF and the strong-scaling model (Figures 4-5)
-``repro.serving``       posterior snapshots, exact resume, online serving
+``repro.serving``       online serving: fold-in, sharding, TCP fleet, WAL
 ``repro.bench``         one driver per figure/claim of the paper
+
+Names are exported lazily: ``import repro`` loads no subpackage, and
+each name imports only the layer that defines it (README "Package map").
 """
 
-from repro.core import (
-    BPMF,
-    BPMFConfig,
-    BPMFResult,
-    GibbsSampler,
-    HybridUpdatePolicy,
-    MacauGibbsSampler,
-    SamplerOptions,
-    SideInfo,
-    UpdateMethod,
-    recommend_for_user,
-    run_chains,
-)
-from repro.baselines import ALSConfig, SGDConfig, run_als, run_sgd
-from repro.datasets import (
-    make_chembl_like,
-    make_low_rank_dataset,
-    make_movielens_like,
-    make_scaling_workload,
-    load_dataset,
-    available_datasets,
-)
-from repro.distributed import (
-    DistributedGibbsSampler,
-    DistributedOptions,
-    strong_scaling_study,
-)
-from repro.multicore import multicore_thread_sweep
-from repro.serving import (
-    CheckpointConfig,
-    PredictionService,
-    Snapshot,
-    load_snapshot,
-    save_snapshot,
-    snapshot_from_result,
-)
-from repro.sparse import RatingMatrix, train_test_split
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -107,3 +75,24 @@ __all__ = [
     "RatingMatrix",
     "train_test_split",
 ]
+
+# Every public name resolves on first access, importing only the layer
+# that defines it: ``import repro`` alone loads no subpackage.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.core": ("BPMF", "BPMFConfig", "BPMFResult", "GibbsSampler",
+                   "HybridUpdatePolicy", "MacauGibbsSampler",
+                   "SamplerOptions", "SideInfo", "UpdateMethod",
+                   "recommend_for_user", "run_chains"),
+    "repro.core.checkpoint": ("CheckpointConfig", "Snapshot",
+                              "load_snapshot", "save_snapshot",
+                              "snapshot_from_result"),
+    "repro.baselines": ("ALSConfig", "SGDConfig", "run_als", "run_sgd"),
+    "repro.datasets": ("make_chembl_like", "make_low_rank_dataset",
+                       "make_movielens_like", "make_scaling_workload",
+                       "load_dataset", "available_datasets"),
+    "repro.distributed": ("DistributedGibbsSampler", "DistributedOptions",
+                          "strong_scaling_study"),
+    "repro.multicore": ("multicore_thread_sweep",),
+    "repro.serving.service": ("PredictionService",),
+    "repro.sparse": ("RatingMatrix", "train_test_split"),
+})

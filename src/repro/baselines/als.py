@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from repro.core.metrics import rmse
 from repro.sparse.csr import RatingMatrix
@@ -78,6 +77,8 @@ class ALSResult:
 def _solve_side(target_factors: np.ndarray, source_factors: np.ndarray,
                 ratings_axis, config: ALSConfig) -> None:
     """Solve the normal equations for every item of one side, in place."""
+    from scipy.linalg import cho_factor, cho_solve
+
     k = config.num_latent
     eye = np.eye(k)
     for item in range(target_factors.shape[0]):

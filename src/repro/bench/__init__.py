@@ -19,13 +19,7 @@ RMSE parity claim             :func:`repro.bench.accuracy.run_accuracy_parity`
 ============================  =========================================
 """
 
-from repro.bench.runner import ExperimentResult, run_experiment, available_experiments
-from repro.bench.fig2_update_methods import Fig2Result, run_fig2
-from repro.bench.fig3_multicore import Fig3Result, run_fig3
-from repro.bench.fig4_strong_scaling import Fig4Result, run_fig4
-from repro.bench.fig5_overlap import Fig5Result, run_fig5
-from repro.bench.accuracy import AccuracyParityResult, run_accuracy_parity
-from repro.bench.speedup_summary import SpeedupSummaryResult, run_speedup_summary
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ExperimentResult",
@@ -44,3 +38,17 @@ __all__ = [
     "SpeedupSummaryResult",
     "run_speedup_summary",
 ]
+
+# Lazy (PEP 562): importing one figure's module, or
+# ``repro.bench.serving``, loads only the layers that module uses.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.bench.runner": ("ExperimentResult", "run_experiment",
+                           "available_experiments"),
+    "repro.bench.fig2_update_methods": ("Fig2Result", "run_fig2"),
+    "repro.bench.fig3_multicore": ("Fig3Result", "run_fig3"),
+    "repro.bench.fig4_strong_scaling": ("Fig4Result", "run_fig4"),
+    "repro.bench.fig5_overlap": ("Fig5Result", "run_fig5"),
+    "repro.bench.accuracy": ("AccuracyParityResult", "run_accuracy_parity"),
+    "repro.bench.speedup_summary": ("SpeedupSummaryResult",
+                                    "run_speedup_summary"),
+})

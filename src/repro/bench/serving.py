@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.checkpoint import Snapshot, _CONFIG_FIELDS
 from repro.core.priors import BPMFConfig, GaussianPrior
 from repro.core.state import BPMFState
-from repro.serving.checkpoint import Snapshot, _CONFIG_FIELDS
 
 __all__ = ["make_bench_snapshot"]
 

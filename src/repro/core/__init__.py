@@ -13,62 +13,22 @@ paper:
   based on the item's rating count (:mod:`repro.core.updates`);
 * the Gibbs sampler's one chain loop, posterior-mean prediction and RMSE
   evaluation (:mod:`repro.core.gibbs`, :mod:`repro.core.predict`,
-  :mod:`repro.core.metrics`).
+  :mod:`repro.core.metrics`);
+* versioned posterior snapshots, the checkpoint policy and exact resume
+  (:mod:`repro.core.checkpoint`).
 
 Multicore sampling is the same sampler with ``SamplerOptions(n_threads=)``
 and the distributed sampler (:mod:`repro.distributed`) runs the same loop
 on every rank of a world, which is what guarantees the paper's "all
 versions reach the same level of prediction accuracy" property.
+
+Names are exported lazily (PEP 562): each resolves on first access by
+importing its own submodule, so a training process loads neither scipy
+(only the per-item reference kernels and the side-information sampler
+call it) nor any layer above ``core``.
 """
 
-from repro.core.priors import BPMFConfig, NormalWishartPrior, GaussianPrior
-from repro.core.wishart import (
-    sample_wishart,
-    sample_normal_wishart,
-    normal_wishart_posterior,
-    normal_wishart_posterior_from_stats,
-    sample_hyperparameters,
-)
-from repro.core.updates import (
-    UpdateMethod,
-    HybridUpdatePolicy,
-    conditional_distribution,
-    sample_item_rank_one,
-    sample_item_serial_cholesky,
-    sample_item_parallel_cholesky,
-    sample_item,
-    cholesky_rank_one_update,
-)
-from repro.core.state import BPMFState, initialize_state
-from repro.core.batch_engine import (
-    UpdateEngine,
-    ReferenceUpdateEngine,
-    BatchedUpdateEngine,
-    available_engines,
-    make_update_engine,
-)
-from repro.core.shared_engine import SharedMemoryUpdateEngine, WorkerPoolError
-from repro.core.gibbs import GibbsSampler, SamplerOptions, BPMFResult
-from repro.core.predict import (
-    FactorMeanAccumulator,
-    PosteriorPredictor,
-    predict_ratings,
-)
-from repro.core.metrics import rmse, mae, coverage_interval
-from repro.core.diagnostics import (
-    ChainDiagnostics,
-    effective_sample_size,
-    potential_scale_reduction,
-    run_chains,
-)
-from repro.core.recommend import (
-    Recommendation,
-    recommend_for_user,
-    recommend_batch,
-    ranking_metrics,
-)
-from repro.core.sideinfo import MacauGibbsSampler, SideInfo, sample_link_matrix
-from repro.core.model import BPMF
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BPMFConfig",
@@ -118,3 +78,34 @@ __all__ = [
     "sample_link_matrix",
     "BPMF",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.core.priors": ("BPMFConfig", "NormalWishartPrior",
+                          "GaussianPrior"),
+    "repro.core.wishart": ("sample_wishart", "sample_normal_wishart",
+                           "normal_wishart_posterior",
+                           "normal_wishart_posterior_from_stats",
+                           "sample_hyperparameters"),
+    "repro.core.updates": ("UpdateMethod", "HybridUpdatePolicy",
+                           "conditional_distribution", "sample_item_rank_one",
+                           "sample_item_serial_cholesky",
+                           "sample_item_parallel_cholesky", "sample_item",
+                           "cholesky_rank_one_update"),
+    "repro.core.state": ("BPMFState", "initialize_state"),
+    "repro.core.batch_engine": ("UpdateEngine", "ReferenceUpdateEngine",
+                                "BatchedUpdateEngine", "available_engines",
+                                "make_update_engine"),
+    "repro.core.shared_engine": ("SharedMemoryUpdateEngine",
+                                 "WorkerPoolError"),
+    "repro.core.gibbs": ("GibbsSampler", "SamplerOptions", "BPMFResult"),
+    "repro.core.predict": ("FactorMeanAccumulator", "PosteriorPredictor",
+                           "predict_ratings"),
+    "repro.core.metrics": ("rmse", "mae", "coverage_interval"),
+    "repro.core.diagnostics": ("ChainDiagnostics", "effective_sample_size",
+                               "potential_scale_reduction", "run_chains"),
+    "repro.core.recommend": ("Recommendation", "recommend_for_user",
+                             "recommend_batch", "ranking_metrics"),
+    "repro.core.sideinfo": ("MacauGibbsSampler", "SideInfo",
+                            "sample_link_matrix"),
+    "repro.core.model": ("BPMF",),
+})

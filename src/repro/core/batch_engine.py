@@ -590,21 +590,24 @@ class BatchedUpdateEngine(UpdateEngine):
         return plan.n_planned_items
 
 
-def _engine_registry():
-    # The shared-memory engine subclasses BatchedUpdateEngine, so its module
-    # imports this one; resolving the registry lazily breaks that cycle.
-    from repro.core.shared_engine import SharedMemoryUpdateEngine
+#: Names accepted by ``SamplerOptions.engine`` and friends.
+ENGINE_NAMES = ("reference", "batched", "shared")
 
-    return {
-        ReferenceUpdateEngine.name: ReferenceUpdateEngine,
-        BatchedUpdateEngine.name: BatchedUpdateEngine,
-        SharedMemoryUpdateEngine.name: SharedMemoryUpdateEngine,
-    }
+
+def _engine_class(engine: str) -> type:
+    if engine == "shared":
+        # The shared-memory engine subclasses BatchedUpdateEngine, so its
+        # module imports this one; it is resolved only when asked for.
+        from repro.core.shared_engine import SharedMemoryUpdateEngine
+
+        return SharedMemoryUpdateEngine
+    return ReferenceUpdateEngine if engine == "reference" \
+        else BatchedUpdateEngine
 
 
 def available_engines() -> Tuple[str, ...]:
     """Names accepted by ``SamplerOptions.engine`` and friends."""
-    return tuple(_engine_registry())
+    return ENGINE_NAMES
 
 
 def make_update_engine(engine: str,
@@ -621,17 +624,17 @@ def make_update_engine(engine: str,
     for ``"shared"`` and is rejected otherwise rather than silently
     ignored.
     """
-    registry = _engine_registry()
-    if engine not in registry:
+    if engine not in ENGINE_NAMES:
         raise ValidationError(
             f"unknown update engine {engine!r}; "
-            f"available: {', '.join(registry)}")
+            f"available: {', '.join(ENGINE_NAMES)}")
+    engine_class = _engine_class(engine)
     kwargs = dict(update_method=update_method, policy=policy,
                   compute_dtype=compute_dtype)
-    if registry[engine].manages_parallelism:
+    if engine_class.manages_parallelism:
         kwargs["n_workers"] = n_workers
     elif n_workers is not None:
         raise ValidationError(
             f"engine {engine!r} does not take n_workers "
             "(only the 'shared' process backend does)")
-    return registry[engine](**kwargs)
+    return engine_class(**kwargs)

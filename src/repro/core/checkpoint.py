@@ -1,4 +1,5 @@
-"""Versioned posterior snapshots: the persistence layer of the serving stack.
+"""Versioned posterior snapshots: the persistence layer of the samplers
+and the serving stack.
 
 A *snapshot* is everything needed to (a) answer prediction queries without
 the training process — the last Gibbs sample, the running posterior-mean

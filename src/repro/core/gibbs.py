@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +31,11 @@ from repro.core.batch_engine import (
     BatchedUpdateEngine,
     UpdateEngine,
     make_update_engine,
+)
+from repro.core.checkpoint import (
+    CheckpointConfig,
+    Snapshot,
+    TrainingCheckpointer,
 )
 from repro.core.metrics import rmse
 from repro.core.predict import FactorMeanAccumulator, PosteriorPredictor
@@ -46,13 +51,10 @@ from repro.utils.rng import SeedLike, as_generator
 from repro.utils.thread_backend import ThreadPoolBackend
 from repro.utils.validation import ValidationError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving -> core)
-    from repro.serving.checkpoint import CheckpointConfig, Snapshot
-
 __all__ = ["SamplerOptions", "BPMFResult", "RankLayout", "GibbsSampler"]
 
 #: A resume source: an in-memory snapshot or a path to a saved one.
-ResumeLike = Union["Snapshot", str, "os.PathLike"]
+ResumeLike = Union[Snapshot, str, "os.PathLike"]
 
 #: Items per thread task for the reference engine's per-item units (the
 #: batched engine's item blocks go one per task).
@@ -103,7 +105,7 @@ class SamplerOptions:
     a gathering sweep (the last one and each checkpoint sweep), and in
     between the rows other ranks own may be stale.
 
-    ``checkpoint`` (a :class:`repro.serving.checkpoint.CheckpointConfig`)
+    ``checkpoint`` (a :class:`repro.core.checkpoint.CheckpointConfig`)
     enables save-every-k-sweeps posterior snapshots; a run resumed from one
     (``run(..., resume=...)``) is bit-identical to an uninterrupted run.
     """
@@ -117,7 +119,7 @@ class SamplerOptions:
     keep_sample_predictions: bool = False
     verbose: bool = False
     callback: Optional[Callable[["BPMFState", int], None]] = None
-    checkpoint: Optional["CheckpointConfig"] = None
+    checkpoint: Optional[CheckpointConfig] = None
 
 
 @dataclass
@@ -351,9 +353,6 @@ class GibbsSampler:
         owned rows and factor sums, which rank 0 writes into its own state
         and accumulator.
         """
-        # Imported lazily: repro.serving depends on repro.core.
-        from repro.serving.checkpoint import TrainingCheckpointer
-
         config, options, rank = self.config, self.options, layout.rank
         snapshot, state, rng = TrainingCheckpointer.open_resume(
             resume, state, rng)

@@ -26,7 +26,6 @@ from repro.core.priors import BPMFConfig
 from repro.core.recommend import Recommendation, recommend_for_user
 from repro.core.sideinfo import MacauGibbsSampler, SideInfo
 from repro.core.state import BPMFState
-from repro.distributed.sampler import DistributedGibbsSampler, DistributedOptions
 from repro.sparse.csr import RatingMatrix
 from repro.sparse.split import RatingSplit
 from repro.utils.rng import SeedLike
@@ -133,6 +132,10 @@ class BPMF:
             result = GibbsSampler(config, SamplerOptions(n_threads=threads)).run(
                 centred_train, centred_split, seed=seed)
         elif self.backend == "distributed":
+            # Imported on use: repro.distributed sits above repro.core.
+            from repro.distributed.sampler import (DistributedGibbsSampler,
+                                                   DistributedOptions)
+
             result, _ = DistributedGibbsSampler(
                 config, DistributedOptions(n_ranks=self.n_ranks)
             ).run(centred_train, centred_split, seed=seed)

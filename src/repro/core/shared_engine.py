@@ -39,7 +39,6 @@ import itertools
 import multiprocessing
 import os
 import queue as queue_module
-import sys
 import traceback
 from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, List, Optional, Tuple
@@ -56,29 +55,10 @@ from repro.sparse.buckets import (
     fuse_bucket_plan,
 )
 from repro.sparse.csr import CompressedAxis
+from repro.utils.environment import default_start_method
 from repro.utils.validation import ValidationError, check_positive
 
-__all__ = ["SharedMemoryUpdateEngine", "WorkerPool", "WorkerPoolError",
-           "default_start_method"]
-
-
-def default_start_method() -> str:
-    """The start method the shared engine uses on this platform.
-
-    A start method the application already fixed (e.g. an explicit
-    ``set_start_method("spawn")`` because it runs CUDA or many threads) is
-    always respected.  Otherwise: fork on Linux (sub-second pool spawns,
-    no pickling), and the platform default everywhere else — macOS
-    deliberately defaults to spawn because forking after the parent has
-    initialised Accelerate/BLAS can deadlock or abort the children.
-    """
-    current = multiprocessing.get_start_method(allow_none=True)
-    if current is not None:
-        return current
-    if sys.platform == "linux" \
-            and "fork" in multiprocessing.get_all_start_methods():
-        return "fork"
-    return multiprocessing.get_start_method(allow_none=False)
+__all__ = ["SharedMemoryUpdateEngine", "WorkerPool", "WorkerPoolError"]
 
 
 class WorkerPoolError(RuntimeError):

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from repro.core.gibbs import GibbsSampler, SamplerOptions
 from repro.core.priors import BPMFConfig, GaussianPrior
@@ -94,6 +93,8 @@ def sample_link_matrix(
     ``B | Z ~ MatrixNormal(M, (X^T X + lambda_link I)^{-1}, Lambda^{-1})``
     with ``M = (X^T X + lambda_link I)^{-1} X^T Z``.
     """
+    from scipy.linalg import cho_solve, solve_triangular
+
     rng = as_generator(rng)
     factors = np.asarray(factors, dtype=np.float64)
     n, k = factors.shape

@@ -32,6 +32,11 @@ affine map ``u(z) = mean + J z`` of one row of ``K`` standard normals with
 square root ``J``, so they agree to floating-point accuracy when fed the
 same noise; the rank-one kernel takes another root, so tests compare its
 mean and ``J J^T`` instead.
+
+These per-item kernels are the reference engine's and the semantic
+oracle of :mod:`repro.core.batch_engine`, which never calls them on its
+hot path.  They are the only code here that needs scipy, so each imports
+``scipy.linalg`` when it runs: a batched training process loads none.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from repro.core.priors import GaussianPrior
 from repro.utils.rng import SeedLike, as_generator
@@ -100,6 +104,8 @@ def cholesky_rank_one_update(chol: np.ndarray, vector: np.ndarray) -> np.ndarray
 def _sample_from_chol_precision(mean: np.ndarray, chol_precision: np.ndarray,
                                 noise: np.ndarray) -> np.ndarray:
     """Sample ``N(mean, (L L^T)^-1)`` given lower Cholesky ``L`` and z ~ N(0, I)."""
+    from scipy.linalg import solve_triangular
+
     return mean + solve_triangular(chol_precision.T, noise, lower=False)
 
 
@@ -127,6 +133,8 @@ def conditional_distribution(
     -------
     ``(mean, chol_precision)`` with ``chol_precision`` lower triangular.
     """
+    from scipy.linalg import cho_solve
+
     check_positive("alpha", alpha)
     neighbour_factors = np.asarray(neighbour_factors, dtype=np.float64)
     ratings = np.asarray(ratings, dtype=np.float64)
@@ -171,6 +179,8 @@ def sample_item_rank_one(
     which is why it wins for low-degree items; for ``d = 1`` the root is
     Potter's square-root rank-one update.
     """
+    from scipy.linalg import solve_triangular
+
     neighbour_factors = np.asarray(neighbour_factors, dtype=np.float64)
     ratings = np.asarray(ratings, dtype=np.float64)
     rng = as_generator(rng)
@@ -226,6 +236,8 @@ def sample_item_parallel_cholesky(
     result is identical to the serial Cholesky method up to floating-point
     summation order.
     """
+    from scipy.linalg import cho_solve
+
     check_positive("n_blocks", n_blocks)
     neighbour_factors = np.asarray(neighbour_factors, dtype=np.float64)
     ratings = np.asarray(ratings, dtype=np.float64)

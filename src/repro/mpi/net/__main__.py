@@ -162,7 +162,7 @@ def _train_sampler(args, n_ranks: int):
         DistributedGibbsSampler,
         DistributedOptions,
     )
-    from repro.serving.checkpoint import CheckpointConfig
+    from repro.core.checkpoint import CheckpointConfig
 
     config = BPMFConfig(num_latent=args.num_latent, burn_in=args.burn_in,
                         n_samples=args.n_samples, alpha=args.alpha)
@@ -175,7 +175,7 @@ def _train_sampler(args, n_ranks: int):
 
 def _program_train(world: SocketCommWorld, args) -> Dict[str, object]:
     """One rank of the distributed sampler; rank 0 writes the chain."""
-    from repro.serving.checkpoint import coerce_snapshot
+    from repro.core.checkpoint import coerce_snapshot
 
     data = _train_dataset(args)
     sampler = _train_sampler(args, world.n_ranks)

@@ -1,12 +1,12 @@
-"""Posterior snapshot store + online serving subsystem.
+"""Online serving subsystem over posterior snapshots.
 
 The training side of this repository ends with a fitted posterior in
 memory; this package is what happens *after* training in a production
 recommender:
 
-* :mod:`repro.serving.checkpoint` — versioned, integrity-checked ``.npz``
-  posterior snapshots with exact-resume support (the samplers' checkpoint
-  hook lives here too);
+* the posterior snapshots it serves — versioned, integrity-checked
+  ``.npz`` archives — are written by the samplers' checkpoint hook in
+  :mod:`repro.core.checkpoint` and re-exported here;
 * :mod:`repro.serving.service` — :class:`PredictionService`: predictions,
   batched lookups and top-N ranked retrieval over one or more
   snapshots, with an LRU score cache;
@@ -25,32 +25,7 @@ recommender:
   command line.
 """
 
-from repro.serving.checkpoint import (
-    SNAPSHOT_FORMAT,
-    CheckpointConfig,
-    Snapshot,
-    coerce_snapshot,
-    load_snapshot,
-    restore_generator,
-    save_snapshot,
-    snapshot_from_result,
-)
-from repro.serving.foldin import (
-    FoldInState,
-    fold_in_posterior,
-    fold_in_user,
-    fold_in_users,
-)
-from repro.serving.service import PredictionService
-from repro.serving.cluster import ClusterError, ShardedScorer, SnapshotWatcher
-from repro.serving.net import (
-    AsyncServingClient,
-    NetError,
-    NetServer,
-    QueryFuser,
-    ReplicaSet,
-    ServingClient,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -76,3 +51,20 @@ __all__ = [
     "AsyncServingClient",
     "NetError",
 ]
+
+# Lazy (PEP 562): an in-process PredictionService loads neither asyncio
+# nor the network stack.  The snapshot names are re-exported from
+# ``repro.core.checkpoint``, where the samplers' checkpoints live.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.core.checkpoint": ("SNAPSHOT_FORMAT", "CheckpointConfig",
+                              "Snapshot", "save_snapshot", "load_snapshot",
+                              "coerce_snapshot", "restore_generator",
+                              "snapshot_from_result"),
+    "repro.serving.foldin": ("fold_in_users", "fold_in_user",
+                             "fold_in_posterior", "FoldInState"),
+    "repro.serving.service": ("PredictionService",),
+    "repro.serving.cluster": ("ShardedScorer", "SnapshotWatcher",
+                              "ClusterError"),
+    "repro.serving.net": ("NetServer", "QueryFuser", "ReplicaSet",
+                          "ServingClient", "AsyncServingClient", "NetError"),
+})

@@ -48,7 +48,7 @@ from repro.core.priors import BPMFConfig
 from repro.datasets.synthetic import SyntheticConfig, make_low_rank_dataset
 from repro.obs import Tracer
 from repro.serving import drills
-from repro.serving.checkpoint import CheckpointConfig, load_snapshot
+from repro.core.checkpoint import CheckpointConfig, load_snapshot
 from repro.serving.cluster import ClusterError, ShardedScorer, SnapshotWatcher
 from repro.serving.net import ReplicaSet
 from repro.serving.net.protocol import execute, format_reply, parse_line

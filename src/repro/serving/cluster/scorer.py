@@ -53,7 +53,7 @@ from repro.core.shared_engine import (
     _SharedBlock,
     _segment_view,
 )
-from repro.serving.checkpoint import Snapshot, coerce_snapshot
+from repro.core.checkpoint import Snapshot, coerce_snapshot
 from repro.serving.foldin import FoldInRegistry, fold_in_users
 from repro.serving.service import (
     PredictionService,

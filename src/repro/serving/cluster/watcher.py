@@ -22,7 +22,7 @@ import threading
 from pathlib import Path
 from typing import Optional
 
-from repro.serving.checkpoint import PathLike, load_snapshot
+from repro.core.checkpoint import PathLike, load_snapshot
 from repro.serving.cluster.scorer import ShardedScorer
 from repro.utils.validation import check_positive
 

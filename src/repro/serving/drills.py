@@ -24,7 +24,7 @@ from repro.core.priors import BPMFConfig
 from repro.core.recommend import recommend_for_user
 from repro.datasets.synthetic import SyntheticConfig, make_low_rank_dataset
 from repro.obs import Tracer
-from repro.serving.checkpoint import CheckpointConfig
+from repro.core.checkpoint import CheckpointConfig
 from repro.serving.cluster import ShardedScorer, SnapshotWatcher
 from repro.serving.net import DeadlineError, NetError, ReplicaSet, ServingClient
 from repro.serving.service import PredictionService

@@ -34,33 +34,7 @@ this package turns them into a networked service:
 [--fuse-window MS]`` wires it all together from the command line.
 """
 
-from repro.serving.net.backoff import Backoff
-from repro.serving.net.client import (
-    AsyncServingClient,
-    DeadlineError,
-    NetError,
-    ServingClient,
-)
-from repro.serving.net.fusion import QueryFuser
-from repro.serving.net.protocol import (
-    ENCODINGS,
-    ERROR_DEADLINE,
-    ERROR_OVERLOADED,
-    MAX_PAYLOAD,
-    PROTOCOL_VERSION,
-    Frame,
-    FrameDecoder,
-    ProtocolError,
-    encode_frame,
-    error_frame,
-    execute,
-    format_reply,
-    hello_frame,
-    negotiated_encoding,
-    parse_line,
-)
-from repro.serving.net.replica import ReplicaSet
-from repro.serving.net.server import NetServer
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -87,3 +61,20 @@ __all__ = [
     "ERROR_OVERLOADED",
     "error_frame",
 ]
+
+# Lazy (PEP 562): the codec alone (``protocol``) loads no asyncio.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.serving.net.backoff": ("Backoff",),
+    "repro.serving.net.client": ("AsyncServingClient", "DeadlineError",
+                                 "NetError", "ServingClient"),
+    "repro.serving.net.fusion": ("QueryFuser",),
+    "repro.serving.net.protocol": ("ENCODINGS", "ERROR_DEADLINE",
+                                   "ERROR_OVERLOADED", "MAX_PAYLOAD",
+                                   "PROTOCOL_VERSION", "Frame",
+                                   "FrameDecoder", "ProtocolError",
+                                   "encode_frame", "error_frame", "execute",
+                                   "format_reply", "hello_frame",
+                                   "negotiated_encoding", "parse_line"),
+    "repro.serving.net.replica": ("ReplicaSet",),
+    "repro.serving.net.server": ("NetServer",),
+})

@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.priors import GaussianPrior
 from repro.core.recommend import Recommendation, select_top_n
 from repro.core.state import BPMFState
-from repro.serving.checkpoint import PathLike, Snapshot, coerce_snapshot
+from repro.core.checkpoint import PathLike, Snapshot, coerce_snapshot
 from repro.serving.foldin import FoldInRegistry, fold_in_users
 from repro.sparse.csr import RatingMatrix
 from repro.utils.validation import ValidationError, check_in, check_positive

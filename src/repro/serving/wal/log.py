@@ -228,9 +228,11 @@ class WriteAheadLog:
     @staticmethod
     def _valid_record_follows(raw: bytes, offset: int,
                               broken_seqno: int) -> bool:
-        """Does any CRC-valid record with a later seqno start after the
-        break?  A torn append damages only the *final* record, so valid
-        data beyond the damage proves this is interior corruption.  A
+        """Does any CRC-valid record with the broken record's seqno or a
+        later one start after the break?  A torn append damages only the
+        *final* record, so valid data beyond the damage proves this is
+        interior corruption — including bytes spliced in front of an
+        intact record, which then still carries the expected seqno.  A
         garbage window validating by chance is a 2^-32 event per probe.
         """
         probe = offset + 1
@@ -238,7 +240,7 @@ class WriteAheadLog:
             length, crc, seqno = _RECORD_HEADER.unpack_from(raw, probe)
             end = probe + _RECORD_HEADER.size + length
             if (length <= MAX_RECORD_PAYLOAD and end <= len(raw)
-                    and seqno > broken_seqno
+                    and seqno >= broken_seqno
                     and zlib.crc32(
                         struct.pack(">Q", seqno)
                         + raw[probe + _RECORD_HEADER.size:end])
@@ -264,7 +266,10 @@ class WriteAheadLog:
             return None, offset
         try:
             payload = json.loads(body.decode("utf8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        except (ValueError, RecursionError):
+            # Undecodable UTF-8 / JSON (both ValueErrors), an integer
+            # past the int-parsing digit limit, or nesting deeper than
+            # the parser's recursion limit: a broken record either way.
             return None, offset
         if not isinstance(payload, dict):
             return None, offset

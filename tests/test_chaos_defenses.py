@@ -135,12 +135,14 @@ def test_expired_requests_are_never_dispatched(requests):
 def test_expired_waiter_behind_inflight_batch_is_shed():
     """A waiter queued behind a slow in-flight batch expires at the
     flush boundary instead of being scored late."""
+    entered = threading.Event()
     release = threading.Event()
     calls = []
 
     def top_n_batch(users, n=10, exclude_seen=True):
         calls.append(sorted(set(users)))
         if users == [1]:
+            entered.set()
             release.wait(5.0)
         return {user: user for user in users}
 
@@ -150,7 +152,8 @@ def test_expired_waiter_behind_inflight_batch_is_shed():
         # eventual flush must shed it instead of scoring it late.
         fuser = QueryFuser(top_n_batch, window_ms=150.0)
         blocked = asyncio.ensure_future(fuser.top_n(1, n=5))
-        await asyncio.sleep(0.05)  # eager dispatch; batch now blocked
+        # Eager dispatch: the batch is blocked once it enters the gateway.
+        assert await asyncio.to_thread(entered.wait, 5.0)
         doomed = asyncio.ensure_future(fuser.top_n(
             2, n=5, deadline=time.monotonic() + 0.02))
         with pytest.raises(DeadlineExpired):

@@ -103,7 +103,7 @@ class TestDistributedSamplerParity:
                                        tmp_path, assert_same_chain):
         """A float32, checkpointing run really is float32 and really
         checkpoints — the same chain as without the checkpoint."""
-        from repro.serving.checkpoint import CheckpointConfig, load_snapshot
+        from repro.core.checkpoint import CheckpointConfig, load_snapshot
 
         train, split = tiny_dataset.split.train, tiny_dataset.split
         plain, _ = DistributedGibbsSampler(
@@ -318,9 +318,9 @@ class TestDistributedEvaluation:
         """A snapshot saved on a gathering sweep mid-run (not the last)
         of a 3-rank simulated world resumes on a 3-rank socket world and
         finishes on the uninterrupted chain, bit for bit."""
-        import repro.serving.checkpoint as checkpoint_module
+        import repro.core.checkpoint as checkpoint_module
         from repro.mpi.net import start_local_world
-        from repro.serving.checkpoint import CheckpointConfig
+        from repro.core.checkpoint import CheckpointConfig
 
         # Keep every save under its own name, not just the last one.
         save = checkpoint_module.save_snapshot

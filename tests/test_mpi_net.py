@@ -447,7 +447,7 @@ class TestTrainingParity:
             self, tiny_dataset, tmp_path):
         """Half the chain with rank 0 checkpointing, then fresh worlds
         resume from the file: the finished chain is the uninterrupted one."""
-        from repro.serving.checkpoint import CheckpointConfig
+        from repro.core.checkpoint import CheckpointConfig
 
         path = tmp_path / "socket.npz"
         train, split = tiny_dataset.split.train, tiny_dataset.split

@@ -148,11 +148,13 @@ def test_missing_user_in_partition_retry_also_gets_lookup_error():
 
 
 def test_windows_accumulate_behind_in_flight_batch_then_flush():
+    entered = threading.Event()
     release = threading.Event()
     gateway = _Gateway()
     inner = gateway.top_n_batch
 
     def slow_batch(users, n=10, exclude_seen=True):
+        entered.set()
         result = inner(users, n=n, exclude_seen=exclude_seen)
         release.wait(timeout=10.0)
         return result
@@ -160,11 +162,13 @@ def test_windows_accumulate_behind_in_flight_batch_then_flush():
     async def scenario():
         fuser = QueryFuser(slow_batch, window_ms=10_000.0)
         first = asyncio.ensure_future(fuser.top_n(1, n=4))
-        await asyncio.sleep(0.05)  # first batch now in flight
+        # The first batch is in flight once it enters the gateway.
+        assert await asyncio.to_thread(entered.wait, 10.0)
         laters = [asyncio.ensure_future(fuser.top_n(user, n=4))
                   for user in (2, 3, 4)]
-        await asyncio.sleep(0.05)  # newcomers accumulate, none dispatched
-        assert len(gateway.calls) == 1
+        await asyncio.sleep(0)  # one loop pass: the newcomers enqueue
+        assert fuser.n_requests == 4
+        assert len(gateway.calls) == 1  # they accumulate, none dispatched
         release.set()
         await asyncio.wait_for(asyncio.gather(first, *laters), timeout=10.0)
         return fuser.stats()

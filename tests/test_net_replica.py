@@ -12,13 +12,14 @@ via ``retry_writes=False`` / ``replicate=False``.
 
 from __future__ import annotations
 
-import time
+import types
 
 import numpy as np
 import pytest
 
 from repro.bench.serving import make_bench_snapshot
 from repro.serving.net import Backoff, NetError, ReplicaSet, ServingClient
+from repro.serving.net import client as client_module
 from repro.serving.net.client import AsyncServingClient, _AddressRing
 from repro.serving.service import PredictionService
 
@@ -163,15 +164,20 @@ def test_share_nothing_mode_is_still_available(snapshot):
                 second.top_n(cold, n=3)
 
 
-def test_address_ring_round_robin_and_cooldown():
-    backoff = Backoff(base=0.2, cap=0.2, jitter=0.0)
+def test_address_ring_round_robin_and_cooldown(monkeypatch):
+    now = [100.0]
+    monkeypatch.setattr(client_module, "time",
+                        types.SimpleNamespace(monotonic=lambda: now[0]))
+    backoff = Backoff(base=0.25, cap=0.25, jitter=0.0)
     ring = _AddressRing([("a", 1), ("b", 2), ("c", 3)], backoff=backoff)
     assert ring.candidates() == [0, 1, 2]
     ring.mark_used(0)
     assert ring.candidates() == [1, 2, 0]
     ring.mark_dead(1)
     assert ring.candidates() == [2, 0, 1]  # cooling replica is last resort
-    time.sleep(0.25)
+    now[0] += 0.125
+    assert ring.candidates() == [2, 0, 1]  # still cooling
+    now[0] += 0.125
     assert ring.candidates() == [1, 2, 0]  # cooldown expired
     with pytest.raises(ValueError):
         _AddressRing([])

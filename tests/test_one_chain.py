@@ -18,7 +18,7 @@ from repro.core.gibbs import GibbsSampler, SamplerOptions
 from repro.core.priors import BPMFConfig
 from repro.distributed.sampler import DistributedGibbsSampler, DistributedOptions
 from repro.distributed.spmd import run_local_socket_world
-from repro.serving.checkpoint import CheckpointConfig
+from repro.core.checkpoint import CheckpointConfig
 
 SEED = 8
 

@@ -18,7 +18,7 @@ from repro.core.gibbs import GibbsSampler, SamplerOptions
 from repro.core.priors import BPMFConfig
 from repro.datasets.synthetic import SyntheticConfig, make_low_rank_dataset
 from repro.distributed.sampler import DistributedGibbsSampler, DistributedOptions
-from repro.serving.checkpoint import (
+from repro.core.checkpoint import (
     SNAPSHOT_FORMAT,
     CheckpointConfig,
     Snapshot,

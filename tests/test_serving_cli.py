@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.serving.__main__ import main
-from repro.serving.checkpoint import load_snapshot
+from repro.core.checkpoint import load_snapshot
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@ import pytest
 
 from repro.bench.serving import make_bench_snapshot
 from repro.core.recommend import merge_top_n, select_top_n
-from repro.serving.checkpoint import save_snapshot
+from repro.core.checkpoint import save_snapshot
 from repro.serving.cluster import ClusterError, ShardedScorer, SnapshotWatcher
 from repro.serving.service import PredictionService
 from repro.sparse.csr import RatingMatrix

@@ -11,7 +11,7 @@ from repro.core.priors import BPMFConfig
 from repro.core.recommend import recommend_for_user
 from repro.core.state import BPMFState
 from repro.datasets.synthetic import SyntheticConfig, make_low_rank_dataset
-from repro.serving.checkpoint import (
+from repro.core.checkpoint import (
     CheckpointConfig,
     load_snapshot,
     save_snapshot,

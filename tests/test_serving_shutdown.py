@@ -23,7 +23,7 @@ import pytest
 
 from repro.bench.serving import make_bench_snapshot
 from repro.serving.__main__ import _serve_repl
-from repro.serving.checkpoint import save_snapshot
+from repro.core.checkpoint import save_snapshot
 from repro.serving.cluster import ShardedScorer, SnapshotWatcher
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-import time
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ import pytest
 from repro.utils.logging import get_logger, set_verbosity
 from repro.utils.rng import RngRegistry, as_generator, spawn_generators
 from repro.utils.tables import Table, format_float, render_table
+from repro.utils import timing
 from repro.utils.timing import time_call
 from repro.utils.validation import (
     ValidationError,
@@ -126,18 +127,20 @@ class TestTimeCall:
         assert result == 6
         assert seconds >= 0.0
 
-    def test_repeats_take_minimum(self):
+    def test_repeats_take_minimum(self, monkeypatch):
+        # (start, end) readings of three calls lasting 4, 0.5 and 2 s.
+        readings = iter([0.0, 4.0, 10.0, 10.5, 20.0, 22.0])
+        monkeypatch.setattr(timing, "time", types.SimpleNamespace(
+            perf_counter=lambda: next(readings)))
         calls = []
 
-        def slow_then_fast():
+        def count():
             calls.append(1)
-            if len(calls) == 1:
-                time.sleep(0.01)
             return len(calls)
 
-        seconds, result = time_call(slow_then_fast, repeats=3)
+        seconds, result = time_call(count, repeats=3)
         assert result == 3
-        assert seconds < 0.01
+        assert seconds == 0.5
 
     def test_invalid_repeats(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,11 @@ The contract pinned here (see ``repro.serving.wal.log``):
 * damage anywhere *interior* (valid data follows it, or a non-final
   segment, or a missing segment) raises :class:`WalCorruptionError`
   instead of silently dropping acked writes;
+* a CRC-valid record whose body does not decode (bad UTF-8 or JSON,
+  nesting past the parser's recursion limit, an integer past the
+  int-parsing digit limit) is a broken record like any other;
+* any bytes spliced into or after a valid segment recover an exact
+  prefix of the appended records or raise :class:`WalCorruptionError`;
 * rotation and compaction never change what replays.
 """
 
@@ -16,13 +21,16 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serving.wal import WalCorruptionError, WalError, WriteAheadLog
-from repro.serving.wal.log import _RECORD_HEADER, MAX_RECORD_PAYLOAD
+from repro.serving.wal.log import (_RECORD_HEADER, MAX_RECORD_PAYLOAD,
+                                   _encode_record)
 
 
 def _fill(log: WriteAheadLog, n: int, start: int = 0) -> list:
@@ -36,6 +44,27 @@ def _fill(log: WriteAheadLog, n: int, start: int = 0) -> list:
 def _segments(directory) -> list:
     return sorted(path for path in directory.iterdir()
                   if path.name.endswith(".seg"))
+
+
+def _raw_record(seqno: int, body: bytes) -> bytes:
+    """A record with a valid CRC around an arbitrary body."""
+    crc = zlib.crc32(struct.pack(">Q", seqno) + body) & 0xFFFFFFFF
+    return _RECORD_HEADER.pack(len(body), crc, seqno) + body
+
+
+#: CRC-valid bodies that ``json.loads`` rejects with an error other than
+#: ``JSONDecodeError``: RecursionError, and (where the interpreter limits
+#: int parsing) ValueError.
+HOSTILE_BODIES = {
+    "deep_nesting": b"[" * 100_000 + b"]" * 100_000,
+    "long_integer": b'{"v":' + b"9" * 5000 + b"}",
+}
+
+
+def _hostile(name: str):
+    if name == "long_integer" and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter parses integers of any length")
+    return HOSTILE_BODIES[name]
 
 
 def test_append_assigns_monotonic_seqnos_and_reads_back(tmp_path):
@@ -108,6 +137,89 @@ def test_crc_flip_in_the_interior_refuses_to_recover(tmp_path):
     segment.write_bytes(bytes(raw))
     with pytest.raises(WalCorruptionError):
         WriteAheadLog(tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_BODIES))
+def test_an_undecodable_final_record_is_a_torn_tail(tmp_path, name):
+    body = _hostile(name)
+    with WriteAheadLog(tmp_path) as log:
+        payloads = _fill(log, 2)
+    segment = _segments(tmp_path)[-1]
+    segment.write_bytes(segment.read_bytes() + _raw_record(3, body))
+    with WriteAheadLog(tmp_path) as log:
+        assert [record.payload for record in log.records()] == payloads
+        assert log.truncated_bytes == _RECORD_HEADER.size + len(body)
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_BODIES))
+def test_an_undecodable_interior_record_refuses_to_recover(tmp_path, name):
+    body = _hostile(name)
+    with WriteAheadLog(tmp_path) as log:
+        _fill(log, 2)
+    segment = _segments(tmp_path)[-1]
+    segment.write_bytes(segment.read_bytes() + _raw_record(3, body)
+                        + _encode_record(4, {"after": 4}))
+    with pytest.raises(WalCorruptionError, match="interior"):
+        WriteAheadLog(tmp_path)
+
+
+def test_bytes_spliced_before_the_final_record_refuse_to_recover(tmp_path):
+    """The final record is intact behind the damage, so truncating there
+    would drop an acknowledged write."""
+    with WriteAheadLog(tmp_path) as log:
+        payloads = _fill(log, 3)
+    segment = _segments(tmp_path)[-1]
+    raw = segment.read_bytes()
+    final = len(raw) - len(_encode_record(3, payloads[-1]))
+    segment.write_bytes(raw[:final] + b"\x00junk" + raw[final:])
+    with pytest.raises(WalCorruptionError, match="interior"):
+        WriteAheadLog(tmp_path)
+
+
+def _decodes_to_a_record(body: bytes) -> bool:
+    try:
+        return isinstance(json.loads(body.decode("utf8")), dict)
+    except (ValueError, RecursionError):
+        return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_spliced_bytes_recover_an_exact_prefix_or_refuse(tmp_path_factory,
+                                                         data):
+    """Arbitrary bytes — raw garbage, or a CRC-valid record around an
+    undecodable body — spliced anywhere into or after a valid segment:
+    recovery yields an exact prefix of the appended records or raises
+    WalCorruptionError, nothing else.  Damage in front of an intact
+    final record always raises; bytes after the segment drop nothing."""
+    directory = tmp_path_factory.mktemp("wal")
+    n_records = data.draw(st.integers(min_value=1, max_value=6),
+                          label="n_records")
+    with WriteAheadLog(directory) as log:
+        payloads = _fill(log, n_records)
+    segment = _segments(directory)[-1]
+    raw = segment.read_bytes()
+    final = len(raw) - len(_encode_record(n_records, payloads[-1]))
+    garbage = st.binary(min_size=1, max_size=64)
+    body = st.one_of(st.binary(max_size=64),
+                     st.sampled_from(sorted(HOSTILE_BODIES.values())))
+    framed = st.builds(
+        _raw_record, st.integers(min_value=1, max_value=n_records + 1),
+        body.filter(lambda b: not _decodes_to_a_record(b)))
+    splice = data.draw(st.one_of(garbage, framed), label="splice")
+    at = data.draw(st.integers(min_value=0, max_value=len(raw)), label="at")
+    segment.write_bytes(raw[:at] + splice + raw[at:])
+
+    try:
+        with WriteAheadLog(directory) as log:
+            recovered = [record.payload for record in log.records()]
+    except WalCorruptionError:
+        assert at < len(raw)
+        return
+    assert recovered == payloads[:len(recovered)]
+    assert at > final
+    if at == len(raw):
+        assert recovered == payloads
 
 
 def test_damage_in_a_non_final_segment_refuses_to_recover(tmp_path):
