@@ -8,11 +8,12 @@ Walks the network frontend (`repro.serving.net`):
    independent gateway behind the framed RPC protocol, with fused
    batched dispatch on by default (pass ``fuse_window_ms=None`` — or
    ``--fuse-window 0`` on the CLI — to disable it);
-3. query it from the sync client (:class:`ServingClient`, which
-   negotiates the binary array encoding in the handshake; pass
-   ``binary=False`` to force JSON) with a burst of concurrent requests,
-   and verify every fused response is bit-identical to the
-   single-process :class:`PredictionService`;
+3. query it from the blocking client (:class:`ServingClient`, a facade
+   over :class:`AsyncServingClient` that runs each call on a private
+   event loop; it negotiates the binary array encoding in the
+   handshake; pass ``binary=False`` to force JSON) with a burst of
+   concurrent requests, and verify every fused response is
+   bit-identical to the single-process :class:`PredictionService`;
 4. pump the same queries through one pipelined connection
    (``top_n_pipelined`` keeps up to 32 id-tagged frames in flight
    instead of one blocking round-trip per query) — same bits again;

@@ -38,10 +38,11 @@ import secrets
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union
 
-__all__ = ["TraceContext", "Span", "Tracer", "active_span",
+__all__ = ["TraceContext", "Span", "Tracer", "active_span", "activated",
            "annotate_active", "maybe_span", "NULL_SPAN"]
 
 #: The ``hello`` feature token both peers must advertise before trace
@@ -114,6 +115,25 @@ def annotate_active(key: str, value) -> None:
     span = active_span()
     if span is not None:
         span.annotate(key, value)
+
+
+@contextmanager
+def activated(span) -> Iterator[None]:
+    """Make ``span`` the thread's active span for a block that never
+    awaits, without finishing it (leaving ``with span`` does).
+
+    This is how asyncio code lets a synchronous hook — a chaos fault
+    site — annotate the span of the request it runs for, without the
+    span leaking to coroutines interleaved at an ``await``.  The inert
+    :data:`NULL_SPAN` activates nothing.
+    """
+    previous = active_span()
+    if isinstance(span, Span):
+        _ACTIVE.span = span
+    try:
+        yield
+    finally:
+        _ACTIVE.span = previous
 
 
 class _NullSpan:

@@ -20,7 +20,8 @@ recommender:
 * :mod:`repro.serving.net` — the network frontend: framed RPC protocol
   over asyncio TCP (:class:`NetServer`), cross-user query fusion
   (:class:`QueryFuser`), replica failover (:class:`ReplicaSet`) and the
-  sync/async client library;
+  client (:class:`AsyncServingClient`, with the blocking
+  :class:`ServingClient` facade);
 * ``python -m repro.serving`` — train → snapshot → serve → query from the
   command line.
 """

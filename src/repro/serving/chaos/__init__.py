@@ -5,8 +5,10 @@
   thread-safe runtime dispatcher whose triggered-event log is
   deterministic given the same call sequence).
 * :mod:`repro.serving.chaos.shims` — the hooks a plan drives:
-  :class:`ChaosSocket` (delay / drop / reset / slow-read on scheduled
-  frames), the WAL filesystem faults (driven through
+  :class:`ChaosStream` on the serving client's connections and
+  :class:`ChaosSocket` on WAL shipping and socket-world MPI links
+  (delay / drop / reset / slow-read on scheduled frames), the WAL
+  filesystem faults (driven through
   :meth:`~repro.serving.wal.log.WriteAheadLog.append`), and
   :class:`FleetConductor` (scheduled replica kill / pause against a
   :class:`~repro.serving.net.replica.ReplicaSet`).
@@ -28,6 +30,7 @@ from repro.serving.chaos.plan import (
 )
 from repro.serving.chaos.shims import (
     ChaosSocket,
+    ChaosStream,
     FleetConductor,
     InjectedConnectError,
 )
@@ -40,6 +43,7 @@ __all__ = [
     "SITE_ACTIONS",
     "FLEET_ACTIONS",
     "ChaosSocket",
+    "ChaosStream",
     "FleetConductor",
     "InjectedConnectError",
 ]

@@ -1,12 +1,16 @@
 """Injectable fault shims: the runtime hooks a :class:`FaultPlan` drives.
 
-Three hook families, matching the plan's site names:
+Four hook families, matching the plan's site names:
 
-* :class:`ChaosSocket` — wraps a blocking socket (the sync client's
-  cached connections, or a WAL shipping link) and consults the injector
-  on every ``sendall``/``recv``: delay, drop the bytes, reset the
-  connection, or degrade to one-byte reads (``slow`` — which also
-  exercises the frame decoder's partial-reassembly path).
+* :class:`ChaosStream` (with :func:`open_chaos_stream`, the
+  ``net.connect`` site) — wraps the serving client's asyncio
+  connection, chosen when the client dials with an injector, and
+  consults the injector on every frame write and every read: delay,
+  drop the bytes, reset the connection, or degrade to one-byte reads
+  (``slow`` — which also exercises the frame decoder's
+  partial-reassembly path).
+* :class:`ChaosSocket` — the same ``net.send``/``net.recv`` faults on a
+  blocking socket: a WAL shipping link or a socket-world MPI link.
 * The WAL filesystem faults (``wal.append``/``wal.fsync``) live inside
   :meth:`~repro.serving.wal.log.WriteAheadLog.append` itself — they
   must manipulate the segment file mid-append — but are driven by the
@@ -20,7 +24,7 @@ Three hook families, matching the plan's site names:
   is down at a time and the fleet never loses quorum entirely.
 
 All hooks are no-ops without an injector — the production path never
-pays for them beyond one ``is None`` check.
+pays for them beyond one ``is None`` check per connection.
 """
 
 from __future__ import annotations
@@ -30,21 +34,120 @@ import threading
 import time
 from typing import Dict, List, Optional
 
+from repro.obs.trace import NULL_SPAN, activated
 from repro.serving.chaos.plan import FaultInjector
 
-__all__ = ["ChaosSocket", "FleetConductor", "InjectedConnectError"]
+__all__ = ["ChaosSocket", "ChaosStream", "FleetConductor",
+           "InjectedConnectError", "open_chaos_stream"]
 
 
 class InjectedConnectError(ConnectionError):
     """A scheduled ``net.connect`` failure (raised before any byte moves)."""
 
 
+async def open_chaos_stream(host: str, port: int, injector: FaultInjector,
+                            span=NULL_SPAN) -> "ChaosStream":
+    """``asyncio.open_connection`` through the ``net.connect`` site.
+
+    ``fail`` raises :class:`InjectedConnectError` before dialling;
+    ``delay`` sleeps ``arg`` seconds first.  ``span`` is the thread's
+    active span only around the synchronous check, so a fired fault
+    annotates it.  The one :class:`ChaosStream` returned is the
+    connection's reader and its writer.
+    """
+    # asyncio is imported where it is used: the socket-world MPI ranks
+    # import this module for ChaosSocket and load no event loop.
+    import asyncio
+
+    with activated(span):
+        event = injector.check("net.connect")
+    if event is not None:
+        if event.action == "fail":
+            raise InjectedConnectError(
+                f"injected connect failure to {(host, port)}")
+        await asyncio.sleep(event.arg)
+    reader, writer = await asyncio.open_connection(host, port)
+    return ChaosStream(reader, writer, injector)
+
+
+class ChaosStream:
+    """An asyncio reader/writer proxy that executes scheduled faults.
+
+    Forwards everything but ``write`` and ``read`` to the wrapped
+    ``StreamWriter``.  The faults are :class:`ChaosSocket`'s, made
+    non-blocking:
+
+    * ``write`` (``net.send``): ``delay`` holds the frame — and every
+      frame written behind it, in order — for ``arg`` seconds (a stalled
+      link); ``drop`` discards it (a lost request: its reply timer
+      fires); ``reset`` aborts the transport and raises
+      ``ConnectionResetError``.
+    * ``read`` (``net.recv``, every read, the hello reply's included):
+      ``delay`` sleeps ``arg`` seconds first; ``slow`` returns at most
+      one byte from this read on; ``drop`` swallows the link's bytes
+      until it closes (a lost reply: the waiting requests' timers fire);
+      ``reset`` aborts the transport and raises.
+    """
+
+    def __init__(self, reader, writer, injector: FaultInjector):
+        self._reader = reader
+        self._writer = writer
+        self._injector = injector
+        self._slow = False
+        self._held: Optional[List[bytes]] = None
+
+    def write(self, data: bytes) -> None:
+        event = self._injector.check("net.send")
+        action = None if event is None else event.action
+        if action == "reset":
+            self._writer.transport.abort()
+            raise ConnectionResetError("injected reset on send")
+        if action == "drop":
+            return
+        if self._held is not None:
+            self._held.append(data)
+        elif action == "delay":
+            import asyncio
+
+            self._held = [data]
+            asyncio.get_running_loop().call_later(event.arg, self._release)
+        else:
+            self._writer.write(data)
+
+    def _release(self) -> None:
+        held, self._held = self._held, None
+        if not self._writer.is_closing():
+            self._writer.write(b"".join(held))
+
+    async def read(self, n: int = -1) -> bytes:
+        event = self._injector.check("net.recv")
+        if event is not None:
+            if event.action == "delay":
+                import asyncio
+
+                await asyncio.sleep(event.arg)
+            elif event.action == "slow":
+                self._slow = True
+            elif event.action == "drop":
+                while await self._reader.read(n):
+                    pass
+                raise ConnectionError("peer closed during injected drop")
+            elif event.action == "reset":
+                self._writer.transport.abort()
+                raise ConnectionResetError("injected reset on recv")
+        return await self._reader.read(1 if self._slow else n)
+
+    def __getattr__(self, name):
+        return getattr(self._writer, name)
+
+
 class ChaosSocket:
     """A blocking socket proxy that executes scheduled socket faults.
 
-    Wraps an already-connected socket; every method the serving clients
-    and WAL links use is forwarded, with ``sendall`` and ``recv``
-    consulting the injector first.  Faults mimic real failure modes:
+    Wraps an already-connected socket; every method the WAL shipping
+    links and the socket-world MPI links use is forwarded, with
+    ``sendall`` and ``recv`` consulting the injector first.  Faults
+    mimic real failure modes:
 
     * ``delay`` — sleep ``arg`` seconds, then do the operation (a stalled
       network; the peer still gets/serves the data).

@@ -217,7 +217,7 @@ class Fleet:
         """Bit-check ``top_n`` reads of :attr:`users`: one pass, or round
         robin until ``stop``.  Every failed read fails the drill, except,
         under a ``deadline_ms`` budget, a retryable one within it (plus
-        the last socket timeout an injected drop waits out)."""
+        the last reply timeout an injected drop waits out)."""
         budget_s = None if deadline_ms is None else deadline_ms / 1000.0
         index = 0
         while (index < len(self.users)) if stop is None \

@@ -24,11 +24,12 @@ this package turns them into a networked service:
   mutation log (:mod:`repro.serving.wal`): replica 0 is the write
   leader, acked writes are readable on every live replica and, with a
   log directory, survive crashes;
-* :mod:`repro.serving.net.client` — :class:`ServingClient` /
-  :class:`AsyncServingClient`: health-checked round-robin with
-  automatic failover; reads retry across replicas, and mutations do
-  too (exactly-once — every mutation carries a ``write_id`` the WAL
-  leader dedups).
+* :mod:`repro.serving.net.client` — :class:`AsyncServingClient`, the
+  one client (replies dispatched by id, many requests per connection),
+  and :class:`ServingClient`, its blocking facade on a private event
+  loop: health-checked round-robin with automatic failover; reads
+  retry across replicas, and mutations do too (exactly-once — every
+  mutation carries a ``write_id`` the WAL leader dedups).
 
 ``python -m repro.serving serve --tcp HOST:PORT [--replicas N]
 [--fuse-window MS]`` wires it all together from the command line.

@@ -1,7 +1,8 @@
 """Capped exponential backoff with deterministic, seedable jitter.
 
 One policy object shared by every cooldown in the stack — the client's
-replica ring (:class:`~repro.serving.net.client.ServingClient`) and the
+replica ring (:class:`~repro.serving.net.client.AsyncServingClient`,
+which :class:`~repro.serving.net.client.ServingClient` wraps) and the
 leader's follower shipping links
 (:mod:`repro.serving.wal.shipper`) — replacing the fixed one-second
 cooldowns they used to hard-code.  A replica that fails once is retried

@@ -9,6 +9,7 @@ terminated shard worker respawns with bit-identical answers.
 
 from __future__ import annotations
 
+import asyncio
 import socket
 
 import pytest
@@ -22,7 +23,7 @@ from repro.serving.chaos import (
     FleetConductor,
 )
 from repro.serving.cluster import ClusterError, ShardedScorer
-from repro.serving.net import ReplicaSet, ServingClient
+from repro.serving.net import AsyncServingClient, ReplicaSet, ServingClient
 from repro.serving.service import PredictionService
 from repro.serving.wal.log import WalWriteError, WriteAheadLog
 from repro.utils.validation import ValidationError
@@ -203,6 +204,61 @@ def test_injected_reset_mid_stream_fails_over_reads(snapshot):
                 assert served.items.tolist() == \
                     reference.top_n(user, n=5).items.tolist()
             assert injector.stats()["triggered"] == 1
+
+
+#: Every client fault, each aimed at the first request's attempt, with the
+#: failovers it must cost: ``net.send`` step 1 and ``net.recv`` step 1
+#: are the hello's write and read, step 2 the first request's.
+CLIENT_FAULTS = [
+    ("net.connect", 1, "fail", 1),
+    ("net.connect", 1, "delay", 0),
+    ("net.send", 2, "delay", 0),
+    ("net.send", 2, "drop", 1),
+    ("net.send", 2, "reset", 1),
+    ("net.recv", 2, "delay", 0),
+    ("net.recv", 2, "drop", 1),
+    ("net.recv", 2, "reset", 1),
+    ("net.recv", 1, "slow", 0),
+]
+CLIENT_TIMEOUT = 1.0
+
+
+@pytest.mark.parametrize("site, step, action, failovers", CLIENT_FAULTS,
+                         ids=[f"{site}-{action}"
+                              for site, _, action, _ in CLIENT_FAULTS])
+def test_every_client_fault_on_the_async_transport(snapshot, site, step,
+                                                   action, failovers):
+    """Reads through one fault against a 2-replica fleet: every read is
+    the reference bits, directly or after failover; ``n_failovers``
+    matches the fault; no call waits out more than one client timeout
+    per failover (a drop's lost frame costs exactly one)."""
+    injector = _injector(FaultEvent(site, step, action,
+                                    0.01 if action == "delay" else 0.0))
+    reference = PredictionService(snapshot)
+    with ReplicaSet(lambda index: PredictionService(snapshot),
+                    n_replicas=2) as replicas:
+        async def scenario():
+            async with AsyncServingClient(
+                    replicas.addresses, timeout=CLIENT_TIMEOUT,
+                    cooldown=0.05, fault_injector=injector) as client:
+                for user in range(3):
+                    served = await asyncio.wait_for(
+                        client.top_n(user, n=5),
+                        CLIENT_TIMEOUT * (1 + failovers))
+                    expected = reference.top_n(user, n=5)
+                    assert served.items.tolist() == expected.items.tolist()
+                    assert served.scores.tobytes() == \
+                        expected.scores.tobytes()
+                return client.n_failovers
+
+        n_failovers = asyncio.run(scenario())
+    assert [(fired["site"], fired["action"]) for fired in injector.log] \
+        == [(site, action)]
+    assert n_failovers == failovers
+    if action == "slow":
+        # One read per byte from the hello reply on: frames were
+        # reassembled from single bytes.
+        assert injector.counts()["net.recv"] > 100
 
 
 def test_fleet_conductor_pause_and_kill(snapshot):

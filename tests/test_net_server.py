@@ -30,7 +30,7 @@ from repro.serving.net import (
     ServingClient,
     encode_frame,
 )
-from repro.serving.net.client import _SyncConnection
+from repro.serving.net.client import _AsyncConnection, _read_loop
 from repro.serving.service import PredictionService
 
 N_USERS, N_ITEMS, K = 50, 37, 4
@@ -422,20 +422,34 @@ def test_async_pipelined_top_n_matches_sequential(replica_set, reference):
 
 
 def test_client_consumes_two_frames_from_one_recv():
-    """One socket read completing two frames must not drop the second."""
-    left, right = socket.socketpair()
-    try:
-        wire = encode_frame(Frame("ok", {"id": 0, "user": 1}))
-        wire += encode_frame(Frame("ok", {"id": 1, "user": 2}))
-        left.sendall(wire)
-        left.close()  # any further recv would see EOF and raise
-        connection = _SyncConnection(right)
-        first = ServingClient._next_frame(connection)
-        second = ServingClient._next_frame(connection)
-        assert first.payload["id"] == 0
-        assert second.payload["id"] == 1
-    finally:
-        right.close()
+    """One read completing several frames must not drop any of them: the
+    hello reply with a reply decoded behind it, then two replies.  The
+    bytes are all written before the reader loop starts, so its first
+    read returns every frame at once."""
+    async def scenario():
+        left, right = socket.socketpair()
+        reader, writer = await asyncio.open_connection(sock=right)
+        connection = _AsyncConnection(reader, writer)
+        loop = asyncio.get_running_loop()
+        futures = {key: loop.create_future() for key in (None, 0, 1, 2)}
+        connection.pending.update(futures)
+        left.sendall(encode_frame(Frame("ok", {"version": PROTOCOL_VERSION}))
+                     + b"".join(encode_frame(Frame("ok", {"id": key,
+                                                          "user": key}))
+                                for key in (0, 1, 2)))
+        left.close()  # the read after these frames sees EOF
+        connection.reader_task = loop.create_task(_read_loop(connection))
+        try:
+            hello = await futures[None]
+            replies = [await futures[key] for key in (0, 1, 2)]
+            await connection.reader_task  # EOF ends the loop
+        finally:
+            writer.close()
+        assert hello.payload["version"] == PROTOCOL_VERSION
+        assert [reply.payload["user"] for reply in replies] == [0, 1, 2]
+        assert connection.pending == {}
+
+    asyncio.run(scenario())
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +525,40 @@ def test_fused_bad_request_cannot_poison_the_window(snapshot, reference):
 
 
 def test_fusion_deduplicates_same_user_in_one_window(snapshot, reference):
-    # A pipelined burst lands in one socket read, so the duplicates are
-    # co-decoded and join one fused window deterministically (with eager
-    # dispatch, requests on separate connections may each go out alone).
+    # Eight id-tagged requests written in one sendall land in one socket
+    # read, so the duplicates are co-decoded and join one fused window
+    # deterministically (with eager dispatch, requests on separate
+    # connections or reads may each go out alone).
+    burst = b"".join(encode_frame(Frame("top_n", {
+        "user": 11, "n": 5, "exclude_seen": True, "id": slot}))
+        for slot in range(8))
     with ReplicaSet(lambda index: PredictionService(snapshot),
                     n_replicas=1, fuse_window_ms=25.0) as replicas:
-        with ServingClient(replicas.addresses) as client:
-            results = client.top_n_pipelined([11] * 8, n=5)
+        with socket.create_connection(replicas.addresses[0],
+                                      timeout=10.0) as sock:
+            sock.settimeout(10.0)
+            sock.sendall(encode_frame(Frame("hello",
+                                            {"version": PROTOCOL_VERSION})))
+            decoder = FrameDecoder()
+            frames = []
+            while not frames:  # the hello reply
+                frames += decoder.feed(sock.recv(1 << 16))
+            sock.sendall(burst)
+            while len(frames) < 9:
+                data = sock.recv(1 << 16)
+                if not data:
+                    break
+                frames += decoder.feed(data)
         stats = replicas.replicas[0].server.fuser.stats()
 
-    assert len(results) == 8
-    for served in results:
-        _assert_same_recommendation(reference.top_n(11, n=5), served)
+    hello, *replies = frames
+    assert not hello.is_error
+    assert sorted(reply.payload["id"] for reply in replies) == list(range(8))
+    expected = reference.top_n(11, n=5)
+    for reply in replies:
+        assert reply.payload["items"] == expected.items.tolist()
+        assert np.array(reply.payload["scores"]).tobytes() == \
+            expected.scores.tobytes()
     assert stats["fusion_deduplicated"] >= 1
 
 
