@@ -76,9 +76,11 @@ def scale_degrees_to_nnz(degrees: np.ndarray, target_nnz: int,
     """Rescale a degree vector so it sums (approximately) to ``target_nnz``.
 
     The shape of the distribution is preserved; only the scale changes.
-    Rounding error is corrected by distributing the residual one unit at a time
-    over the largest elements, so the result sums exactly to ``target_nnz``
-    whenever that is feasible under the min/max constraints.
+    Rounding error is corrected in passes over the elements, largest
+    first: each pass moves every element that can still move by one unit,
+    so the result sums exactly to ``target_nnz`` whenever that is
+    feasible under the min/max constraints, and is the clamped vector
+    otherwise.
     """
     check_positive("target_nnz", target_nnz)
     degrees = np.asarray(degrees, dtype=np.float64)
@@ -90,18 +92,19 @@ def scale_degrees_to_nnz(degrees: np.ndarray, target_nnz: int,
         scaled = np.minimum(scaled, max_degree)
     scaled = scaled.astype(np.int64)
     deficit = int(target_nnz - scaled.sum())
-    if deficit == 0:
-        return scaled
     order = np.argsort(-degrees, kind="stable")
     step = 1 if deficit > 0 else -1
-    i = 0
     remaining = abs(deficit)
-    while remaining > 0 and i < 100 * degrees.size:
-        idx = order[i % degrees.size]
-        candidate = scaled[idx] + step
-        ok = candidate >= min_degree and (max_degree is None or candidate <= max_degree)
-        if ok:
-            scaled[idx] = candidate
-            remaining -= 1
-        i += 1
+    while remaining > 0:
+        # An element's movability changes only when it moves, so one pass
+        # in ``order`` moves exactly the elements movable at its start.
+        candidate = scaled[order] + step
+        movable = candidate >= min_degree
+        if max_degree is not None:
+            movable &= candidate <= max_degree
+        moving = order[movable][:remaining]
+        if moving.size == 0:
+            break
+        scaled[moving] += step
+        remaining -= moving.size
     return scaled

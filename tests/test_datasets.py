@@ -80,6 +80,22 @@ class TestDegreeModels:
     def test_scale_degrees_empty(self):
         assert scale_degrees_to_nnz(np.array([]), 10).shape == (0,)
 
+    def test_scale_degrees_reaches_a_target_one_item_must_absorb(self):
+        """[1001] + [1] * 999 is the only answer: the one item that can
+        move has to take 997 units."""
+        degrees = np.array([10**6] + [1] * 999)
+        scaled = scale_degrees_to_nnz(degrees, 2000, min_degree=1)
+        assert scaled.sum() == 2000
+        assert scaled[0] == 1001 and (scaled[1:] == 1).all()
+
+    def test_scale_degrees_infeasible_target_returns_the_clamped_vector(self):
+        degrees = np.array([5, 3, 2, 1])
+        scaled = scale_degrees_to_nnz(degrees, 2, min_degree=1)
+        assert scaled.tolist() == [1, 1, 1, 1]
+        capped = scale_degrees_to_nnz(degrees, 100, min_degree=1,
+                                      max_degree=10)
+        assert capped.tolist() == [10, 10, 10, 10]
+
 
 class TestSyntheticDataset:
     def test_shapes_and_density(self):
