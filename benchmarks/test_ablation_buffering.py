@@ -23,8 +23,12 @@ from repro.distributed.sampler import (
     DistributedOptions,
     Tag,
 )
-from repro.distributed.scaling import ScalingConfig, strong_scaling_study
-from repro.mpi.network import ClusterSpec, NetworkModel
+from repro.distributed.scaling import (
+    ClusterSpec,
+    NetworkModel,
+    ScalingConfig,
+    strong_scaling_study,
+)
 from repro.mpi.simmpi import SimCommWorld
 from repro.utils.tables import Table
 

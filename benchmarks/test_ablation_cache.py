@@ -11,8 +11,12 @@ larger racks the degradation point moves accordingly.
 
 from __future__ import annotations
 
-from repro.distributed.scaling import ScalingConfig, strong_scaling_study
-from repro.mpi.network import ClusterSpec, NetworkModel
+from repro.distributed.scaling import (
+    ClusterSpec,
+    NetworkModel,
+    ScalingConfig,
+    strong_scaling_study,
+)
 from repro.utils.tables import Table
 
 NODE_COUNTS = (1, 2, 4, 8, 16, 32, 64)

@@ -15,10 +15,17 @@ import numpy as np
 
 from repro.datasets import make_scaling_workload
 from repro.distributed.comm_plan import build_comm_plan
-from repro.distributed.partition import Partition, partition_ratings
-from repro.distributed.scaling import ScalingConfig, strong_scaling_study
-from repro.mpi.network import ClusterSpec, NetworkModel
-from repro.parallel.cost_model import WorkloadModel
+from repro.distributed.partition import (
+    Partition,
+    WorkloadModel,
+    partition_ratings,
+)
+from repro.distributed.scaling import (
+    ClusterSpec,
+    NetworkModel,
+    ScalingConfig,
+    strong_scaling_study,
+)
 from repro.utils.tables import Table
 
 NODES = 16

@@ -11,7 +11,7 @@ extreme thresholds in either direction cost throughput.
 from __future__ import annotations
 
 from repro.core.updates import HybridUpdatePolicy
-from repro.multicore.sweep import multicore_thread_sweep
+from repro.parallel.sweep import multicore_thread_sweep
 from repro.parallel.work_stealing import WorkStealingScheduler
 from repro.utils.tables import Table
 

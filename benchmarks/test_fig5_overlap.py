@@ -1,7 +1,6 @@
 """Benchmark: Figure 5 — time spent computing, communicating, and both.
 
-Runs the same machine model as Figure 4 over the paper's 1–128-node range
-and checks the breakdown's qualitative content: on one node everything is
+Runs the Figure 4 driver over the paper's 1–128-node range and checks the breakdown's qualitative content: on one node everything is
 compute; asynchronous communication overlaps a meaningful share of the
 transfer time at small/medium node counts; at large node counts the
 communication share dominates and the overlap no longer helps.
@@ -9,7 +8,7 @@ communication share dominates and the overlap no longer helps.
 
 from __future__ import annotations
 
-from repro.bench.fig5_overlap import run_fig5
+from repro.bench.fig4_strong_scaling import run_fig4
 
 NODE_COUNTS = (1, 2, 4, 8, 16, 32, 64, 128)
 
@@ -17,15 +16,17 @@ NODE_COUNTS = (1, 2, 4, 8, 16, 32, 64, 128)
 def test_fig5_compute_communicate_overlap(benchmark, movielens_scaling_workload,
                                           scaling_config):
     result = benchmark.pedantic(
-        run_fig5,
+        run_fig4,
         kwargs=dict(ratings=movielens_scaling_workload, node_counts=NODE_COUNTS,
                     config=scaling_config),
         rounds=1, iterations=1)
 
     print()
-    print(result.to_table().render())
+    print(result.breakdown_table().render())
 
-    fractions = result.fractions()
+    shares = [point.breakdown_fractions() for point in result.scaling.points]
+    fractions = {key: [share[key] for share in shares]
+                 for key in ("compute", "both", "communicate")}
     compute = dict(zip(result.node_counts, fractions["compute"]))
     both = dict(zip(result.node_counts, fractions["both"]))
     communicate = dict(zip(result.node_counts, fractions["communicate"]))

@@ -23,7 +23,7 @@ import numpy as np
 from repro import BPMFConfig, GibbsSampler, HybridUpdatePolicy, SamplerOptions
 from repro.core.updates import UpdateMethod
 from repro.datasets import make_chembl_like
-from repro.multicore import multicore_thread_sweep
+from repro.parallel import multicore_thread_sweep
 from repro.sparse.csr import RatingMatrix
 from repro.sparse.split import RatingSplit
 from repro.utils.tables import Table

@@ -24,9 +24,9 @@ Package map
 ``repro.sparse``        sparse rating-matrix substrate
 ``repro.datasets``      synthetic ChEMBL-like / MovieLens-like workloads
 ``repro.baselines``     ALS and SGD matrix factorization
-``repro.parallel``      simulated multicore machine + schedulers
-``repro.multicore``     the modelled multicore study (Figure 3)
-``repro.mpi``           simulated MPI world, network model, tracing
+``repro.parallel``      the modelled multicore node: cost model, simulated
+                        schedulers, thread sweep (Figure 3)
+``repro.mpi``           message passing: simulated and socket MPI worlds
 ``repro.distributed``   distributed BPMF and the strong-scaling model (Figures 4-5)
 ``repro.serving``       online serving: fold-in, sharding, TCP fleet, WAL
 ``repro.bench``         one driver per figure/claim of the paper
@@ -92,7 +92,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
                        "load_dataset", "available_datasets"),
     "repro.distributed": ("DistributedGibbsSampler", "DistributedOptions",
                           "strong_scaling_study"),
-    "repro.multicore": ("multicore_thread_sweep",),
+    "repro.parallel.sweep": ("multicore_thread_sweep",),
     "repro.serving.service": ("PredictionService",),
     "repro.sparse": ("RatingMatrix", "train_test_split"),
 })

@@ -13,7 +13,8 @@ Experiment                    Driver
 Figure 2 (update kernels)     :func:`repro.bench.fig2_update_methods.run_fig2`
 Figure 3 (multicore)          :func:`repro.bench.fig3_multicore.run_fig3`
 Figure 4 (strong scaling)     :func:`repro.bench.fig4_strong_scaling.run_fig4`
-Figure 5 (overlap breakdown)  :func:`repro.bench.fig5_overlap.run_fig5`
+Figure 5 (overlap breakdown)  :func:`~repro.bench.fig4_strong_scaling.run_fig4`
+                              at ``FIG5_NODE_COUNTS``, its ``breakdown_table()``
 RMSE parity claim             :func:`repro.bench.accuracy.run_accuracy_parity`
 15 days -> 30 minutes claim   :func:`repro.bench.speedup_summary.run_speedup_summary`
 ============================  =========================================
@@ -31,8 +32,6 @@ __all__ = [
     "run_fig3",
     "Fig4Result",
     "run_fig4",
-    "Fig5Result",
-    "run_fig5",
     "AccuracyParityResult",
     "run_accuracy_parity",
     "SpeedupSummaryResult",
@@ -47,7 +46,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "repro.bench.fig2_update_methods": ("Fig2Result", "run_fig2"),
     "repro.bench.fig3_multicore": ("Fig3Result", "run_fig3"),
     "repro.bench.fig4_strong_scaling": ("Fig4Result", "run_fig4"),
-    "repro.bench.fig5_overlap": ("Fig5Result", "run_fig5"),
     "repro.bench.accuracy": ("AccuracyParityResult", "run_accuracy_parity"),
     "repro.bench.speedup_summary": ("SpeedupSummaryResult",
                                     "run_speedup_summary"),

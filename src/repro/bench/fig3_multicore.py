@@ -1,6 +1,6 @@
 """Figure 3 — multicore throughput versus thread count on ChEMBL.
 
-Drives :func:`repro.multicore.sweep.multicore_thread_sweep` on a ChEMBL-like
+Drives :func:`repro.parallel.sweep.multicore_thread_sweep` on a ChEMBL-like
 workload with the paper's three execution models (TBB-like work stealing,
 OpenMP-like static loop, GraphLab-like vertex engine) over 1–16 threads.
 """
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.datasets.chembl import ChemblLikeConfig, make_chembl_like
-from repro.multicore.sweep import ThreadSweepResult, multicore_thread_sweep
+from repro.parallel.sweep import ThreadSweepResult, multicore_thread_sweep
 from repro.sparse.csr import RatingMatrix
 from repro.utils.tables import Table
 

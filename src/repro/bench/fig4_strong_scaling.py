@@ -1,4 +1,4 @@
-"""Figure 4 — distributed strong scaling on a MovieLens-scale workload.
+"""Figures 4 and 5 — distributed strong scaling on a MovieLens-scale workload.
 
 The paper runs the MPI implementation on a BlueGene/Q (16-core nodes,
 32-node racks) over 1–1024 nodes of the ml-20m workload and reports item
@@ -11,6 +11,14 @@ This driver builds a structural workload with the full ml-20m user/movie
 counts (ratings count configurable; the default keeps the sweep to a couple
 of minutes), configures a BlueGene/Q-like cluster and network model, and
 runs :func:`repro.distributed.scaling.strong_scaling_study`.
+
+Figure 5 is the same study over the 1–128 node range the paper plots
+(:data:`FIG5_NODE_COUNTS`), tabulated as the per-node-count breakdown into
+compute-only, overlap ("both") and communicate-only shares
+(:meth:`Fig4Result.breakdown_table`).  The paper's observations: at small
+node counts asynchronous MPI overlaps a meaningful share of the
+communication with computation; at large node counts the overlap no
+longer helps and communication (and the MPI library overhead) dominates.
 """
 
 from __future__ import annotations
@@ -19,15 +27,23 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.datasets.scaling_workload import ScalingWorkloadConfig, make_scaling_workload
-from repro.distributed.scaling import ScalingConfig, StrongScalingResult, strong_scaling_study
-from repro.mpi.network import ClusterSpec, NetworkModel
+from repro.distributed.scaling import (
+    ClusterSpec,
+    NetworkModel,
+    ScalingConfig,
+    StrongScalingResult,
+    strong_scaling_study,
+)
 from repro.sparse.csr import RatingMatrix
 from repro.utils.tables import Table
 
-__all__ = ["Fig4Result", "run_fig4", "bluegene_like_config", "DEFAULT_NODE_COUNTS"]
+__all__ = ["Fig4Result", "run_fig4", "bluegene_like_config", "DEFAULT_NODE_COUNTS",
+           "FIG5_NODE_COUNTS"]
 
 #: Node counts on the x-axis (1 node = 16 cores, as in the paper).
 DEFAULT_NODE_COUNTS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+#: The paper's Figure 5 x-axis stops at 128 nodes / 2048 cores.
+FIG5_NODE_COUNTS = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
 def bluegene_like_config(num_latent: int = 64,
@@ -81,6 +97,10 @@ class Fig4Result:
 
     def to_table(self) -> Table:
         return self.scaling.to_table()
+
+    def breakdown_table(self) -> Table:
+        """Figure 5: compute / both / communicate shares per node count."""
+        return self.scaling.breakdown_table()
 
 
 def run_fig4(

@@ -7,6 +7,7 @@ can run any experiment by name and print its table.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
@@ -36,8 +37,7 @@ def _experiments() -> Dict[str, Tuple[Callable[[], object], Callable[[object], T
     from repro.bench.accuracy import run_accuracy_parity
     from repro.bench.fig2_update_methods import run_fig2
     from repro.bench.fig3_multicore import run_fig3
-    from repro.bench.fig4_strong_scaling import run_fig4
-    from repro.bench.fig5_overlap import run_fig5
+    from repro.bench.fig4_strong_scaling import FIG5_NODE_COUNTS, run_fig4
     from repro.bench.speedup_summary import run_speedup_summary
 
     return {
@@ -47,7 +47,10 @@ def _experiments() -> Dict[str, Tuple[Callable[[], object], Callable[[object], T
                  "Figure 3: multicore throughput vs threads"),
         "fig4": (run_fig4, lambda r: r.to_table(),
                  "Figure 4: distributed strong scaling"),
-        "fig5": (run_fig5, lambda r: r.to_table(),
+        # Figure 5 is Figure 4's study over the paper's 1-128 nodes,
+        # tabulated as its compute / both / communicate breakdown.
+        "fig5": (functools.partial(run_fig4, node_counts=FIG5_NODE_COUNTS),
+                 lambda r: r.breakdown_table(),
                  "Figure 5: compute / both / communicate breakdown"),
         "accuracy": (run_accuracy_parity, lambda r: r.to_table(),
                      "RMSE parity across implementations"),

@@ -29,8 +29,8 @@ from repro.bench.fig4_strong_scaling import bluegene_like_config
 from repro.core.updates import UpdateMethod
 from repro.datasets.chembl import ChemblLikeConfig, make_chembl_like
 from repro.distributed.scaling import ScalingConfig, strong_scaling_study
-from repro.multicore.sweep import multicore_thread_sweep
 from repro.parallel.cost_model import DEFAULT_COST_MODEL
+from repro.parallel.sweep import multicore_thread_sweep
 from repro.sparse.csr import RatingMatrix
 from repro.utils.tables import Table
 

@@ -11,16 +11,44 @@ comparable number of items.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.parallel.cost_model import WorkloadModel
 from repro.sparse.csr import RatingMatrix
 from repro.sparse.reorder import balanced_block_order, bipartite_rcm
 from repro.utils.validation import ValidationError, check_positive
 
-__all__ = ["Partition", "partition_ratings"]
+__all__ = ["WorkloadModel", "Partition", "partition_ratings",
+           "locality_ordering", "ordered_partition"]
+
+
+@dataclass(frozen=True)
+class WorkloadModel:
+    """Fixed-plus-per-rating workload estimate for one item update.
+
+    This is the model the paper derives from Figure 2 and feeds into the
+    data distribution (Section IV-B): *"we approximate the workload per
+    user/movie with fixed cost, plus a cost per movie rating"*, i.e.
+    ``work(item) = fixed_cost + rating_cost * n_ratings``.  Units are
+    arbitrary (relative work), which is all balancing needs.
+    """
+
+    fixed_cost: float = 1.0
+    rating_cost: float = 0.02
+
+    def __post_init__(self):
+        check_positive("fixed_cost", self.fixed_cost)
+        check_positive("rating_cost", self.rating_cost)
+
+    def cost(self, n_ratings) -> np.ndarray | float:
+        """Relative work for an item (scalar) or items (array) with given degree."""
+        return self.fixed_cost + self.rating_cost * np.asarray(n_ratings, dtype=float)
+
+    def total_cost(self, degrees: Iterable[int]) -> float:
+        degrees = np.asarray(list(degrees) if not isinstance(degrees, np.ndarray)
+                             else degrees, dtype=float)
+        return float(np.sum(self.fixed_cost + self.rating_cost * degrees))
 
 
 @dataclass(frozen=True)
@@ -101,8 +129,6 @@ def partition_ratings(
     n_ranks: int,
     workload: WorkloadModel | None = None,
     reorder: bool = True,
-    user_costs: Optional[np.ndarray] = None,
-    movie_costs: Optional[np.ndarray] = None,
 ) -> Partition:
     """Partition users and movies over ``n_ranks`` ranks.
 
@@ -119,34 +145,49 @@ def partition_ratings(
         bipartite rating graph is computed first so that contiguous blocks
         cut few ratings; when false items are split in their natural order
         (the ablation baseline).
-    user_costs, movie_costs:
-        Optional explicit per-item cost vectors; when given they override
-        the workload model (the strong-scaling study passes the calibrated
-        hybrid-kernel costs here so balance is measured in the same units
-        the compute model uses).
     """
     check_positive("n_ranks", n_ranks)
     workload = workload or WorkloadModel()
+    return ordered_partition(
+        n_ranks, workload.cost(ratings.user_degrees()),
+        workload.cost(ratings.movie_degrees()),
+        locality_ordering(ratings, reorder and n_ranks > 1))
 
-    user_cost = (np.asarray(user_costs, dtype=float) if user_costs is not None
-                 else np.asarray(workload.cost(ratings.user_degrees()), dtype=float))
-    movie_cost = (np.asarray(movie_costs, dtype=float) if movie_costs is not None
-                  else np.asarray(workload.cost(ratings.movie_degrees()), dtype=float))
-    if user_cost.shape[0] != ratings.n_users or movie_cost.shape[0] != ratings.n_movies:
-        raise ValidationError("per-item cost vectors do not match the matrix shape")
 
-    if reorder and ratings.nnz > 0 and n_ranks > 1:
-        user_perm, movie_perm = bipartite_rcm(ratings)
-    else:
-        user_perm = np.arange(ratings.n_users, dtype=np.int64)
-        movie_perm = np.arange(ratings.n_movies, dtype=np.int64)
+def locality_ordering(ratings: RatingMatrix, reorder: bool = True
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(user_perm, movie_perm)``: the reverse Cuthill–McKee ordering of
+    the bipartite rating graph, or the natural order when ``reorder`` is
+    false or the matrix is empty.
 
-    user_owner = _owners_from_blocks(user_perm, user_cost, n_ranks)
-    movie_owner = _owners_from_blocks(movie_perm, movie_cost, n_ranks)
+    It depends on the matrix only, so a study over many rank counts
+    computes it once and passes it to :func:`ordered_partition`.
+    """
+    if reorder and ratings.nnz > 0:
+        return bipartite_rcm(ratings)
+    return (np.arange(ratings.n_users, dtype=np.int64),
+            np.arange(ratings.n_movies, dtype=np.int64))
+
+
+def ordered_partition(n_ranks: int, user_costs: np.ndarray,
+                      movie_costs: np.ndarray,
+                      ordering: Tuple[np.ndarray, np.ndarray]) -> Partition:
+    """Cost-balanced contiguous blocks of ``ordering``, one per rank.
+
+    ``user_costs`` / ``movie_costs`` give each item's work in any unit
+    (the strong-scaling study passes its kernel cost model here, so
+    balance is measured in the units its compute model uses).
+    """
+    check_positive("n_ranks", n_ranks)
+    user_perm, movie_perm = ordering
+    user_cost = np.asarray(user_costs, dtype=float)
+    movie_cost = np.asarray(movie_costs, dtype=float)
+    if user_cost.shape != user_perm.shape or movie_cost.shape != movie_perm.shape:
+        raise ValidationError("per-item cost vectors do not match the ordering")
     return Partition(
         n_ranks=n_ranks,
-        user_owner=user_owner,
-        movie_owner=movie_owner,
+        user_owner=_owners_from_blocks(user_perm, user_cost, n_ranks),
+        movie_owner=_owners_from_blocks(movie_perm, movie_cost, n_ranks),
         user_permutation=user_perm,
         movie_permutation=movie_perm,
     )

@@ -62,10 +62,13 @@ from repro.distributed.comm_plan import (
     build_comm_plan,
     send_schedule,
 )
-from repro.distributed.partition import Partition, partition_ratings
+from repro.distributed.partition import (
+    Partition,
+    WorkloadModel,
+    partition_ratings,
+)
 from repro.mpi.simmpi import SimCommWorld
 from repro.obs.trace import maybe_span
-from repro.parallel.cost_model import WorkloadModel
 from repro.sparse.csr import RatingMatrix
 from repro.sparse.split import RatingSplit
 from repro.utils.rng import SeedLike, as_generator

@@ -4,9 +4,9 @@
 hands each simulated rank a :class:`SimComm` endpoint with the MPI verbs
 the distributed sampler needs: non-blocking point-to-point sends and
 receives with tags, blocking receive, probe, allreduce, broadcast and
-barrier.  Delivery is immediate and reliable (the performance layer in
-:mod:`repro.mpi.trace` models *time*; this layer models *data movement*),
-but the discipline is real: a rank can only see another rank's data if a
+barrier.  Delivery is immediate and reliable (this layer models *data
+movement*; :mod:`repro.distributed.scaling` models *time*), but the
+discipline is real: a rank can only see another rank's data if a
 message carrying it was posted, and every message is logged so tests and
 the benchmark harness can audit the traffic.
 

@@ -1,7 +1,7 @@
-"""Shared-memory parallel substrate (simulated multicore machine).
+"""The modelled multicore node (Section III, Figure 3).
 
-The paper's multicore study (Section III, Figure 3) compares three ways of
-running the per-item updates of one Gibbs sweep on a 12-core node:
+The paper's multicore study compares three ways of running the per-item
+updates of one Gibbs sweep on a 12-core node:
 
 * a **TBB** version — work-stealing scheduler with nested parallelism, so
   heavy items split into sub-tasks that idle cores can steal;
@@ -10,52 +10,50 @@ running the per-item updates of one Gibbs sweep on a 12-core node:
 * a **GraphLab** version — a synchronous vertex-program engine that trades
   performance for programmability.
 
-The reproduction environment has a single CPU core, so raw threading cannot
-demonstrate scaling.  Instead this package provides:
+The functionally parallel sampler is the one Gibbs sampler with
+``SamplerOptions(n_threads=...)``; this package is its performance model:
 
-* a **calibrated cost model** (:mod:`repro.parallel.cost_model`) that maps an
-  item's rating count and update method to a kernel time, with coefficients
-  fitted to *measured* timings of the real numpy kernels;
-* a **discrete-event simulated machine** (:mod:`repro.parallel.simulator`)
-  on which three *real scheduling algorithms*
-  (:mod:`repro.parallel.work_stealing`, :mod:`repro.parallel.static_scheduler`,
-  :mod:`repro.parallel.graph_engine`) place the real task multiset derived
-  from the dataset's sparsity pattern.
+* :mod:`repro.parallel.cost_model` — the kernel cost model that maps an
+  item's rating count and update method to a kernel time;
+* :mod:`repro.parallel.simulator` — the discrete-event simulated machine
+  and the task sets derived from a degree sequence;
+* :mod:`repro.parallel.work_stealing`, :mod:`repro.parallel.static_scheduler`,
+  :mod:`repro.parallel.graph_engine` — the three *real scheduling
+  algorithms* that place those tasks;
+* :mod:`repro.parallel.sweep` — one sweep's tasks on every scheduler and
+  thread count: Figure 3's throughput-vs-threads curves.
 
 Only *time* is simulated; the tasks, their sizes and the scheduling
 decisions are all real, which is what lets the Figure 3 shape emerge from
-mechanism rather than from hard-coded curves.
+mechanism rather than from hard-coded curves.  The cluster half of the
+model (Figures 4 and 5) is :mod:`repro.distributed.scaling`.
 """
 
-from repro.parallel.cost_model import (
-    UpdateCostModel,
-    WorkloadModel,
-    calibrate_cost_model,
-    DEFAULT_COST_MODEL,
-)
-from repro.parallel.simulator import (
-    SimTask,
-    ScheduleResult,
-    Scheduler,
-    simulate_serial,
-    tasks_from_degrees,
-)
-from repro.parallel.work_stealing import WorkStealingScheduler
-from repro.parallel.static_scheduler import StaticScheduler, DynamicChunkScheduler
-from repro.parallel.graph_engine import GraphEngineScheduler
+from repro._lazy import lazy_exports
 
 __all__ = [
     "UpdateCostModel",
-    "WorkloadModel",
-    "calibrate_cost_model",
     "DEFAULT_COST_MODEL",
     "SimTask",
     "ScheduleResult",
     "Scheduler",
-    "simulate_serial",
     "tasks_from_degrees",
     "WorkStealingScheduler",
     "StaticScheduler",
-    "DynamicChunkScheduler",
     "GraphEngineScheduler",
+    "ThreadSweepResult",
+    "default_schedulers",
+    "multicore_thread_sweep",
+    "sweep_tasks",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.parallel.cost_model": ("UpdateCostModel", "DEFAULT_COST_MODEL"),
+    "repro.parallel.simulator": ("SimTask", "ScheduleResult", "Scheduler",
+                                 "tasks_from_degrees"),
+    "repro.parallel.work_stealing": ("WorkStealingScheduler",),
+    "repro.parallel.static_scheduler": ("StaticScheduler",),
+    "repro.parallel.graph_engine": ("GraphEngineScheduler",),
+    "repro.parallel.sweep": ("ThreadSweepResult", "default_schedulers",
+                             "multicore_thread_sweep", "sweep_tasks"),
+})

@@ -26,44 +26,25 @@ from typing import Sequence
 import numpy as np
 
 from repro.parallel.simulator import ScheduleResult, Scheduler, SimTask
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 
 __all__ = ["GraphEngineScheduler"]
 
 
 class GraphEngineScheduler(Scheduler):
-    """Synchronous gather-apply-scatter engine over hash-partitioned vertices.
-
-    Parameters
-    ----------
-    engine_overhead_factor:
-        Multiplier on the raw kernel time accounting for the gather/apply/
-        scatter decomposition and the extra data movement it implies.
-    per_update_overhead:
-        Fixed simulated seconds of scheduler + locking work per vertex
-        update.
-    lock_contention:
-        Additional per-update cost that grows with the number of cores
-        (cache-line and lock contention on the shared scheduler state);
-        modelled as ``lock_contention * (n_cores - 1)`` seconds.
-    barrier_overhead:
-        Cost of the end-of-superstep synchronisation barrier.
-    """
+    """Synchronous gather-apply-scatter engine over hash-partitioned vertices."""
 
     name = "graphlab-sync"
-
-    def __init__(self, engine_overhead_factor: float = 2.5,
-                 per_update_overhead: float = 6.0e-5,
-                 lock_contention: float = 1.5e-6,
-                 barrier_overhead: float = 1.0e-4):
-        check_positive("engine_overhead_factor", engine_overhead_factor)
-        check_non_negative("per_update_overhead", per_update_overhead)
-        check_non_negative("lock_contention", lock_contention)
-        check_non_negative("barrier_overhead", barrier_overhead)
-        self.engine_overhead_factor = engine_overhead_factor
-        self.per_update_overhead = per_update_overhead
-        self.lock_contention = lock_contention
-        self.barrier_overhead = barrier_overhead
+    #: Multiplier on the raw kernel time accounting for the gather/apply/
+    #: scatter decomposition and the extra data movement it implies.
+    engine_overhead_factor = 2.5
+    #: Fixed simulated seconds of scheduler + locking work per update.
+    per_update_overhead = 6.0e-5
+    #: Per-update cost per extra core (cache-line and lock contention on
+    #: the shared scheduler state): ``lock_contention * (n_cores - 1)``.
+    lock_contention = 1.5e-6
+    #: Cost of the end-of-superstep synchronisation barrier.
+    barrier_overhead = 1.0e-4
 
     def schedule(self, tasks: Sequence[SimTask], n_cores: int) -> ScheduleResult:
         check_positive("n_cores", n_cores)

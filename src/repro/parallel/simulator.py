@@ -3,7 +3,7 @@
 A *task* is one item update (or one sub-task of a heavy item split by the
 hybrid policy).  A *scheduler* places tasks on ``n_cores`` simulated cores
 and reports the resulting makespan and per-core utilisation.  The task
-durations come from the calibrated cost model and the dataset's real degree
+durations come from the kernel cost model and the dataset's real degree
 sequence, so scheduling behaviour (imbalance, stealing, barriers) is
 mechanistic.
 """
@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import abc
 import heapq
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.updates import HybridUpdatePolicy, UpdateMethod
-from repro.parallel.cost_model import DEFAULT_COST_MODEL, UpdateCostModel
+from repro.parallel.cost_model import DEFAULT_COST_MODEL
 from repro.utils.validation import ValidationError, check_positive
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "ScheduleResult",
     "Scheduler",
     "CoreClock",
-    "simulate_serial",
     "tasks_from_degrees",
 ]
 
@@ -148,25 +147,10 @@ class Scheduler(abc.ABC):
         return self.schedule(tasks, n_cores).throughput()
 
 
-def simulate_serial(tasks: Iterable[SimTask]) -> ScheduleResult:
-    """Reference single-core execution (sum of unsplit durations)."""
-    tasks = list(tasks)
-    total = float(sum(t.duration for t in tasks))
-    return ScheduleResult(
-        n_cores=1,
-        makespan=total,
-        core_busy=np.array([total]),
-        n_tasks=len(tasks),
-        scheduler="serial",
-    )
-
-
 def tasks_from_degrees(
     degrees: Sequence[int] | np.ndarray,
     num_latent: int,
-    cost_model: UpdateCostModel | None = None,
     policy: HybridUpdatePolicy | None = None,
-    workers_hint: int = 4,
     tag: str = "",
     id_offset: int = 0,
 ) -> List[SimTask]:
@@ -177,7 +161,7 @@ def tasks_from_degrees(
     ``duration`` is always the *serial* execution time of the chosen method
     (what a scheduler without nested parallelism pays).
     """
-    cost_model = cost_model or DEFAULT_COST_MODEL
+    cost_model = DEFAULT_COST_MODEL
     policy = policy or HybridUpdatePolicy()
     degrees = np.asarray(degrees, dtype=np.int64)
     tasks: List[SimTask] = []

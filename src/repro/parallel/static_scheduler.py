@@ -1,52 +1,35 @@
-"""Static and dynamic-chunk loop schedulers (the OpenMP-like execution model).
+"""Static loop scheduler (the OpenMP-like execution model).
 
 The paper's OpenMP version parallelises the item loops with a conventional
-``#pragma omp parallel for``.  Two scheduling clauses are modelled:
-
-* :class:`StaticScheduler` — ``schedule(static)``: the item range is cut
-  into one contiguous chunk per thread.  Threads that receive the heavy
-  items finish late while the others idle at the loop barrier, and nested
-  parallel regions are serialised, so heavy items cannot be split.
-* :class:`DynamicChunkScheduler` — ``schedule(dynamic, chunk)``: threads
-  grab fixed-size chunks from a shared counter, paying a small dispatch
-  overhead per chunk.  Balance improves over static but sub-item
-  parallelism is still unavailable, which is why the paper's TBB version
-  stays ahead.
+``#pragma omp parallel for``, modelled as ``schedule(static)``: the item
+range is cut into one contiguous chunk per thread.  Threads that receive
+the heavy items finish late while the others idle at the loop barrier,
+and nested parallel regions are serialised, so heavy items cannot be
+split.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.parallel.simulator import CoreClock, ScheduleResult, Scheduler, SimTask
-from repro.utils.validation import check_non_negative, check_positive
+from repro.parallel.simulator import ScheduleResult, Scheduler, SimTask
+from repro.utils.validation import check_positive
 
-__all__ = ["StaticScheduler", "DynamicChunkScheduler"]
+__all__ = ["StaticScheduler"]
 
 
 class StaticScheduler(Scheduler):
-    """``schedule(static)`` contiguous partition with an end-of-loop barrier.
-
-    Parameters
-    ----------
-    barrier_overhead:
-        Simulated seconds every thread spends in the implicit barrier at
-        the end of the parallel loop.
-    fork_overhead:
-        Simulated seconds to fork/join the parallel region (paid once,
-        independent of the thread count in this simple model).
-    """
+    """``schedule(static)`` contiguous partition with an end-of-loop barrier."""
 
     name = "openmp-static"
-
-    def __init__(self, barrier_overhead: float = 5.0e-6,
-                 fork_overhead: float = 2.0e-5):
-        check_non_negative("barrier_overhead", barrier_overhead)
-        check_non_negative("fork_overhead", fork_overhead)
-        self.barrier_overhead = barrier_overhead
-        self.fork_overhead = fork_overhead
+    #: Simulated seconds every thread spends in the implicit barrier at
+    #: the end of the parallel loop.
+    barrier_overhead = 5.0e-6
+    #: Simulated seconds to fork/join the parallel region (paid once,
+    #: independent of the thread count in this simple model).
+    fork_overhead = 2.0e-5
 
     def schedule(self, tasks: Sequence[SimTask], n_cores: int) -> ScheduleResult:
         check_positive("n_cores", n_cores)
@@ -64,47 +47,5 @@ class StaticScheduler(Scheduler):
             core_busy=busy,
             n_tasks=len(tasks),
             overhead=self.barrier_overhead + self.fork_overhead,
-            scheduler=self.name,
-        )
-
-
-class DynamicChunkScheduler(Scheduler):
-    """``schedule(dynamic, chunk_size)`` with a per-chunk dispatch cost."""
-
-    name = "openmp-dynamic"
-
-    def __init__(self, chunk_size: int = 8, dispatch_overhead: float = 1.0e-6,
-                 barrier_overhead: float = 5.0e-6, fork_overhead: float = 2.0e-5):
-        check_positive("chunk_size", chunk_size)
-        check_non_negative("dispatch_overhead", dispatch_overhead)
-        check_non_negative("barrier_overhead", barrier_overhead)
-        check_non_negative("fork_overhead", fork_overhead)
-        self.chunk_size = chunk_size
-        self.dispatch_overhead = dispatch_overhead
-        self.barrier_overhead = barrier_overhead
-        self.fork_overhead = fork_overhead
-
-    def schedule(self, tasks: Sequence[SimTask], n_cores: int) -> ScheduleResult:
-        check_positive("n_cores", n_cores)
-        durations = [task.duration for task in tasks]
-        chunks: List[float] = []
-        for start in range(0, len(durations), self.chunk_size):
-            chunk = durations[start:start + self.chunk_size]
-            chunks.append(sum(chunk) + self.dispatch_overhead)
-
-        clock = CoreClock(n_cores)
-        # Threads grab the next chunk in order as they become free — an
-        # exact simulation of the shared loop counter.
-        for chunk_time in chunks:
-            now, core = clock.next_free()
-            clock.run(core, now, chunk_time)
-        makespan = clock.makespan + self.barrier_overhead + self.fork_overhead
-        return ScheduleResult(
-            n_cores=n_cores,
-            makespan=makespan,
-            core_busy=clock.busy.copy(),
-            n_tasks=len(tasks),
-            overhead=(len(chunks) * self.dispatch_overhead
-                      + self.barrier_overhead + self.fork_overhead),
             scheduler=self.name,
         )

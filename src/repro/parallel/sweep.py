@@ -1,31 +1,53 @@
 """Thread-count sweep on the simulated multicore machine (Figure 3).
 
-For every scheduler (TBB-like work stealing, OpenMP-like static loop,
-GraphLab-like vertex engine) and every thread count, one Gibbs sweep's
-worth of item-update tasks — derived from the dataset's real degree
-sequences — is scheduled and the resulting throughput in item updates per
-second is reported.  This is the data behind Figure 3 of the paper.
+One Gibbs sweep is two parallel phases — update all movies, then all
+users — separated by the (serial, cheap) hyperparameter draws.  Each
+phase's tasks come from the dataset's *real* degree sequence, so load
+imbalance is inherited from the data, not synthesised.  For every
+scheduler (TBB-like work stealing, OpenMP-like static loop, GraphLab-like
+vertex engine) and every thread count both phases are scheduled and the
+resulting throughput in item updates per second is reported.  This is the
+data behind Figure 3 of the paper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.updates import HybridUpdatePolicy
-from repro.multicore.tasks import sweep_tasks
-from repro.parallel.cost_model import DEFAULT_COST_MODEL, UpdateCostModel
 from repro.parallel.graph_engine import GraphEngineScheduler
-from repro.parallel.simulator import ScheduleResult, Scheduler
+from repro.parallel.simulator import Scheduler, SimTask, tasks_from_degrees
 from repro.parallel.static_scheduler import StaticScheduler
 from repro.parallel.work_stealing import WorkStealingScheduler
 from repro.sparse.csr import RatingMatrix
 from repro.utils.tables import Table
 from repro.utils.validation import check_positive
 
-__all__ = ["ThreadSweepResult", "default_schedulers", "multicore_thread_sweep"]
+__all__ = ["ThreadSweepResult", "default_schedulers", "multicore_thread_sweep",
+           "sweep_tasks"]
+
+#: Simulated seconds per sweep spent in the serial hyperparameter draws
+#: (charged identically to every scheduler).
+HYPER_OVERHEAD = 2.0e-3
+
+
+def sweep_tasks(
+    ratings: RatingMatrix,
+    num_latent: int,
+    policy: HybridUpdatePolicy | None = None,
+) -> Tuple[List[SimTask], List[SimTask]]:
+    """Both phases of one sweep: ``(movie_tasks, user_tasks)``.
+
+    Task ids run over the movies first, then the users, so they do not
+    collide across phases.
+    """
+    return (
+        tasks_from_degrees(ratings.movie_degrees(), num_latent, policy=policy,
+                           tag="movies"),
+        tasks_from_degrees(ratings.user_degrees(), num_latent, policy=policy,
+                           tag="users", id_offset=ratings.n_movies),
+    )
 
 
 def default_schedulers() -> Dict[str, Scheduler]:
@@ -43,7 +65,6 @@ class ThreadSweepResult:
 
     thread_counts: List[int]
     throughput: Dict[str, List[float]]
-    schedule_details: Dict[str, List[ScheduleResult]] = field(default_factory=dict)
 
     def speedup(self, scheduler: str) -> List[float]:
         """Throughput relative to the same scheduler on one thread."""
@@ -68,10 +89,7 @@ def multicore_thread_sweep(
     num_latent: int = 32,
     thread_counts: Sequence[int] = (1, 2, 4, 8, 16),
     schedulers: Dict[str, Scheduler] | None = None,
-    cost_model: UpdateCostModel | None = None,
     policy: HybridUpdatePolicy | None = None,
-    hyper_overhead: float = 2.0e-3,
-    keep_details: bool = False,
 ) -> ThreadSweepResult:
     """Run the Figure 3 experiment.
 
@@ -85,35 +103,22 @@ def multicore_thread_sweep(
         X-axis of the figure.
     schedulers:
         Mapping of display name to scheduler; defaults to the paper's three.
-    cost_model, policy:
-        Kernel cost model and hybrid update policy.
-    hyper_overhead:
-        Simulated seconds per sweep spent in the serial hyperparameter
-        draws (charged identically to every scheduler).
-    keep_details:
-        Keep the full :class:`ScheduleResult` objects for inspection.
+    policy:
+        Hybrid update policy choosing each item's kernel.
     """
     for count in thread_counts:
         check_positive("thread_counts entry", count)
     schedulers = schedulers or default_schedulers()
-    cost_model = cost_model or DEFAULT_COST_MODEL
-    movie_tasks, user_tasks = sweep_tasks(ratings, num_latent, cost_model, policy)
+    movie_tasks, user_tasks = sweep_tasks(ratings, num_latent, policy)
     n_items = len(movie_tasks) + len(user_tasks)
 
     throughput: Dict[str, List[float]] = {name: [] for name in schedulers}
-    details: Dict[str, List[ScheduleResult]] = {name: [] for name in schedulers}
     for name, scheduler in schedulers.items():
         for threads in thread_counts:
-            movie_result = scheduler.schedule(movie_tasks, threads)
-            user_result = scheduler.schedule(user_tasks, threads)
-            sweep_time = movie_result.makespan + user_result.makespan + hyper_overhead
+            sweep_time = (scheduler.schedule(movie_tasks, threads).makespan
+                          + scheduler.schedule(user_tasks, threads).makespan
+                          + HYPER_OVERHEAD)
             throughput[name].append(n_items / sweep_time)
-            if keep_details:
-                details[name].append(movie_result)
-                details[name].append(user_result)
 
-    return ThreadSweepResult(
-        thread_counts=list(thread_counts),
-        throughput=throughput,
-        schedule_details=details if keep_details else {},
-    )
+    return ThreadSweepResult(thread_counts=list(thread_counts),
+                             throughput=throughput)

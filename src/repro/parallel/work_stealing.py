@@ -24,7 +24,7 @@ from typing import Deque, List, Sequence
 import numpy as np
 
 from repro.parallel.simulator import CoreClock, ScheduleResult, Scheduler, SimTask
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 
 __all__ = ["WorkStealingScheduler"]
 
@@ -40,28 +40,16 @@ class _Unit:
 class WorkStealingScheduler(Scheduler):
     """TBB-like work stealing with nested parallelism.
 
-    Parameters
-    ----------
-    steal_overhead:
-        Simulated seconds a thief spends acquiring a task from another
-        core's deque (synchronisation cost).
-    spawn_overhead:
-        Simulated seconds to spawn the sub-tasks of one splittable task.
-    nested_parallelism:
-        When false, splittable tasks run serially on one core (an ablation
-        knob that turns "TBB" into "TBB without nested parallelism").
+    A task without sub-tasks runs whole on one core, which is how "TBB
+    without nested parallelism" is modelled.
     """
 
     name = "work-stealing"
-
-    def __init__(self, steal_overhead: float = 1.0e-6,
-                 spawn_overhead: float = 2.0e-7,
-                 nested_parallelism: bool = True):
-        check_non_negative("steal_overhead", steal_overhead)
-        check_non_negative("spawn_overhead", spawn_overhead)
-        self.steal_overhead = steal_overhead
-        self.spawn_overhead = spawn_overhead
-        self.nested_parallelism = nested_parallelism
+    #: Simulated seconds a thief spends acquiring a task from another
+    #: core's deque (synchronisation cost).
+    steal_overhead = 1.0e-6
+    #: Simulated seconds charged when an owner runs a unit it seeded.
+    spawn_overhead = 2.0e-7
 
     def schedule(self, tasks: Sequence[SimTask], n_cores: int) -> ScheduleResult:
         check_positive("n_cores", n_cores)
@@ -73,7 +61,7 @@ class WorkStealingScheduler(Scheduler):
         # (not an equal amount of work — that is what stealing fixes).
         for index, task in enumerate(tasks):
             home = index % n_cores
-            if task.splittable and self.nested_parallelism:
+            if task.splittable:
                 for sub in task.subtask_durations:
                     deques[home].append(_Unit(float(sub), home))
             else:

@@ -1,4 +1,4 @@
-"""The wall-clock timing helper used by the calibration and Figure 2 code."""
+"""The wall-clock timing helper used by the Figure 2 code."""
 
 from __future__ import annotations
 
@@ -13,8 +13,7 @@ def time_call(func: Callable, *args, repeats: int = 1, **kwargs) -> Tuple[float,
 
     The *minimum* over repeats is returned because it is the least noisy
     estimator of the cost of a deterministic kernel (the same convention
-    ``timeit`` uses); the calibration code in :mod:`repro.parallel.cost_model`
-    relies on this.
+    ``timeit`` uses); Figure 2's measured curves rely on this.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")

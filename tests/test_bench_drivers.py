@@ -9,13 +9,11 @@ from repro.bench.accuracy import run_accuracy_parity
 from repro.bench.fig2_update_methods import run_fig2
 from repro.bench.fig3_multicore import run_fig3
 from repro.bench.fig4_strong_scaling import bluegene_like_config, run_fig4
-from repro.bench.fig5_overlap import run_fig5
 from repro.bench.runner import available_experiments, run_experiment
 from repro.bench.speedup_summary import run_speedup_summary
 from repro.core.priors import BPMFConfig
 from repro.datasets import make_scaling_workload
-from repro.distributed.scaling import ScalingConfig
-from repro.mpi.network import ClusterSpec
+from repro.distributed.scaling import ClusterSpec, ScalingConfig
 from repro.utils.validation import ValidationError
 
 
@@ -79,9 +77,10 @@ class TestFig4AndFig5Drivers:
         assert "parallel efficiency" in result.to_table().render()
 
     def test_fig5_fractions(self, small_scaling_workload, config):
-        result = run_fig5(ratings=small_scaling_workload, node_counts=(1, 4, 16),
+        result = run_fig4(ratings=small_scaling_workload, node_counts=(1, 4, 16),
                           config=config)
-        fractions = result.fractions()
+        shares = [p.breakdown_fractions() for p in result.scaling.points]
+        fractions = {key: [share[key] for share in shares] for key in shares[0]}
         assert set(fractions) == {"compute", "both", "communicate"}
         assert fractions["compute"][0] == pytest.approx(1.0)
         assert fractions["communicate"][-1] > fractions["communicate"][0]

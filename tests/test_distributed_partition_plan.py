@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from repro.distributed.comm_plan import build_comm_plan
-from repro.distributed.partition import Partition, partition_ratings
-from repro.parallel.cost_model import WorkloadModel
+from repro.distributed.partition import (
+    Partition,
+    WorkloadModel,
+    locality_ordering,
+    ordered_partition,
+    partition_ratings,
+)
 from repro.utils.validation import ValidationError
 
 
@@ -44,17 +49,32 @@ class TestPartition:
         assert aware.imbalance(ratings, workload) <= naive.imbalance(ratings, workload)
 
     def test_explicit_cost_vectors(self, simple_ratings):
-        partition = partition_ratings(
-            simple_ratings, 2,
-            user_costs=np.array([10.0, 1.0, 1.0, 1.0]),
-            movie_costs=np.ones(3))
+        partition = ordered_partition(
+            2, np.array([10.0, 1.0, 1.0, 1.0]), np.ones(3),
+            locality_ordering(simple_ratings))
         work = np.zeros(2)
         np.add.at(work, partition.user_owner, np.array([10.0, 1.0, 1.0, 1.0]))
         assert work.max() <= 10.0 + 1e-9  # the heavy user sits alone-ish
 
     def test_explicit_cost_vector_shape_checked(self, simple_ratings):
         with pytest.raises(ValidationError):
-            partition_ratings(simple_ratings, 2, user_costs=np.ones(3))
+            ordered_partition(2, np.ones(3), np.ones(3),
+                              locality_ordering(simple_ratings))
+
+    def test_partition_ratings_is_ordered_partition_of_the_workload(
+            self, chembl_tiny):
+        """What a strong-scaling study builds from one shared ordering is
+        what ``partition_ratings`` builds per call."""
+        ratings = chembl_tiny.ratings
+        workload = WorkloadModel()
+        ordering = locality_ordering(ratings)
+        for n_ranks in (2, 3, 5):
+            direct = partition_ratings(ratings, n_ranks, workload=workload)
+            shared = ordered_partition(
+                n_ranks, workload.cost(ratings.user_degrees()),
+                workload.cost(ratings.movie_degrees()), ordering)
+            np.testing.assert_array_equal(direct.user_owner, shared.user_owner)
+            np.testing.assert_array_equal(direct.movie_owner, shared.movie_owner)
 
     def test_reorder_reduces_exchanged_items_on_block_structured_data(self):
         from repro.datasets import make_scaling_workload

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from repro.datasets.scaling_workload import make_scaling_workload
-from repro.distributed.scaling import ScalingConfig, strong_scaling_study
-from repro.mpi.network import ClusterSpec, NetworkModel
+from repro.distributed import scaling
+from repro.distributed.scaling import (
+    ClusterSpec,
+    NetworkModel,
+    ScalingConfig,
+    strong_scaling_study,
+)
 
 
 @pytest.fixture(scope="module")
@@ -98,15 +103,15 @@ class TestScalingOptions:
                                           config=no_overlap_config)
         assert overlap.point(8).throughput >= no_overlap.point(8).throughput
 
-    def test_scheduler_and_bound_paths_agree_roughly(self, workload):
-        base = dict(num_latent=32,
-                    cluster=ClusterSpec(rack_size=8, cache_bytes=2 * 1024 * 1024))
-        exact = strong_scaling_study(
-            workload, node_counts=(4,),
-            config=ScalingConfig(schedule_node_compute=True, **base))
-        approx = strong_scaling_study(
-            workload, node_counts=(4,),
-            config=ScalingConfig(schedule_node_compute=False, **base))
+    def test_scheduler_and_bound_paths_agree_roughly(self, workload,
+                                                     monkeypatch):
+        config = ScalingConfig(
+            num_latent=32,
+            cluster=ClusterSpec(rack_size=8, cache_bytes=2 * 1024 * 1024))
+        monkeypatch.setattr(scaling, "SCHEDULER_ITEM_LIMIT", 10**9)
+        exact = strong_scaling_study(workload, node_counts=(4,), config=config)
+        monkeypatch.setattr(scaling, "SCHEDULER_ITEM_LIMIT", 0)
+        approx = strong_scaling_study(workload, node_counts=(4,), config=config)
         ratio = exact.point(4).throughput / approx.point(4).throughput
         assert 0.7 < ratio < 1.3
 
@@ -126,10 +131,3 @@ class TestScalingOptions:
     def test_invalid_node_counts(self, workload):
         with pytest.raises(Exception):
             strong_scaling_study(workload, node_counts=(0, 2))
-
-    def test_baseline_node_override(self, workload):
-        study = strong_scaling_study(workload, node_counts=(2, 4),
-                                     config=ScalingConfig(
-                                         cluster=ClusterSpec(rack_size=8)),
-                                     baseline_nodes=2)
-        assert study.point(2).parallel_efficiency == pytest.approx(1.0)

@@ -4,9 +4,9 @@
   module under ``src/repro``; imports inside functions are deferred and
   do not count):
 
-  - ``utils`` < ``sparse`` < ``core`` < ``parallel`` < ``multicore``, then
-    ``mpi`` < ``distributed`` < ``serving`` < ``bench``: a layer imports
-    its own layer and the layers below it;
+  - ``utils`` < ``sparse`` < ``core`` < ``parallel``, then ``mpi`` <
+    ``distributed`` < ``serving`` < ``bench``: a layer imports its own
+    layer and the layers below it;
   - ``obs`` (telemetry) and ``_lazy`` (the lazy-export helper) are
     importable by all;
   - ``datasets`` (above ``sparse``) only from ``bench``, ``serving`` and
@@ -16,8 +16,10 @@
 
 * What a workload loads, checked in a fresh interpreter: a batched
   training chain loads no scipy, no asyncio and nothing above ``core``;
-  an in-process :class:`PredictionService` fold-in and ``top_n`` loads no
-  scipy.
+  a 2-rank socket chain, imported the way the socket benchmark imports
+  it, loads no module of the performance model (``repro.parallel``,
+  ``repro.distributed.scaling``); an in-process
+  :class:`PredictionService` fold-in and ``top_n`` loads no scipy.
 
 * Every module imports on its own, in a fresh ``repro`` namespace: a
   cycle that an eager package ``__init__`` used to hide fails here.
@@ -52,7 +54,6 @@ RANKS = {
     "core": 2,
     "baselines": 3,
     "parallel": 3,
-    "multicore": 4,
     "mpi": 5,
     "distributed": 6,
     "serving": 7,
@@ -204,6 +205,27 @@ def test_a_batched_training_chain_loads_no_scipy_asyncio_or_upper_layer():
     assert out.strip() == "[]"
 
 
+def test_a_socket_chain_loads_no_performance_model():
+    out = _run_python(_LOADED + """
+    # What the socket benchmark imports, then a 2-rank chain.
+    from repro.core import BPMFConfig
+    from repro.datasets import make_chembl_like
+    from repro.distributed import (DistributedGibbsSampler, DistributedOptions,
+                                   build_comm_plan, partition_ratings)
+    from repro.distributed.spmd import run_local_socket_world
+    from repro.mpi.net import start_local_world
+
+    data = make_chembl_like(scale=500.0, seed=0)
+    config = BPMFConfig(num_latent=4, burn_in=1, n_samples=1)
+    outcomes = run_local_socket_world(
+        lambda: DistributedGibbsSampler(config, DistributedOptions(n_ranks=2)),
+        2, data.split.train, data.split, seed=0)
+    assert len(outcomes) == 2
+    print(loaded("repro.parallel", "repro.distributed.scaling"))
+    """)
+    assert out.strip() == "[]"
+
+
 def test_an_in_process_fold_in_and_top_n_load_no_scipy():
     out = _run_python(_LOADED + """
     import numpy as np
@@ -240,7 +262,7 @@ def test_every_module_imports_on_its_own():
 
 @pytest.mark.parametrize("package", [
     "repro", "repro.core", "repro.serving", "repro.serving.net",
-    "repro.bench"])
+    "repro.bench", "repro.distributed", "repro.mpi", "repro.parallel"])
 def test_lazy_exports_resolve_every_public_name(package):
     module = importlib.import_module(package)
     assert set(module.__all__) <= set(dir(module))

@@ -1,4 +1,5 @@
-"""Unit tests for the simulated MPI substrate (world, send schedules, network, trace)."""
+"""Unit tests for the simulated MPI substrate (world, send schedules) and
+the cluster / network / breakdown model the scaling study prices it with."""
 
 from __future__ import annotations
 
@@ -8,9 +9,8 @@ import numpy as np
 import pytest
 
 from repro.distributed.comm_plan import send_schedule
-from repro.mpi.network import ClusterSpec, NetworkModel
+from repro.distributed.scaling import ClusterSpec, NetworkModel, PhaseBreakdown
 from repro.mpi.simmpi import ANY_SOURCE, ANY_TAG, ReduceOp, SimCommWorld
-from repro.mpi.trace import PhaseBreakdown, RankTimeline, combine_breakdowns
 from repro.utils.validation import ValidationError
 
 
@@ -319,17 +319,15 @@ class TestSendBuffer:
 
 
 # ---------------------------------------------------------------------------
-# network / cluster model
+# network / cluster model (repro.distributed.scaling)
 # ---------------------------------------------------------------------------
 
 class TestClusterSpec:
     def test_rack_assignment(self):
         cluster = ClusterSpec(rack_size=4)
-        assert cluster.rack_of(0) == 0
-        assert cluster.rack_of(3) == 0
-        assert cluster.rack_of(4) == 1
-        assert cluster.same_rack(1, 3)
-        assert not cluster.same_rack(3, 4)
+        assert cluster.n_racks(1) == 1
+        assert cluster.n_racks(4) == 1
+        assert cluster.n_racks(5) == 2
         assert cluster.n_racks(9) == 3
 
     def test_cache_factor_limits(self):
@@ -361,21 +359,18 @@ class TestClusterSpec:
 
 class TestNetworkModel:
     def test_intra_rack_cheaper_than_inter_rack(self):
-        cluster = ClusterSpec(rack_size=4)
         network = NetworkModel()
-        intra = network.transfer_time(cluster, 0, 1, 1_000_000)
-        inter = network.transfer_time(cluster, 0, 5, 1_000_000)
-        assert intra < inter
+        one_rack = network.allreduce_time(ClusterSpec(rack_size=8), 8, 1_000_000)
+        two_racks = network.allreduce_time(ClusterSpec(rack_size=4), 8, 1_000_000)
+        assert one_rack < two_racks
 
     def test_transfer_time_components(self):
+        """One round: message overhead + latency + bytes / bandwidth."""
         cluster = ClusterSpec(rack_size=32)
-        network = NetworkModel(intra_latency=1e-6, intra_bandwidth=1e9)
-        assert network.transfer_time(cluster, 0, 1, 1e6) == pytest.approx(
-            1e-6 + 1e6 / 1e9)
-
-    def test_message_bytes(self):
-        network = NetworkModel(item_header_bytes=8)
-        assert network.message_bytes(10, 16) == 10 * (16 * 8 + 8)
+        network = NetworkModel(per_message_overhead=4e-6, intra_latency=1e-6,
+                               intra_bandwidth=1e9)
+        assert network.allreduce_time(cluster, 2, 1e6) == pytest.approx(
+            4e-6 + 1e-6 + 1e6 / 1e9)
 
     def test_allreduce_time_grows_logarithmically(self):
         cluster = ClusterSpec(rack_size=32)
@@ -388,10 +383,6 @@ class TestNetworkModel:
         # cost grows — but far more slowly than the 8x node-count increase.
         assert t8 < t64 < 8 * t8
 
-    def test_uplink_serialization(self):
-        network = NetworkModel(uplink_bandwidth=1e9)
-        assert network.uplink_serialization(2e9) == pytest.approx(2.0)
-
     def test_validation(self):
         with pytest.raises(Exception):
             NetworkModel(intra_bandwidth=0.0)
@@ -400,49 +391,23 @@ class TestNetworkModel:
 
 
 # ---------------------------------------------------------------------------
-# trace
+# compute / both / communicate breakdown (Figure 5)
 # ---------------------------------------------------------------------------
 
 class TestTrace:
     def test_rank_timeline_fractions(self):
-        timeline = RankTimeline(rank=0)
-        timeline.add_compute(6.0)
-        timeline.add_both(2.0)
-        timeline.add_communicate(2.0)
-        fractions = timeline.fractions()
+        """The breakdown holds the ranks' timelines summed."""
+        breakdown = PhaseBreakdown(compute=6.0, both=2.0, communicate=2.0)
+        assert breakdown.total == pytest.approx(10.0)
+        fractions = breakdown.fractions()
         assert fractions["compute"] == pytest.approx(0.6)
         assert fractions["both"] == pytest.approx(0.2)
         assert fractions["communicate"] == pytest.approx(0.2)
 
-    def test_empty_timeline_defaults_to_compute(self):
-        assert RankTimeline(rank=0).fractions()["compute"] == 1.0
-
-    def test_overlapped_phase_accounting(self):
-        timeline = RankTimeline(rank=0)
-        timeline.add_overlapped_phase(compute_seconds=10.0, comm_busy_seconds=4.0,
-                                      wait_seconds=1.0)
-        assert timeline.both == pytest.approx(4.0)
-        assert timeline.compute == pytest.approx(6.0)
-        assert timeline.communicate == pytest.approx(1.0)
-
     def test_negative_rejected(self):
-        with pytest.raises(Exception):
-            RankTimeline(rank=0).add_compute(-1.0)
-
-    def test_breakdown_from_timelines_and_combine(self):
-        timelines = [RankTimeline(0, compute=3.0, communicate=1.0, both=1.0),
-                     RankTimeline(1, compute=1.0, communicate=3.0, both=1.0)]
-        breakdown = PhaseBreakdown.from_timelines(timelines)
-        assert breakdown.total == pytest.approx(10.0)
-        combined = combine_breakdowns([breakdown, breakdown])
-        assert combined.compute == pytest.approx(8.0)
-        fractions = combined.fractions()
-        assert sum(fractions.values()) == pytest.approx(1.0)
+        with pytest.raises(ValidationError):
+            PhaseBreakdown(compute=-1.0, both=2.0, communicate=2.0)
 
     def test_breakdown_requires_positive_total(self):
         with pytest.raises(ValidationError):
             PhaseBreakdown(compute=0.0, both=0.0, communicate=0.0)
-        with pytest.raises(ValidationError):
-            PhaseBreakdown.from_timelines([])
-        with pytest.raises(ValidationError):
-            combine_breakdowns([])

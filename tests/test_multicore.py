@@ -7,15 +7,17 @@ import pytest
 
 from repro.core.gibbs import GibbsSampler, SamplerOptions
 from repro.core.priors import BPMFConfig
-from repro.multicore.sweep import default_schedulers, multicore_thread_sweep
-from repro.multicore.tasks import phase_tasks, sweep_tasks
+from repro.parallel.sweep import (
+    default_schedulers,
+    multicore_thread_sweep,
+    sweep_tasks,
+)
 
 
 class TestMulticoreTasks:
     def test_phase_tasks_counts(self, chembl_tiny):
         ratings = chembl_tiny.ratings
-        movie_tasks = phase_tasks(ratings, "movies", num_latent=8)
-        user_tasks = phase_tasks(ratings, "users", num_latent=8)
+        movie_tasks, user_tasks = sweep_tasks(ratings, num_latent=8)
         assert len(movie_tasks) == ratings.n_movies
         assert len(user_tasks) == ratings.n_users
 
@@ -24,13 +26,9 @@ class TestMulticoreTasks:
         ids = {t.task_id for t in movie_tasks} | {t.task_id for t in user_tasks}
         assert len(ids) == len(movie_tasks) + len(user_tasks)
 
-    def test_invalid_phase(self, chembl_tiny):
-        with pytest.raises(ValueError):
-            phase_tasks(chembl_tiny.ratings, "neither", num_latent=8)
-
     def test_task_durations_follow_degrees(self, chembl_tiny):
         ratings = chembl_tiny.ratings
-        tasks = phase_tasks(ratings, "movies", num_latent=8)
+        tasks, _ = sweep_tasks(ratings, num_latent=8)
         degrees = ratings.movie_degrees()
         heaviest = int(np.argmax(degrees))
         lightest = int(np.argmin(degrees))
@@ -119,11 +117,6 @@ class TestFigure3Sweep:
         assert "threads" in text
         assert "TBB" in text
         assert len(table.rows) == 5
-
-    def test_details_kept_on_request(self, chembl_tiny):
-        result = multicore_thread_sweep(chembl_tiny.ratings, num_latent=8,
-                                        thread_counts=(1, 2), keep_details=True)
-        assert len(result.schedule_details["TBB"]) == 4  # 2 phases x 2 counts
 
     def test_default_schedulers_factory(self):
         schedulers = default_schedulers()

@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.updates import UpdateMethod
-from repro.parallel.cost_model import (
-    DEFAULT_COST_MODEL,
-    UpdateCostModel,
-    WorkloadModel,
-    calibrate_cost_model,
-)
+from repro.distributed.partition import WorkloadModel
+from repro.parallel.cost_model import DEFAULT_COST_MODEL
 
 
 class TestWorkloadModel:
@@ -45,9 +41,14 @@ class TestUpdateCostModel:
         """The paper's Figure 2 ordering: rank-one cheapest for tiny items,
         serial Cholesky in the middle band, parallel Cholesky past ~1000."""
         model = DEFAULT_COST_MODEL
-        assert model.best_method(1) is UpdateMethod.RANK_ONE
-        assert model.best_method(200) is UpdateMethod.SERIAL_CHOLESKY
-        assert model.best_method(5000, workers=4) is UpdateMethod.PARALLEL_CHOLESKY
+
+        def cheapest(n_ratings, workers=1):
+            return min(UpdateMethod, key=lambda method: float(
+                model.cost(n_ratings, method, workers=workers)))
+
+        assert cheapest(1) is UpdateMethod.RANK_ONE
+        assert cheapest(200) is UpdateMethod.SERIAL_CHOLESKY
+        assert cheapest(5000, workers=4) is UpdateMethod.PARALLEL_CHOLESKY
 
     def test_parallel_crossover_near_paper_threshold(self):
         """The serial->parallel crossover should sit in the same decade as
@@ -83,28 +84,3 @@ class TestUpdateCostModel:
     def test_invalid_workers(self):
         with pytest.raises(Exception):
             DEFAULT_COST_MODEL.cost(10, UpdateMethod.SERIAL_CHOLESKY, workers=0)
-
-    def test_workload_model_projection(self):
-        workload = DEFAULT_COST_MODEL.workload_model(num_latent=32)
-        assert workload.fixed_cost == pytest.approx(1.0)
-        assert workload.rating_cost > 0
-
-
-class TestCalibration:
-    def test_calibrated_coefficients_positive_and_ordered(self):
-        model = calibrate_cost_model(num_latent=8,
-                                     degrees=(1, 4, 16, 64, 256),
-                                     repeats=1, seed=0)
-        assert model.rank_one_per_rating > 0
-        assert model.chol_per_rating > 0
-        assert model.parallel_overhead > 0
-        # The rank-one slope (Python-level loop) must exceed the BLAS-backed
-        # Gram slope by a wide margin — the calibration must detect this.
-        assert model.rank_one_per_rating > 5 * model.chol_per_rating
-
-    def test_calibrated_model_predictions_track_measurements(self):
-        """Predicted serial-Cholesky time should grow with the rating count."""
-        model = calibrate_cost_model(num_latent=8, degrees=(1, 8, 64, 512),
-                                     repeats=1, seed=1)
-        assert model.cost(512, UpdateMethod.SERIAL_CHOLESKY) > \
-            model.cost(1, UpdateMethod.SERIAL_CHOLESKY)

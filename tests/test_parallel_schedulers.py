@@ -11,10 +11,9 @@ from repro.parallel.simulator import (
     CoreClock,
     ScheduleResult,
     SimTask,
-    simulate_serial,
     tasks_from_degrees,
 )
-from repro.parallel.static_scheduler import DynamicChunkScheduler, StaticScheduler
+from repro.parallel.static_scheduler import StaticScheduler
 from repro.utils.thread_backend import ThreadPoolBackend
 from repro.parallel.work_stealing import WorkStealingScheduler
 from repro.utils.validation import ValidationError
@@ -32,11 +31,12 @@ def make_tasks(durations, splittable=None):
     return tasks
 
 
+# Explicit ids keep each scheduler's test ids stable as the list changes.
 ALL_SCHEDULERS = [
-    ("work-stealing", WorkStealingScheduler()),
-    ("static", StaticScheduler()),
-    ("dynamic", DynamicChunkScheduler(chunk_size=2)),
-    ("graph", GraphEngineScheduler()),
+    pytest.param("work-stealing", WorkStealingScheduler(),
+                 id="work-stealing-scheduler0"),
+    pytest.param("static", StaticScheduler(), id="static-scheduler1"),
+    pytest.param("graph", GraphEngineScheduler(), id="graph-scheduler3"),
 ]
 
 
@@ -70,14 +70,6 @@ class TestCoreClock:
     def test_invalid_core_count(self):
         with pytest.raises(Exception):
             CoreClock(0)
-
-
-class TestSimulateSerial:
-    def test_sum_of_durations(self):
-        result = simulate_serial(make_tasks([1.0, 2.0, 3.0]))
-        assert result.makespan == pytest.approx(6.0)
-        assert result.n_cores == 1
-        assert result.throughput() == pytest.approx(0.5)
 
 
 class TestScheduleResultProperties:
@@ -149,9 +141,13 @@ class TestWorkStealingSpecifics:
         assert stealing.makespan < static.makespan
 
     def test_nested_parallelism_splits_heavy_tasks(self):
-        tasks = make_tasks([40.0, 1.0, 1.0, 1.0], splittable={0})
-        with_nesting = WorkStealingScheduler(nested_parallelism=True).schedule(tasks, 4)
-        without_nesting = WorkStealingScheduler(nested_parallelism=False).schedule(tasks, 4)
+        """Without nested parallelism a heavy item is one task: the same
+        task list without sub-tasks."""
+        scheduler = WorkStealingScheduler()
+        with_nesting = scheduler.schedule(
+            make_tasks([40.0, 1.0, 1.0, 1.0], splittable={0}), 4)
+        without_nesting = scheduler.schedule(
+            make_tasks([40.0, 1.0, 1.0, 1.0]), 4)
         assert with_nesting.makespan < without_nesting.makespan
         assert without_nesting.makespan >= 40.0
 
@@ -180,14 +176,6 @@ class TestStaticSchedulerSpecifics:
         spread_result = StaticScheduler().schedule(balanced, 8)
         assert front_result.makespan > spread_result.makespan
 
-    def test_dynamic_beats_static_on_skew(self, rng):
-        durations = np.concatenate([rng.uniform(5, 10, size=8),
-                                    rng.uniform(0.1, 0.2, size=56)])
-        tasks = make_tasks(durations)
-        static = StaticScheduler().schedule(tasks, 8)
-        dynamic = DynamicChunkScheduler(chunk_size=1).schedule(tasks, 8)
-        assert dynamic.makespan <= static.makespan
-
 
 class TestGraphEngineSpecifics:
     def test_engine_overhead_slows_it_down(self, rng):
@@ -199,7 +187,7 @@ class TestGraphEngineSpecifics:
 
     def test_lock_contention_grows_with_cores(self):
         tasks = make_tasks([0.001] * 100)
-        engine = GraphEngineScheduler(lock_contention=1e-3)
+        engine = GraphEngineScheduler()
         few = engine.schedule(tasks, 2)
         many = engine.schedule(tasks, 16)
         # Per-update cost grows with cores, so total busy work grows too.
