@@ -370,16 +370,32 @@ def _column_sums(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values, axis=0)[-1]
 
 
+def _resident_bytes(partition: Partition, owned: Dict[str, List[np.ndarray]],
+                    users: _Phase, movies: _Phase,
+                    config: ScalingConfig) -> np.ndarray:
+    """Per-rank bytes of its slices of U and V plus its share of the rating
+    structure: the node stores the CSR slices of its users and the CSC
+    slices of its movies (both views are needed by the two phases)."""
+    n_ranks = partition.n_ranks
+    n_local = (np.bincount(partition.user_owner, minlength=n_ranks)
+               + np.bincount(partition.movie_owner, minlength=n_ranks))
+    local_nnz = np.array([int(users.degrees[u].sum() + movies.degrees[m].sum())
+                          for u, m in zip(owned["users"], owned["movies"])],
+                         dtype=np.int64)
+    return (n_local * config.num_latent * VALUE_BYTES
+            + local_nnz * RATING_BYTES)
+
+
 def _phase_model(phase: _Phase, owned: List[np.ndarray],
                  resident: np.ndarray, plan: CommunicationPlan,
                  config: ScalingConfig, scheduler: WorkStealingScheduler
-                 ) -> Tuple[float, int, float, float, np.ndarray, np.ndarray,
-                            np.ndarray]:
+                 ) -> Tuple[float, int, float, float, np.ndarray]:
     """Model one phase (movies or users).
 
     ``resident[r]`` is rank ``r``'s working set before the items it
     receives.  Returns the phase time, messages, bytes, mean cache factor
-    and the per-rank compute-only / both / communicate-only seconds.
+    and a ``(3, n_ranks)`` array of each rank's compute-only / both /
+    communicate-only seconds.
     """
     cluster, network = config.cluster, config.network
     n_ranks = len(owned)
@@ -440,7 +456,7 @@ def _phase_model(phase: _Phase, owned: List[np.ndarray],
     else:
         # Synchronous exchange: every transfer starts after compute and the
         # source's sends serialise.
-        arrival = np.repeat((ready + transfer_out)[:, None], n_ranks, axis=1)
+        arrival = (ready + transfer_out)[:, None]
     arrival = np.where(same_rack, arrival, arrival + uplink_drain[rack][:, None])
     arrival = np.where(traffic, arrival, 0.0).max(axis=0)
     phase_end = np.maximum(compute + send_cpu + recv_cpu, arrival)
@@ -450,9 +466,10 @@ def _phase_model(phase: _Phase, owned: List[np.ndarray],
     comm_busy = transfer_out + _column_sums(last_buffer)
     overlap = (np.minimum(compute, comm_busy) if config.overlap_communication
                else np.zeros(n_ranks))
+    shares = np.stack([compute - overlap, overlap,
+                       np.maximum(phase_time - compute, 0.0)])
     return (phase_time, int(messages[traffic].sum()),
-            float(payload[traffic].sum()), float(cache_factors.mean()),
-            compute - overlap, overlap, np.maximum(phase_time - compute, 0.0))
+            float(payload[traffic].sum()), float(cache_factors.mean()), shares)
 
 
 def _model_point(ratings: RatingMatrix, n_nodes: int, config: ScalingConfig,
@@ -466,17 +483,16 @@ def _model_point(ratings: RatingMatrix, n_nodes: int, config: ScalingConfig,
              "movies": _members(partition.movie_owner, n_nodes)}
     resident = _resident_bytes(partition, owned, users, movies, config)
 
-    totals = [np.zeros(n_nodes) for _ in range(3)]
+    per_rank = np.zeros((3, n_nodes))   # compute-only / both / communicate
     phase_times, n_messages, n_bytes, cache_means = [], 0, 0.0, []
     for phase in (movies, users):
-        (phase_time, messages, bytes_, cache_mean,
-         *shares) = _phase_model(phase, owned[phase.name], resident, plan,
-                                 config, scheduler)
+        phase_time, messages, bytes_, cache_mean, shares = _phase_model(
+            phase, owned[phase.name], resident, plan, config, scheduler)
         phase_times.append(phase_time)
         n_messages += messages
         n_bytes += bytes_
         cache_means.append(cache_mean)
-        totals = [total + share for total, share in zip(totals, shares)]
+        per_rank = per_rank + shares
 
     k = config.num_latent
     hyper_bytes = (1 + k + k * k) * 8
@@ -485,35 +501,19 @@ def _model_point(ratings: RatingMatrix, n_nodes: int, config: ScalingConfig,
                                                       hyper_bytes))
     iteration_time = phase_times[0] + phase_times[1] + hyper_time
     n_items = ratings.n_users + ratings.n_movies
-    compute, both, communicate = (float(np.cumsum(total)[-1]) for total in totals)
+    compute, both, communicate = (float(total) for total in _row_sums(per_rank))
 
     return ScalingPoint(
         n_nodes=n_nodes,
         n_cores=n_nodes * config.cluster.cores_per_node,
         iteration_time=iteration_time,
         throughput=n_items / iteration_time,
-        parallel_efficiency=float("nan"),  # filled relative to the first point
+        parallel_efficiency=float("nan"),  # filled relative to the smallest count
         breakdown=PhaseBreakdown(compute, both, communicate),
         messages_per_iteration=n_messages,
         bytes_per_iteration=n_bytes,
         cache_factor_mean=0.5 * (cache_means[0] + cache_means[1]),
     )
-
-
-def _resident_bytes(partition: Partition, owned: Dict[str, List[np.ndarray]],
-                    users: _Phase, movies: _Phase,
-                    config: ScalingConfig) -> np.ndarray:
-    """Per-rank bytes of its slices of U and V plus its share of the rating
-    structure: the node stores the CSR slices of its users and the CSC
-    slices of its movies (both views are needed by the two phases)."""
-    n_ranks = partition.n_ranks
-    n_local = (np.bincount(partition.user_owner, minlength=n_ranks)
-               + np.bincount(partition.movie_owner, minlength=n_ranks))
-    local_nnz = np.array([int(users.degrees[u].sum() + movies.degrees[m].sum())
-                          for u, m in zip(owned["users"], owned["movies"])],
-                         dtype=np.int64)
-    return (n_local * config.num_latent * VALUE_BYTES
-            + local_nnz * RATING_BYTES)
 
 
 def strong_scaling_study(
