@@ -164,26 +164,32 @@ def tasks_from_degrees(
     cost_model = DEFAULT_COST_MODEL
     policy = policy or HybridUpdatePolicy()
     degrees = np.asarray(degrees, dtype=np.int64)
+    rank_one_limit = policy.rank_one_limit(num_latent)
+    # A heavy item run whole costs a serial Cholesky.
+    durations = np.where(
+        degrees < rank_one_limit,
+        cost_model.cost(degrees, UpdateMethod.RANK_ONE, num_latent),
+        cost_model.cost(degrees, UpdateMethod.SERIAL_CHOLESKY, num_latent)).tolist()
+    tail = float(cost_model.cost(0, UpdateMethod.PARALLEL_CHOLESKY, num_latent,
+                                 workers=1))
     tasks: List[SimTask] = []
-    for index, degree in enumerate(degrees):
-        n = int(degree)
-        method = policy.choose(n, num_latent)
-        serial_duration = float(cost_model.cost(
-            n, method if method is not UpdateMethod.PARALLEL_CHOLESKY
-            else UpdateMethod.SERIAL_CHOLESKY, num_latent))
+    for index, (n, duration) in enumerate(zip(degrees.tolist(), durations)):
         subtasks: tuple = ()
-        if method is UpdateMethod.PARALLEL_CHOLESKY:
+        if n >= policy.parallel_threshold:
+            method = UpdateMethod.PARALLEL_CHOLESKY
             n_sub = policy.n_subtasks(n)
             # Gram-block sub-tasks: each processes ~n/n_sub ratings; the last
             # sub-task also carries the factorisation + reduction cost.
             per_block = float(cost_model.chol_per_rating
                               * (num_latent / cost_model.k_ref) ** 2 * n / n_sub)
-            tail = float(cost_model.cost(0, UpdateMethod.PARALLEL_CHOLESKY,
-                                         num_latent, workers=1))
             subtasks = tuple([per_block] * (n_sub - 1) + [per_block + tail])
+        elif n < rank_one_limit:
+            method = UpdateMethod.RANK_ONE
+        else:
+            method = UpdateMethod.SERIAL_CHOLESKY
         tasks.append(SimTask(
             task_id=id_offset + index,
-            duration=serial_duration,
+            duration=duration,
             subtask_durations=subtasks,
             tag=tag or method.value,
         ))
