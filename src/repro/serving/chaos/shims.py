@@ -20,8 +20,9 @@ Four hook families, matching the plan's site names:
   :class:`~repro.serving.chaos.plan.FleetEvent` timeline to a live
   :class:`~repro.serving.net.replica.ReplicaSet`: hard-kill a replica
   and restart it after its scheduled downtime, or pause one replica's
-  gateway executor.  Events apply sequentially, so at most one replica
-  is down at a time and the fleet never loses quorum entirely.
+  gateway (:meth:`~repro.serving.net.server.NetServer.stall`).  Events
+  apply sequentially, so at most one replica is down at a time and the
+  fleet never loses quorum entirely.
 
 All hooks are no-ops without an injector — the production path never
 pays for them beyond one ``is None`` check per connection.

@@ -18,6 +18,18 @@ the moment it completes — natural batching under load, zero added
 latency when idle.  ``window_ms`` is the fallback timer bounding how
 long an accumulating window can wait if completion flushing is delayed.
 
+Where a window is scored depends on the gateway.  Every batch call
+holds the gateway ``lock`` when one is given (the server's, the rule
+that serializes gateway state).  An in-process gateway gets that lock:
+at flush time the fuser *tries* it without blocking, and if it is free
+the window is scored inline on the event loop, skipping the
+loop -> executor -> loop round trip; if a commit, an apply or a stall
+holds it, the window goes to the executor as before and queues behind
+the holder.  The loop therefore never waits on the lock.  A gateway that
+blocks on worker IPC (:class:`~repro.serving.cluster.ShardedScorer`)
+gets no lock here: its ``top_n_batch`` takes the lock itself and always
+runs on the executor.
+
 De-multiplexing is bit-identical to serving each request alone: the batch
 entry point runs the exact single-request arithmetic per user (pinned by
 the parity tests in ``tests/test_net_server.py`` and
@@ -37,6 +49,7 @@ The fuser is transport-agnostic: it only needs an asyncio loop and a
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -73,7 +86,8 @@ class QueryFuser:
     top_n_batch:
         Callable ``(users, n=..., exclude_seen=...) -> Dict[int,
         Recommendation]`` — the gateway's batch entry point.  It runs in
-        ``executor`` (the serving gateways block on worker IPC).
+        ``executor``, or inline on the loop when ``lock`` is given and
+        free (see the module docstring).
     window_ms:
         Fallback flush timer for a window accumulating behind an
         in-flight batch.  Dispatch is eager (see module docstring), so
@@ -82,6 +96,11 @@ class QueryFuser:
         Flush immediately once this many requests are pending.
     executor:
         Passed to ``loop.run_in_executor`` for the batch call.
+    lock:
+        Optional gateway lock (a ``threading.Lock``).  Every batch call
+        holds it, and a flush that can take it without blocking scores
+        its window inline on the event loop (counted as ``inline``).
+        Give it only for a gateway that computes in process.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  A traced window
         gets one ``fusion.window`` span (parented on the first traced
@@ -92,7 +111,7 @@ class QueryFuser:
 
     def __init__(self, top_n_batch, window_ms: float = 2.0,
                  max_batch: int = 64, executor=None,
-                 tracer: Optional[Tracer] = None):
+                 tracer: Optional[Tracer] = None, lock=None):
         if window_ms < 0:
             raise ValueError(f"window_ms must be >= 0, got {window_ms}")
         if max_batch < 1:
@@ -102,6 +121,7 @@ class QueryFuser:
         self.max_batch = int(max_batch)
         self._executor = executor
         self._tracer = tracer
+        self._lock = lock
         # key -> list of (user, future, deadline, trace); one window per
         # (n, exclude_seen) key so a flush is a single homogeneous batch
         # call.  ``deadline`` is an absolute time.monotonic() instant or
@@ -118,6 +138,7 @@ class QueryFuser:
         self.n_deduplicated = 0
         self.n_partitions = 0
         self.n_expired = 0
+        self.n_inline = 0
         self.max_window = 0
 
     async def top_n(self, user: int, n: int = 10, exclude_seen: bool = True,
@@ -199,9 +220,10 @@ class QueryFuser:
         n, exclude_seen = key
         loop = asyncio.get_running_loop()
         # One parent span per traced window, parented on the first
-        # traced waiter.  Entering it inside run_batch (executor thread)
-        # makes it the thread's active span, so the scorer and any
-        # chaos shim below attach their children with no plumbing.
+        # traced waiter.  Entering it inside run_batch (on whichever
+        # thread scores the window) makes it the thread's active span,
+        # so the scorer and any chaos shim below attach their children
+        # with no plumbing.
         window_span: Optional[Span] = None
         if self._tracer is not None:
             parent = next((trace for _, _, _, trace in waiters
@@ -221,6 +243,11 @@ class QueryFuser:
                 return self._top_n_batch(users, n=n,
                                          exclude_seen=exclude_seen)
 
+        done = self._run_inline(loop, run_batch)
+        if done is not None:
+            self.n_inline += 1
+            self._settle(key, waiters, done, window_span)
+            return
         task = self._dispatch(loop, run_batch,
                               [future for _, future, _, _ in waiters])
         if task is None:
@@ -231,11 +258,32 @@ class QueryFuser:
             lambda done: self._on_batch_done(key, waiters, done,
                                              window_span))
 
+    def _run_inline(self, loop, call) -> Optional[asyncio.Future]:
+        """Run ``call`` on the loop if the lock is free right now.
+
+        Returns an already-settled future carrying its result or error,
+        or ``None`` (no lock given, or someone holds it) — the caller
+        then dispatches to the executor.  Never blocks.
+        """
+        if self._lock is None or not self._lock.acquire(blocking=False):
+            return None
+        done = loop.create_future()
+        try:
+            done.set_result(call())
+        except Exception as error:  # noqa: BLE001 - settled as on the executor
+            done.set_exception(error)
+        finally:
+            self._lock.release()
+        return done
+
     def _dispatch(self, loop, call, futures) -> Optional[asyncio.Future]:
-        """Run ``call`` on the executor as an in-flight batch; if the
-        executor is shut down, fail ``futures`` with :class:`FuserClosed`
-        instead (the window was already popped, so nobody else would
-        resolve them) and return ``None``."""
+        """Run ``call`` on the executor as an in-flight batch, holding
+        the lock when there is one; if the executor is shut down, fail
+        ``futures`` with :class:`FuserClosed` instead (the window was
+        already popped, so nobody else would resolve them) and return
+        ``None``."""
+        if self._lock is not None:
+            call = functools.partial(_holding, self._lock, call)
         try:
             task = loop.run_in_executor(self._executor, call)
         except RuntimeError as error:  # cannot schedule after shutdown
@@ -251,6 +299,16 @@ class QueryFuser:
                        done: asyncio.Future,
                        window_span: Optional[Span] = None) -> None:
         self._in_flight.discard(done)
+        self._settle(key, waiters, done, window_span)
+        # Eager follow-up: whatever accumulated while this batch was in
+        # flight goes out now, without waiting for its fallback timer.
+        if not self._in_flight:
+            for pending_key in list(self._pending):
+                self._flush(pending_key)
+
+    def _settle(self, key: Tuple[int, bool], waiters, done: asyncio.Future,
+                window_span: Optional[Span] = None) -> None:
+        """Hand one finished batch call's outcome to its waiters."""
         if done.cancelled():
             for _, future, _, _ in waiters:
                 if not future.done():
@@ -259,11 +317,6 @@ class QueryFuser:
             self._partition(key, waiters, done.exception())
         else:
             self._resolve(waiters, done.result(), window_span)
-        # Eager follow-up: whatever accumulated while this batch was in
-        # flight goes out now, without waiting for its fallback timer.
-        if not self._in_flight:
-            for pending_key in list(self._pending):
-                self._flush(pending_key)
 
     def _resolve(self, waiters, results,
                  window_span: Optional[Span] = None) -> None:
@@ -318,9 +371,13 @@ class QueryFuser:
         n, exclude_seen = key
         loop = asyncio.get_running_loop()
         for user, futures in by_user.items():
-            task = self._dispatch(
-                loop, lambda u=user: self._top_n_batch(
-                    [u], n=n, exclude_seen=exclude_seen), futures)
+            call = functools.partial(self._top_n_batch, [user], n=n,
+                                     exclude_seen=exclude_seen)
+            done = self._run_inline(loop, call)
+            if done is not None:
+                self._resolve_single(user, futures, done)
+                continue
+            task = self._dispatch(loop, call, futures)
             if task is not None:
                 task.add_done_callback(
                     lambda done, u=user, fs=futures:
@@ -368,6 +425,7 @@ class QueryFuser:
             "fusion_deduplicated": self.n_deduplicated,
             "fusion_partitions": self.n_partitions,
             "fusion_expired": self.n_expired,
+            "fusion_inline": self.n_inline,
             "fusion_max_window": self.max_window,
         }
 
@@ -380,5 +438,12 @@ class QueryFuser:
             "deduplicated": self.n_deduplicated,
             "partitions": self.n_partitions,
             "expired": self.n_expired,
+            "inline": self.n_inline,
             "max_window": self.max_window,
         }
+
+
+def _holding(lock, call):
+    """``call()`` with ``lock`` held (an executor-side batch call)."""
+    with lock:
+        return call()

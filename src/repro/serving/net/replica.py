@@ -266,7 +266,7 @@ class ReplicaSet:
     def _wire_wal(self, index: int) -> None:
         """Attach a (new) coordinator to one just-started replica.
 
-        Construction runs on the replica's own gateway executor
+        Construction runs under the replica's own gateway lock
         (:meth:`NetServer.call_serialized`): the leader's recovery
         replay and a follower's initial catch-up both *apply* records,
         and must serialize with any request already arriving over the
@@ -326,7 +326,7 @@ class ReplicaSet:
         self.replicas[index].kill()
 
     def pause(self, index: int, seconds: float) -> None:
-        """Stall one replica's gateway executor for ``seconds`` (chaos).
+        """Stall one replica's gateway for ``seconds`` (chaos).
 
         The replica stays connected but stops answering — the shape of a
         GC pause or an I/O hiccup, distinct from :meth:`kill`'s dropped

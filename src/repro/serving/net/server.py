@@ -17,9 +17,12 @@
 * **Bounded concurrency** — a semaphore caps in-flight requests across
   all connections; excess requests queue in arrival order instead of
   piling onto the gateway.
-* **Blocking isolation** — gateway calls run on a dedicated
-  single-thread executor (the gateways serialize internally anyway), so
-  the event loop never blocks on worker IPC and connection accept/read
+* **Blocking isolation** — one ``threading.Lock`` per server, the
+  :attr:`NetServer.gateway_lock`, serializes all gateway state.  Gateway
+  calls run on a dedicated single-thread executor, and every executor
+  job holds the lock while it touches the gateway; the event loop only
+  ever *tries* it (see the request path below), so it never blocks on
+  the lock, on worker IPC or on fsync, and connection accept/read
   latency stays flat under load.
 * **Query fusion (default)** — concurrent ``top_n`` requests across
   connections coalesce into one batched gateway dispatch
@@ -42,13 +45,26 @@
 **The request path.**  Per connection, one task reads and decodes.  An
 id-tagged request gets its own task (:meth:`NetServer._respond`:
 admission, the deadline gate, the fuser or the gateway executor, the
-reply); a bare one is served inline, in order.  Scoring and every
-gateway call run on the one gateway executor.
+reply); a bare one is served inline, in order.  Every gateway call runs
+on the one gateway executor under the gateway lock, with two
+exceptions.  A fused ``top_n`` window on an in-process
+:class:`~repro.serving.service.PredictionService` is scored inline on
+the event loop when the lock is free at flush time, and on the executor
+otherwise (:class:`~repro.serving.net.fusion.QueryFuser`); a
+:class:`~repro.serving.cluster.ShardedScorer` blocks on worker IPC, so
+its windows always go to the executor.  A commit on the write leader
+runs on the executor but takes the lock only to validate and build its
+record and again to apply it
+(:meth:`~repro.serving.wal.shipper.LeaderCoordinator.handle_mutation`):
+the fsync and the shipping to followers leave reads free to run, while
+commits still serialize on the one executor thread.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Set, Tuple
@@ -75,7 +91,7 @@ from repro.serving.net.protocol import (
     execute,
     negotiated_encoding,
 )
-from repro.serving.service import check_user_range
+from repro.serving.service import PredictionService, check_user_range
 from repro.utils.validation import ValidationError, check_positive
 
 __all__ = ["NetServer"]
@@ -166,13 +182,25 @@ class NetServer:
             "serving.server.execute_ms", **self._metrics_labels)
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-net-exec")
+        #: Serializes gateway state (see the module docstring): held by
+        #: every gateway executor job, tried (never awaited) by the loop.
+        self.gateway_lock = threading.Lock()
         self.fuser: Optional[QueryFuser] = None
         if fuse_window_ms is not None and fuse_window_ms > 0:
-            self.fuser = QueryFuser(service.top_n_batch,
+            if isinstance(service, PredictionService):
+                # Scoring is in process: the fuser holds the lock itself
+                # and scores on the loop whenever it is free.
+                top_n_batch, lock = service.top_n_batch, self.gateway_lock
+            else:
+                # Worker IPC must never block the loop: executor only.
+                top_n_batch = functools.partial(self._locked,
+                                                service.top_n_batch)
+                lock = None
+            self.fuser = QueryFuser(top_n_batch,
                                     window_ms=fuse_window_ms,
                                     max_batch=fuse_max_batch,
                                     executor=self._executor,
-                                    tracer=tracer)
+                                    tracer=tracer, lock=lock)
         self._server: Optional[asyncio.base_events.Server] = None
         self._slots: Optional[asyncio.Semaphore] = None
         self._draining = False
@@ -216,13 +244,16 @@ class NetServer:
         leader is mid-commit (the commit holds the gateway executor
         while it ships).  Everything that *applies* records — commits
         here, shipped appends on followers — stays on the gateway
-        executor, so mutations still serialize with reads.
+        executor and applies under :attr:`gateway_lock`, so mutations
+        still serialize with reads.  The leader's coordinator shares
+        that lock: a commit holds it only around validation and apply.
         """
+        if coordinator is not None and coordinator.role == "leader":
+            coordinator.gateway_lock = self.gateway_lock
+            if self._wal_io is None:
+                self._wal_io = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="repro-wal-io")
         self.wal = coordinator
-        if coordinator is not None and coordinator.role == "leader" \
-                and self._wal_io is None:
-            self._wal_io = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-wal-io")
         attach = getattr(self.service, "attach_wal_stats", None)
         if attach is not None and coordinator is not None:
             attach(coordinator.stats)
@@ -231,14 +262,27 @@ class NetServer:
                                             **self._metrics_labels)
 
     def call_serialized(self, fn, *args, **kwargs):
-        """Run ``fn`` on the gateway executor and return its result.
+        """Run ``fn`` on the gateway executor under the gateway lock and
+        return its result.
 
-        The out-of-band way onto the one thread that serializes every
+        The out-of-band way into the one lock that serializes every
         gateway call — replica wiring uses it so a follower's initial
         catch-up (which applies records) cannot race a shipment arriving
-        over the socket.  Safe from any thread.
+        over the socket or a read scored on the loop.  Safe from any
+        thread but the server's event loop.
         """
-        return self._executor.submit(fn, *args, **kwargs).result()
+        return self._executor.submit(self._locked, fn, *args,
+                                     **kwargs).result()
+
+    def _locked(self, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)`` under :attr:`gateway_lock`."""
+        with self.gateway_lock:
+            return fn(*args, **kwargs)
+
+    async def _on_gateway(self, fn, *args):
+        """``fn(*args)`` on the gateway executor, under the lock."""
+        return await asyncio.get_running_loop().run_in_executor(
+            self._executor, self._locked, fn, *args)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -514,8 +558,9 @@ class NetServer:
         from repro.serving.wal.log import WalError, WalWriteError
         from repro.serving.wal.shipper import WalUnavailableError
         loop = asyncio.get_running_loop()
+        wal = self.wal
         try:
-            if self.wal is None:
+            if wal is None:
                 # wal_expected and not wired yet (the attach window at
                 # replica start/restart): refusing is what keeps the
                 # mutation out of the unreplicated plain-execute path.
@@ -523,23 +568,25 @@ class NetServer:
                     f"{frame.kind!r} needs a wal coordinator and this "
                     "server has none attached yet")
             if frame.kind == "wal_append":
+                payload = await self._on_gateway(wal.handle_wal_append,
+                                                 frame.payload)
+            elif frame.kind == "wal_catchup" and self._wal_io is not None:
+                # The leader: immutable log records, no gateway state.
                 payload = await loop.run_in_executor(
-                    self._executor, self.wal.handle_wal_append,
-                    frame.payload)
+                    self._wal_io, wal.handle_wal_catchup, frame.payload)
             elif frame.kind == "wal_catchup":
-                executor = self._wal_io if self._wal_io is not None \
-                    else self._executor
-                payload = await loop.run_in_executor(
-                    executor, self.wal.handle_wal_catchup, frame.payload)
+                payload = await self._on_gateway(wal.handle_wal_catchup,
+                                                 frame.payload)
             else:
-                # A commit on the leader (gateway executor: mutations
-                # serialize with reads); a forward on a follower (its
-                # own thread: the gateway executor must stay free to
-                # apply the shipment the forward triggers).
-                executor = self._executor if self.wal.role == "leader" \
-                    else self.wal.forward_pool
+                # A commit on the leader (gateway executor, so commits
+                # serialize; the coordinator takes the gateway lock only
+                # around validation and apply); a forward on a follower
+                # (its own thread: the gateway must stay free to apply
+                # the shipment the forward triggers).
+                executor = self._executor if wal.role == "leader" \
+                    else wal.forward_pool
                 payload = await loop.run_in_executor(
-                    executor, self.wal.handle_mutation, frame.kind,
+                    executor, wal.handle_mutation, frame.kind,
                     dict(frame.payload))
             return Frame("ok", dict(payload))
         except (ValidationError, WalError, KeyError, TypeError,
@@ -639,9 +686,7 @@ class NetServer:
                         frame.payload["trace"] = admit.context().to_wire()
                     response = await self._respond_wal(frame)
                 elif frame.kind == "metrics":
-                    payload = await asyncio.get_running_loop() \
-                        .run_in_executor(self._executor,
-                                         self.registry.snapshot)
+                    payload = await self._on_gateway(self.registry.snapshot)
                     response = Frame("ok", {"metrics": payload})
                 elif frame.kind == "trace":
                     response = self._trace_reply(frame)
@@ -649,9 +694,8 @@ class NetServer:
                     # arrays=True: replies keep the gateway's own ndarray
                     # response buffers, encoded once at _send — no
                     # per-element re-encode on the event loop.
-                    response = await asyncio.get_running_loop() \
-                        .run_in_executor(self._executor, self._execute,
-                                         frame, admit)
+                    response = await self._on_gateway(self._execute,
+                                                      frame, admit)
             finally:
                 self._slots.release()
         elif admit is not None:
@@ -727,16 +771,30 @@ class NetServer:
     # -- chaos hooks --------------------------------------------------------
 
     def stall(self, seconds: float) -> None:
-        """Wedge the gateway executor for ``seconds`` (fault injection).
+        """Wedge the gateway for ``seconds`` (fault injection).
 
-        Schedules a sleep on the single gateway thread and returns
-        immediately: every queued request behind it waits it out,
-        exactly like a gateway stuck in a long worker IPC — the drill
-        that provokes deadline expiry and queue shedding without killing
-        anything.  Safe to call from any thread.
+        Holds the gateway lock for ``seconds`` and returns immediately:
+        every gateway call behind it waits it out, and fused reads find
+        the lock taken and queue on the executor, exactly like a gateway
+        stuck in a long worker IPC — the drill that provokes deadline
+        expiry and queue shedding without killing anything.  An idle
+        gateway is wedged before this returns; a busy one as soon as its
+        current holder lets go.  Safe to call from any thread; it never
+        waits for the lock.
         """
         self.n_stalls += 1
-        self._executor.submit(time.sleep, float(seconds))
+        taken = self.gateway_lock.acquire(blocking=False)
+
+        def hold() -> None:
+            if not taken:
+                self.gateway_lock.acquire()
+            try:
+                time.sleep(float(seconds))
+            finally:
+                self.gateway_lock.release()
+
+        threading.Thread(target=hold, name="repro-net-stall",
+                         daemon=True).start()
 
     # -- introspection -----------------------------------------------------
 

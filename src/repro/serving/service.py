@@ -254,19 +254,25 @@ class PredictionService:
         self._check_users(users)
         user = int(user)
 
-        candidates = np.arange(self.n_items, dtype=np.int64)
         if exclude_seen and self._train is not None \
                 and user < self._n_train_users:
             seen, _ = self._train.user_ratings(user)
-            candidates = np.setdiff1d(candidates, seen, assume_unique=False)
-        if candidates.shape[0] == 0:
-            return Recommendation(user=user, items=np.empty(0, dtype=np.int64),
-                                  scores=np.empty(0))
-
-        scores = self._user_scores(user)[candidates]
-        order = select_top_n(scores, n)
-        items = candidates[order].copy()
-        selected = scores[order].copy()
+            candidates = np.setdiff1d(np.arange(self.n_items, dtype=np.int64),
+                                      seen, assume_unique=False)
+            if candidates.shape[0] == 0:
+                return Recommendation(user=user,
+                                      items=np.empty(0, dtype=np.int64),
+                                      scores=np.empty(0))
+            scores = self._user_scores(user)[candidates]
+            order = select_top_n(scores, n)
+            items = candidates[order]
+        else:
+            # Nothing excluded: rank the cached vector itself.  The
+            # candidates would be every index, so the order is the items.
+            scores = self._user_scores(user)
+            items = select_top_n(scores, n)
+            order = items
+        selected = scores[order]
         if self.clip is not None:
             selected = np.clip(selected, self.clip[0], self.clip[1])
         return Recommendation(user=user, items=items, scores=selected)

@@ -9,7 +9,9 @@ serving fleet (:class:`~repro.serving.net.replica.ReplicaSet`):
   fanned out to every follower as a ``wal_append`` frame over the
   existing framed RPC — only then is the ack (carrying the assigned
   seqno) returned, so an acked write is durable *and* readable on every
-  live replica (read-your-writes across the fleet).
+  live replica (read-your-writes across the fleet).  The gateway lock is
+  held only while validating and while applying: the fsync and the
+  shipping run without it, so reads keep flowing during a commit.
 * :class:`FollowerCoordinator` applies shipped records through a
   :class:`MutationReplayer` (duplicates are counted no-ops), forwards
   any mutation a client sent *it* to the leader, and closes gaps by
@@ -24,11 +26,17 @@ committed gets the original ack back, byte for byte.  The dedup table
 is rebuilt from the log on recovery, so retries spanning a leader
 restart stay exactly-once too.
 
-Threading contract (deadlock-freedom): the leader's ``commit`` and the
-follower's ``receive`` both run on their server's single gateway
-executor (mutations serialize with reads).  A follower *forwards* on a
-dedicated I/O thread so its gateway executor stays free to apply the
-leader's resulting shipment, and the leader serves ``wal_catchup``
+Threading contract (deadlock-freedom): the leader's commit
+(:meth:`LeaderCoordinator.handle_mutation`) and the follower's
+``wal_append`` apply both run on their server's single gateway
+executor, so commits serialize with each other and seqno order is apply
+order.  Gateway state is guarded by the server's gateway lock: the
+follower's apply holds it throughout, the leader's commit only around
+validation and apply (:attr:`LeaderCoordinator.gateway_lock`, shared by
+the server when it attaches the coordinator).  No thread holds a
+gateway lock while it waits on another replica's.  A follower
+*forwards* on a dedicated I/O thread so its gateway stays free to apply
+the leader's resulting shipment, and the leader serves ``wal_catchup``
 from a dedicated I/O executor (it reads only immutable log records) so
 a follower can catch up while the leader is mid-commit.
 """
@@ -38,6 +46,7 @@ from __future__ import annotations
 import collections
 import secrets
 import socket
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
@@ -262,6 +271,9 @@ class LeaderCoordinator(_TraceMixin):
         self.service = service
         self.log = log
         self._tracer = tracer
+        #: Guards the gateway's state around validation and apply;
+        #: :meth:`NetServer.set_wal` swaps in the server's own lock.
+        self.gateway_lock = threading.Lock()
         self.replayer = MutationReplayer(service)
         self.instance = secrets.token_hex(4)
         self._followers: Dict[Tuple[str, int], _FollowerLink] = {}
@@ -323,6 +335,12 @@ class LeaderCoordinator(_TraceMixin):
                         payload: Dict[str, object]) -> Dict[str, object]:
         """Commit one mutation: validate → append → apply → ship → ack.
 
+        Callers serialize commits (the server runs them on its one
+        gateway executor).  The gateway lock is taken twice, to validate
+        and build the record and then to apply it; the append (with its
+        fsync) and the shipping run without it.  The ack still follows
+        the fsync and every shippable follower's apply.
+
         A traced commit (the payload carries trace context) runs inside
         an activated ``wal.commit`` span, so the log's append/fsync
         spans and the shipping span attach as its children.
@@ -336,13 +354,15 @@ class LeaderCoordinator(_TraceMixin):
                     self.n_dedup_hits += 1
                     span.set_attr("dedup_hit", True)
                     return dict(cached)
-            validate_mutation(self.service, kind, payload)
-            record_payload = mutation_record_payload(
-                self.service, kind, payload,
-                str(write_id) if write_id is not None else None)
+            with self.gateway_lock:
+                validate_mutation(self.service, kind, payload)
+                record_payload = mutation_record_payload(
+                    self.service, kind, payload,
+                    str(write_id) if write_id is not None else None)
             seqno = self.log.append(record_payload)
             record = WalRecord(seqno=seqno, payload=record_payload)
-            ack = self.replayer.apply(record)
+            with self.gateway_lock:
+                ack = self.replayer.apply(record)
             assert ack is not None  # fresh seqno, never a duplicate
             ack["seqno"] = seqno
             span.set_attr("seqno", seqno)
@@ -563,9 +583,10 @@ class FollowerCoordinator(_TraceMixin):
 
         Pulls batches starting at the high-water mark until the leader
         reports nothing newer (or ``up_to`` is reached).  Returns how
-        many records were applied.  Runs on the gateway executor —
-        callers already hold it (``receive``) or request it
-        (ReplicaSet wiring) — so application serializes with reads.
+        many records were applied.  Runs under the gateway lock —
+        callers already hold it (:meth:`handle_wal_append`) or take it
+        (ReplicaSet wiring, via ``call_serialized``) — so application
+        serializes with reads.
         """
         applied = 0
         while True:

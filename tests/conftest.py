@@ -3,18 +3,51 @@
 Fixtures are deliberately tiny (tens of users/movies, a handful of Gibbs
 sweeps) so the whole suite stays fast; statistical assertions use loose
 tolerances appropriate for those sizes.
+
+Property tests are seeded.  The ``tier1`` hypothesis profile, loaded
+here, sets ``derandomize=True``: every ``@given`` test draws the same
+examples on every run, at its own ``max_examples``, so two runs of the
+same code agree.  The ``fuzz`` profile (``--hypothesis-profile=fuzz``)
+draws fresh random examples at ``FUZZ_EXAMPLES_SCALE`` times each test's
+``max_examples``; a failure it finds is pinned back into its test as an
+``@example``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.priors import BPMFConfig
 from repro.datasets.chembl import ChemblLikeConfig, make_chembl_like
 from repro.datasets.synthetic import SyntheticConfig, make_low_rank_dataset
 from repro.sparse.coo import CooMatrix
 from repro.sparse.csr import RatingMatrix
+
+#: How many times each test's ``max_examples`` the ``fuzz`` profile runs.
+FUZZ_EXAMPLES_SCALE = 10
+
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("fuzz", derandomize=False)
+# Module-level settings objects in the test modules inherit from the
+# profile active when they are built, so load it before they import; the
+# pytest plugin's --hypothesis-profile option is applied after this.
+settings.load_profile("tier1")
+
+
+def pytest_collection_modifyitems(config, items):
+    """Under the ``fuzz`` profile, scale every ``@given`` test's
+    ``max_examples`` by :data:`FUZZ_EXAMPLES_SCALE`."""
+    if settings.get_current_profile_name() != "fuzz":
+        return
+    for item in items:
+        obj = getattr(item, "obj", None)
+        test = getattr(obj, "__func__", obj)  # a method's function
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if own is not None:
+            test._hypothesis_internal_use_settings = settings(
+                own, max_examples=own.max_examples * FUZZ_EXAMPLES_SCALE)
 
 
 @pytest.fixture
