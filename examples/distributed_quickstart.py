@@ -12,7 +12,7 @@ The socket ranks here are two threads in this process, each owning a
 real `SocketCommWorld` endpoint (the full wire path without spawning OS
 processes).  For real multi-process training use the launcher:
 
-    python -m repro.mpi.net --spawn --world 4 --program train
+    python -m repro.mpi.net --spawn --world 4
 
 Run with:  PYTHONPATH=src python examples/distributed_quickstart.py
 """

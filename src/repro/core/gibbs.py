@@ -175,8 +175,8 @@ class RankLayout:
     the held-out cells it predicts; rank 0 reads every rank's entries when
     it gathers.  ``schedule[name]`` is the ``(dest, ids)`` frames this rank
     sends after a phase of class ``name`` (``"movies"`` / ``"users"``) and
-    ``expected[name]`` the mask of the ids it receives then; a rank that
-    neither sends nor receives leaves them empty.
+    ``inbox[name]`` the ``(source, ids)`` frames it receives then, sources
+    ascending; a rank that neither sends nor receives leaves them empty.
     """
 
     rank: int
@@ -184,7 +184,7 @@ class RankLayout:
     movies: List[np.ndarray]
     cells: List[np.ndarray]
     schedule: Dict[str, List[Tuple[int, np.ndarray]]] = field(default_factory=dict)
-    expected: Dict[str, np.ndarray] = field(default_factory=dict)
+    inbox: Dict[str, List[Tuple[int, np.ndarray]]] = field(default_factory=dict)
 
     @classmethod
     def sole(cls, n_users: int, n_movies: int, n_cells: int = 0) -> "RankLayout":
@@ -203,7 +203,7 @@ class EntityBlock:
     factors: np.ndarray  # this rank's copy of the whole class
     owned: np.ndarray  # ids this rank updates and is authoritative for
     schedule: List[Tuple[int, np.ndarray]]  # (dest, ids) sent every phase
-    expected: Optional[np.ndarray]  # mask of the ids received every phase
+    inbox: List[Tuple[int, np.ndarray]]  # (source, ids) received every phase
 
 
 def held_out_cells(train: RatingMatrix, split: RatingSplit | None
@@ -281,7 +281,7 @@ class GibbsSampler:
         return tuple(
             EntityBlock(name, hyperprior, axis, factors, owned[layout.rank],
                         layout.schedule.get(name, []),
-                        layout.expected.get(name))
+                        layout.inbox.get(name, []))
             for name, hyperprior, axis, factors, owned in (
                 ("movies", config.movie_hyperprior, ratings.by_movie,
                  state.movie_factors, layout.movies),

@@ -11,10 +11,11 @@ user's owner too, whether or not a training rating already pulls it.
 :class:`CommunicationPlan` stores every planned transfer as an *edge*
 ``(owner, item, destination)``, one :class:`PlanEdges` triple of parallel
 arrays per phase, item-major with ascending destinations inside an item.
-Everything else is a one-line reduction over those arrays: the ids a rank
-receives, the per-rank-pair item counts that feed the performance model
-(Figures 4–5) and the partitioning-quality ablation, and the per-rank send
-schedules of the exchange (:func:`send_schedule`).
+Everything else is a one-line reduction over those arrays: the frames a
+rank sends and receives in the exchange (:meth:`CommunicationPlan.schedule`
+and :meth:`CommunicationPlan.inbox`, both built by :func:`send_schedule`),
+and the per-rank-pair item counts that feed the performance model
+(Figures 4–5) and the partitioning-quality ablation.
 """
 
 from __future__ import annotations
@@ -62,15 +63,25 @@ class CommunicationPlan:
             return self.user_edges
         raise ValidationError(f"phase must be 'movies' or 'users', got {phase!r}")
 
-    def expected_incoming(self, phase: str, rank: int) -> np.ndarray:
-        """Ascending ids of the items ``rank`` must receive in one phase.
+    def schedule(self, phase: str, rank: int) -> List[Tuple[int, np.ndarray]]:
+        """The frames ``rank`` sends in one phase, as ``(dest, ids)``: the
+        :func:`send_schedule` of the edges it owns."""
+        edges = self.edges(phase)
+        mine = edges.owner == rank
+        return send_schedule(edges.item[mine], edges.dest[mine])
 
-        The plan inverted for one rank: this is what lets a phase's
-        receive loop *count* instead of guessing when the exchange is
-        done.
+    def inbox(self, phase: str, rank: int) -> List[Tuple[int, np.ndarray]]:
+        """The frames ``rank`` receives in one phase, as ``(source, ids)``.
+
+        The plan inverted for one rank: the :func:`send_schedule` of the
+        edges addressed to it, keyed by owner, so sources ascend and each
+        frame's ids are exactly those its source's :meth:`schedule` sends
+        here.  This is what lets a phase receive by name instead of
+        guessing who sends what.
         """
         edges = self.edges(phase)
-        return edges.item[edges.dest == rank]
+        mine = edges.dest == rank
+        return send_schedule(edges.item[mine], edges.owner[mine])
 
     # -- aggregate traffic -------------------------------------------------
 

@@ -22,16 +22,17 @@ then users):
    end of the phase that wrote them);
 3. the refreshed rows leave as one non-blocking frame per destination —
    ``<i4`` ids plus their rows, grouped by destination from the
-   communication plan once per run; the rank then receives until every
-   row the plan promises it has arrived (arrival order cannot matter:
-   rows land in disjoint slices) and raises on a row it never planned
-   for.
+   communication plan once per run; the rank then receives one frame
+   from each source its inbox names, by ``(source, tag)`` in ascending
+   source order (each source's link is FIFO, and the rows land in
+   disjoint slices), and raises when a frame's ids are not the ones the
+   plan names.
 
 Each rank then predicts the held-out cells of the users it owns (the plan
 ships each such cell's movie row there) for rank 0.  Ranks only ever see
 remote data that arrived in messages, so an inconsistent plan fails loudly
-(stray row, would-deadlock, or the pending-message audit) instead of
-diverging.
+(a frame off the plan, would-deadlock, or the pending-message audit)
+instead of diverging.
 """
 
 from __future__ import annotations
@@ -57,11 +58,7 @@ from repro.core.wishart import (
     normal_wishart_posterior,
     normal_wishart_posterior_from_stats,
 )
-from repro.distributed.comm_plan import (
-    CommunicationPlan,
-    build_comm_plan,
-    send_schedule,
-)
+from repro.distributed.comm_plan import CommunicationPlan, build_comm_plan
 from repro.distributed.partition import (
     Partition,
     WorkloadModel,
@@ -175,15 +172,14 @@ class DistributedGibbsSampler(GibbsSampler):
             # what the sequential sampler sees.
             full = np.zeros_like(block.factors)
             full[block.owned] = rows
-            for _ in range(comm.size - 1):
-                owned, their_rows = comm.recv(tag=gather_tag)
+            for source in range(1, comm.size):
+                owned, their_rows = comm.recv(source=source, tag=gather_tag)
                 full[np.asarray(owned)] = np.asarray(their_rows)
             posterior = normal_wishart_posterior(full, block.hyperprior)
             shared = {"mu0": posterior.mu0, "beta0": float(posterior.beta0),
                       "W0": posterior.W0, "nu0": float(posterior.nu0)}
         else:
-            comm.isend((block.owned, rows), dest=0, tag=gather_tag,
-                       description=f"gather-{block.name}")
+            comm.isend((block.owned, rows), dest=0, tag=gather_tag)
         # Arrays cross a wire as exact binary blocks, the scalars as JSON,
         # which round-trips IEEE doubles exactly.
         shared = comm.bcast(shared, root=0)
@@ -198,26 +194,20 @@ class DistributedGibbsSampler(GibbsSampler):
         tag = Tag[block.name.upper()]
         with maybe_span("mpi.exchange", phase=block.name, rank=comm.rank):
             for dest, ids in block.schedule:
-                comm.isend((ids, block.factors[ids]), dest=dest, tag=tag,
-                           description=f"{block.name}-update")
-
-            remaining = block.expected.copy()
-            while remaining.any():
-                ids, payload = comm.recv(tag=tag)
-                ids = np.asarray(ids)
-                stray = ids[~remaining[ids]]
-                if stray.size:
+                comm.isend((ids, block.factors[ids]), dest=dest, tag=tag)
+            for source, planned in block.inbox:
+                ids, payload = comm.recv(source=source, tag=tag)
+                if not np.array_equal(ids, planned):
                     raise ValidationError(
-                        f"rank {comm.rank} received {block.name} rows "
-                        f"{stray[:5].tolist()} it never planned for — the "
-                        "communication plan and the exchange loop are "
-                        "inconsistent")
-                remaining[ids] = False
-                block.factors[ids] = np.asarray(payload)
+                        f"rank {comm.rank} received {block.name} rows from "
+                        f"rank {source} other than the {planned.size} it "
+                        "planned for — the communication plan and the "
+                        "exchange loop are inconsistent")
+                block.factors[planned] = np.asarray(payload)
 
     def _collect(self, comm, frame: tuple) -> Optional[List[tuple]]:
         if comm.rank != 0:
-            comm.isend(frame, dest=0, tag=Tag.EVAL, description="eval")
+            comm.isend(frame, dest=0, tag=Tag.EVAL)
             return None
         return [frame] + [comm.recv(source=source, tag=Tag.EVAL)
                           for source in range(1, comm.size)]
@@ -276,19 +266,13 @@ class DistributedGibbsSampler(GibbsSampler):
             np.bincount(cell_owner, minlength=options.n_ranks))[:-1])
 
         def program(comm, rng):
-            schedule, expected = {}, {}
-            for name, n_items in (("movies", train.n_movies),
-                                  ("users", train.n_users)):
-                # The send side follows the plan's edges, the receive side
-                # counts against their inversion.
-                edges = plan.edges(name)
-                mine = edges.owner == comm.rank
-                schedule[name] = send_schedule(edges.item[mine],
-                                               edges.dest[mine])
-                expected[name] = np.zeros(n_items, dtype=bool)
-                expected[name][plan.expected_incoming(name, comm.rank)] = True
-            layout = RankLayout(comm.rank, users, movies, cells, schedule,
-                                expected)
+            # The send side follows the plan's edges, the receive side
+            # their inversion.
+            phases = ("movies", "users")
+            layout = RankLayout(
+                comm.rank, users, movies, cells,
+                {name: plan.schedule(name, comm.rank) for name in phases},
+                {name: plan.inbox(name, comm.rank) for name in phases})
             result = self._rank_program(comm, layout, train, test, rng, resume)
             # Everyone finishes before anyone tears its links down.
             comm.barrier()

@@ -3,14 +3,13 @@
 Real multi-process message passing with the :class:`~repro.mpi.simmpi.SimComm`
 verb surface: :class:`SocketCommWorld` full-meshes the ranks over TCP
 using the serving stack's framed codec, :class:`SocketComm` speaks
-tagged isend/irecv/recv/iprobe plus allreduce/bcast/barrier, and
-``python -m repro.mpi.net`` launches the rank processes.  See
-:mod:`repro.mpi.net.world` for the determinism and failure model.
+tagged ``isend``, ``recv(source, tag)``, ``allreduce``, ``bcast`` and
+``barrier``, and ``python -m repro.mpi.net`` launches the rank
+processes.  See :mod:`repro.mpi.net.world` for the receive and failure
+model.
 """
 
 from repro.mpi.net.world import (
-    ANY_SOURCE,
-    ANY_TAG,
     CONNECT_TIMEOUT,
     DEFAULT_OP_TIMEOUT,
     MpiNetError,
@@ -18,14 +17,11 @@ from repro.mpi.net.world import (
     MpiTransportError,
     SocketComm,
     SocketCommWorld,
-    SocketRequest,
     free_port,
     start_local_world,
 )
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
     "CONNECT_TIMEOUT",
     "DEFAULT_OP_TIMEOUT",
     "MpiNetError",
@@ -33,7 +29,6 @@ __all__ = [
     "MpiTransportError",
     "SocketComm",
     "SocketCommWorld",
-    "SocketRequest",
     "free_port",
     "start_local_world",
 ]

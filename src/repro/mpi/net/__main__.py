@@ -3,17 +3,15 @@
 Three entry modes:
 
 ``--rank R --world N --rendezvous HOST:PORT``
-    Run ONE rank in this process: join the world and execute the chosen
-    ``--program`` (``selftest`` exercises the verb surface, ``train``
-    runs the distributed BPMF sampler over a synthetic dataset).  This
-    is the form a real deployment's process manager invokes once per
-    rank, on as many hosts as the rendezvous point can reach.
+    Run ONE rank in this process: join the world and run the distributed
+    BPMF sampler over a synthetic dataset (``TRAIN_DEFAULTS``).  This is
+    the form a real deployment's process manager invokes once per rank,
+    on as many hosts as the rendezvous point can reach.
 
 ``--spawn --world N``
     Spawn N rank processes of this same module on localhost, wait for
-    them, and — for the train program — verify the socket chain is
-    bit-identical to the same rank program run on a ``SimCommWorld``
-    in-process.
+    them, and verify the socket chain is bit-identical to the same rank
+    program run on a ``SimCommWorld`` in-process.
 
 ``--smoke --world N [--out report.json]``
     The CI dist-smoke: four spawned phases — clean, benign faults
@@ -56,8 +54,10 @@ from repro.obs.trace import Tracer
 from repro.serving.chaos.plan import FaultEvent, FaultInjector, FaultPlan
 from repro.utils.validation import ValidationError
 
-#: Synthetic workload of the train program — small enough for a CI
-#: smoke, large enough that every rank pair exchanges factor blocks.
+#: Synthetic workload of the rank program — small enough for a CI smoke,
+#: large enough that every rank pair exchanges factor blocks.  ``data_rank``,
+#: ``density``, ``noise_std``, ``test_fraction`` and ``alpha`` are fixed;
+#: the other entries are flag defaults.
 TRAIN_DEFAULTS = dict(users=60, movies=45, data_rank=4, density=0.25,
                       noise_std=0.3, test_fraction=0.2, data_seed=321,
                       num_latent=4, burn_in=2, n_samples=3, alpha=4.0,
@@ -117,43 +117,17 @@ def _build_injector(mode: str, seed: int, rank: int,
 
 
 # ---------------------------------------------------------------------------
-# rank programs
+# the rank program
 # ---------------------------------------------------------------------------
-
-def _program_selftest(world: SocketCommWorld, args) -> Dict[str, object]:
-    """Exercise every verb; raises on any wrong delivery."""
-    comm = world.comm()
-    rank, size = comm.rank, comm.size
-    for dest in range(size):
-        if dest != rank:
-            comm.isend({"from": rank,
-                        "block": np.arange(8, dtype=np.float64) * rank},
-                       dest, tag=rank)
-    comm.barrier()
-    inbox = comm.drain()
-    sources = sorted(message["from"] for message in inbox)
-    if sources != [peer for peer in range(size) if peer != rank]:
-        raise ValidationError(
-            f"rank {rank} drained from {sources}, expected every peer")
-    total = comm.allreduce(np.full(4, float(rank + 1)), key="selftest")
-    expected = sum(range(1, size + 1))
-    if not np.array_equal(total, np.full(4, float(expected))):
-        raise ValidationError(f"allreduce returned {total}")
-    token = comm.bcast({"token": "mpi-net"} if rank == 0 else None, root=0)
-    if token != {"token": "mpi-net"}:
-        raise ValidationError(f"bcast returned {token}")
-    comm.barrier()
-    return {"verbs": ["isend", "drain", "allreduce", "bcast", "barrier"],
-            "ok": True}
-
 
 def _train_dataset(args):
     from repro.datasets.synthetic import SyntheticConfig, make_low_rank_dataset
 
     return make_low_rank_dataset(SyntheticConfig(
-        n_users=args.users, n_movies=args.movies, rank=args.data_rank,
-        density=args.density, noise_std=args.noise_std,
-        test_fraction=args.test_fraction, seed=args.data_seed))
+        n_users=args.users, n_movies=args.movies,
+        rank=TRAIN_DEFAULTS["data_rank"], density=TRAIN_DEFAULTS["density"],
+        noise_std=TRAIN_DEFAULTS["noise_std"],
+        test_fraction=TRAIN_DEFAULTS["test_fraction"], seed=args.data_seed))
 
 
 def _train_sampler(args, n_ranks: int):
@@ -165,7 +139,8 @@ def _train_sampler(args, n_ranks: int):
     from repro.core.checkpoint import CheckpointConfig
 
     config = BPMFConfig(num_latent=args.num_latent, burn_in=args.burn_in,
-                        n_samples=args.n_samples, alpha=args.alpha)
+                        n_samples=args.n_samples,
+                        alpha=TRAIN_DEFAULTS["alpha"])
     options = DistributedOptions(
         n_ranks=n_ranks, hyper_mode=args.hyper_mode,
         checkpoint=(CheckpointConfig(path=args.checkpoint)
@@ -203,16 +178,12 @@ def _program_train(world: SocketCommWorld, args) -> Dict[str, object]:
     return summary
 
 
-PROGRAMS = {"selftest": _program_selftest, "train": _program_train}
-
-
 def run_rank(args) -> int:
-    """Join the world and run the chosen program (one rank, this process)."""
+    """Join the world and run the rank program (one rank, this process)."""
     injector = _build_injector(args.fault_mode, args.fault_seed, args.rank,
                                args.fault_rank)
     tracer = None
     report: Dict[str, object] = {"rank": args.rank, "world": args.world,
-                                 "program": args.program,
                                  "fault_mode": args.fault_mode}
     started = time.monotonic()
     status, detail = 0, None
@@ -232,13 +203,11 @@ def run_rank(args) -> int:
         if args.trace_dir:
             tracer = Tracer(sink_dir=args.trace_dir,
                             sink_name=f"mpi-rank{args.rank}.jsonl")
-        program = PROGRAMS[args.program]
         if tracer is not None:
-            with tracer.start("mpi.rank", attrs={"rank": args.rank,
-                                                 "program": args.program}):
-                report["result"] = program(world, args)
+            with tracer.start("mpi.rank", attrs={"rank": args.rank}):
+                report["result"] = _program_train(world, args)
         else:
-            report["result"] = program(world, args)
+            report["result"] = _program_train(world, args)
         report["ok"] = True
     except MpiTransportError as error:
         status, detail = 3, f"{type(error).__name__}: {error}"
@@ -290,30 +259,26 @@ def _spawn_ranks(args, workdir: Path, fault_mode: str,
             sys.executable, "-m", "repro.mpi.net",
             "--rank", str(rank), "--world", str(args.world),
             "--rendezvous", f"{args.host}:{port}",
-            "--program", args.program,
             "--fault-mode", fault_mode,
             "--fault-seed", str(args.fault_seed),
             "--fault-rank", str(args.fault_rank),
             "--report", str(workdir / f"rank{rank}.json"),
             "--op-timeout", str(args.op_timeout),
+            "--users", str(args.users), "--movies", str(args.movies),
+            "--num-latent", str(args.num_latent),
+            "--burn-in", str(args.burn_in),
+            "--n-samples", str(args.n_samples),
+            "--hyper-mode", args.hyper_mode,
+            "--seed", str(args.seed),
+            "--data-seed", str(args.data_seed),
         ]
-        if args.program == "train":
-            command += [
-                "--users", str(args.users), "--movies", str(args.movies),
-                "--num-latent", str(args.num_latent),
-                "--burn-in", str(args.burn_in),
-                "--n-samples", str(args.n_samples),
-                "--hyper-mode", args.hyper_mode,
-                "--seed", str(args.seed),
-                "--data-seed", str(args.data_seed),
-            ]
-            if args.resume:
-                command += ["--resume", args.resume]
-            if args.checkpoint:
-                # Every rank gathers to rank 0 on the sweeps it saves.
-                command += ["--checkpoint", args.checkpoint]
-            if rank == 0:
-                command += ["--out", str(workdir / "chain.npz")]
+        if args.resume:
+            command += ["--resume", args.resume]
+        if args.checkpoint:
+            # Every rank gathers to rank 0 on the sweeps it saves.
+            command += ["--checkpoint", args.checkpoint]
+        if rank == 0:
+            command += ["--out", str(workdir / "chain.npz")]
         if args.trace_dir:
             command += ["--trace-dir", args.trace_dir]
         processes.append(subprocess.Popen(command))
@@ -385,13 +350,13 @@ def _check_parity(chain_path: Path, reference: Dict[str, np.ndarray]
 
 
 def run_spawn(args) -> int:
-    """``--spawn``: one multi-process run, parity-checked for train."""
+    """``--spawn``: one multi-process run, parity-checked."""
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="repro-mpi-"))
     outcome = _spawn_ranks(args, workdir, args.fault_mode, args.timeout)
     ok = not outcome["hung"] and all(code == 0
                                      for code in outcome["exit_codes"])
     parity = None
-    if ok and args.program == "train":
+    if ok:
         parity, fields = _check_parity(outcome["chain"],
                                        _reference_chain(args))
         print(f"bit-parity vs SimCommWorld: {parity} {fields}")
@@ -405,7 +370,7 @@ def run_smoke(args) -> int:
     """``--smoke``: clean, benign-fault, lethal-fault and resume phases."""
     workroot = Path(args.workdir or tempfile.mkdtemp(prefix="repro-mpi-"))
     report: Dict[str, object] = {
-        "world": args.world, "program": args.program,
+        "world": args.world,
         "train": {key: getattr(args, key) for key in
                   ("users", "movies", "num_latent", "burn_in", "n_samples",
                    "hyper_mode", "seed", "data_seed")},
@@ -416,7 +381,7 @@ def run_smoke(args) -> int:
         },
         "phases": [],
     }
-    reference = _reference_chain(args) if args.program == "train" else None
+    reference = _reference_chain(args)
     all_ok = True
     for phase, fault_mode, expect_clean in (
             ("baseline", "off", True),
@@ -439,12 +404,12 @@ def run_smoke(args) -> int:
         if expect_clean:
             phase_ok = not outcome["hung"] and all(
                 code == 0 for code in outcome["exit_codes"])
-            if phase_ok and reference is not None:
+            if phase_ok:
                 parity, fields = _check_parity(outcome["chain"], reference)
                 entry["bit_identical"] = parity
                 entry["parity_fields"] = fields
                 phase_ok = parity
-            if phase == "baseline" and reference is not None:
+            if phase == "baseline":
                 # The wire shape of one clean sweep, every rank's sends.
                 sent = [rank_report.get("result", {})
                         for rank_report in outcome["reports"]]
@@ -501,8 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rendezvous address (rank 0 binds it)")
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind/spawn host (default 127.0.0.1)")
-    parser.add_argument("--program", choices=sorted(PROGRAMS),
-                        default="train")
     parser.add_argument("--fault-mode", choices=("off", "benign", "lethal"),
                         default="off")
     parser.add_argument("--fault-seed", type=int, default=1)
@@ -523,19 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="spawn/smoke per-phase wall-clock limit")
     parser.add_argument("--connect-timeout", type=float, default=30.0)
     parser.add_argument("--op-timeout", type=float, default=120.0)
-    train = parser.add_argument_group("train program")
+    train = parser.add_argument_group("rank program")
     train.add_argument("--users", type=int,
                        default=TRAIN_DEFAULTS["users"])
     train.add_argument("--movies", type=int,
                        default=TRAIN_DEFAULTS["movies"])
-    train.add_argument("--data-rank", type=int,
-                       default=TRAIN_DEFAULTS["data_rank"])
-    train.add_argument("--density", type=float,
-                       default=TRAIN_DEFAULTS["density"])
-    train.add_argument("--noise-std", type=float,
-                       default=TRAIN_DEFAULTS["noise_std"])
-    train.add_argument("--test-fraction", type=float,
-                       default=TRAIN_DEFAULTS["test_fraction"])
     train.add_argument("--data-seed", type=int,
                        default=TRAIN_DEFAULTS["data_seed"])
     train.add_argument("--num-latent", type=int,
@@ -544,8 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=TRAIN_DEFAULTS["burn_in"])
     train.add_argument("--n-samples", type=int,
                        default=TRAIN_DEFAULTS["n_samples"])
-    train.add_argument("--alpha", type=float,
-                       default=TRAIN_DEFAULTS["alpha"])
     train.add_argument("--seed", type=int, default=TRAIN_DEFAULTS["seed"])
     train.add_argument("--hyper-mode", choices=("stats", "gather"),
                        default=TRAIN_DEFAULTS["hyper_mode"])

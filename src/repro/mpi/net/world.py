@@ -7,9 +7,9 @@ reports its data listener to rank 0, rank 0 replies with the address
 map) and builds a full TCP mesh — one framed, bidirectional link per
 rank pair.  :meth:`SocketCommWorld.comm` then hands back a
 :class:`SocketComm` with the verb surface the distributed sampler's
-rank program speaks against :class:`~repro.mpi.simmpi.SimComm`: tagged
-non-blocking ``isend``/``irecv``, blocking ``recv``, ``iprobe`` with
-``ANY_TAG``/``ANY_SOURCE``, ``allreduce``, ``bcast`` and ``barrier``.
+rank program speaks against :class:`~repro.mpi.simmpi.SimComm`: a tagged
+non-blocking ``isend``, a blocking ``recv(source, tag)``, ``allreduce``,
+``bcast`` and ``barrier``.
 
 Wire format is the serving frontend's frame codec
 (:mod:`repro.serving.net.protocol`): every envelope ships as an
@@ -19,21 +19,23 @@ construction, which is what lets a socket-world training chain match the
 simulated world bit for bit.  JSON-only payload values round-trip
 exactly too; the one wire artefact is that tuples come back as lists.
 
-**Deterministic matching.**  A real network delivers messages from
-*different* senders in racy order, which would make ``ANY_SOURCE``
-matching irreproducible.  The world therefore keeps each mailbox sorted
-by ``(barrier epoch, source rank, per-link sequence number)`` and
-matches in that order.  Per-link FIFO is TCP's guarantee; the barrier is
-a *flush* barrier (every rank exchanges a flush marker with every peer
-on the data link itself, so completing the barrier proves all
-pre-barrier traffic has been enqueued); together they make receive
-matching after a barrier a pure function of the program, byte-timing
-independent — exactly the order ``SimCommWorld.run`` produces by giving
-the ranks their turns in rank order.
+**Receive by (source, tag).**  A real network delivers messages from
+*different* senders in racy order, so every receive names its source
+and its tag, and the mailbox is one FIFO per ``(source, tag)``.  A data
+frame carries only its tag and its payload; the receiver files it under
+the rank at the other end of the link it arrived on, so the source is
+the link and no frame can misstate it.  TCP keeps each link in order,
+so each queue holds its source's messages in posting order, and what a
+rank receives is a pure function of the program, independent of byte
+timing — the payloads ``SimCommWorld`` delivers.  The barrier is a
+*flush* barrier: every rank exchanges a flush marker with every peer on
+the data link itself, so completing it proves all pre-barrier traffic
+has been filed, which is what lets a run audit its pending messages
+after its final barrier.
 
-**Collectives** are rooted at rank 0 (gather, reduce in rank order with
-the *same* :class:`~repro.mpi.simmpi.ReduceOp` arithmetic as the
-simulated world, scatter) and matched by a per-world collective sequence
+**Collectives** are rooted at rank 0 (gather, sum in rank order with the
+*same* :func:`~repro.mpi.simmpi.rank_order_sum` as the simulated world,
+scatter) and matched by a per-world collective sequence
 number — every rank must issue its collectives in the same program
 order, the usual SPMD contract.  Like ``SimComm``'s, the verbs block and
 return the result directly on every rank.
@@ -51,16 +53,16 @@ is wrapped in :class:`~repro.serving.chaos.shims.ChaosSocket`.
 
 from __future__ import annotations
 
-import bisect
 import socket
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.mpi.simmpi import ANY_SOURCE, ANY_TAG, ReduceOp
+from repro.mpi.simmpi import rank_order_sum
 from repro.serving.chaos.plan import FaultInjector
 from repro.serving.chaos.shims import ChaosSocket, InjectedConnectError
 from repro.serving.net.protocol import (
@@ -72,9 +74,8 @@ from repro.serving.net.protocol import (
 from repro.utils.validation import ValidationError, check_positive
 
 __all__ = [
-    "ANY_SOURCE", "ANY_TAG", "MpiNetError", "MpiTransportError",
-    "MpiTimeoutError", "SocketRequest", "SocketComm", "SocketCommWorld",
-    "start_local_world", "free_port",
+    "MpiNetError", "MpiTransportError", "MpiTimeoutError", "SocketComm",
+    "SocketCommWorld", "start_local_world", "free_port",
 ]
 
 #: How long `connect` waits for the rendezvous and mesh to come up.
@@ -151,21 +152,6 @@ def _int_fields(payload: Dict[str, Any], keys: Sequence[str],
     return [int(value) for value in values]
 
 
-@dataclass
-class _Envelope:
-    """One delivered point-to-point message awaiting a matching recv."""
-
-    epoch: int
-    source: int
-    seq: int
-    tag: int
-    payload: Any
-
-    @property
-    def sort_key(self) -> Tuple[int, int, int]:
-        return (self.epoch, self.source, self.seq)
-
-
 class _Peer:
     """One mesh link: the socket plus its framing and traffic counters."""
 
@@ -178,48 +164,6 @@ class _Peer:
         self.sent_bytes = 0
         self.received_messages = 0
         self.received_bytes = 0
-
-
-# ---------------------------------------------------------------------------
-# requests
-# ---------------------------------------------------------------------------
-
-class SocketRequest:
-    """Handle returned by the non-blocking verbs (mirrors ``SimRequest``).
-
-    ``test`` polls without blocking; ``wait`` blocks until completion
-    (for receives: until a matching message arrives) and returns the
-    payload.
-    """
-
-    def __init__(self, completed: bool = False, payload: Any = None,
-                 poll: Optional[Callable[[], Tuple[bool, Any]]] = None,
-                 waiter: Optional[Callable[[Optional[float]], Any]] = None):
-        self._completed = completed
-        self._payload = payload
-        self._poll = poll
-        self._waiter = waiter
-
-    def test(self) -> bool:
-        """Non-blocking completion check."""
-        if self._completed:
-            return True
-        if self._poll is not None:
-            done, payload = self._poll()
-            if done:
-                self._completed = True
-                self._payload = payload
-        return self._completed
-
-    def wait(self, timeout: Optional[float] = None) -> Any:
-        """Block until complete; returns the payload (``None`` for sends)."""
-        if self._completed:
-            return self._payload
-        if self._waiter is None:  # pragma: no cover - defensive
-            raise ValidationError("request has no completion path")
-        self._payload = self._waiter(timeout)
-        self._completed = True
-        return self._payload
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +191,10 @@ class SocketCommWorld:
         self.op_timeout = float(op_timeout)
         self._peers = peers
         self._cond = threading.Condition()
-        self._mailbox: List[_Envelope] = []
-        self._mailbox_keys: List[Tuple[int, int, int]] = []
+        # One FIFO per (source, tag).
+        self._mailbox: Dict[Tuple[int, int], Deque[Any]] = {}
         self._coll: List[Dict[str, Any]] = []
         self._flushes: Dict[int, set] = {}
-        self._send_seq: Dict[int, int] = {r: 0 for r in range(n_ranks)}
-        self._epoch = 0
         self._collective_seq = 0
         self._failure: Optional[str] = None
         self._closing = False
@@ -499,14 +441,10 @@ class SocketCommWorld:
             raise ProtocolError(f"{frame.kind!r} frame from rank {peer.rank} "
                                 "carries no envelope")
         if frame.kind == "mpi_msg":
-            epoch, source, seq, tag = _int_fields(
-                payload, ("epoch", "src", "seq", "tag"), frame.kind)
-            envelope = _Envelope(epoch=epoch, source=source, seq=seq,
-                                 tag=tag, payload=payload.get("data"))
+            tag, = _int_fields(payload, ("tag",), frame.kind)
             with self._cond:
                 peer.received_messages += 1
-                self._insert(envelope)
-                self._cond.notify_all()
+                self._file(peer.rank, tag, payload.get("data"))
             return
         if frame.kind != "mpi_ctl":
             raise ProtocolError(f"unexpected {frame.kind!r} frame from rank "
@@ -527,12 +465,10 @@ class SocketCommWorld:
                 peer.departed = True
             self._cond.notify_all()
 
-    def _insert(self, envelope: _Envelope) -> None:
-        """Keep the mailbox sorted by (epoch, source, seq) — the
-        deterministic matching order."""
-        index = bisect.bisect_right(self._mailbox_keys, envelope.sort_key)
-        self._mailbox_keys.insert(index, envelope.sort_key)
-        self._mailbox.insert(index, envelope)
+    def _file(self, source: int, tag: int, data: Any) -> None:
+        """Queue one message under ``(source, tag)`` (callers hold the lock)."""
+        self._mailbox.setdefault((source, tag), deque()).append(data)
+        self._cond.notify_all()
 
     # -- blocking machinery ------------------------------------------------
 
@@ -569,20 +505,12 @@ class SocketCommWorld:
     def _post(self, dest: int, tag: int, payload: Any) -> None:
         if not 0 <= dest < self.n_ranks:
             raise ValidationError(f"destination rank {dest} out of range")
-        seq = self._send_seq[dest]
-        self._send_seq[dest] = seq + 1
         if dest == self.rank:
-            envelope = _Envelope(epoch=self._epoch, source=self.rank,
-                                 seq=seq, tag=int(tag), payload=payload)
             with self._cond:
                 self._check_alive()
-                self._insert(envelope)
-                self._cond.notify_all()
+                self._file(self.rank, int(tag), payload)
             return
-        frame = Frame("mpi_msg", {"src": self.rank, "dst": dest,
-                                  "tag": int(tag), "seq": seq,
-                                  "epoch": self._epoch, "data": payload})
-        self._send(dest, frame)
+        self._send(dest, Frame("mpi_msg", {"tag": int(tag), "data": payload}))
 
     def _send(self, dest: int, frame: Frame) -> None:
         peer = self._peers[dest]
@@ -604,14 +532,10 @@ class SocketCommWorld:
             peer.sent_bytes += n_bytes
 
     def _try_match(self, source: int, tag: int) -> Tuple[bool, Any]:
-        """Pop the first matching envelope (callers hold the lock)."""
-        for index, envelope in enumerate(self._mailbox):
-            source_ok = source == ANY_SOURCE or envelope.source == source
-            tag_ok = tag == ANY_TAG or envelope.tag == tag
-            if source_ok and tag_ok:
-                del self._mailbox[index]
-                del self._mailbox_keys[index]
-                return True, envelope.payload
+        """Pop the oldest message of one queue (callers hold the lock)."""
+        queue = self._mailbox.get((source, tag))
+        if queue:
+            return True, queue.popleft()
         return False, None
 
     # -- collectives (world side) ------------------------------------------
@@ -635,7 +559,6 @@ class SocketCommWorld:
         cseq = self._next_collective()
         self.n_barrier += 1
         if self.n_ranks == 1:
-            self._epoch += 1
             return
         marker = Frame("mpi_ctl", {"ctl": "flush", "cseq": cseq,
                                    "src": self.rank})
@@ -650,51 +573,48 @@ class SocketCommWorld:
                 return True, None
             return False, None
 
+        # All pre-barrier traffic on every link has been filed once this
+        # returns: each marker travelled behind it.
         self._await(everyone_flushed, timeout, f"barrier #{cseq}")
-        # All pre-barrier traffic on every link has been enqueued (the
-        # marker travelled behind it); later sends open a new epoch.
-        self._epoch += 1
 
-    def _allreduce(self, array: np.ndarray, op: str, key: str,
+    def _allreduce(self, array: np.ndarray, key: str,
                    timeout: Optional[float]) -> np.ndarray:
         cseq = self._next_collective()
         self.n_allreduce += 1
-        contribution = np.asarray(array, dtype=np.float64)
+        contribution = np.array(array, dtype=np.float64)
         if self.n_ranks == 1:
-            return ReduceOp.apply(op, [contribution.copy()])
+            return contribution
         if self.rank == 0:
-            parts: Dict[int, np.ndarray] = {0: contribution.copy()}
+            parts: Dict[int, np.ndarray] = {0: contribution}
             for _ in range(self.n_ranks - 1):
                 payload = self._await(
                     lambda: self._pop_coll(cseq, source=None), timeout,
                     f"allreduce #{cseq} gather")
-                if payload.get("key") != key or payload.get("op") != op:
+                if payload.get("key") != key:
                     raise ValidationError(
                         f"collective mismatch at #{cseq}: rank 0 runs "
-                        f"({key!r}, {op!r}), rank {payload.get('src')} sent "
-                        f"({payload.get('key')!r}, {payload.get('op')!r})")
+                        f"{key!r}, rank {payload.get('src')} sent "
+                        f"{payload.get('key')!r}")
                 parts[int(payload["src"])] = np.asarray(payload["data"],
                                                         dtype=np.float64)
-            # Reduce in rank order with the simulated world's arithmetic,
-            # so the result is bit-identical to SimComm.allreduce.
-            result = ReduceOp.apply(op, [parts[rank]
-                                         for rank in range(self.n_ranks)])
+            # The simulated world's rank-order sum, so the result is
+            # bit-identical to SimComm.allreduce.
+            result = rank_order_sum([parts[rank]
+                                     for rank in range(self.n_ranks)])
             reply = Frame("mpi_ctl", {"ctl": "coll", "cseq": cseq,
-                                      "src": 0, "key": key, "op": op,
-                                      "data": result})
+                                      "src": 0, "key": key, "data": result})
             for dest in self._peers:
                 self._send(dest, reply)
-            return result.copy()
+            return result
         self._send(0, Frame("mpi_ctl", {"ctl": "coll", "cseq": cseq,
                                         "src": self.rank, "key": key,
-                                        "op": op, "data": contribution}))
+                                        "data": contribution}))
         payload = self._await(lambda: self._pop_coll(cseq, source=0),
                               timeout, f"allreduce #{cseq} result")
-        if payload.get("key") != key or payload.get("op") != op:
+        if payload.get("key") != key:
             raise ValidationError(
                 f"collective mismatch at #{cseq}: rank {self.rank} runs "
-                f"({key!r}, {op!r}), rank 0 answered "
-                f"({payload.get('key')!r}, {payload.get('op')!r})")
+                f"{key!r}, rank 0 answered {payload.get('key')!r}")
         return np.array(payload["data"], dtype=np.float64)
 
     def _bcast(self, payload: Any, root: int, timeout: Optional[float]) -> Any:
@@ -707,7 +627,7 @@ class SocketCommWorld:
         if self.rank == root:
             frame = Frame("mpi_ctl", {"ctl": "coll", "cseq": cseq,
                                       "src": root, "key": "bcast",
-                                      "op": "bcast", "data": payload})
+                                      "data": payload})
             for dest in self._peers:
                 self._send(dest, frame)
             return payload
@@ -720,7 +640,10 @@ class SocketCommWorld:
     def pending_messages(self) -> int:
         """Messages delivered but not yet received by a verb."""
         with self._cond:
-            return len(self._mailbox)
+            return self._pending()
+
+    def _pending(self) -> int:
+        return sum(len(queue) for queue in self._mailbox.values())
 
     def stats(self) -> Dict[str, object]:
         """Per-peer transport counters (an obs ``mpi.*`` provider)."""
@@ -734,8 +657,7 @@ class SocketCommWorld:
             return {
                 "rank": self.rank,
                 "world": self.n_ranks,
-                "epoch": self._epoch,
-                "pending": len(self._mailbox),
+                "pending": self._pending(),
                 "sent": sent,
                 "received": received,
                 "allreduce": self.n_allreduce,
@@ -835,77 +757,37 @@ class SocketComm:
 
     # -- point to point ----------------------------------------------------
 
-    def isend(self, payload: Any, dest: int, tag: int = 0,
-              description: str = "") -> SocketRequest:
+    def isend(self, payload: Any, dest: int, tag: int = 0) -> None:
         """Non-blocking send (the bytes are handed to the kernel here)."""
         self.world._post(dest, tag, payload)
-        return SocketRequest(completed=True, payload=None)
 
-    def send(self, payload: Any, dest: int, tag: int = 0,
-             description: str = "") -> None:
-        """Blocking send (identical to isend over TCP's buffering)."""
-        self.isend(payload, dest, tag, description=description)
+    def send(self, payload: Any, dest: int, tag: int = 0) -> None:
+        """``isend`` under its blocking name, which perfbench's timing
+        proxy wraps; the rank program never calls it."""
+        self.isend(payload, dest, tag)
 
-    def irecv(self, source: int = ANY_SOURCE,
-              tag: int = ANY_TAG) -> SocketRequest:
-        """Non-blocking receive; ``test`` polls, ``wait`` blocks."""
-        def poll() -> Tuple[bool, Any]:
-            with self.world._cond:
-                done, payload = self.world._try_match(source, tag)
-                if not done:
-                    self.world._check_alive()
-                return done, payload
-
-        def waiter(timeout: Optional[float]) -> Any:
-            return self.recv(source, tag, timeout=timeout)
-
-        return SocketRequest(poll=poll, waiter=waiter)
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
+    def recv(self, source: int, tag: int,
              timeout: Optional[float] = None) -> Any:
-        """Blocking receive of the first matching message."""
+        """Blocking receive of the oldest message ``source`` sent this rank
+        with ``tag``."""
         return self.world._await(
             lambda: self.world._try_match(source, tag), timeout,
             f"recv(source={source}, tag={tag})")
 
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """True when a matching message is waiting (no consumption)."""
-        with self.world._cond:
-            for envelope in self.world._mailbox:
-                source_ok = (source == ANY_SOURCE
-                             or envelope.source == source)
-                tag_ok = tag == ANY_TAG or envelope.tag == tag
-                if source_ok and tag_ok:
-                    return True
-            self.world._check_alive()
-            return False
-
-    def drain(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> List[Any]:
-        """Receive every *currently delivered* matching message.
-
-        Deterministic only after a barrier (the flush guarantee); mid-
-        stream it returns whatever has arrived, like MPI's probe loop.
-        """
-        payloads = []
-        while self.iprobe(source, tag):
-            payloads.append(self.recv(source, tag))
-        return payloads
-
     # -- collectives -------------------------------------------------------
 
-    def allreduce(self, array: np.ndarray, op: str = ReduceOp.SUM,
-                  key: str = "allreduce",
+    def allreduce(self, array: np.ndarray, key: str = "allreduce",
                   timeout: Optional[float] = None) -> np.ndarray:
-        """All-ranks reduction; blocks and returns the result everywhere.
+        """All-ranks sum; blocks and returns the result everywhere.
 
-        Reduction happens at rank 0 in rank order with the simulated
-        world's :class:`ReduceOp` arithmetic — bit-identical to
-        ``SimComm.allreduce`` over the same contributions.  ``key``/``op``
+        Rank 0 sums in rank order with the simulated world's
+        :func:`~repro.mpi.simmpi.rank_order_sum` — bit-identical to
+        ``SimComm.allreduce`` over the same contributions.  ``key``
         mismatches between ranks raise instead of deadlocking.
         """
-        return self.world._allreduce(array, op, key, timeout)
+        return self.world._allreduce(array, key, timeout)
 
-    def bcast(self, payload: Any, root: int = 0, tag: int = 999_999) -> Any:
+    def bcast(self, payload: Any, root: int = 0) -> Any:
         """Broadcast ``payload`` from ``root``; blocks on the other ranks."""
         return self.world._bcast(payload, root, timeout=None)
 

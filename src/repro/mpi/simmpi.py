@@ -1,31 +1,34 @@
 """In-process message-passing world (functional MPI stand-in).
 
-``SimCommWorld`` hosts ``n_ranks`` mailboxes inside one Python process and
-hands each simulated rank a :class:`SimComm` endpoint with the MPI verbs
-the distributed sampler needs: non-blocking point-to-point sends and
-receives with tags, blocking receive, probe, allreduce, broadcast and
-barrier.  Delivery is immediate and reliable (this layer models *data
-movement*; :mod:`repro.distributed.scaling` models *time*), but the
-discipline is real: a rank can only see another rank's data if a
-message carrying it was posted, and every message is logged so tests and
-the benchmark harness can audit the traffic.
+``SimCommWorld`` hosts ``n_ranks`` ranks inside one Python process and
+hands each a :class:`SimComm` endpoint with the five verbs the
+distributed sampler's rank program speaks: a non-blocking tagged
+``isend``, a blocking ``recv(source, tag)``, ``allreduce``, ``bcast``
+and ``barrier``.  Every receive names its source and its tag: a rank's
+mailbox is one FIFO per ``(source, tag)``, and ``recv`` takes the
+oldest message of that one queue, whatever else is waiting.  Delivery
+is immediate and reliable (this layer models *data movement*;
+:mod:`repro.distributed.scaling` models *time*), but the discipline is
+real: a rank can only see another rank's data if a message carrying it
+was posted, and every message is logged so tests and the benchmark
+harness can audit the traffic.
 
 :meth:`SimCommWorld.run` executes one blocking *rank program* on every
 rank (what a socket world runs one process per rank), one thread per rank
 under strict turn-taking: a rank keeps the turn until a blocking verb has
 nothing to match, then the next unfinished rank in rank order gets it; a
-completed collective hands it back to the lowest unfinished rank, so after
-a barrier the ranks post in rank order — the matching order the socket
-world's flush barrier reproduces.  The interleaving is a pure function of
-the program (same ``message_log`` every run), and once every unfinished
-rank has blocked with nothing posted in between they all raise the "would
-deadlock" :class:`ValidationError` instead of hanging; outside ``run``
-a blocking verb that cannot complete raises it at once.
+completed collective hands it back to the lowest unfinished rank.  What
+a rank receives cannot depend on that interleaving (each queue is FIFO
+and every receive names its queue), and the interleaving itself is a
+pure function of the program (same ``message_log`` every run).  Once
+every unfinished rank has blocked with nothing posted in between they
+all raise the "would deadlock" :class:`ValidationError` instead of
+hanging; outside ``run`` a blocking verb that cannot complete raises it
+at once.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -35,82 +38,26 @@ import numpy as np
 
 from repro.utils.validation import ValidationError, check_positive
 
-__all__ = ["MessageRecord", "SimRequest", "SimComm", "SimCommWorld", "ReduceOp"]
+__all__ = ["MessageRecord", "SimComm", "SimCommWorld", "rank_order_sum"]
 
-#: Tag value matching any tag on the receive side (mirrors MPI_ANY_TAG).
-ANY_TAG = -1
-#: Source value matching any source on the receive side (mirrors MPI_ANY_SOURCE).
-ANY_SOURCE = -1
+#: The tag of the messages a simulated ``bcast`` posts.
+_BCAST_TAG = 999_999
 
 
 @dataclass(frozen=True)
 class MessageRecord:
     """Audit record of one posted message."""
 
-    message_id: int
     source: int
     destination: int
     tag: int
     n_bytes: int
-    description: str = ""
 
 
-@dataclass
-class _Envelope:
-    """A message sitting in a destination mailbox."""
-
-    record: MessageRecord
-    payload: Any
-
-
-@dataclass
-class SimRequest:
-    """Handle returned by the non-blocking operations.
-
-    ``wait``/``test`` mirror ``MPI_Wait``/``MPI_Test``: for receives they
-    return the payload once a matching message is available.
-    """
-
-    _completed: bool = False
-    _payload: Any = None
-    _poll: Optional[Callable[[], Tuple[bool, Any]]] = None
-    _block: Optional[Callable[[], Any]] = None
-
-    def test(self) -> bool:
-        """Non-blocking completion check."""
-        if not self._completed and self._poll is not None:
-            done, payload = self._poll()
-            if done:
-                self._completed = True
-                self._payload = payload
-        return self._completed
-
-    def wait(self) -> Any:
-        """Block until complete and return the payload (``None`` for sends)."""
-        if not self.test():
-            self._payload = self._block()
-            self._completed = True
-        return self._payload
-
-
-class ReduceOp:
-    """Reduction operators for allreduce (a tiny subset of MPI_Op)."""
-
-    SUM = "sum"
-    MAX = "max"
-    MIN = "min"
-
-    _FUNCS = {
-        "sum": lambda arrays: sum(arrays[1:], start=arrays[0].copy()),
-        "max": lambda arrays: np.maximum.reduce(arrays),
-        "min": lambda arrays: np.minimum.reduce(arrays),
-    }
-
-    @classmethod
-    def apply(cls, op: str, arrays: List[np.ndarray]) -> np.ndarray:
-        if op not in cls._FUNCS:
-            raise ValidationError(f"unsupported reduce op {op!r}")
-        return cls._FUNCS[op](arrays)
+def rank_order_sum(arrays: List[np.ndarray]) -> np.ndarray:
+    """``arrays[0] + arrays[1] + ...`` left to right, in a new array: the
+    association both worlds' allreduces use, so they agree bit for bit."""
+    return sum(arrays[1:], start=arrays[0].copy())
 
 
 class _Turns:
@@ -189,9 +136,9 @@ class SimCommWorld:
     def __init__(self, n_ranks: int):
         check_positive("n_ranks", n_ranks)
         self.n_ranks = n_ranks
-        self._mailboxes: List[Deque[_Envelope]] = [deque() for _ in range(n_ranks)]
+        # One FIFO per (destination, source, tag).
+        self._queues: Dict[Tuple[int, int, int], Deque[Any]] = {}
         self._message_log: List[MessageRecord] = []
-        self._message_counter = itertools.count()
         self._contributions: Dict[str, Dict[int, np.ndarray]] = {}
         self._reduced: Dict[Tuple[str, int], np.ndarray] = {}
         self._posted = 0  # messages + collective contributions so far
@@ -246,29 +193,21 @@ class SimCommWorld:
         if turns.failure is not None:
             self._contributions.clear()
             self._reduced.clear()
-            for mailbox in self._mailboxes:
-                mailbox.clear()
+            self._queues.clear()
             raise turns.failure
         return results
 
     # -- message plumbing ----------------------------------------------------
 
-    def _post(self, source: int, destination: int, tag: int, payload: Any,
-              n_bytes: int, description: str) -> MessageRecord:
+    def _post(self, source: int, destination: int, tag: int,
+              payload: Any) -> None:
         if not 0 <= destination < self.n_ranks:
             raise ValidationError(f"destination rank {destination} out of range")
-        record = MessageRecord(
-            message_id=next(self._message_counter),
-            source=source,
-            destination=destination,
-            tag=tag,
-            n_bytes=n_bytes,
-            description=description,
-        )
-        self._mailboxes[destination].append(_Envelope(record, payload))
-        self._message_log.append(record)
+        self._queues.setdefault((destination, source, tag), deque()).append(
+            payload)
+        self._message_log.append(MessageRecord(
+            source, destination, tag, _payload_bytes(payload)))
         self._posted += 1
-        return record
 
     def _await(self, rank: int, ready: Callable[[], Any], what: str) -> Any:
         """``ready()``'s first non-``None`` value; while it has none the
@@ -284,18 +223,11 @@ class SimCommWorld:
                 raise error
             self._turns.block(rank, error, self._posted)
 
-    def _match(self, rank: int, source: int, tag: int,
-               pop: bool = True) -> Optional[_Envelope]:
-        """The first waiting message matching ``(source, tag)``, if any."""
-        mailbox = self._mailboxes[rank]
-        for index, envelope in enumerate(mailbox):
-            source_ok = source == ANY_SOURCE or envelope.record.source == source
-            tag_ok = tag == ANY_TAG or envelope.record.tag == tag
-            if source_ok and tag_ok:
-                if pop:
-                    del mailbox[index]
-                return envelope
-        return None
+    def _pop(self, rank: int, source: int, tag: int) -> Optional[Tuple[Any]]:
+        """The oldest payload of one queue as a 1-tuple (a payload may be
+        ``None``), or ``None`` while the queue is empty."""
+        queue = self._queues.get((rank, source, tag))
+        return (queue.popleft(),) if queue else None
 
     # -- audit ---------------------------------------------------------------
 
@@ -304,25 +236,15 @@ class SimCommWorld:
         """All messages posted so far, in posting order."""
         return list(self._message_log)
 
-    def traffic_matrix(self) -> np.ndarray:
-        """Bytes sent from rank i to rank j, as an ``(n, n)`` array."""
-        matrix = np.zeros((self.n_ranks, self.n_ranks))
-        for record in self._message_log:
-            matrix[record.source, record.destination] += record.n_bytes
-        return matrix
-
     def pending_messages(self) -> int:
         """Messages posted but not yet received (should be 0 after a clean run)."""
-        return sum(len(mailbox) for mailbox in self._mailboxes)
+        return sum(len(queue) for queue in self._queues.values())
 
     def total_messages_sent(self) -> int:
         return len(self._message_log)
 
     def total_bytes_sent(self) -> int:
         return sum(record.n_bytes for record in self._message_log)
-
-    def reset_log(self) -> None:
-        self._message_log.clear()
 
 
 @dataclass
@@ -338,53 +260,26 @@ class SimComm:
 
     # -- point to point ------------------------------------------------------
 
-    def isend(self, payload: Any, dest: int, tag: int = 0,
-              description: str = "") -> SimRequest:
+    def isend(self, payload: Any, dest: int, tag: int = 0) -> None:
         """Non-blocking send (delivery is immediate in the functional layer)."""
-        self.world._post(self.rank, dest, tag, payload,
-                         _payload_bytes(payload), description)
-        return SimRequest(_completed=True, _payload=None)
+        self.world._post(self.rank, dest, tag, payload)
 
-    def send(self, payload: Any, dest: int, tag: int = 0,
-             description: str = "") -> None:
-        """Blocking send (identical to isend in this world)."""
-        self.isend(payload, dest, tag, description=description)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> SimRequest:
-        """Non-blocking receive; completes when a matching message exists."""
-        def poll() -> Tuple[bool, Any]:
-            envelope = self.world._match(self.rank, source, tag)
-            return (False, None) if envelope is None else (True, envelope.payload)
-
-        return SimRequest(_poll=poll, _block=lambda: self.recv(source, tag))
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
-        """Blocking receive of the first matching message."""
+    def recv(self, source: int, tag: int) -> Any:
+        """Blocking receive of the oldest message ``source`` sent this rank
+        with ``tag``."""
         return self.world._await(
-            self.rank, lambda: self.world._match(self.rank, source, tag),
-            f"recv(source={source}, tag={tag})").payload
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """True when a matching message is waiting."""
-        return self.world._match(self.rank, source, tag, pop=False) is not None
-
-    def drain(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> List[Any]:
-        """Receive every currently waiting matching message."""
-        payloads = []
-        while self.iprobe(source, tag):
-            payloads.append(self.recv(source, tag))
-        return payloads
+            self.rank, lambda: self.world._pop(self.rank, source, tag),
+            f"recv(source={source}, tag={tag})")[0]
 
     # -- collectives -----------------------------------------------------------
 
-    def allreduce(self, array: np.ndarray, op: str = ReduceOp.SUM,
-                  key: str = "allreduce") -> np.ndarray:
-        """All-ranks reduction; blocks until every rank has contributed.
+    def allreduce(self, array: np.ndarray, key: str = "allreduce") -> np.ndarray:
+        """All-ranks sum; blocks until every rank has contributed.
 
-        The last contributor reduces in rank order and leaves every rank
-        its own copy of the result.  Ranks calling with mismatched keys
-        wait on different collectives and raise would-deadlock, mirroring
-        an MPI collective mismatch hang.
+        The last contributor sums in rank order (:func:`rank_order_sum`)
+        and leaves every rank its own copy of the result.  Ranks calling
+        with mismatched keys wait on different collectives and raise
+        would-deadlock, mirroring an MPI collective mismatch hang.
         """
         world = self.world
         parts = world._contributions.setdefault(key, {})
@@ -395,7 +290,7 @@ class SimComm:
         world._posted += 1
         if len(parts) == self.size:
             del world._contributions[key]
-            result = ReduceOp.apply(op, [parts[r] for r in range(self.size)])
+            result = rank_order_sum([parts[r] for r in range(self.size)])
             for rank in range(self.size):
                 world._reduced[key, rank] = result.copy()
             if world._turns is not None:
@@ -404,14 +299,14 @@ class SimComm:
             self.rank, lambda: world._reduced.pop((key, self.rank), None),
             f"allreduce(key={key!r})")
 
-    def bcast(self, payload: Any, root: int = 0, tag: int = 999_999) -> Any:
+    def bcast(self, payload: Any, root: int = 0) -> Any:
         """Broadcast from ``root``: root posts one message per other rank."""
         if self.rank == root:
             for dest in range(self.size):
                 if dest != root:
-                    self.isend(payload, dest, tag=tag, description="bcast")
+                    self.isend(payload, dest, tag=_BCAST_TAG)
             return payload
-        return self.recv(source=root, tag=tag)
+        return self.recv(source=root, tag=_BCAST_TAG)
 
     def barrier(self) -> None:
         """Returns once every rank has entered.

@@ -179,22 +179,33 @@ class TestCommunicationPlan:
                     (plan.movie_edges.owner == src)
                     & (plan.movie_edges.dest == dst))
 
-    def test_expected_incoming_inverts_the_destination_lists(self, chembl_tiny):
-        """The vectorised inversion against a per-item loop."""
+    def test_inbox_inverts_the_send_schedules(self, chembl_tiny):
+        """Each rank's inbox is, source by source in ascending order, the
+        frame that source's send schedule addresses to it; its ids are
+        those a per-item loop finds."""
         partition = partition_ratings(chembl_tiny.ratings, 3)
         plan = build_comm_plan(chembl_tiny.ratings, partition)
         for phase, owner in (("movies", partition.movie_owner),
                              ("users", partition.user_owner)):
+            sent = {(source, dest): ids.tolist() for source in range(3)
+                    for dest, ids in plan.schedule(phase, source)}
             for rank in range(3):
+                inbox = plan.inbox(phase, rank)
+                assert [source for source, _ in inbox] == sorted(
+                    source for source, dest in sent if dest == rank)
+                assert all(ids.dtype == np.dtype("<i4")
+                           and ids.tolist() == sent[source, rank]
+                           for source, ids in inbox)
                 by_loop = [item for item in range(owner.shape[0])
                            if int(owner[item]) != rank
                            and rank in destinations(plan, phase, item)]
-                assert plan.expected_incoming(phase, rank).tolist() == by_loop
-            received = sum(plan.expected_incoming(phase, rank).size
-                           for rank in range(3))
+                assert sorted(item for _, ids in inbox
+                              for item in ids.tolist()) == by_loop
+            received = sum(ids.size for rank in range(3)
+                           for _, ids in plan.inbox(phase, rank))
             assert received == plan.items_between(phase).sum()
         with pytest.raises(ValidationError):
-            plan.expected_incoming("bogus", 0)
+            plan.inbox("bogus", 0)
 
     def test_single_rank_has_no_traffic(self, chembl_tiny):
         partition = partition_ratings(chembl_tiny.ratings, 1)

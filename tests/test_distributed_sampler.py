@@ -122,26 +122,33 @@ class TestDistributedSamplerParity:
 
 
 class TestInconsistentPlanFailsLoudly:
-    """The send side follows the plan, the receive side counts against its
-    inversion; when the two disagree the run must raise, not diverge."""
+    """The send side follows the plan, the receive side its inversion (the
+    inbox); when the two disagree the run must raise, not diverge."""
 
     @pytest.mark.parametrize("tamper, message", [
-        (lambda plan, ids: ids[1:], "inconsistent"),  # a stray row arrives
-        (lambda plan, ids: ids[:0], "inconsistent"),  # rows left in the mailbox
-        (lambda plan, ids: np.append(ids, plan.partition.movies_of(1)[0]),
-         "would deadlock"),  # a row nobody sends
+        # a frame carries ids the inbox does not plan for
+        (lambda plan, inbox: [(source, ids[1:]) for source, ids in inbox],
+         "inconsistent"),
+        # a sending source is missing: its frames stay in the mailbox
+        (lambda plan, inbox: inbox[1:], "inconsistent"),
+        # an inbox source that sends nothing: rank 1 itself
+        (lambda plan, inbox: sorted(
+            inbox + [(1, plan.partition.movies_of(1)[:1])],
+            key=lambda frame: frame[0]),
+         "would deadlock"),
     ])
     def test_tampered_receive_set(self, tiny_dataset, tiny_config,
                                   monkeypatch, tamper, message):
         from repro.distributed.comm_plan import CommunicationPlan
 
-        honest = CommunicationPlan.expected_incoming
+        honest = CommunicationPlan.inbox
 
         def tampered(plan, phase, rank):
-            ids = honest(plan, phase, rank)
-            return tamper(plan, ids) if (phase, rank) == ("movies", 1) else ids
+            inbox = honest(plan, phase, rank)
+            return (tamper(plan, inbox) if (phase, rank) == ("movies", 1)
+                    else inbox)
 
-        monkeypatch.setattr(CommunicationPlan, "expected_incoming", tampered)
+        monkeypatch.setattr(CommunicationPlan, "inbox", tampered)
         with pytest.raises(ValidationError, match=message):
             DistributedGibbsSampler(
                 tiny_config, DistributedOptions(n_ranks=3)
@@ -179,9 +186,9 @@ class TestDistributedDiagnostics:
         sent = []
         isend = SimComm.isend
 
-        def recorded(comm, payload, dest, tag=0, description=""):
+        def recorded(comm, payload, dest, tag=0):
             sent.append((int(tag), payload))
-            return isend(comm, payload, dest, tag, description)
+            return isend(comm, payload, dest, tag)
 
         monkeypatch.setattr(SimComm, "isend", recorded)
         world = SimCommWorld(3)

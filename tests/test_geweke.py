@@ -38,7 +38,7 @@ from repro.core.priors import BPMFConfig, GaussianPrior, NormalWishartPrior
 from repro.core.state import BPMFState
 from repro.core.updates import HybridUpdatePolicy, UpdateMethod
 from repro.core.wishart import sample_normal_wishart
-from repro.distributed.comm_plan import build_comm_plan, send_schedule
+from repro.distributed.comm_plan import build_comm_plan
 from repro.distributed.partition import partition_ratings
 from repro.distributed.sampler import DistributedGibbsSampler, DistributedOptions
 from repro.mpi.simmpi import SimCommWorld
@@ -143,15 +143,10 @@ def _two_rank_step():
     movies = [partition.movies_of(rank) for rank in range(2)]
 
     def layout(rank: int) -> RankLayout:
-        schedule, expected = {}, {}
-        for name, n_items in (("movies", N_MOVIES), ("users", N_USERS)):
-            edges = plan.edges(name)
-            mine = edges.owner == rank
-            schedule[name] = send_schedule(edges.item[mine], edges.dest[mine])
-            expected[name] = np.zeros(n_items, dtype=bool)
-            expected[name][plan.expected_incoming(name, rank)] = True
-        return RankLayout(rank, users, movies, [np.arange(0)] * 2, schedule,
-                          expected)
+        phases = ("movies", "users")
+        return RankLayout(rank, users, movies, [np.arange(0)] * 2,
+                          {name: plan.schedule(name, rank) for name in phases},
+                          {name: plan.inbox(name, rank) for name in phases})
 
     def step(state, ratings, rng):
         matrix = _matrix(ratings)

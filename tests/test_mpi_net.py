@@ -28,8 +28,6 @@ from repro.distributed.sampler import (
 )
 from repro.distributed.spmd import run_local_socket_world
 from repro.mpi.net import (
-    ANY_SOURCE,
-    ANY_TAG,
     MpiTransportError,
     SocketComm,
     free_port,
@@ -108,7 +106,7 @@ class TestVerbs:
                 comm.isend((np.array([4, 0, 2], dtype=np.int64), payload),
                            1, tag=9)
                 return None
-            ids, rows = comm.recv(tag=9)
+            ids, rows = comm.recv(source=0, tag=9)
             return ids, rows
 
         results = run_on_ranks(world_pair, body)
@@ -117,55 +115,32 @@ class TestVerbs:
         # Bitwise, not approximate: the codec ships raw float64 blocks.
         assert np.asarray(rows).tobytes() == payload.tobytes()
 
-    def test_any_source_any_tag_after_barrier_is_rank_ordered(
-            self, world_quad):
+    def test_receives_name_their_source_in_any_order(self, world_quad):
+        """No barrier and no arrival order to rely on: each receive names
+        its source, so rank 3 takes the frames highest source first."""
         def body(rank, comm):
             if rank != 3:
                 comm.isend(f"from-{rank}", 3, tag=10 + rank)
-            comm.barrier()
-            if rank == 3:
-                got = [comm.recv(source=ANY_SOURCE, tag=ANY_TAG)
-                       for _ in range(3)]
-                return got
-            return None
+                return None
+            return [comm.recv(source=source, tag=10 + source)
+                    for source in (2, 1, 0)]
 
         results = run_on_ranks(world_quad, body)
-        # Post-barrier matching is deterministic: (epoch, source, seq).
-        assert results[3] == ["from-0", "from-1", "from-2"]
+        assert results[3] == ["from-2", "from-1", "from-0"]
 
-    def test_iprobe_and_drain_filter_by_tag(self, world_pair):
+    def test_recv_by_tag_overtakes_other_tags(self, world_pair):
+        """Each (source, tag) is its own FIFO: a later frame of another
+        tag is received first, and one tag's frames keep their order."""
         def body(rank, comm):
             if rank == 0:
                 comm.isend("a", 1, tag=1)
                 comm.isend("b", 1, tag=2)
                 comm.isend("c", 1, tag=1)
-                comm.barrier()
                 return None
-            comm.barrier()
-            assert comm.iprobe(tag=2)
-            assert comm.iprobe(source=0, tag=1)
-            assert not comm.iprobe(tag=77)
-            ones = comm.drain(tag=1)
-            assert not comm.iprobe(tag=1)
-            rest = comm.drain()
-            return ones, rest
+            return [comm.recv(source=0, tag=tag) for tag in (2, 1, 1)]
 
         results = run_on_ranks(world_pair, body)
-        assert results[1] == (["a", "c"], ["b"])
-
-    def test_irecv_test_then_wait(self, world_pair):
-        def body(rank, comm):
-            if rank == 0:
-                request = comm.irecv(source=1, tag=5)
-                comm.barrier()  # sender posted before its barrier
-                assert request.test()
-                return request.wait()
-            comm.isend({"v": 7}, 0, tag=5)
-            comm.barrier()
-            return None
-
-        results = run_on_ranks(world_pair, body)
-        assert results[0] == {"v": 7}
+        assert results[1] == ["b", "a", "c"]
 
     def test_allreduce_matches_simcomm_association(self, world_quad):
         # Same contributions through SimComm's rank-order sum.
@@ -226,7 +201,7 @@ class TestVerbs:
                 world.close()
 
     def test_malformed_envelope_fails_the_rank_fast(self):
-        """A well-framed ``mpi_msg`` without an ``epoch`` fails the link:
+        """A well-framed ``mpi_msg`` without a ``tag`` fails the link:
         the receiver thread records the failure before it exits, so the
         blocked recv raises MpiTransportError at once — not the
         MpiTimeoutError of waiting out the 30 s op_timeout."""
@@ -235,13 +210,31 @@ class TestVerbs:
         worlds = start_local_world(2, op_timeout=30.0)
         try:
             worlds[1]._peers[0].sock.sendall(encode_frame(
-                Frame("mpi_msg", {"src": 1, "dst": 0, "tag": 1, "seq": 0,
-                                  "data": None}), binary=True))
-            with pytest.raises(MpiTransportError, match="'epoch'"):
+                Frame("mpi_msg", {"data": None}), binary=True))
+            with pytest.raises(MpiTransportError, match="'tag'"):
                 worlds[0].comm().recv(source=1, tag=1)
             receiver = worlds[0]._threads[0]
             receiver.join(timeout=5.0)
             assert not receiver.is_alive()
+        finally:
+            for world in worlds:
+                world.close()
+
+    def test_the_source_is_the_link(self):
+        """A frame is filed under the rank at the other end of the link it
+        arrived on: an envelope arriving on rank 1's link that claims
+        ``"src": 2`` is still rank 1's message."""
+        from repro.serving.net.protocol import Frame, encode_frame
+
+        worlds = start_local_world(3, op_timeout=30.0)
+        try:
+            worlds[1]._peers[0].sock.sendall(encode_frame(
+                Frame("mpi_msg", {"src": 2, "dst": 0, "tag": 7, "seq": 0,
+                                  "epoch": 0, "data": "via-link-1"}),
+                binary=True))
+            assert worlds[0].comm().recv(source=1, tag=7,
+                                         timeout=10.0) == "via-link-1"
+            assert worlds[0].pending_messages() == 0
         finally:
             for world in worlds:
                 world.close()
@@ -356,10 +349,10 @@ class TestTrainingParity:
         ids = []
         isend = SocketComm.isend
 
-        def recorded(comm, payload, dest, tag=0, description=""):
+        def recorded(comm, payload, dest, tag=0):
             if tag in (Tag.MOVIES, Tag.USERS):
                 ids.append(payload[0].dtype)
-            return isend(comm, payload, dest, tag, description)
+            return isend(comm, payload, dest, tag)
 
         monkeypatch.setattr(SocketComm, "isend", recorded)
         outcomes = run_local_socket_world(
@@ -372,7 +365,7 @@ class TestTrainingParity:
         assert [info.n_messages for _, info in outcomes] == [
             sweeps * (exchange[rank] + 2 + rank) + 1 for rank in (0, 1)]
         assert [info.n_messages for _, info in outcomes] == [21, 26]
-        assert [info.bytes_sent for _, info in outcomes] == [8392, 10678]
+        assert [info.bytes_sent for _, info in outcomes] == [7942, 10053]
         assert len(ids) == sweeps * exchange.sum()
         assert set(ids) == {np.dtype("<i4")}
 
@@ -402,7 +395,7 @@ class TestTrainingParity:
             command = [sys.executable, "-m", "repro.mpi.net",
                        "--rank", str(rank), "--world", "4",
                        "--rendezvous", f"127.0.0.1:{port}",
-                       "--program", "train", "--hyper-mode", "gather",
+                       "--hyper-mode", "gather",
                        "--users", str(sizes["users"]),
                        "--movies", str(sizes["movies"]),
                        "--num-latent", str(sizes["num_latent"]),
@@ -571,7 +564,7 @@ class TestObs:
         def body(rank, comm):
             comm.isend(np.zeros(16), 1 - rank, tag=1)
             comm.barrier()
-            comm.recv(tag=1)
+            comm.recv(source=1 - rank, tag=1)
             comm.allreduce(np.ones(2), key="m")
             return None
 

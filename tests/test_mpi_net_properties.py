@@ -1,18 +1,13 @@
 """Hypothesis verb parity: SimComm and SocketComm match identically.
 
 Random round-structured programs — tagged sends, a barrier, then
-per-rank receive descriptors (some weakened to ``ANY_SOURCE`` /
-``ANY_TAG``), optionally an allreduce — run as ONE rank program on both
+per-rank ``(source, tag)`` receive descriptors drawn from the round's
+traffic, optionally an allreduce — run as ONE rank program on both
 worlds (``SimCommWorld.run`` and a thread per rank over sockets).  The
-property: every rank receives the *identical payload sequence*, i.e. the
-socket world's deterministic ``(epoch, source, seq)`` matching order
-equals the simulated world's posting order, weakened wildcards included.
-
-Programs whose weakened descriptors steal a message an exact descriptor
-needed later make the simulated run raise would-deadlock; those are
-skipped via ``assume`` — the socket world would block on exactly the
-same missing message, which a parity test cannot observe in bounded
-time.
+property: both worlds deliver each ``(source, tag)`` queue in posting
+order, so every rank receives the *identical payload sequence* on both.
+Every descriptor names a message that was posted, and none can take
+another queue's message, so no drawn program deadlocks.
 """
 
 from __future__ import annotations
@@ -20,11 +15,10 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.mpi.net import ANY_SOURCE, ANY_TAG, start_local_world
+from repro.mpi.net import start_local_world
 from repro.mpi.simmpi import SimCommWorld
-from repro.utils.validation import ValidationError
 
 # Socket worlds spin up real listeners per example; keep the count modest
 # and the deadline off (connect latency is environment noise).
@@ -56,12 +50,7 @@ def round_programs(draw):
             n_recv = draw(st.integers(min_value=0,
                                       max_value=len(incoming)))
             order = draw(st.permutations(incoming))
-            for source, tag in order[:n_recv]:
-                if draw(st.booleans()):
-                    source = ANY_SOURCE
-                if draw(st.booleans()):
-                    tag = ANY_TAG
-                recvs[rank].append((source, tag))
+            recvs[rank].extend(order[:n_recv])
         do_allreduce = draw(st.booleans())
         contributions = None
         if do_allreduce:
@@ -117,16 +106,14 @@ def _round_program(rounds):
             for src, dst, tag, payload in sends:
                 if src == rank:
                     comm.isend(payload, dst, tag=tag)
-            # Flush barrier: every send above is now in a mailbox, in
-            # rank-major order, below any later round's traffic.
+            # The barriers interleave collectives with the traffic; what
+            # a named receive returns must not depend on them.
             comm.barrier()
             for source, tag in recvs[rank]:
                 received.append(comm.recv(source=source, tag=tag))
             if contributions is not None:
                 value = comm.allreduce(contributions[rank])
                 received.append(("allreduce", value.tobytes()))
-            # Round boundary: receives of this round happen before any
-            # rank posts the next round's sends.
             comm.barrier()
         return received
 
@@ -148,17 +135,18 @@ def _canonical(sequence):
 @COMMON_SETTINGS
 def test_socket_and_sim_deliver_identical_sequences(program):
     n_ranks, rounds = program
-    try:
-        sim = _on_sim(n_ranks, _round_program(rounds))
-    except ValidationError:
-        # A weakened wildcard consumed a message an exact descriptor
-        # needed: the program deadlocks on any transport.  Skip.
-        assume(False)
-        return
+    sim = _on_sim(n_ranks, _round_program(rounds))
     socket = _on_sockets(n_ranks, _round_program(rounds))
     for rank in range(n_ranks):
         assert _canonical(socket[rank]) == _canonical(sim[rank]), (
             f"rank {rank}: socket={socket[rank]} sim={sim[rank]}")
+        # Each (source, tag) queue is delivered in posting order.
+        serials = {}
+        for item in sim[rank]:
+            if isinstance(item, dict):
+                serials.setdefault((item["src"], item["tag"]), []).append(
+                    item["serial"])
+        assert all(queue == sorted(queue) for queue in serials.values())
 
 
 @given(st.integers(min_value=2, max_value=4),
@@ -194,7 +182,7 @@ def envelopes(draw):
     """``(kind, payload)`` of an ``mpi_msg`` / ``mpi_ctl`` frame."""
     kind = draw(st.sampled_from(["mpi_msg", "mpi_ctl"]))
     keys = draw(st.sets(st.sampled_from(
-        ["epoch", "src", "dst", "seq", "tag", "cseq", "key", "op", "data"])))
+        ["src", "tag", "cseq", "key", "data"])))
     payload = {key: draw(_ENVELOPE_VALUES) for key in keys}
     if draw(st.booleans()):
         payload["ctl"] = draw(st.one_of(
@@ -221,8 +209,7 @@ def test_any_envelope_dispatches_or_fails_the_link(envelope):
     try:
         theirs.sendall(encode_frame(Frame(kind, payload), binary=True)
                        + encode_frame(Frame("mpi_msg", {
-                           "src": 1, "dst": 0, "tag": _SENTINEL_TAG,
-                           "seq": 0, "epoch": 0, "data": "sentinel"}),
+                           "tag": _SENTINEL_TAG, "data": "sentinel"}),
                            binary=True))
         try:
             world.comm().recv(source=1, tag=_SENTINEL_TAG)
