@@ -10,9 +10,8 @@ Walks the network frontend (`repro.serving.net`):
    ``--fuse-window 0`` on the CLI — to disable it);
 3. query it from the blocking client (:class:`ServingClient`, a facade
    over :class:`AsyncServingClient` that runs each call on a private
-   event loop; it negotiates the binary array encoding in the
-   handshake; pass ``binary=False`` to force JSON) with a burst of
-   concurrent requests, and verify every fused response is
+   event loop; scores cross the wire as raw binary arrays) with a burst
+   of concurrent requests, and verify every fused response is
    bit-identical to the single-process :class:`PredictionService`;
 4. pump the same queries through one pipelined connection
    (``top_n_pipelined`` keeps up to 32 id-tagged frames in flight
@@ -90,15 +89,14 @@ def main() -> None:
                 expected = reference.top_n(user, n=5)
                 assert served.items.tolist() == expected.items.tolist()
                 assert served.scores.tobytes() == expected.scores.tobytes()
-            fusion = replicas.replicas[0].server.fuser.stats()
+            fusion = replicas.replicas[0].server.fuser.metrics()
             print(f"{len(results)} fused queries, bit-identical to the "
-                  f"single process ({fusion['fusion_windows']} windows on "
-                  f"replica 0, largest {fusion['fusion_max_window']})")
+                  f"single process ({fusion['windows']} windows on "
+                  f"replica 0, largest {fusion['max_window']})")
 
             # 4. The same stream down ONE pipelined connection: id-tagged
             #    frames, up to 32 in flight, replies matched out of order.
-            #    The client negotiated binary frames in the handshake, so
-            #    item ids and scores crossed as raw little-endian arrays.
+            #    Item ids and scores cross as raw little-endian arrays.
             with ServingClient(replicas.addresses) as piped:
                 pipelined = piped.top_n_pipelined(range(40), n=5,
                                                   max_in_flight=32)

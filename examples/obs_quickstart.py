@@ -7,8 +7,9 @@ Walks the observability layer (`repro.obs`) end to end:
 1. train BPMF and snapshot the posterior;
 2. start a traced 3-replica durable :class:`ReplicaSet` — one shared
    :class:`Tracer` ring buffer, one fleet-wide
-   :class:`MetricsRegistry` with every component's stats re-homed as
-   providers under dotted names (``serving.server.*``, ``wal.*``, ...);
+   :class:`MetricsRegistry` with every component's counters registered
+   as providers under dotted names (``serving.server.*``, ``wal.*``,
+   ...) — the one dotted view, served by the ``metrics`` frame;
 3. send one traced write and print its span *tree*: client attempt →
    server admission (queue-wait split out) → WAL commit → append/fsync
    → ship → each follower's apply, all under a single ``trace_id``;
@@ -116,7 +117,7 @@ def main() -> None:
                 print("\nfleet metrics (a few of "
                       f"{len(snapshot)} series):")
                 for key in sorted(snapshot):
-                    if key.startswith(("serving.server.requests",
+                    if key.startswith(("serving.server.n_requests",
                                        "wal.applied_seqno")):
                         print(f"  {key} = {snapshot[key]}")
                 queue = snapshot["serving.server.queue_wait_ms{replica=0}"]

@@ -114,8 +114,9 @@ def main() -> None:
             with ServingClient(replicas.addresses) as client:
                 client.rate(cold, np.array([80]), np.array([3.0]))
                 final_seqno = client.last_seqno
-            print(f"leader restarted from its log; write resumed "
-                  f"(log seqno {final_seqno})")
+            recovered = replicas.wal_stats()[0]["log"]["recovered"]
+            print(f"leader restarted: {recovered} records replayed from "
+                  f"its log; write resumed (log seqno {final_seqno})")
 
             digests = fleet_digests(replicas)
             assert len(set(digests.values())) == 1, digests

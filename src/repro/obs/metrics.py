@@ -16,14 +16,15 @@ qualified by labels (``replica=0``) so one process-wide registry can
 host a whole :class:`~repro.serving.net.replica.ReplicaSet` without
 name collisions.  :data:`REGISTRY` is the process-wide default.
 
-The nine pre-existing per-component ``stats()`` dicts are re-homed onto
-this namespace by *provider registration*: a component registers its
-``stats``/``metrics`` callable under a dotted prefix, and
+Component counters join this namespace by *provider registration*: a
+component registers its one counters callable (``stats``, or
+``metrics`` on the query fuser) under a dotted prefix, and
 :meth:`MetricsRegistry.snapshot` flattens whatever it returns (nested
-dicts included) into dotted names next to the native metrics.  The flat
-dicts themselves keep flowing through the ``stats``/``health`` frames
-unchanged — they are the backwards-compatible aliases; the dotted view
-is the normalized schema.
+dicts included) into dotted names next to the native metrics — the
+server's ``n_requests`` becomes ``serving.server.n_requests``.  The same
+dicts, undotted, are the blocks of the serving ``stats``/``health``
+frames; each counter has one name, and the dotted snapshot (the
+``metrics`` frame) is the only dotted view.
 """
 
 from __future__ import annotations
@@ -174,9 +175,8 @@ class Histogram:
 def dotted_stats(prefix: str, flat: Dict[str, object]) -> Dict[str, object]:
     """Flatten one component's stats dict onto dotted metric names.
 
-    Nested dicts recurse (``{"wal": {"appended": 3}}`` under prefix
-    ``serving.service`` becomes ``serving.service.wal.appended``); lists
-    and scalars pass through as values.
+    Nested dicts recurse (``{"log": {"syncs": 3}}`` under prefix ``wal``
+    becomes ``wal.log.syncs``); lists and scalars pass through as values.
     """
     out: Dict[str, object] = {}
     for key, value in flat.items():

@@ -45,11 +45,6 @@ from typing import Dict, Iterator, List, Optional, Union
 __all__ = ["TraceContext", "Span", "Tracer", "active_span", "activated",
            "annotate_active", "maybe_span", "NULL_SPAN"]
 
-#: The ``hello`` feature token both peers must advertise before trace
-#: context rides their request frames (see
-#: :func:`repro.serving.net.protocol.negotiated_features`).
-TRACE_FEATURE = "trace"
-
 #: Reserved request-payload key carrying the wire form of a context.
 TRACE_KEY = "trace"
 
@@ -343,11 +338,17 @@ class Tracer:
                 self._sink.flush()
 
     def spans(self, limit: Optional[int] = None) -> List[Dict[str, object]]:
-        """Finished spans, oldest first (copies; safe to mutate)."""
+        """Finished spans, oldest first (copies; safe to mutate).
+
+        ``limit`` keeps only the newest ``limit`` spans (``0`` keeps
+        none); a negative limit raises ``ValueError``.
+        """
+        if limit is not None and limit < 0:
+            raise ValueError(f"span limit must be >= 0, got {limit}")
         with self._lock:
             entries = list(self._spans)
         if limit is not None:
-            entries = entries[-int(limit):]
+            entries = entries[-limit:] if limit else []
         return [dict(entry) for entry in entries]
 
     def drain(self) -> List[Dict[str, object]]:

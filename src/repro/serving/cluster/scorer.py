@@ -369,7 +369,6 @@ class ShardedScorer:
         self._version_ids = itertools.count()
         self._pending_deltas: List[Tuple] = []
         self._foldin = FoldInRegistry(self._user_prior, self._alpha)
-        self._wal_stats = None
         self._closed = False
         self.n_swaps = 0
         self.n_queries = 0
@@ -833,13 +832,7 @@ class ShardedScorer:
             "version": self.version,
         }
         counters.update(self._pool.stats())
-        if self._wal_stats is not None:
-            counters["wal"] = dict(self._wal_stats())
         return counters
-
-    def attach_wal_stats(self, stats_fn) -> None:
-        """Merge a WAL coordinator's counters into :meth:`stats`."""
-        self._wal_stats = stats_fn
 
     def state_digest(self) -> str:
         """A hex digest of all mutable serving state, bit-exact.

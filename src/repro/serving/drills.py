@@ -471,36 +471,29 @@ def cluster_drill(latency_out: Optional[str] = None) -> dict:
 
 
 def net_drill(latency_out: Optional[str] = None) -> dict:
-    """Fused replicas: parity over both encodings, failover mid-storm.
+    """Fused replicas: wire parity, failover mid-storm.
 
-    A read storm and a pipelined pass per wire encoding, bit-identical to
-    the reference; a fold-in and a rating applied on every replica by the
-    time they are acked; then replica 0 killed under a concurrent storm:
-    every read keeps succeeding and some client fails over.
+    A read storm and a pipelined pass, bit-identical to the reference; a
+    fold-in and a rating applied on every replica by the time they are
+    acked; then replica 0 killed under a concurrent storm: every read
+    keeps succeeding and some client fails over.
     """
-    latency = {}
     with Fleet(data_seed=7, n_replicas=NET_REPLICAS,
                fuse_window_ms=NET_FUSE_WINDOW_MS) as fleet:
-        for encoding in ("json", "binary"):
-            binary = encoding == "binary"
-            fleet.read_ms = []
+        def storm() -> None:
+            with fleet.client() as client:
+                fleet.read(client)
 
-            def storm() -> None:
-                with fleet.client(binary=binary) as client:
-                    fleet.read(client)
-
-            fleet.join([fleet.spawn(storm) for _ in range(STORM_THREADS)],
-                       60.0)
-            latency[encoding] = latency_summary(fleet.read_ms)
-            # One connection, many in-flight frames: the windowed client
-            # must match the reference bit for bit too.
-            with fleet.client(binary=binary) as piped:
-                served_all = piped.top_n_pipelined(fleet.users, n=5)
-            for user, served in zip(fleet.users, served_all):
-                if not same_top_n(served, fleet.reference.top_n(user, n=5)):
-                    fleet.fail(f"pipelined {encoding} top-N diverged for "
-                               f"user {user}")
-        parity_queries = fleet.counts["reads"] + 2 * len(fleet.users)
+        fleet.join([fleet.spawn(storm) for _ in range(STORM_THREADS)], 60.0)
+        latency = latency_summary(fleet.read_ms)
+        # One connection, many in-flight frames: the windowed client
+        # must match the reference bit for bit too.
+        with fleet.client() as piped:
+            served_all = piped.top_n_pipelined(fleet.users, n=5)
+        for user, served in zip(fleet.users, served_all):
+            if not same_top_n(served, fleet.reference.top_n(user, n=5)):
+                fleet.fail(f"pipelined top-N diverged for user {user}")
+        parity_queries = fleet.counts["reads"] + len(fleet.users)
 
         # Mutations replicate through the write leader: the first probe
         # (a fold-in and a rating, seqnos 1-2) must already be applied
@@ -539,17 +532,17 @@ def net_drill(latency_out: Optional[str] = None) -> dict:
         require(fleet.replicas.stats()[0] is None
                 and len(fleet.replicas.addresses) == 1,
                 "the killed replica is still listed")
-        fusion = fleet.replicas.replicas[1].server.fuser.stats()
-        require(fusion["fusion_windows"] > 0, "no read was fused")
+        fusion = fleet.replicas.replicas[1].server.fuser.metrics()
+        require(fusion["windows"] > 0, "no read was fused")
 
     return finish(latency_out, {
         "benchmark": "net-serving-smoke", "replicas": NET_REPLICAS,
         "fuse_window_ms": NET_FUSE_WINDOW_MS, "parity_queries": parity_queries,
         "failovers": failovers, "fusion": fusion, "latency_ms": latency},
-        f"NET SMOKE OK: {parity_queries} bit-identical json + binary queries "
-        f"across {NET_REPLICAS} replicas ({fusion['fusion_windows']} fused "
-        f"windows), failover survived with {failovers} retries, p95 latency "
-        f"{latency['json']['p95']:.2f} / {latency['binary']['p95']:.2f} ms")
+        f"NET SMOKE OK: {parity_queries} bit-identical queries across "
+        f"{NET_REPLICAS} replicas ({fusion['windows']} fused windows), "
+        f"failover survived with {failovers} retries, p95 latency "
+        f"{latency['p95']:.2f} ms")
 
 
 def wal_drill(latency_out: Optional[str] = None) -> dict:
@@ -688,7 +681,8 @@ def obs_drill(trace_out: Optional[str] = None,
     * **fusion fans in** — concurrent reads share ``fusion.window`` spans
       whose ``fusion.waiter`` children index the response order;
     * **metrics unify** — the ``metrics`` frame serves the fleet-wide
-      registry under dotted names, while ``stats`` keeps its flat aliases.
+      registry under dotted names, and is the only dotted view: the
+      ``health`` frame carries each counter once, undotted.
     """
     # One tracer for clients *and* fleet: the drill runs in-process, so
     # every hop of every trace lands in the same ring buffer.
@@ -707,8 +701,7 @@ def obs_drill(trace_out: Optional[str] = None,
             begin = time.perf_counter()
             client.rate(user, np.array([0]), np.array([1.0]))
             write_ms = (time.perf_counter() - begin) * 1e3
-            snapshot, flat, health = (client.metrics(), client.stats(),
-                                      client.health())
+            snapshot, health = client.metrics(), client.health()
 
     spans = tracer.spans()
     children: dict = {}
@@ -761,15 +754,14 @@ def obs_drill(trace_out: Optional[str] = None,
     require(deepest >= 2, "no window ever fused two traced waiters")
 
     # -- metrics unify -------------------------------------------------
-    for prefix in ("serving.server.requests", "serving.server.queue_wait_ms",
-                   "serving.fusion.windows", "wal.append.fsync_ms",
-                   "wal.applied_seqno"):
+    for prefix in ("serving.server.n_requests",
+                   "serving.server.queue_wait_ms", "serving.fusion.windows",
+                   "wal.append.fsync_ms", "wal.applied_seqno"):
         require(any(key.startswith(prefix) for key in snapshot),
                 f"registry snapshot lacks {prefix}")
-    require("n_folded_in" in flat, "flat stats alias dropped")
-    require(any(key.startswith("serving.server.")
-                for key in health["metrics"]),
-            "health frame lost its dotted metrics view")
+    require("metrics" not in health
+            and not any("." in key for key in health),
+            "health frame carries a dotted metrics block")
 
     write_spans(trace_out, spans)
     return finish(metrics_out, {

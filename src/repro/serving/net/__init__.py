@@ -7,10 +7,9 @@ this package turns them into a networked service:
 
 * :mod:`repro.serving.net.protocol` — versioned, length-prefixed frames
   (stdlib ``struct``), one parser and one executor shared by the TCP
-  transport *and* the stdin REPL.  Payloads are JSON by default; peers
-  that both advertise the ``"binary"`` encoding in the hello handshake
-  ship ndarray vectors as raw little-endian blocks instead — bit-exact
-  either way;
+  transport *and* the stdin REPL.  Serving connections ship ndarray
+  vectors as raw little-endian blocks (the binary payload form); the
+  JSON form remains for the WAL link and MPI control frames;
 * :mod:`repro.serving.net.server` — :class:`NetServer`: asyncio TCP
   server with a protocol-version handshake, bounded in-flight requests,
   concurrent service of id-tagged (pipelined) requests, graceful
@@ -40,9 +39,7 @@ from repro._lazy import lazy_exports
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_PAYLOAD",
-    "ENCODINGS",
     "hello_frame",
-    "negotiated_encoding",
     "Frame",
     "FrameDecoder",
     "ProtocolError",
@@ -69,13 +66,13 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "repro.serving.net.client": ("AsyncServingClient", "DeadlineError",
                                  "NetError", "ServingClient"),
     "repro.serving.net.fusion": ("QueryFuser",),
-    "repro.serving.net.protocol": ("ENCODINGS", "ERROR_DEADLINE",
+    "repro.serving.net.protocol": ("ERROR_DEADLINE",
                                    "ERROR_OVERLOADED", "MAX_PAYLOAD",
                                    "PROTOCOL_VERSION", "Frame",
                                    "FrameDecoder", "ProtocolError",
                                    "encode_frame", "error_frame", "execute",
                                    "format_reply", "hello_frame",
-                                   "negotiated_encoding", "parse_line"),
+                                   "parse_line"),
     "repro.serving.net.replica": ("ReplicaSet",),
     "repro.serving.net.server": ("NetServer",),
 })

@@ -34,11 +34,11 @@ list and do health-checked round-robin with automatic failover:
 
 Two wire-speed features ride on the same connections:
 
-* **Binary array frames** — the hello handshake negotiates the binary
-  payload encoding (see :mod:`repro.serving.net.protocol`); when both
-  peers advertise it, item-id and score vectors cross the wire as raw
-  little-endian buffers instead of JSON decimal text, bit-exact either
-  way.  Pass ``binary=False`` to force the JSON fallback.
+* **Binary array frames** — every request is sent in the binary payload
+  form (see :mod:`repro.serving.net.protocol`): item-id and score
+  vectors cross the wire as raw little-endian buffers, not JSON decimal
+  text.  The hello carries only the protocol version; nothing is
+  negotiated.
 * **Request pipelining** — every request is id-tagged and a
   per-connection reader task matches replies back by id, so arrival
   order does not matter and every decoded frame of a read reaches its
@@ -67,17 +67,13 @@ from repro.core.recommend import Recommendation
 from repro.obs.trace import NULL_SPAN, Span, Tracer, activated
 from repro.serving.net.backoff import Backoff
 from repro.serving.net.protocol import (
-    ENCODINGS,
     ERROR_DEADLINE,
     Frame,
     FrameDecoder,
     IDEMPOTENT_KINDS,
     ProtocolError,
-    TRACE_FEATURE,
     encode_frame,
     hello_frame,
-    negotiated_encoding,
-    negotiated_features,
 )
 
 __all__ = ["NetError", "DeadlineError", "ServingClient",
@@ -228,16 +224,13 @@ class _AsyncConnection:
     one frame without an id, resolves the ``None`` entry.
     """
 
-    __slots__ = ("reader", "writer", "decoder", "pending", "binary",
-                 "trace", "reader_task")
+    __slots__ = ("reader", "writer", "decoder", "pending", "reader_task")
 
     def __init__(self, reader, writer):
         self.reader = reader
         self.writer = writer
         self.decoder = FrameDecoder()
         self.pending: Dict[Optional[int], asyncio.Future] = {}
-        self.binary = False
-        self.trace = False
         self.reader_task: Optional[asyncio.Task] = None
 
     def send(self, data: bytes, span) -> None:
@@ -312,10 +305,9 @@ class AsyncServingClient:
     """The serving client over the replica address list (see module docs).
 
     Connections are cached per replica and re-dialled on demand; use as
-    an async context manager or await :meth:`close`.  ``binary=False``
-    forces the JSON payload encoding even against a binary-capable
-    server; ``retry_writes=False`` drops the ``write_id`` from mutations
-    and with it their failover (back to at-most-once).
+    an async context manager or await :meth:`close`.
+    ``retry_writes=False`` drops the ``write_id`` from mutations and with
+    it their failover (back to at-most-once).
 
     ``cooldown``/``backoff_max`` shape the failure backoff: a replica's
     cooldown starts at ``cooldown`` seconds and doubles per consecutive
@@ -329,22 +321,21 @@ class AsyncServingClient:
 
     ``tracer`` (a :class:`~repro.obs.trace.Tracer`) turns on request
     tracing: every request opens a ``client.<kind>`` root span with one
-    ``client.attempt`` child per failover attempt, and — against
-    servers that negotiated the ``trace`` feature — stamps the attempt's
-    context into the frame so the server side joins the same trace.
+    ``client.attempt`` child per failover attempt, and stamps the
+    attempt's context into the frame so a traced server joins the same
+    trace (an untraced server ignores it).
     """
 
     def __init__(self, addresses: Sequence[Tuple[str, int]],
                  timeout: float = 10.0, cooldown: float = 1.0,
                  backoff_max: float = 30.0,
                  backoff_seed: Optional[int] = None,
-                 binary: bool = True, retry_writes: bool = True,
+                 retry_writes: bool = True,
                  fault_injector=None, tracer: Optional[Tracer] = None):
         self._ring = _AddressRing(addresses, backoff=Backoff(
             base=cooldown, cap=max(float(backoff_max), float(cooldown)),
             seed=backoff_seed))
         self.timeout = float(timeout)
-        self.binary = bool(binary)
         self.retry_writes = bool(retry_writes)
         self.tracer = tracer
         self._fault_injector = fault_injector
@@ -398,10 +389,7 @@ class AsyncServingClient:
         hello = connection.pending[None] = loop.create_future()
         connection.reader_task = loop.create_task(_read_loop(connection))
         try:
-            connection.send(encode_frame(hello_frame(
-                ENCODINGS if self.binary else ("json",),
-                features=(TRACE_FEATURE,) if self.tracer is not None
-                else ())), span)
+            connection.send(encode_frame(hello_frame(), binary=True), span)
             reply = await hello
             if reply.is_error:
                 raise NetError(
@@ -412,13 +400,6 @@ class AsyncServingClient:
         except BaseException:
             await connection.close()
             raise
-        # Binary frames, and trace context, only where both peers offered
-        # them: an old server's reply lists no features, and the frames
-        # to it stay byte-identical to the pre-trace protocol.
-        connection.binary = (self.binary and
-                             negotiated_encoding(reply.payload) == "binary")
-        connection.trace = (self.tracer is not None and TRACE_FEATURE
-                            in negotiated_features(reply.payload))
         self._connections[index] = connection
         return connection
 
@@ -450,8 +431,7 @@ class AsyncServingClient:
         connection.pending[request_id] = future
         timer = loop.call_later(wait, _expire, future)
         try:
-            connection.send(encode_frame(frame, binary=connection.binary),
-                            span)
+            connection.send(encode_frame(frame, binary=True), span)
             writer = connection.writer
             if writer.transport.get_write_buffer_size():
                 await asyncio.wait_for(writer.drain(),
@@ -519,12 +499,9 @@ class AsyncServingClient:
                     self._ring.mark_dead(index)
                     failures.append(f"{address}: {error!r}")
                     continue
-                # Trace context rides only a connection that negotiated
-                # it, each attempt parenting the server side on its span.
-                if connection.trace:
+                # Each attempt parents the server side on its own span.
+                if root is not None:
                     frame.payload["trace"] = span.context().to_wire()
-                else:
-                    frame.payload.pop("trace", None)
                 try:
                     reply = await self._roundtrip(
                         connection, frame,
@@ -676,8 +653,6 @@ class AsyncServingClient:
                             timeout: Optional[float] = None,
                             deadline_ms: Optional[float] = None
                             ) -> np.ndarray:
-        # ndarray payload values work on both encodings: raw blocks on a
-        # binary connection, exact JSON lists on a JSON one.
         payload = await self._request(Frame("predict_batch", {
             "users": np.ascontiguousarray(
                 np.asarray(users, dtype=np.int64).ravel()),
@@ -787,12 +762,12 @@ class ServingClient:
                  timeout: float = 10.0, cooldown: float = 1.0,
                  backoff_max: float = 30.0,
                  backoff_seed: Optional[int] = None,
-                 binary: bool = True, retry_writes: bool = True,
+                 retry_writes: bool = True,
                  fault_injector=None, tracer: Optional[Tracer] = None):
         self._client = AsyncServingClient(
             addresses, timeout=timeout, cooldown=cooldown,
             backoff_max=backoff_max, backoff_seed=backoff_seed,
-            binary=binary, retry_writes=retry_writes,
+            retry_writes=retry_writes,
             fault_injector=fault_injector, tracer=tracer)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
 

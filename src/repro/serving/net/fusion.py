@@ -416,22 +416,9 @@ class QueryFuser:
                 break
             await asyncio.gather(*awaitables, return_exceptions=True)
 
-    def stats(self) -> Dict[str, int]:
-        """Fusion counters for the ``health`` frame (legacy flat names,
-        kept as aliases of :meth:`metrics`)."""
-        return {
-            "fusion_requests": self.n_requests,
-            "fusion_windows": self.n_windows,
-            "fusion_deduplicated": self.n_deduplicated,
-            "fusion_partitions": self.n_partitions,
-            "fusion_expired": self.n_expired,
-            "fusion_inline": self.n_inline,
-            "fusion_max_window": self.max_window,
-        }
-
     def metrics(self) -> Dict[str, int]:
-        """:meth:`stats` under the normalized registry schema — the
-        ``fusion_`` prefix becomes the dotted ``serving.fusion.`` one."""
+        """Fusion counters: the ``health`` frame's ``fusion`` block, and
+        ``serving.fusion.*`` in registry snapshots."""
         return {
             "requests": self.n_requests,
             "windows": self.n_windows,

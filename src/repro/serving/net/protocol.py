@@ -13,11 +13,11 @@ Wire format (all integers big-endian)::
     | 4 B   | 1 B     | 1 B  | 4 B            | length bytes    |
     +-------+---------+------+----------------+-----------------+
 
-The default payload is UTF-8 JSON — deliberately msgpack-free so any
-language with ``struct`` and JSON can speak it.  Python's JSON
-round-trips IEEE doubles exactly (shortest-repr encode, exact decode),
-which is what lets the network tests pin *bit-identical* scores across
-the wire.
+Two payload forms share the header.  The plain form is UTF-8 JSON —
+deliberately msgpack-free so any language with ``struct`` and JSON can
+speak it.  Python's JSON round-trips IEEE doubles exactly (shortest-repr
+encode, exact decode), which is what lets the network tests pin
+*bit-identical* scores across the wire.
 
 **Binary array payloads.**  JSON turns a top-N reply into thousands of
 decimal-text bytes that both ends must format and re-parse — pure
@@ -32,23 +32,23 @@ depth) is replaced in the JSON part by the marker mapping
 ``{"__nd__": i}`` and shipped as the ``i``-th raw little-endian array
 block — item ids and score vectors cross the wire as straight
 ``memcpy``s of the float64/int64 buffers the gateway computed, bit-exact
-by construction rather than by careful text formatting.  The binary
-form is a *negotiated capability*: clients advertise
-``{"encodings": [...]}`` in the hello payload, the server answers with
-its own list, and binary frames only flow between peers that both
-advertised ``"binary"`` — a JSON-only peer never sees one, which is why
-the protocol version stays unchanged.
+by construction rather than by careful text formatting.  The flag is per
+frame and the decoder reads both forms: serving clients and servers
+always send the binary form, while the MPI control frames and the WAL
+link send JSON.
 
 ``Frame`` is also the in-process request/response object: the REPL's
 :func:`parse_line` produces request frames, :func:`execute` runs a frame
 against a gateway (:class:`~repro.serving.service.PredictionService` or
 :class:`~repro.serving.cluster.ShardedScorer`) and returns a response
-frame, and :func:`format_reply` renders a response back into the legacy
+frame, and :func:`format_reply` renders a response back into the
 REPL line format (pinned bit-identical by a golden transcript test).
 
 A connection starts with a ``hello`` handshake carrying the protocol
-version; servers refuse mismatched versions with an explicit ``error``
-frame before closing, so old clients fail loudly instead of misparsing.
+version and nothing else: there is one version and no optional
+capability to negotiate.  Servers refuse a mismatched version with an
+explicit ``error`` frame before closing, so other versions fail loudly
+instead of misparsing.
 
 **Per-frame cost.**  Every served request crosses this codec four times
 (request and reply, each encoded once and decoded once), so the
@@ -68,36 +68,19 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.obs.metrics import dotted_stats
-
 __all__ = [
-    "PROTOCOL_VERSION", "MAX_PAYLOAD", "ENCODINGS", "FEATURES",
-    "TRACE_FEATURE", "ProtocolError", "Frame",
+    "PROTOCOL_VERSION", "MAX_PAYLOAD", "ProtocolError", "Frame",
     "encode_frame", "FrameDecoder", "parse_line", "execute", "format_reply",
-    "hello_frame", "check_hello", "negotiated_encoding",
-    "negotiated_features", "IDEMPOTENT_KINDS", "MUTATION_KINDS",
+    "hello_frame", "check_hello", "IDEMPOTENT_KINDS", "MUTATION_KINDS",
     "ERROR_DEADLINE", "ERROR_OVERLOADED", "error_frame",
 ]
 
 #: Bump on any wire-visible change; the handshake refuses mismatches.
-#: (The binary payload form is a negotiated capability, not a version
-#: bump: peers that do not advertise it never receive it.)
-PROTOCOL_VERSION = 1
-
-#: Payload encodings this implementation speaks, most preferred first.
-ENCODINGS = ("binary", "json")
-
-#: Optional capabilities negotiated over the hello handshake, exactly
-#: like the binary encoding: both sides must advertise a feature before
-#: either relies on it, so peers from before a feature keep working.
-#: ``"trace"``: request frames may carry a ``"trace"`` payload field
-#: with distributed-tracing context (see :mod:`repro.obs.trace`).
-TRACE_FEATURE = "trace"
-FEATURES = (TRACE_FEATURE,)
+PROTOCOL_VERSION = 2
 
 #: Frames advertising a larger payload are rejected before buffering.
 MAX_PAYLOAD = 16 * 1024 * 1024
@@ -353,10 +336,9 @@ def _decode_binary_payload(body: bytes) -> Dict[str, object]:
 def encode_frame(frame: Frame, binary: bool = False) -> bytes:
     """Serialize one frame to wire bytes.
 
-    With ``binary=True`` (only after the peer advertised the capability)
-    ndarray payload values ship as raw little-endian array blocks and
-    the kind byte carries the binary flag; without it they are converted
-    to JSON lists (exact for float64/int64 — Python's JSON round-trips
+    With ``binary=True`` ndarray payload values ship as raw
+    little-endian array blocks and the kind byte carries the binary
+    flag; without it they are converted to JSON lists (exact for float64/int64 — Python's JSON round-trips
     IEEE doubles).
     """
     code = _KIND_CODES.get(frame.kind)
@@ -440,44 +422,9 @@ class FrameDecoder:
 # handshake
 # ---------------------------------------------------------------------------
 
-def hello_frame(encodings: Tuple[str, ...] = ENCODINGS,
-                features: Tuple[str, ...] = ()) -> Frame:
-    """The client's opening frame: payload encodings plus any optional
-    capabilities (:data:`FEATURES`) this peer wants to use."""
-    payload: Dict[str, object] = {"version": PROTOCOL_VERSION,
-                                  "encodings": list(encodings)}
-    if features:
-        payload["features"] = list(features)
-    return Frame("hello", payload)
-
-
-def negotiated_encoding(payload: Dict[str, object]) -> str:
-    """The payload encoding to *send* to the peer behind ``payload``.
-
-    ``payload`` is the peer's hello (or hello-reply) payload; binary
-    frames may only be sent to a peer that explicitly advertised the
-    capability, so absent/malformed advertisements fall back to JSON —
-    version-1 peers from before the capability keep working unchanged.
-    """
-    advertised = payload.get("encodings")
-    if isinstance(advertised, (list, tuple)) and "binary" in advertised:
-        return "binary"
-    return "json"
-
-
-def negotiated_features(payload: Dict[str, object]) -> frozenset:
-    """The optional capabilities the peer behind ``payload`` advertised.
-
-    Same contract as :func:`negotiated_encoding`: only features *both*
-    sides advertise may be used, and an absent or malformed
-    advertisement is an empty set — old peers never see trace context
-    (or any later capability) on their frames.
-    """
-    advertised = payload.get("features")
-    if not isinstance(advertised, (list, tuple)):
-        return frozenset()
-    return frozenset(str(feature) for feature in advertised
-                     if feature in FEATURES)
+def hello_frame() -> Frame:
+    """The client's opening frame: the protocol version it speaks."""
+    return Frame("hello", {"version": PROTOCOL_VERSION})
 
 
 def check_hello(frame: Frame) -> Optional[Frame]:
@@ -544,7 +491,7 @@ def parse_line(line: str) -> Optional[Frame]:
 
 
 def format_reply(request: Frame, response: Frame) -> str:
-    """Render a response frame as the legacy REPL output line."""
+    """Render a response frame as the REPL output line."""
     if response.is_error:
         return f"error: {response.payload['message']}"
     payload = response.payload
@@ -558,12 +505,7 @@ def format_reply(request: Frame, response: Frame) -> str:
     if request.kind == "rate":
         return f"user {payload['user']} updated"
     if request.kind in ("stats", "health"):
-        # The legacy line format predates the metrics registry: it
-        # renders only the flat alias keys, bit-identical to the
-        # historical serve loop (pinned by the golden transcript test).
-        legacy = {key: value for key, value in payload.items()
-                  if key != "metrics"}
-        return json.dumps(legacy, sort_keys=True)
+        return json.dumps(payload, sort_keys=True)
     raise ProtocolError(f"no line rendering for {request.kind!r} replies")
 
 
@@ -599,8 +541,9 @@ def execute(service, request: Frame,
     surface (the sharded gateway included).  Domain failures — bad
     indices, crashed workers, malformed arguments — come back as
     ``error`` frames; only programming errors propagate.  ``extra_health``
-    optionally supplies server-side counters merged into ``health``
-    replies (the TCP server passes its connection/fusion stats).
+    optionally supplies server-side blocks merged into ``health``
+    replies (the TCP server passes its ``server``/``fusion``/``wal``
+    counters).
     ``arrays=True`` keeps score/item vectors as ndarray response buffers
     (see :func:`recommendation_payload`) — the TCP server always passes
     it; the REPL keeps plain lists.
@@ -650,24 +593,14 @@ def execute(service, request: Frame,
                 np.asarray(payload["values"], dtype=np.float64))
             return Frame("ok", {"user": int(payload["user"])})
         if kind == "stats":
-            # The flat keys are the backwards-compatible aliases; the
-            # "metrics" entry is the same data normalized onto the
-            # registry's dotted names (see repro.obs.metrics).
-            flat = dict(service.stats())
-            body = dict(flat)
-            body["metrics"] = dotted_stats(
-                getattr(service, "METRICS_PREFIX", "serving.service"), flat)
-            return Frame("ok", body)
+            return Frame("ok", dict(service.stats()))
         if kind == "health":
-            flat = dict(service.stats())
-            metrics = dotted_stats(
-                getattr(service, "METRICS_PREFIX", "serving.service"), flat)
             body = {
                 "status": "ok",
                 "protocol": PROTOCOL_VERSION,
                 "n_users": int(service.n_users),
                 "n_items": int(service.n_items),
-                "stats": flat,
+                "stats": dict(service.stats()),
             }
             if payload.get("digest") and hasattr(service, "state_digest"):
                 # Opt-in (it hashes every factor row): the fleet
@@ -675,12 +608,7 @@ def execute(service, request: Frame,
                 # hold bit-identical mutable state.
                 body["digest"] = str(service.state_digest())
             if extra_health is not None:
-                extra = dict(extra_health())
-                extra_metrics = extra.pop("metrics", None)
-                body.update(extra)
-                if isinstance(extra_metrics, dict):
-                    metrics.update(extra_metrics)
-            body["metrics"] = metrics
+                body.update(extra_health())
             return Frame("ok", body)
         return Frame("error", {"message": f"unknown command {kind!r}"})
     except (ValidationError, ClusterError, IndexError, ValueError,

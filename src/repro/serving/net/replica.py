@@ -177,8 +177,8 @@ class ReplicaSet:
     registry:
         :class:`~repro.obs.metrics.MetricsRegistry` shared across the
         fleet; one is created when omitted.  Per-replica histograms and
-        stats providers are disambiguated by a ``replica`` label, so
-        :meth:`metrics_snapshot` covers every live replica at once.
+        stats providers are disambiguated by a ``replica`` label, so one
+        ``registry.snapshot()`` covers every live replica at once.
     """
 
     def __init__(self, make_service: Callable[[int], object],
@@ -377,14 +377,6 @@ class ReplicaSet:
                 if replica.is_alive() and replica.server is not None
                 and replica.server.wal is not None else None
                 for replica in self.replicas]
-
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """One dotted snapshot across the fleet (shared registry).
-
-        Keys carry a ``replica=<index>`` label, so the same counter on
-        different replicas stays distinguishable.
-        """
-        return self.registry.snapshot()
 
     def spans(self, limit: Optional[int] = None) -> List[Dict[str, object]]:
         """Recorded spans from the fleet's shared tracer (``[]`` untraced)."""

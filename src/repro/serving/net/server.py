@@ -7,9 +7,8 @@
 * **Framing** — every connection speaks the length-prefixed frame
   protocol (:mod:`repro.serving.net.protocol`), opening with a version
   handshake; framing violations drop only the offending connection.
-  The handshake also negotiates the payload encoding: clients that
-  advertise ``"binary"`` get raw-ndarray score blocks, everyone else
-  gets the JSON fallback — bit-exact either way.
+  Replies always use the binary array form (raw-ndarray score blocks);
+  requests may come in either form.
 * **Pipelining** — requests carrying an ``id`` are served concurrently
   and replies may arrive out of order (the id is echoed); bare requests
   keep strict one-at-a-time ordering, which the REPL-style raw-socket
@@ -71,11 +70,10 @@ from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry, dotted_stats
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceContext, Tracer
 from repro.serving.net.fusion import DeadlineExpired, FuserClosed, QueryFuser
 from repro.serving.net.protocol import (
-    ENCODINGS,
     ERROR_DEADLINE,
     ERROR_OVERLOADED,
     Frame,
@@ -83,13 +81,11 @@ from repro.serving.net.protocol import (
     MUTATION_KINDS,
     PROTOCOL_VERSION,
     ProtocolError,
-    TRACE_FEATURE,
     error_frame,
     recommendation_payload,
     check_hello,
     encode_frame,
     execute,
-    negotiated_encoding,
 )
 from repro.serving.service import PredictionService, check_user_range
 from repro.utils.validation import ValidationError, check_positive
@@ -140,9 +136,8 @@ class NetServer:
         the server's.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  When set, the
-        server advertises the ``trace`` hello feature and opens
-        admission spans (queue wait vs execute split) for every request
-        frame carrying trace context.  ``None`` (the default) keeps the
+        server opens admission spans (queue wait vs execute split) for
+        every request frame carrying trace context.  ``None`` (the default) keeps the
         traced-request path completely cold — one ``is None`` check per
         request.
     registry:
@@ -220,10 +215,9 @@ class NetServer:
         self._queued: Dict[str, int] = {"read": 0, "write": 0}
         self.n_overload_shed: Dict[str, int] = {"read": 0, "write": 0}
         self.n_deadline_shed = 0
-        # Re-home the stats() dicts onto the registry's dotted
-        # namespace: snapshot() pulls them live, the flat dicts keep
-        # flowing through stats/health frames as aliases.
-        self.registry.register_provider("serving.server", self.metrics,
+        # Each component's counters under one dotted prefix in the
+        # registry: snapshot() pulls them live.
+        self.registry.register_provider("serving.server", self.stats,
                                         **self._metrics_labels)
         self.registry.register_provider(
             getattr(service, "METRICS_PREFIX", "serving.service"),
@@ -254,9 +248,6 @@ class NetServer:
                 self._wal_io = ThreadPoolExecutor(
                     max_workers=1, thread_name_prefix="repro-wal-io")
         self.wal = coordinator
-        attach = getattr(self.service, "attach_wal_stats", None)
-        if attach is not None and coordinator is not None:
-            attach(coordinator.stats)
         if coordinator is not None:
             self.registry.register_provider("wal", coordinator.stats,
                                             **self._metrics_labels)
@@ -405,9 +396,7 @@ class NetServer:
         decoder = FrameDecoder()
         pending: Set[asyncio.Task] = set()
         try:
-            binary = await self._handshake(reader, writer, decoder,
-                                           pending)
-            if binary is None:
+            if not await self._handshake(reader, writer, decoder, pending):
                 return
             while not self._draining:
                 try:
@@ -424,7 +413,7 @@ class NetServer:
                                      Frame("error", {"message": str(error)}))
                     return
                 for frame in frames:
-                    await self._admit(writer, frame, binary, pending)
+                    await self._admit(writer, frame, pending)
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -439,7 +428,7 @@ class NetServer:
                 pass
 
     async def _admit(self, writer: asyncio.StreamWriter, frame: Frame,
-                     binary: bool, pending: Set[asyncio.Task]) -> None:
+                     pending: Set[asyncio.Task]) -> None:
         """Serve one request: concurrently when id-tagged, else in order.
 
         An ``id`` marks the client as pipelining-aware (it matches
@@ -448,93 +437,72 @@ class NetServer:
         """
         if frame.payload.get("id") is not None:
             task = asyncio.get_running_loop().create_task(
-                self._respond_safely(writer, frame, binary))
+                self._respond_safely(writer, frame))
             pending.add(task)
             task.add_done_callback(pending.discard)
         else:
-            await self._respond(writer, frame, binary)
+            await self._respond(writer, frame)
 
     async def _respond_safely(self, writer: asyncio.StreamWriter,
-                              frame: Frame, binary: bool) -> None:
+                              frame: Frame) -> None:
         try:
-            await self._respond(writer, frame, binary)
+            await self._respond(writer, frame)
         except (ConnectionError, asyncio.CancelledError):
             pass
 
     async def _handshake(self, reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter,
                          decoder: FrameDecoder,
-                         pending: Set[asyncio.Task]) -> Optional[bool]:
-        """Read the hello frame; refuse version/shape mismatches.
-
-        Returns ``None`` on refusal, else whether the connection
-        negotiated binary payload frames (the client advertised the
-        capability in its hello).
-        """
+                         pending: Set[asyncio.Task]) -> bool:
+        """Read the hello frame; False when it is refused (version or
+        shape mismatch) or the connection ends first."""
         while True:
             try:
                 data = await self._read_chunk(reader, writer)
             except (ConnectionError, asyncio.IncompleteReadError):
-                return None
+                return False
             if not data:
-                return None
+                return False
             try:
                 frames = decoder.feed(data)
             except ProtocolError as error:
                 self.n_protocol_errors += 1
                 await self._send(writer,
                                  Frame("error", {"message": str(error)}))
-                return None
+                return False
             if frames:
                 break
         refusal = check_hello(frames[0])
         if refusal is not None:
             self.n_protocol_errors += 1
             await self._send(writer, refusal)
-            return None
-        binary = negotiated_encoding(frames[0].payload) == "binary"
-        # The hello reply itself stays JSON (readable by every peer);
-        # it advertises our encodings (and optional features, e.g.
-        # trace-context support) so the client can commit too.
-        hello_reply: Dict[str, object] = {
-            "version": PROTOCOL_VERSION, "server": "repro-serving",
-            "encodings": list(ENCODINGS)}
-        if self.tracer is not None:
-            hello_reply["features"] = [TRACE_FEATURE]
-        await self._send(writer, Frame("ok", hello_reply))
+            return False
+        await self._send(writer, Frame("ok", {
+            "version": PROTOCOL_VERSION, "server": "repro-serving"}))
         # Any frames pipelined behind the hello are served in order.
         for frame in frames[1:]:
-            await self._admit(writer, frame, binary, pending)
-        return binary
+            await self._admit(writer, frame, pending)
+        return True
 
-    async def _send(self, writer: asyncio.StreamWriter, frame: Frame,
-                    binary: bool = False) -> None:
+    async def _send(self, writer: asyncio.StreamWriter,
+                    frame: Frame) -> None:
         if frame.is_error:
             self.n_error_replies += 1
         # One write call per frame: writes are atomic appends to the
         # transport buffer, so concurrent pipelined replies interleave
         # at frame granularity, never inside one.
-        writer.write(encode_frame(frame, binary=binary))
+        writer.write(encode_frame(frame, binary=True))
         await writer.drain()
 
     # -- request execution -------------------------------------------------
 
     def _health_extra(self) -> Dict[str, object]:
-        counters: Dict[str, object] = {"server": self.stats()}
+        blocks: Dict[str, object] = {"server": self.stats()}
         if self.fuser is not None:
-            counters["fusion"] = self.fuser.stats()
+            blocks["fusion"] = self.fuser.metrics()
         if self.wal is not None:
-            counters["wal"] = self.wal.stats()
-        # The normalized (dotted) view of the same numbers; protocol
-        # health assembly merges it with the service's own dotted stats.
-        metrics = dotted_stats("serving.server", self.metrics())
-        if self.fuser is not None:
-            metrics.update(dotted_stats("serving.fusion",
-                                        self.fuser.metrics()))
-        if self.wal is not None:
-            metrics.update(dotted_stats("wal", self.wal.stats()))
-        counters["metrics"] = metrics
-        return counters
+            blocks["wal"] = self.wal.stats()
+        return blocks
 
     def _trace_reply(self, frame: Frame) -> Frame:
         """Serve a ``trace`` frame: buffered spans (or a drain)."""
@@ -544,10 +512,10 @@ class NetServer:
             spans = self.tracer.drain()
         else:
             limit = frame.payload.get("limit")
-            try:
-                limit = int(limit) if limit is not None else None
-            except (TypeError, ValueError):
-                limit = None
+            if limit is not None and (type(limit) is not int or limit < 0):
+                return Frame("error", {
+                    "message": f"trace limit must be a non-negative "
+                               f"integer, got {limit!r}"})
             spans = self.tracer.spans(limit)
         return Frame("ok", {"enabled": True, "spans": spans,
                             "tracer": self.tracer.stats()})
@@ -634,7 +602,7 @@ class NetServer:
             code=ERROR_OVERLOADED, retryable=True)
 
     async def _respond(self, writer: asyncio.StreamWriter,
-                       frame: Frame, binary: bool = False) -> None:
+                       frame: Frame) -> None:
         self.n_requests += 1
         arrival = time.monotonic()
         # The admission span parents every server-side span for this
@@ -708,7 +676,7 @@ class NetServer:
         request_id = frame.payload.get("id")
         if request_id is not None:
             response.payload.setdefault("id", request_id)
-        await self._send(writer, response, binary)
+        await self._send(writer, response)
 
     def _execute(self, frame: Frame, admit=None) -> Frame:
         """Plain gateway execution (runs on the gateway executor),
@@ -809,27 +777,6 @@ class NetServer:
             "n_deadline_shed": self.n_deadline_shed,
             "n_overload_shed": dict(self.n_overload_shed),
             "n_stalls": self.n_stalls,
-            "queue_depth": dict(self._queued),
-            "max_queue_depth": self.max_queue_depth,
-            "max_in_flight": self.max_in_flight,
-        }
-
-    def metrics(self) -> Dict[str, object]:
-        """:meth:`stats` under the normalized registry schema: dropped
-        ``n_`` prefixes, shed counters grouped under ``shed_*`` — the
-        names that appear dotted as ``serving.server.<key>`` in registry
-        snapshots and health-frame ``metrics`` blocks.  (The latency
-        histograms ``serving.server.queue_wait_ms`` / ``execute_ms``
-        live natively in the registry, not here.)"""
-        return {
-            "connections": self.n_connections,
-            "open_connections": len(self._connections),
-            "requests": self.n_requests,
-            "error_replies": self.n_error_replies,
-            "protocol_errors": self.n_protocol_errors,
-            "shed_deadline": self.n_deadline_shed,
-            "shed_overload": dict(self.n_overload_shed),
-            "stalls": self.n_stalls,
             "queue_depth": dict(self._queued),
             "max_queue_depth": self.max_queue_depth,
             "max_in_flight": self.max_in_flight,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -142,7 +142,6 @@ class PredictionService:
         # Incremental-update state per folded-in user id (rank-k posterior
         # updates when a known cold-start user rates new items).
         self._foldin = FoldInRegistry(self._user_prior, self._alpha)
-        self._wal_stats: Optional[Callable[[], Dict[str, object]]] = None
 
     @staticmethod
     def _combine(loaded: List[Snapshot], mode: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -291,13 +290,8 @@ class PredictionService:
             self.cache_invalidations += 1
 
     def stats(self) -> Dict[str, object]:
-        """Serving counters: cache behaviour and population sizes.
-
-        When a WAL coordinator is attached (:meth:`attach_wal_stats`)
-        its counters ride along under ``"wal"`` — role, appended,
-        replayed, duplicates skipped, catch-up batches.
-        """
-        counters: Dict[str, object] = {
+        """Serving counters: cache behaviour and population sizes."""
+        return {
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_invalidations": self.cache_invalidations,
@@ -305,14 +299,6 @@ class PredictionService:
             "n_users": self.n_users,
             "n_folded_in": self.n_users - self._n_train_users,
         }
-        if self._wal_stats is not None:
-            counters["wal"] = dict(self._wal_stats())
-        return counters
-
-    def attach_wal_stats(self,
-                         stats_fn: Callable[[], Dict[str, object]]) -> None:
-        """Merge a WAL coordinator's counters into :meth:`stats`."""
-        self._wal_stats = stats_fn
 
     def state_digest(self) -> str:
         """A hex digest of all mutable serving state, bit-exact.

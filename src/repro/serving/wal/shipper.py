@@ -123,9 +123,9 @@ class WalUnavailableError(WalError):
 class _WalLink:
     """One blocking framed-RPC connection for coordinator traffic.
 
-    JSON payload encoding only — log records are JSON scalars already,
+    Sends the JSON payload form — log records are JSON scalars already,
     and Python's JSON round-trips IEEE doubles exactly, so replicated
-    values stay bit-identical without the binary negotiation.  Each link
+    values stay bit-identical without array blocks.  Each link
     is used from exactly one thread (see the module threading contract);
     reconnects happen on demand.
     """
@@ -146,7 +146,7 @@ class _WalLink:
         self._decoder = FrameDecoder()
         self._frames.clear()
         try:
-            reply = self.request(hello_frame(("json",)))
+            reply = self.request(hello_frame())
         except BaseException:
             self.close()
             raise
@@ -444,18 +444,17 @@ class LeaderCoordinator(_TraceMixin):
         follower_applied = {
             f"{host}:{port}": follower.applied_seqno
             for (host, port), follower in self._followers.items()}
-        high = log_stats["high_seqno"]
+        # high_seqno is reported once, at the top level.
+        high = log_stats.pop("high_seqno")
         max_lag = max((high - applied
                        for applied in follower_applied.values()),
                       default=0)
         return {
             "role": "leader",
-            "appended": log_stats["appended"],
-            "high_seqno": log_stats["high_seqno"],
+            "high_seqno": high,
             "applied_seqno": replay_stats["applied_seqno"],
             "replayed": replay_stats["replayed"],
             "duplicates_skipped": replay_stats["duplicates_skipped"],
-            "recovered": log_stats["recovered"],
             "catchup_batches": self.n_catchup_batches_served,
             "shipped": self.n_shipped,
             "ship_failures": self.n_ship_failures,

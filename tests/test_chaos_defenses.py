@@ -160,7 +160,7 @@ def test_expired_waiter_behind_inflight_batch_is_shed():
             await doomed
         release.set()
         assert await blocked == 1
-        assert fuser.stats()["fusion_expired"] == 1
+        assert fuser.metrics()["expired"] == 1
 
     asyncio.run(scenario())
     assert [1] in calls and [2] not in calls
@@ -179,14 +179,14 @@ def test_expired_waiter_behind_inflight_batch_is_shed():
 # caller sees of the same sheds.
 
 class _RawConnection:
-    """One hand-driven protocol connection (JSON encoding)."""
+    """One hand-driven protocol connection (JSON requests, binary replies)."""
 
     def __init__(self, address):
         self.sock = socket.create_connection(address, timeout=10.0)
         self.sock.settimeout(10.0)
         self.decoder = FrameDecoder()
         self.frames = collections.deque()
-        self.send(hello_frame(("json",)))
+        self.send(hello_frame())
         assert not self.reply().is_error
 
     def send(self, frame: Frame) -> None:
@@ -246,7 +246,8 @@ def _check_deadline_gate(snapshot, reference, fuse_window_ms):
         assert shed.payload["code"] == ERROR_DEADLINE
         assert shed.payload["retryable"] is True
         served = holder.reply()
-        assert served.payload["items"] == reference.top_n(0, n=5).items.tolist()
+        assert served.payload["items"].tolist() == \
+            reference.top_n(0, n=5).items.tolist()
         assert server.stats()["n_deadline_shed"] == 1
         holder.close()
         late.close()
@@ -289,7 +290,7 @@ def test_deadline_reply_raises_deadline_error_without_failover(
                 client.top_n(1, n=5, deadline_ms=10_000)
             assert client.n_failovers == 0
             assert server.stats()["n_deadline_shed"] == 1
-            assert holder.reply().payload["items"] == \
+            assert holder.reply().payload["items"].tolist() == \
                 reference.top_n(0, n=5).items.tolist()
             assert client.top_n(2, n=5).items.tolist() == \
                 reference.top_n(2, n=5).items.tolist()
@@ -362,7 +363,7 @@ def _check_overload_shedding(snapshot, reference, fuse_window_ms):
             assert caught.value.retryable is True
         for connection, user in ((first, 0), (second, 1)):
             served = connection.reply()
-            assert served.payload["items"] == \
+            assert served.payload["items"].tolist() == \
                 reference.top_n(user, n=5).items.tolist()
         stats = server.stats()
         assert stats["n_overload_shed"] == {"read": 2, "write": 0}

@@ -61,11 +61,11 @@ def test_lone_request_dispatches_eagerly_as_window_of_one():
         fuser = QueryFuser(gateway.top_n_batch, window_ms=10_000.0)
         items, scores = await fuser.top_n(3, n=5)
         assert items.shape == (5,)
-        return fuser.stats()
+        return fuser.metrics()
     stats = _run(scenario())
     # A 10-second fallback window added no latency: the request went out
     # on the next loop pass (the test would time out otherwise).
-    assert stats["fusion_windows"] == 1
+    assert stats["windows"] == 1
     assert gateway.calls == [[3]]
 
 
@@ -75,9 +75,9 @@ def test_concurrent_requests_fuse_and_match_singletons():
         fuser = QueryFuser(gateway.top_n_batch, window_ms=5.0)
         results = await asyncio.gather(*[fuser.top_n(user, n=4)
                                          for user in (1, 2, 3, 2)])
-        return fuser.stats(), results
+        return fuser.metrics(), results
     stats, results = _run(scenario())
-    assert stats["fusion_requests"] == 4
+    assert stats["requests"] == 4
     for user, (items, scores) in zip((1, 2, 3, 2), results):
         solo_items, solo_scores = gateway.top_n_batch([user], n=4)[user]
         assert items.tolist() == solo_items.tolist()
@@ -90,7 +90,7 @@ def test_poisoned_window_partitions_only_the_offender_errors():
         fuser = QueryFuser(gateway.top_n_batch, window_ms=5.0)
         return await asyncio.gather(
             *[fuser.top_n(user, n=4) for user in (1, 99, 2, 3)],
-            return_exceptions=True), fuser.stats()
+            return_exceptions=True), fuser.metrics()
     results, stats = _run(scenario())
     assert isinstance(results[1], ValueError)
     for user, result in zip((1, 2, 3), (results[0], results[2], results[3])):
@@ -99,7 +99,7 @@ def test_poisoned_window_partitions_only_the_offender_errors():
         solo_items, solo_scores = gateway.top_n_batch([user], n=4)[user]
         assert items.tolist() == solo_items.tolist()
         assert scores.tobytes() == solo_scores.tobytes()
-    assert stats["fusion_partitions"] >= 1
+    assert stats["partitions"] >= 1
 
 
 def test_singleton_poisoned_window_skips_the_retry():
@@ -108,9 +108,9 @@ def test_singleton_poisoned_window_skips_the_retry():
         fuser = QueryFuser(gateway.top_n_batch, window_ms=5.0)
         with pytest.raises(ValueError, match="invalid users"):
             await fuser.top_n(99, n=4)
-        return fuser.stats()
+        return fuser.metrics()
     stats = _run(scenario())
-    assert stats["fusion_partitions"] == 0
+    assert stats["partitions"] == 0
     assert gateway.calls == [[99]]  # no pointless singleton re-run
 
 
@@ -171,13 +171,13 @@ def test_windows_accumulate_behind_in_flight_batch_then_flush():
         assert len(gateway.calls) == 1  # they accumulate, none dispatched
         release.set()
         await asyncio.wait_for(asyncio.gather(first, *laters), timeout=10.0)
-        return fuser.stats()
+        return fuser.metrics()
 
     stats = _run(scenario())
     # The 10-second fallback timer never fired: completion flushed the
     # accumulated window, and it went out as one fused batch.
-    assert stats["fusion_windows"] == 2
-    assert stats["fusion_max_window"] == 3
+    assert stats["windows"] == 2
+    assert stats["max_window"] == 3
     assert sorted(gateway.calls[1]) == [2, 3, 4]
 
 

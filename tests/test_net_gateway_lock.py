@@ -93,15 +93,13 @@ def test_free_lock_scores_the_window_inline_on_the_loop():
                            lock=lock)
         results = await asyncio.gather(*(fuser.top_n(user, n=3)
                                          for user in (4, 5, 4)))
-        return threading.get_ident(), results, fuser.stats(), \
-            fuser.metrics()
+        return threading.get_ident(), results, fuser.metrics()
 
-    loop_thread, results, stats, metrics = asyncio.run(scenario())
+    loop_thread, results, stats = asyncio.run(scenario())
     assert results == [40, 50, 40]
     # One window, scored on the loop thread with the lock held.
     assert gateway.calls == [([4, 5, 4], loop_thread, True)]
-    assert stats["fusion_windows"] == stats["fusion_inline"] == 1
-    assert metrics["inline"] == 1
+    assert stats["windows"] == stats["inline"] == 1
     assert not lock.locked()
 
 
@@ -126,13 +124,13 @@ def test_held_lock_sends_the_window_to_the_executor_without_blocking():
             assert gateway.calls == []
         finally:
             lock.release()
-        return threading.get_ident(), await read, fuser.stats()
+        return threading.get_ident(), await read, fuser.metrics()
 
     loop_thread, result, stats = asyncio.run(scenario())
     assert result == 70
     (users, thread, held), = gateway.calls
     assert users == [7] and thread != loop_thread and held
-    assert stats["fusion_windows"] == 1 and stats["fusion_inline"] == 0
+    assert stats["windows"] == 1 and stats["inline"] == 0
 
 
 def test_inline_window_that_raises_is_partitioned_inline():
@@ -149,13 +147,13 @@ def test_inline_window_that_raises_is_partitioned_inline():
         fuser = QueryFuser(top_n_batch, window_ms=10_000.0, lock=lock)
         return await asyncio.gather(
             *(fuser.top_n(user, n=3) for user in (1, 99, 2)),
-            return_exceptions=True), fuser.stats()
+            return_exceptions=True), fuser.metrics()
 
     (first, bad, second), stats = asyncio.run(scenario())
     assert (first, second) == (1, 2)
     assert isinstance(bad, ValueError)
     assert calls == [[1, 99, 2], [1], [99], [2]]
-    assert stats["fusion_partitions"] == 1 and stats["fusion_inline"] == 1
+    assert stats["partitions"] == 1 and stats["inline"] == 1
     assert not lock.locked()
 
 
@@ -196,7 +194,7 @@ def test_a_gateway_that_is_not_in_process_never_scores_on_the_loop(
         with ServingClient(replicas.addresses) as client:
             for user in (0, 3, 8):
                 _same(reference.top_n(user, n=5), client.top_n(user, n=5))
-        assert server.fuser.stats()["fusion_inline"] == 0
+        assert server.fuser.metrics()["inline"] == 0
     assert len(gateways[0].calls) == 3
     for thread_name, held in gateways[0].calls:
         assert thread_name.startswith("repro-net-exec") and held
@@ -211,20 +209,19 @@ def test_in_process_reads_are_scored_on_the_loop(snapshot, reference):
                 _same(reference.top_n(user, n=4), client.top_n(user, n=4))
             health = client.health()
         # An idle gateway: each sequential read found the lock free.
-        assert server.fuser.stats()["fusion_inline"] == 3
-        assert health["fusion"]["fusion_inline"] == 3
-        assert health["metrics"]["serving.fusion.inline"] == 3
+        assert server.fuser.metrics()["inline"] == 3
+        assert health["fusion"]["inline"] == 3
 
 
 class _RawConnection:
-    """One hand-driven protocol connection (JSON encoding)."""
+    """One hand-driven protocol connection (JSON requests, binary replies)."""
 
     def __init__(self, address):
         self.sock = socket.create_connection(address, timeout=10.0)
         self.sock.settimeout(10.0)
         self.decoder = FrameDecoder()
         self.frames = collections.deque()
-        self.send(hello_frame(("json",)))
+        self.send(hello_frame())
         assert not self.reply().is_error
 
     def send(self, frame: Frame) -> None:
@@ -257,7 +254,7 @@ def test_stalled_gateway_sheds_expired_fused_reads(snapshot, reference):
         server.stall(1.0)
         assert server.gateway_lock.locked()  # wedged before stall returns
         holder.send(Frame("top_n", {"user": 0, "n": 5, "id": 1}))
-        _wait(lambda: server.fuser.stats()["fusion_windows"] == 1,
+        _wait(lambda: server.fuser.metrics()["windows"] == 1,
               "the holder's window is in flight")
         late.send(Frame("top_n", {"user": 1, "n": 5, "id": 2,
                                   "deadline_ms": 100}))
@@ -266,17 +263,17 @@ def test_stalled_gateway_sheds_expired_fused_reads(snapshot, reference):
         assert shed.payload["code"] == ERROR_DEADLINE
         assert shed.payload["retryable"] is True
         served = holder.reply()
-        assert served.payload["items"] == \
+        assert served.payload["items"].tolist() == \
             reference.top_n(0, n=5).items.tolist()
-        stats = server.fuser.stats()
-        assert stats["fusion_expired"] == 1
-        assert stats["fusion_inline"] == 0  # nothing ran on the loop
+        stats = server.fuser.metrics()
+        assert stats["expired"] == 1
+        assert stats["inline"] == 0  # nothing ran on the loop
         assert server.stats()["n_deadline_shed"] == 1
         server.call_serialized(lambda: None)  # the stall has drained
         holder.send(Frame("top_n", {"user": 2, "n": 5, "id": 3}))
-        assert holder.reply().payload["items"] == \
+        assert holder.reply().payload["items"].tolist() == \
             reference.top_n(2, n=5).items.tolist()
-        assert server.fuser.stats()["fusion_inline"] == 1
+        assert server.fuser.metrics()["inline"] == 1
         holder.close()
         late.close()
 

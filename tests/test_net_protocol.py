@@ -41,7 +41,6 @@ from repro.serving.net.protocol import (
     _MAGIC,
     _encode_binary_payload,
 )
-from repro.serving.net.protocol import ENCODINGS, negotiated_encoding
 from repro.serving.service import PredictionService
 
 ALL_KINDS = sorted(_KIND_CODES)
@@ -264,7 +263,8 @@ def test_encoder_is_byte_identical_to_the_reference(kind, binary, payload):
 
 
 #: A fixed request and its binary reply, hex-recorded before the codec
-#: was reworked: the wire bytes may not move.
+#: was reworked: the wire bytes may not move.  (The fifth byte is the
+#: protocol version.)
 _PINNED_REQUEST = Frame("top_n", {"user": 7, "n": 10, "exclude_seen": True,
                                   "id": 3, "deadline_ms": 250.5})
 _PINNED_REPLY = Frame("ok", {
@@ -277,15 +277,15 @@ _PINNED_REPLY = Frame("ok", {
 
 def test_pinned_frames_keep_their_bytes():
     assert encode_frame(_PINNED_REQUEST, binary=True).hex() == (
-        "5250524f018200000044000000407b22646561646c696e655f6d73223a3235302e"
+        "5250524f028200000044000000407b22646561646c696e655f6d73223a3235302e"
         "352c226578636c7564655f7365656e223a747275652c226964223a332c226e223a"
         "31302c2275736572223a377d")
     assert encode_frame(_PINNED_REQUEST).hex() == (
-        "5250524f0102000000407b22646561646c696e655f6d73223a3235302e352c2265"
+        "5250524f0202000000407b22646561646c696e655f6d73223a3235302e352c2265"
         "78636c7564655f7365656e223a747275652c226964223a332c226e223a31302c22"
         "75736572223a377d")
     assert encode_frame(_PINNED_REPLY, binary=True).hex() == (
-        "5250524f0190000000ec0000003c7b226964223a332c226974656d73223a7b225f"
+        "5250524f0290000000ec0000003c7b226964223a332c226974656d73223a7b225f"
         "5f6e645f5f223a307d2c2273636f726573223a7b225f5f6e645f5f223a317d2c22"
         "75736572223a377d01010000000a03000000000000008d00000000000000"
         "3b000000000000005d0a0000000000004d020000000000004f0000000000"
@@ -306,15 +306,6 @@ def test_binary_and_json_frames_share_one_stream():
     assert frames[0].payload["scores"].tobytes() == scores.tobytes()
     assert np.asarray(frames[1].payload["scores"]).tobytes() \
         == scores.tobytes()
-
-
-def test_hello_advertises_encodings_and_negotiation():
-    hello = hello_frame()
-    assert list(hello.payload["encodings"]) == list(ENCODINGS)
-    assert negotiated_encoding(hello.payload) == "binary"
-    assert negotiated_encoding(hello_frame(("json",)).payload) == "json"
-    # Pre-binary peers send no "encodings" key at all: JSON.
-    assert negotiated_encoding({"version": PROTOCOL_VERSION}) == "json"
 
 
 def test_binary_payload_rejects_reserved_marker_key():
@@ -508,6 +499,7 @@ def test_encode_unknown_kind_is_rejected():
 # ---------------------------------------------------------------------------
 
 def test_handshake_accepts_matching_version():
+    assert hello_frame().payload == {"version": PROTOCOL_VERSION}
     assert check_hello(hello_frame()) is None
 
 

@@ -218,7 +218,7 @@ def test_async_client_fails_a_malformed_reply_at_once(wrapped_array_frame):
 
         await next_frame()  # the hello
         writer.write(encode_frame(Frame("ok", {
-            "version": PROTOCOL_VERSION, "encodings": ["binary", "json"]})))
+            "version": PROTOCOL_VERSION})))
         await next_frame()  # the request
         writer.write(wrapped_array_frame)
         await reader.read()  # until the client hangs up
@@ -334,7 +334,7 @@ def test_stop_flushes_a_held_fused_reply_and_closes_idle_links(snapshot):
     (reply,) = frames[held]
     expected = PredictionService(snapshot).top_n(4, n=3)
     assert reply.payload["id"] == 9
-    assert reply.payload["items"] == expected.items.tolist()
+    assert reply.payload["items"].tolist() == expected.items.tolist()
     assert np.array(reply.payload["scores"]).tobytes() == \
         expected.scores.tobytes()
 
@@ -355,43 +355,37 @@ def test_request_ids_are_echoed(replica_set):
 
 
 # ---------------------------------------------------------------------------
-# wire encodings and pipelining
+# wire parity and pipelining
 # ---------------------------------------------------------------------------
 
-def test_json_and_binary_encodings_serve_identical_bits(replica_set,
-                                                        reference):
-    """Both negotiated encodings, same bytes out — ties included."""
-    with ServingClient(replica_set.addresses, binary=False) as json_client, \
-            ServingClient(replica_set.addresses, binary=True) as bin_client:
+def test_binary_frames_serve_identical_bits(replica_set, reference):
+    """Raw array blocks over the wire, the in-process bytes out — ties
+    included."""
+    with ServingClient(replica_set.addresses) as client:
         for user in (0, 2, 17, N_USERS - 1):
-            expected = reference.top_n(user, n=8)
-            _assert_same_recommendation(expected,
-                                        json_client.top_n(user, n=8))
-            _assert_same_recommendation(expected,
-                                        bin_client.top_n(user, n=8))
+            _assert_same_recommendation(reference.top_n(user, n=8),
+                                        client.top_n(user, n=8))
 
 
-def test_predict_batch_over_the_wire_both_encodings(replica_set, reference):
+def test_predict_batch_over_the_wire(replica_set, reference):
     users = np.array([0, 1, 2, 17, 2])
     items = np.array([3, 5, 1, 30, 35])
     expected = reference.predict_batch(users, items)
-    for binary in (False, True):
-        with ServingClient(replica_set.addresses, binary=binary) as client:
-            served = client.predict_batch(users, items)
-            assert served.dtype == np.float64
-            assert served.tobytes() == expected.tobytes()
+    with ServingClient(replica_set.addresses) as client:
+        served = client.predict_batch(users, items)
+    assert served.dtype == np.float64
+    assert served.tobytes() == expected.tobytes()
 
 
 def test_pipelined_top_n_matches_sequential_bit_for_bit(replica_set,
                                                         reference):
     users = list(range(0, N_USERS, 3)) + [2, 2]  # duplicates served too
-    for binary in (False, True):
-        with ServingClient(replica_set.addresses, binary=binary) as client:
-            served = client.top_n_pipelined(users, n=6, max_in_flight=8)
-        assert len(served) == len(users)
-        for user, recommendation in zip(users, served):
-            _assert_same_recommendation(reference.top_n(user, n=6),
-                                        recommendation)
+    with ServingClient(replica_set.addresses) as client:
+        served = client.top_n_pipelined(users, n=6, max_in_flight=8)
+    assert len(served) == len(users)
+    for user, recommendation in zip(users, served):
+        _assert_same_recommendation(reference.top_n(user, n=6),
+                                    recommendation)
 
 
 def test_pipelined_invalid_user_raises_after_the_window_drains(replica_set):
@@ -488,15 +482,15 @@ def test_fused_top_n_is_bit_identical_to_unfused(snapshot, reference):
             thread.join(timeout=60.0)
         assert not failures, failures[:3]
         fuser = replicas.replicas[0].server.fuser
-        stats = fuser.stats()
+        stats = fuser.metrics()
 
     assert len(results) == N_USERS  # every user asked exactly once
     for user, served in results.items():
         _assert_same_recommendation(reference.top_n(user, n=7), served)
     # Fusion actually happened: fewer windows than requests.
-    assert stats["fusion_requests"] == len(results)
-    assert 0 < stats["fusion_windows"] < stats["fusion_requests"]
-    assert stats["fusion_max_window"] >= 2
+    assert stats["requests"] == len(results)
+    assert 0 < stats["windows"] < stats["requests"]
+    assert stats["max_window"] >= 2
 
 
 def test_fused_bad_request_cannot_poison_the_window(snapshot, reference):
@@ -549,17 +543,17 @@ def test_fusion_deduplicates_same_user_in_one_window(snapshot, reference):
                 if not data:
                     break
                 frames += decoder.feed(data)
-        stats = replicas.replicas[0].server.fuser.stats()
+        stats = replicas.replicas[0].server.fuser.metrics()
 
     hello, *replies = frames
     assert not hello.is_error
     assert sorted(reply.payload["id"] for reply in replies) == list(range(8))
     expected = reference.top_n(11, n=5)
     for reply in replies:
-        assert reply.payload["items"] == expected.items.tolist()
+        assert reply.payload["items"].tolist() == expected.items.tolist()
         assert np.array(reply.payload["scores"]).tobytes() == \
             expected.scores.tobytes()
-    assert stats["fusion_deduplicated"] >= 1
+    assert stats["deduplicated"] >= 1
 
 
 # ---------------------------------------------------------------------------

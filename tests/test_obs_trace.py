@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import threading
 
+import pytest
+
 from repro.obs.trace import (
     NULL_SPAN,
     Span,
@@ -135,6 +137,17 @@ def test_ring_buffer_evicts_oldest_and_counts():
     assert stats["evicted"] == 6
     assert tracer.drain() == spans
     assert tracer.spans() == []
+
+
+def test_spans_limit_keeps_the_newest_and_refuses_negatives():
+    tracer = Tracer()
+    for index in range(5):
+        tracer.emit(f"s{index}")
+    assert tracer.spans(0) == []
+    assert [span["name"] for span in tracer.spans(2)] == ["s3", "s4"]
+    assert len(tracer.spans(9)) == 5
+    with pytest.raises(ValueError, match=">= 0"):
+        tracer.spans(-2)
 
 
 def test_emit_returns_the_recorded_entry():

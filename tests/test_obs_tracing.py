@@ -2,9 +2,8 @@
 
 The contracts under test:
 
-* the ``trace`` hello feature negotiates like binary encoding — old
-  peers on either side keep working, and an untraced connection sends
-  byte-identical pre-trace frames;
+* trace context rides a request only from a traced client, and a
+  server without a tracer ignores it — either side may be untraced;
 * a traced request yields a connected span tree across hops: client
   root → attempt → server admission (queue wait split out) → execute,
   and for mutations onward through the WAL —
@@ -14,14 +13,15 @@ The contracts under test:
   grows a fresh attempt span per replica tried;
 * a fused window is one parent span plus one ``fusion.waiter`` child
   per request, in response order;
-* the stats/health frames keep their flat alias keys while the
-  ``metrics`` frame serves the dotted registry view, and the ``trace``
-  frame exports (and drains) the server's span buffer;
+* the stats/health frames are flat, the ``metrics`` frame serves the
+  one dotted registry view, and the ``trace`` frame exports (and
+  drains) the server's span buffer, refusing a malformed ``limit``;
 * a chaos fault firing inside a traced request annotates the live span.
 """
 
 from __future__ import annotations
 
+import socket
 import threading
 
 import numpy as np
@@ -30,7 +30,8 @@ import pytest
 from repro.bench.serving import make_bench_snapshot
 from repro.obs import Tracer
 from repro.serving.chaos import FaultEvent, FaultInjector, FaultPlan
-from repro.serving.net import ReplicaSet, ServingClient
+from repro.serving.net import (Frame, FrameDecoder, NetError, ReplicaSet,
+                               ServingClient, encode_frame, hello_frame)
 from repro.serving.service import PredictionService
 
 N_USERS, N_ITEMS, K = 40, 30, 4
@@ -69,7 +70,7 @@ def _roots(spans, name):
 
 
 # ---------------------------------------------------------------------------
-# feature negotiation (old peers keep working)
+# traced and untraced peers
 # ---------------------------------------------------------------------------
 
 def test_traced_read_spans_both_sides_of_the_wire(traced_pair):
@@ -109,9 +110,8 @@ def test_traced_client_against_untraced_server_stays_silent(snapshot):
         reply = replicas.replicas[0].server  # server side recorded nothing
         assert reply.tracer is None
     spans = tracer.spans()
-    # The client still records its own spans, but the feature did not
-    # negotiate, so no trace context crossed the wire (nothing would
-    # have admitted it anyway) and the request succeeded regardless.
+    # The client still records its own spans; the context it sent was
+    # ignored by the untraced server, and the request succeeded.
     assert _roots(spans, "client.top_n")
     assert all(span["name"].startswith("client.") for span in spans)
 
@@ -265,11 +265,10 @@ def test_write_via_follower_traces_the_forward_hop(snapshot):
 
 
 # ---------------------------------------------------------------------------
-# export surfaces: stats aliases, metrics frame, trace frame
+# export surfaces: stats, metrics frame, trace frame
 # ---------------------------------------------------------------------------
 
-def test_stats_keeps_flat_aliases_and_metrics_serves_dotted_names(
-        traced_pair):
+def test_stats_is_flat_and_metrics_serves_dotted_names(traced_pair):
     tracer, replicas = traced_pair
     with ServingClient(replicas.addresses, tracer=tracer) as client:
         client.fold_in(np.array([0]), np.array([4.0]))
@@ -277,13 +276,13 @@ def test_stats_keeps_flat_aliases_and_metrics_serves_dotted_names(
         flat = client.stats()
         snapshot = client.metrics()
         health = client.health()
-    # Old flat keys survive as aliases...
+    # The stats frame is the gateway's own flat dict...
     assert flat["n_folded_in"] == 1
-    # ...while the registry snapshot serves the same facts dotted, with
+    # ...and the registry snapshot serves the same facts dotted, with
     # per-replica labels, plus the native latency histograms.
     assert any(key.startswith("serving.service.n_folded_in")
                for key in snapshot)
-    assert any(key.startswith("serving.server.requests{replica=")
+    assert any(key.startswith("serving.server.n_requests{replica=")
                for key in snapshot)
     queue_wait = next(value for key, value in snapshot.items()
                       if key.startswith("serving.server.queue_wait_ms"
@@ -292,10 +291,9 @@ def test_stats_keeps_flat_aliases_and_metrics_serves_dotted_names(
     assert set(queue_wait) >= {"count", "sum", "min", "max",
                                "p50", "p95", "p99"}
     assert any(key.startswith("wal.role") for key in snapshot)
-    # The health frame carries the dotted view alongside its old shape.
+    # The metrics frame is the one dotted view: health has none.
     assert health["status"] == "ok"
-    assert any(key.startswith("serving.server.")
-               for key in health["metrics"])
+    assert "metrics" not in health
 
 
 def test_trace_frame_exports_limits_and_drains(traced_pair):
@@ -321,6 +319,25 @@ def test_trace_frame_exports_limits_and_drains(traced_pair):
                    ("client.trace", "client.attempt", "server.admit",
                     "server.queue", "server.execute")
                    for span in leftover)
+
+
+def test_trace_frame_refuses_a_negative_or_non_integer_limit(traced_pair):
+    tracer, replicas = traced_pair
+    with ServingClient(replicas.addresses, tracer=tracer) as client:
+        client.top_n(1, n=3)
+        with pytest.raises(NetError, match="non-negative integer"):
+            client.spans(limit=-2)
+        assert client.spans(limit=0)["spans"] == []
+    with socket.create_connection(replicas.addresses[0],
+                                  timeout=10.0) as sock:
+        sock.settimeout(10.0)
+        sock.sendall(encode_frame(hello_frame())
+                     + encode_frame(Frame("trace", {"limit": "all"})))
+        decoder, frames = FrameDecoder(), []
+        while len(frames) < 2:
+            frames += decoder.feed(sock.recv(1 << 16))
+    assert frames[1].is_error
+    assert "non-negative integer" in frames[1].payload["message"]
 
 
 def test_trace_frame_reports_disabled_on_untraced_server(snapshot):

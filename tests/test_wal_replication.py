@@ -71,7 +71,7 @@ def test_write_dedup_survives_a_leader_restart(snapshot, tmp_path):
 
     service = _service(snapshot)
     revived = LeaderCoordinator(service, WriteAheadLog(tmp_path))
-    assert revived.stats()["recovered"] == 1
+    assert revived.stats()["log"]["recovered"] == 1
     again = revived.handle_mutation("foldin", dict(payload))
     assert again == first  # the retry spans the crash, still exactly-once
     assert service.stats()["n_folded_in"] == 1
@@ -174,8 +174,47 @@ def test_wal_counters_surface_in_health_and_stats(snapshot):
             stats = client.stats()
         assert health["wal"]["role"] in ("leader", "follower")
         assert health["wal"]["applied_seqno"] == 1
-        assert stats["wal"]["applied_seqno"] == 1
+        assert "wal" not in stats  # the coordinator reports itself
         leader = replicas.wal_stats()[0]
-        assert leader["appended"] == 1
+        assert leader["log"]["appended"] == 1
         assert leader["shipped"] == 1
         assert leader["duplicates_skipped"] == 0
+
+
+def _paths(tree, prefix=()):
+    """Every leaf of a nested reply as a key path, dotted names split, so
+    a dotted copy (``"wal.high_seqno"``) matches a nested one."""
+    for key, value in tree.items():
+        path = prefix + tuple(str(key).split("."))
+        if isinstance(value, dict):
+            yield from _paths(value, path)
+        else:
+            yield path
+
+
+def test_each_wal_counter_is_reported_once(snapshot, tmp_path):
+    with ReplicaSet(lambda index: PredictionService(snapshot),
+                    n_replicas=2, wal_dir=str(tmp_path)) as replicas:
+        with ServingClient(replicas.addresses[:1]) as client:
+            cold = client.fold_in(np.array([0, 1]), np.array([4.0, 2.5]))
+            client.rate(cold, np.array([2]), np.array([3.5]))
+            client.top_n(cold, n=5)
+            health = client.health()
+            series = client.metrics()
+        wal_stats = replicas.wal_stats()
+    # The health frame has no dotted copy, and each WAL counter sits
+    # under one path of it: its "wal" block.
+    assert "metrics" not in health
+    reply = list(_paths(health))
+    for counter in _paths(health["wal"]):
+        copies = [path for path in reply if path[-len(counter):] == counter]
+        assert copies == [("wal",) + counter]
+    # The registry snapshot holds each WAL counter once per replica.
+    for replica, stats in enumerate(wal_stats):
+        label = f"{{replica={replica}}}"
+        names = [tuple(key[:-len(label)].split(".")) for key in series
+                 if key.endswith(label)]
+        for counter in _paths(stats):
+            copies = [name for name in names
+                      if name[-len(counter):] == counter]
+            assert copies == [("wal",) + counter]
