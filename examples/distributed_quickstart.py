@@ -4,7 +4,7 @@
 Trains the same fixed-seed chain three ways — the sequential sampler,
 the distributed sampler over the *simulated* MPI world, and the
 distributed sampler over a 2-rank *socket* world (real TCP links,
-binary frames, flush barriers) — and checks that all three are
+binary frames, collectives as tagged messages) — and checks that all three are
 bit-identical: same factors, same RMSE trajectory, same predictions,
 random ties included.
 

@@ -220,19 +220,21 @@ class DistributedGibbsSampler(GibbsSampler):
             comm_world=None) -> Tuple[Optional[BPMFResult], DistributedRunInfo]:
         """Run the distributed sampler; returns ``(result, diagnostics)``.
 
-        ``comm_world`` selects the transport, and with it who calls the
-        rank program.  ``None`` (the default) or a
-        :class:`~repro.mpi.simmpi.SimCommWorld` runs *every* rank
-        in-process: the result is rank 0's and the diagnostics cover the
-        whole world (its message log holds the run's traffic).  A
-        per-process world — anything with the socket-world surface
+        ``comm_world`` selects the link of the one MPI world
+        (:mod:`repro.mpi.world`), and with it who calls the rank program.
+        ``None`` (the default) or a :class:`~repro.mpi.simmpi.SimCommWorld`
+        is the in-memory link: it runs *every* rank in-process, the result
+        is rank 0's and the diagnostics cover the whole world (its message
+        log holds the run's messages, collectives included).  A
+        per-process world — anything with the socket world's surface
         ``n_ranks`` / ``comm()`` / ``pending_messages()`` /
         ``total_messages_sent()`` / ``total_bytes_sent()``, e.g.
         :class:`repro.mpi.net.SocketCommWorld` — runs only this process's
         rank: every process calls ``run`` with the same arguments, the
         result comes back on rank 0 only (``None`` elsewhere), the
-        diagnostics count this rank's traffic, and the caller owns the
-        world's lifetime.  The chain is bit-identical on every transport.
+        diagnostics count this rank's messages (those the in-memory link
+        logs for it) and its wire bytes, and the caller owns the world's
+        lifetime.  The chain is bit-identical on either link.
 
         ``resume`` continues a checkpointed chain on any world: every rank
         restores the snapshot's authoritative factor matrices (see

@@ -1,20 +1,16 @@
 """Message passing (the stand-in for MPI-3).
 
 The execution environment has no MPI runtime, so the distributed sampler
-runs on one of two worlds with the same verb surface:
+runs on one world (:mod:`repro.mpi.world`: the five verbs, one FIFO per
+``(source, tag)``, the audit log, collectives from tagged messages) over
+one of two links:
 
-* :mod:`repro.mpi.simmpi` — ``SimCommWorld`` gives every simulated rank
-  one FIFO mailbox per ``(source, tag)`` and the five verbs the sampler
-  speaks (``isend``, ``recv(source, tag)``, ``allreduce``, ``bcast``,
-  ``barrier``) inside one process.  Ranks keep *separate copies*
-  of the factor matrices; an item only becomes visible on another rank
-  when a message carrying it is delivered, and ``SimCommWorld.run``
-  executes one blocking rank program on every rank under a deterministic
-  turn-taking scheduler.  This is what makes the distributed sampler's
-  correctness checkable: forget to send an item and the run raises
-  (a frame off the plan, would-deadlock) or diverges from the sequential reference.
-* :mod:`repro.mpi.net` — the same verbs over localhost TCP, one process
-  per rank.
+* :mod:`repro.mpi.simmpi` — ``SimCommWorld`` runs every rank in one
+  process under a deterministic turn-taking scheduler.  An item becomes
+  visible on another rank only through a message, so a forgotten send
+  raises (a frame off the plan, would-deadlock) or diverges from the
+  sequential reference: the distributed sampler is checkable.
+* :mod:`repro.mpi.net` — one rank per process over TCP.
 
 The cluster and network *performance* model behind Figures 4 and 5 is
 :mod:`repro.distributed.scaling`.
@@ -23,11 +19,12 @@ The cluster and network *performance* model behind Figures 4 and 5 is
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "SimCommWorld",
-    "SimComm",
+    "Comm",
     "MessageRecord",
+    "SimCommWorld",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
-    "repro.mpi.simmpi": ("SimCommWorld", "SimComm", "MessageRecord"),
+    "repro.mpi.world": ("Comm", "MessageRecord"),
+    "repro.mpi.simmpi": ("SimCommWorld",),
 })

@@ -1,12 +1,11 @@
-"""Socket-backed MPI world (``repro.mpi.net``).
+"""The socket link of the MPI world (``repro.mpi.net``).
 
-Real multi-process message passing with the :class:`~repro.mpi.simmpi.SimComm`
-verb surface: :class:`SocketCommWorld` full-meshes the ranks over TCP
-using the serving stack's framed codec, :class:`SocketComm` speaks
-tagged ``isend``, ``recv(source, tag)``, ``allreduce``, ``bcast`` and
-``barrier``, and ``python -m repro.mpi.net`` launches the rank
-processes.  See :mod:`repro.mpi.net.world` for the receive and failure
-model.
+Real multi-process message passing with :mod:`repro.mpi.world`'s verbs:
+:class:`SocketCommWorld` full-meshes the ranks over TCP using the
+serving stack's framed codec and hands out the rank's
+:class:`~repro.mpi.world.Comm`, and ``python -m repro.mpi.net`` launches
+the rank processes.  See :mod:`repro.mpi.net.world` for the wire and
+failure model.
 """
 
 from repro.mpi.net.world import (
@@ -15,7 +14,6 @@ from repro.mpi.net.world import (
     MpiNetError,
     MpiTimeoutError,
     MpiTransportError,
-    SocketComm,
     SocketCommWorld,
     free_port,
     start_local_world,
@@ -27,7 +25,6 @@ __all__ = [
     "MpiNetError",
     "MpiTimeoutError",
     "MpiTransportError",
-    "SocketComm",
     "SocketCommWorld",
     "free_port",
     "start_local_world",

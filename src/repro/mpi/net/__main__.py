@@ -32,6 +32,7 @@ Exit codes: 0 success, 2 usage/validation, 3 transport failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import subprocess
@@ -165,13 +166,7 @@ def _program_train(world: SocketCommWorld, args) -> Dict[str, object]:
         "bytes_per_sweep": info.bytes_sent / max(sweeps, 1),
     }
     if world.rank == 0 and args.out:
-        np.savez(args.out,
-                 user_factors=result.state.user_factors,
-                 movie_factors=result.state.movie_factors,
-                 predictions=result.predictions,
-                 rmse_burn_in=np.asarray(result.rmse_burn_in),
-                 rmse_per_sample=np.asarray(result.rmse_per_sample),
-                 rmse_running_mean=np.asarray(result.rmse_running_mean))
+        np.savez(args.out, **_chain_arrays(result))
         summary["out"] = args.out
         summary["final_rmse"] = (result.rmse_running_mean[-1]
                                  if result.rmse_running_mean else None)
@@ -182,7 +177,6 @@ def run_rank(args) -> int:
     """Join the world and run the rank program (one rank, this process)."""
     injector = _build_injector(args.fault_mode, args.fault_seed, args.rank,
                                args.fault_rank)
-    tracer = None
     report: Dict[str, object] = {"rank": args.rank, "world": args.world,
                                  "fault_mode": args.fault_mode}
     started = time.monotonic()
@@ -200,13 +194,11 @@ def run_rank(args) -> int:
         return 3
     world.register_metrics(REGISTRY)
     try:
-        if args.trace_dir:
-            tracer = Tracer(sink_dir=args.trace_dir,
-                            sink_name=f"mpi-rank{args.rank}.jsonl")
-        if tracer is not None:
-            with tracer.start("mpi.rank", attrs={"rank": args.rank}):
-                report["result"] = _program_train(world, args)
-        else:
+        span = (Tracer(sink_dir=args.trace_dir,
+                       sink_name=f"mpi-rank{args.rank}.jsonl").start(
+                    "mpi.rank", attrs={"rank": args.rank})
+                if args.trace_dir else contextlib.nullcontext())
+        with span:
             report["result"] = _program_train(world, args)
         report["ok"] = True
     except MpiTransportError as error:
@@ -257,21 +249,14 @@ def _spawn_ranks(args, workdir: Path, fault_mode: str,
     for rank in range(args.world):
         command = [
             sys.executable, "-m", "repro.mpi.net",
-            "--rank", str(rank), "--world", str(args.world),
-            "--rendezvous", f"{args.host}:{port}",
+            "--rank", str(rank), "--rendezvous", f"{args.host}:{port}",
             "--fault-mode", fault_mode,
-            "--fault-seed", str(args.fault_seed),
-            "--fault-rank", str(args.fault_rank),
             "--report", str(workdir / f"rank{rank}.json"),
-            "--op-timeout", str(args.op_timeout),
-            "--users", str(args.users), "--movies", str(args.movies),
-            "--num-latent", str(args.num_latent),
-            "--burn-in", str(args.burn_in),
-            "--n-samples", str(args.n_samples),
-            "--hyper-mode", args.hyper_mode,
-            "--seed", str(args.seed),
-            "--data-seed", str(args.data_seed),
         ]
+        for name in ("world", "fault_seed", "fault_rank", "op_timeout",
+                     "users", "movies", "num_latent", "burn_in", "n_samples",
+                     "hyper_mode", "seed", "data_seed"):
+            command += ["--" + name.replace("_", "-"), str(getattr(args, name))]
         if args.resume:
             command += ["--resume", args.resume]
         if args.checkpoint:
@@ -323,11 +308,8 @@ def _spawn_resumed(args, workdir: Path, timeout: float) -> Dict[str, object]:
     return _spawn_ranks(rest, workdir, "off", timeout)
 
 
-def _reference_chain(args) -> Dict[str, np.ndarray]:
-    """The same rank program on a SimCommWorld, uninterrupted."""
-    data = _train_dataset(args)
-    sampler = _train_sampler(args, args.world)
-    result, _ = sampler.run(data.split.train, data.split, seed=args.seed)
+def _chain_arrays(result) -> Dict[str, np.ndarray]:
+    """The arrays of a chain that the parity check compares."""
     return {
         "user_factors": result.state.user_factors,
         "movie_factors": result.state.movie_factors,
@@ -336,6 +318,14 @@ def _reference_chain(args) -> Dict[str, np.ndarray]:
         "rmse_per_sample": np.asarray(result.rmse_per_sample),
         "rmse_running_mean": np.asarray(result.rmse_running_mean),
     }
+
+
+def _reference_chain(args) -> Dict[str, np.ndarray]:
+    """The same rank program on a SimCommWorld, uninterrupted."""
+    data = _train_dataset(args)
+    result, _ = _train_sampler(args, args.world).run(
+        data.split.train, data.split, seed=args.seed)
+    return _chain_arrays(result)
 
 
 def _check_parity(chain_path: Path, reference: Dict[str, np.ndarray]
@@ -355,7 +345,6 @@ def run_spawn(args) -> int:
     outcome = _spawn_ranks(args, workdir, args.fault_mode, args.timeout)
     ok = not outcome["hung"] and all(code == 0
                                      for code in outcome["exit_codes"])
-    parity = None
     if ok:
         parity, fields = _check_parity(outcome["chain"],
                                        _reference_chain(args))
@@ -423,11 +412,7 @@ def run_smoke(args) -> int:
             # Lethal: the world must die, and it must die *fast* — every
             # process exits (no hang) and at least one reports the
             # transport failure (exit 3).
-            phase_ok = (not outcome["hung"]
-                        and any(code != 0
-                                for code in outcome["exit_codes"])
-                        and any(code == 3
-                                for code in outcome["exit_codes"]))
+            phase_ok = not outcome["hung"] and 3 in outcome["exit_codes"]
             entry["failed_fast"] = phase_ok
         entry["ok"] = phase_ok
         all_ok = all_ok and phase_ok

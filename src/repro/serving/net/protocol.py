@@ -34,8 +34,8 @@ block — item ids and score vectors cross the wire as straight
 ``memcpy``s of the float64/int64 buffers the gateway computed, bit-exact
 by construction rather than by careful text formatting.  The flag is per
 frame and the decoder reads both forms: serving clients and servers
-always send the binary form, while the MPI control frames and the WAL
-link send JSON.
+always send the binary form, while the MPI handshake hellos and the
+WAL link send JSON.
 
 ``Frame`` is also the in-process request/response object: the REPL's
 :func:`parse_line` produces request frames, :func:`execute` runs a frame
@@ -80,7 +80,7 @@ __all__ = [
 ]
 
 #: Bump on any wire-visible change; the handshake refuses mismatches.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Frames advertising a larger payload are rejected before buffering.
 MAX_PAYLOAD = 16 * 1024 * 1024
@@ -108,15 +108,13 @@ _KIND_CODES = {
     "metrics": 12,
     "trace": 13,
     # MPI transport kinds (repro.mpi.net): the rank rendezvous/mesh
-    # handshake, tagged point-to-point envelopes and collective/flush
-    # control traffic all reuse this codec — factor blocks cross the
-    # wire as the same bit-exact binary array payloads the serving
-    # frontend ships.
+    # handshake and the tagged messages (collectives and the goodbye on
+    # reserved tags) reuse this codec — factor blocks cross the wire as
+    # the same bit-exact binary array payloads the serving frontend ships.
     "mpi_hello": 14,
     "mpi_msg": 15,
     "ok": 16,
     "error": 17,
-    "mpi_ctl": 18,
 }
 #: wire code (binary flag included) -> (kind name, binary payload?).
 _CODE_KINDS = {code | flag: (kind, bool(flag))

@@ -32,7 +32,6 @@ __all__ = [
     "BucketPlan",
     "build_bucket_plan",
     "cached_bucket_plan",
-    "clear_plan_cache",
     "SuperBucketMember",
     "SuperBucket",
     "SuperBucketPlan",
@@ -172,14 +171,6 @@ def _evict_axis_plans(axis_id: int) -> None:
     _AXIS_FINALIZERS.pop(axis_id, None)
     for key in [key for key in _PLAN_CACHE if key[0] == axis_id]:
         del _PLAN_CACHE[key]
-
-
-def clear_plan_cache() -> None:
-    """Drop every cached plan (tests and memory-pressure escape hatch)."""
-    for finalizer in _AXIS_FINALIZERS.values():
-        finalizer.detach()
-    _AXIS_FINALIZERS.clear()
-    _PLAN_CACHE.clear()
 
 
 def cached_bucket_plan(axis: CompressedAxis,

@@ -101,6 +101,21 @@ def tiny_config():
 
 
 @pytest.fixture(scope="session")
+def rank_messages():
+    """The one traffic formula of a stats-mode distributed run, on either
+    link: the messages rank ``rank`` of ``n_ranks`` sends over ``sweeps``
+    sweeps, given its ``exchange`` frames per sweep (one per reader and
+    phase).  Per sweep it adds two allreduces (a contribution to rank 0
+    each, or rank 0's results to every other rank) and, off rank 0, its
+    eval frame; the final barrier adds one marker per peer."""
+    def count(rank, n_ranks, sweeps, exchange):
+        allreduce = 2 * (n_ranks - 1 if rank == 0 else 1)
+        return sweeps * (exchange + allreduce + (rank != 0)) + n_ranks - 1
+
+    return count
+
+
+@pytest.fixture(scope="session")
 def assert_same_chain():
     """Bitwise equality of every field of two ``BPMFResult``s."""
     def check(result, reference):

@@ -15,7 +15,8 @@ from repro.distributed.sampler import (
     DistributedOptions,
     Tag,
 )
-from repro.mpi.simmpi import SimComm, SimCommWorld
+from repro.mpi.simmpi import SimCommWorld
+from repro.mpi.world import Comm
 from repro.utils.validation import ValidationError
 
 
@@ -175,40 +176,41 @@ class TestDistributedDiagnostics:
             tiny_dataset.split.train.n_users + tiny_dataset.split.train.n_movies)
 
     def test_wire_traffic_is_pinned(self, tiny_dataset, tiny_config,
-                                    monkeypatch):
-        """Frame count, bytes and posting order of a fixed 3-rank run.
+                                    monkeypatch, rank_messages):
+        """Message count, bytes and posting order of a fixed 3-rank run.
 
-        Per sweep the frames are one exchange frame per communicating
-        (owner, reader) pair and phase plus one eval frame from each rank
-        but 0 (the stats-mode allreduces and the barrier log no
-        messages).  A change to the wire traffic must be deliberate: it
-        re-records these constants."""
+        Each rank sends what the one traffic formula of both links
+        (``rank_messages``) counts: exchange frames, allreduce messages,
+        eval frames and barrier markers.  A change to the traffic must be
+        deliberate: it re-records these constants."""
         sent = []
-        isend = SimComm.isend
+        isend = Comm.isend
 
         def recorded(comm, payload, dest, tag=0):
             sent.append((int(tag), payload))
             return isend(comm, payload, dest, tag)
 
-        monkeypatch.setattr(SimComm, "isend", recorded)
+        monkeypatch.setattr(Comm, "isend", recorded)
         world = SimCommWorld(3)
         _, info = DistributedGibbsSampler(
             tiny_config, DistributedOptions(n_ranks=3)
         ).run(tiny_dataset.split.train, tiny_dataset.split, seed=2,
               comm_world=world)
-        pairs = sum(int(np.count_nonzero(info.plan.items_between(phase)))
-                    for phase in ("movies", "users"))
-        assert info.n_messages == tiny_config.total_iterations * (pairs + 2)
-        assert info.n_messages == 112
-        assert info.bytes_sent == 33328
+        sweeps = tiny_config.total_iterations
+        exchange = sum(np.count_nonzero(info.plan.items_between(phase), axis=1)
+                       for phase in ("movies", "users"))
+        assert info.n_messages == sum(
+            rank_messages(rank, 3, sweeps, exchange[rank]) for rank in range(3))
+        assert info.n_messages == 182
+        assert info.bytes_sent == 40504
         ids = [payload[0] for tag, payload in sent
                if tag in (Tag.MOVIES, Tag.USERS)]
-        assert len(ids) == tiny_config.total_iterations * pairs
+        assert len(ids) == sweeps * exchange.sum()
         assert all(block.dtype == np.dtype("<i4") for block in ids)
         log = [(record.source, record.destination, int(record.tag),
                 record.n_bytes) for record in world.message_log]
         assert hashlib.sha256(repr(log).encode()).hexdigest() == (
-            "f93211fbca4499ffd27926dd9f33bf56617096a007359d8a1ec40178f34fba23")
+            "788d78b1213cf9eba6f66f858624708ecdc9717739e488d11b88d01ecea61260")
 
     def test_partition_can_be_supplied(self, tiny_dataset, tiny_config):
         from repro.distributed.partition import partition_ratings

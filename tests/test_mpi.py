@@ -109,18 +109,43 @@ class TestCollectives:
         result = world.comm(0).allreduce(np.array([2.0, 3.0]), key="solo")
         np.testing.assert_allclose(result, [2.0, 3.0])
 
-    def test_double_contribution_rejected(self):
-        world = SimCommWorld(2)
-        # Outside run() nobody else can contribute: like an unmatched recv.
-        with pytest.raises(ValidationError, match="would deadlock"):
-            world.comm(0).allreduce(np.zeros(2), key="k")
-        with pytest.raises(ValidationError, match="twice"):
-            world.comm(0).allreduce(np.zeros(2), key="k")
-
-    def test_mismatched_collective_keys_would_deadlock(self):
-        with pytest.raises(ValidationError, match="would deadlock"):
+    def test_mismatched_collective_keys_raise(self):
+        with pytest.raises(ValidationError, match="collective mismatch"):
             SimCommWorld(2).run(lambda comm: comm.allreduce(
                 np.zeros(2), key=f"key-{comm.rank}"))
+
+    def test_mismatched_collective_shapes_raise(self):
+        with pytest.raises(ValidationError, match="collective mismatch"):
+            SimCommWorld(2).run(lambda comm: comm.allreduce(
+                np.zeros(2 + comm.rank), key="k"))
+
+    def test_program_tags_must_not_be_negative(self):
+        """Negative tags carry the collectives; the program cannot post
+        or receive on them."""
+        comm = SimCommWorld(2).comm(0)
+        with pytest.raises(ValidationError, match="reserved"):
+            comm.isend("x", dest=1, tag=-1)
+        with pytest.raises(ValidationError, match="reserved"):
+            comm.recv(source=1, tag=-3)
+        assert comm.world.message_log == []
+
+    def test_collectives_are_logged_messages(self):
+        """An allreduce is one contribution to rank 0 and one result back
+        per other rank, a bcast one message per other rank, a barrier one
+        marker per ordered rank pair."""
+        world = SimCommWorld(3)
+
+        def program(comm):
+            comm.allreduce(np.ones(2), key="k")
+            comm.bcast("b" if comm.rank == 1 else None, root=1)
+            comm.barrier()
+
+        world.run(program)
+        tags = [record.tag for record in world.message_log]
+        assert tags.count(-1) == 2 * 2
+        assert tags.count(-2) == 2
+        assert tags.count(-3) == 3 * 2
+        assert world.pending_messages() == 0
 
     def test_bcast(self):
         results = SimCommWorld(3).run(lambda comm: comm.bcast(
@@ -130,8 +155,8 @@ class TestCollectives:
     def test_barrier_outside_run_is_the_same_collective(self):
         SimCommWorld(1).comm(0).barrier()  # a 1-rank world: nobody to wait for
         world = SimCommWorld(2)
-        # One thread of control, two ranks: rank 1 can never enter.  The
-        # second call fails the same way (not as a double contribution) ...
+        # One thread of control, two ranks: rank 1 can never send its
+        # marker.  A second call fails the same way ...
         for _ in range(2):
             with pytest.raises(ValidationError, match="would deadlock"):
                 world.comm(0).barrier()
@@ -179,16 +204,6 @@ class TestRun:
         assert trace == ["0:start", "1:start", "1:end", "2:start", "2:end",
                          ("0:got", "x"), "0:end"]
 
-    def test_barrier_resumes_the_ranks_in_rank_order(self):
-        order = []
-
-        def program(comm):
-            comm.barrier()  # the last rank to arrive completes it ...
-            order.append(comm.rank)  # ... but rank 0 is the first to leave
-
-        assert "error" not in _run_bounded(SimCommWorld(3), program)
-        assert order == [0, 1, 2]
-
     def test_unmatched_recv_raises_in_every_rank(self):
         raised = {}
 
@@ -231,7 +246,9 @@ class TestRun:
             world = SimCommWorld(4)
             results.append(_run_bounded(world, program)["results"])
             logs.append(world.message_log)
-        assert logs[0] == logs[1] and len(logs[0]) == 4 * 4 + 3
+        # 16 sends, 3 contributions and 3 results, 12 barrier markers and
+        # 3 bcast messages.
+        assert logs[0] == logs[1] and len(logs[0]) == 16 + 6 + 12 + 3
         assert results[0] == results[1]
         assert world.pending_messages() == 0
 

@@ -10,6 +10,7 @@ final test crosses real process boundaries via the launcher.
 from __future__ import annotations
 
 import json
+import socket
 import subprocess
 import sys
 import threading
@@ -29,13 +30,21 @@ from repro.distributed.sampler import (
 from repro.distributed.spmd import run_local_socket_world
 from repro.mpi.net import (
     MpiTransportError,
-    SocketComm,
+    SocketCommWorld,
     free_port,
     start_local_world,
 )
+from repro.mpi.simmpi import SimCommWorld
+from repro.mpi.world import Comm
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.serving.chaos.plan import FaultEvent, FaultInjector, FaultPlan
+from repro.serving.net.protocol import (
+    Frame,
+    FrameDecoder,
+    ProtocolError,
+    encode_frame,
+)
 from repro.utils.validation import ValidationError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -143,7 +152,7 @@ class TestVerbs:
         assert results[1] == ["b", "a", "c"]
 
     def test_allreduce_matches_simcomm_association(self, world_quad):
-        # Same contributions through SimComm's rank-order sum.
+        # Same contributions through the rank-order sum.
         contributions = [np.array([0.1, 1 / 3]) * (rank + 1)
                         for rank in range(4)]
         expected = sum(contributions[1:], start=contributions[0].copy())
@@ -177,7 +186,7 @@ class TestVerbs:
             worlds[1].abort("simulated crash")  # dies without a goodbye
 
             def blocked():
-                return worlds[0].comm().recv(source=1, tag=1, timeout=20.0)
+                return worlds[0].comm().recv(source=1, tag=1)
 
             with pytest.raises(MpiTransportError):
                 blocked()
@@ -195,7 +204,7 @@ class TestVerbs:
             worlds[1]._peers[0].sock.sendall(wrapped_array_frame)
             with pytest.raises(MpiTransportError,
                                match="truncates an array"):
-                worlds[0].comm().recv(source=1, tag=1, timeout=20.0)
+                worlds[0].comm().recv(source=1, tag=1)
         finally:
             for world in worlds:
                 world.close()
@@ -205,8 +214,6 @@ class TestVerbs:
         the receiver thread records the failure before it exits, so the
         blocked recv raises MpiTransportError at once — not the
         MpiTimeoutError of waiting out the 30 s op_timeout."""
-        from repro.serving.net.protocol import Frame, encode_frame
-
         worlds = start_local_world(2, op_timeout=30.0)
         try:
             worlds[1]._peers[0].sock.sendall(encode_frame(
@@ -224,16 +231,13 @@ class TestVerbs:
         """A frame is filed under the rank at the other end of the link it
         arrived on: an envelope arriving on rank 1's link that claims
         ``"src": 2`` is still rank 1's message."""
-        from repro.serving.net.protocol import Frame, encode_frame
-
         worlds = start_local_world(3, op_timeout=30.0)
         try:
             worlds[1]._peers[0].sock.sendall(encode_frame(
                 Frame("mpi_msg", {"src": 2, "dst": 0, "tag": 7, "seq": 0,
                                   "epoch": 0, "data": "via-link-1"}),
                 binary=True))
-            assert worlds[0].comm().recv(source=1, tag=7,
-                                         timeout=10.0) == "via-link-1"
+            assert worlds[0].comm().recv(source=1, tag=7) == "via-link-1"
             assert worlds[0].pending_messages() == 0
         finally:
             for world in worlds:
@@ -244,7 +248,6 @@ class TestVerbs:
         dialling ahead of a slow rank 0 queue in its backlog instead of
         being refused and sleeping out a retry."""
         import repro.mpi.net.world as world_module
-        from repro.mpi.net.world import SocketCommWorld
 
         rendezvous = SocketCommWorld._rendezvous
 
@@ -283,6 +286,83 @@ class TestVerbs:
 
         results = run_on_ranks(world_pair, body)
         assert results == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# handshake: hellos come from outside the program
+# ---------------------------------------------------------------------------
+
+def _join_rank_zero(n_ranks):
+    """Rank 0's join on a side thread: ``(rendezvous address, outcome,
+    thread)``; ``outcome`` gets the world or the error."""
+    server = socket.create_server(("127.0.0.1", 0))
+    address = server.getsockname()[:2]
+    outcome = {}
+
+    def join():
+        try:
+            outcome["world"] = SocketCommWorld._join(
+                0, n_ranks, address, 5.0, None, 5.0, server=server)
+        except BaseException as error:  # asserted by the test
+            outcome["error"] = error
+
+    thread = threading.Thread(target=join, daemon=True)
+    thread.start()
+    return address, outcome, thread
+
+
+def _say_hello(address, payload):
+    sock = socket.create_connection(address, timeout=10.0)
+    sock.sendall(encode_frame(Frame("mpi_hello", payload)))
+    return sock
+
+
+def _closed_by_peer(sock):
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+    finally:
+        sock.close()
+
+
+class TestHandshake:
+    """Rank 0 refuses a malformed, out-of-range or duplicate hello with
+    :class:`ProtocolError` at once, and closes every socket it accepted."""
+
+    @pytest.mark.parametrize("hellos", [
+        [{"rank": 1, "port": 9}],
+        [{"rank": 1, "host": "127.0.0.1", "port": "9"}],
+        [{"rank": 0, "host": "127.0.0.1", "port": 9}],
+        [{"rank": 3, "host": "127.0.0.1", "port": 9}],
+        [{"rank": 1, "host": "127.0.0.1", "port": 9},
+         {"rank": 1, "host": "127.0.0.1", "port": 9}],
+    ], ids=["no-host", "str-port", "own-rank", "out-of-range", "duplicate"])
+    def test_rendezvous_refuses_a_bad_hello(self, hellos):
+        address, outcome, thread = _join_rank_zero(3)
+        socks = [_say_hello(address, hello) for hello in hellos]
+        thread.join(timeout=4.0)
+        assert isinstance(outcome.get("error"), ProtocolError), outcome
+        assert all(_closed_by_peer(sock) for sock in socks)
+
+    @pytest.mark.parametrize("n_ranks, mesh_ranks", [
+        (2, [7]), (2, [0]), (3, [1, 1]),
+    ], ids=["out-of-range", "lower-rank", "duplicate"])
+    def test_mesh_refuses_a_bad_hello(self, n_ranks, mesh_ranks):
+        address, outcome, thread = _join_rank_zero(n_ranks)
+        rendezvous = [_say_hello(address, {"rank": rank, "host": "127.0.0.1",
+                                           "port": 9})
+                      for rank in range(1, n_ranks)]
+        decoder, frames = FrameDecoder(), []
+        while not frames:
+            frames = decoder.feed(rendezvous[0].recv(1 << 16))
+        for sock in rendezvous:
+            sock.close()
+        rank_zero = tuple(frames[0].payload["peers"]["0"])
+        socks = [_say_hello(rank_zero, {"rank": rank}) for rank in mesh_ranks]
+        thread.join(timeout=4.0)
+        assert isinstance(outcome.get("error"), ProtocolError), outcome
+        assert all(_closed_by_peer(sock) for sock in socks)
 
 
 # ---------------------------------------------------------------------------
@@ -338,23 +418,52 @@ class TestTrainingParity:
         # Traffic flowed over real sockets.
         assert info.n_messages > 0 and info.bytes_sent > 0
 
-    def test_socket_traffic_is_pinned(self, tiny_dataset, monkeypatch):
-        """Per-rank frames and wire bytes of a fixed 2-rank socket run.
+    def test_both_links_log_the_same_messages(self, tiny_dataset):
+        """One program, one traffic log: every socket rank sends the
+        ``(destination, tag, n_bytes)`` sequence the in-memory link logs
+        for that source, collectives included, and the chains agree."""
+        sim = SimCommWorld(2)
+        reference, _ = DistributedGibbsSampler(
+            _config(), DistributedOptions(n_ranks=2)).run(
+            tiny_dataset.split.train, tiny_dataset.split, seed=11,
+            comm_world=sim)
+        worlds = start_local_world(2, op_timeout=30.0)
+        try:
+            outcomes = run_on_ranks(worlds, lambda rank, comm: (
+                DistributedGibbsSampler(
+                    _config(), DistributedOptions(n_ranks=2)).run(
+                    tiny_dataset.split.train, tiny_dataset.split, seed=11,
+                    comm_world=worlds[rank])))
+        finally:
+            for world in worlds:
+                world.close()
+        assert np.array_equal(outcomes[0][0].state.user_factors,
+                              reference.state.user_factors)
+        for rank, world in enumerate(worlds):
+            sent = [(record.destination, record.tag, record.n_bytes)
+                    for record in world.message_log]
+            assert sent == [(record.destination, record.tag, record.n_bytes)
+                            for record in sim.message_log
+                            if record.source == rank]
+            assert {record.source for record in world.message_log} == {rank}
+            assert outcomes[rank][1].n_messages == len(sent)
 
-        Per sweep each rank sends one exchange frame per reader and phase
-        and its two allreduce frames (rank 1 its contributions, rank 0
-        the results); rank 1 adds its eval frame, and each rank one flush
-        marker for the final barrier.  A change to the wire traffic must
-        be deliberate: it re-records these constants."""
+    def test_socket_traffic_is_pinned(self, tiny_dataset, monkeypatch,
+                                      rank_messages):
+        """Per-rank messages and wire bytes of a fixed 2-rank socket run.
+
+        The message counts are the one traffic formula of both links
+        (``rank_messages``).  A change to the wire traffic must be
+        deliberate: it re-records the byte constants."""
         ids = []
-        isend = SocketComm.isend
+        isend = Comm.isend
 
         def recorded(comm, payload, dest, tag=0):
             if tag in (Tag.MOVIES, Tag.USERS):
                 ids.append(payload[0].dtype)
             return isend(comm, payload, dest, tag)
 
-        monkeypatch.setattr(SocketComm, "isend", recorded)
+        monkeypatch.setattr(Comm, "isend", recorded)
         outcomes = run_local_socket_world(
             lambda: DistributedGibbsSampler(
                 _config(), DistributedOptions(n_ranks=2)),
@@ -363,9 +472,9 @@ class TestTrainingParity:
         exchange = sum(np.count_nonzero(plan.items_between(phase), axis=1)
                        for phase in ("movies", "users"))
         assert [info.n_messages for _, info in outcomes] == [
-            sweeps * (exchange[rank] + 2 + rank) + 1 for rank in (0, 1)]
+            rank_messages(rank, 2, sweeps, exchange[rank]) for rank in (0, 1)]
         assert [info.n_messages for _, info in outcomes] == [21, 26]
-        assert [info.bytes_sent for _, info in outcomes] == [7942, 10053]
+        assert [info.bytes_sent for _, info in outcomes] == [7496, 9792]
         assert len(ids) == sweeps * exchange.sum()
         assert set(ids) == {np.dtype("<i4")}
 

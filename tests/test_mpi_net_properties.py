@@ -1,4 +1,4 @@
-"""Hypothesis verb parity: SimComm and SocketComm match identically.
+"""Hypothesis verb parity: the in-memory and socket links match.
 
 Random round-structured programs — tagged sends, a barrier, then
 per-rank ``(source, tag)`` receive descriptors drawn from the round's
@@ -19,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mpi.net import start_local_world
 from repro.mpi.simmpi import SimCommWorld
+from repro.mpi.world import ALLREDUCE, BARRIER, BCAST, BYE
+from repro.utils.validation import ValidationError
 
 # Socket worlds spin up real listeners per example; keep the count modest
 # and the deadline off (connect latency is environment noise).
@@ -173,30 +175,38 @@ def test_allreduce_bitwise_matches_sim(n_ranks, values):
 _ENVELOPE_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 5),
     st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4),
-    st.lists(st.integers(0, 3), max_size=2))
+    st.lists(st.integers(0, 3), max_size=2),
+    st.lists(st.floats(-4.0, 4.0, width=32), max_size=3).map(np.array))
+#: What a reserved tag may carry: anything, or an allreduce-shaped pair
+#: whose key may or may not be the receiving rank's.
+_RESERVED_DATA = st.one_of(
+    _ENVELOPE_VALUES,
+    st.tuples(st.sampled_from(["k", "x"]), _ENVELOPE_VALUES))
 _SENTINEL_TAG = 2 ** 40
 
 
 @st.composite
 def envelopes(draw):
-    """``(kind, payload)`` of an ``mpi_msg`` / ``mpi_ctl`` frame."""
-    kind = draw(st.sampled_from(["mpi_msg", "mpi_ctl"]))
-    keys = draw(st.sets(st.sampled_from(
-        ["src", "tag", "cseq", "key", "data"])))
+    """``(kind, payload)`` of a frame on a data link: an ``mpi_msg`` with
+    any envelope, half the time on a reserved tag (in use or not) with
+    any data, or a handshake ``mpi_hello`` out of place."""
+    kind = draw(st.sampled_from(["mpi_msg", "mpi_msg", "mpi_hello"]))
+    keys = draw(st.sets(st.sampled_from(["src", "tag", "data"])))
     payload = {key: draw(_ENVELOPE_VALUES) for key in keys}
     if draw(st.booleans()):
-        payload["ctl"] = draw(st.one_of(
-            st.sampled_from(["flush", "coll", "bye"]), _ENVELOPE_VALUES))
+        payload["tag"] = draw(st.integers(BYE - 2, ALLREDUCE))
+        payload["data"] = draw(_RESERVED_DATA)
     return kind, payload
 
 
 @given(envelopes())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_any_envelope_dispatches_or_fails_the_link(envelope):
-    """Any dict envelope of either kind is filed or fails the link; the
-    receiver thread never dies with the world's failure unset (a blocked
-    verb would then wait out its timeout).  A well-formed sentinel sent
-    behind it tells "filed" from "failed"."""
+    """Any dict envelope is filed or fails the link; the receiver thread
+    never dies with the world's failure unset (a blocked verb would then
+    wait out its timeout).  A well-formed sentinel sent behind it tells
+    "filed" from "failed".  A filed collective message completes its
+    collective on the receiving rank or is refused as a mismatch."""
     import socket
 
     from repro.mpi.net import MpiTransportError, SocketCommWorld
@@ -211,12 +221,24 @@ def test_any_envelope_dispatches_or_fails_the_link(envelope):
                        + encode_frame(Frame("mpi_msg", {
                            "tag": _SENTINEL_TAG, "data": "sentinel"}),
                            binary=True))
+        comm = world.comm()
         try:
-            world.comm().recv(source=1, tag=_SENTINEL_TAG)
+            comm.recv(source=1, tag=_SENTINEL_TAG)
         except MpiTransportError:
             world._threads[0].join(timeout=5.0)
             assert not world._threads[0].is_alive()
-        assert world._threads[0].is_alive() or world._failure is not None
+            assert world._failure is not None
+            return
+        tag = payload.get("tag")
+        collective = {ALLREDUCE: lambda: comm.allreduce(np.zeros(2), key="k"),
+                      BCAST: lambda: comm.bcast(None, root=1),
+                      BARRIER: comm.barrier}
+        if kind == "mpi_msg" and type(tag) is int and tag in collective:
+            try:
+                collective[tag]()
+            except ValidationError as error:
+                assert tag == ALLREDUCE and "collective mismatch" in str(error)
+        assert world._threads[0].is_alive()
     finally:
         world.close()
         theirs.close()

@@ -10,15 +10,19 @@ or rank count — must produce the same ``BPMFResult`` bit for bit, call
 from __future__ import annotations
 
 import copy
+import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.gibbs import GibbsSampler, SamplerOptions
 from repro.core.priors import BPMFConfig
 from repro.distributed.sampler import DistributedGibbsSampler, DistributedOptions
 from repro.distributed.spmd import run_local_socket_world
 from repro.core.checkpoint import CheckpointConfig
+from repro.mpi.simmpi import SimCommWorld, _Turns
 
 SEED = 8
 
@@ -150,3 +154,41 @@ def test_checkpoint_resumes_across_rank_counts(saved_on, resumed_on,
         resumed, _ = DistributedGibbsSampler(tiny_config, DistributedOptions(
             n_ranks=2, hyper_mode="gather")).run(train, split, resume=path)
     assert_same_chain(resumed, sequential[0])
+
+
+def _sim_chain(data):
+    """A 2-rank stats-mode chain on the in-memory link and what each
+    rank sent: ``(result, {rank: [(destination, tag, n_bytes), ...]})``."""
+    world = SimCommWorld(2)
+    result, _ = DistributedGibbsSampler(HALF, DistributedOptions(
+        n_ranks=2)).run(data.split.train, data.split, seed=SEED,
+                        comm_world=world)
+    return result, {rank: [(record.destination, record.tag, record.n_bytes)
+                           for record in world.message_log
+                           if record.source == rank] for rank in (0, 1)}
+
+
+@pytest.fixture(scope="module")
+def default_interleaving(tiny_dataset):
+    return _sim_chain(tiny_dataset)
+
+
+@given(choices=st.lists(st.integers(0, 7), min_size=1, max_size=32))
+@settings(max_examples=20, deadline=None)
+def test_any_legal_interleaving_gives_one_chain(choices, tiny_dataset,
+                                                default_interleaving,
+                                                assert_same_chain):
+    """The in-memory link may hand the turn, after a post, to any
+    unfinished rank and, after a block, to any rank that has not blocked
+    since the last post.  Whatever it picks (drawn here), the chain and
+    every rank's sends are those of the default rank-order schedule."""
+    stream = itertools.cycle(choices)
+
+    def drawn(turns, rank, candidates):
+        return candidates[next(stream) % len(candidates)]
+
+    with mock.patch.object(_Turns, "_pick", drawn):
+        result, sent = _sim_chain(tiny_dataset)
+    reference, reference_sent = default_interleaving
+    assert_same_chain(result, reference)
+    assert sent == reference_sent
