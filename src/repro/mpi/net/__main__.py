@@ -47,6 +47,7 @@ import numpy as np
 from repro.mpi.net.world import (
     MpiNetError,
     MpiTransportError,
+    ProtocolError,
     SocketCommWorld,
     free_port,
 )
@@ -186,7 +187,7 @@ def run_rank(args) -> int:
             args.rank, args.world, args.rendezvous,
             timeout=args.connect_timeout, injector=injector,
             op_timeout=args.op_timeout)
-    except (MpiNetError, OSError, ValidationError) as error:
+    except (MpiNetError, OSError, ValidationError, ProtocolError) as error:
         report["error"] = f"{type(error).__name__}: {error}"
         report["ok"] = False
         _write_rank_report(args, report, started)

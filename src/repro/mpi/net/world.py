@@ -114,6 +114,28 @@ def _hello_rank(hello: Frame, n_ranks: int, above: int,
     return rank
 
 
+def _address_map(reply: Frame, n_ranks: int) -> Dict[int, Tuple[str, int]]:
+    """Rank 0's rendezvous reply as ``{rank: (host, port)}``: exactly the
+    ranks ``0..n_ranks-1``, each an ``[str host, int port]`` pair, or
+    :class:`ProtocolError`."""
+    peers = reply.payload.get("peers") if reply.kind == "mpi_hello" else None
+    if not isinstance(peers, dict) \
+            or set(peers) != {str(rank) for rank in range(n_ranks)}:
+        raise ProtocolError(f"malformed rendezvous reply: {reply.payload}")
+    addresses = {}
+    for key, entry in peers.items():
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], str)):
+            raise ProtocolError(f"rendezvous reply names rank {key} at "
+                                f"{entry!r}, not [host, port]")
+        port, = _int_fields({"port": entry[1]}, ("port",), "rendezvous")
+        if not 0 < port < 65536:
+            raise ProtocolError(f"rendezvous reply names rank {key} at "
+                                f"port {port}")
+        addresses[int(key)] = (entry[0], port)
+    return addresses
+
+
 class _Peer:
     """One framed link: the socket, its decoder, the frames decoded but
     not yet handled, and its traffic counters."""
@@ -339,11 +361,7 @@ class SocketCommWorld(CommWorld):
             reply = _Peer(0, sock).read_frame(deadline)
         finally:
             sock.close()
-        peers = reply.payload.get("peers")
-        if not isinstance(peers, dict) or len(peers) != n_ranks:
-            raise ProtocolError(f"malformed rendezvous reply: {reply.payload}")
-        return {int(r): (str(addr[0]), int(addr[1]))
-                for r, addr in peers.items()}
+        return _address_map(reply, n_ranks)
 
     # -- rank handle -------------------------------------------------------
 

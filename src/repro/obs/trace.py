@@ -10,19 +10,25 @@ appended to a JSONL sink file.
 
 Two propagation mechanisms, deliberately distinct:
 
-* **Across the wire / across tasks** — explicit: a span's
-  :meth:`Span.context` is stamped into the outgoing frame payload
-  (:meth:`TraceContext.to_wire`) and the receiving side parents its
-  spans on :meth:`TraceContext.from_wire`.  Asyncio code always uses
-  this form; thread-locals cannot follow interleaved coroutines.
-* **Down a synchronous call chain** — implicit: entering a span (``with
-  tracer.start(...)``) makes it the thread's *active* span, so deeper
-  layers that were never handed a tracer (the WAL log inside a commit,
-  the sharded scorer inside a fused dispatch, a chaos shim firing a
-  fault) can attach children via :func:`maybe_span` or annotate the
-  current span via :func:`annotate_active` with zero configuration.
-  When no span is active both are no-ops costing one thread-local read
-  — which is what keeps tracing-disabled serving at full speed.
+* **Across the wire** — explicit: a span's :meth:`Span.context` is
+  stamped into the outgoing frame payload (:meth:`TraceContext.to_wire`)
+  and the receiving side parents its spans on
+  :meth:`TraceContext.from_wire`.
+* **Down a call chain** — implicit: entering a span (``with
+  tracer.start(...)``) makes it the *active* span of the current
+  :mod:`contextvars` context, so deeper layers that were never handed a
+  tracer (the WAL log inside a commit, the sharded scorer inside a fused
+  dispatch, a chaos shim firing a fault) can attach children via
+  :func:`maybe_span` or annotate the current span via
+  :func:`annotate_active` with zero configuration.  Every asyncio task
+  runs in its own copy of the context, so commits interleaved on one
+  event loop keep separate active spans across every ``await``, and
+  work handed to a thread with the context copied (``asyncio.to_thread``,
+  or ``contextvars.copy_context().run`` on an executor: the WAL append,
+  the sharded scorer's calls) still sees the span that handed it over.
+  A plain new thread starts with no active span.  When no span is
+  active both helpers are no-ops costing one context-variable read —
+  which is what keeps tracing-disabled serving at full speed.
 
 Ids are random hex (:mod:`secrets`): 16 bytes for trace ids, 8 for span
 ids.  Timestamps are wall-clock (``time.time``) for cross-host
@@ -32,6 +38,7 @@ immune to clock steps.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 import secrets
@@ -92,12 +99,14 @@ class TraceContext:
         return f"TraceContext({self.trace_id[:8]}…/{self.span_id[:8]}…)"
 
 
-_ACTIVE = threading.local()
+_ACTIVE: "contextvars.ContextVar[Optional[Span]]" = contextvars.ContextVar(
+    "repro_active_span", default=None)
 
 
 def active_span() -> Optional["Span"]:
-    """The span currently entered on this thread, if any."""
-    return getattr(_ACTIVE, "span", None)
+    """The span currently entered in this context (task or thread), if
+    any."""
+    return _ACTIVE.get()
 
 
 def annotate_active(key: str, value) -> None:
@@ -114,21 +123,21 @@ def annotate_active(key: str, value) -> None:
 
 @contextmanager
 def activated(span) -> Iterator[None]:
-    """Make ``span`` the thread's active span for a block that never
-    awaits, without finishing it (leaving ``with span`` does).
+    """Make ``span`` the active span for a block, without finishing it
+    (leaving ``with span`` does).
 
-    This is how asyncio code lets a synchronous hook — a chaos fault
-    site — annotate the span of the request it runs for, without the
-    span leaking to coroutines interleaved at an ``await``.  The inert
-    :data:`NULL_SPAN` activates nothing.
+    This is how the client lets a synchronous hook — a chaos fault site
+    — annotate the attempt span it runs for, while the attempt span
+    itself is finished by the attempt.  The inert :data:`NULL_SPAN`
+    activates nothing.
     """
     previous = active_span()
     if isinstance(span, Span):
-        _ACTIVE.span = span
+        _ACTIVE.set(span)
     try:
         yield
     finally:
-        _ACTIVE.span = previous
+        _ACTIVE.set(previous)
 
 
 class _NullSpan:
@@ -164,8 +173,8 @@ def maybe_span(name: str, **attrs) -> Union["Span", _NullSpan]:
 
     The zero-configuration instrumentation point for layers below the
     transport (WAL log, sharded scorer): when a traced request is live
-    on this thread the child attaches to it; otherwise the cost is one
-    thread-local read.
+    in this context the child attaches to it; otherwise the cost is one
+    context-variable read.
     """
     parent = active_span()
     if parent is None:
@@ -176,7 +185,7 @@ def maybe_span(name: str, **attrs) -> Union["Span", _NullSpan]:
 class Span:
     """One timed operation within a trace (use as a context manager).
 
-    Entering makes it the thread's active span; exiting restores the
+    Entering makes it the context's active span; exiting restores the
     previous one and records the span into its tracer.  ``finish`` is
     idempotent, so explicitly-managed spans (asyncio paths) may call it
     directly without ``with``.
@@ -229,12 +238,12 @@ class Span:
                             else measured)
 
     def __enter__(self) -> "Span":
-        self._previous = active_span()
-        _ACTIVE.span = self
+        self._previous = _ACTIVE.get()
+        _ACTIVE.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _ACTIVE.span = self._previous
+        _ACTIVE.set(self._previous)
         self._previous = None
         if exc is not None and "error" not in self.attrs:
             self.attrs["error"] = repr(exc)

@@ -6,7 +6,7 @@
   deterministic given the same call sequence).
 * :mod:`repro.serving.chaos.shims` — the hooks a plan drives:
   :class:`ChaosStream` on the serving client's connections and
-  :class:`ChaosSocket` on WAL shipping and socket-world MPI links
+  :class:`ChaosSocket` on socket-world MPI links
   (delay / drop / reset / slow-read on scheduled frames), the WAL
   filesystem faults (driven through
   :meth:`~repro.serving.wal.log.WriteAheadLog.append`), and

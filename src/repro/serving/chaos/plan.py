@@ -43,7 +43,7 @@ __all__ = ["FaultEvent", "FleetEvent", "FaultPlan", "FaultInjector",
 #: Injection sites and the fault actions each supports.  ``arg`` units
 #: depend on the action: seconds for delays/pauses, unused otherwise.
 SITE_ACTIONS: Dict[str, Tuple[str, ...]] = {
-    # Socket shims: ChaosStream (client), ChaosSocket (WAL/MPI links).
+    # Socket shims: ChaosStream (client), ChaosSocket (MPI links).
     "net.connect": ("fail", "delay"),
     "net.send": ("delay", "drop", "reset"),
     "net.recv": ("delay", "slow", "drop", "reset"),
@@ -59,7 +59,7 @@ FLEET_ACTIONS: Tuple[str, ...] = ("kill", "pause")
 _ARG_RANGES = {
     "delay": (0.002, 0.03),
     "kill": (0.2, 0.8),    # downtime before the conductor restarts it
-    "pause": (0.1, 0.5),   # gateway-executor stall length
+    "pause": (0.1, 0.5),   # gateway stall length
 }
 
 

@@ -10,7 +10,7 @@ Four hook families, matching the plan's site names:
   (``slow`` — which also exercises the frame decoder's
   partial-reassembly path).
 * :class:`ChaosSocket` — the same ``net.send``/``net.recv`` faults on a
-  blocking socket: a WAL shipping link or a socket-world MPI link.
+  blocking socket: a socket-world MPI link.
 * The WAL filesystem faults (``wal.append``/``wal.fsync``) live inside
   :meth:`~repro.serving.wal.log.WriteAheadLog.append` itself — they
   must manipulate the segment file mid-append — but are driven by the
@@ -145,8 +145,8 @@ class ChaosStream:
 class ChaosSocket:
     """A blocking socket proxy that executes scheduled socket faults.
 
-    Wraps an already-connected socket; every method the WAL shipping
-    links and the socket-world MPI links use is forwarded, with
+    Wraps an already-connected socket; every method the socket-world
+    MPI links use is forwarded, with
     ``sendall`` and ``recv`` consulting the injector first.  Faults
     mimic real failure modes:
 

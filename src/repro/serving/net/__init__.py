@@ -9,7 +9,7 @@ this package turns them into a networked service:
   (stdlib ``struct``), one parser and one executor shared by the TCP
   transport *and* the stdin REPL.  Serving connections ship ndarray
   vectors as raw little-endian blocks (the binary payload form); the
-  JSON form remains for the WAL link and the MPI handshake hellos;
+  JSON form remains for the MPI handshake hellos;
 * :mod:`repro.serving.net.server` — :class:`NetServer`: asyncio TCP
   server with a protocol-version handshake, bounded in-flight requests,
   concurrent service of id-tagged (pipelined) requests, graceful

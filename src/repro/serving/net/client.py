@@ -221,10 +221,13 @@ class _AsyncConnection:
     """One open stream plus the id-keyed reply dispatch state.
 
     ``pending`` maps request ids to reply futures; the hello reply, the
-    one frame without an id, resolves the ``None`` entry.
+    one frame without an id, resolves the ``None`` entry.  The serving
+    client and the WAL coordinators' links (:mod:`repro.serving.wal.
+    shipper`) both speak through :meth:`roundtrip`.
     """
 
-    __slots__ = ("reader", "writer", "decoder", "pending", "reader_task")
+    __slots__ = ("reader", "writer", "decoder", "pending", "reader_task",
+                 "next_id")
 
     def __init__(self, reader, writer):
         self.reader = reader
@@ -232,9 +235,45 @@ class _AsyncConnection:
         self.decoder = FrameDecoder()
         self.pending: Dict[Optional[int], asyncio.Future] = {}
         self.reader_task: Optional[asyncio.Task] = None
+        self.next_id = 0
 
     def send(self, data: bytes, span) -> None:
         self.writer.write(data)
+
+    async def roundtrip(self, frame: Frame, timeout: float,
+                        span=NULL_SPAN) -> Frame:
+        """Send one id-tagged request and await its reply.
+
+        One deadline covers the whole round-trip: a single loop timer
+        fails the reply future with :class:`asyncio.TimeoutError` when
+        it fires, and is cancelled when the reply lands first.
+        ``drain()`` is awaited only while the transport's write buffer
+        is non-empty (the socket refused part of the frame), and then
+        under the same deadline.
+        """
+        request_id = self.next_id
+        self.next_id += 1
+        frame.payload["id"] = request_id
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        self.pending[request_id] = future
+        timer = loop.call_later(timeout, _expire, future)
+        try:
+            self.send(encode_frame(frame, binary=True), span)
+            if self.writer.transport.get_write_buffer_size():
+                await asyncio.wait_for(self.writer.drain(),
+                                       timeout=timer.when() - loop.time())
+            reply = await future
+        except BaseException:
+            abandoned = self.pending.pop(request_id, None)
+            if (abandoned is not None and abandoned.done()
+                    and not abandoned.cancelled()):
+                abandoned.exception()  # mark retrieved
+            raise
+        finally:
+            timer.cancel()
+        reply.payload.pop("id", None)
+        return reply
 
     async def close(self) -> None:
         self.reader_task.cancel()
@@ -247,6 +286,39 @@ class _AsyncConnection:
             await self.writer.wait_closed()
         except (OSError, ConnectionError):  # pragma: no cover
             pass
+
+
+async def dial(host: str, port: int, fault_injector=None,
+               span=NULL_SPAN) -> _AsyncConnection:
+    """Open one connection and complete its hello.
+
+    With a fault injector the stream goes through the chaos shims
+    (:func:`~repro.serving.chaos.shims.open_chaos_stream`).  A refused
+    handshake raises :class:`NetError`; the caller bounds the wait.
+    """
+    if fault_injector is None:
+        connection = _AsyncConnection(
+            *await asyncio.open_connection(host, port))
+    else:
+        from repro.serving.chaos.shims import open_chaos_stream
+        stream = await open_chaos_stream(host, port, fault_injector, span)
+        connection = _ChaosConnection(stream, stream)
+    loop = asyncio.get_running_loop()
+    hello = connection.pending[None] = loop.create_future()
+    connection.reader_task = loop.create_task(_read_loop(connection))
+    try:
+        connection.send(encode_frame(hello_frame(), binary=True), span)
+        reply = await hello
+        if reply.is_error:
+            raise NetError(
+                f"replica {(host, port)} refused the handshake: "
+                f"{reply.payload.get('message')}")
+        if connection.reader_task.done():
+            raise ConnectionError("connection closed after the hello")
+    except BaseException:
+        await connection.close()
+        raise
+    return connection
 
 
 class _ChaosConnection(_AsyncConnection):
@@ -341,7 +413,6 @@ class AsyncServingClient:
         self._fault_injector = fault_injector
         self._connections: Dict[int, _AsyncConnection] = {}
         self._dials: Dict[int, asyncio.Future] = {}
-        self._next_id = 0
         # write_ids must be unique per *logical* write across every
         # client instance that could retry it: a random prefix plus a
         # local counter, never reused between calls.
@@ -376,30 +447,8 @@ class AsyncServingClient:
         return await asyncio.wait_for(asyncio.shield(dial), timeout=wait)
 
     async def _dial(self, index: int, span) -> _AsyncConnection:
-        host, port = self._ring.addresses[index]
-        if self._fault_injector is None:
-            connection = _AsyncConnection(
-                *await asyncio.open_connection(host, port))
-        else:
-            from repro.serving.chaos.shims import open_chaos_stream
-            stream = await open_chaos_stream(host, port,
-                                             self._fault_injector, span)
-            connection = _ChaosConnection(stream, stream)
-        loop = asyncio.get_running_loop()
-        hello = connection.pending[None] = loop.create_future()
-        connection.reader_task = loop.create_task(_read_loop(connection))
-        try:
-            connection.send(encode_frame(hello_frame(), binary=True), span)
-            reply = await hello
-            if reply.is_error:
-                raise NetError(
-                    f"replica {self._ring.addresses[index]} refused the "
-                    f"handshake: {reply.payload.get('message')}")
-            if connection.reader_task.done():
-                raise ConnectionError("connection closed after the hello")
-        except BaseException:
-            await connection.close()
-            raise
+        connection = await dial(*self._ring.addresses[index],
+                                self._fault_injector, span)
         self._connections[index] = connection
         return connection
 
@@ -409,44 +458,6 @@ class AsyncServingClient:
         if self._connections.get(index) is connection:
             del self._connections[index]
         await connection.close()
-
-    async def _roundtrip(self, connection: _AsyncConnection, frame: Frame,
-                         timeout: Optional[float] = None,
-                         span=NULL_SPAN) -> Frame:
-        """Send one id-tagged request and await its reply.
-
-        One deadline covers the whole round-trip: a single loop timer
-        fails the reply future with :class:`asyncio.TimeoutError` when
-        it fires, and is cancelled when the reply lands first.
-        ``drain()`` is awaited only while the transport's write buffer
-        is non-empty (the socket refused part of the frame), and then
-        under the same deadline.
-        """
-        wait = self.timeout if timeout is None else float(timeout)
-        request_id = self._next_id
-        self._next_id += 1
-        frame.payload["id"] = request_id
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        connection.pending[request_id] = future
-        timer = loop.call_later(wait, _expire, future)
-        try:
-            connection.send(encode_frame(frame, binary=True), span)
-            writer = connection.writer
-            if writer.transport.get_write_buffer_size():
-                await asyncio.wait_for(writer.drain(),
-                                       timeout=timer.when() - loop.time())
-            reply = await future
-        except BaseException:
-            abandoned = connection.pending.pop(request_id, None)
-            if (abandoned is not None and abandoned.done()
-                    and not abandoned.cancelled()):
-                abandoned.exception()  # mark retrieved
-            raise
-        finally:
-            timer.cancel()
-        reply.payload.pop("id", None)
-        return reply
 
     # -- failover policy ---------------------------------------------------
 
@@ -503,9 +514,8 @@ class AsyncServingClient:
                 if root is not None:
                     frame.payload["trace"] = span.context().to_wire()
                 try:
-                    reply = await self._roundtrip(
-                        connection, frame,
-                        deadline.wait(frame, base_timeout), span)
+                    reply = await connection.roundtrip(
+                        frame, deadline.wait(frame, base_timeout), span)
                 except _TRANSPORT_ERRORS as error:
                     span.annotate("error", repr(error))
                     await self._drop(index, connection)

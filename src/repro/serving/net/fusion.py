@@ -18,17 +18,13 @@ the moment it completes — natural batching under load, zero added
 latency when idle.  ``window_ms`` is the fallback timer bounding how
 long an accumulating window can wait if completion flushing is delayed.
 
-Where a window is scored depends on the gateway.  Every batch call
-holds the gateway ``lock`` when one is given (the server's, the rule
-that serializes gateway state).  An in-process gateway gets that lock:
-at flush time the fuser *tries* it without blocking, and if it is free
-the window is scored inline on the event loop, skipping the
-loop -> executor -> loop round trip; if a commit, an apply or a stall
-holds it, the window goes to the executor as before and queues behind
-the holder.  The loop therefore never waits on the lock.  A gateway that
-blocks on worker IPC (:class:`~repro.serving.cluster.ShardedScorer`)
-gets no lock here: its ``top_n_batch`` takes the lock itself and always
-runs on the executor.
+Every window is one task on the event loop that awaits the gateway's
+``top_n_batch`` coroutine.  Where the scoring itself runs is the
+server's choice, made in one place (the gateway call of
+:class:`~repro.serving.net.server.NetServer`): on the loop for an
+in-process gateway, on a private thread for one that blocks on worker
+IPC.  A window is in flight from its dispatch until its task
+settles its waiters.
 
 De-multiplexing is bit-identical to serving each request alone: the batch
 entry point runs the exact single-request arithmetic per user (pinned by
@@ -43,13 +39,12 @@ normally.  A user missing from a batch result gets a per-future
 ``LookupError``; no future is ever left pending.
 
 The fuser is transport-agnostic: it only needs an asyncio loop and a
-``top_n_batch`` callable, so it is testable without sockets.
+``top_n_batch`` coroutine function, so it is testable without sockets.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -59,11 +54,12 @@ __all__ = ["QueryFuser", "DeadlineExpired", "FuserClosed"]
 
 
 class FuserClosed(RuntimeError):
-    """A window could not be dispatched: the gateway executor is shut down.
+    """A window could not be scored: the gateway is shut down.
 
-    The replica is going away (stopped or killed), so nothing was scored
-    and the request is safe to retry on another replica; the server turns
-    this into a retryable error frame.
+    Raised by the batch call (the server's gateway call, once the
+    replica is going away — stopped or killed), so nothing was scored
+    and the request is safe to retry on another replica; the server
+    turns this into a retryable error frame.
     """
 
 
@@ -84,23 +80,15 @@ class QueryFuser:
     Parameters
     ----------
     top_n_batch:
-        Callable ``(users, n=..., exclude_seen=...) -> Dict[int,
-        Recommendation]`` — the gateway's batch entry point.  It runs in
-        ``executor``, or inline on the loop when ``lock`` is given and
-        free (see the module docstring).
+        Coroutine function ``(users, n=..., exclude_seen=...) ->
+        Dict[int, Recommendation]`` — the gateway's batch entry point,
+        awaited once per window (see the module docstring).
     window_ms:
         Fallback flush timer for a window accumulating behind an
         in-flight batch.  Dispatch is eager (see module docstring), so
         this bounds worst-case queueing, not common-case latency.
     max_batch:
         Flush immediately once this many requests are pending.
-    executor:
-        Passed to ``loop.run_in_executor`` for the batch call.
-    lock:
-        Optional gateway lock (a ``threading.Lock``).  Every batch call
-        holds it, and a flush that can take it without blocking scores
-        its window inline on the event loop (counted as ``inline``).
-        Give it only for a gateway that computes in process.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  A traced window
         gets one ``fusion.window`` span (parented on the first traced
@@ -110,8 +98,7 @@ class QueryFuser:
     """
 
     def __init__(self, top_n_batch, window_ms: float = 2.0,
-                 max_batch: int = 64, executor=None,
-                 tracer: Optional[Tracer] = None, lock=None):
+                 max_batch: int = 64, tracer: Optional[Tracer] = None):
         if window_ms < 0:
             raise ValueError(f"window_ms must be >= 0, got {window_ms}")
         if max_batch < 1:
@@ -119,9 +106,7 @@ class QueryFuser:
         self._top_n_batch = top_n_batch
         self.window_ms = float(window_ms)
         self.max_batch = int(max_batch)
-        self._executor = executor
         self._tracer = tracer
-        self._lock = lock
         # key -> list of (user, future, deadline, trace); one window per
         # (n, exclude_seen) key so a flush is a single homogeneous batch
         # call.  ``deadline`` is an absolute time.monotonic() instant or
@@ -132,13 +117,12 @@ class QueryFuser:
                                        Optional[float],
                                        Optional[TraceContext]]]] = {}
         self._timers: Dict[Tuple[int, bool], asyncio.TimerHandle] = {}
-        self._in_flight: Set[asyncio.Future] = set()
+        self._in_flight: Set[asyncio.Task] = set()
         self.n_requests = 0
         self.n_windows = 0
         self.n_deduplicated = 0
         self.n_partitions = 0
         self.n_expired = 0
-        self.n_inline = 0
         self.max_window = 0
 
     async def top_n(self, user: int, n: int = 10, exclude_seen: bool = True,
@@ -217,114 +201,62 @@ class QueryFuser:
         self.max_window = max(self.max_window, len(waiters))
         users = [user for user, _, _, _ in waiters]
         self.n_deduplicated += len(users) - len(set(users))
-        n, exclude_seen = key
-        loop = asyncio.get_running_loop()
         # One parent span per traced window, parented on the first
-        # traced waiter.  Entering it inside run_batch (on whichever
-        # thread scores the window) makes it the thread's active span,
-        # so the scorer and any chaos shim below attach their children
-        # with no plumbing.
+        # traced waiter.  The window task enters it around the batch
+        # call, which makes it the task's active span, so the scorer and
+        # any chaos shim below attach their children with no plumbing.
         window_span: Optional[Span] = None
         if self._tracer is not None:
             parent = next((trace for _, _, _, trace in waiters
                            if trace is not None), None)
             if parent is not None:
+                n, exclude_seen = key
                 window_span = self._tracer.start(
                     "fusion.window", parent=parent,
                     attrs={"users": len(users),
                            "distinct": len(set(users)),
                            "n": n, "exclude_seen": exclude_seen})
-
-        def run_batch():
-            if window_span is None:
-                return self._top_n_batch(users, n=n,
-                                         exclude_seen=exclude_seen)
-            with window_span:
-                return self._top_n_batch(users, n=n,
-                                         exclude_seen=exclude_seen)
-
-        done = self._run_inline(loop, run_batch)
-        if done is not None:
-            self.n_inline += 1
-            self._settle(key, waiters, done, window_span)
-            return
-        task = self._dispatch(loop, run_batch,
-                              [future for _, future, _, _ in waiters])
-        if task is None:
-            if window_span is not None:
-                window_span.finish()
-            return
-        task.add_done_callback(
-            lambda done: self._on_batch_done(key, waiters, done,
-                                             window_span))
-
-    def _run_inline(self, loop, call) -> Optional[asyncio.Future]:
-        """Run ``call`` on the loop if the lock is free right now.
-
-        Returns an already-settled future carrying its result or error,
-        or ``None`` (no lock given, or someone holds it) — the caller
-        then dispatches to the executor.  Never blocks.
-        """
-        if self._lock is None or not self._lock.acquire(blocking=False):
-            return None
-        done = loop.create_future()
-        try:
-            done.set_result(call())
-        except Exception as error:  # noqa: BLE001 - settled as on the executor
-            done.set_exception(error)
-        finally:
-            self._lock.release()
-        return done
-
-    def _dispatch(self, loop, call, futures) -> Optional[asyncio.Future]:
-        """Run ``call`` on the executor as an in-flight batch, holding
-        the lock when there is one; if the executor is shut down, fail
-        ``futures`` with :class:`FuserClosed` instead (the window was
-        already popped, so nobody else would resolve them) and return
-        ``None``."""
-        if self._lock is not None:
-            call = functools.partial(_holding, self._lock, call)
-        try:
-            task = loop.run_in_executor(self._executor, call)
-        except RuntimeError as error:  # cannot schedule after shutdown
-            for future in futures:
-                if not future.done():
-                    future.set_exception(FuserClosed(
-                        f"fused top_n not dispatched: {error}"))
-            return None
+        task = asyncio.get_running_loop().create_task(
+            self._run_window(key, waiters, users, window_span))
         self._in_flight.add(task)
-        return task
 
-    def _on_batch_done(self, key: Tuple[int, bool], waiters,
-                       done: asyncio.Future,
-                       window_span: Optional[Span] = None) -> None:
-        self._in_flight.discard(done)
-        self._settle(key, waiters, done, window_span)
+    async def _run_window(self, key: Tuple[int, bool], waiters, users,
+                          window_span: Optional[Span]) -> None:
+        """Score one window and settle its waiters; then, with nothing
+        else in flight, flush whatever accumulated behind it."""
+        n, exclude_seen = key
+        try:
+            try:
+                if window_span is None:
+                    results = await self._top_n_batch(
+                        users, n=n, exclude_seen=exclude_seen)
+                else:
+                    with window_span:
+                        results = await self._top_n_batch(
+                            users, n=n, exclude_seen=exclude_seen)
+            except Exception as error:  # noqa: BLE001 - partitioned
+                await self._partition(key, waiters, error)
+            else:
+                self._resolve(waiters, results, window_span)
+        except asyncio.CancelledError:
+            for _, future, _, _ in waiters:
+                future.cancel()
+            raise
+        finally:
+            self._in_flight.discard(asyncio.current_task())
         # Eager follow-up: whatever accumulated while this batch was in
         # flight goes out now, without waiting for its fallback timer.
         if not self._in_flight:
             for pending_key in list(self._pending):
                 self._flush(pending_key)
 
-    def _settle(self, key: Tuple[int, bool], waiters, done: asyncio.Future,
-                window_span: Optional[Span] = None) -> None:
-        """Hand one finished batch call's outcome to its waiters."""
-        if done.cancelled():
-            for _, future, _, _ in waiters:
-                if not future.done():
-                    future.cancel()
-        elif done.exception() is not None:
-            self._partition(key, waiters, done.exception())
-        else:
-            self._resolve(waiters, done.result(), window_span)
-
     def _resolve(self, waiters, results,
                  window_span: Optional[Span] = None) -> None:
         """Demultiplex one batch result onto its waiters.
 
         A user absent from ``results`` gets a per-future LookupError —
-        indexing straight into the mapping would raise inside this done
-        callback and leave every later waiter pending forever.
+        indexing straight into the mapping would raise inside the window
+        task and leave every later waiter pending forever.
 
         Traced windows emit one ``fusion.waiter`` child per waiter as
         it resolves, so the child-span order matches the response order
@@ -349,8 +281,8 @@ class QueryFuser:
                 future.set_exception(LookupError(
                     f"user {user} missing from fused batch result"))
 
-    def _partition(self, key: Tuple[int, bool], waiters,
-                   error: BaseException) -> None:
+    async def _partition(self, key: Tuple[int, bool], waiters,
+                         error: BaseException) -> None:
         """A batch call raised: retry each distinct user alone.
 
         One invalid user must not poison the window — every other
@@ -363,46 +295,24 @@ class QueryFuser:
             by_user.setdefault(user, []).append(future)
         if len(by_user) == 1:
             for futures in by_user.values():
-                for future in futures:
-                    if not future.done():
-                        future.set_exception(error)
+                _fail(futures, error)
             return
         self.n_partitions += 1
         n, exclude_seen = key
-        loop = asyncio.get_running_loop()
         for user, futures in by_user.items():
-            call = functools.partial(self._top_n_batch, [user], n=n,
-                                     exclude_seen=exclude_seen)
-            done = self._run_inline(loop, call)
-            if done is not None:
-                self._resolve_single(user, futures, done)
+            try:
+                results = await self._top_n_batch(
+                    [user], n=n, exclude_seen=exclude_seen)
+            except Exception as single:  # noqa: BLE001 - this user's own
+                _fail(futures, single)
                 continue
-            task = self._dispatch(loop, call, futures)
-            if task is not None:
-                task.add_done_callback(
-                    lambda done, u=user, fs=futures:
-                    self._resolve_single(u, fs, done))
-
-    def _resolve_single(self, user: int, futures, done) -> None:
-        self._in_flight.discard(done)
-        if done.cancelled():
+            if user not in results:
+                _fail(futures, LookupError(
+                    f"user {user} missing from fused batch result"))
+                continue
             for future in futures:
                 if not future.done():
-                    future.cancel()
-            return
-        error = done.exception()
-        if error is None:
-            results = done.result()
-            if user in results:
-                for future in futures:
-                    if not future.done():
-                        future.set_result(results[user])
-                return
-            error = LookupError(
-                f"user {user} missing from fused batch result")
-        for future in futures:
-            if not future.done():
-                future.set_exception(error)
+                    future.set_result(results[user])
 
     async def drain(self) -> None:
         """Flush every window and wait until nothing is pending."""
@@ -425,12 +335,11 @@ class QueryFuser:
             "deduplicated": self.n_deduplicated,
             "partitions": self.n_partitions,
             "expired": self.n_expired,
-            "inline": self.n_inline,
             "max_window": self.max_window,
         }
 
 
-def _holding(lock, call):
-    """``call()`` with ``lock`` held (an executor-side batch call)."""
-    with lock:
-        return call()
+def _fail(futures, error: BaseException) -> None:
+    for future in futures:
+        if not future.done():
+            future.set_exception(error)

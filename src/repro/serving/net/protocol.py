@@ -33,9 +33,9 @@ depth) is replaced in the JSON part by the marker mapping
 block — item ids and score vectors cross the wire as straight
 ``memcpy``s of the float64/int64 buffers the gateway computed, bit-exact
 by construction rather than by careful text formatting.  The flag is per
-frame and the decoder reads both forms: serving clients and servers
-always send the binary form, while the MPI handshake hellos and the
-WAL link send JSON.
+frame and the decoder reads both forms: serving clients and servers,
+and the WAL coordinators' links between replicas, always send the
+binary form, while the MPI handshake hellos send JSON.
 
 ``Frame`` is also the in-process request/response object: the REPL's
 :func:`parse_line` produces request frames, :func:`execute` runs a frame

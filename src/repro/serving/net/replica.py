@@ -10,8 +10,12 @@ capacity, never availability — the ``kill-a-replica-mid-storm`` test in
 ``tests/test_net_replica.py`` pins 100% read success while one of two
 replicas dies under concurrent load.
 
-Each replica runs on its own thread with a private asyncio loop, so a
-wedged replica cannot stall its siblings.
+Each replica is one owner thread: a private asyncio loop that runs its
+gateway, its server and its WAL coordinator, so a wedged replica cannot
+stall its siblings.  The write leader has one more thread, its WAL
+thread, which only appends to the log (the write and the fsync); a
+sharded gateway adds its scorer's private thread.  Nothing else runs a
+replica's code.
 
 **Mutations replicate.**  Replica 0 is the write leader: every
 ``rate``/``foldin`` — sent to any replica — commits through its
@@ -266,13 +270,13 @@ class ReplicaSet:
     def _wire_wal(self, index: int) -> None:
         """Attach a (new) coordinator to one just-started replica.
 
-        Construction runs under the replica's own gateway lock
-        (:meth:`NetServer.call_serialized`): the leader's recovery
-        replay and a follower's initial catch-up both *apply* records,
-        and must serialize with any request already arriving over the
-        socket.  Until the coordinator attaches, ``wal_expected`` makes
-        the server refuse mutations instead of applying them
-        unreplicated.
+        The leader's recovery replay, a follower's initial catch-up and
+        the leader's follower list all run on the replica's own loop
+        (:meth:`NetServer.call_serialized`): replay and catch-up *apply*
+        records, and must serialize with any request already arriving
+        over the socket.  Until the coordinator attaches,
+        ``wal_expected`` makes the server refuse mutations instead of
+        applying them unreplicated.
         """
         from repro.serving.wal.log import WriteAheadLog
         from repro.serving.wal.shipper import (FollowerCoordinator,
@@ -293,7 +297,8 @@ class ReplicaSet:
                     tracer=self.tracer)
             coordinator = replica.server.call_serialized(build_leader)
             replica.server.set_wal(coordinator)
-            coordinator.set_followers(self._follower_addresses())
+            replica.server.call_serialized(coordinator.set_followers,
+                                           self._follower_addresses())
         else:
             coordinator = FollowerCoordinator(replica.service,
                                               self.leader.address,
@@ -301,11 +306,10 @@ class ReplicaSet:
             replica.server.set_wal(coordinator)
             if self.leader.is_alive():
                 replica.server.call_serialized(coordinator.catch_up)
-            leader_wal = (self.leader.server.wal
-                          if self.leader.is_alive() and
-                          self.leader.server is not None else None)
-            if leader_wal is not None:
-                leader_wal.set_followers(self._follower_addresses())
+            leader = self.leader.server if self.leader.is_alive() else None
+            if leader is not None and leader.wal is not None:
+                leader.call_serialized(leader.wal.set_followers,
+                                       self._follower_addresses())
 
     # -- fleet operations --------------------------------------------------
 

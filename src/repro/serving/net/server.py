@@ -16,13 +16,12 @@
 * **Bounded concurrency** — a semaphore caps in-flight requests across
   all connections; excess requests queue in arrival order instead of
   piling onto the gateway.
-* **Blocking isolation** — one ``threading.Lock`` per server, the
-  :attr:`NetServer.gateway_lock`, serializes all gateway state.  Gateway
-  calls run on a dedicated single-thread executor, and every executor
-  job holds the lock while it touches the gateway; the event loop only
-  ever *tries* it (see the request path below), so it never blocks on
-  the lock, on worker IPC or on fsync, and connection accept/read
-  latency stays flat under load.
+* **One owner thread** — the event loop owns the gateway: every
+  gateway call runs on it, one at a time, so no lock guards gateway
+  state.  The loop never blocks on worker IPC or on an fsync: a
+  :class:`~repro.serving.cluster.ShardedScorer` is called on one
+  private thread, and a leader's log append on the coordinator's one
+  WAL thread (see the request path below).
 * **Query fusion (default)** — concurrent ``top_n`` requests across
   connections coalesce into one batched gateway dispatch
   (:class:`~repro.serving.net.fusion.QueryFuser`), bit-identical per
@@ -39,31 +38,29 @@
   so no read races a drain signal.
 * **Hot reload** — an optional :class:`SnapshotWatcher` is started and
   stopped with the server; its double-buffered swap happens under the
-  gateway lock, so a reload never drops a connection or a request.
+  scorer's own lock, so a reload never drops a connection or a request.
 
 **The request path.**  Per connection, one task reads and decodes.  An
 id-tagged request gets its own task (:meth:`NetServer._respond`:
-admission, the deadline gate, the fuser or the gateway executor, the
-reply); a bare one is served inline, in order.  Every gateway call runs
-on the one gateway executor under the gateway lock, with two
-exceptions.  A fused ``top_n`` window on an in-process
-:class:`~repro.serving.service.PredictionService` is scored inline on
-the event loop when the lock is free at flush time, and on the executor
-otherwise (:class:`~repro.serving.net.fusion.QueryFuser`); a
-:class:`~repro.serving.cluster.ShardedScorer` blocks on worker IPC, so
-its windows always go to the executor.  A commit on the write leader
-runs on the executor but takes the lock only to validate and build its
-record and again to apply it
+admission, the deadline gate, the fuser or a gateway call, the reply); a
+bare one is served inline, in order.  Every gateway call goes through
+:meth:`NetServer._gateway`, the one place that decides where it runs: it
+first waits out a :meth:`~NetServer.stall`, then calls an in-process
+:class:`~repro.serving.service.PredictionService` right there on the
+loop, and any other gateway on its private thread.  A fused ``top_n``
+window is one such call (:class:`~repro.serving.net.fusion.QueryFuser`).
+A commit on the write leader validates and applies through it too, and
+awaits only its log append, on the WAL thread
 (:meth:`~repro.serving.wal.shipper.LeaderCoordinator.handle_mutation`):
-the fsync and the shipping to followers leave reads free to run, while
-commits still serialize on the one executor thread.
+reads keep flowing while a commit sits in its fsync, and commits
+serialize on the coordinator, in seqno order.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import functools
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Set, Tuple
@@ -175,27 +172,21 @@ class NetServer:
             "serving.server.queue_wait_ms", **self._metrics_labels)
         self._execute_ms = self.registry.histogram(
             "serving.server.execute_ms", **self._metrics_labels)
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-net-exec")
-        #: Serializes gateway state (see the module docstring): held by
-        #: every gateway executor job, tried (never awaited) by the loop.
-        self.gateway_lock = threading.Lock()
+        #: The private thread of a gateway that blocks on worker IPC
+        #: (anything but an in-process PredictionService); see _gateway.
+        self._scorer_thread: Optional[ThreadPoolExecutor] = (
+            None if isinstance(service, PredictionService)
+            else ThreadPoolExecutor(max_workers=1,
+                                    thread_name_prefix="repro-net-scorer"))
+        #: time.monotonic() until which gateway calls wait (see stall).
+        self._stall_until = 0.0
         self.fuser: Optional[QueryFuser] = None
         if fuse_window_ms is not None and fuse_window_ms > 0:
-            if isinstance(service, PredictionService):
-                # Scoring is in process: the fuser holds the lock itself
-                # and scores on the loop whenever it is free.
-                top_n_batch, lock = service.top_n_batch, self.gateway_lock
-            else:
-                # Worker IPC must never block the loop: executor only.
-                top_n_batch = functools.partial(self._locked,
-                                                service.top_n_batch)
-                lock = None
-            self.fuser = QueryFuser(top_n_batch,
-                                    window_ms=fuse_window_ms,
-                                    max_batch=fuse_max_batch,
-                                    executor=self._executor,
-                                    tracer=tracer, lock=lock)
+            self.fuser = QueryFuser(
+                functools.partial(self._gateway, service.top_n_batch),
+                window_ms=fuse_window_ms, max_batch=fuse_max_batch,
+                tracer=tracer)
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._slots: Optional[asyncio.Semaphore] = None
         self._draining = False
@@ -204,7 +195,6 @@ class NetServer:
                                 Tuple[asyncio.StreamReader,
                                       asyncio.StreamWriter]] = {}
         self.wal = None
-        self._wal_io: Optional[ThreadPoolExecutor] = None
         self.n_connections = 0
         self.n_requests = 0
         self.n_error_replies = 0
@@ -232,48 +222,63 @@ class NetServer:
     def set_wal(self, coordinator) -> None:
         """Attach a WAL coordinator; mutations now route through it.
 
-        On the leader, ``wal_catchup`` gets its own single-thread
-        executor: it reads only immutable log records, and serving it
-        off the gateway executor lets a follower close a gap while the
-        leader is mid-commit (the commit holds the gateway executor
-        while it ships).  Everything that *applies* records — commits
-        here, shipped appends on followers — stays on the gateway
-        executor and applies under :attr:`gateway_lock`, so mutations
-        still serialize with reads.  The leader's coordinator shares
-        that lock: a commit holds it only around validation and apply.
+        The coordinator makes its gateway calls (validate and apply on
+        the leader, apply on a follower) through :meth:`_gateway`, like
+        every other gateway call: they wait out a stall and run where
+        the gateway runs.
         """
-        if coordinator is not None and coordinator.role == "leader":
-            coordinator.gateway_lock = self.gateway_lock
-            if self._wal_io is None:
-                self._wal_io = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="repro-wal-io")
-        self.wal = coordinator
         if coordinator is not None:
+            coordinator.run = self._gateway
             self.registry.register_provider("wal", coordinator.stats,
                                             **self._metrics_labels)
+        self.wal = coordinator
 
     def call_serialized(self, fn, *args, **kwargs):
-        """Run ``fn`` on the gateway executor under the gateway lock and
-        return its result.
+        """Run ``fn(*args, **kwargs)`` as a gateway call and return its
+        result.
 
-        The out-of-band way into the one lock that serializes every
-        gateway call — replica wiring uses it so a follower's initial
-        catch-up (which applies records) cannot race a shipment arriving
-        over the socket or a read scored on the loop.  Safe from any
-        thread but the server's event loop.
+        The out-of-band way onto the loop that owns the gateway, for
+        code on other threads (replica wiring, drills, benchmarks): the
+        call waits out a :meth:`stall` and runs between two requests,
+        never inside one.  A coroutine function is awaited on the loop
+        after the stall; it makes its own gateway calls (the WAL
+        coordinators' methods do, through :meth:`_gateway`).  Safe from
+        any thread but the server's event loop.
         """
-        return self._executor.submit(self._locked, fn, *args,
-                                     **kwargs).result()
+        if asyncio.iscoroutinefunction(fn):
+            call = self._after_stall(fn(*args, **kwargs))
+        else:
+            call = self._gateway(fn, *args, **kwargs)
+        return asyncio.run_coroutine_threadsafe(call, self._loop).result()
 
-    def _locked(self, fn, *args, **kwargs):
-        """``fn(*args, **kwargs)`` under :attr:`gateway_lock`."""
-        with self.gateway_lock:
+    async def _after_stall(self, coroutine):
+        await self._unstalled()
+        return await coroutine
+
+    async def _gateway(self, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)`` on the gateway, once any stall is over.
+
+        The one place that decides where a gateway call runs: on the
+        loop for an in-process ``PredictionService``; on the private
+        scorer thread for any other gateway (a ``ShardedScorer`` blocks
+        on worker IPC), with the caller's context copied so trace spans
+        still nest.  Once that thread is shut down (the replica is going
+        away) the call raises :class:`FuserClosed`, which a fused read
+        turns into a retryable error.
+        """
+        if self._stall_until > time.monotonic():
+            await self._unstalled()
+        if self._scorer_thread is None:
             return fn(*args, **kwargs)
-
-    async def _on_gateway(self, fn, *args):
-        """``fn(*args)`` on the gateway executor, under the lock."""
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, self._locked, fn, *args)
+        call = functools.partial(contextvars.copy_context().run, fn,
+                                 *args, **kwargs)
+        try:
+            future = asyncio.get_running_loop().run_in_executor(
+                self._scorer_thread, call)
+        except RuntimeError as error:  # cannot schedule after shutdown
+            raise FuserClosed(f"gateway call not dispatched: {error}") \
+                from error
+        return await future
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -289,6 +294,7 @@ class NetServer:
         """Bind and start accepting connections."""
         if self._server is not None:
             return self
+        self._loop = asyncio.get_running_loop()
         self._slots = asyncio.Semaphore(self.max_in_flight)
         self._draining = False
         self._server = await asyncio.start_server(
@@ -323,13 +329,9 @@ class NetServer:
             await asyncio.gather(*self._connections, return_exceptions=True)
         await self._server.wait_closed()
         self._server = None
-        if self.wal is not None:
-            self.wal.close()
-            self.wal = None
-        if self._wal_io is not None:
-            self._wal_io.shutdown(wait=True)
-            self._wal_io = None
-        self._executor.shutdown(wait=True)
+        await self._close_wal()
+        if self._scorer_thread is not None:
+            self._scorer_thread.shutdown(wait=True)
 
     async def abort(self) -> None:
         """Abrupt shutdown: cancel connections without draining.
@@ -347,13 +349,14 @@ class NetServer:
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
         self._server = None
+        await self._close_wal()
+        if self._scorer_thread is not None:
+            self._scorer_thread.shutdown(wait=False, cancel_futures=True)
+
+    async def _close_wal(self) -> None:
         if self.wal is not None:
-            self.wal.close()
-            self.wal = None
-        if self._wal_io is not None:
-            self._wal_io.shutdown(wait=False, cancel_futures=True)
-            self._wal_io = None
-        self._executor.shutdown(wait=False, cancel_futures=True)
+            wal, self.wal = self.wal, None
+            await wal.close()
 
     # -- connection handling ----------------------------------------------
 
@@ -522,10 +525,9 @@ class NetServer:
 
     async def _respond_wal(self, frame: Frame) -> Frame:
         """Route WAL traffic and (when a coordinator is attached)
-        mutations — see :meth:`set_wal` for the executor assignments."""
+        mutations to the coordinator."""
         from repro.serving.wal.log import WalError, WalWriteError
         from repro.serving.wal.shipper import WalUnavailableError
-        loop = asyncio.get_running_loop()
         wal = self.wal
         try:
             if wal is None:
@@ -536,26 +538,15 @@ class NetServer:
                     f"{frame.kind!r} needs a wal coordinator and this "
                     "server has none attached yet")
             if frame.kind == "wal_append":
-                payload = await self._on_gateway(wal.handle_wal_append,
-                                                 frame.payload)
-            elif frame.kind == "wal_catchup" and self._wal_io is not None:
-                # The leader: immutable log records, no gateway state.
-                payload = await loop.run_in_executor(
-                    self._wal_io, wal.handle_wal_catchup, frame.payload)
+                payload = await wal.handle_wal_append(frame.payload)
             elif frame.kind == "wal_catchup":
-                payload = await self._on_gateway(wal.handle_wal_catchup,
-                                                 frame.payload)
+                # Immutable log records, no gateway state: served at
+                # once, even mid-commit or mid-stall.
+                payload = wal.handle_wal_catchup(frame.payload)
             else:
-                # A commit on the leader (gateway executor, so commits
-                # serialize; the coordinator takes the gateway lock only
-                # around validation and apply); a forward on a follower
-                # (its own thread: the gateway must stay free to apply
-                # the shipment the forward triggers).
-                executor = self._executor if wal.role == "leader" \
-                    else wal.forward_pool
-                payload = await loop.run_in_executor(
-                    executor, wal.handle_mutation, frame.kind,
-                    dict(frame.payload))
+                # A commit on the leader, a forward on a follower.
+                payload = await wal.handle_mutation(frame.kind,
+                                                    dict(frame.payload))
             return Frame("ok", dict(payload))
         except (ValidationError, WalError, KeyError, TypeError,
                 ValueError) as error:
@@ -654,7 +645,7 @@ class NetServer:
                         frame.payload["trace"] = admit.context().to_wire()
                     response = await self._respond_wal(frame)
                 elif frame.kind == "metrics":
-                    payload = await self._on_gateway(self.registry.snapshot)
+                    payload = await self._gateway(self.registry.snapshot)
                     response = Frame("ok", {"metrics": payload})
                 elif frame.kind == "trace":
                     response = self._trace_reply(frame)
@@ -662,8 +653,8 @@ class NetServer:
                     # arrays=True: replies keep the gateway's own ndarray
                     # response buffers, encoded once at _send — no
                     # per-element re-encode on the event loop.
-                    response = await self._on_gateway(self._execute,
-                                                      frame, admit)
+                    response = await self._gateway(self._execute, frame,
+                                                   admit)
             finally:
                 self._slots.release()
         elif admit is not None:
@@ -679,10 +670,10 @@ class NetServer:
         await self._send(writer, response)
 
     def _execute(self, frame: Frame, admit=None) -> Frame:
-        """Plain gateway execution (runs on the gateway executor),
-        wrapped in the execute histogram and — for traced requests — a
-        ``server.execute`` span whose thread-local activation lets the
-        layers below (scorer, WAL, chaos shims) attach children."""
+        """Plain gateway execution (one gateway call), wrapped in the
+        execute histogram and — for traced requests — a
+        ``server.execute`` span, active while it runs, so the layers
+        below (scorer, chaos shims) attach children."""
         start = time.perf_counter()
         try:
             if admit is None:
@@ -741,28 +732,26 @@ class NetServer:
     def stall(self, seconds: float) -> None:
         """Wedge the gateway for ``seconds`` (fault injection).
 
-        Holds the gateway lock for ``seconds`` and returns immediately:
-        every gateway call behind it waits it out, and fused reads find
-        the lock taken and queue on the executor, exactly like a gateway
-        stuck in a long worker IPC — the drill that provokes deadline
-        expiry and queue shedding without killing anything.  An idle
-        gateway is wedged before this returns; a busy one as soon as its
-        current holder lets go.  Safe to call from any thread; it never
-        waits for the lock.
+        Every gateway call that starts before the stall is over — fused
+        windows, plain requests, commits and applies,
+        :meth:`call_serialized` — waits it out on the loop, while the
+        loop keeps accepting, reading, queueing and shedding: the shape
+        of a gateway stuck in a long worker IPC, the drill that provokes
+        deadline expiry and queue shedding without killing anything.  A
+        call already running finishes first.  In force before this
+        returns; overlapping stalls merge.  Safe to call from any thread.
         """
         self.n_stalls += 1
-        taken = self.gateway_lock.acquire(blocking=False)
+        self._stall_until = max(self._stall_until,
+                                time.monotonic() + float(seconds))
 
-        def hold() -> None:
-            if not taken:
-                self.gateway_lock.acquire()
-            try:
-                time.sleep(float(seconds))
-            finally:
-                self.gateway_lock.release()
-
-        threading.Thread(target=hold, name="repro-net-stall",
-                         daemon=True).start()
+    async def _unstalled(self) -> None:
+        """Return once no stall is in force."""
+        while True:
+            left = self._stall_until - time.monotonic()
+            if left <= 0:
+                return
+            await asyncio.sleep(left)
 
     # -- introspection -----------------------------------------------------
 

@@ -7,11 +7,9 @@ serving fleet (:class:`~repro.serving.net.replica.ReplicaSet`):
   mutation committed through it is validated, appended (durably, per
   the log's ``sync_every``), applied to the leader's own gateway, then
   fanned out to every follower as a ``wal_append`` frame over the
-  existing framed RPC — only then is the ack (carrying the assigned
+  serving protocol — only then is the ack (carrying the assigned
   seqno) returned, so an acked write is durable *and* readable on every
-  live replica (read-your-writes across the fleet).  The gateway lock is
-  held only while validating and while applying: the fsync and the
-  shipping run without it, so reads keep flowing during a commit.
+  live replica (read-your-writes across the fleet).
 * :class:`FollowerCoordinator` applies shipped records through a
   :class:`MutationReplayer` (duplicates are counted no-ops), forwards
   any mutation a client sent *it* to the leader, and closes gaps by
@@ -26,27 +24,31 @@ committed gets the original ack back, byte for byte.  The dedup table
 is rebuilt from the log on recovery, so retries spanning a leader
 restart stay exactly-once too.
 
-Threading contract (deadlock-freedom): the leader's commit
-(:meth:`LeaderCoordinator.handle_mutation`) and the follower's
-``wal_append`` apply both run on their server's single gateway
-executor, so commits serialize with each other and seqno order is apply
-order.  Gateway state is guarded by the server's gateway lock: the
-follower's apply holds it throughout, the leader's commit only around
-validation and apply (:attr:`LeaderCoordinator.gateway_lock`, shared by
-the server when it attaches the coordinator).  No thread holds a
-gateway lock while it waits on another replica's.  A follower
-*forwards* on a dedicated I/O thread so its gateway stays free to apply
-the leader's resulting shipment, and the leader serves ``wal_catchup``
-from a dedicated I/O executor (it reads only immutable log records) so
-a follower can catch up while the leader is mid-commit.
+Threading contract.  A coordinator lives on its replica's event loop,
+the one thread that owns the gateway, and every method but
+:meth:`~LeaderCoordinator.stats` runs there.  Its gateway calls go
+through :attr:`~LeaderCoordinator.run`, which the server sets to its own
+gateway call (it waits out a stall, and puts a sharded scorer's calls on
+that scorer's private thread).  The leader has exactly one more thread,
+its WAL thread, and it runs :meth:`WriteAheadLog.append` (the write and
+the fsync) and nothing else.  Commits hold an asyncio lock from the
+dedup check to the ack, so they serialize and seqno order is apply
+order; reads, catch-up requests and stats run between a commit's awaits.
+Coordinator traffic — shipments, forwards, catch-up pulls — rides one
+asyncio connection per peer: the serving client's connection
+(:func:`~repro.serving.net.client.dial`), binary frames with replies
+matched by id.  Nothing waits on another replica while holding what
+that replica needs: a follower forwarding a write stays free to apply
+the shipment the forward triggers, and the leader serves catch-up
+without the commit lock, so a follower can close a gap mid-commit.
 """
 
 from __future__ import annotations
 
+import asyncio
 import collections
+import contextvars
 import secrets
-import socket
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
@@ -54,13 +56,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.obs.trace import (NULL_SPAN, Span, TraceContext, Tracer,
                              maybe_span)
 from repro.serving.net.backoff import Backoff
-from repro.serving.net.protocol import (
-    Frame,
-    FrameDecoder,
-    ProtocolError,
-    encode_frame,
-    hello_frame,
-)
+from repro.serving.net.client import NetError, dial
+from repro.serving.net.protocol import Frame, ProtocolError
 from repro.serving.wal.log import (
     WalError,
     WalRecord,
@@ -87,7 +84,14 @@ CATCHUP_BATCH = 256
 #: Client-retry dedup entries the leader retains (LRU).
 DEDUP_CAPACITY = 65536
 
-_READ_CHUNK = 1 << 16
+#: What a broken link to a peer raises (a refused handshake is a
+#: NetError; asyncio's timeout is an OSError only from Python 3.11).
+_LINK_ERRORS = (OSError, ProtocolError, NetError, asyncio.TimeoutError)
+
+
+async def _inline(fn, *args):
+    """The gateway call of a coordinator no server wired: ``fn`` here."""
+    return fn(*args)
 
 
 class _TraceMixin:
@@ -120,81 +124,64 @@ class WalUnavailableError(WalError):
     """The write path is down (leader unreachable / not wired yet)."""
 
 
-class _WalLink:
-    """One blocking framed-RPC connection for coordinator traffic.
+class _Link:
+    """One asyncio connection to a peer replica for coordinator traffic.
 
-    Sends the JSON payload form — log records are JSON scalars already,
-    and Python's JSON round-trips IEEE doubles exactly, so replicated
-    values stay bit-identical without array blocks.  Each link
-    is used from exactly one thread (see the module threading contract);
-    reconnects happen on demand.
+    The serving client's connection (:func:`~repro.serving.net.client.
+    dial`): binary frames — log records are JSON scalars, which the
+    binary form's JSON part carries exactly, so replicated values stay
+    bit-identical — and requests tagged with ids and matched to their
+    replies, so concurrent requests share it.  Dialled on demand, and
+    again once the peer has closed it.
     """
 
     def __init__(self, address: Tuple[str, int], timeout: float = 10.0):
         self.address = (str(address[0]), int(address[1]))
         self.timeout = float(timeout)
-        self._sock: Optional[socket.socket] = None
-        self._decoder = FrameDecoder()
-        self._frames: collections.deque = collections.deque()
+        self._connection = None
+        self._dialing = asyncio.Lock()
 
-    def _ensure(self) -> socket.socket:
-        if self._sock is not None:
-            return self._sock
-        sock = socket.create_connection(self.address, timeout=self.timeout)
-        sock.settimeout(self.timeout)
-        self._sock = sock
-        self._decoder = FrameDecoder()
-        self._frames.clear()
-        try:
-            reply = self.request(hello_frame())
-        except BaseException:
-            self.close()
-            raise
-        if reply.is_error:
-            self.close()
-            raise WalUnavailableError(
-                f"replica {self.address} refused the wal handshake: "
-                f"{reply.payload.get('message')}")
-        return sock
-
-    def request(self, frame: Frame) -> Frame:
-        """One round-trip; a broken cached socket is dropped and — when
-        the frame is safe to replay — retried once on a fresh connection.
+    async def request(self, frame: Frame) -> Frame:
+        """One round-trip; a broken cached connection is dropped and —
+        when the frame is safe to replay — retried once on a fresh one.
 
         Safe to replay: ``wal_append``/``wal_catchup`` (idempotent via
         the replayer's high-water mark) and mutations carrying a
         ``write_id`` (the leader dedups).  This is what lets a follower
-        heal through a leader restart: the first request after the
-        restart always hits the stale pre-restart socket.
+        heal through a leader restart when its first request after the
+        restart still meets the pre-restart connection.
         """
-        stale = self._sock is not None
+        stale = self._connection is not None
         try:
-            return self._roundtrip(frame)
-        except (OSError, ConnectionError, ProtocolError):
-            self.close()
+            return await self._roundtrip(frame)
+        except _LINK_ERRORS:
+            await self.close()
             replayable = frame.kind in ("wal_append", "wal_catchup") \
                 or "write_id" in frame.payload
-            if frame.kind == "hello" or not stale or not replayable:
+            if not stale or not replayable:
                 raise
-            return self._roundtrip(frame)
+            return await self._roundtrip(frame)
 
-    def _roundtrip(self, frame: Frame) -> Frame:
-        sock = self._ensure() if frame.kind != "hello" else self._sock
-        sock.sendall(encode_frame(frame))
-        while not self._frames:
-            data = sock.recv(_READ_CHUNK)
-            if not data:
-                raise ConnectionError("peer closed the wal link")
-            self._frames.extend(self._decoder.feed(data))
-        return self._frames.popleft()
+    async def _roundtrip(self, frame: Frame) -> Frame:
+        connection = self._connection
+        if connection is None or connection.reader_task.done():
+            connection = await self._redial()
+        return await connection.roundtrip(frame, self.timeout)
 
-    def close(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._sock = None
+    async def _redial(self):
+        """A live connection; concurrent callers share one dial."""
+        async with self._dialing:
+            if self._connection is None \
+                    or self._connection.reader_task.done():
+                await self.close()
+                self._connection = await asyncio.wait_for(
+                    dial(*self.address), self.timeout)
+            return self._connection
+
+    async def close(self) -> None:
+        connection, self._connection = self._connection, None
+        if connection is not None:
+            await connection.close()
 
 
 def _record_wire(record: WalRecord) -> Dict[str, object]:
@@ -219,7 +206,7 @@ class _FollowerLink:
 
     def __init__(self, address: Tuple[str, int], timeout: float,
                  backoff: Backoff):
-        self.link = _WalLink(address, timeout=timeout)
+        self.link = _Link(address, timeout=timeout)
         self.backoff = backoff
         self.failures = 0
         self.dead_until = 0.0
@@ -233,8 +220,8 @@ class _FollowerLink:
         self.failures = 0
         self.dead_until = 0.0
 
-    def mark_dead(self) -> None:
-        self.link.close()
+    async def mark_dead(self) -> None:
+        await self.link.close()
         self.failures += 1
         self.dead_until = (time.monotonic()
                            + self.backoff.delay(self.failures))
@@ -271,9 +258,9 @@ class LeaderCoordinator(_TraceMixin):
         self.service = service
         self.log = log
         self._tracer = tracer
-        #: Guards the gateway's state around validation and apply;
-        #: :meth:`NetServer.set_wal` swaps in the server's own lock.
-        self.gateway_lock = threading.Lock()
+        #: How gateway calls run (``await run(fn, *args)``): right here
+        #: by default; :meth:`NetServer.set_wal` installs the server's.
+        self.run = _inline
         self.replayer = MutationReplayer(service)
         self.instance = secrets.token_hex(4)
         self._followers: Dict[Tuple[str, int], _FollowerLink] = {}
@@ -289,6 +276,11 @@ class LeaderCoordinator(_TraceMixin):
         self.n_dedup_hits = 0
         self.n_catchup_batches_served = 0
         self.last_ship_error: Optional[str] = None
+        #: Held from the dedup check to the ack (module docstring).
+        self._commit_lock = asyncio.Lock()
+        #: The one thread the log's appends run on.
+        self._wal_thread = ThreadPoolExecutor(max_workers=1,
+                                              thread_name_prefix="repro-wal")
         self._recover()
 
     # -- recovery ----------------------------------------------------------
@@ -310,12 +302,13 @@ class LeaderCoordinator(_TraceMixin):
 
     # -- membership --------------------------------------------------------
 
-    def set_followers(self, addresses: List[Tuple[str, int]]) -> None:
+    async def set_followers(self,
+                            addresses: List[Tuple[str, int]]) -> None:
         """Replace the shipping target list (ReplicaSet wiring/rewiring)."""
         wanted = {(str(host), int(port)) for host, port in addresses}
         for address in list(self._followers):
             if address not in wanted:
-                self._followers.pop(address).link.close()
+                await self._followers.pop(address).link.close()
         for address in wanted:
             if address not in self._followers:
                 # Each follower gets its own Backoff so one flapping
@@ -331,47 +324,56 @@ class LeaderCoordinator(_TraceMixin):
 
     # -- the write path ----------------------------------------------------
 
-    def handle_mutation(self, kind: str,
-                        payload: Dict[str, object]) -> Dict[str, object]:
+    async def handle_mutation(self, kind: str, payload: Dict[str, object]
+                              ) -> Dict[str, object]:
         """Commit one mutation: validate → append → apply → ship → ack.
 
-        Callers serialize commits (the server runs them on its one
-        gateway executor).  The gateway lock is taken twice, to validate
-        and build the record and then to apply it; the append (with its
-        fsync) and the shipping run without it.  The ack still follows
-        the fsync and every shippable follower's apply.
+        Commits hold the commit lock throughout, so they serialize in
+        seqno order.  Validation and apply are gateway calls
+        (:attr:`run`); the append runs on the WAL thread, so the loop
+        serves reads while it fsyncs.  The ack follows the fsync and
+        every shippable follower's apply.
 
         A traced commit (the payload carries trace context) runs inside
-        an activated ``wal.commit`` span, so the log's append/fsync
-        spans and the shipping span attach as its children.
+        a ``wal.commit`` span, active for this task and copied onto the
+        WAL thread with the append, so the log's append/fsync spans and
+        the shipping span attach as its children — also while other
+        commits wait their turn on the same loop.
         """
         ctx = self._trace_context(payload)
         with self._span("wal.commit", ctx, kind=kind) as span:
-            write_id = payload.get("write_id")
-            if write_id is not None:
-                cached = self._dedup.get(str(write_id))
-                if cached is not None:
-                    self.n_dedup_hits += 1
-                    span.set_attr("dedup_hit", True)
-                    return dict(cached)
-            with self.gateway_lock:
-                validate_mutation(self.service, kind, payload)
-                record_payload = mutation_record_payload(
-                    self.service, kind, payload,
-                    str(write_id) if write_id is not None else None)
-            seqno = self.log.append(record_payload)
-            record = WalRecord(seqno=seqno, payload=record_payload)
-            with self.gateway_lock:
-                ack = self.replayer.apply(record)
-            assert ack is not None  # fresh seqno, never a duplicate
-            ack["seqno"] = seqno
-            span.set_attr("seqno", seqno)
-            self._ship(record)
-            if write_id is not None:
-                self._remember(str(write_id), dict(ack))
-            return ack
+            async with self._commit_lock:
+                write_id = payload.get("write_id")
+                if write_id is not None:
+                    cached = self._dedup.get(str(write_id))
+                    if cached is not None:
+                        self.n_dedup_hits += 1
+                        span.set_attr("dedup_hit", True)
+                        return dict(cached)
+                record_payload = await self.run(self._record_payload, kind,
+                                                payload, write_id)
+                seqno = await asyncio.get_running_loop().run_in_executor(
+                    self._wal_thread, contextvars.copy_context().run,
+                    self.log.append, record_payload)
+                record = WalRecord(seqno=seqno, payload=record_payload)
+                ack = await self.run(self.replayer.apply, record)
+                assert ack is not None  # fresh seqno, never a duplicate
+                ack["seqno"] = seqno
+                span.set_attr("seqno", seqno)
+                await self._ship(record)
+                if write_id is not None:
+                    self._remember(str(write_id), dict(ack))
+                return ack
 
-    def _ship(self, record: WalRecord) -> None:
+    def _record_payload(self, kind: str, payload: Dict[str, object],
+                        write_id) -> Dict[str, object]:
+        """Validate one mutation and build its log record payload."""
+        validate_mutation(self.service, kind, payload)
+        return mutation_record_payload(
+            self.service, kind, payload,
+            str(write_id) if write_id is not None else None)
+
+    async def _ship(self, record: WalRecord) -> None:
         """Fan one record out to every shippable follower.
 
         A failed follower goes on cooldown instead of failing the
@@ -388,24 +390,24 @@ class LeaderCoordinator(_TraceMixin):
             # follower's apply joins the same trace across the wire.
             payload["trace"] = ship_span.context().to_wire()
         with ship_span:
-            self._ship_payload(payload)
+            await self._ship_payload(payload)
 
-    def _ship_payload(self, payload: Dict[str, object]) -> None:
-        for follower in self._followers.values():
+    async def _ship_payload(self, payload: Dict[str, object]) -> None:
+        for follower in list(self._followers.values()):
             if not follower.shippable:
                 self.n_ship_failures += 1
                 continue
             try:
-                reply = follower.link.request(Frame("wal_append", payload))
+                reply = await follower.link.request(
+                    Frame("wal_append", payload))
                 if reply.is_error:
                     raise WalError(str(reply.payload.get("message")))
                 self.n_shipped += 1
                 follower.mark_alive()
                 follower.applied_seqno = int(
                     reply.payload.get("applied", follower.applied_seqno))
-            except (OSError, ConnectionError, ProtocolError,
-                    WalError) as error:
-                follower.mark_dead()
+            except _LINK_ERRORS + (WalError,) as error:
+                await follower.mark_dead()
                 self.n_ship_failures += 1
                 self.last_ship_error = repr(error)
 
@@ -424,15 +426,17 @@ class LeaderCoordinator(_TraceMixin):
                 "high_seqno": self.log.high_seqno,
                 "leader_instance": self.instance}
 
-    def handle_wal_append(self, payload) -> Dict[str, object]:
+    async def handle_wal_append(self, payload) -> Dict[str, object]:
         raise WalError("the leader does not accept shipped records")
 
     # -- lifecycle / observability ----------------------------------------
 
-    def close(self) -> None:
+    async def close(self) -> None:
         for follower in self._followers.values():
-            follower.link.close()
+            await follower.link.close()
         self._followers.clear()
+        # An append in flight finishes before the log closes under it.
+        self._wal_thread.shutdown(wait=True)
         self.log.close()
 
     def stats(self) -> Dict[str, object]:
@@ -475,16 +479,12 @@ class FollowerCoordinator(_TraceMixin):
                  timeout: float = 10.0, tracer: Optional[Tracer] = None):
         self.service = service
         self._tracer = tracer
+        #: How gateway calls run (see :class:`LeaderCoordinator`).
+        self.run = _inline
         self.leader_address = (str(leader_address[0]),
                                int(leader_address[1]))
         self.replayer = MutationReplayer(service)
-        # Two links on purpose: forwarding runs on the dedicated forward
-        # thread while catch-up runs on the gateway executor — one
-        # socket shared across threads would interleave frames.
-        self._forward_link = _WalLink(self.leader_address, timeout=timeout)
-        self._catchup_link = _WalLink(self.leader_address, timeout=timeout)
-        self._forward_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-wal-forward")
+        self._link = _Link(self.leader_address, timeout=timeout)
         self._leader_instance: Optional[str] = None
         #: Highest leader seqno this follower has *heard of* (from
         #: shipment and catch-up headers) — the reference point for its
@@ -496,15 +496,8 @@ class FollowerCoordinator(_TraceMixin):
 
     # -- the write path (forwarding) ---------------------------------------
 
-    @property
-    def forward_pool(self) -> ThreadPoolExecutor:
-        """Run :meth:`handle_mutation` here, never on the gateway
-        executor: forwarding blocks on the leader, whose resulting
-        shipment needs this replica's gateway executor to apply."""
-        return self._forward_pool
-
-    def handle_mutation(self, kind: str,
-                        payload: Dict[str, object]) -> Dict[str, object]:
+    async def handle_mutation(self, kind: str, payload: Dict[str, object]
+                              ) -> Dict[str, object]:
         """Forward one mutation to the leader; relay its ack or error."""
         ctx = self._trace_context(payload)
         with self._span("wal.forward", ctx, kind=kind) as span:
@@ -515,9 +508,8 @@ class FollowerCoordinator(_TraceMixin):
                 forwarded["trace"] = span.context().to_wire()
             frame = Frame(kind, forwarded)
             try:
-                reply = self._forward_link.request(frame)
-            except (OSError, ConnectionError, ProtocolError) as error:
-                self._forward_link.close()
+                reply = await self._link.request(frame)
+            except _LINK_ERRORS as error:
                 self.n_forward_failures += 1
                 raise WalUnavailableError(
                     f"write leader {self.leader_address} unreachable "
@@ -559,9 +551,13 @@ class FollowerCoordinator(_TraceMixin):
                     f"{self.replayer.applied_seqno}; a non-durable log was "
                     "lost — restart this replica from the snapshot")
 
-    def handle_wal_append(self,
-                          payload: Dict[str, object]) -> Dict[str, object]:
-        """Apply one shipped batch; close any gap by catching up first."""
+    async def handle_wal_append(self, payload: Dict[str, object]
+                                ) -> Dict[str, object]:
+        """Apply one shipped batch; close any gap by catching up first.
+
+        Needs no lock against a concurrent catch-up: every apply is one
+        gateway call, and the high-water mark makes an overlap a no-op.
+        """
         ctx = self._trace_context(payload)
         with self._span("wal.follower_apply", ctx) as span:
             leader_hwm = int(payload.get("leader_hwm", 0))
@@ -570,22 +566,21 @@ class FollowerCoordinator(_TraceMixin):
             for entry in payload.get("records", ()):
                 record = _record_from_wire(entry)
                 try:
-                    self.replayer.apply(record)
+                    await self.run(self.replayer.apply, record)
                 except WalGapError:
-                    self.catch_up(up_to=record.seqno - 1)
-                    self.replayer.apply(record)  # duplicate-safe by now
+                    await self.catch_up(up_to=record.seqno - 1)
+                    # Duplicate-safe by now.
+                    await self.run(self.replayer.apply, record)
             span.set_attr("applied", self.replayer.applied_seqno)
             return {"applied": self.replayer.applied_seqno}
 
-    def catch_up(self, up_to: Optional[int] = None) -> int:
+    async def catch_up(self, up_to: Optional[int] = None) -> int:
         """Pull records from the leader until the gap is closed.
 
         Pulls batches starting at the high-water mark until the leader
         reports nothing newer (or ``up_to`` is reached).  Returns how
-        many records were applied.  Runs under the gateway lock —
-        callers already hold it (:meth:`handle_wal_append`) or take it
-        (ReplicaSet wiring, via ``call_serialized``) — so application
-        serializes with reads.
+        many records were applied; each batch is applied by one gateway
+        call, between two reads, never inside one.
         """
         applied = 0
         while True:
@@ -593,10 +588,9 @@ class FollowerCoordinator(_TraceMixin):
             if up_to is not None and start > up_to:
                 return applied
             try:
-                reply = self._catchup_link.request(Frame("wal_catchup", {
+                reply = await self._link.request(Frame("wal_catchup", {
                     "from": start, "limit": CATCHUP_BATCH}))
-            except (OSError, ConnectionError, ProtocolError) as error:
-                self._catchup_link.close()
+            except _LINK_ERRORS as error:
                 raise WalUnavailableError(
                     f"catch-up from leader {self.leader_address} failed "
                     f"({error!r})") from error
@@ -607,7 +601,7 @@ class FollowerCoordinator(_TraceMixin):
             self.leader_hwm = max(self.leader_hwm, high_seqno)
             records = [_record_from_wire(entry)
                        for entry in reply.payload.get("records", ())]
-            applied += self.replayer.apply_all(records)
+            applied += await self.run(self.replayer.apply_all, records)
             self.n_catchup_batches += 1
             high = high_seqno
             if not records or self.replayer.applied_seqno >= \
@@ -619,10 +613,8 @@ class FollowerCoordinator(_TraceMixin):
 
     # -- lifecycle / observability ----------------------------------------
 
-    def close(self) -> None:
-        self._forward_pool.shutdown(wait=False, cancel_futures=True)
-        self._forward_link.close()
-        self._catchup_link.close()
+    async def close(self) -> None:
+        await self._link.close()
 
     def stats(self) -> Dict[str, object]:
         replay_stats = self.replayer.stats()

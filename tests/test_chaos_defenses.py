@@ -13,7 +13,6 @@ from __future__ import annotations
 import asyncio
 import collections
 import socket
-import threading
 import time
 
 import numpy as np
@@ -95,7 +94,7 @@ def _run_fused(requests):
     (dispatched user sets, per-request outcomes)."""
     calls = []
 
-    def top_n_batch(users, n=10, exclude_seen=True):
+    async def top_n_batch(users, n=10, exclude_seen=True):
         calls.append(sorted(set(users)))
         return {user: ("served", user) for user in users}
 
@@ -135,25 +134,25 @@ def test_expired_requests_are_never_dispatched(requests):
 def test_expired_waiter_behind_inflight_batch_is_shed():
     """A waiter queued behind a slow in-flight batch expires at the
     flush boundary instead of being scored late."""
-    entered = threading.Event()
-    release = threading.Event()
     calls = []
 
-    def top_n_batch(users, n=10, exclude_seen=True):
-        calls.append(sorted(set(users)))
-        if users == [1]:
-            entered.set()
-            release.wait(5.0)
-        return {user: user for user in users}
-
     async def scenario():
+        entered, release = asyncio.Event(), asyncio.Event()
+
+        async def top_n_batch(users, n=10, exclude_seen=True):
+            calls.append(sorted(set(users)))
+            if users == [1]:
+                entered.set()
+                await release.wait()
+            return {user: user for user in users}
+
         # A long fallback window: the doomed waiter's deadline passes
         # while it accumulates behind the in-flight batch, so the
         # eventual flush must shed it instead of scoring it late.
         fuser = QueryFuser(top_n_batch, window_ms=150.0)
         blocked = asyncio.ensure_future(fuser.top_n(1, n=5))
         # Eager dispatch: the batch is blocked once it enters the gateway.
-        assert await asyncio.to_thread(entered.wait, 5.0)
+        await asyncio.wait_for(entered.wait(), 5.0)
         doomed = asyncio.ensure_future(fuser.top_n(
             2, n=5, deadline=time.monotonic() + 0.02))
         with pytest.raises(DeadlineExpired):

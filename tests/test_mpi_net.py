@@ -365,6 +365,64 @@ class TestHandshake:
         assert all(_closed_by_peer(sock) for sock in socks)
 
 
+def _fake_rank_zero(peers):
+    """A rendezvous point that answers one hello with ``{"peers":
+    peers}``: ``(address, thread)``."""
+    server = socket.create_server(("127.0.0.1", 0))
+    address = server.getsockname()[:2]
+
+    def answer():
+        with server:
+            sock, _ = server.accept()
+            with sock:
+                decoder = FrameDecoder()
+                while not decoder.feed(sock.recv(1 << 16)):
+                    pass
+                sock.sendall(encode_frame(Frame("mpi_hello",
+                                                {"peers": peers})))
+                sock.recv(1)  # until the rank hangs up
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    return address, thread
+
+
+_BAD_ADDRESS_MAPS = {
+    "short-entry": {"0": ["127.0.0.1"], "1": ["127.0.0.1", 9]},
+    "str-port": {"0": ["127.0.0.1", "9"], "1": ["127.0.0.1", 9]},
+    "int-host": {"0": [7, 9], "1": ["127.0.0.1", 9]},
+    "bad-rank-key": {"x": ["127.0.0.1", 9], "1": ["127.0.0.1", 9]},
+    "missing-rank-0": {"1": ["127.0.0.1", 9], "2": ["127.0.0.1", 9]},
+}
+
+
+class TestAddressMap:
+    """A rank other than 0 refuses a malformed address map from the
+    rendezvous with :class:`ProtocolError`, and the launcher turns that
+    into its failure report (exit 3), not a traceback."""
+
+    @pytest.mark.parametrize("peers", list(_BAD_ADDRESS_MAPS.values()),
+                             ids=list(_BAD_ADDRESS_MAPS))
+    def test_malformed_address_map_is_a_protocol_error(self, peers):
+        address, thread = _fake_rank_zero(peers)
+        with pytest.raises(ProtocolError, match="rendezvous"):
+            SocketCommWorld.connect(1, 2, address, timeout=5.0)
+        thread.join(timeout=5.0)
+
+    def test_launcher_reports_a_malformed_address_map(self, tmp_path):
+        from repro.mpi.net.__main__ import main
+
+        address, thread = _fake_rank_zero(_BAD_ADDRESS_MAPS["short-entry"])
+        report = tmp_path / "rank1.json"
+        assert main(["--rank", "1", "--world", "2", "--rendezvous",
+                     "%s:%d" % address, "--connect-timeout", "5",
+                     "--report", str(report)]) == 3
+        thread.join(timeout=5.0)
+        written = json.loads(report.read_text())
+        assert written["ok"] is False
+        assert written["error"].startswith("ProtocolError: ")
+
+
 # ---------------------------------------------------------------------------
 # training parity (the acceptance criterion)
 # ---------------------------------------------------------------------------
@@ -686,13 +744,14 @@ class TestObs:
         assert snapshot["mpi.pending{rank=0}"] == 0
 
     def test_sweep_and_exchange_spans_emitted(self, tiny_dataset, tmp_path):
-        tracer = Tracer(sink_dir=str(tmp_path), sink_name="mpi.jsonl")
         opts = dict(n_ranks=1, hyper_mode="stats")
         worlds = start_local_world(1)
         try:
             sampler = DistributedGibbsSampler(_config(),
                                               DistributedOptions(**opts))
-            with tracer.start("mpi.rank", attrs={"rank": 0}):
+            with Tracer(sink_dir=str(tmp_path),
+                        sink_name="mpi.jsonl") as tracer, \
+                    tracer.start("mpi.rank", attrs={"rank": 0}):
                 sampler.run(tiny_dataset.split.train, tiny_dataset.split,
                             seed=11, comm_world=worlds[0])
         finally:

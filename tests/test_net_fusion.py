@@ -10,18 +10,21 @@ callable), so the failure modes the PR fixes are pinned directly:
   ``LookupError`` — never a hang (the old ``results[user]`` lookup threw
   inside a done-callback and left every later future pending forever);
 * dispatch is eager: a lone caller pays no window latency, and windows
-  accumulating behind an in-flight batch flush on its completion.
+  accumulating behind an in-flight batch flush on its completion;
+* a window whose gateway is shut down fails every waiter retryably.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 
 import numpy as np
 import pytest
 
-from repro.serving.net.fusion import QueryFuser
+from repro.bench.serving import make_bench_snapshot
+from repro.serving.net.fusion import FuserClosed, QueryFuser
+from repro.serving.net.server import NetServer
+from repro.serving.service import PredictionService
 
 
 class _Gateway:
@@ -32,11 +35,12 @@ class _Gateway:
         self.drop = set(drop)       # users silently absent from results
         self.n_items = n_items
         self.calls: list[list[int]] = []
-        self.lock = threading.Lock()
 
-    def top_n_batch(self, users, n=10, exclude_seen=True):
-        with self.lock:
-            self.calls.append(list(users))
+    async def top_n_batch(self, users, n=10, exclude_seen=True):
+        return self.score(users, n)
+
+    def score(self, users, n):
+        self.calls.append(list(users))
         bad = self.poison.intersection(users)
         if bad:
             raise ValueError(f"invalid users {sorted(bad)}")
@@ -79,7 +83,7 @@ def test_concurrent_requests_fuse_and_match_singletons():
     stats, results = _run(scenario())
     assert stats["requests"] == 4
     for user, (items, scores) in zip((1, 2, 3, 2), results):
-        solo_items, solo_scores = gateway.top_n_batch([user], n=4)[user]
+        solo_items, solo_scores = gateway.score([user], 4)[user]
         assert items.tolist() == solo_items.tolist()
         assert scores.tobytes() == solo_scores.tobytes()
 
@@ -96,7 +100,7 @@ def test_poisoned_window_partitions_only_the_offender_errors():
     for user, result in zip((1, 2, 3), (results[0], results[2], results[3])):
         assert not isinstance(result, BaseException), result
         items, scores = result
-        solo_items, solo_scores = gateway.top_n_batch([user], n=4)[user]
+        solo_items, solo_scores = gateway.score([user], 4)[user]
         assert items.tolist() == solo_items.tolist()
         assert scores.tobytes() == solo_scores.tobytes()
     assert stats["partitions"] >= 1
@@ -148,22 +152,21 @@ def test_missing_user_in_partition_retry_also_gets_lookup_error():
 
 
 def test_windows_accumulate_behind_in_flight_batch_then_flush():
-    entered = threading.Event()
-    release = threading.Event()
     gateway = _Gateway()
-    inner = gateway.top_n_batch
-
-    def slow_batch(users, n=10, exclude_seen=True):
-        entered.set()
-        result = inner(users, n=n, exclude_seen=exclude_seen)
-        release.wait(timeout=10.0)
-        return result
 
     async def scenario():
+        entered, release = asyncio.Event(), asyncio.Event()
+
+        async def slow_batch(users, n=10, exclude_seen=True):
+            entered.set()
+            result = gateway.score(users, n)
+            await release.wait()
+            return result
+
         fuser = QueryFuser(slow_batch, window_ms=10_000.0)
         first = asyncio.ensure_future(fuser.top_n(1, n=4))
         # The first batch is in flight once it enters the gateway.
-        assert await asyncio.to_thread(entered.wait, 10.0)
+        await asyncio.wait_for(entered.wait(), 10.0)
         laters = [asyncio.ensure_future(fuser.top_n(user, n=4))
                   for user in (2, 3, 4)]
         await asyncio.sleep(0)  # one loop pass: the newcomers enqueue
@@ -195,29 +198,37 @@ def test_drain_settles_everything():
     _run(scenario())
 
 
-def test_window_flushed_after_executor_shutdown_fails_retryably(caplog):
-    """A replica killed with a window pending: the flush cannot reach the
-    shut-down gateway executor, and every popped waiter gets a retryable
-    FuserClosed instead of staying pending behind a logged RuntimeError."""
-    from concurrent.futures import ThreadPoolExecutor
+class _RemoteGateway:
+    """A gateway that is not a PredictionService: the server calls it on
+    its private scorer thread."""
 
-    from repro.serving.net.fusion import FuserClosed
+    def __init__(self, service: PredictionService):
+        self._service = service
 
-    gateway = _Gateway()
-    executor = ThreadPoolExecutor(max_workers=1)
-    executor.shutdown()
+    def __getattr__(self, name):
+        return getattr(self._service, name)
+
+
+def test_window_on_a_shut_down_gateway_fails_retryably(caplog):
+    """A replica killed with a read still to score: its scorer thread is
+    shut down, and the fused read gets a retryable error frame (and
+    the fuser a FuserClosed) instead of a pending future or a logged
+    RuntimeError."""
+    from repro.serving.net.protocol import Frame
+
+    snapshot = make_bench_snapshot(12, 9, 3, seed=2)
+    server = NetServer(_RemoteGateway(PredictionService(snapshot)))
 
     async def scenario():
-        fuser = QueryFuser(gateway.top_n_batch, executor=executor)
-        futures = [asyncio.ensure_future(fuser.top_n(user, n=4))
-                   for user in (1, 2)]
-        for _ in range(3):
-            await asyncio.sleep(0)
-        return futures
+        await server.start()
+        await server.abort()
+        with pytest.raises(FuserClosed):
+            await server.fuser.top_n(1, n=4)
+        return await server._fused_top_n(Frame("top_n", {"user": 2,
+                                                          "n": 4}))
 
-    with caplog.at_level("INFO"):
-        futures = _run(scenario())
-    assert all(isinstance(future.exception(), FuserClosed)
-               for future in futures)
-    assert gateway.calls == []
+    with caplog.at_level("WARNING"):
+        reply = asyncio.run(scenario())
+    assert reply.is_error and reply.payload["retryable"] is True
+    assert server.fuser.metrics()["windows"] == 2
     assert caplog.records == []

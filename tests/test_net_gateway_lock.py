@@ -1,18 +1,19 @@
-"""The gateway lock: reads on the loop, commits that let reads through.
+"""The gateway on its owner loop: reads on the loop, commits that let
+reads through.
 
-One ``threading.Lock`` per :class:`NetServer` serializes gateway state.
-What is pinned here:
+Each replica's event loop owns its gateway; no lock guards gateway
+state.  What is pinned here:
 
-* a fused window on an in-process gateway is scored inline on the event
-  loop when the lock is free, and goes to the executor (never blocking
-  the loop) when someone holds it;
-* a gateway that is not in process never scores on the loop;
-* a ``stall``ed gateway holds the lock, so fused reads queue on the
-  executor behind it, and one whose deadline passes while it waits in
-  its window is shed, not scored;
-* a leader commit holds the lock only to validate and to apply: a read
-  is served while the commit sits in its fsync, and the ack still waits
-  for the fsync;
+* an in-process gateway is scored on the loop thread, fused windows
+  and their partition retries included;
+* a gateway that is not in process never scores on the loop: its calls
+  run on the server's private scorer thread;
+* a ``stall``ed gateway holds fused reads on the loop (which keeps
+  reading and shedding), and a read whose deadline passes while it waits
+  in its window is shed, not scored; reads resume after the stall;
+* a leader commit appends on the WAL thread and validates and applies
+  on the loop, commits serialize in seqno order, a read is served while
+  a commit sits in its fsync, and the ack still waits for the fsync;
 * reads of a folded-in user racing a stream of ``add_ratings`` for that
   user leave no stale score vector behind: after quiescence every
   replica serves what a fresh in-process service replaying the same
@@ -35,7 +36,7 @@ import numpy as np
 import pytest
 
 from repro.bench.serving import make_bench_snapshot
-from repro.serving.net import (Frame, FrameDecoder, QueryFuser, ReplicaSet,
+from repro.serving.net import (Frame, FrameDecoder, ReplicaSet,
                                ServingClient, encode_frame)
 from repro.serving.net.protocol import ERROR_DEADLINE, hello_frame
 from repro.serving.service import PredictionService
@@ -67,115 +68,48 @@ def _wait(condition, what: str) -> None:
         assert time.monotonic() < give_up, f"never reached: {what}"
 
 
-# ---------------------------------------------------------------------------
-# the fuser, sans sockets
-# ---------------------------------------------------------------------------
+class _Spy(PredictionService):
+    """An in-process gateway recording each batch call's users and
+    thread; a batch holding ``poison`` raises."""
 
-class _Recorder:
-    """A batch entry point recording the thread and lock state per call."""
+    poison = None
 
-    def __init__(self, lock: threading.Lock):
-        self.lock = lock
-        self.calls = []  # (users, thread ident, lock held?)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []  # (users, thread ident)
 
     def top_n_batch(self, users, n=10, exclude_seen=True):
-        self.calls.append((list(users), threading.get_ident(),
-                           self.lock.locked()))
-        return {int(user): int(user) * 10 for user in users}
+        self.calls.append((list(users), threading.get_ident()))
+        if self.poison in users:
+            raise ValueError(f"poisoned user {self.poison}")
+        return super().top_n_batch(users, n=n, exclude_seen=exclude_seen)
 
 
-def test_free_lock_scores_the_window_inline_on_the_loop():
-    lock = threading.Lock()
-    gateway = _Recorder(lock)
-
-    async def scenario():
-        fuser = QueryFuser(gateway.top_n_batch, window_ms=10_000.0,
-                           lock=lock)
-        results = await asyncio.gather(*(fuser.top_n(user, n=3)
-                                         for user in (4, 5, 4)))
-        return threading.get_ident(), results, fuser.metrics()
-
-    loop_thread, results, stats = asyncio.run(scenario())
-    assert results == [40, 50, 40]
-    # One window, scored on the loop thread with the lock held.
-    assert gateway.calls == [([4, 5, 4], loop_thread, True)]
-    assert stats["windows"] == stats["inline"] == 1
-    assert not lock.locked()
-
-
-def test_held_lock_sends_the_window_to_the_executor_without_blocking():
-    """With the lock held elsewhere the flush never waits on it: the
-    loop keeps running other work, the window is scored on the executor
-    once the holder lets go, and nothing counts as inline."""
-    lock = threading.Lock()
-    gateway = _Recorder(lock)
-
-    async def scenario():
-        fuser = QueryFuser(gateway.top_n_batch, window_ms=10_000.0,
-                           lock=lock)
-        lock.acquire()
-        try:
-            read = asyncio.ensure_future(fuser.top_n(7, n=3))
-            # Many loop passes while the lock is held: the loop is not
-            # blocked, and the read waits on the executor.
-            for _ in range(50):
-                await asyncio.sleep(0)
-            assert not read.done()
-            assert gateway.calls == []
-        finally:
-            lock.release()
-        return threading.get_ident(), await read, fuser.metrics()
-
-    loop_thread, result, stats = asyncio.run(scenario())
-    assert result == 70
-    (users, thread, held), = gateway.calls
-    assert users == [7] and thread != loop_thread and held
-    assert stats["windows"] == 1 and stats["inline"] == 0
-
-
-def test_inline_window_that_raises_is_partitioned_inline():
-    lock = threading.Lock()
-    calls = []
-
-    def top_n_batch(users, n=10, exclude_seen=True):
-        calls.append(list(users))
-        if 99 in users:
-            raise ValueError("invalid user 99")
-        return {user: user for user in users}
-
-    async def scenario():
-        fuser = QueryFuser(top_n_batch, window_ms=10_000.0, lock=lock)
-        return await asyncio.gather(
-            *(fuser.top_n(user, n=3) for user in (1, 99, 2)),
-            return_exceptions=True), fuser.metrics()
-
-    (first, bad, second), stats = asyncio.run(scenario())
-    assert (first, second) == (1, 2)
-    assert isinstance(bad, ValueError)
-    assert calls == [[1, 99, 2], [1], [99], [2]]
-    assert stats["partitions"] == 1 and stats["inline"] == 1
-    assert not lock.locked()
+def _spy_fleet(snapshot, spies, **options):
+    def make(index):
+        spies.append(_Spy(snapshot))
+        return spies[-1]
+    return ReplicaSet(make, n_replicas=1, replicate=False, **options)
 
 
 # ---------------------------------------------------------------------------
-# the server
+# where gateway calls run
 # ---------------------------------------------------------------------------
 
 class _RemoteGateway:
     """A gateway that is not a PredictionService (like ShardedScorer),
-    recording where its batch calls run."""
+    recording the thread its batch calls run on."""
 
     def __init__(self, service: PredictionService):
         self._service = service
-        self.server = None
-        self.calls = []  # (thread name, lock held?)
+        self.calls = []  # (thread name, thread ident)
 
     def __getattr__(self, name):
         return getattr(self._service, name)
 
     def top_n_batch(self, users, n=10, exclude_seen=True):
         self.calls.append((threading.current_thread().name,
-                           self.server.gateway_lock.locked()))
+                           threading.get_ident()))
         return self._service.top_n_batch(users, n=n,
                                          exclude_seen=exclude_seen)
 
@@ -189,28 +123,55 @@ def test_a_gateway_that_is_not_in_process_never_scores_on_the_loop(
         return gateways[-1]
 
     with ReplicaSet(make, n_replicas=1, replicate=False) as replicas:
-        server = replicas.replicas[0].server
-        gateways[0].server = server
+        loop_thread = replicas.replicas[0].ident
         with ServingClient(replicas.addresses) as client:
             for user in (0, 3, 8):
                 _same(reference.top_n(user, n=5), client.top_n(user, n=5))
-        assert server.fuser.metrics()["inline"] == 0
     assert len(gateways[0].calls) == 3
-    for thread_name, held in gateways[0].calls:
-        assert thread_name.startswith("repro-net-exec") and held
+    for thread_name, ident in gateways[0].calls:
+        assert thread_name.startswith("repro-net-scorer")
+        assert ident != loop_thread
 
 
 def test_in_process_reads_are_scored_on_the_loop(snapshot, reference):
-    with ReplicaSet(lambda index: PredictionService(snapshot),
-                    n_replicas=1, replicate=False) as replicas:
-        server = replicas.replicas[0].server
+    spies = []
+    with _spy_fleet(snapshot, spies) as replicas:
+        loop_thread = replicas.replicas[0].ident
         with ServingClient(replicas.addresses) as client:
             for user in (1, 2, 3):
                 _same(reference.top_n(user, n=4), client.top_n(user, n=4))
-            health = client.health()
-        # An idle gateway: each sequential read found the lock free.
-        assert server.fuser.metrics()["inline"] == 3
-        assert health["fusion"]["inline"] == 3
+        assert replicas.replicas[0].server.fuser.metrics()["windows"] == 3
+    assert spies[0].calls == [([user], loop_thread) for user in (1, 2, 3)]
+
+
+def test_inline_window_that_raises_is_partitioned_inline(snapshot,
+                                                         reference):
+    """One socket read carrying three reads fuses them into one window;
+    the poisoned user makes the batch raise, and the window is retried
+    user by user — every call on the loop thread, only the poisoned
+    read answered with an error."""
+    spies = []
+    with _spy_fleet(snapshot, spies) as replicas:
+        spies[0].poison = 5
+        loop_thread = replicas.replicas[0].ident
+        connection = _RawConnection(replicas.addresses[0])
+        connection.sock.sendall(b"".join(
+            encode_frame(Frame("top_n", {"user": user, "n": 4,
+                                         "id": index}))
+            for index, user in enumerate((1, 5, 2))))
+        replies = {}
+        for _ in range(3):
+            reply = connection.reply()
+            replies[reply.payload["id"]] = reply
+        connection.close()
+        stats = replicas.replicas[0].server.fuser.metrics()
+    assert "poisoned user 5" in replies[1].payload["message"]
+    for index, user in ((0, 1), (2, 2)):
+        assert replies[index].payload["items"].tolist() == \
+            reference.top_n(user, n=4).items.tolist()
+    assert spies[0].calls == [(users, loop_thread) for users in
+                              ([1, 5, 2], [1], [5], [2])]
+    assert stats["windows"] == 1 and stats["partitions"] == 1
 
 
 class _RawConnection:
@@ -240,19 +201,17 @@ class _RawConnection:
 
 
 def test_stalled_gateway_sheds_expired_fused_reads(snapshot, reference):
-    """``stall`` holds the gateway lock, so a fused read finds it taken
-    and queues on the executor behind the stall; a read with a 100 ms
-    budget accumulates behind that in-flight window, its deadline passes
-    before the 400 ms fallback flush, and the fuser sheds it instead of
-    scoring it.  Once the stall drains, reads are inline again."""
-    with ReplicaSet(lambda index: PredictionService(snapshot),
-                    n_replicas=1, replicate=False,
-                    fuse_window_ms=400.0) as replicas:
+    """``stall`` holds every gateway call on the loop, so a fused read's
+    window stays in flight behind the stall; a read with a 100 ms budget
+    accumulates behind that window, its deadline passes before the
+    400 ms fallback flush, and the fuser sheds it instead of scoring it.
+    Once the stall is over, reads are scored again."""
+    spies = []
+    with _spy_fleet(snapshot, spies, fuse_window_ms=400.0) as replicas:
         server = replicas.replicas[0].server
         holder, late = (_RawConnection(replicas.addresses[0])
                         for _ in range(2))
         server.stall(1.0)
-        assert server.gateway_lock.locked()  # wedged before stall returns
         holder.send(Frame("top_n", {"user": 0, "n": 5, "id": 1}))
         _wait(lambda: server.fuser.metrics()["windows"] == 1,
               "the holder's window is in flight")
@@ -266,16 +225,16 @@ def test_stalled_gateway_sheds_expired_fused_reads(snapshot, reference):
         assert served.payload["items"].tolist() == \
             reference.top_n(0, n=5).items.tolist()
         stats = server.fuser.metrics()
-        assert stats["expired"] == 1
-        assert stats["inline"] == 0  # nothing ran on the loop
+        assert stats["expired"] == 1 and stats["windows"] == 1
         assert server.stats()["n_deadline_shed"] == 1
-        server.call_serialized(lambda: None)  # the stall has drained
+        server.call_serialized(lambda: None)  # the stall is over
         holder.send(Frame("top_n", {"user": 2, "n": 5, "id": 3}))
         assert holder.reply().payload["items"].tolist() == \
             reference.top_n(2, n=5).items.tolist()
-        assert server.fuser.metrics()["inline"] == 1
         holder.close()
         late.close()
+    # The shed read was never scored.
+    assert [users for users, _ in spies[0].calls] == [[0], [2]]
 
 
 def _rate(addresses, user, item, value):
@@ -294,8 +253,10 @@ def test_reads_are_served_while_a_commit_sits_in_its_fsync(snapshot,
             log = server.wal.log
             real_append = log.append
             entered, release = threading.Event(), threading.Event()
+            threads = []
 
             def slow_append(payload):
+                threads.append(threading.current_thread().name)
                 entered.set()
                 assert release.wait(10.0)
                 return real_append(payload)
@@ -308,8 +269,9 @@ def test_reads_are_served_while_a_commit_sits_in_its_fsync(snapshot,
             writer.start()
             try:
                 assert entered.wait(10.0)
-                assert not server.gateway_lock.locked()
-                # The commit is parked inside its append; reads flow.
+                # The commit is parked inside its append, on the WAL
+                # thread; reads flow on the loop.
+                assert threads[0].startswith("repro-wal")
                 for probe in (3, 4, 5):
                     _same(reference.top_n(probe, n=5),
                           client.top_n(probe, n=5))
@@ -327,31 +289,44 @@ def test_reads_are_served_while_a_commit_sits_in_its_fsync(snapshot,
             _same(expected.top_n(user, n=6), client.top_n(user, n=6))
 
 
-def test_commit_holds_the_gateway_lock_only_to_validate_and_apply(snapshot):
+def test_commit_appends_on_the_wal_thread_and_applies_on_the_loop(
+        snapshot):
+    """Validation and apply run on the loop, the append on the WAL
+    thread; three commits started together serialize in seqno order."""
     service = PredictionService(snapshot)
     leader = LeaderCoordinator(service, WriteAheadLog())
-    held = collections.defaultdict(list)
+    threads = collections.defaultdict(list)
 
     def spy(owner, name):
         real = getattr(owner, name)
 
         def call(*args, **kwargs):
-            held[name].append(leader.gateway_lock.locked())
+            threads[name].append(threading.current_thread().name)
             return real(*args, **kwargs)
         setattr(owner, name, call)
 
     spy(service, "fold_in")
     spy(service, "add_ratings")
     spy(leader.log, "append")
-    spy(leader, "_ship")
-    user = leader.handle_mutation(
-        "foldin", {"items": [0, 1], "values": [4.0, 3.0]})["user"]
-    leader.handle_mutation("rate", {"user": user, "items": [2],
-                                    "values": [1.5]})
-    assert held == {"fold_in": [True], "add_ratings": [True],
-                    "append": [False, False], "_ship": [False, False]}
-    assert not leader.gateway_lock.locked()
-    leader.close()
+
+    async def scenario():
+        user = (await leader.handle_mutation(
+            "foldin", {"items": [0, 1], "values": [4.0, 3.0]}))["user"]
+        acks = await asyncio.gather(*(
+            leader.handle_mutation("rate", {"user": user, "items": [item],
+                                            "values": [1.5]})
+            for item in (2, 3, 4)))
+        await leader.close()
+        return threading.current_thread().name, acks
+
+    loop_thread, acks = asyncio.run(scenario())
+    assert threads["fold_in"] == [loop_thread]
+    assert threads["add_ratings"] == [loop_thread] * 3
+    assert len(threads["append"]) == 4
+    assert all(name.startswith("repro-wal") for name in threads["append"])
+    assert [ack["seqno"] for ack in acks] == [2, 3, 4]
+    assert [record.payload["items"] for record in leader.log.records(2)] \
+        == [[2], [3], [4]]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ via ``retry_writes=False`` / ``replicate=False``.
 
 from __future__ import annotations
 
+import threading
 import types
 
 import numpy as np
@@ -162,6 +163,43 @@ def test_share_nothing_mode_is_still_available(snapshot):
             assert len(first.top_n(cold, n=3)) == 3
             with pytest.raises(NetError, match="outside"):
                 second.top_n(cold, n=3)
+
+
+def test_a_replica_is_one_loop_thread_and_the_leader_adds_one_wal_thread(
+        snapshot, tmp_path):
+    """Thread census of a durable leader + follower pair: while it
+    serves reads and writes (some through the follower's forward), the
+    leader runs its loop thread and one WAL thread, the follower its
+    loop thread only.  Nothing outlives ``kill`` + ``restart`` or
+    ``stop``."""
+    before = set(threading.enumerate())
+
+    def census():
+        return sorted(thread.name for thread in threading.enumerate()
+                      if thread not in before)
+
+    def traffic(addresses, user):
+        with ServingClient(addresses) as client:
+            client.rate(user, np.array([2]), np.array([1.5]))
+            assert len(client.top_n(user, n=3)) == 3
+
+    with ReplicaSet(lambda index: PredictionService(snapshot),
+                    n_replicas=2, wal_dir=str(tmp_path / "wal")) \
+            as replicas:
+        with ServingClient(replicas.addresses[:1]) as client:
+            user = client.fold_in(np.array([0, 1]), np.array([4.0, 3.0]))
+        traffic(replicas.addresses[:1], user)
+        traffic(replicas.addresses[1:], user)  # forwarded to the leader
+        wal_thread = ["repro-wal_0"]
+        assert census() == ["repro-net-replica-0", "repro-net-replica-1"] \
+            + wal_thread
+        replicas.kill(0)
+        assert census() == ["repro-net-replica-1"]
+        replicas.restart(0)
+        traffic(replicas.addresses, user)
+        assert census() == ["repro-net-replica-0", "repro-net-replica-1"] \
+            + wal_thread
+    assert census() == []
 
 
 def test_address_ring_round_robin_and_cooldown(monkeypatch):

@@ -149,27 +149,31 @@ def test_failover_retry_is_one_trace_with_fresh_attempt_spans(traced_pair):
 
 def test_fused_window_is_one_parent_with_children_in_response_order(
         snapshot):
+    """Four traced ``top_n`` requests, each in its own trace, decoded
+    from one socket read, so they ride one fused window: its span has one
+    ``fusion.waiter`` child per request, indexed in response order, and
+    the waiters of the other three traces link back to their origin."""
     tracer = Tracer(capacity=8192)
-    n_clients = 4
+    n_requests = 4
     with ReplicaSet(lambda index: PredictionService(snapshot),
                     n_replicas=1, fuse_window_ms=100.0,
                     tracer=tracer) as replicas:
-        barrier = threading.Barrier(n_clients)
-
-        def one(user: int) -> None:
-            with ServingClient(replicas.addresses,
-                               tracer=tracer) as client:
-                client.top_n(0, n=5)  # connect + prime outside the burst
-                barrier.wait(timeout=30.0)
-                client.top_n(user, n=5)
-
-        threads = [threading.Thread(target=one, args=(user,))
-                   for user in range(n_clients)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
-        assert not any(thread.is_alive() for thread in threads)
+        roots = [tracer.start("client.top_n") for _ in range(n_requests)]
+        burst = encode_frame(hello_frame()) + b"".join(
+            encode_frame(Frame("top_n", {
+                "user": user, "n": 5, "id": user,
+                "trace": root.context().to_wire()}))
+            for user, root in enumerate(roots))
+        with socket.create_connection(replicas.addresses[0],
+                                      timeout=10.0) as sock:
+            sock.settimeout(10.0)
+            sock.sendall(burst)
+            decoder, frames = FrameDecoder(), []
+            while len(frames) < n_requests + 1:
+                frames += decoder.feed(sock.recv(1 << 16))
+        for root in roots:
+            root.finish()
+    assert not any(frame.is_error for frame in frames)
 
     spans = tracer.spans()
     children = {}
@@ -186,15 +190,14 @@ def test_fused_window_is_one_parent_with_children_in_response_order(
             == list(range(len(waiters)))
     deepest = max(len(children.get(window["span_id"], []))
                   for window in windows)
-    assert deepest >= 2, "no window fused two concurrent requests"
+    assert deepest == n_requests, "the burst did not fuse into one window"
     # Waiters from other requests' traces link back to their origin
     # instead of silently re-parenting into the window's trace.
     cross = [span for span in spans if span["name"] == "fusion.waiter"
              and "origin_trace_id" in span["attrs"]]
+    assert len(cross) == n_requests - 1
     for span in cross:
         assert span["attrs"]["origin_trace_id"] != span["trace_id"]
-    # The batch execution itself traces under the window: the sharded
-    # scorer's batch span attaches on the executor thread.
     batch_names = {span["name"]
                    for window in windows
                    for span in children.get(window["span_id"], [])}
@@ -243,6 +246,90 @@ def test_write_trace_covers_append_fsync_ship_and_follower_apply(
     for apply_span in applies:
         assert apply_span["attrs"]["applied"] == 1
         assert apply_span["attrs"]["replayed_seqno"] == [1]
+
+
+class _CommitSignal(Tracer):
+    """A tracer that sets ``second`` once two ``wal.commit`` spans have
+    started (counting from ``reset``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.commits = 0
+        self.second = threading.Event()
+
+    def start(self, name, parent=None, attrs=None):
+        span = super().start(name, parent=parent, attrs=attrs)
+        if name == "wal.commit":
+            self.commits += 1
+            if self.commits == 2:
+                self.second.set()
+        return span
+
+
+def test_interleaved_commits_keep_separate_span_trees(snapshot, tmp_path):
+    """Two traced writes on one leader loop, the second's ``wal.commit``
+    entered while the first sits in its append on the WAL thread: each
+    write keeps its own tree — commit → append → fsync, commit → ship →
+    the follower's admission → its apply — under its own trace id.  Both commits run on the
+    one loop thread, so a thread-local active span would hand the
+    first commit's ship to the second commit, and the WAL thread would
+    see no active span at all."""
+    tracer = _CommitSignal(capacity=8192)
+    with ReplicaSet(lambda index: PredictionService(snapshot),
+                    n_replicas=2, wal_dir=str(tmp_path / "wal"),
+                    tracer=tracer) as replicas:
+        with ServingClient(replicas.addresses[:1]) as client:
+            user = client.fold_in(np.array([0, 1]), np.array([4.0, 5.0]))
+        log = replicas.replicas[0].server.wal.log
+        real_append = log.append
+
+        def append(payload):
+            # Park the first commit until the second one has started.
+            assert tracer.second.wait(10.0)
+            return real_append(payload)
+
+        log.append = append
+        tracer.drain()
+        tracer.commits = 0
+
+        def write(item: int) -> None:
+            with ServingClient(replicas.addresses[:1],
+                               tracer=tracer) as writer:
+                writer.rate(user, np.array([item]), np.array([3.0]))
+
+        writers = [threading.Thread(target=write, args=(item,))
+                   for item in (2, 3)]
+        for thread in writers:
+            thread.start()
+        for thread in writers:
+            thread.join(30.0)
+        assert not any(thread.is_alive() for thread in writers)
+    spans = tracer.spans()
+    roots = _roots(spans, "client.rate")
+    assert len(roots) == 2
+    seqnos = set()
+    for root in roots:
+        tree = _tree(spans, root)
+        assert {span["trace_id"] for span in tree} == {root["trace_id"]}
+        by_name = {}
+        for span in tree:
+            by_name.setdefault(span["name"], []).append(span)
+        (commit,), (append_span,), (fsync,), (ship,), (apply_span,) = (
+            by_name[name] for name in ("wal.commit", "wal.append",
+                                       "wal.fsync", "wal.ship",
+                                       "wal.follower_apply"))
+        assert append_span["parent_id"] == commit["span_id"]
+        assert fsync["parent_id"] == append_span["span_id"]
+        assert ship["parent_id"] == commit["span_id"]
+        # The follower's admission sits between the ship and the apply.
+        admit, = [span for span in tree
+                  if span["span_id"] == apply_span["parent_id"]]
+        assert admit["name"] == "server.admit"
+        assert admit["parent_id"] == ship["span_id"]
+        assert append_span["attrs"]["seqno"] == commit["attrs"]["seqno"] \
+            == ship["attrs"]["seqno"]
+        seqnos.add(commit["attrs"]["seqno"])
+    assert seqnos == {2, 3}
 
 
 def test_write_via_follower_traces_the_forward_hop(snapshot):

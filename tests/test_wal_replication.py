@@ -17,6 +17,8 @@ What is pinned here (the PR's acceptance bar):
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -50,32 +52,41 @@ def _service(snapshot) -> PredictionService:
 def test_duplicate_client_retry_returns_the_original_ack(snapshot):
     service = _service(snapshot)
     leader = LeaderCoordinator(service, WriteAheadLog())
-    first = leader.handle_mutation(
-        "foldin", {"items": [0, 1], "values": [4.0, 3.0],
-                   "write_id": "w-1"})
-    again = leader.handle_mutation(
-        "foldin", {"items": [0, 1], "values": [4.0, 3.0],
-                   "write_id": "w-1"})
+
+    async def commit_twice():
+        first = await leader.handle_mutation(
+            "foldin", {"items": [0, 1], "values": [4.0, 3.0],
+                       "write_id": "w-1"})
+        again = await leader.handle_mutation(
+            "foldin", {"items": [0, 1], "values": [4.0, 3.0],
+                       "write_id": "w-1"})
+        await leader.close()
+        return first, again
+
+    first, again = asyncio.run(commit_twice())
     assert again == first
     assert service.stats()["n_folded_in"] == 1  # applied exactly once
     assert leader.stats()["dedup_hits"] == 1
     assert leader.stats()["high_seqno"] == 1
-    leader.close()
 
 
 def test_write_dedup_survives_a_leader_restart(snapshot, tmp_path):
     payload = {"items": [0, 1], "values": [4.0, 3.0], "write_id": "w-9"}
+
+    async def commit_and_close(leader, payload):
+        ack = await leader.handle_mutation("foldin", payload)
+        await leader.close()
+        return ack
+
     leader = LeaderCoordinator(_service(snapshot), WriteAheadLog(tmp_path))
-    first = leader.handle_mutation("foldin", payload)
-    leader.close()
+    first = asyncio.run(commit_and_close(leader, payload))
 
     service = _service(snapshot)
     revived = LeaderCoordinator(service, WriteAheadLog(tmp_path))
     assert revived.stats()["log"]["recovered"] == 1
-    again = revived.handle_mutation("foldin", dict(payload))
+    again = asyncio.run(commit_and_close(revived, dict(payload)))
     assert again == first  # the retry spans the crash, still exactly-once
     assert service.stats()["n_folded_in"] == 1
-    revived.close()
 
 
 def test_replayer_skips_duplicates_and_refuses_gaps(snapshot):
