@@ -144,6 +144,31 @@ def test_in_process_reads_are_scored_on_the_loop(snapshot, reference):
     assert spies[0].calls == [([user], loop_thread) for user in (1, 2, 3)]
 
 
+def test_free_lock_scores_the_window_inline_on_the_loop(snapshot, reference):
+    """With nothing holding the gateway (no stall), one socket read
+    carrying three reads, a user repeated, fuses them into one window
+    that is scored once, inline on the loop thread."""
+    spies = []
+    with _spy_fleet(snapshot, spies) as replicas:
+        loop_thread = replicas.replicas[0].ident
+        connection = _RawConnection(replicas.addresses[0])
+        connection.sock.sendall(b"".join(
+            encode_frame(Frame("top_n", {"user": user, "n": 3,
+                                         "id": index}))
+            for index, user in enumerate((4, 5, 4))))
+        replies = {}
+        for _ in range(3):
+            reply = connection.reply()
+            replies[reply.payload["id"]] = reply
+        connection.close()
+        stats = replicas.replicas[0].server.fuser.metrics()
+    for index, user in enumerate((4, 5, 4)):
+        assert replies[index].payload["items"].tolist() == \
+            reference.top_n(user, n=3).items.tolist()
+    assert spies[0].calls == [([4, 5, 4], loop_thread)]
+    assert stats["windows"] == 1 and stats["partitions"] == 0
+
+
 def test_inline_window_that_raises_is_partitioned_inline(snapshot,
                                                          reference):
     """One socket read carrying three reads fuses them into one window;
