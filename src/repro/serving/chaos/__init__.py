@@ -1,23 +1,17 @@
 """Deterministic fault injection for the serving stack.
 
 * :mod:`repro.serving.chaos.plan` — :class:`FaultPlan` (a seeded,
-  replayable schedule of fault events) and :class:`FaultInjector` (the
-  thread-safe runtime dispatcher whose triggered-event log is
-  deterministic given the same call sequence).
-* :mod:`repro.serving.chaos.shims` — the hooks a plan drives:
-  :class:`ChaosStream` on the serving client's connections and
-  :class:`ChaosSocket` on socket-world MPI links
-  (delay / drop / reset / slow-read on scheduled frames), the WAL
-  filesystem faults (driven through
-  :meth:`~repro.serving.wal.log.WriteAheadLog.append`), and
-  :class:`FleetConductor` (scheduled replica kill / pause against a
-  :class:`~repro.serving.net.replica.ReplicaSet`).
+  replayable fault schedule) and :class:`FaultInjector` (its thread-safe
+  runtime, whose triggered-event log is deterministic per call order);
+* :mod:`repro.serving.chaos.shims` — the hooks a plan drives: the
+  serving client's :class:`ChaosShim`, the MPI links' :class:`ChaosSocket`,
+  the WAL's filesystem faults and :class:`FleetConductor` (replica kill
+  and pause).
 
-``python -m repro.serving chaos-smoke --seed N`` runs the whole layer
-end to end: a replica fleet under a seeded schedule while a read/write
-storm asserts the standing invariants (no acked write lost, reads
-bit-exact or retryable within their deadline, no hangs, post-schedule
-convergence).
+``python -m repro.serving chaos-smoke --seed N`` runs a replica fleet
+under a seeded schedule while a read/write storm asserts the invariants:
+no acked write lost, reads bit-exact or retryable in their deadline, no
+hangs, convergence after the schedule.
 """
 
 from repro.serving.chaos.plan import (
@@ -29,8 +23,8 @@ from repro.serving.chaos.plan import (
     FleetEvent,
 )
 from repro.serving.chaos.shims import (
+    ChaosShim,
     ChaosSocket,
-    ChaosStream,
     FleetConductor,
     InjectedConnectError,
 )
@@ -42,8 +36,8 @@ __all__ = [
     "FaultInjector",
     "SITE_ACTIONS",
     "FLEET_ACTIONS",
+    "ChaosShim",
     "ChaosSocket",
-    "ChaosStream",
     "FleetConductor",
     "InjectedConnectError",
 ]

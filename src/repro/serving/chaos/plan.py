@@ -43,7 +43,7 @@ __all__ = ["FaultEvent", "FleetEvent", "FaultPlan", "FaultInjector",
 #: Injection sites and the fault actions each supports.  ``arg`` units
 #: depend on the action: seconds for delays/pauses, unused otherwise.
 SITE_ACTIONS: Dict[str, Tuple[str, ...]] = {
-    # Socket shims: ChaosStream (client), ChaosSocket (MPI links).
+    # Socket shims: ChaosShim (client), ChaosSocket (MPI links).
     "net.connect": ("fail", "delay"),
     "net.send": ("delay", "drop", "reset"),
     "net.recv": ("delay", "slow", "drop", "reset"),

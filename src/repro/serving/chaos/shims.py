@@ -2,13 +2,13 @@
 
 Four hook families, matching the plan's site names:
 
-* :class:`ChaosStream` (with :func:`open_chaos_stream`, the
-  ``net.connect`` site) — wraps the serving client's asyncio
-  connection, chosen when the client dials with an injector, and
-  consults the injector on every frame write and every read: delay,
-  drop the bytes, reset the connection, or degrade to one-byte reads
-  (``slow`` — which also exercises the frame decoder's
-  partial-reassembly path).
+* :class:`ChaosShim` (with :func:`chaos_connect`, the ``net.connect``
+  site) — the serving client's faults, chosen when the client dials
+  with an injector.  The connection (an :class:`asyncio.Protocol`)
+  hands the shim every frame it sends (``net.send``) and every chunk
+  its ``data_received`` gets (``net.recv``): delay, drop the bytes,
+  reset the connection, or degrade to one-byte chunks (``slow`` — which
+  also exercises the frame decoder's partial-reassembly path).
 * :class:`ChaosSocket` — the same ``net.send``/``net.recv`` faults on a
   blocking socket: a socket-world MPI link.
 * The WAL filesystem faults (``wal.append``/``wal.fsync``) live inside
@@ -25,7 +25,9 @@ Four hook families, matching the plan's site names:
   fleet never loses quorum entirely.
 
 All hooks are no-ops without an injector — the production path never
-pays for them beyond one ``is None`` check per connection.
+pays for them beyond one ``is None`` check per connection.  The socket
+world imports this module for :class:`ChaosSocket` and loads no event
+loop: asyncio is imported only where a coroutine needs it.
 """
 
 from __future__ import annotations
@@ -38,26 +40,20 @@ from typing import Dict, List, Optional
 from repro.obs.trace import NULL_SPAN, activated
 from repro.serving.chaos.plan import FaultInjector
 
-__all__ = ["ChaosSocket", "ChaosStream", "FleetConductor",
-           "InjectedConnectError", "open_chaos_stream"]
+__all__ = ["ChaosShim", "ChaosSocket", "FleetConductor",
+           "InjectedConnectError", "chaos_connect"]
 
 
 class InjectedConnectError(ConnectionError):
     """A scheduled ``net.connect`` failure (raised before any byte moves)."""
 
 
-async def open_chaos_stream(host: str, port: int, injector: FaultInjector,
-                            span=NULL_SPAN) -> "ChaosStream":
-    """``asyncio.open_connection`` through the ``net.connect`` site.
-
-    ``fail`` raises :class:`InjectedConnectError` before dialling;
-    ``delay`` sleeps ``arg`` seconds first.  ``span`` is the thread's
-    active span only around the synchronous check, so a fired fault
-    annotates it.  The one :class:`ChaosStream` returned is the
-    connection's reader and its writer.
-    """
-    # asyncio is imported where it is used: the socket-world MPI ranks
-    # import this module for ChaosSocket and load no event loop.
+async def chaos_connect(host: str, port: int, injector: FaultInjector,
+                        span=NULL_SPAN) -> None:
+    """The ``net.connect`` site, before the client dials: ``fail``
+    raises :class:`InjectedConnectError`, ``delay`` sleeps ``arg``
+    seconds.  ``span`` is active around the check, so a fired fault
+    annotates it."""
     import asyncio
 
     with activated(span):
@@ -67,87 +63,95 @@ async def open_chaos_stream(host: str, port: int, injector: FaultInjector,
             raise InjectedConnectError(
                 f"injected connect failure to {(host, port)}")
         await asyncio.sleep(event.arg)
-    reader, writer = await asyncio.open_connection(host, port)
-    return ChaosStream(reader, writer, injector)
 
 
-class ChaosStream:
-    """An asyncio reader/writer proxy that executes scheduled faults.
+class ChaosShim:
+    """The ``net.send``/``net.recv`` faults of one asyncio connection,
+    which calls :meth:`send` instead of ``transport.write`` and passes
+    each received chunk through :meth:`receive`.  :class:`ChaosSocket`'s
+    faults, made non-blocking:
 
-    Forwards everything but ``write`` and ``read`` to the wrapped
-    ``StreamWriter``.  The faults are :class:`ChaosSocket`'s, made
-    non-blocking:
-
-    * ``write`` (``net.send``): ``delay`` holds the frame — and every
-      frame written behind it, in order — for ``arg`` seconds (a stalled
-      link); ``drop`` discards it (a lost request: its reply timer
-      fires); ``reset`` aborts the transport and raises
-      ``ConnectionResetError``.
-    * ``read`` (``net.recv``, every read, the hello reply's included):
-      ``delay`` sleeps ``arg`` seconds first; ``slow`` returns at most
-      one byte from this read on; ``drop`` swallows the link's bytes
-      until it closes (a lost reply: the waiting requests' timers fire);
-      ``reset`` aborts the transport and raises.
+    * ``send``: ``delay`` holds the frame, and every frame behind it, for
+      ``arg`` seconds (a stalled link); ``drop`` discards it (a lost
+      request: its reply timer fires); ``reset`` aborts the transport
+      and raises ``ConnectionResetError``.
+    * ``receive`` (every chunk, the hello reply's included): ``delay``
+      holds the chunk, and the link's reads, for ``arg`` seconds;
+      ``slow`` delivers it and every later chunk one byte per
+      ``net.recv``; ``drop`` swallows the link's bytes until it closes
+      (a lost reply); ``reset`` is ``send``'s.
     """
 
-    def __init__(self, reader, writer, injector: FaultInjector):
-        self._reader = reader
-        self._writer = writer
+    def __init__(self, injector: FaultInjector):
         self._injector = injector
         self._slow = False
-        self._held: Optional[List[bytes]] = None
+        self._dropping = False
+        self._held_sends: Optional[List[bytes]] = None
 
-    def write(self, data: bytes) -> None:
+    def send(self, transport, data: bytes) -> None:
         event = self._injector.check("net.send")
         action = None if event is None else event.action
         if action == "reset":
-            self._writer.transport.abort()
+            transport.abort()
             raise ConnectionResetError("injected reset on send")
         if action == "drop":
             return
-        if self._held is not None:
-            self._held.append(data)
+        if self._held_sends is not None:
+            self._held_sends.append(data)
         elif action == "delay":
             import asyncio
 
-            self._held = [data]
-            asyncio.get_running_loop().call_later(event.arg, self._release)
+            self._held_sends = [data]
+            asyncio.get_running_loop().call_later(
+                event.arg, self._release_sends, transport)
         else:
-            self._writer.write(data)
+            transport.write(data)
 
-    def _release(self) -> None:
-        held, self._held = self._held, None
-        if not self._writer.is_closing():
-            self._writer.write(b"".join(held))
+    def _release_sends(self, transport) -> None:
+        held, self._held_sends = self._held_sends, None
+        if not transport.is_closing():
+            transport.write(b"".join(held))
 
-    async def read(self, n: int = -1) -> bytes:
-        event = self._injector.check("net.recv")
-        if event is not None:
-            if event.action == "delay":
+    def receive(self, transport, data: bytes, deliver) -> None:
+        """Pass one received chunk to ``deliver`` through the faults."""
+        while data and not self._dropping:
+            event = self._injector.check("net.recv")
+            action = None if event is None else event.action
+            if action == "reset":
+                transport.abort()
+                raise ConnectionResetError("injected reset on recv")
+            if action == "drop":
+                self._dropping = True
+                return
+            if action == "delay":
                 import asyncio
 
-                await asyncio.sleep(event.arg)
-            elif event.action == "slow":
+                transport.pause_reading()
+                asyncio.get_running_loop().call_later(
+                    event.arg, self._release_chunk, transport, data,
+                    deliver)
+                return
+            if action == "slow":
                 self._slow = True
-            elif event.action == "drop":
-                while await self._reader.read(n):
-                    pass
-                raise ConnectionError("peer closed during injected drop")
-            elif event.action == "reset":
-                self._writer.transport.abort()
-                raise ConnectionResetError("injected reset on recv")
-        return await self._reader.read(1 if self._slow else n)
+            if not self._slow:
+                deliver(data)
+                return
+            deliver(data[:1])
+            data = data[1:]
 
-    def __getattr__(self, name):
-        return getattr(self._writer, name)
+    @staticmethod
+    def _release_chunk(transport, data: bytes, deliver) -> None:
+        if not transport.is_closing():
+            transport.resume_reading()
+            deliver(data)
 
 
 class ChaosSocket:
     """A blocking socket proxy that executes scheduled socket faults.
 
     Wraps an already-connected socket; every method the socket-world
-    MPI links use is forwarded, with
-    ``sendall`` and ``recv`` consulting the injector first.  Faults
+    MPI links use is forwarded, with ``sendall`` and ``recv`` consulting
+    the injector first.  Faults
     mimic real failure modes:
 
     * ``delay`` — sleep ``arg`` seconds, then do the operation (a stalled
@@ -167,8 +171,6 @@ class ChaosSocket:
         self._sock = sock
         self._injector = injector
         self._slow = False
-
-    # -- faultable operations ----------------------------------------------
 
     def sendall(self, data: bytes) -> None:
         event = self._injector.check("net.send")
@@ -211,18 +213,7 @@ class ChaosSocket:
                 raise ConnectionResetError("injected reset on recv")
         return self._sock.recv(1 if self._slow else bufsize)
 
-    # -- plain passthrough --------------------------------------------------
-
-    def settimeout(self, value) -> None:
-        self._sock.settimeout(value)
-
-    def gettimeout(self):
-        return self._sock.gettimeout()
-
-    def close(self) -> None:
-        self._sock.close()
-
-    def __getattr__(self, name):
+    def __getattr__(self, name):  # everything else passes through
         return getattr(self._sock, name)
 
 

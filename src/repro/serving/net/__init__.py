@@ -1,34 +1,17 @@
 """Network serving frontend: framed RPC over TCP, fusion, replication.
 
-The serving stack's front door.  PR 2–4 built the posterior snapshot
-store, the single-process :class:`~repro.serving.service.PredictionService`
-and the sharded shared-memory :class:`~repro.serving.cluster.ShardedScorer`;
-this package turns them into a networked service:
-
-* :mod:`repro.serving.net.protocol` — versioned, length-prefixed frames
-  (stdlib ``struct``), one parser and one executor shared by the TCP
-  transport *and* the stdin REPL.  Serving connections ship ndarray
-  vectors as raw little-endian blocks (the binary payload form); the
-  JSON form remains for the MPI handshake hellos;
-* :mod:`repro.serving.net.server` — :class:`NetServer`: asyncio TCP
-  server with a protocol-version handshake, bounded in-flight requests,
-  concurrent service of id-tagged (pipelined) requests, graceful
-  SIGTERM drain and snapshot hot-reload that never drops a connection;
-* :mod:`repro.serving.net.fusion` — :class:`QueryFuser` (the default
-  dispatch path): merges concurrent cross-user ``top_n`` requests into
-  one batched gateway dispatch per window with zero added latency when
-  idle, bit-identical per request to serving them alone;
-* :mod:`repro.serving.net.replica` — :class:`ReplicaSet`: N gateway
-  replicas behind one address list, converging through the durable
-  mutation log (:mod:`repro.serving.wal`): replica 0 is the write
-  leader, acked writes are readable on every live replica and, with a
-  log directory, survive crashes;
-* :mod:`repro.serving.net.client` — :class:`AsyncServingClient`, the
-  one client (replies dispatched by id, many requests per connection),
-  and :class:`ServingClient`, its blocking facade on a private event
-  loop: health-checked round-robin with automatic failover; reads
-  retry across replicas, and mutations do too (exactly-once — every
-  mutation carries a ``write_id`` the WAL leader dedups).
+* :mod:`~repro.serving.net.protocol` — versioned, length-prefixed frames,
+  one parser and one executor for the TCP transport and the stdin REPL;
+* :mod:`~repro.serving.net.server` — :class:`NetServer`, one
+  :class:`asyncio.Protocol` per connection over a gateway the event loop
+  owns;
+* :mod:`~repro.serving.net.fusion` — :class:`QueryFuser`, concurrent
+  ``top_n`` requests in one batched gateway call;
+* :mod:`~repro.serving.net.replica` — :class:`ReplicaSet`, N replicas
+  converging through the durable mutation log (:mod:`repro.serving.wal`);
+* :mod:`~repro.serving.net.client` — :class:`AsyncServingClient` and its
+  blocking facade :class:`ServingClient`: round-robin with failover,
+  exactly-once writes by ``write_id``.
 
 ``python -m repro.serving serve --tcp HOST:PORT [--replicas N]
 [--fuse-window MS]`` wires it all together from the command line.

@@ -1,55 +1,40 @@
 """Client library for the framed TCP serving protocol.
 
-One implementation, two ways to call it:
+One implementation, two ways to call it: :class:`AsyncServingClient`,
+and :class:`ServingClient`, a blocking facade for scripts, drills and
+the CLI that runs each call to completion on a private event loop, on
+the caller's thread (``loop.run_until_complete``, no extra thread).
 
-* :class:`AsyncServingClient` — the client: asyncio streams, every
-  request id-tagged and its reply dispatched by id, so any number of
-  coroutines share one connection per replica;
-* :class:`ServingClient` — a blocking facade for scripts, drills and the
-  CLI.  It owns a private event loop and runs each call to completion on
-  the caller's thread with ``loop.run_until_complete`` (no extra thread).
+A connection is one :class:`asyncio.Protocol` per replica (module
+:func:`dial`).  Every request is sent in the binary payload form and
+id-tagged; ``data_received`` matches each decoded reply to its request
+by id, so any number of coroutines share the connection, replies may
+arrive in any order, and ``top_n_pipelined`` keeps up to
+``max_in_flight`` requests outstanding, each failing over on its own.
+A request is written at once; its wait costs one loop timer, which
+fails the reply future when it fires (no ``asyncio.wait_for``, no
+task).  On a live cached connection an untraced request without a
+deadline is one coroutine around that round-trip; the failover loop
+runs only without one, or after the round-trip failed.
 
-Both take the :class:`~repro.serving.net.replica.ReplicaSet` address
-list and do health-checked round-robin with automatic failover:
+Both clients take the :class:`~repro.serving.net.replica.ReplicaSet`
+address list and do health-checked round-robin with automatic failover:
 
 * **Transport failures** (refused, reset, timeout, EOF, torn frames) on
-  an *idempotent read* (``top_n``, ``top_n_batch``, ``predict``,
-  ``predict_batch``, ``stats``, ``health``) retry at most once per
-  remaining replica; the failed replica enters a cooldown and is skipped
+  an *idempotent read* retry at most once per remaining replica; the
+  failed replica cools down (exponential, jittered) and is skipped
   until it expires.
-* **Mutations** (``rate``, ``foldin``) are retryable too — by default
-  every mutation carries a client-unique ``write_id``, and the WAL
-  leader (:mod:`repro.serving.wal`) dedups on it, so replaying the
-  request onto another replica applies it *exactly once*: the retry of
-  an already-committed write gets the original ack back.  Pass
-  ``retry_writes=False`` to drop the write_id and restore the old
-  at-most-once behaviour (a transport failure mid-mutation then raises
-  :class:`NetError` naming the replica, with no failover).
-* **Server-side domain errors** (an ``error`` frame: bad user id, worker
-  crash message) are definitive answers, not transport failures — they
-  raise :class:`NetError` immediately, with no failover.  The one
-  exception is an error frame marked ``"retryable": true`` (the server
-  refused *without applying*, e.g. a replica whose WAL leader is
-  unreachable): those fail over like a transport error.
+* **Mutations** (``rate``, ``foldin``) carry a client-unique
+  ``write_id`` by default, which the WAL leader (:mod:`repro.serving.
+  wal`) dedups, so a replay onto another replica applies *exactly
+  once*.  ``retry_writes=False`` drops it: at-most-once, and a
+  transport failure mid-mutation raises :class:`NetError`.
+* **Error frames** are definitive answers and raise :class:`NetError`
+  at once — unless marked ``"retryable": true`` (refused *without
+  applying*: shed, or cut off from the WAL leader), which fail over.
 
-Two wire-speed features ride on the same connections:
-
-* **Binary array frames** — every request is sent in the binary payload
-  form (see :mod:`repro.serving.net.protocol`): item-id and score
-  vectors cross the wire as raw little-endian buffers, not JSON decimal
-  text.  The hello carries only the protocol version; nothing is
-  negotiated.
-* **Request pipelining** — every request is id-tagged and a
-  per-connection reader task matches replies back by id, so arrival
-  order does not matter and every decoded frame of a read reaches its
-  request.  ``top_n_pipelined`` keeps up to ``max_in_flight`` requests
-  outstanding on the shared connection, each failing over on its own.
-
-Every wait of a request attempt — dial, hello, reply — is bounded by
-``min(timeout, what is left of deadline_ms)``.  The reply wait costs one
-loop timer: a single ``call_later`` handle fails the reply future when
-it fires and is cancelled when the reply lands, instead of an
-``asyncio.wait_for`` per request (its own waiter future, timer and Task).
+Every wait of an attempt — dial, hello, reply — is bounded by
+``min(timeout, what is left of deadline_ms)``.
 """
 
 from __future__ import annotations
@@ -78,8 +63,6 @@ from repro.serving.net.protocol import (
 
 __all__ = ["NetError", "DeadlineError", "ServingClient",
            "AsyncServingClient"]
-
-_READ_CHUNK = 1 << 16
 
 #: What a failed transport raises: the attempt fails over (or, for an
 #: unreplayable mutation, surfaces).
@@ -147,6 +130,11 @@ class _AddressRing:
         # Cooling replicas stay last-resort candidates: with every replica
         # down we would rather retry one than fail without trying.
         return healthy + cooling
+
+    def turn(self) -> Optional[int]:
+        """The replica whose turn it is, unless a failure marks it."""
+        index = self._next
+        return None if index in self._dead_until else index
 
     def mark_used(self, index: int) -> None:
         self._next = (index + 1) % len(self.addresses)
@@ -217,40 +205,68 @@ def _recommendation(payload: Dict[str, object]) -> Recommendation:
         scores=np.asarray(payload["scores"], dtype=np.float64))
 
 
-class _AsyncConnection:
-    """One open stream plus the id-keyed reply dispatch state.
+class _AsyncConnection(asyncio.Protocol):
+    """One open connection, and its id-keyed reply dispatch.
 
-    ``pending`` maps request ids to reply futures; the hello reply, the
-    one frame without an id, resolves the ``None`` entry.  The serving
+    ``pending`` maps request ids to reply futures (the hello reply, the
+    one frame without an id, resolves the ``None`` entry), and
+    ``data_received`` resolves them as frames decode.  The serving
     client and the WAL coordinators' links (:mod:`repro.serving.wal.
     shipper`) both speak through :meth:`roundtrip`.
     """
 
-    __slots__ = ("reader", "writer", "decoder", "pending", "reader_task",
-                 "next_id")
+    __slots__ = ("transport", "decoder", "pending", "next_id", "alive",
+                 "lost")
 
-    def __init__(self, reader, writer):
-        self.reader = reader
-        self.writer = writer
+    def __init__(self):
+        self.transport = self.lost = None  # lost: resolved once it is gone
         self.decoder = FrameDecoder()
         self.pending: Dict[Optional[int], asyncio.Future] = {}
-        self.reader_task: Optional[asyncio.Task] = None
         self.next_id = 0
+        self.alive = True  # until the transport is gone
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.lost = asyncio.get_running_loop().create_future()
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for frame in self.decoder.feed(data):
+                request_id = frame.payload.get("id")
+                future = (self.pending.pop(request_id, None)
+                          if request_id is None
+                          or isinstance(request_id, int) else None)
+                if future is None:
+                    # A reply we cannot attribute means the stream is
+                    # desynced; poison every in-flight request rather
+                    # than misdeliver.
+                    raise ProtocolError(
+                        f"reply carries unmatched id {request_id!r}")
+                if not future.done():
+                    future.set_result(frame)
+        except ProtocolError as error:
+            self._break(error)
+
+    def connection_lost(self, exc) -> None:
+        self.alive = False
+        self._fail_pending(
+            exc or ConnectionError("server closed the connection"))
+        self.lost.set_result(None)
 
     def send(self, data: bytes, span) -> None:
-        self.writer.write(data)
+        self.transport.write(data)
 
     async def roundtrip(self, frame: Frame, timeout: float,
                         span=NULL_SPAN) -> Frame:
         """Send one id-tagged request and await its reply.
 
-        One deadline covers the whole round-trip: a single loop timer
-        fails the reply future with :class:`asyncio.TimeoutError` when
-        it fires, and is cancelled when the reply lands first.
-        ``drain()`` is awaited only while the transport's write buffer
-        is non-empty (the socket refused part of the frame), and then
-        under the same deadline.
+        The request is written at once (no ``drain()``), and one
+        deadline covers the whole round-trip: a single loop timer fails
+        the reply future with :class:`asyncio.TimeoutError` when it
+        fires, and is cancelled when the reply lands first.
         """
+        if not self.alive:
+            raise ConnectionError("connection closed")
         request_id = self.next_id
         self.next_id += 1
         frame.payload["id"] = request_id
@@ -260,9 +276,6 @@ class _AsyncConnection:
         timer = loop.call_later(timeout, _expire, future)
         try:
             self.send(encode_frame(frame, binary=True), span)
-            if self.writer.transport.get_write_buffer_size():
-                await asyncio.wait_for(self.writer.drain(),
-                                       timeout=timer.when() - loop.time())
             reply = await future
         except BaseException:
             abandoned = self.pending.pop(request_id, None)
@@ -275,37 +288,39 @@ class _AsyncConnection:
         reply.payload.pop("id", None)
         return reply
 
+    def _fail_pending(self, error: BaseException) -> None:
+        pending, self.pending = self.pending, {}
+        for future in pending.values():
+            if not future.done():
+                future.set_exception(error)
+
+    def _break(self, error: BaseException) -> None:
+        """The link is unusable: fail every request on it, drop it."""
+        self.alive = False
+        self._fail_pending(error)
+        self.transport.abort()
+
     async def close(self) -> None:
-        self.reader_task.cancel()
-        try:
-            await self.reader_task
-        except (asyncio.CancelledError, Exception):  # noqa: BLE001
-            pass
-        self.writer.close()
-        try:
-            await self.writer.wait_closed()
-        except (OSError, ConnectionError):  # pragma: no cover
-            pass
+        """Fail what is pending, drop the transport, wait until it is
+        gone (an unanswered request needs no flush)."""
+        self._break(ConnectionError("connection closed"))
+        await self.lost
 
 
 async def dial(host: str, port: int, fault_injector=None,
                span=NULL_SPAN) -> _AsyncConnection:
-    """Open one connection and complete its hello.
-
-    With a fault injector the stream goes through the chaos shims
-    (:func:`~repro.serving.chaos.shims.open_chaos_stream`).  A refused
-    handshake raises :class:`NetError`; the caller bounds the wait.
-    """
-    if fault_injector is None:
-        connection = _AsyncConnection(
-            *await asyncio.open_connection(host, port))
-    else:
-        from repro.serving.chaos.shims import open_chaos_stream
-        stream = await open_chaos_stream(host, port, fault_injector, span)
-        connection = _ChaosConnection(stream, stream)
+    """Open one connection and complete its hello (a refusal raises
+    :class:`NetError`); with a fault injector, a :class:`_ChaosConnection`."""
     loop = asyncio.get_running_loop()
+    if fault_injector is None:
+        protocol = _AsyncConnection
+    else:
+        from repro.serving.chaos.shims import ChaosShim, chaos_connect
+        await chaos_connect(host, port, fault_injector, span)
+        protocol = functools.partial(_ChaosConnection,
+                                     ChaosShim(fault_injector))
+    _, connection = await loop.create_connection(protocol, host, port)
     hello = connection.pending[None] = loop.create_future()
-    connection.reader_task = loop.create_task(_read_loop(connection))
     try:
         connection.send(encode_frame(hello_frame(), binary=True), span)
         reply = await hello
@@ -313,7 +328,7 @@ async def dial(host: str, port: int, fault_injector=None,
             raise NetError(
                 f"replica {(host, port)} refused the handshake: "
                 f"{reply.payload.get('message')}")
-        if connection.reader_task.done():
+        if not connection.alive:
             raise ConnectionError("connection closed after the hello")
     except BaseException:
         await connection.close()
@@ -322,55 +337,24 @@ async def dial(host: str, port: int, fault_injector=None,
 
 
 class _ChaosConnection(_AsyncConnection):
-    """A connection over a :class:`~repro.serving.chaos.shims.ChaosStream`,
-    chosen at dial time when the client has a fault injector.
+    """Sends and received chunks pass a :class:`~repro.serving.chaos.
+    shims.ChaosShim`; a fired ``net.send`` fault annotates the attempt."""
 
-    The attempt span is the thread's active span only around the
-    synchronous ``net.send`` check, so a fired fault annotates it.
-    """
+    __slots__ = ("shim",)
 
-    __slots__ = ()
+    def __init__(self, shim):
+        super().__init__()
+        self.shim = shim
 
     def send(self, data: bytes, span) -> None:
         with activated(span):
-            self.writer.write(data)
+            self.shim.send(self.transport, data)
 
-
-async def _read_loop(connection: _AsyncConnection) -> None:
-    """Match a connection's incoming frames to its pending futures by id."""
-    try:
-        while True:
-            data = await connection.reader.read(_READ_CHUNK)
-            if not data:
-                raise ConnectionError("server closed the connection")
-            for frame in connection.decoder.feed(data):
-                _dispatch(connection, frame)
-    except asyncio.CancelledError:
-        _fail_pending(connection, ConnectionError("connection closed"))
-        raise
-    except (OSError, ConnectionError, ProtocolError) as error:
-        _fail_pending(connection, error)
-
-
-def _dispatch(connection: _AsyncConnection, frame: Frame) -> None:
-    request_id = frame.payload.get("id")
-    future = (connection.pending.pop(request_id, None)
-              if request_id is None or isinstance(request_id, int)
-              else None)
-    if future is None:
-        # A reply we cannot attribute means the stream is desynced;
-        # poison every in-flight request rather than misdeliver.
-        raise ProtocolError(f"reply carries unmatched id {request_id!r}")
-    if not future.done():
-        future.set_result(frame)
-
-
-def _fail_pending(connection: _AsyncConnection,
-                  error: BaseException) -> None:
-    pending, connection.pending = connection.pending, {}
-    for future in pending.values():
-        if not future.done():
-            future.set_exception(error)
+    def data_received(self, data: bytes) -> None:
+        try:
+            self.shim.receive(self.transport, data, super().data_received)
+        except ConnectionError as error:  # an injected reset
+            self._break(error)
 
 
 class AsyncServingClient:
@@ -378,24 +362,15 @@ class AsyncServingClient:
 
     Connections are cached per replica and re-dialled on demand; use as
     an async context manager or await :meth:`close`.
-    ``retry_writes=False`` drops the ``write_id`` from mutations and with
-    it their failover (back to at-most-once).
-
-    ``cooldown``/``backoff_max`` shape the failure backoff: a replica's
-    cooldown starts at ``cooldown`` seconds and doubles per consecutive
-    failure up to ``backoff_max`` (with seeded jitter via
-    ``backoff_seed`` — chaos drills pin it for replayable timing).
-    ``fault_injector`` (a :class:`~repro.serving.chaos.FaultInjector`)
-    dials every connection through the chaos shims
-    (:func:`~repro.serving.chaos.shims.open_chaos_stream`), driving the
-    ``net.connect``/``net.send``/``net.recv`` fault sites; ``None`` (the
-    default) leaves the transport untouched.
-
-    ``tracer`` (a :class:`~repro.obs.trace.Tracer`) turns on request
-    tracing: every request opens a ``client.<kind>`` root span with one
-    ``client.attempt`` child per failover attempt, and stamps the
-    attempt's context into the frame so a traced server joins the same
-    trace (an untraced server ignores it).
+    ``retry_writes=False`` drops the ``write_id`` from mutations, and
+    with it their failover.  A replica's failure cooldown starts at
+    ``cooldown`` seconds and doubles per consecutive failure up to
+    ``backoff_max``, jittered by ``backoff_seed`` (the chaos drills pin
+    it).  ``fault_injector`` (a :class:`~repro.serving.chaos.
+    FaultInjector`) dials through the chaos shims (the ``net.connect``,
+    ``net.send`` and ``net.recv`` sites).  ``tracer`` opens a
+    ``client.<kind>`` root span per request with one ``client.attempt``
+    child per attempt, whose context the frame carries to the server.
     """
 
     def __init__(self, addresses: Sequence[Tuple[str, int]],
@@ -433,10 +408,10 @@ class AsyncServingClient:
         timeout).  Concurrent callers share one dial."""
         cached = self._connections.get(index)
         if cached is not None:
-            if not cached.reader_task.done():
+            if cached.alive:
                 return cached
-            # The reader loop ended (the replica closed the link): nothing
-            # would answer a request sent here before the timeout.
+            # The replica closed the link: nothing would answer a
+            # request sent here before the timeout.
             await self._drop(index, cached)
         wait = self.timeout if wait is None else wait
         dial = self._dials.get(index)
@@ -465,13 +440,30 @@ class AsyncServingClient:
                        timeout: Optional[float] = None,
                        deadline_ms: Optional[float] = None
                        ) -> Dict[str, object]:
-        """One logical request: attempts across the ring, under one
-        ``client.<kind>`` root span when tracing."""
+        """One logical request: untraced, without a deadline and on a
+        live cached connection to the replica whose turn it is, one
+        round-trip; the failover loop only without one or after it
+        failed.  Traced, under one ``client.<kind>`` root span."""
+        first = None
+        if self.tracer is None and deadline_ms is None:
+            index = self._ring.turn()
+            connection = self._connections.get(index)
+            if connection is not None and connection.alive:
+                try:
+                    reply = await connection.roundtrip(
+                        frame, self.timeout if timeout is None
+                        else float(timeout))
+                except _TRANSPORT_ERRORS as error:
+                    reply = error
+                if isinstance(reply, Frame) and not reply.is_error:
+                    self._ring.mark_used(index)
+                    return self._accepted(reply)
+                first = (index, connection, reply)
         root = (None if self.tracer is None
                 else self.tracer.start(f"client.{frame.kind}"))
         try:
-            return await self._request_attempts(frame, timeout,
-                                                deadline_ms, root)
+            return await self._attempts(frame, timeout, deadline_ms, root,
+                                        first)
         except BaseException as error:
             if root is not None:
                 root.set_attr("error", repr(error))
@@ -481,46 +473,68 @@ class AsyncServingClient:
                 frame.payload.pop("trace", None)
                 root.finish()
 
-    async def _request_attempts(self, frame: Frame,
-                                timeout: Optional[float],
-                                deadline_ms: Optional[float],
-                                root: Optional[Span]) -> Dict[str, object]:
+    def _accepted(self, reply: Frame) -> Dict[str, object]:
+        seqno = reply.payload.get("seqno")
+        if isinstance(seqno, int):
+            self.last_seqno = max(self.last_seqno, seqno)
+        return reply.payload
+
+    async def _attempts(self, frame: Frame, timeout: Optional[float],
+                        deadline_ms: Optional[float], root: Optional[Span],
+                        first=None) -> Dict[str, object]:
+        """The failover loop; ``first`` is the ``(index, connection,
+        reply or transport error)`` of the attempt :meth:`_request`
+        made, which the loop takes as its first."""
         deadline = _Deadline(deadline_ms)
         base_timeout = self.timeout if timeout is None else float(timeout)
         failures: List[str] = []
-        for attempt, index in enumerate(self._ring.candidates()):
+        order = self._ring.candidates()
+        if first is not None:
+            order = [first[0]] + [index for index in order
+                                  if index != first[0]]
+        for attempt, index in enumerate(order):
             address = self._ring.addresses[index]
-            # Each wait — dial and hello, then the reply — is bounded by
-            # what is left of the budget, re-stamped into the frame
-            # (DeadlineError once it is spent).
-            wait = deadline.wait(frame, base_timeout)
-            # One child span per attempt, every one in the root's trace.
-            # It is never the thread's active span across an await:
-            # interleaved coroutines would see each other's.
-            span = NULL_SPAN if root is None else self.tracer.start(
-                "client.attempt", parent=root,
-                attrs={"replica": "%s:%d" % address, "attempt": attempt})
+            span = NULL_SPAN
             try:
-                try:
-                    connection = await self._connect(index, wait, span)
-                except _TRANSPORT_ERRORS + (NetError,) as error:
-                    # No byte of the request went out (a NetError here is
-                    # a handshake refusal): any request may move on.
-                    span.annotate("error", repr(error))
-                    self._ring.mark_dead(index)
-                    failures.append(f"{address}: {error!r}")
-                    continue
-                # Each attempt parents the server side on its own span.
-                if root is not None:
-                    frame.payload["trace"] = span.context().to_wire()
-                try:
-                    reply = await connection.roundtrip(
-                        frame, deadline.wait(frame, base_timeout), span)
-                except _TRANSPORT_ERRORS as error:
-                    span.annotate("error", repr(error))
+                if attempt == 0 and first is not None:
+                    _, connection, reply = first
+                else:
+                    # Each wait — dial and hello, then the reply — is
+                    # bounded by what is left of the budget, re-stamped
+                    # into the frame (DeadlineError once it is spent).
+                    wait = deadline.wait(frame, base_timeout)
+                    # One child span per attempt, every one in the
+                    # root's trace.  It is never the active span across
+                    # an await: interleaved coroutines would see each
+                    # other's.
+                    if root is not None:
+                        span = self.tracer.start(
+                            "client.attempt", parent=root,
+                            attrs={"replica": "%s:%d" % address,
+                                   "attempt": attempt})
+                    try:
+                        connection = await self._connect(index, wait, span)
+                    except _TRANSPORT_ERRORS + (NetError,) as error:
+                        # No byte of the request went out (a NetError
+                        # here is a handshake refusal): any request may
+                        # move on.
+                        span.annotate("error", repr(error))
+                        self._ring.mark_dead(index)
+                        failures.append(f"{address}: {error!r}")
+                        continue
+                    # Each attempt parents the server side on its span.
+                    if root is not None:
+                        frame.payload["trace"] = span.context().to_wire()
+                    try:
+                        reply = await connection.roundtrip(
+                            frame, deadline.wait(frame, base_timeout), span)
+                    except _TRANSPORT_ERRORS as error:
+                        reply = error
+                if not isinstance(reply, Frame):
+                    span.annotate("error", repr(reply))
                     await self._drop(index, connection)
                     self._ring.mark_dead(index)
-                    failures.append(f"{address}: {error!r}")
+                    failures.append(f"{address}: {reply!r}")
                     # The request went out and no whole reply came back.
                     # Reads fail over, and so do mutations carrying a
                     # write_id (the WAL leader dedups the replay and
@@ -530,10 +544,10 @@ class AsyncServingClient:
                             and "write_id" not in frame.payload:
                         raise NetError(
                             f"{frame.kind!r} against {address} failed "
-                            f"({error!r}); not retried — the request "
+                            f"({reply!r}); not retried — the request "
                             "mutates state, may already have been "
                             "applied, and carries no write_id to dedup a "
-                            "replay") from error
+                            "replay") from reply
                     continue
                 if reply.is_error:
                     span.annotate("error", reply.payload.get("message"))
@@ -558,10 +572,7 @@ class AsyncServingClient:
             if reply.is_error:
                 # Any other error frame is a definitive answer.
                 raise NetError(str(reply.payload.get("message")))
-            seqno = reply.payload.get("seqno")
-            if isinstance(seqno, int):
-                self.last_seqno = max(self.last_seqno, seqno)
-            return reply.payload
+            return self._accepted(reply)
         if deadline.expired():
             # The last attempt's wait was clamped to the budget: running
             # out of replicas *because* the budget ran out is a deadline
@@ -768,17 +779,9 @@ class ServingClient:
     there.
     """
 
-    def __init__(self, addresses: Sequence[Tuple[str, int]],
-                 timeout: float = 10.0, cooldown: float = 1.0,
-                 backoff_max: float = 30.0,
-                 backoff_seed: Optional[int] = None,
-                 retry_writes: bool = True,
-                 fault_injector=None, tracer: Optional[Tracer] = None):
-        self._client = AsyncServingClient(
-            addresses, timeout=timeout, cooldown=cooldown,
-            backoff_max=backoff_max, backoff_seed=backoff_seed,
-            retry_writes=retry_writes,
-            fault_injector=fault_injector, tracer=tracer)
+    @functools.wraps(AsyncServingClient.__init__)  # same signature
+    def __init__(self, *args, **kwargs):
+        self._client = AsyncServingClient(*args, **kwargs)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     @property

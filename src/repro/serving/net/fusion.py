@@ -1,76 +1,60 @@
 """Cross-user query fusion: coalesce concurrent ``top_n`` requests.
 
-Under heavy traffic many connections ask for rankings at once, and the
-per-request cost is dominated by fixed overhead — a full gateway dispatch
-(lock, delta flush, one IPC round-trip per worker) per user.
-:class:`QueryFuser` batches them: requests arriving together are merged
-into a single
-:meth:`~repro.serving.cluster.ShardedScorer.top_n_batch` call — one
-fan-out to the workers per *window*, with each worker sweeping its shard
-once for all users of the window (a blocked GEMM over users x shard whose
-microkernel is the single-user GEMV).
+Under load many connections ask for rankings at once, and a request's
+cost is mostly fixed overhead — a gateway dispatch (delta flush, one IPC
+round-trip per worker) per user.  :class:`QueryFuser` merges requests
+arriving together into one
+:meth:`~repro.serving.cluster.ShardedScorer.top_n_batch` call per
+*window*: one fan-out, each worker sweeping its shard once for all
+users of the window.
 
-Dispatch is *eager*: the first request of a window goes out on the next
-event-loop pass (so requests decoded from the same socket read still
-join it), which means a lone sequential caller pays no window latency at
-all.  While a batch is in flight, newcomers accumulate and are flushed
-the moment it completes — natural batching under load, zero added
-latency when idle.  ``window_ms`` is the fallback timer bounding how
-long an accumulating window can wait if completion flushing is delayed.
+Dispatch is *eager*: a window's first request goes out on the next loop
+pass (requests decoded from the same socket read still join it), so a
+lone caller pays no window latency.  While a batch is in flight,
+newcomers accumulate and flush the moment it completes; ``window_ms``
+is only the fallback timer for that flush.
 
-Every window is one task on the event loop that awaits the gateway's
-``top_n_batch`` coroutine.  Where the scoring itself runs is the
-server's choice, made in one place (the gateway call of
-:class:`~repro.serving.net.server.NetServer`): on the loop for an
-in-process gateway, on a private thread for one that blocks on worker
-IPC.  A window is in flight from its dispatch until its task
-settles its waiters.
+A request is a callback (:meth:`QueryFuser.submit`; :meth:`~QueryFuser.
+top_n` is the awaitable form), and the server writes the reply from it.
+The batch call is the server's gateway call: an in-process gateway with
+no stall in force answers at once, and the window is scored and settled
+inside its flush callback, with no task and no future; otherwise the
+call hands back an awaitable, and the window is one task, in flight
+until it settles its waiters.
 
-De-multiplexing is bit-identical to serving each request alone: the batch
-entry point runs the exact single-request arithmetic per user (pinned by
-the parity tests in ``tests/test_net_server.py`` and
-``tests/test_serving_cluster.py``), and duplicate users inside one window
-share one computation and one identical result.
-
-Failure containment: a batch call that raises is *partitioned* — every
-distinct user of the window is retried as a singleton batch, so only the
-offending request surfaces the error and the rest of the window resolves
-normally.  A user missing from a batch result gets a per-future
-``LookupError``; no future is ever left pending.
-
-The fuser is transport-agnostic: it only needs an asyncio loop and a
-``top_n_batch`` coroutine function, so it is testable without sockets.
+Fused replies are bit-identical to serving each request alone (the
+batch entry point runs the single-request arithmetic per user, pinned in
+``tests/test_net_server.py`` and ``tests/test_serving_cluster.py``).  A
+batch call that raises is *partitioned* — each distinct user retried
+alone, so only the offender errors — and a user missing from a result
+gets a ``LookupError``: no request is left unsettled.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
+import inspect
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.obs.trace import Span, TraceContext, Tracer
+from repro.obs.trace import NULL_SPAN, Span, TraceContext, Tracer, activated
 
 __all__ = ["QueryFuser", "DeadlineExpired", "FuserClosed"]
 
 
 class FuserClosed(RuntimeError):
-    """A window could not be scored: the gateway is shut down.
-
-    Raised by the batch call (the server's gateway call, once the
-    replica is going away — stopped or killed), so nothing was scored
-    and the request is safe to retry on another replica; the server
-    turns this into a retryable error frame.
-    """
+    """A window could not be scored: the gateway is shut down (the
+    replica is going away).  Nothing was scored, so the server answers
+    with a retryable error frame."""
 
 
 class DeadlineExpired(RuntimeError):
     """A fused request's deadline ran out while it queued for dispatch.
 
-    Raised on the waiter's future *instead of* scoring it: expired work
-    is shed at the flush boundary, so a slow batch ahead in the queue
-    never causes the gateway to burn a worker fan-out computing results
-    nobody is still waiting for.  The server turns this into a
-    ``deadline_exceeded`` error frame.
+    It settles the waiter *instead of* scoring it: expired work is shed
+    at the flush boundary, so no worker fan-out computes results nobody
+    is still waiting for.  The server answers ``deadline_exceeded``.
     """
 
 
@@ -80,9 +64,9 @@ class QueryFuser:
     Parameters
     ----------
     top_n_batch:
-        Coroutine function ``(users, n=..., exclude_seen=...) ->
-        Dict[int, Recommendation]`` — the gateway's batch entry point,
-        awaited once per window (see the module docstring).
+        ``(users, n=..., exclude_seen=...) -> Dict[int, Recommendation]``
+        — the gateway's batch entry point, called once per window; it may
+        return an awaitable of that mapping instead (see module docs).
     window_ms:
         Fallback flush timer for a window accumulating behind an
         in-flight batch.  Dispatch is eager (see module docstring), so
@@ -90,11 +74,9 @@ class QueryFuser:
     max_batch:
         Flush immediately once this many requests are pending.
     tracer:
-        Optional :class:`~repro.obs.trace.Tracer`.  A traced window
-        gets one ``fusion.window`` span (parented on the first traced
-        waiter, covering the batch dispatch) plus one ``fusion.waiter``
-        child per request, emitted in demultiplex order — the span
-        order is bit-consistent with the response order.
+        Optional :class:`~repro.obs.trace.Tracer`: a traced window gets a
+        ``fusion.window`` span (parented on its first traced waiter) and
+        one ``fusion.waiter`` child per request, in demultiplex order.
     """
 
     def __init__(self, top_n_batch, window_ms: float = 2.0,
@@ -107,17 +89,13 @@ class QueryFuser:
         self.window_ms = float(window_ms)
         self.max_batch = int(max_batch)
         self._tracer = tracer
-        # key -> list of (user, future, deadline, trace); one window per
-        # (n, exclude_seen) key so a flush is a single homogeneous batch
-        # call.  ``deadline`` is an absolute time.monotonic() instant or
-        # None; expired waiters are shed at flush, never dispatched.
-        # ``trace`` is the waiter's TraceContext (or None).
-        self._pending: Dict[Tuple[int, bool],
-                            List[Tuple[int, asyncio.Future,
-                                       Optional[float],
-                                       Optional[TraceContext]]]] = {}
+        # key -> list of (user, deadline, trace, done): one window per
+        # (n, exclude_seen), so a flush is one homogeneous batch call;
+        # ``deadline`` is an absolute time.monotonic() instant or None.
+        self._pending: Dict[Tuple[int, bool], List[tuple]] = {}
         self._timers: Dict[Tuple[int, bool], asyncio.TimerHandle] = {}
-        self._in_flight: Set[asyncio.Task] = set()
+        #: Window tasks in flight -> the batch awaitable each awaits.
+        self._in_flight: Dict[asyncio.Task, object] = {}
         self.n_requests = 0
         self.n_windows = 0
         self.n_deduplicated = 0
@@ -125,28 +103,23 @@ class QueryFuser:
         self.n_expired = 0
         self.max_window = 0
 
-    async def top_n(self, user: int, n: int = 10, exclude_seen: bool = True,
-                    deadline: Optional[float] = None,
-                    trace: Optional[TraceContext] = None):
-        """Queue one request; resolves with the user's Recommendation.
-
-        ``deadline`` (absolute ``time.monotonic()`` seconds) marks when
-        the caller stops caring: a waiter still queued past it gets
-        :class:`DeadlineExpired` instead of being dispatched.  ``trace``
-        carries the request's trace context into the window (ignored
-        without a tracer).
-        """
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        key = (int(n), bool(exclude_seen))
+    def submit(self, user: int, n: int, exclude_seen: bool,
+               deadline: Optional[float], trace: Optional[TraceContext],
+               done: Callable) -> None:
+        """Queue one validated request; ``done(recommendation, error)``
+        settles it, with exactly one of the two ``None``.  A waiter still
+        queued past its ``deadline`` (``time.monotonic()`` seconds) is
+        settled with :class:`DeadlineExpired`, never dispatched; ``trace``
+        is its context for the window span."""
+        key = (n, exclude_seen)
         waiters = self._pending.setdefault(key, [])
-        waiters.append((int(user), future,
-                        float(deadline) if deadline is not None else None,
-                        trace if self._tracer is not None else None))
+        waiters.append((user, deadline,
+                        trace if self._tracer is not None else None, done))
         self.n_requests += 1
         if len(waiters) >= self.max_batch:
             self._flush(key)
         elif len(waiters) == 1:
+            loop = asyncio.get_running_loop()
             if not self._in_flight:
                 # Eager path: flush on the next loop pass, after every
                 # request already decoded from the same socket read has
@@ -157,6 +130,15 @@ class QueryFuser:
                 # is the fallback in case the completion flush stalls.
                 self._timers[key] = loop.call_later(
                     self.window_ms / 1000.0, self._flush, key)
+
+    async def top_n(self, user: int, n: int = 10, exclude_seen: bool = True,
+                    deadline: Optional[float] = None,
+                    trace: Optional[TraceContext] = None):
+        """:meth:`submit`, awaited: the Recommendation or its error."""
+        future = asyncio.get_running_loop().create_future()
+        self.submit(int(user), int(n), bool(exclude_seen),
+                    float(deadline) if deadline is not None else None,
+                    trace, functools.partial(_settle, future))
         return await future
 
     def _flush_if_idle(self, key: Tuple[int, bool]) -> None:
@@ -172,20 +154,20 @@ class QueryFuser:
         """Shed waiters whose deadline has passed; returns the live rest.
 
         The invariant the chaos tests pin: an expired request is *never*
-        handed to a scorer — its future fails with
-        :class:`DeadlineExpired` right here, at the flush boundary.
+        handed to a scorer — it is settled with :class:`DeadlineExpired`
+        right here, at the flush boundary.
         """
         now = time.monotonic()
         alive = []
-        for user, future, deadline, trace in waiters:
+        for waiter in waiters:
+            user, deadline, _, done = waiter
             if deadline is not None and now >= deadline:
                 self.n_expired += 1
-                if not future.done():
-                    future.set_exception(DeadlineExpired(
-                        f"top_n for user {user} queued past its deadline "
-                        f"({(now - deadline) * 1000.0:.1f} ms over)"))
+                done(None, DeadlineExpired(
+                    f"top_n for user {user} queued past its deadline "
+                    f"({(now - deadline) * 1000.0:.1f} ms over)"))
             else:
-                alive.append((user, future, deadline, trace))
+                alive.append(waiter)
         return alive
 
     def _flush(self, key: Tuple[int, bool]) -> None:
@@ -199,70 +181,82 @@ class QueryFuser:
             return
         self.n_windows += 1
         self.max_window = max(self.max_window, len(waiters))
-        users = [user for user, _, _, _ in waiters]
+        users = [waiter[0] for waiter in waiters]
         self.n_deduplicated += len(users) - len(set(users))
+        n, exclude_seen = key
         # One parent span per traced window, parented on the first
-        # traced waiter.  The window task enters it around the batch
-        # call, which makes it the task's active span, so the scorer and
-        # any chaos shim below attach their children with no plumbing.
+        # traced waiter and active around the batch call (and in the
+        # window task), so the scorer and any chaos shim below attach
+        # their children with no plumbing.
         window_span: Optional[Span] = None
         if self._tracer is not None:
-            parent = next((trace for _, _, _, trace in waiters
-                           if trace is not None), None)
+            parent = next((waiter[2] for waiter in waiters
+                           if waiter[2] is not None), None)
             if parent is not None:
-                n, exclude_seen = key
                 window_span = self._tracer.start(
                     "fusion.window", parent=parent,
                     attrs={"users": len(users),
                            "distinct": len(set(users)),
                            "n": n, "exclude_seen": exclude_seen})
-        task = asyncio.get_running_loop().create_task(
-            self._run_window(key, waiters, users, window_span))
-        self._in_flight.add(task)
-
-    async def _run_window(self, key: Tuple[int, bool], waiters, users,
-                          window_span: Optional[Span]) -> None:
-        """Score one window and settle its waiters; then, with nothing
-        else in flight, flush whatever accumulated behind it."""
-        n, exclude_seen = key
         try:
-            try:
-                if window_span is None:
-                    results = await self._top_n_batch(
-                        users, n=n, exclude_seen=exclude_seen)
-                else:
-                    with window_span:
-                        results = await self._top_n_batch(
-                            users, n=n, exclude_seen=exclude_seen)
-            except Exception as error:  # noqa: BLE001 - partitioned
-                await self._partition(key, waiters, error)
+            if window_span is None:
+                results = self._top_n_batch(users, n=n,
+                                            exclude_seen=exclude_seen)
             else:
-                self._resolve(waiters, results, window_span)
-        except asyncio.CancelledError:
-            for _, future, _, _ in waiters:
-                future.cancel()
-            raise
-        finally:
-            self._in_flight.discard(asyncio.current_task())
-        # Eager follow-up: whatever accumulated while this batch was in
-        # flight goes out now, without waiting for its fallback timer.
-        if not self._in_flight:
+                with activated(window_span):
+                    results = self._top_n_batch(users, n=n,
+                                                exclude_seen=exclude_seen)
+        except Exception as error:  # noqa: BLE001 - partitioned
+            if window_span is not None:
+                window_span.set_attr("error", repr(error))
+                window_span.finish()
+            self._start(self._partition(key, waiters, error))
+            return
+        if inspect.isawaitable(results):
+            self._start(self._run_window(key, waiters, results,
+                                         window_span), results)
+            return
+        if window_span is not None:
+            window_span.finish()
+        self._resolve(waiters, results, window_span)
+
+    def _start(self, coroutine, awaited=None) -> None:
+        """One window task, in flight until its waiters are settled."""
+        task = asyncio.get_running_loop().create_task(coroutine)
+        self._in_flight[task] = awaited
+        task.add_done_callback(self._window_done)
+
+    def _window_done(self, task: asyncio.Task) -> None:
+        awaited = self._in_flight.pop(task)
+        if inspect.iscoroutine(awaited):
+            awaited.close()  # unawaited if cancelled before its first step
+        if not self._in_flight and not task.cancelled():
             for pending_key in list(self._pending):
                 self._flush(pending_key)
+
+    async def _run_window(self, key: Tuple[int, bool], waiters, pending,
+                          window_span: Optional[Span]) -> None:
+        try:
+            with window_span if window_span is not None else NULL_SPAN:
+                results = await pending
+        except Exception as error:  # noqa: BLE001 - partitioned
+            await self._partition(key, waiters, error)
+        else:
+            self._resolve(waiters, results, window_span)
 
     def _resolve(self, waiters, results,
                  window_span: Optional[Span] = None) -> None:
         """Demultiplex one batch result onto its waiters.
 
-        A user absent from ``results`` gets a per-future LookupError —
-        indexing straight into the mapping would raise inside the window
-        task and leave every later waiter pending forever.
+        A user absent from ``results`` gets a per-request LookupError —
+        indexing straight into the mapping would raise mid-window and
+        leave every later waiter unsettled.
 
         Traced windows emit one ``fusion.waiter`` child per waiter as
         it resolves, so the child-span order matches the response order
         exactly (the invariant ``tests/test_obs_tracing.py`` pins).
         """
-        for index, (user, future, _, trace) in enumerate(waiters):
+        for index, (user, _, trace, done) in enumerate(waiters):
             if window_span is not None:
                 attrs: Dict[str, object] = {"user": user, "index": index}
                 if trace is not None \
@@ -273,12 +267,10 @@ class QueryFuser:
                     attrs["origin_span_id"] = trace.span_id
                 self._tracer.emit("fusion.waiter", parent=window_span,
                                   attrs=attrs)
-            if future.done():
-                continue
             if user in results:
-                future.set_result(results[user])
+                done(results[user], None)
             else:
-                future.set_exception(LookupError(
+                done(None, LookupError(
                     f"user {user} missing from fused batch result"))
 
     async def _partition(self, key: Tuple[int, bool], waiters,
@@ -290,41 +282,46 @@ class QueryFuser:
         only the offender gets its own error.  A window of one skips
         the retry (the error is already correctly attributed).
         """
-        by_user: Dict[int, List[asyncio.Future]] = {}
-        for user, future, _, _ in waiters:
-            by_user.setdefault(user, []).append(future)
+        by_user: Dict[int, List[Callable]] = {}
+        for user, _, _, done in waiters:
+            by_user.setdefault(user, []).append(done)
         if len(by_user) == 1:
-            for futures in by_user.values():
-                _fail(futures, error)
+            for dones in by_user.values():
+                _fail(dones, error)
             return
         self.n_partitions += 1
         n, exclude_seen = key
-        for user, futures in by_user.items():
+        for user, dones in by_user.items():
             try:
-                results = await self._top_n_batch(
-                    [user], n=n, exclude_seen=exclude_seen)
+                results = self._top_n_batch([user], n=n,
+                                            exclude_seen=exclude_seen)
+                if inspect.isawaitable(results):
+                    results = await results
             except Exception as single:  # noqa: BLE001 - this user's own
-                _fail(futures, single)
+                _fail(dones, single)
                 continue
             if user not in results:
-                _fail(futures, LookupError(
+                _fail(dones, LookupError(
                     f"user {user} missing from fused batch result"))
                 continue
-            for future in futures:
-                if not future.done():
-                    future.set_result(results[user])
+            for done in dones:
+                done(results[user], None)
 
     async def drain(self) -> None:
         """Flush every window and wait until nothing is pending."""
         while self._pending or self._in_flight:
-            futures = [future for waiters in self._pending.values()
-                       for _, future, _, _ in waiters]
             for key in list(self._pending):
                 self._flush(key)
-            awaitables = futures + list(self._in_flight)
-            if not awaitables:
-                break
-            await asyncio.gather(*awaitables, return_exceptions=True)
+            if self._in_flight:
+                await asyncio.gather(*self._in_flight,
+                                     return_exceptions=True)
+
+    def cancel(self) -> List[asyncio.Task]:
+        """Cancel the windows in flight (a hard kill drops their waiters)."""
+        tasks = list(self._in_flight)
+        for task in tasks:
+            task.cancel()
+        return tasks
 
     def metrics(self) -> Dict[str, int]:
         """Fusion counters: the ``health`` frame's ``fusion`` block, and
@@ -339,7 +336,14 @@ class QueryFuser:
         }
 
 
-def _fail(futures, error: BaseException) -> None:
-    for future in futures:
-        if not future.done():
+def _settle(future: asyncio.Future, result, error) -> None:
+    if not future.done():
+        if error is None:
+            future.set_result(result)
+        else:
             future.set_exception(error)
+
+
+def _fail(dones, error: BaseException) -> None:
+    for done in dones:
+        done(None, error)

@@ -55,7 +55,9 @@ instead of misparsing.
 encoder does no work per frame that depends only on the frame's kind or
 an array's dtype: one module-level :class:`json.JSONEncoder` (the exact
 arguments the wire has always used, so the bytes are unchanged), and
-precomputed kind-code, dtype and dimension tables.  The decoder is the
+precomputed kind-code, dtype and dimension tables.  No payload is
+walked in Python where no array needs a marker (see :func:`_json_part`;
+the decoder restores only frames that carry arrays).  The decoder is the
 trust boundary: any byte string either decodes or raises
 :class:`ProtocolError` — array element counts are exact Python integers
 checked against the body, and JSON that is too deep or has an
@@ -222,6 +224,21 @@ _JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
+class _ArrayFound(Exception):
+    """A nested ndarray: :func:`_json_part` takes the walk."""
+
+
+def _no_arrays_default(value):
+    if isinstance(value, np.ndarray):
+        raise _ArrayFound
+    return _json_default(value)
+
+
+#: :data:`_JSON` where the C encoder may meet no ndarray.
+_JSON_NO_ARRAYS = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
+                                   default=_no_arrays_default)
+
+
 def _extract_arrays(value, arrays: List[np.ndarray]):
     """Replace every ndarray in ``value`` by a ``{"__nd__": i}`` marker.
 
@@ -266,10 +283,34 @@ def _restore_arrays(value, arrays: List[np.ndarray]):
     return value
 
 
+def _json_part(payload: Dict[str, object], arrays: List[np.ndarray]) -> str:
+    """``_JSON.encode(_extract_arrays(payload, arrays))``, byte for byte,
+    walking only what holds an ndarray: one loop over the top level (a
+    list of arrays, an MPI block, is walked), then the C encoder, which
+    falls back to the walk at a deeper ndarray or a reserved key."""
+    substituted = {}
+    for key, value in payload.items():
+        kind = type(value)
+        if kind is np.ndarray:
+            arrays.append(value)
+            value = {_ARRAY_MARKER: len(arrays) - 1}
+        elif kind in (list, tuple) and np.ndarray in map(type, value):
+            value = _extract_arrays(value, arrays)
+        substituted[key] = value
+    try:
+        json_part = _JSON_NO_ARRAYS.encode(substituted)
+        if json_part.count('"__nd__":') == len(arrays):
+            return json_part
+    except _ArrayFound:
+        pass
+    del arrays[:]
+    return _JSON.encode(_extract_arrays(payload, arrays))
+
+
 def _encode_binary_payload(payload: Dict[str, object]) -> bytes:
     """The binary array payload: JSON part + raw array blocks."""
     arrays: List[np.ndarray] = []
-    json_part = _JSON.encode(_extract_arrays(payload, arrays)).encode("utf8")
+    json_part = _json_part(payload, arrays).encode("utf8")
     blocks = [_JSON_LENGTH.pack(len(json_part)), json_part]
     for array in arrays:
         wire = _WIRE_DTYPES.get(array.dtype)
@@ -294,8 +335,8 @@ def _decode_binary_payload(body: bytes) -> Dict[str, object]:
         cursor = _JSON_LENGTH.size + json_length
         if cursor > len(body):
             raise ProtocolError("binary payload truncates its JSON part")
-        substituted = json.loads(body[_JSON_LENGTH.size:cursor]
-                                 .decode("utf8"))
+        json_part = body[_JSON_LENGTH.size:cursor]
+        substituted = json.loads(json_part.decode("utf8"))
         arrays: List[np.ndarray] = []
         while cursor < len(body):
             code, ndim = _ARRAY_HEADER.unpack_from(body, cursor)
@@ -321,7 +362,11 @@ def _decode_binary_payload(body: bytes) -> Dict[str, object]:
             raise ProtocolError(
                 f"frame payload must be a JSON object, got "
                 f"{type(substituted).__name__}")
-        return _restore_arrays(substituted, arrays)
+        # No array, and no marker to refuse (spelled out or escaped):
+        # nothing to restore.
+        if arrays or b'"__nd__"' in json_part or b"\\u" in json_part:
+            return _restore_arrays(substituted, arrays)
+        return substituted
     except ProtocolError:
         raise
     except (struct.error, ValueError, RecursionError) as error:
@@ -336,8 +381,8 @@ def encode_frame(frame: Frame, binary: bool = False) -> bytes:
 
     With ``binary=True`` ndarray payload values ship as raw
     little-endian array blocks and the kind byte carries the binary
-    flag; without it they are converted to JSON lists (exact for float64/int64 — Python's JSON round-trips
-    IEEE doubles).
+    flag; without it they are converted to JSON lists (exact for
+    float64/int64: Python's JSON round-trips IEEE doubles).
     """
     code = _KIND_CODES.get(frame.kind)
     if code is None:

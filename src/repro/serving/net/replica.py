@@ -1,14 +1,11 @@
 """Replicated serving: N convergent gateways behind one address list.
 
-The cluster of PR 4 recovers from a dead worker by respawning the whole
-pool — correct, but the gateway blips.  :class:`ReplicaSet` removes the
-blip at one level up: it runs ``n_replicas`` gateway replicas (each with
-its own factor segments, worker pool and
-:class:`~repro.serving.net.server.NetServer` on its own port), and the
-client library fails reads over between them.  Losing a replica loses
-capacity, never availability — the ``kill-a-replica-mid-storm`` test in
-``tests/test_net_replica.py`` pins 100% read success while one of two
-replicas dies under concurrent load.
+:class:`ReplicaSet` runs ``n_replicas`` gateway replicas, each with its
+own factor segments, worker pool and
+:class:`~repro.serving.net.server.NetServer` on its own port, and the
+client library fails reads over between them: losing a replica loses
+capacity, never availability (``tests/test_net_replica.py`` pins 100%
+read success while one of two replicas dies under load).
 
 Each replica is one owner thread: a private asyncio loop that runs its
 gateway, its server and its WAL coordinator, so a wedged replica cannot
@@ -102,28 +99,22 @@ class _Replica(threading.Thread):
 
     def stop(self, timeout: float = 30.0) -> None:
         """Graceful: drain in-flight requests, then stop the loop."""
-        if self.loop is None or not self.is_alive():
-            return
-        if self.server is not None:
-            future = asyncio.run_coroutine_threadsafe(self.server.stop(),
-                                                      self.loop)
-            try:
-                future.result(timeout=timeout)
-            except Exception:  # pragma: no cover - drain best-effort
-                pass
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.join(timeout=timeout)
+        self._shut_down("stop", timeout)
 
     def kill(self, timeout: float = 30.0) -> None:
-        """Abrupt: drop connections without drain (failure injection)."""
+        """Abrupt: drop connections and in-flight work (failure
+        injection)."""
+        self._shut_down("abort", timeout)
+
+    def _shut_down(self, how: str, timeout: float) -> None:
         if self.loop is None or not self.is_alive():
             return
         if self.server is not None:
-            future = asyncio.run_coroutine_threadsafe(self.server.abort(),
-                                                      self.loop)
+            future = asyncio.run_coroutine_threadsafe(
+                getattr(self.server, how)(), self.loop)
             try:
                 future.result(timeout=timeout)
-            except Exception:  # pragma: no cover - it is being killed
+            except Exception:  # pragma: no cover - best-effort
                 pass
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.join(timeout=timeout)
@@ -167,22 +158,17 @@ class ReplicaSet:
         after a failed shipment, its exponential cap, and the jitter
         seed (see :class:`~repro.serving.wal.shipper.LeaderCoordinator`).
     fault_injector:
-        Optional :class:`~repro.serving.chaos.FaultInjector` threaded
-        into the leader's :class:`WriteAheadLog` (``wal.append`` /
-        ``wal.fsync`` fault sites).  Survives :meth:`restart` because
-        re-wiring rebuilds the log from this handle.  ``None`` (the
-        default) means zero injection code on any hot path.
+        Optional :class:`~repro.serving.chaos.FaultInjector` for the
+        leader's :class:`WriteAheadLog` (the ``wal.append`` /
+        ``wal.fsync`` sites); a restart rebuilds the log from it.
     tracer:
-        Optional :class:`~repro.obs.trace.Tracer` shared by every
-        replica (servers, fusers and WAL coordinators all record into
-        it), so a single traced write yields its whole cross-replica
-        span tree from one :meth:`spans` call.  ``None`` (the default)
-        keeps tracing cold fleet-wide.
+        Optional :class:`~repro.obs.trace.Tracer` every replica records
+        into, so one :meth:`spans` call yields a traced write's whole
+        cross-replica span tree.
     registry:
         :class:`~repro.obs.metrics.MetricsRegistry` shared across the
-        fleet; one is created when omitted.  Per-replica histograms and
-        stats providers are disambiguated by a ``replica`` label, so one
-        ``registry.snapshot()`` covers every live replica at once.
+        fleet (created when omitted); each replica's series carry a
+        ``replica`` label.
     """
 
     def __init__(self, make_service: Callable[[int], object],

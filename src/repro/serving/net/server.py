@@ -4,66 +4,61 @@
 :class:`~repro.serving.service.PredictionService` or the sharded
 :class:`~repro.serving.cluster.ShardedScorer`:
 
-* **Framing** — every connection speaks the length-prefixed frame
-  protocol (:mod:`repro.serving.net.protocol`), opening with a version
-  handshake; framing violations drop only the offending connection.
-  Replies always use the binary array form (raw-ndarray score blocks);
-  requests may come in either form.
+* **One Protocol per connection** — each connection is an
+  :class:`asyncio.Protocol` (:class:`_Connection`), callbacks and no
+  task: ``data_received`` feeds the :class:`FrameDecoder` and replies go
+  straight to ``transport.write``, always in the binary array form.  A
+  connection opens with a version handshake; a framing violation drops
+  only that connection.  While a client leaves replies unread past the
+  write buffer's high-water mark (``pause_writing``), its connection
+  reads no more requests.
 * **Pipelining** — requests carrying an ``id`` are served concurrently
-  and replies may arrive out of order (the id is echoed); bare requests
-  keep strict one-at-a-time ordering, which the REPL-style raw-socket
-  callers rely on.
-* **Bounded concurrency** — a semaphore caps in-flight requests across
-  all connections; excess requests queue in arrival order instead of
-  piling onto the gateway.
-* **One owner thread** — the event loop owns the gateway: every
-  gateway call runs on it, one at a time, so no lock guards gateway
-  state.  The loop never blocks on worker IPC or on an fsync: a
-  :class:`~repro.serving.cluster.ShardedScorer` is called on one
-  private thread, and a leader's log append on the coordinator's one
-  WAL thread (see the request path below).
-* **Query fusion (default)** — concurrent ``top_n`` requests across
-  connections coalesce into one batched gateway dispatch
+  and their replies may come out of order (the id is echoed); a bare
+  request holds the later frames of its connection until its reply is
+  written, the one-at-a-time order raw-socket callers rely on.
+* **Admission** — a slot counter caps in-flight requests across all
+  connections; the rest wait in one FIFO of frames, at most
+  ``max_queue_depth`` per class (reads, writes), and the excess is shed.
+* **One owner thread** — the event loop owns the gateway, so no lock
+  guards gateway state.  Only a sharded scorer's calls (worker IPC, on
+  one private thread) and a leader's log append (on the coordinator's
+  WAL thread) leave it.
+* **Query fusion (default)** — concurrent ``top_n`` requests coalesce
+  into one batched gateway call
   (:class:`~repro.serving.net.fusion.QueryFuser`), bit-identical per
-  request to serving them alone.  Dispatch is eager, so a lone
-  sequential caller pays no window latency; pass
-  ``fuse_window_ms=None`` (CLI: ``--fuse-window 0``) to disable fusion
-  and serve every request unbatched.
-* **Graceful drain** — :meth:`stop` stops accepting, lets every in-flight
-  request finish and its reply flush, then closes connections; pair it
-  with a SIGTERM handler (the CLI does) and the existing gateway teardown
-  closes worker pools and unlinks the shared-memory segments.
-  Connection reads are plain ``reader.read()`` awaits: :meth:`stop`
-  wakes each idle reader itself (pause the transport, then feed EOF),
-  so no read races a drain signal.
-* **Hot reload** — an optional :class:`SnapshotWatcher` is started and
-  stopped with the server; its double-buffered swap happens under the
-  scorer's own lock, so a reload never drops a connection or a request.
+  request to serving them alone; ``fuse_window_ms=None`` turns it off.
+* **Lifecycle** — :meth:`stop` drains (no more reads, every admitted
+  request answered, then close); :meth:`abort` is a crash (transports
+  aborted, request tasks and windows cancelled, a commit included).  An
+  optional :class:`SnapshotWatcher` starts and stops with the server.
 
-**The request path.**  Per connection, one task reads and decodes.  An
-id-tagged request gets its own task (:meth:`NetServer._respond`:
-admission, the deadline gate, the fuser or a gateway call, the reply); a
-bare one is served inline, in order.  Every gateway call goes through
-:meth:`NetServer._gateway`, the one place that decides where it runs: it
-first waits out a :meth:`~NetServer.stall`, then calls an in-process
-:class:`~repro.serving.service.PredictionService` right there on the
-loop, and any other gateway on its private thread.  A fused ``top_n``
-window is one such call (:class:`~repro.serving.net.fusion.QueryFuser`).
-A commit on the write leader validates and applies through it too, and
-awaits only its log append, on the WAL thread
-(:meth:`~repro.serving.wal.shipper.LeaderCoordinator.handle_mutation`):
-reads keep flowing while a commit sits in its fsync, and commits
-serialize on the coordinator, in seqno order.
+**The request path.**  A request runs synchronously, inside the
+``data_received`` call that decoded it, until it truly has to wait.
+:meth:`NetServer._admit` takes a slot or queues the frame;
+:meth:`NetServer._dispatch` applies the deadline gate and routes it.  A
+``top_n`` is validated and queued on the fuser, and its window's
+completion writes the reply.  Other gateway calls go through
+:meth:`NetServer._call_gateway`: with an in-process gateway and no
+:meth:`~NetServer.stall` in force the call is made at once (a window in
+its flush callback) and the reply written; otherwise the request (or
+window) becomes one task around :meth:`NetServer._gateway`, which waits
+out the stall and puts a sharded scorer's call on its thread.  Commits
+and WAL traffic are tasks too: a leader commit awaits its log append on
+the WAL thread
+(:meth:`~repro.serving.wal.shipper.LeaderCoordinator.handle_mutation`),
+and reads keep flowing meanwhile.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import contextvars
 import functools
+import inspect
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Set, Tuple
+from typing import Deque, Dict, Optional, Set
 
 import numpy as np
 
@@ -89,8 +84,6 @@ from repro.utils.validation import ValidationError, check_positive
 
 __all__ = ["NetServer"]
 
-_READ_CHUNK = 1 << 16
-
 #: Request kinds that mutate state, for per-class admission control:
 #: shedding reads under a read storm must not also starve writes (and
 #: vice versa), so each class has its own queue-depth budget.
@@ -99,6 +92,132 @@ _WRITE_KINDS = frozenset(MUTATION_KINDS | {"wal_append"})
 
 def _request_class(kind: str) -> str:
     return "write" if kind in _WRITE_KINDS else "read"
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection (module docstring): frames wait in
+    :attr:`backlog` behind a bare request (:attr:`ordered`)."""
+
+    __slots__ = ("server", "transport", "decoder", "backlog", "greeted",
+                 "ordered", "in_flight", "ending", "open", "reading",
+                 "write_paused", "lost")
+
+    def __init__(self, server: "NetServer"):
+        self.server = server
+        self.transport = None
+        self.decoder = FrameDecoder()
+        self.backlog: Deque[Frame] = collections.deque()
+        self.greeted = self.ordered = self.ending = self.write_paused = False
+        self.in_flight = 0
+        self.open = self.reading = True  # open: replies may be written
+        self.lost = server._loop.create_future()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+        self.server.n_connections += 1
+        if self.server._draining:  # accepted in the same pass as stop()
+            self.end()
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            self.backlog.extend(self.decoder.feed(data))
+        except ProtocolError as error:
+            self.server.n_protocol_errors += 1
+            self.send(Frame("error", {"message": str(error)}))
+            self.end()
+            return
+        self.pump()
+
+    def eof_received(self) -> bool:
+        self.end()
+        return True  # keep the transport to write what is still owed
+
+    def connection_lost(self, exc) -> None:
+        self.open = False
+        self.backlog.clear()
+        self.server._connections.discard(self)
+        self.lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self._update_reading()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._update_reading()
+
+    def pump(self) -> None:
+        """Admit decoded frames, in order, until a bare request holds
+        the rest."""
+        backlog = self.backlog
+        while backlog and not self.ordered and self.open:
+            frame = backlog.popleft()
+            if not self.greeted:
+                self._greet(frame)
+                continue
+            if frame.payload.get("id") is None:
+                self.ordered = True
+            self.in_flight += 1
+            self.server._admit(self, frame)
+        if backlog or not self.reading:
+            self._update_reading()
+
+    def _greet(self, frame: Frame) -> None:
+        refusal = check_hello(frame)
+        if refusal is not None:
+            self.server.n_protocol_errors += 1
+            self.send(refusal)
+            self.backlog.clear()
+            self.end()
+            return
+        self.greeted = True
+        self.send(Frame("ok", {"version": PROTOCOL_VERSION,
+                               "server": "repro-serving"}))
+
+    def reply(self, frame: Frame, response: Frame) -> None:
+        """Write the reply to the admitted request ``frame``."""
+        request_id = frame.payload.get("id")
+        if request_id is not None:
+            response.payload.setdefault("id", request_id)
+        self.send(response)
+        self.in_flight -= 1
+        if request_id is None:
+            self.ordered = False
+            if self.backlog:
+                self.server._loop.call_soon(self.pump)
+        if self.ending:
+            self._close_if_done()
+
+    def send(self, frame: Frame) -> None:
+        if self.open:
+            if frame.is_error:
+                self.server.n_error_replies += 1
+            # One write per frame: replies interleave whole, never inside
+            # one another.
+            self.transport.write(encode_frame(frame, binary=True))
+
+    def end(self) -> None:
+        """Read no more; close once every admitted request is answered."""
+        self.ending = True
+        self._update_reading()
+        self._close_if_done()
+
+    def _close_if_done(self) -> None:
+        if self.open and not self.in_flight and not self.backlog:
+            self.open = False
+            self.transport.close()
+
+    def _update_reading(self) -> None:
+        """Read only while nothing holds the connection: not ending, no
+        unread replies piling up, no frame waiting behind a bare one."""
+        reading = not (self.ending or self.write_paused or self.backlog)
+        if reading != self.reading:
+            self.reading = reading
+            if reading:
+                self.transport.resume_reading()
+            else:
+                self.transport.pause_reading()
 
 
 class NetServer:
@@ -111,38 +230,27 @@ class NetServer:
     host, port:
         Bind address; port ``0`` picks a free port (read :attr:`port`
         after :meth:`start`).
-    fuse_window_ms:
-        Fused dispatch is the default: concurrent ``top_n`` requests
-        ride the :class:`QueryFuser` into one batched dispatch, with
-        this fallback flush timer (dispatch itself is eager — see the
-        fuser docs).  ``None`` or a non-positive value disables fusion
-        entirely and serves every request unbatched.
-    fuse_max_batch:
-        Fusion flushes early at this many pending requests.
+    fuse_window_ms, fuse_max_batch:
+        The :class:`QueryFuser`'s fallback flush timer and early-flush
+        size; ``None`` or a non-positive window serves every request
+        unbatched.
     max_in_flight:
         Cap on concurrently admitted requests across all connections.
     max_queue_depth:
-        Admission control: with every in-flight slot busy, at most this
-        many requests *per class* (reads vs writes, independently) may
-        queue for a slot; the excess is shed immediately with a
-        retryable ``overloaded`` error frame instead of building an
-        unbounded backlog.  ``None`` disables shedding (the historical
-        queue-forever behaviour).
+        With every slot busy, at most this many requests *per class*
+        (reads, writes) queue for one; the excess is shed with a
+        retryable ``overloaded`` error.  ``None`` queues without bound.
     watcher:
-        Optional :class:`SnapshotWatcher` whose lifecycle should follow
-        the server's.
+        Optional :class:`SnapshotWatcher` started and stopped with the
+        server.
     tracer:
-        Optional :class:`~repro.obs.trace.Tracer`.  When set, the
-        server opens admission spans (queue wait vs execute split) for
-        every request frame carrying trace context.  ``None`` (the default) keeps the
-        traced-request path completely cold — one ``is None`` check per
-        request.
-    registry:
-        :class:`~repro.obs.metrics.MetricsRegistry` hosting this
-        server's latency histograms and stats providers; a private one
-        is created when omitted.  A :class:`ReplicaSet` shares one
-        registry across its replicas, disambiguated by
-        ``metrics_labels`` (e.g. ``{"replica": 0}``).
+        Optional :class:`~repro.obs.trace.Tracer`: admission spans
+        (queue wait vs execute) for every request carrying trace
+        context.  ``None`` costs one ``is None`` check per request.
+    registry, metrics_labels:
+        :class:`~repro.obs.metrics.MetricsRegistry` for this server's
+        histograms and stats providers (a private one when omitted); a
+        :class:`ReplicaSet` shares one, labelled ``{"replica": i}``.
     """
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 0,
@@ -183,30 +291,29 @@ class NetServer:
         self.fuser: Optional[QueryFuser] = None
         if fuse_window_ms is not None and fuse_window_ms > 0:
             self.fuser = QueryFuser(
-                functools.partial(self._gateway, service.top_n_batch),
+                functools.partial(self._call_gateway, service.top_n_batch),
                 window_ms=fuse_window_ms, max_batch=fuse_max_batch,
                 tracer=tracer)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
-        self._slots: Optional[asyncio.Semaphore] = None
         self._draining = False
-        # connection task -> its streams, so stop() can wake idle readers
-        self._connections: Dict[asyncio.Task,
-                                Tuple[asyncio.StreamReader,
-                                      asyncio.StreamWriter]] = {}
+        self._connections: Set[_Connection] = set()
+        #: Admission: free slots, and the requests waiting for one
+        #: (connection, frame, arrival, admit span), oldest first.
+        self._free_slots = self.max_in_flight
+        self._waiting: Deque[tuple] = collections.deque()
+        self._tasks: Set[asyncio.Task] = set()  # requests that had to wait
         self.wal = None
         self.n_connections = 0
         self.n_requests = 0
         self.n_error_replies = 0
         self.n_protocol_errors = 0
         self.n_stalls = 0
-        # Admission / deadline bookkeeping: requests currently waiting
-        # for an in-flight slot, per class, plus shed counters.
+        # Requests waiting for a slot, per class, and shed counters.
         self._queued: Dict[str, int] = {"read": 0, "write": 0}
         self.n_overload_shed: Dict[str, int] = {"read": 0, "write": 0}
         self.n_deadline_shed = 0
-        # Each component's counters under one dotted prefix in the
-        # registry: snapshot() pulls them live.
+        # Each component's counters under one dotted registry prefix.
         self.registry.register_provider("serving.server", self.stats,
                                         **self._metrics_labels)
         self.registry.register_provider(
@@ -220,13 +327,8 @@ class NetServer:
     # -- replication wiring ------------------------------------------------
 
     def set_wal(self, coordinator) -> None:
-        """Attach a WAL coordinator; mutations now route through it.
-
-        The coordinator makes its gateway calls (validate and apply on
-        the leader, apply on a follower) through :meth:`_gateway`, like
-        every other gateway call: they wait out a stall and run where
-        the gateway runs.
-        """
+        """Attach a WAL coordinator; mutations now route through it.  Its
+        gateway calls (validate, apply) go through :meth:`_gateway`."""
         if coordinator is not None:
             coordinator.run = self._gateway
             self.registry.register_provider("wal", coordinator.stats,
@@ -234,16 +336,13 @@ class NetServer:
         self.wal = coordinator
 
     def call_serialized(self, fn, *args, **kwargs):
-        """Run ``fn(*args, **kwargs)`` as a gateway call and return its
-        result.
+        """Run ``fn(*args, **kwargs)`` as a gateway call, from any
+        thread but the server's loop, and return its result.
 
-        The out-of-band way onto the loop that owns the gateway, for
-        code on other threads (replica wiring, drills, benchmarks): the
-        call waits out a :meth:`stall` and runs between two requests,
-        never inside one.  A coroutine function is awaited on the loop
-        after the stall; it makes its own gateway calls (the WAL
-        coordinators' methods do, through :meth:`_gateway`).  Safe from
-        any thread but the server's event loop.
+        The way onto the loop that owns the gateway for replica wiring,
+        drills and benchmarks: the call waits out a :meth:`stall` and
+        runs between two requests.  A coroutine function is awaited on
+        the loop after the stall (it makes its own gateway calls).
         """
         if asyncio.iscoroutinefunction(fn):
             call = self._after_stall(fn(*args, **kwargs))
@@ -255,17 +354,21 @@ class NetServer:
         await self._unstalled()
         return await coroutine
 
-    async def _gateway(self, fn, *args, **kwargs):
-        """``fn(*args, **kwargs)`` on the gateway, once any stall is over.
+    def _call_gateway(self, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)`` made now when the loop may (in-process
+        gateway, no stall): its result; else the :meth:`_gateway`
+        coroutine to await."""
+        if self._scorer_thread is None \
+                and self._stall_until <= time.monotonic():
+            return fn(*args, **kwargs)
+        return self._gateway(fn, *args, **kwargs)
 
-        The one place that decides where a gateway call runs: on the
-        loop for an in-process ``PredictionService``; on the private
-        scorer thread for any other gateway (a ``ShardedScorer`` blocks
-        on worker IPC), with the caller's context copied so trace spans
-        still nest.  Once that thread is shut down (the replica is going
-        away) the call raises :class:`FuserClosed`, which a fused read
-        turns into a retryable error.
-        """
+    async def _gateway(self, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)`` on the gateway, once any stall is over:
+        on the loop for an in-process ``PredictionService``, else on the
+        private scorer thread (worker IPC blocks), with the caller's
+        context copied so trace spans nest.  Once that thread is shut
+        down the call raises :class:`FuserClosed` (a retryable error)."""
         if self._stall_until > time.monotonic():
             await self._unstalled()
         if self._scorer_thread is None:
@@ -282,51 +385,36 @@ class NetServer:
 
     # -- lifecycle ---------------------------------------------------------
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        return (self.host, self.port)
-
-    @property
-    def running(self) -> bool:
-        return self._server is not None and self._server.is_serving()
-
     async def start(self) -> "NetServer":
         """Bind and start accepting connections."""
         if self._server is not None:
             return self
         self._loop = asyncio.get_running_loop()
-        self._slots = asyncio.Semaphore(self.max_in_flight)
+        self._free_slots = self.max_in_flight
         self._draining = False
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port)
+        self._server = await self._loop.create_server(
+            functools.partial(_Connection, self), self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         if self.watcher is not None:
             self.watcher.start()
         return self
 
     async def stop(self) -> None:
-        """Graceful drain: finish in-flight requests, then close.
-
-        Idle connections (blocked waiting for the next frame) are woken
-        and closed; a connection mid-request finishes that request and
-        flushes the reply first.  Safe to call more than once.
-        """
+        """Graceful drain: every connection stops reading and closes once
+        its admitted requests are answered.  Safe to call twice."""
         if self._server is None:
             return
         self._server.close()
-        # Idle readers are woken *before* awaiting wait_closed(): on
-        # Python >= 3.12.1 wait_closed() blocks until every connection
-        # handler returns, and an idle handler returns only once its
-        # read does.
         self._draining = True
-        for reader, writer in self._connections.values():
-            self._end_reads(reader, writer)
+        for connection in list(self._connections):
+            connection.end()
         if self.watcher is not None:
             self.watcher.stop()
         if self.fuser is not None:
             await self.fuser.drain()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
+        while self._connections:
+            await asyncio.gather(*(connection.lost
+                                   for connection in self._connections))
         await self._server.wait_closed()
         self._server = None
         await self._close_wal()
@@ -334,20 +422,28 @@ class NetServer:
             self._scorer_thread.shutdown(wait=True)
 
     async def abort(self) -> None:
-        """Abrupt shutdown: cancel connections without draining.
-
-        The failure-injection path (:meth:`ReplicaSet.kill`): clients see
-        resets/EOF mid-request, exactly like a crashed process, which is
-        what the failover tests need to provoke.
-        """
+        """Abrupt shutdown, the way a crash goes (:meth:`ReplicaSet.kill`):
+        clients see resets/EOF mid-request, and request tasks and fused
+        windows in flight — a commit parked on a silent follower
+        included — are cancelled, not waited out."""
         if self._server is not None:
             self._server.close()
         if self.watcher is not None:
             self.watcher.stop()
-        for task in list(self._connections):
+        self._waiting.clear()
+        self._queued.update(read=0, write=0)
+        connections = list(self._connections)
+        for connection in connections:
+            connection.open = False  # no reply is written any more
+            connection.transport.abort()
+        tasks = list(self._tasks)
+        if self.fuser is not None:
+            tasks += self.fuser.cancel()
+        for task in tasks:
             task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
+        await asyncio.gather(*tasks, *(connection.lost
+                                       for connection in connections),
+                             return_exceptions=True)
         self._server = None
         await self._close_wal()
         if self._scorer_thread is not None:
@@ -357,145 +453,6 @@ class NetServer:
         if self.wal is not None:
             wal, self.wal = self.wal, None
             await wal.close()
-
-    # -- connection handling ----------------------------------------------
-
-    def _on_connection(self, reader: asyncio.StreamReader,
-                       writer: asyncio.StreamWriter) -> None:
-        task = asyncio.get_running_loop().create_task(
-            self._serve_connection(reader, writer))
-        self._connections[task] = (reader, writer)
-        task.add_done_callback(self._forget_connection)
-        if self._draining:  # accepted in the same loop pass as stop()
-            self._end_reads(reader, writer)
-
-    def _forget_connection(self, task: asyncio.Task) -> None:
-        self._connections.pop(task, None)
-
-    @staticmethod
-    def _end_reads(reader: asyncio.StreamReader,
-                   writer: asyncio.StreamWriter) -> None:
-        """Drain wake-up: stop the transport reading, then feed EOF, so
-        a pending (or the next) read returns at once.  Pausing first
-        means no ``feed_data`` can follow the EOF."""
-        writer.transport.pause_reading()
-        reader.feed_eof()
-
-    async def _read_chunk(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> bytes:
-        """One transport read; empty (client EOF) once draining."""
-        data = await reader.read(_READ_CHUNK)
-        if self._draining:
-            # read() resumes a transport its own flow control paused
-            # once it consumes the backlog; pause again before the loop
-            # polls, so no feed_data follows the EOF stop() fed.
-            writer.transport.pause_reading()
-            return b""
-        return data
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        self.n_connections += 1
-        decoder = FrameDecoder()
-        pending: Set[asyncio.Task] = set()
-        try:
-            if not await self._handshake(reader, writer, decoder, pending):
-                return
-            while not self._draining:
-                try:
-                    data = await self._read_chunk(reader, writer)
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    return
-                if not data:
-                    return
-                try:
-                    frames = decoder.feed(data)
-                except ProtocolError as error:
-                    self.n_protocol_errors += 1
-                    await self._send(writer,
-                                     Frame("error", {"message": str(error)}))
-                    return
-                for frame in frames:
-                    await self._admit(writer, frame, pending)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            # Flush concurrently-served (id-tagged) requests before the
-            # socket closes, so a drain never truncates a pipeline.
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def _admit(self, writer: asyncio.StreamWriter, frame: Frame,
-                     pending: Set[asyncio.Task]) -> None:
-        """Serve one request: concurrently when id-tagged, else in order.
-
-        An ``id`` marks the client as pipelining-aware (it matches
-        replies by id, so out-of-order completion is fine); bare frames
-        keep the strict request/reply ordering raw-socket callers expect.
-        """
-        if frame.payload.get("id") is not None:
-            task = asyncio.get_running_loop().create_task(
-                self._respond_safely(writer, frame))
-            pending.add(task)
-            task.add_done_callback(pending.discard)
-        else:
-            await self._respond(writer, frame)
-
-    async def _respond_safely(self, writer: asyncio.StreamWriter,
-                              frame: Frame) -> None:
-        try:
-            await self._respond(writer, frame)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-
-    async def _handshake(self, reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter,
-                         decoder: FrameDecoder,
-                         pending: Set[asyncio.Task]) -> bool:
-        """Read the hello frame; False when it is refused (version or
-        shape mismatch) or the connection ends first."""
-        while True:
-            try:
-                data = await self._read_chunk(reader, writer)
-            except (ConnectionError, asyncio.IncompleteReadError):
-                return False
-            if not data:
-                return False
-            try:
-                frames = decoder.feed(data)
-            except ProtocolError as error:
-                self.n_protocol_errors += 1
-                await self._send(writer,
-                                 Frame("error", {"message": str(error)}))
-                return False
-            if frames:
-                break
-        refusal = check_hello(frames[0])
-        if refusal is not None:
-            self.n_protocol_errors += 1
-            await self._send(writer, refusal)
-            return False
-        await self._send(writer, Frame("ok", {
-            "version": PROTOCOL_VERSION, "server": "repro-serving"}))
-        # Any frames pipelined behind the hello are served in order.
-        for frame in frames[1:]:
-            await self._admit(writer, frame, pending)
-        return True
-
-    async def _send(self, writer: asyncio.StreamWriter,
-                    frame: Frame) -> None:
-        if frame.is_error:
-            self.n_error_replies += 1
-        # One write call per frame: writes are atomic appends to the
-        # transport buffer, so concurrent pipelined replies interleave
-        # at frame granularity, never inside one.
-        writer.write(encode_frame(frame, binary=True))
-        await writer.drain()
 
     # -- request execution -------------------------------------------------
 
@@ -576,24 +533,11 @@ class NetServer:
         except (TypeError, ValueError):
             return None  # unparseable budgets never constrain a request
 
-    def _shed_overload(self, frame: Frame) -> Optional[Frame]:
-        """Admission control: refuse the request if its class's queue is
-        full.  Runs before anything waits on the slot semaphore, so a
-        shed request costs the server one frame decode and one error
-        frame — nothing else."""
-        if self.max_queue_depth is None or not self._slots.locked():
-            return None
-        cls = _request_class(frame.kind)
-        if self._queued[cls] < self.max_queue_depth:
-            return None
-        self.n_overload_shed[cls] += 1
-        return error_frame(
-            f"overloaded: {self._queued[cls]} {cls}s already queued "
-            f"behind {self.max_in_flight} in-flight requests",
-            code=ERROR_OVERLOADED, retryable=True)
-
-    async def _respond(self, writer: asyncio.StreamWriter,
-                       frame: Frame) -> None:
+    def _admit(self, connection: _Connection, frame: Frame) -> None:
+        """Admission: a free slot dispatches the request now; with none it
+        queues in arrival order, or — its class's queue full — is shed
+        with a retryable ``overloaded`` error, at the cost of one decode
+        and one error frame."""
         self.n_requests += 1
         arrival = time.monotonic()
         # The admission span parents every server-side span for this
@@ -605,75 +549,128 @@ class NetServer:
             if ctx is not None:
                 admit = self.tracer.start("server.admit", parent=ctx,
                                           attrs={"kind": frame.kind})
-        deadline = self._frame_deadline(frame, arrival)
-        response = self._shed_overload(frame)
-        if response is None:
-            cls = _request_class(frame.kind)
-            self._queued[cls] += 1
-            try:
-                await self._slots.acquire()
-            finally:
-                self._queued[cls] -= 1
-            # Queue wait (slot acquisition) vs execute, split: the two
-            # intervals that matter when diagnosing tail latency.
-            queue_wait_ms = (time.monotonic() - arrival) * 1000.0
-            self._queue_wait_ms.observe(queue_wait_ms)
+        if self._free_slots:
+            self._free_slots -= 1
+            self._dispatch(connection, frame, arrival, admit, arrival)
+            return
+        cls = _request_class(frame.kind)
+        if self.max_queue_depth is not None \
+                and self._queued[cls] >= self.max_queue_depth:
+            self.n_overload_shed[cls] += 1
             if admit is not None:
-                self.tracer.emit("server.queue", parent=admit,
-                                 dur_ms=queue_wait_ms,
-                                 attrs={"class": cls})
+                admit.set_attr("shed", "overload")
+            self._finish(connection, frame, admit, error_frame(
+                f"overloaded: {self._queued[cls]} {cls}s already queued "
+                f"behind {self.max_in_flight} in-flight requests",
+                code=ERROR_OVERLOADED, retryable=True), held=False)
+            return
+        self._queued[cls] += 1
+        self._waiting.append((connection, frame, arrival, admit))
+
+    def _dispatch(self, connection: _Connection, frame: Frame,
+                  arrival: float, admit=None,
+                  now: Optional[float] = None) -> None:
+        """Serve one request that holds a slot (module docstring)."""
+        if not connection.open:  # gone while it queued: nobody to answer
+            self._finish(connection, frame, admit, Frame("error", {}))
+            return
+        if now is None:
+            now = time.monotonic()
+        # Queue wait (slot wait) vs execute, split: the two intervals
+        # that matter when diagnosing tail latency.
+        queue_wait_ms = (now - arrival) * 1000.0
+        self._queue_wait_ms.observe(queue_wait_ms)
+        if admit is not None:
+            self.tracer.emit("server.queue", parent=admit,
+                             dur_ms=queue_wait_ms,
+                             attrs={"class": _request_class(frame.kind)})
+        # The gate sits *after* the slot wait on purpose: time spent
+        # queueing counts against the budget, so a request that expired
+        # in the queue is shed before any gateway work, not scored late.
+        deadline = self._frame_deadline(frame, arrival)
+        kind = frame.kind
+        if deadline is not None and now >= deadline:
+            self.n_deadline_shed += 1
+            self._finish(connection, frame, admit, error_frame(
+                f"deadline_exceeded: {kind!r} spent its "
+                f"{frame.payload.get('deadline_ms')} ms budget queueing",
+                code=ERROR_DEADLINE, retryable=True))
+        elif kind == "top_n" and self.fuser is not None:
+            self._fuse(connection, frame, deadline, admit)
+        elif kind in ("wal_append", "wal_catchup") or (
+                kind in MUTATION_KINDS
+                and (self.wal is not None or self.wal_expected)):
+            if admit is not None:
+                # Re-parent the downstream WAL spans (commit, append,
+                # ship, follower apply) on admission.
+                frame.payload["trace"] = admit.context().to_wire()
+            self._await(connection, frame, admit, self._respond_wal(frame))
+        elif kind == "trace":
+            self._finish(connection, frame, admit, self._trace_reply(frame))
+        else:
             try:
-                # The gate sits *after* the slot wait on purpose: time
-                # spent queueing counts against the budget, so a request
-                # that expired in the queue is shed before any gateway
-                # work, not scored late.
-                if deadline is not None and time.monotonic() >= deadline:
-                    self.n_deadline_shed += 1
-                    response = error_frame(
-                        f"deadline_exceeded: {frame.kind!r} spent its "
-                        f"{frame.payload.get('deadline_ms')} ms budget "
-                        "queueing", code=ERROR_DEADLINE, retryable=True)
-                elif self.fuser is not None and frame.kind == "top_n":
-                    response = await self._fused_top_n(frame, deadline,
-                                                       admit)
-                elif frame.kind in ("wal_append", "wal_catchup") or (
-                        frame.kind in MUTATION_KINDS
-                        and (self.wal is not None or self.wal_expected)):
-                    if admit is not None:
-                        # Re-parent the downstream WAL spans (commit,
-                        # append, ship, follower apply) on admission.
-                        frame.payload["trace"] = admit.context().to_wire()
-                    response = await self._respond_wal(frame)
-                elif frame.kind == "metrics":
-                    payload = await self._gateway(self.registry.snapshot)
-                    response = Frame("ok", {"metrics": payload})
-                elif frame.kind == "trace":
-                    response = self._trace_reply(frame)
+                if kind == "metrics":
+                    response = self._call_gateway(lambda: Frame(
+                        "ok", {"metrics": self.registry.snapshot()}))
                 else:
-                    # arrays=True: replies keep the gateway's own ndarray
-                    # response buffers, encoded once at _send — no
-                    # per-element re-encode on the event loop.
-                    response = await self._gateway(self._execute, frame,
-                                                   admit)
-            finally:
-                self._slots.release()
-        elif admit is not None:
-            admit.set_attr("shed", "overload")
+                    response = self._call_gateway(self._execute, frame,
+                                                  admit)
+            except Exception as error:  # noqa: BLE001 - a server bug
+                response = self._internal_error(error)
+            if inspect.isawaitable(response):
+                self._await(connection, frame, admit, response)
+            else:
+                self._finish(connection, frame, admit, response)
+
+    def _await(self, connection: _Connection, frame: Frame, admit,
+               pending) -> None:
+        """A request that has to wait: one task awaits its response."""
+        task = self._loop.create_task(
+            self._reply_when_done(connection, frame, admit, pending))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        # A task cancelled before its first step never awaited ``pending``.
+        task.add_done_callback(lambda _: pending.close())
+
+    async def _reply_when_done(self, connection: _Connection,
+                               frame: Frame, admit, pending) -> None:
+        try:
+            response = await pending
+        except asyncio.CancelledError:  # abort(): nobody is left to answer
+            self._finish(connection, frame, admit,
+                         Frame("error", {"message": "request cancelled"}))
+            raise
+        except Exception as error:  # noqa: BLE001 - a server bug
+            response = self._internal_error(error)
+        self._finish(connection, frame, admit, response)
+
+    def _internal_error(self, error: BaseException) -> Frame:
+        """A request raised past its domain errors: a bug; log, answer."""
+        self._loop.call_exception_handler({
+            "message": "serving request failed", "exception": error})
+        return Frame("error", {"message": f"internal error: {error!r}"})
+
+    def _finish(self, connection: _Connection, frame: Frame, admit,
+                response: Frame, held: bool = True) -> None:
+        """Answer a request; one that ``held`` a slot passes it to the
+        longest-waiting request (dispatched next loop pass) or frees it."""
+        if held:
+            if self._waiting:
+                waiting = self._waiting.popleft()
+                self._queued[_request_class(waiting[1].kind)] -= 1
+                self._loop.call_soon(self._dispatch, *waiting)
+            else:
+                self._free_slots += 1
         if admit is not None:
             if response.is_error:
-                admit.set_attr("error",
-                               response.payload.get("message"))
+                admit.set_attr("error", response.payload.get("message"))
             admit.finish()
-        request_id = frame.payload.get("id")
-        if request_id is not None:
-            response.payload.setdefault("id", request_id)
-        await self._send(writer, response)
+        connection.reply(frame, response)
 
     def _execute(self, frame: Frame, admit=None) -> Frame:
-        """Plain gateway execution (one gateway call), wrapped in the
-        execute histogram and — for traced requests — a
-        ``server.execute`` span, active while it runs, so the layers
-        below (scorer, chaos shims) attach children."""
+        """One plain gateway call, in the execute histogram and, traced,
+        an active ``server.execute`` span the layers below attach to.
+        Replies keep the gateway's own ndarray buffers."""
         start = time.perf_counter()
         try:
             if admit is None:
@@ -687,21 +684,17 @@ class NetServer:
             self._execute_ms.observe(
                 (time.perf_counter() - start) * 1000.0)
 
-    async def _fused_top_n(self, frame: Frame,
-                           deadline: Optional[float] = None,
-                           admit=None) -> Frame:
-        """Route one ``top_n`` through the fuser.
-
-        Arguments are validated *before* entering the window, so one bad
-        request cannot poison the whole fused batch.  The deadline rides
-        into the window: a waiter still queued when it passes is shed by
-        the fuser instead of dispatched (see :class:`DeadlineExpired`).
-        """
+    def _fuse(self, connection: _Connection, frame: Frame,
+              deadline: Optional[float], admit) -> None:
+        """Queue one ``top_n`` on the fuser; :meth:`_fused` answers it.
+        Arguments are validated first, so a bad request cannot poison a
+        window; the deadline rides along (:class:`DeadlineExpired`)."""
         payload = frame.payload
         try:
             user = int(payload["user"])
             n = int(payload.get("n", 10))
-            check_positive("n", n)
+            if n <= 0:
+                check_positive("n", n)  # raises: the shared message
             if not 0 <= user < self.service.n_users:
                 # Raises: the shared out-of-range message.
                 check_user_range(np.array([user], dtype=np.int64),
@@ -709,37 +702,39 @@ class NetServer:
                                  self.service.n_train_users)
         except (ValidationError, KeyError, TypeError, ValueError,
                 OverflowError) as error:
-            return Frame("error", {"message": str(error)})
-        try:
-            recommendation = await self.fuser.top_n(
-                user, n=n,
-                exclude_seen=bool(payload.get("exclude_seen", True)),
-                deadline=deadline,
-                trace=admit.context() if admit is not None else None)
-        except DeadlineExpired as error:
+            self._finish(connection, frame, admit,
+                         Frame("error", {"message": str(error)}))
+            return
+        self.fuser.submit(
+            user, n, bool(payload.get("exclude_seen", True)), deadline,
+            admit.context() if admit is not None else None,
+            functools.partial(self._fused, connection, frame, admit))
+
+    def _fused(self, connection: _Connection, frame: Frame, admit,
+               recommendation, error: Optional[BaseException]) -> None:
+        if error is None:
+            response = Frame("ok", recommendation_payload(recommendation,
+                                                          arrays=True))
+        elif isinstance(error, DeadlineExpired):
             self.n_deadline_shed += 1
-            return error_frame(str(error), code=ERROR_DEADLINE,
-                               retryable=True)
-        except FuserClosed as error:
-            return error_frame(str(error), retryable=True)
-        except Exception as error:  # noqa: BLE001 - worker/gateway failure
-            return Frame("error", {"message": str(error)})
-        return Frame("ok", recommendation_payload(recommendation,
-                                                  arrays=True))
+            response = error_frame(str(error), code=ERROR_DEADLINE,
+                                   retryable=True)
+        elif isinstance(error, FuserClosed):
+            response = error_frame(str(error), retryable=True)
+        else:  # a worker or gateway failure
+            response = Frame("error", {"message": str(error)})
+        self._finish(connection, frame, admit, response)
 
     # -- chaos hooks --------------------------------------------------------
 
     def stall(self, seconds: float) -> None:
         """Wedge the gateway for ``seconds`` (fault injection).
 
-        Every gateway call that starts before the stall is over — fused
-        windows, plain requests, commits and applies,
-        :meth:`call_serialized` — waits it out on the loop, while the
-        loop keeps accepting, reading, queueing and shedding: the shape
-        of a gateway stuck in a long worker IPC, the drill that provokes
-        deadline expiry and queue shedding without killing anything.  A
-        call already running finishes first.  In force before this
-        returns; overlapping stalls merge.  Safe to call from any thread.
+        Every gateway call that starts before the stall is over waits it
+        out, while the loop keeps accepting, reading, queueing and
+        shedding: a gateway stuck in a long worker IPC, which provokes
+        deadline expiry and shedding without killing anything.  In force
+        before this returns; overlapping stalls merge; any thread.
         """
         self.n_stalls += 1
         self._stall_until = max(self._stall_until,

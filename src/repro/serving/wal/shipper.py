@@ -164,15 +164,14 @@ class _Link:
 
     async def _roundtrip(self, frame: Frame) -> Frame:
         connection = self._connection
-        if connection is None or connection.reader_task.done():
+        if connection is None or not connection.alive:
             connection = await self._redial()
         return await connection.roundtrip(frame, self.timeout)
 
     async def _redial(self):
         """A live connection; concurrent callers share one dial."""
         async with self._dialing:
-            if self._connection is None \
-                    or self._connection.reader_task.done():
+            if self._connection is None or not self._connection.alive:
                 await self.close()
                 self._connection = await asyncio.wait_for(
                     dial(*self.address), self.timeout)

@@ -219,13 +219,23 @@ def test_window_on_a_shut_down_gateway_fails_retryably(caplog):
     snapshot = make_bench_snapshot(12, 9, 3, seed=2)
     server = NetServer(_RemoteGateway(PredictionService(snapshot)))
 
+    class Sink:
+        """Stands in for the connection: keeps the reply it is given."""
+
+        open = True
+
+        def reply(self, frame, response):
+            self.response = response
+
     async def scenario():
         await server.start()
         await server.abort()
         with pytest.raises(FuserClosed):
             await server.fuser.top_n(1, n=4)
-        return await server._fused_top_n(Frame("top_n", {"user": 2,
-                                                          "n": 4}))
+        sink = Sink()
+        server._admit(sink, Frame("top_n", {"user": 2, "n": 4, "id": 1}))
+        await server.fuser.drain()
+        return sink.response
 
     with caplog.at_level("WARNING"):
         reply = asyncio.run(scenario())

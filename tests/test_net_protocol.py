@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.serving.__main__ import main
@@ -36,10 +36,15 @@ from repro.serving.net.protocol import (
 from repro.serving.net.protocol import (
     _BINARY_FLAG,
     _HEADER,
+    _JSON,
     _JSON_LENGTH,
     _KIND_CODES,
     _MAGIC,
+    _decode_binary_payload,
     _encode_binary_payload,
+    _extract_arrays,
+    _json_part,
+    _restore_arrays,
 )
 from repro.serving.service import PredictionService
 
@@ -260,6 +265,59 @@ def test_encoder_is_byte_identical_to_the_reference(kind, binary, payload):
     frame = Frame(kind, payload)
     assert encode_frame(frame, binary=binary) == \
         _reference_encode(frame, binary)
+
+
+#: A one-record WAL shipment: nested, and no array anywhere.
+_SHIPMENT = {"records": [{"seqno": 7, "payload": {
+    "kind": "rate", "user": 3, "items": [4, 9], "values": [3.5, 1.0],
+    "write_id": "a1-2"}}], "leader_hwm": 7, "leader_instance": "9f3c"}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(payload=st.dictionaries(_marker_free_keys, _wire_values, max_size=5))
+@example(payload=_SHIPMENT)
+@example(payload={"user": 7, "items": np.arange(3), "id": 1})
+def test_codec_fast_paths_match_the_general_walk(payload):
+    """Flat payloads substituted in one loop, nested ones without arrays
+    encoded as they stand, restores skipped without arrays: the JSON
+    part, the arrays and the decoded payload are the general walk's,
+    byte for byte."""
+    arrays, walked = [], []
+    assert _json_part(payload, arrays) == \
+        _JSON.encode(_extract_arrays(payload, walked))
+    assert [array is walk for array, walk in zip(arrays, walked)] == \
+        [True] * len(walked) and len(arrays) == len(walked)
+    body = _encode_binary_payload(payload)
+    (length,) = _JSON_LENGTH.unpack_from(body)
+    substituted = json.loads(body[_JSON_LENGTH.size:
+                                  _JSON_LENGTH.size + length])
+    assert repr(_wire_view(_decode_binary_payload(body))) == \
+        repr(_wire_view(_restore_arrays(substituted, arrays)))
+
+
+def _wire_view(value):
+    """``value`` with each array as its wire dtype and bytes (``repr``
+    of the result compares NaNs equal)."""
+    if isinstance(value, np.ndarray):
+        dtype = value.dtype.newbyteorder("<")
+        return (dtype.str, np.ascontiguousarray(value, dtype=dtype)
+                .tobytes())
+    if isinstance(value, dict):
+        return {key: _wire_view(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_wire_view(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize("json_part", [b'{"a":{"__nd__":0}}',
+                                       b'{"a":[{"\\u005f_nd__":0}]}'])
+def test_a_stray_array_marker_is_refused_without_arrays(json_part):
+    """The decoder skips the restore walk for array-free frames, but a
+    marker with no array behind it, spelled plainly or escaped, is still
+    refused."""
+    with pytest.raises(ProtocolError, match="references array 0"):
+        _decode_binary_payload(_JSON_LENGTH.pack(len(json_part))
+                               + json_part)
 
 
 #: A fixed request and its binary reply, hex-recorded before the codec

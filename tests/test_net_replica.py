@@ -111,8 +111,8 @@ def test_async_client_fails_over_too(snapshot, reference):
 
 
 def test_async_client_redials_a_connection_the_replica_closed(snapshot):
-    """A killed replica closes its links; the cached connection's reader
-    sees EOF, and the next request must redial (refused: fail over at
+    """A killed replica closes its links; the cached connection sees its
+    transport go, and the next request must redial (refused: fail over at
     once) rather than send into the dead link and wait out its timeout."""
     import asyncio
 
@@ -121,9 +121,9 @@ def test_async_client_redials_a_connection_the_replica_closed(snapshot):
         async def exercise():
             async with AsyncServingClient(replicas.addresses[:1]) as client:
                 await client.top_n(3, n=5)
-                reader = client._connections[0].reader_task
+                lost = client._connections[0].lost
                 replicas.kill(0)
-                await asyncio.wait_for(reader, timeout=10.0)
+                await asyncio.wait_for(lost, timeout=10.0)
                 with pytest.raises(ConnectionRefusedError):
                     await client._connect(0)
 

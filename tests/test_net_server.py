@@ -25,12 +25,13 @@ from repro.serving.net import (
     Frame,
     FrameDecoder,
     NetError,
+    NetServer,
     PROTOCOL_VERSION,
     ReplicaSet,
     ServingClient,
     encode_frame,
 )
-from repro.serving.net.client import _AsyncConnection, _read_loop
+from repro.serving.net.client import _AsyncConnection
 from repro.serving.service import PredictionService
 
 N_USERS, N_ITEMS, K = 50, 37, 4
@@ -415,15 +416,26 @@ def test_async_pipelined_top_n_matches_sequential(replica_set, reference):
                                     recommendation)
 
 
+class _ChunkCounter(_AsyncConnection):
+    __slots__ = ("chunks",)
+
+    def __init__(self):
+        super().__init__()
+        self.chunks = 0
+
+    def data_received(self, data: bytes) -> None:
+        self.chunks += 1
+        super().data_received(data)
+
+
 def test_client_consumes_two_frames_from_one_recv():
-    """One read completing several frames must not drop any of them: the
-    hello reply with a reply decoded behind it, then two replies.  The
-    bytes are all written before the reader loop starts, so its first
-    read returns every frame at once."""
+    """One chunk completing several frames must not drop any of them:
+    the hello reply with a reply decoded behind it, then two replies.
+    The bytes are all written before the connection's transport starts
+    reading, so its first ``data_received`` gets every frame at once."""
     async def scenario():
         left, right = socket.socketpair()
-        reader, writer = await asyncio.open_connection(sock=right)
-        connection = _AsyncConnection(reader, writer)
+        connection = _ChunkCounter()
         loop = asyncio.get_running_loop()
         futures = {key: loop.create_future() for key in (None, 0, 1, 2)}
         connection.pending.update(futures)
@@ -432,13 +444,14 @@ def test_client_consumes_two_frames_from_one_recv():
                                                           "user": key}))
                                 for key in (0, 1, 2)))
         left.close()  # the read after these frames sees EOF
-        connection.reader_task = loop.create_task(_read_loop(connection))
+        await loop.create_connection(lambda: connection, sock=right)
         try:
             hello = await futures[None]
             replies = [await futures[key] for key in (0, 1, 2)]
-            await connection.reader_task  # EOF ends the loop
+            await connection.lost  # EOF ends the connection
         finally:
-            writer.close()
+            connection.transport.close()
+        assert connection.chunks == 1
         assert hello.payload["version"] == PROTOCOL_VERSION
         assert [reply.payload["user"] for reply in replies] == [0, 1, 2]
         assert connection.pending == {}
@@ -449,6 +462,47 @@ def test_client_consumes_two_frames_from_one_recv():
 # ---------------------------------------------------------------------------
 # cross-user query fusion
 # ---------------------------------------------------------------------------
+
+def test_fused_reads_create_no_task_per_request(snapshot, reference):
+    """The flat path, counted rather than timed: with the server on the
+    test's own loop, a counting task factory sees every task either side
+    creates.  200 pipelined untraced ``top_n`` requests create the one
+    task each that ``top_n_pipelined`` runs them in, and nothing else —
+    no request task, reader task or window task on the server, no dial
+    or wait task in the client — while they still fuse, bit-exact."""
+    users = [user % N_USERS for user in range(200)]
+    created = []
+
+    def counting_factory(loop, coro, **kwargs):
+        created.append(coro.__qualname__)
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    async def scenario():
+        server = await NetServer(PredictionService(snapshot)).start()
+        try:
+            async with AsyncServingClient([("127.0.0.1", server.port)]) \
+                    as client:
+                await client.top_n(0, n=5)  # dial and hello first
+                loop = asyncio.get_running_loop()
+                loop.set_task_factory(counting_factory)
+                try:
+                    served = await client.top_n_pipelined(
+                        users, n=5, max_in_flight=32)
+                finally:
+                    loop.set_task_factory(None)
+        finally:
+            await server.stop()
+        return served, server.fuser.metrics()
+
+    served, fusion = asyncio.run(scenario())
+    runners = "AsyncServingClient.top_n_pipelined.<locals>.one"
+    assert created.count(runners) == len(users)
+    assert [name for name in created if name != runners] == []
+    assert fusion["windows"] < fusion["requests"]
+    for user, recommendation in zip(users, served):
+        _assert_same_recommendation(reference.top_n(user, n=5),
+                                    recommendation)
+
 
 def test_fused_top_n_is_bit_identical_to_unfused(snapshot, reference):
     """The acceptance criterion: fusion changes batching, never bits.

@@ -18,12 +18,14 @@ What is pinned here (the PR's acceptance bar):
 from __future__ import annotations
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.bench.serving import make_bench_snapshot
-from repro.serving.net import ReplicaSet, ServingClient
+from repro.serving.net import NetError, ReplicaSet, ServingClient
 from repro.serving.service import PredictionService
 from repro.serving.wal import (
     LeaderCoordinator,
@@ -174,6 +176,50 @@ def test_restarted_follower_catches_up_by_seqno_range(snapshot):
         assert stats["applied_seqno"] == 3
         assert stats["catchup_batches"] >= 1
         assert len(_digests(replicas)) == 1
+
+
+def test_kill_drops_a_commit_parked_on_a_silent_follower(snapshot,
+                                                         tmp_path):
+    """A hard kill is a crash, not a drain: the write parked in its
+    commit, its shipment waiting on a follower that never answers, is
+    dropped rather than waited out, so its client sees the connection go
+    instead of an ack (waiting it out would end in an ack once the
+    shipment timed out).  The restarted leader recovers every acked
+    write from its log."""
+    with ReplicaSet(lambda index: PredictionService(snapshot),
+                    n_replicas=2, wal_dir=str(tmp_path / "wal")) as replicas:
+        leader = replicas.addresses[:1]
+        with ServingClient(leader) as client:
+            cold = client.fold_in(np.array([0, 1]), np.array([4.0, 3.0]))
+            acked = client.last_seqno
+        follower = replicas.replicas[1].server
+        shipments = follower.stats()["n_requests"]
+        replicas.pause(1, 3600.0)  # the follower never answers again
+        outcome = []
+
+        def parked_write() -> None:
+            with ServingClient(leader, timeout=60.0) as client:
+                try:
+                    outcome.append(client.rate(cold, np.array([2]),
+                                               np.array([3.5])))
+                except NetError as error:
+                    outcome.append(error)
+
+        writer = threading.Thread(target=parked_write, daemon=True)
+        writer.start()
+        give_up = time.monotonic() + 10.0
+        while follower.stats()["n_requests"] == shipments:
+            assert time.monotonic() < give_up, "the shipment never arrived"
+        replicas.kill(0)
+        writer.join(timeout=30.0)
+        assert not writer.is_alive()
+        assert isinstance(outcome[0], NetError), outcome
+        replicas.kill(1)  # stalled or not, a kill does not wait
+        replicas.restart(0)
+        assert replicas.wal_stats()[0]["high_seqno"] >= acked
+        with ServingClient(replicas.addresses) as client:
+            assert client.stats()["n_folded_in"] == 1
+            assert len(client.top_n(cold, n=3)) == 3
 
 
 def test_wal_counters_surface_in_health_and_stats(snapshot):
