@@ -6,8 +6,8 @@ Walks the network frontend (`repro.serving.net`):
 1. train BPMF and snapshot the posterior;
 2. start a 2-replica TCP server (:class:`ReplicaSet`) — each replica an
    independent gateway behind the framed RPC protocol, with fused
-   batched dispatch on by default (pass ``fuse_window_ms=None`` — or
-   ``--fuse-window 0`` on the CLI — to disable it);
+   batched dispatch on by default (pass ``fuse_window_ms=None`` to
+   disable it);
 3. query it from the blocking client (:class:`ServingClient`, a facade
    over :class:`AsyncServingClient` that runs each call on a private
    event loop; scores cross the wire as raw binary arrays) with a burst

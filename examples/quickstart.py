@@ -30,7 +30,7 @@ def main() -> None:
     # 2. BPMF: no regularisation parameter to tune — the Normal-Wishart
     #    hyperpriors are resampled from the data every Gibbs sweep.
     config = BPMFConfig(num_latent=6, alpha=8.0, burn_in=10, n_samples=30)
-    sampler = GibbsSampler(config, SamplerOptions(verbose=False))
+    sampler = GibbsSampler(config)
     result = sampler.run(train, split, seed=0)
     print(f"\nBPMF finished {config.total_iterations} Gibbs sweeps "
           f"({result.items_updated} item updates)")

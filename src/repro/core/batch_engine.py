@@ -67,12 +67,6 @@ __all__ = [
     "make_update_engine",
 ]
 
-#: Dtypes an engine may compute in.  ``float64`` (default) preserves the
-#: bit-exact parity guarantees; ``float32`` halves memory bandwidth on the
-#: stacked kernels at the cost of ~1e-4-relative agreement with the
-#: reference chain.
-COMPUTE_DTYPES = ("float64", "float32")
-
 #: Byte budget of one item block: ``BLOCK_BYTES // (8 K^2)`` Gram-path
 #: items, so a block's item-last ``(K, K, B)`` factor stack stays near this
 #: size; a data-space item needs only ``O(d K)`` bytes, so several times
@@ -153,7 +147,6 @@ class _Phase:
     def __init__(self, engine: "BatchedUpdateEngine", prior: GaussianPrior,
                  alpha: float, source: np.ndarray,
                  buckets: Sequence[DegreeBucket]):
-        dtype = engine._dtype
         k = prior.num_latent
         # choose() returns RANK_ONE exactly below rank_one_limit.
         method = engine.update_method
@@ -162,13 +155,12 @@ class _Phase:
         else:
             self.rank_one_below = math.inf \
                 if method is UpdateMethod.RANK_ONE else 0
-        self.alpha = dtype.type(alpha)
-        self.inv_alpha = dtype.type(1.0 / alpha)
-        self.shift = dtype.type(1.0 / np.sqrt(alpha))
+        self.alpha = np.float64(alpha)
+        self.inv_alpha = np.float64(1.0 / alpha)
+        self.shift = np.float64(1.0 / np.sqrt(alpha))
         self.a0 = engine._augmented_prior(prior)
-        chol = np.linalg.cholesky(prior.precision)
-        self.chol = chol.astype(dtype)
-        self.c0 = (chol.T @ prior.mean).astype(dtype)
+        self.chol = np.linalg.cholesky(prior.precision)
+        self.c0 = self.chol.T @ prior.mean
         # L^-1 x for every source row a rank-one piece reads, by forward
         # substitution (elementwise, so a row's bits never depend on which
         # other rows are whitened with it), compacted: source row r is row
@@ -226,16 +218,9 @@ class UpdateEngine:
     manages_parallelism: bool = False
 
     def __init__(self, update_method: Optional[UpdateMethod] = None,
-                 policy: Optional[HybridUpdatePolicy] = None,
-                 compute_dtype: str = "float64"):
-        if compute_dtype not in COMPUTE_DTYPES:
-            raise ValidationError(
-                f"compute_dtype must be one of {COMPUTE_DTYPES}, "
-                f"got {compute_dtype!r}")
+                 policy: Optional[HybridUpdatePolicy] = None):
         self.update_method = update_method
         self.policy = policy or HybridUpdatePolicy()
-        self.compute_dtype = compute_dtype
-        self._dtype = np.dtype(compute_dtype)
 
     def close(self) -> None:
         """Release engine-owned resources (worker pools, shared memory).
@@ -297,17 +282,6 @@ class ReferenceUpdateEngine(UpdateEngine):
 
     name = "reference"
 
-    def __init__(self, update_method: Optional[UpdateMethod] = None,
-                 policy: Optional[HybridUpdatePolicy] = None,
-                 compute_dtype: str = "float64"):
-        if compute_dtype != "float64":
-            # The per-item kernels are float64-only; a silently ignored
-            # reduced-precision request would invalidate parity baselines.
-            raise ValidationError(
-                "the reference engine always computes in float64; "
-                f"got compute_dtype={compute_dtype!r}")
-        super().__init__(update_method, policy, compute_dtype)
-
     def update_items(self, target, source, axis, prior, alpha, noise,
                      items=None, parallel_map=None):
         if items is None:
@@ -359,11 +333,10 @@ class BatchedUpdateEngine(UpdateEngine):
     is ``y = L^-1 rhs``, so the forward solve comes out of the factorisation
     and ``L^-T y`` is the conditional mean.  Before factorising, the corner
     ``c`` is doubled: the Schur complement ``s^2 = c - |y|^2`` then exceeds
-    half the corner, so no precision (float32 included) can fail on the
-    last pivot; ``s`` itself is never used.  Buckets in the
-    parallel-Cholesky regime (degree >= ``policy.parallel_threshold``)
-    accumulate ``X^T X`` over the same row blocks
-    :func:`repro.core.updates.sample_item_parallel_cholesky` uses,
+    half the corner, so the last pivot cannot fail; ``s`` itself is never
+    used.  Buckets in the parallel-Cholesky regime (degree >=
+    ``policy.parallel_threshold``) accumulate ``X^T X`` over the same row
+    blocks :func:`repro.core.updates.sample_item_parallel_cholesky` uses,
     preserving the paper's blocked-Gram structure at bucket granularity.
 
     Both kinds end in ``K`` vectorised back-substitution steps over
@@ -378,12 +351,6 @@ class BatchedUpdateEngine(UpdateEngine):
     ``(axis, items)`` pair in the module-level cache of
     :mod:`repro.sparse.buckets`, so repeated sweeps — and *other* engine
     instances touching the same axis — pay no planning cost.
-
-    ``compute_dtype`` selects the arithmetic precision of the stacked
-    kernels.  ``float64`` (default) keeps the parity guarantees;
-    ``float32`` halves the memory traffic of the gather and matmul passes
-    and agrees with the float64 chain to single-precision tolerance
-    (factor rows are cast back to the target's dtype on store).
     """
 
     name = "batched"
@@ -392,18 +359,17 @@ class BatchedUpdateEngine(UpdateEngine):
 
     def _plan_for(self, axis: CompressedAxis,
                   items: Optional[np.ndarray]) -> BucketPlan:
-        return cached_bucket_plan(axis, items, value_dtype=self._dtype)
+        return cached_bucket_plan(axis, items)
 
     # -- the batched kernel ----------------------------------------------
 
     def _augmented_prior(self, prior: GaussianPrior) -> np.ndarray:
-        """``A0``, the prior part of every augmented Gram, in the compute
-        dtype (built once per phase)."""
+        """``A0``, the prior part of every augmented Gram (built once per
+        phase)."""
         k = prior.num_latent
-        precision = np.asarray(prior.precision, dtype=self._dtype)
-        mean = np.asarray(prior.mean, dtype=self._dtype)
+        precision, mean = prior.precision, prior.mean
         weighted = precision @ mean
-        a0 = np.empty((k + 1, k + 1), dtype=self._dtype)
+        a0 = np.empty((k + 1, k + 1))
         a0[:k, :k] = precision
         a0[:k, k] = weighted
         a0[k, :k] = weighted
@@ -414,11 +380,9 @@ class BatchedUpdateEngine(UpdateEngine):
                          source: np.ndarray, a0: np.ndarray,
                          alpha) -> np.ndarray:
         """``A0 + alpha Z^T Z`` for every item of the block, corner
-        doubled; ``source`` and the bucket values must already be in the
-        compute dtype (``update_items`` and the shared-memory workers
-        guarantee this)."""
+        doubled."""
         k = a0.shape[0] - 1
-        aug = np.empty((n_items, k + 1, k + 1), dtype=self._dtype)
+        aug = np.empty((n_items, k + 1, k + 1))
         row = 0
         for bucket, start, stop in block:
             d = bucket.degree
@@ -427,7 +391,7 @@ class BatchedUpdateEngine(UpdateEngine):
             if d == 0:
                 out[...] = a0
                 continue
-            z = np.empty((stop - start, d, k + 1), dtype=self._dtype)
+            z = np.empty((stop - start, d, k + 1))
             z[:, :, :k] = source[bucket.neighbours[start:stop]]
             z[:, :, k] = bucket.values[start:stop]
             if self._choose_method(d, k) is UpdateMethod.PARALLEL_CHOLESKY:
@@ -465,21 +429,21 @@ class BatchedUpdateEngine(UpdateEngine):
         d = group[0][0].degree
         items = np.concatenate([bucket.items[start:stop]
                                 for bucket, start, stop in group])
-        z = np.asarray(noise[items], dtype=self._dtype)
+        z = noise[items]
         np.add(phase.c0[:, None], z.T, out=out)
         if d == 0:
             return
         # Item-last and zero-padded: gram = W W^T, solved = [W c, W z].
-        gram = np.zeros((d, d, m), dtype=self._dtype)
-        solved = np.zeros((2, d, m), dtype=self._dtype)
-        ratings = np.zeros((d, m), dtype=self._dtype)
+        gram = np.zeros((d, d, m))
+        solved = np.zeros((2, d, m))
+        ratings = np.zeros((d, m))
         pieces, column = [], 0
         for bucket, start, stop in group:
             span, own = slice(column, column + stop - start), bucket.degree
             column = span.stop
             # rows[i] = [W; z; c0] and products[i] = rows[i] W^T: W W^T,
             # then (W z)^T and (W c0)^T.
-            rows = np.empty((stop - start, own + 2, k), dtype=self._dtype)
+            rows = np.empty((stop - start, own + 2, k))
             rows[:, own] = z[span]
             rows[:, own + 1] = phase.c0
             columns = phase.position[bucket.neighbours[start:stop]]
@@ -534,7 +498,7 @@ class BatchedUpdateEngine(UpdateEngine):
         pieces = [piece for group in groups for piece in group] + gram
         items = np.concatenate([bucket.items[start:stop]
                                 for bucket, start, stop in pieces])
-        x = np.empty((k, items.shape[0]), dtype=self._dtype)
+        x = np.empty((k, items.shape[0]))
         n_ranked = 0
         for group in groups:
             size = sum(stop - start for _, start, stop in group)
@@ -555,7 +519,7 @@ class BatchedUpdateEngine(UpdateEngine):
         # L^T x = y + z on item-last arrays: factor[i, j] is L_ij across
         # the Gram items and x[i] the running right-hand side.
         np.add(chol[:, k, :k].T,
-               np.asarray(noise[items[n_ranked:]], dtype=self._dtype).T,
+               noise[items[n_ranked:]].T,
                out=x[:, n_ranked:])
         _back_substitute(chol[:, :k, :k].transpose(1, 2, 0).copy(),
                          x[:, n_ranked:])
@@ -584,9 +548,8 @@ class BatchedUpdateEngine(UpdateEngine):
     def update_items(self, target, source, axis, prior, alpha, noise,
                      items=None, parallel_map=None):
         plan = self._plan_for(axis, items)
-        self._update_buckets(plan.buckets, target,
-                             np.asarray(source, dtype=self._dtype), prior,
-                             alpha, noise, parallel_map)
+        self._update_buckets(plan.buckets, target, source, prior, alpha,
+                             noise, parallel_map)
         return plan.n_planned_items
 
 
@@ -613,24 +576,20 @@ def available_engines() -> Tuple[str, ...]:
 def make_update_engine(engine: str,
                        update_method: Optional[UpdateMethod] = None,
                        policy: Optional[HybridUpdatePolicy] = None,
-                       compute_dtype: str = "float64",
                        n_workers: Optional[int] = None) -> UpdateEngine:
     """Instantiate an update engine by registry name.
 
     ``engine`` is ``"batched"`` (default everywhere), ``"reference"`` (the
     per-item oracle) or ``"shared"`` (the zero-copy shared-memory process
-    backend).  ``compute_dtype`` selects the kernel precision (rejected by
-    the float64-only reference engine); ``n_workers`` is only meaningful
-    for ``"shared"`` and is rejected otherwise rather than silently
-    ignored.
+    backend).  ``n_workers`` is only meaningful for ``"shared"`` and is
+    rejected otherwise rather than silently ignored.
     """
     if engine not in ENGINE_NAMES:
         raise ValidationError(
             f"unknown update engine {engine!r}; "
             f"available: {', '.join(ENGINE_NAMES)}")
     engine_class = _engine_class(engine)
-    kwargs = dict(update_method=update_method, policy=policy,
-                  compute_dtype=compute_dtype)
+    kwargs = dict(update_method=update_method, policy=policy)
     if engine_class.manages_parallelism:
         kwargs["n_workers"] = n_workers
     elif n_workers is not None:

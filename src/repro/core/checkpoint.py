@@ -30,11 +30,10 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.core.batch_engine import COMPUTE_DTYPES
 from repro.core.predict import FactorMeanAccumulator, PosteriorPredictor
 from repro.core.priors import BPMFConfig, GaussianPrior
 from repro.core.state import BPMFState
-from repro.utils.validation import ValidationError, check_in, check_positive
+from repro.utils.validation import ValidationError, check_positive
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -121,28 +120,17 @@ class CheckpointConfig:
         Save after every ``every``-th completed sweep.  The final sweep is
         always saved regardless, so ``path`` ends up holding the finished
         run.
-    offset:
-        Rating offset recorded into each snapshot (the training mean a
-        caller subtracted before sampling; 0 when ratings were not centred).
-    dtype:
-        Storage dtype of the factor-matrix payloads (``"float64"`` default,
-        ``"float32"`` opt-in).  ``float32`` halves snapshot size and
-        serving memory; resuming from such a snapshot continues a rounded
-        chain, so it matches the uninterrupted run to single precision
-        rather than bit-exactly.
-    metadata:
-        Free-form string metadata stored verbatim in each snapshot.
+
+    The samplers see ratings as given, so every snapshot they save has
+    rating offset 0 and no metadata (:func:`snapshot_from_result` sets
+    both for a snapshot saved by hand).
     """
 
     path: PathLike
     every: int = 1
-    offset: float = 0.0
-    dtype: str = "float64"
-    metadata: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         check_positive("every", self.every)
-        check_in("dtype", self.dtype, COMPUTE_DTYPES)
 
     def due(self, iteration: int, total_iterations: int) -> bool:
         """Whether a save is due after completed sweep index ``iteration``."""
@@ -297,27 +285,13 @@ def _payload_checksum(payload: Dict[str, np.ndarray]) -> str:
     return digest.hexdigest()
 
 
-def save_snapshot(snapshot: Snapshot, path: PathLike,
-                  dtype: str = "float64") -> None:
-    """Write ``snapshot`` to ``path`` atomically with integrity metadata.
-
-    ``dtype`` selects the storage precision of the factor-matrix payloads
-    (factors, posterior-mean sums, the prediction accumulator); scalars,
-    priors, traces and the RNG state always stay float64.  The checksum is
-    computed over the stored (possibly narrowed) arrays, so integrity
-    verification is unaffected.
-    """
-    check_in("dtype", dtype, COMPUTE_DTYPES)
-    factor_dtype = np.dtype(dtype)
-
-    def narrow(array: np.ndarray) -> np.ndarray:
-        return np.asarray(array, dtype=factor_dtype)
-
+def save_snapshot(snapshot: Snapshot, path: PathLike) -> None:
+    """Write ``snapshot`` to ``path`` atomically with integrity metadata."""
     state = snapshot.state
     payload: Dict[str, np.ndarray] = {
         "format": np.array(SNAPSHOT_FORMAT),
-        "user_factors": narrow(state.user_factors),
-        "movie_factors": narrow(state.movie_factors),
+        "user_factors": state.user_factors,
+        "movie_factors": state.movie_factors,
         "user_prior_mean": state.user_prior.mean,
         "user_prior_precision": state.user_prior.precision,
         "movie_prior_mean": state.movie_prior.mean,
@@ -338,10 +312,10 @@ def save_snapshot(snapshot: Snapshot, path: PathLike,
         "metadata": np.array(json.dumps(snapshot.metadata)),
     }
     if snapshot.mean_user_sum is not None:
-        payload["mean_user_sum"] = narrow(snapshot.mean_user_sum)
-        payload["mean_movie_sum"] = narrow(snapshot.mean_movie_sum)
+        payload["mean_user_sum"] = snapshot.mean_user_sum
+        payload["mean_movie_sum"] = snapshot.mean_movie_sum
     if snapshot.prediction_sum is not None:
-        payload["prediction_sum"] = narrow(snapshot.prediction_sum)
+        payload["prediction_sum"] = snapshot.prediction_sum
     payload["checksum"] = np.array(_payload_checksum(payload))
 
     path = Path(path)
@@ -382,9 +356,9 @@ def load_snapshot(path: PathLike, verify: bool = True) -> Snapshot:
                 f"snapshot {path} failed its integrity check "
                 f"(stored {stored[:12]}..., recomputed {actual[:12]}...)")
 
-    # Factor payloads may have been narrowed to float32 at save time
-    # (CheckpointConfig.dtype); widen back so every consumer keeps its
-    # float64 invariants (the precision already lost stays lost).
+    # Older versions could narrow the factor payloads to float32 at save
+    # time; widen back so every consumer keeps its float64 invariants
+    # (the precision already lost stays lost).
     state = BPMFState(
         user_factors=payload["user_factors"].astype(np.float64),
         movie_factors=payload["movie_factors"].astype(np.float64),
@@ -507,9 +481,6 @@ class TrainingCheckpointer:
             rmse_per_sample=list(self.rmse_per_sample),
             rmse_running_mean=list(self.rmse_running_mean),
             items_updated=self.items_updated,
-            offset=self.checkpoint.offset,
-            metadata=dict(self.checkpoint.metadata),
         )
-        save_snapshot(snapshot, self.checkpoint.path,
-                      dtype=self.checkpoint.dtype)
+        save_snapshot(snapshot, self.checkpoint.path)
         return True

@@ -46,7 +46,6 @@ from repro.core.wishart import normal_wishart_posterior, sample_normal_wishart
 from repro.obs.trace import maybe_span
 from repro.sparse.csr import CompressedAxis, RatingMatrix
 from repro.sparse.split import RatingSplit
-from repro.utils.logging import get_logger
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.thread_backend import ThreadPoolBackend
 from repro.utils.validation import ValidationError
@@ -59,8 +58,6 @@ ResumeLike = Union[Snapshot, str, "os.PathLike"]
 #: Items per thread task for the reference engine's per-item units (the
 #: batched engine's item blocks go one per task).
 ITEM_CHUNK = 64
-
-logger = get_logger("core.gibbs")
 
 
 @dataclass
@@ -91,19 +88,17 @@ class SamplerOptions:
     chains up to floating-point rounding (bit-identical for
     batched/shared; see ``tests/test_batch_engine_parity.py``).
 
-    ``compute_dtype`` selects the kernel precision of the batched/shared
-    engines (``"float32"`` trades exact parity for halved memory
-    bandwidth); ``n_workers`` sizes the shared engine's process pool and
-    is rejected for engines that cannot use it.  ``n_threads`` runs a
-    phase's units (batched item blocks, reference items) on that many
-    threads; the shared engine ignores it.  The chain never changes.
+    ``n_workers`` sizes the shared engine's process pool and is rejected
+    for engines that cannot use it.  ``n_threads`` runs a phase's units
+    (batched item blocks, reference items) on that many threads; the
+    shared engine ignores it.  The chain never changes.
 
     ``callback(state, iteration)`` runs after every recorded sweep, on rank
-    0 only; ``verbose`` logs each sweep's RMSE there.  On one rank
-    ``state`` is the chain's state.  On a multi-rank world it is rank 0's
-    copy: its iteration, priors and own rows are exact, every row is after
-    a gathering sweep (the last one and each checkpoint sweep), and in
-    between the rows other ranks own may be stale.
+    0 only.  On one rank ``state`` is the chain's state.  On a multi-rank
+    world it is rank 0's copy: its iteration, priors and own rows are
+    exact, every row is after a gathering sweep (the last one and each
+    checkpoint sweep), and in between the rows other ranks own may be
+    stale.
 
     ``checkpoint`` (a :class:`repro.core.checkpoint.CheckpointConfig`)
     enables save-every-k-sweeps posterior snapshots; a run resumed from one
@@ -113,11 +108,9 @@ class SamplerOptions:
     update_method: Optional[UpdateMethod] = None
     policy: HybridUpdatePolicy = field(default_factory=HybridUpdatePolicy)
     engine: str = "batched"
-    compute_dtype: str = "float64"
     n_workers: Optional[int] = None
     n_threads: int = 1
     keep_sample_predictions: bool = False
-    verbose: bool = False
     callback: Optional[Callable[["BPMFState", int], None]] = None
     checkpoint: Optional[CheckpointConfig] = None
 
@@ -223,7 +216,7 @@ class GibbsSampler:
     config:
         Model and sweep configuration.
     options:
-        Execution options (kernel selection, threads, logging, callbacks).
+        Execution options (kernel selection, threads, callbacks).
 
     Example
     -------
@@ -242,8 +235,7 @@ class GibbsSampler:
         options = self.options = options or SamplerOptions()
         self._engine = make_update_engine(
             options.engine, update_method=options.update_method,
-            policy=options.policy, compute_dtype=options.compute_dtype,
-            n_workers=options.n_workers)
+            policy=options.policy, n_workers=options.n_workers)
         threads = ThreadPoolBackend(
             options.n_threads,
             1 if isinstance(self._engine, BatchedUpdateEngine) else ITEM_CHUNK)
@@ -347,11 +339,12 @@ class GibbsSampler:
         After each sweep every rank adds its factors to its posterior-mean
         factor sums and predicts its own cells.  Rank 0 scatters every
         rank's predictions into test order and alone owns the predictor,
-        the RMSE traces, the checkpointer, ``callback`` and ``verbose``.  On a *gathering* sweep — the last one and every one
-        the checkpoint policy saves (``CheckpointConfig.due`` is pure, so
-        every rank knows them) — the other ranks' frames also carry their
-        owned rows and factor sums, which rank 0 writes into its own state
-        and accumulator.
+        the RMSE traces, the checkpointer and ``callback``.  On a
+        *gathering* sweep — the last one and every one the checkpoint
+        policy saves (``CheckpointConfig.due`` is pure, so every rank knows
+        them) — the other ranks' frames also carry their owned rows and
+        factor sums, which rank 0 writes into its own state and
+        accumulator.
         """
         config, options, rank = self.config, self.options, layout.rank
         snapshot, state, rng = TrainingCheckpointer.open_resume(
@@ -425,16 +418,11 @@ class GibbsSampler:
                 sample_rmse = rmse(predictions, test_values)
                 if iteration < config.burn_in:
                     checkpointer.rmse_burn_in.append(sample_rmse)
-                    phase, latest = "burn-in", sample_rmse
                 else:
                     predictor.add(predictions)
-                    latest = rmse(predictor.mean_prediction(), test_values)
                     checkpointer.rmse_per_sample.append(sample_rmse)
-                    checkpointer.rmse_running_mean.append(latest)
-                    phase = "sample"
-                if options.verbose:
-                    logger.info("iter %d (%s): rmse=%.4f", iteration, phase,
-                                latest)
+                    checkpointer.rmse_running_mean.append(
+                        rmse(predictor.mean_prediction(), test_values))
                 if options.callback is not None:
                     options.callback(state, iteration)
                 if gathering:

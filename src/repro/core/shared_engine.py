@@ -326,9 +326,8 @@ def _worker_main(worker_id: int, untrack_attachments: bool,
     the same routine, so the kernel is literally the same code (and the
     same per-item arithmetic) the single-process engine runs.
     """
-    update_method, policy, compute_dtype = engine_config
-    engine = BatchedUpdateEngine(update_method=update_method, policy=policy,
-                                 compute_dtype=compute_dtype)
+    update_method, policy = engine_config
+    engine = BatchedUpdateEngine(update_method=update_method, policy=policy)
     segments: Dict[str, shared_memory.SharedMemory] = {}
     plans: Dict[int, dict] = {}
 
@@ -399,7 +398,7 @@ class _PhasePlan:
     """Main-process record of one registered (axis, items) phase plan."""
 
     def __init__(self, plan_id: int, fused: SuperBucketPlan,
-                 n_planned_items: int, value_dtype: np.dtype):
+                 n_planned_items: int):
         self.plan_id = plan_id
         self.n_planned_items = n_planned_items
         self.assignment: List[List[int]] = []
@@ -413,7 +412,7 @@ class _PhasePlan:
                           for sb in fused.super_buckets)
         items_block = _SharedBlock((self.planned_rows.shape[0],), np.int64)
         neighbours_block = _SharedBlock((total_cells,), np.int64)
-        values_block = _SharedBlock((total_cells,), value_dtype)
+        values_block = _SharedBlock((total_cells,), np.float64)
         self.blocks = [items_block, neighbours_block, values_block]
 
         items_view = items_block.view()
@@ -455,9 +454,9 @@ class SharedMemoryUpdateEngine(BatchedUpdateEngine):
 
     Parameters
     ----------
-    update_method, policy, compute_dtype:
+    update_method, policy:
         As for :class:`BatchedUpdateEngine`; the workers inherit them, so
-        method selection and precision behave identically.
+        method selection behaves identically.
     n_workers:
         Worker process count; default: the machine's CPU count.
     tasks_per_worker:
@@ -483,17 +482,16 @@ class SharedMemoryUpdateEngine(BatchedUpdateEngine):
 
     def __init__(self, update_method: Optional[UpdateMethod] = None,
                  policy: Optional[HybridUpdatePolicy] = None,
-                 compute_dtype: str = "float64",
                  n_workers: Optional[int] = None,
                  tasks_per_worker: int = 8):
-        super().__init__(update_method, policy, compute_dtype)
+        super().__init__(update_method, policy)
         if n_workers is None:
             n_workers = max(1, os.cpu_count() or 1)
         check_positive("n_workers", n_workers)
         check_positive("tasks_per_worker", tasks_per_worker)
         self.n_workers = int(n_workers)
         self.tasks_per_worker = int(tasks_per_worker)
-        config = (self.update_method, self.policy, self.compute_dtype)
+        config = (self.update_method, self.policy)
         self._pool = WorkerPool(self.n_workers, _worker_main,
                                 extra_args=(config,),
                                 name_prefix="repro-shared-worker")
@@ -563,12 +561,12 @@ class SharedMemoryUpdateEngine(BatchedUpdateEngine):
             self._phase_plans.pop(key)
             self._phase_plans[key] = entry
             return entry[1]
-        bucket_plan = cached_bucket_plan(axis, items, value_dtype=self._dtype)
+        bucket_plan = cached_bucket_plan(axis, items)
         fused = fuse_bucket_plan(
             bucket_plan, num_latent,
             n_tasks_hint=self.n_workers * self.tasks_per_worker)
         plan = _PhasePlan(next(self._plan_ids), fused,
-                          bucket_plan.n_planned_items, self._dtype)
+                          bucket_plan.n_planned_items)
         plan.assignment = fused.assign_workers(self.n_workers)
         if entry is not None:  # recycled id: drop the stale entry's segments
             self._phase_plans.pop(key)
@@ -588,7 +586,7 @@ class SharedMemoryUpdateEngine(BatchedUpdateEngine):
         key = (role, tuple(shape))
         block = self._factor_blocks.get(key)
         if block is None:
-            block = _SharedBlock(shape, self._dtype)
+            block = _SharedBlock(shape, np.float64)
             self._factor_blocks[key] = block
         return block
 
@@ -607,10 +605,8 @@ class SharedMemoryUpdateEngine(BatchedUpdateEngine):
             plan = self._shared_plan(axis, items, prior.num_latent)
             if plan.planned_rows.size == 0:
                 return plan.n_planned_items
-            source_block = self._stage(
-                "source", np.asarray(source, dtype=self._dtype))
-            noise_block = self._stage(
-                "noise", np.asarray(noise, dtype=self._dtype))
+            source_block = self._stage("source", source)
+            noise_block = self._stage("noise", noise)
             target_block = self._factor_block("target", target.shape)
             sequence = next(self._sequence)
             phase = {

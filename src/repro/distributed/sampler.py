@@ -38,7 +38,7 @@ instead of diverging.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import List, Optional, Tuple
 
@@ -59,11 +59,7 @@ from repro.core.wishart import (
     normal_wishart_posterior_from_stats,
 )
 from repro.distributed.comm_plan import CommunicationPlan, build_comm_plan
-from repro.distributed.partition import (
-    Partition,
-    WorkloadModel,
-    partition_ratings,
-)
+from repro.distributed.partition import Partition, partition_ratings
 from repro.mpi.simmpi import SimCommWorld
 from repro.obs.trace import maybe_span
 from repro.sparse.csr import RatingMatrix
@@ -90,9 +86,9 @@ class Tag(IntEnum):
 class DistributedOptions(SamplerOptions):
     """:class:`~repro.core.gibbs.SamplerOptions` plus the world's shape.
 
-    ``n_ranks`` ranks split the items by the ``workload`` model, after a
-    locality-improving reordering unless ``reorder`` is false.
-    ``hyper_mode`` picks how the ranks agree on a hyperparameter posterior:
+    ``n_ranks`` ranks split the items by the workload-aware partition
+    (``partition_ratings`` with its defaults; pass ``partition=`` to
+    :meth:`DistributedGibbsSampler.run` for another).  ``hyper_mode`` picks how the ranks agree on a hyperparameter posterior:
     ``"stats"`` allreduces per-rank sufficient statistics (the sequential
     posterior up to summation order), ``"gather"`` rebuilds the full
     matrix at rank 0 and broadcasts the posterior (the sequential chain
@@ -102,7 +98,7 @@ class DistributedOptions(SamplerOptions):
     Every inherited option holds on every world: ``n_threads`` threads
     each rank's phases, ``engine="shared"`` runs them on the ``n_workers``
     pool (which the simulated ranks share, as a node's cores would), and
-    ``callback`` / ``verbose`` run on rank 0 (see ``SamplerOptions`` for
+    ``callback`` runs on rank 0 (see ``SamplerOptions`` for
     the state it sees).  ``checkpoint`` snapshots hold the gathered state
     and are written by rank 0; every rank must be given the same policy,
     since the ranks gather at rank 0 on the sweeps it saves.  At a sweep
@@ -111,9 +107,7 @@ class DistributedOptions(SamplerOptions):
     """
 
     n_ranks: int = 4
-    reorder: bool = True
     hyper_mode: str = "stats"  # "stats" (allreduce) or "gather" (exact parity)
-    workload: WorkloadModel = field(default_factory=WorkloadModel)
 
     def __post_init__(self):
         check_positive("n_ranks", self.n_ranks)
@@ -249,9 +243,7 @@ class DistributedGibbsSampler(GibbsSampler):
                 f"comm_world has {world.n_ranks} ranks but options.n_ranks "
                 f"is {options.n_ranks} — the partition would not match")
         if partition is None:
-            partition = partition_ratings(
-                train, options.n_ranks, workload=options.workload,
-                reorder=options.reorder)
+            partition = partition_ratings(train, options.n_ranks)
         elif partition.n_ranks != options.n_ranks:
             raise ValidationError("partition rank count does not match options")
         test = held_out_cells(train, split)

@@ -34,21 +34,17 @@ def run_local_socket_world(make_sampler, n_ranks: int, train: RatingMatrix,
     the process boundary is elided.  ``make_sampler`` is a zero-argument
     factory called once *per rank*: every rank thread needs its own
     sampler because the update engine's cached bucket plans are not
-    shared across threads.  Without a ``partition``, the partition the
-    samplers' options describe is computed once here and handed to every
-    rank, instead of each rank recomputing it (the multi-process launcher
-    still partitions once per process).  Returns the per-rank ``(result, info)``
-    pairs (result is ``None`` except on rank 0); the worlds are closed
+    shared across threads.  Without a ``partition``, the default
+    partition is computed once here and handed to every rank, instead of
+    each rank recomputing it (the multi-process launcher still partitions
+    once per process).  Returns the per-rank ``(result, info)`` pairs (result is ``None`` except on rank 0); the worlds are closed
     before returning, and the first rank failure is re-raised.
     """
     from repro.mpi.net import start_local_world
 
     samplers = [make_sampler() for _ in range(n_ranks)]
     if partition is None:
-        options = samplers[0].options
-        partition = partition_ratings(train, options.n_ranks,
-                                      workload=options.workload,
-                                      reorder=options.reorder)
+        partition = partition_ratings(train, n_ranks)
     worlds = start_local_world(n_ranks, injectors=injectors,
                                op_timeout=op_timeout)
     # A Generator seed must not be shared: every rank draws from its own copy.

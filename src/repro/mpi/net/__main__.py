@@ -24,9 +24,9 @@ Three entry modes:
     phase outcomes, parity booleans, fault logs, transport counters and
     the clean phase's frames and bytes per sweep.
 
-Exit codes: 0 success, 2 usage/validation, 3 transport failure
-(``MpiTransportError`` — the expected outcome under lethal faults),
-1 anything else.
+Exit codes: 0 success, 2 usage/validation (checked before any rank
+connects or spawns), 3 transport failure (``MpiTransportError`` — the
+expected outcome under lethal faults), 1 anything else.
 """
 
 from __future__ import annotations
@@ -54,16 +54,24 @@ from repro.mpi.net.world import (
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Tracer
 from repro.serving.chaos.plan import FaultEvent, FaultInjector, FaultPlan
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, check_positive
 
 #: Synthetic workload of the rank program — small enough for a CI smoke,
 #: large enough that every rank pair exchanges factor blocks.  ``data_rank``,
-#: ``density``, ``noise_std``, ``test_fraction`` and ``alpha`` are fixed;
-#: the other entries are flag defaults.
+#: ``density``, ``noise_std``, ``test_fraction``, ``data_seed`` and
+#: ``alpha`` are fixed; the other entries are flag defaults.
 TRAIN_DEFAULTS = dict(users=60, movies=45, data_rank=4, density=0.25,
                       noise_std=0.3, test_fraction=0.2, data_seed=321,
                       num_latent=4, burn_in=2, n_samples=3, alpha=4.0,
                       seed=7, hyper_mode="gather")
+
+#: The smoke's fault schedules: the seed of both plans, and the rank whose
+#: links carry the lethal reset.
+FAULT_SEED = 1
+FAULT_RANK = 1
+
+#: Wall-clock limit of one spawn or smoke phase, seconds.
+PHASE_TIMEOUT = 300.0
 
 
 def _parse_rendezvous(value: str) -> Tuple[str, int]:
@@ -104,17 +112,14 @@ def lethal_fault_plan(seed: int) -> FaultPlan:
                    action="reset", arg=0.0)])
 
 
-def _build_injector(mode: str, seed: int, rank: int,
-                    fault_rank: int) -> Optional[FaultInjector]:
+def _build_injector(mode: str, rank: int) -> Optional[FaultInjector]:
     if mode == "benign":
         # Every rank gets its own seeded schedule of harmless faults.
-        return FaultInjector(benign_fault_plan(seed * 1000 + rank))
-    if mode == "lethal":
+        return FaultInjector(benign_fault_plan(FAULT_SEED * 1000 + rank))
+    if mode == "lethal" and rank == FAULT_RANK:
         # Exactly one rank's links get the reset; the failure must
         # propagate to every peer as a fast MpiTransportError.
-        if rank == fault_rank:
-            return FaultInjector(lethal_fault_plan(seed))
-        return None
+        return FaultInjector(lethal_fault_plan(FAULT_SEED))
     return None
 
 
@@ -122,14 +127,21 @@ def _build_injector(mode: str, seed: int, rank: int,
 # the rank program
 # ---------------------------------------------------------------------------
 
-def _train_dataset(args):
-    from repro.datasets.synthetic import SyntheticConfig, make_low_rank_dataset
+def _train_data_config(args):
+    from repro.datasets.synthetic import SyntheticConfig
 
-    return make_low_rank_dataset(SyntheticConfig(
+    return SyntheticConfig(
         n_users=args.users, n_movies=args.movies,
         rank=TRAIN_DEFAULTS["data_rank"], density=TRAIN_DEFAULTS["density"],
         noise_std=TRAIN_DEFAULTS["noise_std"],
-        test_fraction=TRAIN_DEFAULTS["test_fraction"], seed=args.data_seed))
+        test_fraction=TRAIN_DEFAULTS["test_fraction"],
+        seed=TRAIN_DEFAULTS["data_seed"])
+
+
+def _train_dataset(args):
+    from repro.datasets.synthetic import make_low_rank_dataset
+
+    return make_low_rank_dataset(_train_data_config(args))
 
 
 def _train_sampler(args, n_ranks: int):
@@ -176,8 +188,7 @@ def _program_train(world: SocketCommWorld, args) -> Dict[str, object]:
 
 def run_rank(args) -> int:
     """Join the world and run the rank program (one rank, this process)."""
-    injector = _build_injector(args.fault_mode, args.fault_seed, args.rank,
-                               args.fault_rank)
+    injector = _build_injector(args.fault_mode, args.rank)
     report: Dict[str, object] = {"rank": args.rank, "world": args.world,
                                  "fault_mode": args.fault_mode}
     started = time.monotonic()
@@ -185,8 +196,7 @@ def run_rank(args) -> int:
     try:
         world = SocketCommWorld.connect(
             args.rank, args.world, args.rendezvous,
-            timeout=args.connect_timeout, injector=injector,
-            op_timeout=args.op_timeout)
+            timeout=args.connect_timeout, injector=injector)
     except (MpiNetError, OSError, ValidationError, ProtocolError) as error:
         report["error"] = f"{type(error).__name__}: {error}"
         report["ok"] = False
@@ -254,9 +264,8 @@ def _spawn_ranks(args, workdir: Path, fault_mode: str,
             "--fault-mode", fault_mode,
             "--report", str(workdir / f"rank{rank}.json"),
         ]
-        for name in ("world", "fault_seed", "fault_rank", "op_timeout",
-                     "users", "movies", "num_latent", "burn_in", "n_samples",
-                     "hyper_mode", "seed", "data_seed"):
+        for name in ("world", "users", "movies", "num_latent", "burn_in", "n_samples",
+                     "hyper_mode", "seed"):
             command += ["--" + name.replace("_", "-"), str(getattr(args, name))]
         if args.resume:
             command += ["--resume", args.resume]
@@ -343,7 +352,7 @@ def _check_parity(chain_path: Path, reference: Dict[str, np.ndarray]
 def run_spawn(args) -> int:
     """``--spawn``: one multi-process run, parity-checked."""
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="repro-mpi-"))
-    outcome = _spawn_ranks(args, workdir, args.fault_mode, args.timeout)
+    outcome = _spawn_ranks(args, workdir, args.fault_mode, PHASE_TIMEOUT)
     ok = not outcome["hung"] and all(code == 0
                                      for code in outcome["exit_codes"])
     if ok:
@@ -363,11 +372,10 @@ def run_smoke(args) -> int:
         "world": args.world,
         "train": {key: getattr(args, key) for key in
                   ("users", "movies", "num_latent", "burn_in", "n_samples",
-                   "hyper_mode", "seed", "data_seed")},
+                   "hyper_mode", "seed")},
         "fault_plans": {
-            "benign_digest": benign_fault_plan(
-                args.fault_seed * 1000).digest(),
-            "lethal_digest": lethal_fault_plan(args.fault_seed).digest(),
+            "benign_digest": benign_fault_plan(FAULT_SEED * 1000).digest(),
+            "lethal_digest": lethal_fault_plan(FAULT_SEED).digest(),
         },
         "phases": [],
     }
@@ -380,10 +388,10 @@ def run_smoke(args) -> int:
             ("resume", "off", True)):
         started = time.monotonic()
         if phase == "resume":
-            outcome = _spawn_resumed(args, workroot / phase, args.timeout)
+            outcome = _spawn_resumed(args, workroot / phase, PHASE_TIMEOUT)
         else:
             outcome = _spawn_ranks(args, workroot / phase, fault_mode,
-                                   args.timeout)
+                                   PHASE_TIMEOUT)
         duration = round(time.monotonic() - started, 3)
         entry: Dict[str, object] = {
             "phase": phase, "fault_mode": fault_mode,
@@ -454,9 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bind/spawn host (default 127.0.0.1)")
     parser.add_argument("--fault-mode", choices=("off", "benign", "lethal"),
                         default="off")
-    parser.add_argument("--fault-seed", type=int, default=1)
-    parser.add_argument("--fault-rank", type=int, default=1,
-                        help="rank whose links carry the lethal fault")
     parser.add_argument("--out", default=None,
                         help="rank mode: chain .npz (rank 0); smoke: report "
                              "JSON path")
@@ -468,17 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit per-rank span JSONL into this directory")
     parser.add_argument("--workdir", default=None,
                         help="spawn/smoke scratch directory (default: temp)")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="spawn/smoke per-phase wall-clock limit")
     parser.add_argument("--connect-timeout", type=float, default=30.0)
-    parser.add_argument("--op-timeout", type=float, default=120.0)
     train = parser.add_argument_group("rank program")
     train.add_argument("--users", type=int,
                        default=TRAIN_DEFAULTS["users"])
     train.add_argument("--movies", type=int,
                        default=TRAIN_DEFAULTS["movies"])
-    train.add_argument("--data-seed", type=int,
-                       default=TRAIN_DEFAULTS["data_seed"])
     train.add_argument("--num-latent", type=int,
                        default=TRAIN_DEFAULTS["num_latent"])
     train.add_argument("--burn-in", type=int,
@@ -497,12 +497,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def _validate(args) -> None:
+    """Raise :class:`ValidationError` for arguments no rank could run."""
+    check_positive("world", args.world)
     if args.rank is not None:
         if args.rendezvous is None:
-            print("--rank requires --rendezvous HOST:PORT", file=sys.stderr)
-            return 2
+            raise ValidationError("--rank requires --rendezvous HOST:PORT")
+        if not 0 <= args.rank < args.world:
+            raise ValidationError(
+                f"--rank must be in [0, {args.world}), got {args.rank}")
+    _train_data_config(args)
+    _train_sampler(args, args.world)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        _validate(args)
+    except ValidationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    if args.rank is not None:
         return run_rank(args)
     if args.spawn:
         return run_spawn(args)

@@ -20,13 +20,11 @@ The full train → snapshot → serve → query lifecycle from a terminal:
     # Interactive line protocol (predict/top/foldin) on stdin.
     echo "top 3 5" | python -m repro.serving serve --snapshot /tmp/model.npz
 
-    # Framed RPC over TCP: 2 independently-failing replicas.  Fused
-    # batched dispatch is the default; --fuse-window 0 disables it.
-    # Mutations replicate through the write leader (replica 0); add
-    # --wal DIR to make them durable across restarts.
+    # Framed RPC over TCP: 2 independently-failing replicas with fused
+    # batched dispatch.  Mutations replicate through the write leader
+    # (replica 0); add --wal DIR to make them durable across restarts.
     python -m repro.serving serve --snapshot /tmp/model.npz \\
-        --tcp 127.0.0.1:7031 --replicas 2 --shards 2 \\
-        --wal /tmp/model-wal --wal-sync-every 1
+        --tcp 127.0.0.1:7031 --replicas 2 --shards 2 --wal /tmp/model-wal
 
     # End-to-end self-checks (the CI smoke steps, repro.serving.drills):
     # smoke, cluster-smoke, net-smoke, wal-smoke, chaos-smoke, obs-smoke.
@@ -59,6 +57,13 @@ from repro.utils.validation import ValidationError
 _BACKENDS = ("sequential", "multicore")
 _ENGINES = ("batched", "shared", "reference")
 
+#: The synthetic workload ``train`` samples (``--users`` and ``--movies``
+#: set its size), its observation precision and the chain's seed.
+TRAIN_DATA = dict(rank=5, density=0.15, noise_std=0.3, test_fraction=0.2,
+                  seed=0)
+TRAIN_ALPHA = 4.0
+TRAIN_SEED = 0
+
 
 def _add_snapshot_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--snapshot", required=True,
@@ -72,38 +77,30 @@ def _add_log_level(parser: argparse.ArgumentParser) -> None:
                              "(default: logging stays untouched)")
 
 
-def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--users", type=int, default=200)
-    parser.add_argument("--movies", type=int, default=150)
-    parser.add_argument("--rank", type=int, default=5)
-    parser.add_argument("--density", type=float, default=0.15)
-    parser.add_argument("--noise-std", type=float, default=0.3)
-    parser.add_argument("--data-seed", type=int, default=0,
-                        help="synthetic dataset seed (train and resume runs "
-                             "must use the same value)")
-
-
 def _make_dataset(args):
     return make_low_rank_dataset(SyntheticConfig(
-        n_users=args.users, n_movies=args.movies, rank=args.rank,
-        density=args.density, noise_std=args.noise_std,
-        test_fraction=0.2, seed=args.data_seed))
+        n_users=args.users, n_movies=args.movies, **TRAIN_DATA))
 
 
 def _cmd_train(args) -> int:
-    data = _make_dataset(args)
-    config = BPMFConfig(num_latent=args.num_latent, alpha=args.alpha,
-                        burn_in=args.burn_in, n_samples=args.n_samples)
-    checkpoint = CheckpointConfig(path=args.snapshot,
-                                  every=args.checkpoint_every
-                                  or config.total_iterations)
-    sampler = GibbsSampler(config, SamplerOptions(
-        engine=args.engine,
-        n_workers=args.workers if args.engine == "shared" else None,
-        n_threads=args.threads if args.backend == "multicore" else 1,
-        checkpoint=checkpoint))
-    result = sampler.run(data.split.train, data.split, seed=args.seed,
-                         resume=args.resume)
+    try:
+        data = _make_dataset(args)
+        config = BPMFConfig(num_latent=args.num_latent, alpha=TRAIN_ALPHA,
+                            burn_in=args.burn_in, n_samples=args.n_samples)
+        checkpoint = CheckpointConfig(
+            path=args.snapshot,
+            every=(config.total_iterations if args.checkpoint_every is None
+                   else args.checkpoint_every))
+        sampler = GibbsSampler(config, SamplerOptions(
+            engine=args.engine,
+            n_workers=args.workers if args.engine == "shared" else None,
+            n_threads=args.threads if args.backend == "multicore" else 1,
+            checkpoint=checkpoint))
+        result = sampler.run(data.split.train, data.split, seed=TRAIN_SEED,
+                             resume=args.resume)
+    except ValidationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(f"trained {config.total_iterations} sweeps on "
           f"{data.split.train.n_users}x{data.split.train.n_movies} "
           f"({data.split.train.nnz} ratings, {data.split.n_test} held out)")
@@ -132,13 +129,14 @@ def _make_service(args):
     """The ``--shards N`` gateway, or one in-process service."""
     if getattr(args, "shards", 0):
         return ShardedScorer(args.snapshot, n_shards=args.shards,
-                             mode=args.mode, n_workers=args.workers)
-    return PredictionService(args.snapshot, mode=args.mode)
+                             n_workers=args.workers)
+    return PredictionService(args.snapshot)
 
 
 def _cmd_query(args) -> int:
     if not args.pairs and args.user is None:
-        print("nothing to query: pass --user and/or --pairs", file=sys.stderr)
+        print("error: nothing to query: pass --user and/or --pairs",
+              file=sys.stderr)
         return 2
     service = _make_service(args)
     try:
@@ -177,8 +175,7 @@ def _graceful_sigterm():
     return lambda: signal.signal(signal.SIGTERM, previous)
 
 
-def _serve_repl(service, watcher, backend: str, mode: str,
-                owns_service: bool) -> int:
+def _serve_repl(service, watcher, backend: str, owns_service: bool) -> int:
     """The stdin line protocol, parsed and formatted by the shared codec.
 
     Every command line goes through :func:`repro.serving.net.protocol.
@@ -188,7 +185,7 @@ def _serve_repl(service, watcher, backend: str, mode: str,
     """
     restore_sigterm = _graceful_sigterm()
     print(f"serving {service.n_users} users x {service.n_items} items "
-          f"({backend}, mode={mode}); commands: predict, top, foldin, "
+          f"({backend}); commands: predict, top, foldin, "
           f"rate, stats, quit", flush=True)
     try:
         for line in sys.stdin:
@@ -236,11 +233,11 @@ def _parse_hostport(value: str):
 
 
 def _serve_tcp(args, host: str, port: int) -> int:
-    """The framed RPC transport: N replicas, fusion (default) and watch."""
+    """The framed RPC transport: N fused replicas, and watch."""
     make_watcher = None
     if args.watch:
         make_watcher = lambda service: SnapshotWatcher(  # noqa: E731
-            service, args.snapshot, interval=args.watch_interval)
+            service, args.snapshot)
 
     stop_event = threading.Event()
 
@@ -249,34 +246,24 @@ def _serve_tcp(args, host: str, port: int) -> int:
 
     previous = {sig: signal.signal(sig, request_stop)
                 for sig in (signal.SIGTERM, signal.SIGINT)}
-    # --fuse-window 0 (or negative) disables fusion.
-    fuse_window = args.fuse_window if args.fuse_window > 0 else None
     tracer = Tracer(sink_dir=args.trace_dir) if args.trace_dir else None
     replicas = ReplicaSet(
         lambda index: _make_service(args), n_replicas=args.replicas, host=host,
         ports=([port + index for index in range(args.replicas)]
                if port else None),
-        make_watcher=make_watcher, fuse_window_ms=fuse_window,
-        fuse_max_batch=args.fuse_max_batch,
-        max_in_flight=args.max_in_flight,
-        wal_dir=args.wal, wal_sync_every=args.wal_sync_every,
-        ship_cooldown=args.cooldown, ship_backoff_max=args.backoff_max,
-        tracer=tracer)
+        make_watcher=make_watcher, wal_dir=args.wal, tracer=tracer)
     try:
         replicas.start()
         service = replicas.replicas[0].service
         backend = (f"{args.shards}-shard gateway" if args.shards
                    else "single-process")
-        fused = (f"fused dispatch, fallback window {fuse_window}ms"
-                 if fuse_window is not None else "fusion off")
-        durable = (f"wal at {args.wal} (sync every {args.wal_sync_every})"
-                   if args.wal else "wal in memory")
+        durable = f"wal at {args.wal}" if args.wal else "wal in memory"
         traced = (f", traced to {args.trace_dir}" if tracer is not None
                   else "")
         addresses = ", ".join(f"{h}:{p}" for h, p in replicas.addresses)
         print(f"serving {service.n_users} users x {service.n_items} items "
               f"over tcp on {addresses} ({args.replicas} replicas, "
-              f"{backend} each, mode={args.mode}, {fused}, "
+              f"{backend} each, fused dispatch, "
               f"leader-replicated mutations, {durable}{traced})", flush=True)
         stop_event.wait()
         print("draining: in-flight requests finish, pools close",
@@ -300,11 +287,10 @@ def _cmd_serve(args) -> int:
     incremental fold-in update to a previously folded-in user.  With
     ``--tcp HOST:PORT`` the same command set is served over the framed
     RPC protocol instead, with ``--replicas N`` independent gateway
-    replicas (ports PORT..PORT+N-1); cross-user query fusion is on by
-    default there (``--fuse-window 0`` disables it).
+    replicas (ports PORT..PORT+N-1) and cross-user query fusion.
     """
     if args.watch and not args.shards:
-        print("--watch requires --shards N", file=sys.stderr)
+        print("error: --watch requires --shards N", file=sys.stderr)
         return 2
     if args.tcp:
         try:
@@ -317,16 +303,15 @@ def _cmd_serve(args) -> int:
                     f"--replicas {args.replicas} from port {port} would "
                     "pass port 65535")
         except ValidationError as error:
-            print(error, file=sys.stderr)
+            print(f"error: {error}", file=sys.stderr)
             return 2
         return _serve_tcp(args, host, port)
     service = _make_service(args)
-    watcher = (SnapshotWatcher(service, args.snapshot,
-                               interval=args.watch_interval).start()
+    watcher = (SnapshotWatcher(service, args.snapshot).start()
                if args.watch else None)
     backend = (f"{args.shards}-shard gateway" if args.shards
                else "single-process")
-    return _serve_repl(service, watcher, backend, args.mode,
+    return _serve_repl(service, watcher, backend,
                        owns_service=bool(args.shards))
 
 
@@ -351,7 +336,7 @@ def _cmd_drill(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serving",
         description="Train, snapshot, serve and query BPMF posteriors.")
@@ -359,12 +344,11 @@ def main(argv: list[str] | None = None) -> int:
 
     train = commands.add_parser("train", help="train and write a snapshot")
     _add_snapshot_arg(train)
-    _add_dataset_args(train)
+    train.add_argument("--users", type=int, default=200)
+    train.add_argument("--movies", type=int, default=150)
     train.add_argument("--num-latent", type=int, default=8)
-    train.add_argument("--alpha", type=float, default=4.0)
     train.add_argument("--burn-in", type=int, default=5)
     train.add_argument("--n-samples", type=int, default=10)
-    train.add_argument("--seed", type=int, default=0)
     train.add_argument("--backend", choices=_BACKENDS, default="sequential")
     train.add_argument("--threads", type=int, default=2,
                        help="threads for --backend multicore")
@@ -385,7 +369,6 @@ def main(argv: list[str] | None = None) -> int:
 
     query = commands.add_parser("query", help="one-shot predictions / top-N")
     _add_snapshot_arg(query)
-    query.add_argument("--mode", choices=("mean", "last"), default="mean")
     query.add_argument("--user", type=int, default=None)
     query.add_argument("--top", type=int, default=10)
     query.add_argument("--pairs", nargs="*", default=[],
@@ -395,7 +378,6 @@ def main(argv: list[str] | None = None) -> int:
     serve = commands.add_parser("serve",
                                 help="answer a line protocol on stdin")
     _add_snapshot_arg(serve)
-    serve.add_argument("--mode", choices=("mean", "last"), default="mean")
     serve.add_argument("--shards", type=int, default=0,
                        help="serve through an N-shard worker-pool gateway "
                             "(0 = single-process)")
@@ -405,38 +387,16 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--watch", action="store_true",
                        help="hot-swap new versions of --snapshot while "
                             "serving (requires --shards)")
-    serve.add_argument("--watch-interval", type=float, default=0.5,
-                       help="snapshot poll period in seconds")
     serve.add_argument("--tcp", default=None, metavar="HOST:PORT",
                        help="serve the framed RPC protocol over TCP "
                             "instead of the stdin line protocol")
     serve.add_argument("--replicas", type=int, default=1,
                        help="independent gateway replicas for --tcp "
                             "(ports PORT..PORT+N-1)")
-    serve.add_argument("--fuse-window", type=float, default=2.0,
-                       metavar="MS",
-                       help="fallback window for fused top-N dispatch, the "
-                            "default --tcp path (0 disables fusion)")
-    serve.add_argument("--fuse-max-batch", type=int, default=64,
-                       help="flush a fusion window early at this many "
-                            "requests")
-    serve.add_argument("--max-in-flight", type=int, default=64,
-                       help="bound on concurrently admitted requests per "
-                            "replica (--tcp)")
     serve.add_argument("--wal", default=None, metavar="DIR",
                        help="directory for the write leader's durable "
                             "mutation log (--tcp; default: in-memory log "
                             "— replication without crash durability)")
-    serve.add_argument("--cooldown", type=float, default=1.0,
-                       help="base backoff after a failed follower "
-                            "shipment, seconds (doubles per consecutive "
-                            "failure)")
-    serve.add_argument("--backoff-max", type=float, default=30.0,
-                       help="cap on the exponential shipment backoff, "
-                            "seconds")
-    serve.add_argument("--wal-sync-every", type=int, default=1,
-                       help="fsync the log every N appends (1 = before "
-                            "every ack, the strict default)")
     serve.add_argument("--trace-dir", default=None, metavar="DIR",
                        help="enable request tracing and stream finished "
                             "spans to JSONL files in DIR (--tcp; default: "
@@ -455,8 +415,11 @@ def main(argv: list[str] | None = None) -> int:
                 help=_DRILL_FLAG_HELP[option.name])
         _add_log_level(command)
         command.set_defaults(func=_cmd_drill)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     if getattr(args, "log_level", None):
         set_verbosity(args.log_level)
     return args.func(args)

@@ -14,7 +14,7 @@
   exactly-once writes by ``write_id``.
 
 ``python -m repro.serving serve --tcp HOST:PORT [--replicas N]
-[--fuse-window MS]`` wires it all together from the command line.
+[--wal DIR]`` wires it all together from the command line.
 """
 
 from repro._lazy import lazy_exports

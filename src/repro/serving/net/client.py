@@ -25,10 +25,8 @@ address list and do health-checked round-robin with automatic failover:
   failed replica cools down (exponential, jittered) and is skipped
   until it expires.
 * **Mutations** (``rate``, ``foldin``) carry a client-unique
-  ``write_id`` by default, which the WAL leader (:mod:`repro.serving.
-  wal`) dedups, so a replay onto another replica applies *exactly
-  once*.  ``retry_writes=False`` drops it: at-most-once, and a
-  transport failure mid-mutation raises :class:`NetError`.
+  ``write_id``, which the WAL leader (:mod:`repro.serving.wal`)
+  dedups, so a replay onto another replica applies *exactly once*.
 * **Error frames** are definitive answers and raise :class:`NetError`
   at once — unless marked ``"retryable": true`` (refused *without
   applying*: shed, or cut off from the WAL leader), which fail over.
@@ -55,7 +53,6 @@ from repro.serving.net.protocol import (
     ERROR_DEADLINE,
     Frame,
     FrameDecoder,
-    IDEMPOTENT_KINDS,
     ProtocolError,
     encode_frame,
     hello_frame,
@@ -361,12 +358,11 @@ class AsyncServingClient:
     """The serving client over the replica address list (see module docs).
 
     Connections are cached per replica and re-dialled on demand; use as
-    an async context manager or await :meth:`close`.
-    ``retry_writes=False`` drops the ``write_id`` from mutations, and
-    with it their failover.  A replica's failure cooldown starts at
-    ``cooldown`` seconds and doubles per consecutive failure up to
-    ``backoff_max``, jittered by ``backoff_seed`` (the chaos drills pin
-    it).  ``fault_injector`` (a :class:`~repro.serving.chaos.
+    an async context manager or await :meth:`close`.  Every mutation
+    carries a ``write_id``, so it fails over like a read.  A replica's
+    failure cooldown starts at ``cooldown`` seconds and doubles per
+    consecutive failure up to ``backoff_max``, jittered by
+    ``backoff_seed`` (the chaos drills pin it).  ``fault_injector`` (a :class:`~repro.serving.chaos.
     FaultInjector`) dials through the chaos shims (the ``net.connect``,
     ``net.send`` and ``net.recv`` sites).  ``tracer`` opens a
     ``client.<kind>`` root span per request with one ``client.attempt``
@@ -377,13 +373,11 @@ class AsyncServingClient:
                  timeout: float = 10.0, cooldown: float = 1.0,
                  backoff_max: float = 30.0,
                  backoff_seed: Optional[int] = None,
-                 retry_writes: bool = True,
                  fault_injector=None, tracer: Optional[Tracer] = None):
         self._ring = _AddressRing(addresses, backoff=Backoff(
             base=cooldown, cap=max(float(backoff_max), float(cooldown)),
             seed=backoff_seed))
         self.timeout = float(timeout)
-        self.retry_writes = bool(retry_writes)
         self.tracer = tracer
         self._fault_injector = fault_injector
         self._connections: Dict[int, _AsyncConnection] = {}
@@ -536,18 +530,9 @@ class AsyncServingClient:
                     self._ring.mark_dead(index)
                     failures.append(f"{address}: {reply!r}")
                     # The request went out and no whole reply came back.
-                    # Reads fail over, and so do mutations carrying a
-                    # write_id (the WAL leader dedups the replay and
-                    # returns the original ack); one without may already
-                    # have been applied, and nothing could dedup it.
-                    if frame.kind not in IDEMPOTENT_KINDS \
-                            and "write_id" not in frame.payload:
-                        raise NetError(
-                            f"{frame.kind!r} against {address} failed "
-                            f"({reply!r}); not retried — the request "
-                            "mutates state, may already have been "
-                            "applied, and carries no write_id to dedup a "
-                            "replay") from reply
+                    # Reads fail over, and so do mutations: each carries
+                    # a write_id, so the WAL leader dedups the replay and
+                    # returns the original ack.
                     continue
                 if reply.is_error:
                     span.annotate("error", reply.payload.get("message"))
@@ -585,14 +570,11 @@ class AsyncServingClient:
                        retryable=True)
 
     def _rating_payload(self, items, values) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        self._write_count += 1
+        return {
             "items": [int(item) for item in np.asarray(items).ravel()],
-            "values": [float(value)
-                       for value in np.asarray(values).ravel()]}
-        if self.retry_writes:
-            self._write_count += 1
-            payload["write_id"] = f"{self._write_prefix}-{self._write_count}"
-        return payload
+            "values": [float(value) for value in np.asarray(values).ravel()],
+            "write_id": f"{self._write_prefix}-{self._write_count}"}
 
     # -- the serving surface ----------------------------------------------
 

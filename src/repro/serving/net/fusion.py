@@ -40,7 +40,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.trace import NULL_SPAN, Span, TraceContext, Tracer, activated
 
-__all__ = ["QueryFuser", "DeadlineExpired", "FuserClosed"]
+__all__ = ["QueryFuser", "DeadlineExpired", "FuserClosed", "FUSE_MAX_BATCH"]
+
+#: A window flushes at once when this many requests are pending.
+FUSE_MAX_BATCH = 64
 
 
 class FuserClosed(RuntimeError):
@@ -72,7 +75,8 @@ class QueryFuser:
         in-flight batch.  Dispatch is eager (see module docstring), so
         this bounds worst-case queueing, not common-case latency.
     max_batch:
-        Flush immediately once this many requests are pending.
+        Flush immediately once this many requests are pending
+        (:data:`FUSE_MAX_BATCH`).
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`: a traced window gets a
         ``fusion.window`` span (parented on its first traced waiter) and
@@ -80,7 +84,7 @@ class QueryFuser:
     """
 
     def __init__(self, top_n_batch, window_ms: float = 2.0,
-                 max_batch: int = 64, tracer: Optional[Tracer] = None):
+                 max_batch: int = FUSE_MAX_BATCH, tracer: Optional[Tracer] = None):
         if window_ms < 0:
             raise ValueError(f"window_ms must be >= 0, got {window_ms}")
         if max_batch < 1:

@@ -77,7 +77,7 @@ import numpy as np
 __all__ = [
     "PROTOCOL_VERSION", "MAX_PAYLOAD", "ProtocolError", "Frame",
     "encode_frame", "FrameDecoder", "parse_line", "execute", "format_reply",
-    "hello_frame", "check_hello", "IDEMPOTENT_KINDS", "MUTATION_KINDS",
+    "hello_frame", "check_hello", "MUTATION_KINDS",
     "ERROR_DEADLINE", "ERROR_OVERLOADED", "error_frame",
 ]
 
@@ -122,16 +122,6 @@ _KIND_CODES = {
 _CODE_KINDS = {code | flag: (kind, bool(flag))
                for kind, code in _KIND_CODES.items()
                for flag in (0, _BINARY_FLAG)}
-
-#: Request kinds that are safe to retry on another replica: they either
-#: read state or are deterministic lookups.  ``rate``/``foldin`` mutate
-#: the posterior; a bare retry could double-apply them, so the client
-#: only retries mutations that carry a ``write_id`` (the WAL leader
-#: dedups those — see :mod:`repro.serving.wal.shipper`).
-#: ``wal_catchup`` reads immutable log records, so it rides along.
-IDEMPOTENT_KINDS = frozenset({"top_n", "top_n_batch", "predict",
-                              "predict_batch", "stats", "health", "hello",
-                              "wal_catchup", "metrics", "trace"})
 
 #: Request kinds that mutate gateway state.  When a server has a WAL
 #: coordinator attached these are routed through it (commit on the
@@ -264,15 +254,18 @@ def _extract_arrays(value, arrays: List[np.ndarray]):
     return value
 
 
+def _bad_reference(index, arrays: List[np.ndarray]) -> ProtocolError:
+    return ProtocolError(f"binary payload references array {index!r}, "
+                         f"frame carries {len(arrays)}")
+
+
 def _restore_arrays(value, arrays: List[np.ndarray]):
     """Inverse of :func:`_extract_arrays` on a decoded JSON structure."""
     if isinstance(value, dict):
         if len(value) == 1 and _ARRAY_MARKER in value:
             index = value[_ARRAY_MARKER]
             if not isinstance(index, int) or not 0 <= index < len(arrays):
-                raise ProtocolError(
-                    f"binary payload references array {index!r}, frame "
-                    f"carries {len(arrays)}")
+                raise _bad_reference(index, arrays)
             return arrays[index]
         return {key: item if type(item) in _SCALARS
                 else _restore_arrays(item, arrays)
@@ -363,9 +356,24 @@ def _decode_binary_payload(body: bytes) -> Dict[str, object]:
                 f"frame payload must be a JSON object, got "
                 f"{type(substituted).__name__}")
         # No array, and no marker to refuse (spelled out or escaped):
-        # nothing to restore.
+        # nothing to restore.  Otherwise the top level is restored in one
+        # loop (the inverse of _json_part's) and only nested values walk.
         if arrays or b'"__nd__"' in json_part or b"\\u" in json_part:
-            return _restore_arrays(substituted, arrays)
+            if len(substituted) == 1 and _ARRAY_MARKER in substituted:
+                raise ProtocolError(
+                    "frame payload must be a JSON object, got an array "
+                    "reference")
+            for key, value in substituted.items():
+                kind = type(value)
+                if kind is dict and len(value) == 1 \
+                        and _ARRAY_MARKER in value:
+                    index = value[_ARRAY_MARKER]
+                    if not isinstance(index, int) \
+                            or not 0 <= index < len(arrays):
+                        raise _bad_reference(index, arrays)
+                    substituted[key] = arrays[index]
+                elif kind not in _SCALARS:
+                    substituted[key] = _restore_arrays(value, arrays)
         return substituted
     except ProtocolError:
         raise

@@ -21,10 +21,7 @@ write-ahead log, apply, fan out to the followers) before the ack
 returns, so an acked write is readable on every live replica and, with
 ``wal_dir`` set, survives a crash (:meth:`restart` recovers the leader
 by replaying the log).  Followers forward writes to the leader and
-close any shipping gap by seqno-range catch-up.  ``replicate=False``
-restores the historical share-nothing behaviour: mutations then apply
-to one replica only, for the training pipeline to reconcile through
-snapshot watchers.
+close any shipping gap by seqno-range catch-up.
 """
 
 from __future__ import annotations
@@ -137,12 +134,9 @@ class ReplicaSet:
     make_watcher:
         Optional ``make_watcher(service) -> SnapshotWatcher`` so every
         replica hot-reloads snapshots independently.
-    fuse_window_ms, fuse_max_batch, max_in_flight:
+    fuse_window_ms, max_in_flight:
         Per-replica :class:`NetServer` options.  Fused dispatch is on by
         default; ``fuse_window_ms=None`` (or ``<= 0``) disables it.
-    replicate:
-        Mutation replication through the write-ahead log (default on);
-        ``False`` restores the share-nothing fleet.
     wal_dir:
         Directory for the leader's log segments.  ``None`` (default)
         keeps the log in the leader's memory: replication, exactly-once
@@ -165,10 +159,9 @@ class ReplicaSet:
         Optional :class:`~repro.obs.trace.Tracer` every replica records
         into, so one :meth:`spans` call yields a traced write's whole
         cross-replica span tree.
-    registry:
-        :class:`~repro.obs.metrics.MetricsRegistry` shared across the
-        fleet (created when omitted); each replica's series carry a
-        ``replica`` label.
+
+    The fleet shares one :class:`~repro.obs.metrics.MetricsRegistry`
+    (:attr:`registry`); each replica's series carry a ``replica`` label.
     """
 
     def __init__(self, make_service: Callable[[int], object],
@@ -176,19 +169,16 @@ class ReplicaSet:
                  ports: Optional[List[int]] = None,
                  make_watcher: Optional[Callable[[object], object]] = None,
                  fuse_window_ms: Optional[float] = 2.0,
-                 fuse_max_batch: int = 64, max_in_flight: int = 64,
-                 replicate: bool = True,
-                 wal_dir: Optional[str] = None, wal_sync_every: int = 1,
+                 max_in_flight: int = 64, wal_dir: Optional[str] = None,
+                 wal_sync_every: int = 1,
                  max_queue_depth: Optional[int] = 256,
                  ship_cooldown: float = 1.0, ship_backoff_max: float = 30.0,
                  ship_backoff_seed: Optional[int] = None,
-                 fault_injector=None, tracer: Optional[Tracer] = None,
-                 registry: Optional[MetricsRegistry] = None):
+                 fault_injector=None, tracer: Optional[Tracer] = None):
         check_positive("n_replicas", n_replicas)
         if ports is not None and len(ports) != n_replicas:
             raise ValueError(
                 f"got {len(ports)} ports for {n_replicas} replicas")
-        self.replicate = bool(replicate)
         self.wal_dir = wal_dir
         self.wal_sync_every = int(wal_sync_every)
         self.ship_cooldown = float(ship_cooldown)
@@ -196,16 +186,14 @@ class ReplicaSet:
         self.ship_backoff_seed = ship_backoff_seed
         self.fault_injector = fault_injector
         self.tracer = tracer
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self._make_service = make_service
         self._make_watcher = make_watcher
         self._host = host
         self._options = {"fuse_window_ms": fuse_window_ms,
-                         "fuse_max_batch": fuse_max_batch,
                          "max_in_flight": max_in_flight,
                          "max_queue_depth": max_queue_depth,
-                         "wal_expected": self.replicate,
+                         "wal_expected": True,
                          "tracer": tracer,
                          "registry": self.registry}
         self.replicas = [
@@ -222,9 +210,8 @@ class ReplicaSet:
         for replica in self.replicas:
             replica.start()
         self._await_ready(self.replicas, timeout)
-        if self.replicate:
-            for index in range(len(self.replicas)):
-                self._wire_wal(index)
+        for index in range(len(self.replicas)):
+            self._wire_wal(index)
         self._started = True
         return self
 
@@ -345,8 +332,7 @@ class ReplicaSet:
         self.replicas[index] = replica
         replica.start()
         self._await_ready([replica], timeout)
-        if self.replicate:
-            self._wire_wal(index)
+        self._wire_wal(index)
 
     def stop(self) -> None:
         """Gracefully drain and stop every replica (idempotent)."""

@@ -230,10 +230,10 @@ class NetServer:
     host, port:
         Bind address; port ``0`` picks a free port (read :attr:`port`
         after :meth:`start`).
-    fuse_window_ms, fuse_max_batch:
-        The :class:`QueryFuser`'s fallback flush timer and early-flush
-        size; ``None`` or a non-positive window serves every request
-        unbatched.
+    fuse_window_ms:
+        The :class:`QueryFuser`'s fallback flush timer (a window flushes
+        early at ``fusion.FUSE_MAX_BATCH`` requests); ``None`` or a non-positive window
+        serves every request unbatched.
     max_in_flight:
         Cap on concurrently admitted requests across all connections.
     max_queue_depth:
@@ -243,6 +243,10 @@ class NetServer:
     watcher:
         Optional :class:`SnapshotWatcher` started and stopped with the
         server.
+    wal_expected:
+        Refuse mutations (retryable) until a WAL coordinator is attached
+        with :meth:`set_wal`, instead of applying them unreplicated; every
+        :class:`ReplicaSet` replica sets it.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`: admission spans
         (queue wait vs execute) for every request carrying trace
@@ -255,7 +259,7 @@ class NetServer:
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 0,
                  fuse_window_ms: Optional[float] = 2.0,
-                 fuse_max_batch: int = 64, max_in_flight: int = 64,
+                 max_in_flight: int = 64,
                  max_queue_depth: Optional[int] = 256,
                  watcher=None, wal_expected: bool = False,
                  tracer: Optional[Tracer] = None,
@@ -292,8 +296,7 @@ class NetServer:
         if fuse_window_ms is not None and fuse_window_ms > 0:
             self.fuser = QueryFuser(
                 functools.partial(self._call_gateway, service.top_n_batch),
-                window_ms=fuse_window_ms, max_batch=fuse_max_batch,
-                tracer=tracer)
+                window_ms=fuse_window_ms, tracer=tracer)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._draining = False

@@ -93,8 +93,7 @@ class BucketPlan:
 
 
 def build_bucket_plan(axis: CompressedAxis,
-                      items: Optional[np.ndarray] = None,
-                      value_dtype: np.dtype | str = np.float64) -> BucketPlan:
+                      items: Optional[np.ndarray] = None) -> BucketPlan:
     """Group ``axis`` elements (or a subset) into exact-degree buckets.
 
     Parameters
@@ -105,18 +104,12 @@ def build_bucket_plan(axis: CompressedAxis,
     items:
         Optional subset of axis indices to plan (the distributed sampler
         passes each rank's owned items); defaults to all of them.
-    value_dtype:
-        Dtype of the gathered rating-value blocks.  The default
-        ``float64`` matches the stored axis values exactly; the engines
-        pass ``float32`` here in reduced-precision mode so the values are
-        cast once at plan time instead of once per sweep.
 
     Returns
     -------
     A :class:`BucketPlan` whose buckets jointly cover ``items`` exactly
     once each, ordered by ascending degree.
     """
-    value_dtype = np.dtype(value_dtype)
     if items is None:
         items = np.arange(axis.n, dtype=np.int64)
     else:
@@ -142,7 +135,7 @@ def build_bucket_plan(axis: CompressedAxis,
             items=members,
             neighbours=axis.indices[gather],
             values=np.ascontiguousarray(axis.values[gather],
-                                        dtype=value_dtype),
+                                        dtype=np.float64),
         ))
     return BucketPlan(n_items=axis.n, buckets=tuple(buckets))
 
@@ -152,17 +145,16 @@ def build_bucket_plan(axis: CompressedAxis,
 # ---------------------------------------------------------------------------
 
 #: Upper bound on cached plans.  Large enough for any one process's working
-#: set (two axes per dataset x the ranks of a simulated world x at most two
-#: value dtypes); bounds memory when one process churns through many
+#: set (two axes per dataset x the ranks of a simulated world); bounds memory when one process churns through many
 #: datasets, since every cached plan holds ~2x its axis's rating data in
 #: gathered blocks.
 MAX_CACHED_PLANS = 128
 
-#: ``(id(axis), items-bytes, dtype-str) -> BucketPlan``, LRU-ordered.  The
+#: ``(id(axis), items-bytes) -> BucketPlan``, LRU-ordered.  The
 #: cache never keeps the axis alive: a ``weakref.finalize`` per axis evicts
 #: all of its entries when it is collected, so a recycled ``id()`` can never
 #: serve a stale plan.
-_PLAN_CACHE: "OrderedDict[Tuple[int, Optional[bytes], str], BucketPlan]" = \
+_PLAN_CACHE: "OrderedDict[Tuple[int, Optional[bytes]], BucketPlan]" = \
     OrderedDict()
 _AXIS_FINALIZERS: dict = {}
 
@@ -174,9 +166,8 @@ def _evict_axis_plans(axis_id: int) -> None:
 
 
 def cached_bucket_plan(axis: CompressedAxis,
-                       items: Optional[np.ndarray] = None,
-                       value_dtype: np.dtype | str = np.float64) -> BucketPlan:
-    """Build (or reuse) the bucket plan for one ``(axis, items, dtype)``.
+                       items: Optional[np.ndarray] = None) -> BucketPlan:
+    """Build (or reuse) the bucket plan for one ``(axis, items)`` pair.
 
     Plans are structural, so every engine instance touching the same axis
     object — repeated sweeps of one sampler, a fold-in call per request, the
@@ -185,11 +176,10 @@ def cached_bucket_plan(axis: CompressedAxis,
     changed matrix is a new object and misses the cache by construction.
     """
     key = (id(axis),
-           None if items is None else np.asarray(items, np.int64).tobytes(),
-           np.dtype(value_dtype).str)
+           None if items is None else np.asarray(items, np.int64).tobytes())
     plan = _PLAN_CACHE.get(key)
     if plan is None:
-        plan = build_bucket_plan(axis, items, value_dtype=value_dtype)
+        plan = build_bucket_plan(axis, items)
         while len(_PLAN_CACHE) >= MAX_CACHED_PLANS:
             _PLAN_CACHE.popitem(last=False)
         if id(axis) not in _AXIS_FINALIZERS:

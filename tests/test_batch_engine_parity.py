@@ -45,9 +45,6 @@ from repro.utils.validation import ValidationError
 #: in practice; the bound leaves room for other BLAS builds.
 TOL = dict(rtol=1e-7, atol=1e-9)
 
-#: float32-vs-float64 engine tolerance (single-precision kernels).
-F32_TOL = dict(rtol=5e-3, atol=5e-4)
-
 
 def _random_axis(rng, n_items, n_source, degrees) -> CompressedAxis:
     """A compressed axis with the requested per-item degrees."""
@@ -204,8 +201,7 @@ class TestKernelNumerics:
     #: covariance within 5 sqrt(2/n) = 0.079 of I (>= 4 standard errors).
     N_REPLICAS, N_DRAWS = 1000, 8
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_sample_moments_match_conditional(self, dtype):
+    def test_sample_moments_match_conditional(self):
         """Degrees 0, 1, d < K, d > K and the parallel-Cholesky regime."""
         k, n_source, alpha = 4, 20, 2.0
         degrees = [0, 1, 3, 7, 16]
@@ -227,7 +223,7 @@ class TestKernelNumerics:
                 [[0], np.cumsum(np.repeat(degrees, n))]).astype(np.int64),
             indices=np.concatenate([np.tile(idx, n) for idx, _ in templates]),
             values=np.concatenate([np.tile(val, n) for _, val in templates]))
-        engine = BatchedUpdateEngine(policy=policy, compute_dtype=dtype)
+        engine = BatchedUpdateEngine(policy=policy)
         draws = []
         for _ in range(self.N_DRAWS):
             target = np.zeros((axis.n, k))
@@ -309,31 +305,6 @@ class TestKernelNumerics:
             assert relative(at_noise[row], at_zero[row]
                             + jacobian[row] @ noise[item]) < rel
 
-    def test_float32_heavy_item_factorises(self):
-        """A degree-2500 float32 bucket whose ratings (around +-5) the
-        neighbours explain exactly: the augmented Gram is singular but for
-        the prior, so its last pivot cancels to rounding noise (and fails
-        to factorise) unless the corner is padded."""
-        rng = np.random.default_rng(47)
-        k, n_source, degree, n_items = 8, 3000, 2500, 8
-        source = rng.normal(size=(n_source, k))
-        indices = rng.integers(0, n_source, size=n_items * degree)
-        truth = rng.normal(size=k)
-        truth *= 5.0 / np.linalg.norm(truth)
-        values = source[indices] @ truth
-        axis = CompressedAxis(
-            indptr=np.arange(0, (n_items + 1) * degree, degree),
-            indices=indices, values=values)
-        prior = GaussianPrior(mean=np.zeros(k), precision=np.eye(k) * 1e-6)
-        noise = rng.standard_normal((n_items, k))
-        exact = np.zeros((n_items, k))
-        BatchedUpdateEngine().update_items(exact, source, axis, prior, 2.0,
-                                           noise)
-        narrowed = np.zeros((n_items, k))
-        BatchedUpdateEngine(compute_dtype="float32").update_items(
-            narrowed, source, axis, prior, 2.0, noise)
-        np.testing.assert_allclose(narrowed, exact, **F32_TOL)
-
 
 class TestSamplerParity:
     """Full-sweep parity through the sequential sampler."""
@@ -411,14 +382,6 @@ class TestEngineSelection:
         with pytest.raises(ValidationError):
             make_update_engine("reference", n_workers=2)
 
-    def test_reference_engine_rejects_float32(self):
-        with pytest.raises(ValidationError):
-            make_update_engine("reference", compute_dtype="float32")
-
-    def test_invalid_compute_dtype_rejected(self):
-        with pytest.raises(ValidationError):
-            make_update_engine("batched", compute_dtype="float16")
-
     def test_bucket_plan_cached_per_axis_and_subset(self):
         rng = np.random.default_rng(0)
         axis = _random_axis(rng, 10, 12, rng.integers(0, 5, size=10))
@@ -441,10 +404,6 @@ class TestEngineSelection:
         assert engine_b._plan_for(axis, None) is plan_direct
         # Repeated sweeps of one engine keep hitting the same object.
         assert engine_a._plan_for(axis, None) is plan_direct
-        # Distinct value dtypes are distinct plans (float32 gathers).
-        plan_f32 = cached_bucket_plan(axis, value_dtype=np.float32)
-        assert plan_f32 is not plan_direct
-        assert plan_f32.buckets[-1].values.dtype == np.float32
 
     def test_bucket_plan_cache_invalidated_on_axis_change(self):
         """A new axis object — even with identical content — replans."""
@@ -596,24 +555,6 @@ class TestSharedEngine:
         np.testing.assert_array_equal(shared.state.movie_factors,
                                       batched.state.movie_factors)
         assert shared.rmse_per_sample == batched.rmse_per_sample
-
-    def test_float32_mode_tolerance_parity(self):
-        """float32 kernels track the float64 chain to single precision,
-        and the shared float32 path is bit-identical to batched float32."""
-        axis, source, prior, noise = self._inputs(seed=19)
-        exact = np.zeros_like(noise)
-        BatchedUpdateEngine().update_items(exact, source, axis, prior,
-                                           2.0, noise)
-        narrowed = np.zeros_like(noise)
-        BatchedUpdateEngine(compute_dtype="float32").update_items(
-            narrowed, source, axis, prior, 2.0, noise)
-        np.testing.assert_allclose(narrowed, exact, **F32_TOL)
-        assert not np.array_equal(narrowed, exact)  # genuinely narrowed
-        with make_update_engine("shared", n_workers=2,
-                                compute_dtype="float32") as engine:
-            shared = np.zeros_like(noise)
-            engine.update_items(shared, source, axis, prior, 2.0, noise)
-        np.testing.assert_array_equal(shared, narrowed)
 
     def test_worker_error_propagates_and_engine_recovers(self):
         """A worker-side failure raises, tears down, and stays usable."""

@@ -387,8 +387,8 @@ def test_fused_overload_sheds_with_retryable_error(snapshot, reference):
 def test_reads_and_writes_shed_independently(snapshot):
     """The write queue filling up must not shed reads (and vice
     versa): the two classes have separate depth counters."""
-    with _one_slot_fleet(snapshot, max_queue_depth=1, fuse_window_ms=None,
-                         replicate=False) as replicas:
+    with _one_slot_fleet(snapshot, max_queue_depth=1,
+                         fuse_window_ms=None) as replicas:
         server = replicas.replicas[0].server
         writers = [_RawConnection(replicas.addresses[0]) for _ in range(3)]
         reader = _RawConnection(replicas.addresses[0])

@@ -100,27 +100,6 @@ class TestDistributedSamplerParity:
             ).run(train, split, seed=8)
             assert_same_chain(result, sequential)
 
-    def test_float32_checkpointing_run(self, tiny_dataset, tiny_config,
-                                       tmp_path, assert_same_chain):
-        """A float32, checkpointing run really is float32 and really
-        checkpoints — the same chain as without the checkpoint."""
-        from repro.core.checkpoint import CheckpointConfig, load_snapshot
-
-        train, split = tiny_dataset.split.train, tiny_dataset.split
-        plain, _ = DistributedGibbsSampler(
-            tiny_config, DistributedOptions(n_ranks=2, compute_dtype="float32")
-        ).run(train, split, seed=4)
-        saved, _ = DistributedGibbsSampler(
-            tiny_config, DistributedOptions(
-                n_ranks=2, compute_dtype="float32",
-                checkpoint=CheckpointConfig(path=tmp_path / "f32.npz"))
-        ).run(train, split, seed=4)
-        assert_same_chain(saved, plain)
-        snapshot = load_snapshot(tmp_path / "f32.npz")
-        assert snapshot.state.iteration == tiny_config.total_iterations
-        np.testing.assert_array_equal(snapshot.state.user_factors,
-                                      plain.state.user_factors)
-
 
 class TestInconsistentPlanFailsLoudly:
     """The send side follows the plan, the receive side its inversion (the

@@ -423,6 +423,31 @@ class TestAddressMap:
         assert written["error"].startswith("ProtocolError: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--spawn", "--world", "0"],
+    ["--smoke", "--world", "-1"],
+    ["--rank", "0", "--world", "2"],
+    ["--rank", "2", "--world", "2", "--rendezvous", "127.0.0.1:1"],
+    ["--spawn", "--world", "2", "--n-samples", "0"],
+    ["--spawn", "--world", "2", "--users", "0"],
+], ids=["spawn-world-0", "smoke-world-negative", "rank-without-rendezvous",
+        "rank-outside-world", "no-samples", "no-users"])
+def test_launcher_usage_errors_exit_2_before_any_rank_runs(
+        argv, tmp_path, capsys, monkeypatch):
+    """A usage or validation error is one ``error:`` line and exit 2;
+    nothing is spawned or connected first."""
+    from repro.mpi.net import __main__ as launcher
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rank ran despite a usage error")
+
+    monkeypatch.setattr(launcher.subprocess, "Popen", refuse)
+    monkeypatch.setattr(launcher.SocketCommWorld, "connect", refuse)
+    assert launcher.main(argv + ["--workdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 # ---------------------------------------------------------------------------
 # training parity (the acceptance criterion)
 # ---------------------------------------------------------------------------
@@ -568,8 +593,7 @@ class TestTrainingParity:
                        "--num-latent", str(sizes["num_latent"]),
                        "--burn-in", str(sizes["burn_in"]),
                        "--n-samples", str(sizes["n_samples"]),
-                       "--seed", str(sizes["seed"]),
-                       "--data-seed", str(sizes["data_seed"])]
+                       "--seed", str(sizes["seed"])]
             if rank == 0:
                 command += ["--out", str(chain)]
             processes.append(subprocess.Popen(

@@ -89,7 +89,7 @@ def _spy_fleet(snapshot, spies, **options):
     def make(index):
         spies.append(_Spy(snapshot))
         return spies[-1]
-    return ReplicaSet(make, n_replicas=1, replicate=False, **options)
+    return ReplicaSet(make, n_replicas=1, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ def test_a_gateway_that_is_not_in_process_never_scores_on_the_loop(
         gateways.append(_RemoteGateway(PredictionService(snapshot)))
         return gateways[-1]
 
-    with ReplicaSet(make, n_replicas=1, replicate=False) as replicas:
+    with ReplicaSet(make, n_replicas=1) as replicas:
         loop_thread = replicas.replicas[0].ident
         with ServingClient(replicas.addresses) as client:
             for user in (0, 3, 8):

@@ -320,6 +320,19 @@ def test_a_stray_array_marker_is_refused_without_arrays(json_part):
                                + json_part)
 
 
+@pytest.mark.parametrize("with_array", [False, True])
+def test_a_top_level_array_marker_is_refused(with_array):
+    """A payload that is itself an array reference is no JSON object,
+    whether or not the frame carries the array it names."""
+    body = _encode_binary_payload({"a": np.arange(3)})
+    (length,) = _JSON_LENGTH.unpack_from(body)
+    blocks = body[_JSON_LENGTH.size + length:] if with_array else b""
+    json_part = b'{"__nd__":0}'
+    with pytest.raises(ProtocolError, match="JSON object"):
+        _decode_binary_payload(_JSON_LENGTH.pack(len(json_part)) + json_part
+                               + blocks)
+
+
 #: A fixed request and its binary reply, hex-recorded before the codec
 #: was reworked: the wire bytes may not move.  (The fifth byte is the
 #: protocol version.)

@@ -4,10 +4,8 @@ Killing one of two replicas under a concurrent storm must keep **100% of
 reads succeeding** (each bit-identical to the reference), with the
 clients failing over automatically: the ``net-smoke`` drill checks that
 and runs in ``tests/test_serving_drills.py``.  Mutations replicate
-through the write leader (replica 0) and retry exactly-once by default;
-the old
-at-most-once, share-nothing behaviour stays available (and pinned here)
-via ``retry_writes=False`` / ``replicate=False``.
+through the write leader (replica 0) and fail over exactly-once: each
+carries a ``write_id`` the leader dedups.
 """
 
 from __future__ import annotations
@@ -37,55 +35,25 @@ def reference(snapshot):
     return PredictionService(snapshot)
 
 
-def test_opted_out_mutations_are_never_replayed_after_a_failure(snapshot):
-    """``retry_writes=False`` pins the old at-most-once contract."""
-    with ReplicaSet(lambda index: PredictionService(snapshot),
-                    n_replicas=2) as replicas:
-        addresses = list(replicas.addresses)
-        dead_address = addresses[0]
-        with ServingClient(addresses, cooldown=0.05, timeout=2.0,
-                           retry_writes=False) as client:
-            # Cache live connections to both replicas, leaving the ring
-            # pointed back at replica 0.
-            assert len(client.top_n(0, n=3)) == 3  # served by replica 0
-            assert len(client.top_n(0, n=3)) == 3  # served by replica 1
-            replicas.kill(0)
-            # The rate goes out on the cached (now dead) connection: the
-            # request bytes may have been consumed before the crash and
-            # it carries no write_id, so it must NOT be replayed on the
-            # survivor.
-            with pytest.raises(NetError, match="not retried"):
-                client.rate(0, np.array([1]), np.array([3.0]))
-            # Reads fail over fine on the same client: the failed rate
-            # put replica 0 on cooldown, so the ring goes straight to
-            # the survivor.
-            assert len(client.top_n(0, n=3)) == 3
-        # A client pinned to the dead replica cannot read either.
-        with ServingClient([dead_address], cooldown=0.05,
-                           timeout=2.0) as pinned:
-            with pytest.raises(NetError, match="every replica failed"):
-                pinned.top_n(0, n=3)
-
-
 def test_mutations_do_fail_over_when_nothing_was_sent(snapshot):
-    """Connect-phase failures are retryable even for opted-out mutations.
-
-    A fresh client whose first candidate is a dead *follower* never
-    sends a byte of the request, so the mutation safely lands on the
-    next replica — at-most-once refers to transmitted requests, not
-    connection attempts.
-    """
+    """A fresh client whose first candidate is a dead *follower* never
+    sends a byte of the request, so the mutation lands on the next
+    replica, and is applied once."""
     with ReplicaSet(lambda index: PredictionService(snapshot),
                     n_replicas=2) as replicas:
         # Follower first in the ring, then the leader; kill the follower.
         addresses = list(reversed(replicas.addresses))
         replicas.kill(1)
-        with ServingClient(addresses, cooldown=5.0, timeout=2.0,
-                           retry_writes=False) as client:
+        with ServingClient(addresses, cooldown=5.0, timeout=2.0) as client:
             cold = client.fold_in(np.array([0, 1]), np.array([4.0, 3.0]))
             assert cold == N_USERS
             assert client.rate(cold, np.array([2]), np.array([3.5])) == cold
         assert replicas.replicas[0].service.stats()["n_folded_in"] == 1
+        # A client pinned to the dead replica has nowhere to fail over.
+        with ServingClient(addresses[:1], cooldown=0.05,
+                           timeout=2.0) as pinned:
+            with pytest.raises(NetError, match="every replica failed"):
+                pinned.top_n(0, n=3)
 
 
 def test_async_client_fails_over_too(snapshot, reference):
@@ -148,21 +116,6 @@ def test_mutations_replicate_to_every_replica(snapshot):
             digests = {client.health(digest=True)["digest"]
                        for client in (first, second)}
             assert len(digests) == 1
-
-
-def test_share_nothing_mode_is_still_available(snapshot):
-    """``replicate=False`` restores per-replica mutations, pinned."""
-    with ReplicaSet(lambda index: PredictionService(snapshot),
-                    n_replicas=2, replicate=False) as replicas:
-        first = ServingClient(replicas.addresses[:1])
-        second = ServingClient(replicas.addresses[1:])
-        with first, second:
-            cold = first.fold_in(np.array([0, 1]), np.array([4.0, 3.0]))
-            assert first.stats()["n_folded_in"] == 1
-            assert second.stats()["n_folded_in"] == 0
-            assert len(first.top_n(cold, n=3)) == 3
-            with pytest.raises(NetError, match="outside"):
-                second.top_n(cold, n=3)
 
 
 def test_a_replica_is_one_loop_thread_and_the_leader_adds_one_wal_thread(

@@ -22,6 +22,7 @@ from repro.core.checkpoint import (
     SNAPSHOT_FORMAT,
     CheckpointConfig,
     Snapshot,
+    _payload_checksum,
     encode_rng_state,
     load_snapshot,
     restore_generator,
@@ -107,41 +108,33 @@ class TestSnapshotRoundTrip:
             rng.standard_normal(8))
 
     def test_float32_snapshot_round_trip(self, data, tmp_path):
-        """dtype="float32" halves the factor payloads; loading widens back
-        to float64 with single-precision fidelity and verified integrity."""
-        path64 = tmp_path / "snap64.npz"
-        path32 = tmp_path / "snap32.npz"
+        """Older versions could store the factor payloads as float32;
+        such a file still verifies and loads, widened back to float64
+        with single-precision fidelity."""
+        path = tmp_path / "snap32.npz"
         result = GibbsSampler(HALF).run(data.split.train, data.split, seed=1)
         snapshot = snapshot_from_result(result, rng=np.random.default_rng(9))
-        save_snapshot(snapshot, path64)
-        save_snapshot(snapshot, path32, dtype="float32")
-        assert path32.stat().st_size < path64.stat().st_size
-        loaded = load_snapshot(path32)  # checksum verifies narrowed payloads
+        save_snapshot(snapshot, path)
+        with np.load(path) as archive:
+            payload = {key: archive[key] for key in archive.files}
+        for key in ("user_factors", "movie_factors", "mean_user_sum",
+                    "mean_movie_sum", "prediction_sum"):
+            payload[key] = payload[key].astype(np.float32)
+        payload["checksum"] = np.array(_payload_checksum(payload))
+        np.savez_compressed(path, **payload)
+
+        loaded = load_snapshot(path)  # checksum verifies narrowed payloads
         assert loaded.state.user_factors.dtype == np.float64
+        assert loaded.mean_user_sum.dtype == np.float64
         np.testing.assert_allclose(loaded.state.user_factors,
                                    result.state.user_factors,
                                    rtol=1e-6, atol=1e-6)
         np.testing.assert_allclose(loaded.mean_user_sum,
                                    result.factor_means.user_sum,
                                    rtol=1e-6, atol=1e-6)
-        # Priors and the RNG state never lose precision.
+        # Priors and the RNG state never lost precision.
         np.testing.assert_array_equal(loaded.state.user_prior.precision,
                                       result.state.user_prior.precision)
-        with pytest.raises(ValidationError):
-            save_snapshot(snapshot, path32, dtype="float16")
-
-    def test_checkpoint_config_dtype_flows_into_saves(self, data, tmp_path):
-        path = tmp_path / "ck32.npz"
-        options = SamplerOptions(
-            checkpoint=CheckpointConfig(path=path, dtype="float32"))
-        result = GibbsSampler(HALF, options).run(data.split.train, data.split,
-                                                 seed=5)
-        loaded = load_snapshot(path)
-        np.testing.assert_allclose(loaded.state.user_factors,
-                                   result.state.user_factors,
-                                   rtol=1e-6, atol=1e-6)
-        with pytest.raises(ValidationError):
-            CheckpointConfig(path=path, dtype="int8")
 
     def test_bpmf_config_rebuilds(self, data, tmp_path):
         result = GibbsSampler(HALF).run(data.split.train, data.split, seed=1)

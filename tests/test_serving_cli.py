@@ -80,6 +80,21 @@ def test_query_rejects_bad_input_without_a_traceback(trained_snapshot,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("bad", [["--n-samples", "0"],
+                                 ["--backend", "multicore", "--threads", "0"],
+                                 ["--checkpoint-every", "0"],
+                                 ["--checkpoint-every", "-3"],
+                                 ["--users", "0"]])
+def test_train_rejects_bad_input_without_a_traceback(tmp_path, capsys, bad):
+    """A usage error is one ``error:`` line on stderr and exit 2."""
+    assert main(["train", "--snapshot", str(tmp_path / "model.npz"),
+                 "--users", "20", "--movies", "15", "--num-latent", "2",
+                 "--burn-in", "1", "--n-samples", "1"] + bad) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "model.npz").exists()
+
+
 def test_serve_line_protocol(trained_snapshot, capsys, monkeypatch):
     commands = "predict 0 1\ntop 0 3\nfoldin 0:4.5 1:3.0\npredict 60 2\nbogus\nquit\n"
     monkeypatch.setattr("sys.stdin", io.StringIO(commands))
@@ -137,13 +152,15 @@ def test_serve_watch_requires_shards(trained_snapshot, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
     assert main(["serve", "--snapshot", str(trained_snapshot),
                  "--watch"]) == 2
+    assert capsys.readouterr().err == "error: --watch requires --shards N\n"
 
 
 def test_serve_tcp_rejects_malformed_hostport(trained_snapshot, capsys):
     for bad in ("localhost", "::1", "127.0.0.1:http"):
         assert main(["serve", "--snapshot", str(trained_snapshot),
                      "--tcp", bad]) == 2
-        assert "HOST:PORT" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "HOST:PORT" in err
     assert main(["serve", "--snapshot", str(trained_snapshot),
                  "--tcp", "127.0.0.1:99999"]) == 2
     assert "0-65535" in capsys.readouterr().err

@@ -32,7 +32,7 @@ def data():
 def snapshot_path(data, tmp_path_factory):
     path = tmp_path_factory.mktemp("serving") / "model.npz"
     config = BPMFConfig(num_latent=5, alpha=4.0, burn_in=2, n_samples=4)
-    options = SamplerOptions(checkpoint=CheckpointConfig(path=path, offset=0.0))
+    options = SamplerOptions(checkpoint=CheckpointConfig(path=path))
     GibbsSampler(config, options).run(data.split.train, data.split, seed=3)
     return path
 

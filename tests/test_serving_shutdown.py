@@ -73,7 +73,7 @@ def test_keyboard_interrupt_closes_pool_and_unlinks_segments(
     watcher = SnapshotWatcher(scorer, snapshot_path, interval=0.1).start()
     names = _segment_names(scorer)
     monkeypatch.setattr("sys.stdin", _InterruptedStdin(["top 0 3\n"]))
-    code = _serve_repl(scorer, watcher, "2-shard gateway", "mean",
+    code = _serve_repl(scorer, watcher, "2-shard gateway",
                        owns_service=True)
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
@@ -129,8 +129,7 @@ def test_sigterm_on_stdin_serve_exits_cleanly_without_leaks(
 
 def test_sigterm_on_tcp_serve_drains_and_exits_cleanly(snapshot_path):
     process = _spawn_serve(snapshot_path, "--tcp", "127.0.0.1:0",
-                           "--replicas", "2", "--shards", "2",
-                           "--fuse-window", "2")
+                           "--replicas", "2", "--shards", "2")
     try:
         banner = _read_banner(process)
         assert b"over tcp" in banner and b"2 replicas" in banner
