@@ -7,13 +7,15 @@ is its own.  :meth:`SocketCommWorld.connect` rendezvouses the ranks
 (everyone reports its data listener to rank 0, which replies with the
 address map; the hellos are checked) and builds a full TCP mesh.
 
-Every message, a collective's included, is one ``mpi_msg`` frame
-``{tag, data}`` of the serving codec (:mod:`repro.serving.net.protocol`)
-in its binary array form, so factor rows cross the wire as raw
-little-endian blocks — bit-exact by construction; the one wire artefact
-is that tuples come back as lists.  A receiver thread per link files
-each frame under the rank at the other end of that link, so no frame
-can misstate its source, and TCP keeps each link in order.
+Every byte on a link is a frame of the serving codec
+(:mod:`repro.serving.net.protocol`) in its one payload form, the binary
+array payload: the ``mpi_hello`` frames of the handshake, and every
+message, a collective's included, as one ``mpi_msg`` frame ``{tag,
+data}``.  Factor rows cross the wire as raw little-endian blocks —
+bit-exact by construction; the one wire artefact is that tuples come
+back as lists.  A receiver thread per link files each frame under the
+rank at the other end of that link, so no frame can misstate its
+source, and TCP keeps each link in order.
 
 **Failure model.**  A dead or misbehaving link (peer exit, injected
 reset, stream corruption, a malformed envelope) marks the world failed
@@ -83,9 +85,9 @@ def free_port(host: str = "127.0.0.1") -> int:
 # framed link plumbing
 # ---------------------------------------------------------------------------
 
-def _send_frame(sock, frame: Frame, binary: bool = True) -> int:
+def _send_frame(sock, frame: Frame) -> int:
     """Encode and ship one frame; returns the wire byte count."""
-    data = encode_frame(frame, binary=binary)
+    data = encode_frame(frame)
     sock.sendall(data)
     return len(data)
 
@@ -258,8 +260,7 @@ class SocketCommWorld(CommWorld):
             for peer_rank in range(rank):
                 sock = cls._dial(addresses[peer_rank], deadline, injector)
                 peers[peer_rank] = _Peer(peer_rank, sock)
-                _send_frame(sock, Frame("mpi_hello", {"rank": rank}),
-                            binary=False)
+                _send_frame(sock, Frame("mpi_hello", {"rank": rank}))
             # Accept the higher ranks; the opening mpi_hello names the
             # dialling rank.
             while len(peers) < n_ranks - 1:
@@ -344,8 +345,7 @@ class SocketCommWorld(CommWorld):
                 reply = {"peers": {str(r): list(addr)
                                    for r, addr in addresses.items()}}
                 for conn in conns:
-                    _send_frame(conn, Frame("mpi_hello", reply),
-                                binary=False)
+                    _send_frame(conn, Frame("mpi_hello", reply))
             finally:
                 for conn in conns:
                     conn.close()
@@ -357,7 +357,7 @@ class SocketCommWorld(CommWorld):
         try:
             _send_frame(sock, Frame("mpi_hello", {
                 "rank": rank, "host": my_address[0], "port": my_address[1],
-            }), binary=False)
+            }))
             reply = _Peer(0, sock).read_frame(deadline)
         finally:
             sock.close()

@@ -314,7 +314,7 @@ class ShardedScorer:
 
     Parameters
     ----------
-    snapshots, mode, train, clip:
+    snapshots, mode, train:
         As for :class:`~repro.serving.service.PredictionService`; snapshot
         combination, offset handling and seen-item exclusion semantics are
         identical (the constructor literally derives the serving factors
@@ -335,13 +335,10 @@ class ShardedScorer:
     def __init__(self, snapshots: Union[SnapshotLike, Sequence[SnapshotLike]],
                  n_shards: int = 2, mode: str = "mean",
                  train: Optional[RatingMatrix] = None,
-                 clip: Optional[Tuple[float, float]] = None,
                  n_workers: Optional[int] = None):
         check_positive("n_shards", n_shards)
-        service = PredictionService(snapshots, mode=mode, train=train,
-                                    clip=clip)
+        service = PredictionService(snapshots, mode=mode, train=train)
         self.mode = mode
-        self.clip = clip
         self.n_shards = int(n_shards)
         self.n_items = service.n_items
         self.num_latent = service.num_latent
@@ -550,8 +547,6 @@ class ShardedScorer:
                  bool(exclude_seen)))
             self.n_queries += 1
             items, scores = merge_top_n(responses.values(), n)
-        if self.clip is not None:
-            scores = np.clip(scores, self.clip[0], self.clip[1])
         return Recommendation(user=user, items=items, scores=scores)
 
     def top_n_batch(self, users: Sequence[int], n: int = 10,
@@ -598,13 +593,8 @@ class ShardedScorer:
             merged = [merge_top_n([parts[position]
                                    for parts in per_worker], n)
                       for position in range(len(unique))]
-        results: Dict[int, Recommendation] = {}
-        for user, (items, scores) in zip(unique, merged):
-            if self.clip is not None:
-                scores = np.clip(scores, self.clip[0], self.clip[1])
-            results[user] = Recommendation(user=user, items=items,
-                                           scores=scores)
-        return results
+        return {user: Recommendation(user=user, items=items, scores=scores)
+                for user, (items, scores) in zip(unique, merged)}
 
     # -- point predictions -------------------------------------------------
 
@@ -651,8 +641,6 @@ class ShardedScorer:
             item_rows = self._gather_item_rows(items)
             user_rows = self._active.user_view()[users]
             scores = np.einsum("ij,ij->i", user_rows, item_rows) + self.offset
-        if self.clip is not None:
-            scores = np.clip(scores, self.clip[0], self.clip[1])
         return scores
 
     def predict(self, user: int, item: int) -> float:
@@ -758,7 +746,7 @@ class ShardedScorer:
         """
         snapshot = coerce_snapshot(source)
         staging = PredictionService(snapshot, mode=self.mode,
-                                    train=self._train, clip=self.clip)
+                                    train=self._train)
         if (staging.n_items, staging.num_latent) \
                 != (self.n_items, self.num_latent):
             raise ValidationError(

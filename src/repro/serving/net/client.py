@@ -6,11 +6,11 @@ the CLI that runs each call to completion on a private event loop, on
 the caller's thread (``loop.run_until_complete``, no extra thread).
 
 A connection is one :class:`asyncio.Protocol` per replica (module
-:func:`dial`).  Every request is sent in the binary payload form and
-id-tagged; ``data_received`` matches each decoded reply to its request
-by id, so any number of coroutines share the connection, replies may
-arrive in any order, and ``top_n_pipelined`` keeps up to
-``max_in_flight`` requests outstanding, each failing over on its own.
+:func:`dial`).  Every request is id-tagged; ``data_received`` matches
+each decoded reply to its request by id, so any number of coroutines
+share the connection, replies may arrive in any order, and
+``top_n_pipelined`` keeps up to ``max_in_flight`` requests outstanding,
+each failing over on its own.
 A request is written at once; its wait costs one loop timer, which
 fails the reply future when it fires (no ``asyncio.wait_for``, no
 task).  On a live cached connection an untraced request without a
@@ -272,7 +272,7 @@ class _AsyncConnection(asyncio.Protocol):
         self.pending[request_id] = future
         timer = loop.call_later(timeout, _expire, future)
         try:
-            self.send(encode_frame(frame, binary=True), span)
+            self.send(encode_frame(frame), span)
             reply = await future
         except BaseException:
             abandoned = self.pending.pop(request_id, None)
@@ -319,7 +319,7 @@ async def dial(host: str, port: int, fault_injector=None,
     _, connection = await loop.create_connection(protocol, host, port)
     hello = connection.pending[None] = loop.create_future()
     try:
-        connection.send(encode_frame(hello_frame(), binary=True), span)
+        connection.send(encode_frame(hello_frame()), span)
         reply = await hello
         if reply.is_error:
             raise NetError(
@@ -572,8 +572,8 @@ class AsyncServingClient:
     def _rating_payload(self, items, values) -> Dict[str, object]:
         self._write_count += 1
         return {
-            "items": [int(item) for item in np.asarray(items).ravel()],
-            "values": [float(value) for value in np.asarray(values).ravel()],
+            "items": np.array(items, dtype=np.int64).ravel(),
+            "values": np.array(values, dtype=np.float64).ravel(),
             "write_id": f"{self._write_prefix}-{self._write_count}"}
 
     # -- the serving surface ----------------------------------------------

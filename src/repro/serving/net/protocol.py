@@ -13,29 +13,23 @@ Wire format (all integers big-endian)::
     | 4 B   | 1 B     | 1 B  | 4 B            | length bytes    |
     +-------+---------+------+----------------+-----------------+
 
-Two payload forms share the header.  The plain form is UTF-8 JSON —
-deliberately msgpack-free so any language with ``struct`` and JSON can
-speak it.  Python's JSON round-trips IEEE doubles exactly (shortest-repr
-encode, exact decode), which is what lets the network tests pin
-*bit-identical* scores across the wire.
-
-**Binary array payloads.**  JSON turns a top-N reply into thousands of
-decimal-text bytes that both ends must format and re-parse — pure
-dispatch tax on the hot serving path.  When the high bit of the kind
-byte is set (``code | 0x80``) the payload is instead::
+There is one payload form, the binary array payload, and the kind byte
+says so with its high bit (``code | 0x80``)::
 
     u32 json_length | JSON part | array block ...
     array block := u8 dtype | u8 ndim | u32 dim[ndim] | raw C-order bytes
 
-where every :class:`numpy.ndarray` in the payload (at any nesting
-depth) is replaced in the JSON part by the marker mapping
-``{"__nd__": i}`` and shipped as the ``i``-th raw little-endian array
-block — item ids and score vectors cross the wire as straight
-``memcpy``s of the float64/int64 buffers the gateway computed, bit-exact
-by construction rather than by careful text formatting.  The flag is per
-frame and the decoder reads both forms: serving clients and servers,
-and the WAL coordinators' links between replicas, always send the
-binary form, while the MPI handshake hellos send JSON.
+Every :class:`numpy.ndarray` in the payload (at any nesting depth) is
+replaced in the JSON part by the marker mapping ``{"__nd__": i}`` and
+shipped as the ``i``-th raw little-endian array block: item ids, score
+vectors, factor blocks and logged ratings cross the wire as straight
+``memcpy``s of their float64/int64 buffers, bit-exact by construction.
+Everything else rides in the UTF-8 JSON part (msgpack-free, so any
+language with ``struct`` and JSON can speak it; Python's JSON
+round-trips IEEE doubles exactly).  Serving clients and servers, the WAL
+coordinators' links, the MPI ranks (hellos included) and the WAL segment
+records (:mod:`repro.serving.wal.log`) all use it; a kind byte without
+the flag is an unknown kind.
 
 ``Frame`` is also the in-process request/response object: the REPL's
 :func:`parse_line` produces request frames, :func:`execute` runs a frame
@@ -82,7 +76,7 @@ __all__ = [
 ]
 
 #: Bump on any wire-visible change; the handshake refuses mismatches.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Frames advertising a larger payload are rejected before buffering.
 MAX_PAYLOAD = 16 * 1024 * 1024
@@ -90,12 +84,12 @@ MAX_PAYLOAD = 16 * 1024 * 1024
 _MAGIC = b"RPRO"
 _HEADER = struct.Struct(">4sBBI")
 
-#: High bit of the kind byte: payload is the binary array form.
+#: High bit of the kind byte: the binary array payload.
 _BINARY_FLAG = 0x80
 
-#: kind name <-> wire code.  Requests sit below 16, responses above;
-#: every code stays below 0x80 so the binary flag never collides.
-_KIND_CODES = {
+#: kind name -> wire code (the binary flag included).  Requests sit
+#: below 16, responses above.
+_KIND_CODES = {kind: code | _BINARY_FLAG for kind, code in {
     "hello": 1,
     "top_n": 2,
     "top_n_batch": 3,
@@ -117,18 +111,15 @@ _KIND_CODES = {
     "mpi_msg": 15,
     "ok": 16,
     "error": 17,
-}
-#: wire code (binary flag included) -> (kind name, binary payload?).
-_CODE_KINDS = {code | flag: (kind, bool(flag))
-               for kind, code in _KIND_CODES.items()
-               for flag in (0, _BINARY_FLAG)}
+}.items()}
+_CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
 #: Request kinds that mutate gateway state.  When a server has a WAL
 #: coordinator attached these are routed through it (commit on the
 #: leader, forward on a follower) instead of the plain executor.
 MUTATION_KINDS = frozenset({"rate", "foldin"})
 
-#: Array dtypes the binary payload form can carry (code <-> wire dtype).
+#: Array dtypes the binary payload can carry (code <-> wire dtype).
 #: Explicit little-endian tags: raw bytes mean the same thing on every
 #: architecture, and ``astype`` is zero-copy on little-endian hosts.
 _DTYPE_CODES = {"<f8": 0, "<i8": 1, "<f4": 2, "<i4": 3}
@@ -180,7 +171,8 @@ def error_frame(message: str, code: Optional[str] = None,
 
 @dataclass
 class Frame:
-    """One protocol message: a kind tag plus a JSON-able payload."""
+    """One protocol message: a kind tag plus a payload dict (JSON values
+    and ndarrays)."""
 
     kind: str
     payload: Dict[str, object] = field(default_factory=dict)
@@ -191,10 +183,14 @@ class Frame:
         return self.kind == "error"
 
 
+class _ArrayFound(Exception):
+    """A nested ndarray: :func:`_json_part` takes the walk."""
+
+
 def _json_default(value):
-    """JSON fallback for numpy values in payloads (exact conversions)."""
+    """JSON fallback for numpy scalars in payloads (exact conversions)."""
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        raise _ArrayFound
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):
@@ -212,21 +208,6 @@ _JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
 
 #: JSON leaf types the array walks pass through without a call.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-class _ArrayFound(Exception):
-    """A nested ndarray: :func:`_json_part` takes the walk."""
-
-
-def _no_arrays_default(value):
-    if isinstance(value, np.ndarray):
-        raise _ArrayFound
-    return _json_default(value)
-
-
-#: :data:`_JSON` where the C encoder may meet no ndarray.
-_JSON_NO_ARRAYS = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
-                                   default=_no_arrays_default)
 
 
 def _extract_arrays(value, arrays: List[np.ndarray]):
@@ -278,8 +259,9 @@ def _restore_arrays(value, arrays: List[np.ndarray]):
 
 def _json_part(payload: Dict[str, object], arrays: List[np.ndarray]) -> str:
     """``_JSON.encode(_extract_arrays(payload, arrays))``, byte for byte,
-    walking only what holds an ndarray: one loop over the top level (a
-    list of arrays, an MPI block, is walked), then the C encoder, which
+    walking only what may hold an ndarray: one loop over the top level
+    (a list holding more than JSON scalars is walked: an MPI block, a
+    WAL shipment's records, batch results), then the C encoder, which
     falls back to the walk at a deeper ndarray or a reserved key."""
     substituted = {}
     for key, value in payload.items():
@@ -287,11 +269,12 @@ def _json_part(payload: Dict[str, object], arrays: List[np.ndarray]) -> str:
         if kind is np.ndarray:
             arrays.append(value)
             value = {_ARRAY_MARKER: len(arrays) - 1}
-        elif kind in (list, tuple) and np.ndarray in map(type, value):
+        elif kind in (list, tuple) \
+                and not _SCALARS.issuperset(map(type, value)):
             value = _extract_arrays(value, arrays)
         substituted[key] = value
     try:
-        json_part = _JSON_NO_ARRAYS.encode(substituted)
+        json_part = _JSON.encode(substituted)
         if json_part.count('"__nd__":') == len(arrays):
             return json_part
     except _ArrayFound:
@@ -384,22 +367,19 @@ def _decode_binary_payload(body: bytes) -> Dict[str, object]:
         raise ProtocolError(f"malformed binary payload: {error}") from error
 
 
-def encode_frame(frame: Frame, binary: bool = False) -> bytes:
-    """Serialize one frame to wire bytes.
+def encode_frame(frame: Frame, binary: bool = True) -> bytes:
+    """Serialize one frame to wire bytes, in the binary array payload.
 
-    With ``binary=True`` ndarray payload values ship as raw
-    little-endian array blocks and the kind byte carries the binary
-    flag; without it they are converted to JSON lists (exact for
-    float64/int64: Python's JSON round-trips IEEE doubles).
+    ``binary=True`` is the only value: the keyword stays because
+    perfbench's ``serve_mixed`` codec replay passes it by name.
     """
+    if binary is not True:
+        raise ValueError(
+            f"binary={binary!r}: the binary array payload is the only form")
     code = _KIND_CODES.get(frame.kind)
     if code is None:
         raise ProtocolError(f"unknown frame kind {frame.kind!r}")
-    if binary:
-        body = _encode_binary_payload(frame.payload)
-        code |= _BINARY_FLAG
-    else:
-        body = _JSON.encode(frame.payload).encode("utf8")
+    body = _encode_binary_payload(frame.payload)
     if len(body) > MAX_PAYLOAD:
         raise ProtocolError(
             f"payload of {len(body)} bytes exceeds the {MAX_PAYLOAD}-byte "
@@ -446,27 +426,16 @@ class FrameDecoder:
             raise ProtocolError(
                 f"frame advertises a {length}-byte payload, over the "
                 f"{MAX_PAYLOAD}-byte limit")
-        entry = _CODE_KINDS.get(code)
-        if entry is None:
+        kind = _CODE_KINDS.get(code)
+        if kind is None:
             raise ProtocolError(f"unknown frame kind code {code}")
-        kind, binary = entry
         end = _HEADER.size + length
         if len(self._buffer) < end:
             return None
         body = bytes(self._buffer[_HEADER.size:end])
         del self._buffer[:end]
-        if binary:
-            payload = _decode_binary_payload(body)
-            return Frame(kind=kind, payload=payload, version=version)
-        try:
-            payload = json.loads(body.decode("utf8")) if length else {}
-        except (ValueError, RecursionError) as error:  # see binary form
-            raise ProtocolError(f"malformed frame payload: {error}") from error
-        if not isinstance(payload, dict):
-            raise ProtocolError(
-                f"frame payload must be a JSON object, got "
-                f"{type(payload).__name__}")
-        return Frame(kind=kind, payload=payload, version=version)
+        return Frame(kind=kind, payload=_decode_binary_payload(body),
+                     version=version)
 
 
 # ---------------------------------------------------------------------------
@@ -565,27 +534,25 @@ def format_reply(request: Frame, response: Frame) -> str:
 # ---------------------------------------------------------------------------
 
 def recommendation_payload(recommendation,
-                           arrays: bool = False) -> Dict[str, object]:
+                           arrays: bool = True) -> Dict[str, object]:
     """One recommendation as a payload dict.
 
-    With ``arrays=True`` the item-id and score vectors stay the gateway's
-    own int64/float64 buffers — the response-buffer path: the frame
-    encoder memcpys them straight onto the wire (binary) or converts
-    exactly (JSON), with no per-element Python round-trip in between.
+    The item-id and score vectors stay the gateway's own int64/float64
+    buffers, which the frame encoder memcpys straight onto the wire.
+    ``arrays=True`` is the only value: the keyword stays because
+    perfbench's ``serve_mixed`` codec replay passes it by name.
     """
-    if arrays:
-        return {"user": int(recommendation.user),
-                "items": np.ascontiguousarray(recommendation.items,
-                                              dtype=np.int64),
-                "scores": np.ascontiguousarray(recommendation.scores,
-                                               dtype=np.float64)}
+    if arrays is not True:
+        raise ValueError(
+            f"arrays={arrays!r}: recommendation payloads are arrays")
     return {"user": int(recommendation.user),
-            "items": [int(item) for item in recommendation.items],
-            "scores": [float(score) for score in recommendation.scores]}
+            "items": np.ascontiguousarray(recommendation.items,
+                                          dtype=np.int64),
+            "scores": np.ascontiguousarray(recommendation.scores,
+                                           dtype=np.float64)}
 
 
-def execute(service, request: Frame,
-            extra_health=None, arrays: bool = False) -> Frame:
+def execute(service, request: Frame, extra_health=None) -> Frame:
     """Run one request frame against a gateway; returns the response frame.
 
     ``service`` is anything with the :class:`PredictionService` serving
@@ -594,10 +561,8 @@ def execute(service, request: Frame,
     ``error`` frames; only programming errors propagate.  ``extra_health``
     optionally supplies server-side blocks merged into ``health``
     replies (the TCP server passes its ``server``/``fusion``/``wal``
-    counters).
-    ``arrays=True`` keeps score/item vectors as ndarray response buffers
-    (see :func:`recommendation_payload`) — the TCP server always passes
-    it; the REPL keeps plain lists.
+    counters).  Score and item vectors come back as ndarray response
+    buffers (see :func:`recommendation_payload`).
     """
     from repro.serving.cluster import ClusterError
     from repro.utils.validation import ValidationError
@@ -608,15 +573,14 @@ def execute(service, request: Frame,
             recommendation = service.top_n(
                 int(payload["user"]), n=int(payload.get("n", 10)),
                 exclude_seen=bool(payload.get("exclude_seen", True)))
-            return Frame("ok", recommendation_payload(recommendation,
-                                                      arrays=arrays))
+            return Frame("ok", recommendation_payload(recommendation))
         if kind == "top_n_batch":
             results = service.top_n_batch(
                 [int(user) for user in payload["users"]],
                 n=int(payload.get("n", 10)),
                 exclude_seen=bool(payload.get("exclude_seen", True)))
             return Frame("ok", {"results": [
-                recommendation_payload(results[int(user)], arrays=arrays)
+                recommendation_payload(results[int(user)])
                 for user in dict.fromkeys(
                     int(user) for user in payload["users"])]})
         if kind == "predict":
@@ -627,11 +591,8 @@ def execute(service, request: Frame,
             scores = service.predict_batch(
                 np.asarray(payload["users"], dtype=np.int64),
                 np.asarray(payload["items"], dtype=np.int64))
-            if arrays:
-                return Frame("ok", {"scores": np.ascontiguousarray(
-                    scores, dtype=np.float64)})
-            return Frame("ok", {"scores": [float(score)
-                                           for score in scores]})
+            return Frame("ok", {"scores": np.ascontiguousarray(
+                scores, dtype=np.float64)})
         if kind == "foldin":
             user = service.fold_in(
                 np.asarray(payload["items"], dtype=np.int64),

@@ -7,7 +7,7 @@
 * **One Protocol per connection** — each connection is an
   :class:`asyncio.Protocol` (:class:`_Connection`), callbacks and no
   task: ``data_received`` feeds the :class:`FrameDecoder` and replies go
-  straight to ``transport.write``, always in the binary array form.  A
+  straight to ``transport.write`` (the codec has one payload form).  A
   connection opens with a version handshake; a framing violation drops
   only that connection.  While a client leaves replies unread past the
   write buffer's high-water mark (``pause_writing``), its connection
@@ -195,7 +195,7 @@ class _Connection(asyncio.Protocol):
                 self.server.n_error_replies += 1
             # One write per frame: replies interleave whole, never inside
             # one another.
-            self.transport.write(encode_frame(frame, binary=True))
+            self.transport.write(encode_frame(frame))
 
     def end(self) -> None:
         """Read no more; close once every admitted request is answered."""
@@ -677,12 +677,10 @@ class NetServer:
         start = time.perf_counter()
         try:
             if admit is None:
-                return execute(self.service, frame, self._health_extra,
-                               True)
+                return execute(self.service, frame, self._health_extra)
             with self.tracer.start("server.execute", parent=admit,
                                    attrs={"kind": frame.kind}):
-                return execute(self.service, frame, self._health_extra,
-                               True)
+                return execute(self.service, frame, self._health_extra)
         finally:
             self._execute_ms.observe(
                 (time.perf_counter() - start) * 1000.0)
@@ -716,8 +714,7 @@ class NetServer:
     def _fused(self, connection: _Connection, frame: Frame, admit,
                recommendation, error: Optional[BaseException]) -> None:
         if error is None:
-            response = Frame("ok", recommendation_payload(recommendation,
-                                                          arrays=True))
+            response = Frame("ok", recommendation_payload(recommendation))
         elif isinstance(error, DeadlineExpired):
             self.n_deadline_shed += 1
             response = error_frame(str(error), code=ERROR_DEADLINE,

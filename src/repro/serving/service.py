@@ -5,7 +5,7 @@ more snapshots (averaging multiple chains when given several), precomputes
 a C-contiguous item-factor block for fast ranked retrieval, and answers
 
 * ``predict(user, item)`` / ``predict_batch`` — rating predictions with
-  the training offset restored and optional clipping;
+  the training offset restored;
 * ``top_n(user)`` — ranked recommendations, identical (same selection and
   tie-breaking) to :func:`repro.core.recommend.recommend_for_user` on the
   equivalent in-memory state;
@@ -79,8 +79,6 @@ class PredictionService:
     train:
         Optional training rating matrix; when provided, ``top_n`` excludes
         items the user already rated (the standard serving rule).
-    clip:
-        Optional ``(low, high)`` rating range applied to served scores.
     cache_size:
         Maximum number of per-user score vectors kept in the LRU cache.
     """
@@ -91,7 +89,6 @@ class PredictionService:
 
     def __init__(self, snapshots: Union[SnapshotLike, Sequence[SnapshotLike]],
                  mode: str = "mean", train: Optional[RatingMatrix] = None,
-                 clip: Optional[Tuple[float, float]] = None,
                  cache_size: int = 256):
         check_in("mode", mode, ("mean", "last"))
         check_positive("cache_size", cache_size)
@@ -100,8 +97,6 @@ class PredictionService:
         loaded = [coerce_snapshot(source) for source in snapshots]
         if not loaded:
             raise ValidationError("at least one snapshot is required")
-        if clip is not None and clip[0] > clip[1]:
-            raise ValidationError(f"invalid clip range {clip}")
 
         shapes = {(snap.state.n_users, snap.state.n_movies, snap.state.num_latent)
                   for snap in loaded}
@@ -116,7 +111,6 @@ class PredictionService:
         user_factors, item_factors = self._combine(loaded, mode)
         self.mode = mode
         self.offset = float(loaded[0].offset)
-        self.clip = clip
         # C-contiguous blocks: top_n is one GEMV against the item block.
         # The user block lives in a geometrically grown buffer so fold-in
         # registration is amortized O(K), not O(n_users) per request;
@@ -213,8 +207,6 @@ class PredictionService:
         self._check_items(items)
         scores = np.einsum("ij,ij->i", self._user_factors[users],
                            self._item_factors[items]) + self.offset
-        if self.clip is not None:
-            scores = np.clip(scores, self.clip[0], self.clip[1])
         return scores
 
     def predict(self, user: int, item: int) -> float:
@@ -271,10 +263,7 @@ class PredictionService:
             scores = self._user_scores(user)
             items = select_top_n(scores, n)
             order = items
-        selected = scores[order]
-        if self.clip is not None:
-            selected = np.clip(selected, self.clip[0], self.clip[1])
-        return Recommendation(user=user, items=items, scores=selected)
+        return Recommendation(user=user, items=items, scores=scores[order])
 
     def top_n_batch(self, users: Sequence[int], n: int = 10,
                     exclude_seen: bool = True) -> Dict[int, Recommendation]:

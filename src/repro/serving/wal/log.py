@@ -17,17 +17,20 @@ monotonic sequence number.  The design goals, in order:
   acknowledged is lost.  A broken record *followed by valid data* — or
   any damage in a non-final segment — cannot be explained by a torn
   append and raises :class:`WalCorruptionError` instead of silently
-  dropping acked writes.
-* **Replay is exact.**  Record payloads are JSON (Python's JSON
-  round-trips IEEE doubles exactly), so replaying a record applies
+  dropping acked writes.  So does a record whose CRC checks but whose
+  body does not decode, wherever it sits: a torn append cannot write
+  a valid CRC.
+* **Replay is exact.**  A record body is the frame codec's binary array
+  payload (:mod:`repro.serving.net.protocol`): rating items and values
+  are raw int64 / float64 blocks, so replaying a record applies
   bit-identical floats to what the leader applied live.
 
 Wire format of one record (integers big-endian)::
 
-    +----------+---------+---------+------------------+
-    | length   | crc32   | seqno   | payload          |
-    | u32      | u32     | u64     | length bytes     |
-    +----------+---------+---------+------------------+
+    +----------+---------+---------+------------------------+
+    | length   | crc32   | seqno   | binary payload         |
+    | u32      | u32     | u64     | length bytes           |
+    +----------+---------+---------+------------------------+
 
 ``crc32`` covers the seqno bytes plus the payload, so a record that was
 relocated or half-written never validates.  Segments are named by the
@@ -44,7 +47,6 @@ gone.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import struct
@@ -55,6 +57,11 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
 from repro.obs.trace import maybe_span
+from repro.serving.net.protocol import (
+    ProtocolError,
+    _decode_binary_payload,
+    _encode_binary_payload,
+)
 
 __all__ = ["WalRecord", "WriteAheadLog", "WalError", "WalCorruptionError",
            "WalWriteError"]
@@ -74,7 +81,8 @@ class WalError(RuntimeError):
 class WalCorruptionError(WalError):
     """Damage recovery must not repair silently: a broken record in the
     *interior* of the log (valid data follows it), where truncating
-    would drop acknowledged writes."""
+    would drop acknowledged writes, or a CRC-valid record whose body
+    does not decode."""
 
 
 class WalWriteError(WalError):
@@ -92,15 +100,15 @@ class WalWriteError(WalError):
 
 @dataclass(frozen=True)
 class WalRecord:
-    """One logged mutation: its sequence number and JSON-able payload."""
+    """One logged mutation: its sequence number and payload (JSON values
+    and ndarrays, as the record codec decodes them)."""
 
     seqno: int
     payload: Dict[str, object]
 
 
 def _encode_record(seqno: int, payload: Dict[str, object]) -> bytes:
-    body = json.dumps(payload, separators=(",", ":"),
-                      sort_keys=True).encode("utf8")
+    body = _encode_binary_payload(payload)
     if len(body) > MAX_RECORD_PAYLOAD:
         raise WalError(
             f"record payload of {len(body)} bytes exceeds the "
@@ -200,7 +208,14 @@ class WriteAheadLog:
                     f"expected {expected}: a segment is missing")
             offset = 0
             while offset < len(raw):
-                record, end = self._parse_record(raw, offset, expected)
+                try:
+                    record, end = self._parse_record(raw, offset, expected)
+                except ProtocolError as error:
+                    raise WalCorruptionError(
+                        f"record {expected} at offset {offset} of "
+                        f"{path.name} passes its CRC but does not decode "
+                        f"({error}): a torn append cannot produce it"
+                    ) from error
                 if record is None:
                     # Broken record: a torn tail only if nothing but this
                     # damage stands between us and the end of the log.
@@ -252,7 +267,9 @@ class WriteAheadLog:
     @staticmethod
     def _parse_record(raw: bytes, offset: int,
                       expected_seqno: int) -> tuple:
-        """``(record, end_offset)`` or ``(None, offset)`` when broken."""
+        """``(record, end_offset)``, or ``(None, offset)`` when broken;
+        :class:`ProtocolError` when the record is whole but its body
+        does not decode."""
         if offset + _RECORD_HEADER.size > len(raw):
             return None, offset
         length, crc, seqno = _RECORD_HEADER.unpack_from(raw, offset)
@@ -264,16 +281,8 @@ class WriteAheadLog:
             return None, offset
         if seqno != expected_seqno:
             return None, offset
-        try:
-            payload = json.loads(body.decode("utf8"))
-        except (ValueError, RecursionError):
-            # Undecodable UTF-8 / JSON (both ValueErrors), an integer
-            # past the int-parsing digit limit, or nesting deeper than
-            # the parser's recursion limit: a broken record either way.
-            return None, offset
-        if not isinstance(payload, dict):
-            return None, offset
-        return WalRecord(seqno=seqno, payload=payload), end
+        return WalRecord(seqno=seqno,
+                         payload=_decode_binary_payload(body)), end
 
     # -- appending ---------------------------------------------------------
 
@@ -350,8 +359,8 @@ class WriteAheadLog:
         encoded = _encode_record(seqno, payload)
         # The in-memory copy is exactly what recovery reads back: the
         # logged body, decoded.
-        record = WalRecord(seqno=seqno, payload=json.loads(
-            encoded[_RECORD_HEADER.size:].decode("utf8")))
+        record = WalRecord(seqno=seqno, payload=_decode_binary_payload(
+            encoded[_RECORD_HEADER.size:]))
         fault = self._injected_append_fault()
         if fault == "enospc":
             self.n_injected_faults += 1

@@ -13,7 +13,11 @@ catch-up overlap, duplicated batches) becomes exactly-once application:
   missing history and must catch up before applying (the follower side
   of the shipper does exactly that).
 
-Replay is deterministic because the gateways are: ``fold_in`` assigns
+A record payload (:func:`mutation_record_payload`) carries the
+mutation's items and values as int64 / float64 arrays, which the log
+stores as raw blocks, so a replayed record hands the gateway the very
+numbers the leader applied live.  Replay is deterministic because the
+gateways are: ``fold_in`` assigns
 ``service.n_users`` as the new id and ``add_ratings`` is a fixed
 sequence of float operations, so two replicas applying the same record
 sequence from the same snapshot produce bit-identical factor rows.  The
@@ -85,16 +89,16 @@ def mutation_record_payload(service, kind: str,
                             ) -> Dict[str, object]:
     """The log-record payload for one validated mutation request.
 
-    Values go in as plain Python floats/ints (JSON round-trips IEEE
-    doubles exactly, so replay applies bit-identical numbers).  For
-    ``foldin`` the id the gateway *will* assign — ``service.n_users`` at
-    this point in the mutation order — is recorded so every replay can
-    verify it assigns the same one.
+    Items and values go in as int64 / float64 arrays, which the record
+    codec stores as raw blocks, so replay applies bit-identical numbers.
+    For ``foldin`` the id the gateway *will* assign — ``service.n_users``
+    at this point in the mutation order — is recorded so every replay
+    can verify it assigns the same one.
     """
-    items = [int(item) for item in np.asarray(payload["items"]).ravel()]
-    values = [float(value) for value in np.asarray(payload["values"]).ravel()]
-    record: Dict[str, object] = {"kind": kind, "items": items,
-                                 "values": values}
+    record: Dict[str, object] = {
+        "kind": kind,
+        "items": np.asarray(payload["items"], dtype=np.int64).ravel(),
+        "values": np.asarray(payload["values"], dtype=np.float64).ravel()}
     if kind == "rate":
         record["user"] = int(payload["user"])
     else:

@@ -36,8 +36,8 @@ dedup check to the ack, so they serialize and seqno order is apply
 order; reads, catch-up requests and stats run between a commit's awaits.
 Coordinator traffic — shipments, forwards, catch-up pulls — rides one
 asyncio connection per peer: the serving client's connection
-(:func:`~repro.serving.net.client.dial`), binary frames with replies
-matched by id.  Nothing waits on another replica while holding what
+(:func:`~repro.serving.net.client.dial`), frames with replies matched
+by id.  Nothing waits on another replica while holding what
 that replica needs: a follower forwarding a write stays free to apply
 the shipment the forward triggers, and the leader serves catch-up
 without the commit lock, so a follower can close a gap mid-commit.
@@ -128,10 +128,9 @@ class _Link:
     """One asyncio connection to a peer replica for coordinator traffic.
 
     The serving client's connection (:func:`~repro.serving.net.client.
-    dial`): binary frames — log records are JSON scalars, which the
-    binary form's JSON part carries exactly, so replicated values stay
-    bit-identical — and requests tagged with ids and matched to their
-    replies, so concurrent requests share it.  Dialled on demand, and
+    dial`): a record's rating arrays cross it as raw array blocks, so
+    replicated values stay bit-identical, and requests are tagged with
+    ids and matched to their replies, so concurrent requests share it.  Dialled on demand, and
     again once the peer has closed it.
     """
 

@@ -5,7 +5,7 @@ schedule.  ``FaultPlan.generate(seed)`` must be a pure function of its
 arguments, and a ``FaultInjector`` fed the same plan and the same call
 sequence must trigger the identical fault log — that is what lets a CI
 chaos failure be replayed exactly.  Both halves are pinned here with
-hypothesis properties.
+hypothesis properties, and the CI drill's three schedules by digest.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.serving import drills
 from repro.serving.chaos import (
     FLEET_ACTIONS,
     SITE_ACTIONS,
@@ -66,6 +67,26 @@ def test_seed_changes_the_schedule():
     digests = {FaultPlan.generate(seed, n_replicas=2).digest()
                for seed in range(20)}
     assert len(digests) == 20  # astronomically unlikely to collide
+
+
+#: ``plan_digest`` of the CI chaos drill (``python -m repro.serving
+#: chaos-smoke --seed N``) for seeds 1, 2 and 3: moving one means the
+#: drill schedule constants or the planner changed.
+CI_PLAN_DIGESTS = {
+    1: "75459f189d04591615cd2b6a36f00936e59177808e23a178cd2458b15dc5d40c",
+    2: "db948a0de8b92e71551a9313f7e7a136c198be0ef1dd27def0274029328b3a69",
+    3: "77e576c03cda97a65b1e54672ba4db00c1cd54c038952e1cea34642c1c3bd2c7",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CI_PLAN_DIGESTS))
+def test_ci_chaos_schedules_are_pinned(seed):
+    plan = FaultPlan.generate(
+        seed=seed, n_events=drills.CHAOS_FAULTS,
+        horizon=drills.CHAOS_HORIZON, n_replicas=drills.CHAOS_REPLICAS,
+        n_fleet_events=drills.CHAOS_FLEET_EVENTS,
+        fleet_span=drills.CHAOS_FLEET_SPAN)
+    assert plan.digest() == CI_PLAN_DIGESTS[seed]
 
 
 def test_site_restriction_is_honoured():

@@ -217,7 +217,7 @@ class TestVerbs:
         worlds = start_local_world(2, op_timeout=30.0)
         try:
             worlds[1]._peers[0].sock.sendall(encode_frame(
-                Frame("mpi_msg", {"data": None}), binary=True))
+                Frame("mpi_msg", {"data": None})))
             with pytest.raises(MpiTransportError, match="'tag'"):
                 worlds[0].comm().recv(source=1, tag=1)
             receiver = worlds[0]._threads[0]
@@ -235,8 +235,7 @@ class TestVerbs:
         try:
             worlds[1]._peers[0].sock.sendall(encode_frame(
                 Frame("mpi_msg", {"src": 2, "dst": 0, "tag": 7, "seq": 0,
-                                  "epoch": 0, "data": "via-link-1"}),
-                binary=True))
+                                  "epoch": 0, "data": "via-link-1"})))
             assert worlds[0].comm().recv(source=1, tag=7) == "via-link-1"
             assert worlds[0].pending_messages() == 0
         finally:

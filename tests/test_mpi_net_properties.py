@@ -217,10 +217,9 @@ def test_any_envelope_dispatches_or_fails_the_link(envelope):
     ours, theirs = socket.socketpair()
     world = SocketCommWorld(0, 2, {1: _Peer(1, ours)}, op_timeout=10.0)
     try:
-        theirs.sendall(encode_frame(Frame(kind, payload), binary=True)
+        theirs.sendall(encode_frame(Frame(kind, payload))
                        + encode_frame(Frame("mpi_msg", {
-                           "tag": _SENTINEL_TAG, "data": "sentinel"}),
-                           binary=True))
+                           "tag": _SENTINEL_TAG, "data": "sentinel"})))
         comm = world.comm()
         try:
             comm.recv(source=1, tag=_SENTINEL_TAG)

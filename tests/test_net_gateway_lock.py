@@ -200,7 +200,7 @@ def test_inline_window_that_raises_is_partitioned_inline(snapshot,
 
 
 class _RawConnection:
-    """One hand-driven protocol connection (JSON requests, binary replies)."""
+    """One hand-driven protocol connection."""
 
     def __init__(self, address):
         self.sock = socket.create_connection(address, timeout=10.0)

@@ -2,8 +2,9 @@
 
 The codec is the single parser for both transports, so these tests pin
 (1) exact round-trips for every message kind under arbitrary chunking,
-(2) loud rejection of truncated/oversized/garbage frames, (3) the
-protocol-version handshake refusal, and (4) a golden REPL transcript:
+(2) loud rejection of truncated/oversized/garbage frames, and of any
+frame outside the one payload form, (3) the protocol-version handshake
+refusal, and (4) a golden REPL transcript:
 the refactored ``serve`` loop (parse_line → execute → format_reply) must
 reproduce the historical ad-hoc loop's output bit-for-bit.
 """
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.recommend import Recommendation
 from repro.serving.__main__ import main
 from repro.serving.net.protocol import (
     MAX_PAYLOAD,
@@ -32,6 +34,7 @@ from repro.serving.net.protocol import (
     format_reply,
     hello_frame,
     parse_line,
+    recommendation_payload,
 )
 from repro.serving.net.protocol import (
     _BINARY_FLAG,
@@ -53,17 +56,10 @@ ALL_KINDS = sorted(_KIND_CODES)
 _json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(min_value=-2**53, max_value=2**53),
     st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=20))
-_json_values = st.recursive(
-    _json_scalars,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.dictionaries(st.text(max_size=8), children, max_size=4)),
-    max_leaves=12)
-_payloads = st.dictionaries(st.text(max_size=12), _json_values, max_size=6)
 
-# The binary encoder rejects the reserved "__nd__" marker key at *any*
-# nesting depth (documented contract), so payloads destined for
-# binary=True must exclude it everywhere, not just at the top level.
+# The encoder rejects the reserved "__nd__" marker key at *any* nesting
+# depth (documented contract), so payloads must exclude it everywhere,
+# not just at the top level.
 _marker_free_keys = st.text(max_size=8).filter(lambda key: key != "__nd__")
 _marker_free_values = st.recursive(
     _json_scalars,
@@ -81,7 +77,7 @@ _marker_free_payloads = st.dictionaries(
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from(ALL_KINDS), payload=_payloads,
+@given(kind=st.sampled_from(ALL_KINDS), payload=_marker_free_payloads,
        cut=st.integers(min_value=0, max_value=10_000))
 def test_round_trip_survives_arbitrary_chunking(kind, payload, cut):
     """encode → split at any byte → decode reproduces the frame exactly."""
@@ -98,7 +94,8 @@ def test_round_trip_survives_arbitrary_chunking(kind, payload, cut):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(ALL_KINDS), _payloads),
+@given(st.lists(st.tuples(st.sampled_from(ALL_KINDS),
+                          _marker_free_payloads),
                 min_size=1, max_size=5),
        st.integers(min_value=1, max_value=7))
 def test_pipelined_frames_decode_in_order(messages, chunk):
@@ -113,7 +110,7 @@ def test_pipelined_frames_decode_in_order(messages, chunk):
 
 
 def test_scores_round_trip_bit_exactly():
-    """JSON payloads preserve IEEE doubles exactly — the parity backbone."""
+    """The JSON part preserves IEEE doubles exactly — the parity backbone."""
     scores = np.random.default_rng(3).standard_normal(64)
     scores[0] = 1e-308  # subnormal-adjacent
     scores[1] = np.nextafter(1.0, 2.0)
@@ -158,7 +155,7 @@ def test_binary_round_trip_is_bit_exact(kind, arrays, scalars, cut):
     payload = dict(scalars)
     for index, array in enumerate(arrays):
         payload[f"array_{index}"] = array
-    wire = encode_frame(Frame(kind, payload), binary=True)
+    wire = encode_frame(Frame(kind, payload))
     decoder = FrameDecoder()
     first = wire[:cut % (len(wire) + 1)]
     frames = decoder.feed(first) + decoder.feed(wire[len(first):])
@@ -181,8 +178,6 @@ def test_binary_round_trip_is_bit_exact(kind, arrays, scalars, cut):
 # ---------------------------------------------------------------------------
 
 def _reference_default(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):
@@ -202,30 +197,24 @@ def _reference_extract(value, arrays):
     return value
 
 
-def _reference_encode(frame: Frame, binary: bool) -> bytes:
+def _reference_encode(frame: Frame) -> bytes:
     """The encoder the wire format was defined by: a fresh ``json.dumps``
     per frame and per-array dtype/shape formatting.  The codec must stay
     byte-identical to it."""
-    code = _KIND_CODES[frame.kind]
-    if not binary:
-        body = json.dumps(frame.payload, separators=(",", ":"),
-                          sort_keys=True, default=_reference_default
-                          ).encode("utf8")
-    else:
-        code |= _BINARY_FLAG
-        arrays = []
-        json_part = json.dumps(_reference_extract(frame.payload, arrays),
-                               separators=(",", ":"), sort_keys=True,
-                               default=_reference_default).encode("utf8")
-        blocks = [struct.pack(">I", len(json_part)), json_part]
-        for array in arrays:
-            tag = array.dtype.newbyteorder("<").str
-            wire = np.ascontiguousarray(array).astype(tag, copy=False)
-            blocks.append(struct.pack(">BB", {"<f8": 0, "<i8": 1, "<f4": 2,
-                                              "<i4": 3}[tag], wire.ndim))
-            blocks.append(struct.pack(f">{wire.ndim}I", *wire.shape))
-            blocks.append(wire.tobytes())
-        body = b"".join(blocks)
+    arrays = []
+    json_part = json.dumps(_reference_extract(frame.payload, arrays),
+                           separators=(",", ":"), sort_keys=True,
+                           default=_reference_default).encode("utf8")
+    blocks = [struct.pack(">I", len(json_part)), json_part]
+    for array in arrays:
+        tag = array.dtype.newbyteorder("<").str
+        wire = np.ascontiguousarray(array).astype(tag, copy=False)
+        blocks.append(struct.pack(">BB", {"<f8": 0, "<i8": 1, "<f4": 2,
+                                          "<i4": 3}[tag], wire.ndim))
+        blocks.append(struct.pack(f">{wire.ndim}I", *wire.shape))
+        blocks.append(wire.tobytes())
+    body = b"".join(blocks)
+    code = _KIND_CODES[frame.kind] | _BINARY_FLAG
     return _HEADER.pack(_MAGIC, frame.version, code, len(body)) + body
 
 
@@ -259,23 +248,29 @@ _wire_values = st.recursive(
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(ALL_KINDS), binary=st.booleans(),
+@given(kind=st.sampled_from(ALL_KINDS),
        payload=st.dictionaries(_marker_free_keys, _wire_values, max_size=5))
-def test_encoder_is_byte_identical_to_the_reference(kind, binary, payload):
+def test_encoder_is_byte_identical_to_the_reference(kind, payload):
     frame = Frame(kind, payload)
-    assert encode_frame(frame, binary=binary) == \
-        _reference_encode(frame, binary)
+    assert encode_frame(frame) == _reference_encode(frame)
 
 
 #: A one-record WAL shipment: nested, and no array anywhere.
 _SHIPMENT = {"records": [{"seqno": 7, "payload": {
     "kind": "rate", "user": 3, "items": [4, 9], "values": [3.5, 1.0],
     "write_id": "a1-2"}}], "leader_hwm": 7, "leader_instance": "9f3c"}
+#: The same shipment as the leader sends it: the record's ratings are
+#: arrays, nested two levels down.
+_ARRAY_SHIPMENT = {"records": [{"seqno": 7, "payload": {
+    "kind": "rate", "user": 3, "items": np.array([4, 9]),
+    "values": np.array([3.5, 1.0]), "write_id": "a1-2"}}],
+    "leader_hwm": 7, "leader_instance": "9f3c"}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(payload=st.dictionaries(_marker_free_keys, _wire_values, max_size=5))
 @example(payload=_SHIPMENT)
+@example(payload=_ARRAY_SHIPMENT)
 @example(payload={"user": 7, "items": np.arange(3), "id": 1})
 def test_codec_fast_paths_match_the_general_walk(payload):
     """Flat payloads substituted in one loop, nested ones without arrays
@@ -333,8 +328,8 @@ def test_a_top_level_array_marker_is_refused(with_array):
                                + blocks)
 
 
-#: A fixed request and its binary reply, hex-recorded before the codec
-#: was reworked: the wire bytes may not move.  (The fifth byte is the
+#: A fixed request and its reply, hex-recorded before the codec was
+#: reworked: the wire bytes may not move.  (The fifth byte is the
 #: protocol version.)
 _PINNED_REQUEST = Frame("top_n", {"user": 7, "n": 10, "exclude_seen": True,
                                   "id": 3, "deadline_ms": 250.5})
@@ -347,16 +342,12 @@ _PINNED_REPLY = Frame("ok", {
 
 
 def test_pinned_frames_keep_their_bytes():
-    assert encode_frame(_PINNED_REQUEST, binary=True).hex() == (
-        "5250524f038200000044000000407b22646561646c696e655f6d73223a3235302e"
+    assert encode_frame(_PINNED_REQUEST).hex() == (
+        "5250524f048200000044000000407b22646561646c696e655f6d73223a3235302e"
         "352c226578636c7564655f7365656e223a747275652c226964223a332c226e223a"
         "31302c2275736572223a377d")
-    assert encode_frame(_PINNED_REQUEST).hex() == (
-        "5250524f0302000000407b22646561646c696e655f6d73223a3235302e352c2265"
-        "78636c7564655f7365656e223a747275652c226964223a332c226e223a31302c22"
-        "75736572223a377d")
-    assert encode_frame(_PINNED_REPLY, binary=True).hex() == (
-        "5250524f0390000000ec0000003c7b226964223a332c226974656d73223a7b225f"
+    assert encode_frame(_PINNED_REPLY).hex() == (
+        "5250524f0490000000ec0000003c7b226964223a332c226974656d73223a7b225f"
         "5f6e645f5f223a307d2c2273636f726573223a7b225f5f6e645f5f223a317d2c22"
         "75736572223a377d01010000000a03000000000000008d00000000000000"
         "3b000000000000005d0a0000000000004d020000000000004f0000000000"
@@ -366,22 +357,34 @@ def test_pinned_frames_keep_their_bytes():
         "000000440000000000000f23f000000000000e0bffca9f1d24d6250bf")
 
 
-def test_binary_and_json_frames_share_one_stream():
-    """The binary flag is per frame: both forms interleave on one socket."""
-    scores = np.random.default_rng(0).standard_normal(8)
-    wire = (encode_frame(Frame("ok", {"scores": scores}), binary=True)
-            + encode_frame(Frame("ok", {"scores": scores.tolist()}))
-            + encode_frame(Frame("stats")))
-    frames = FrameDecoder().feed(wire)
-    assert len(frames) == 3
-    assert frames[0].payload["scores"].tobytes() == scores.tobytes()
-    assert np.asarray(frames[1].payload["scores"]).tobytes() \
-        == scores.tobytes()
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_frame_without_the_binary_flag_is_refused(kind):
+    """The one payload form: a kind byte without the flag (the JSON form
+    of protocol version 3) is an unknown kind, whatever its body."""
+    body = b'{"user":7}'
+    code = _KIND_CODES[kind] & ~_BINARY_FLAG
+    wire = _HEADER.pack(_MAGIC, PROTOCOL_VERSION, code, len(body)) + body
+    with pytest.raises(ProtocolError, match=f"unknown frame kind code {code}"):
+        FrameDecoder().feed(wire)
+
+
+def test_the_perfbench_spellings_take_only_their_one_value():
+    """``encode_frame(binary=True)`` and ``recommendation_payload(
+    arrays=True)`` are kept only as the spellings perfbench passes."""
+    assert encode_frame(_PINNED_REPLY, binary=True) == \
+        encode_frame(_PINNED_REPLY)
+    with pytest.raises(ValueError, match="only form"):
+        encode_frame(_PINNED_REPLY, binary=False)
+    reply = Recommendation(user=7, items=np.arange(3), scores=np.zeros(3))
+    assert _wire_view(recommendation_payload(reply, arrays=True)) == \
+        _wire_view(recommendation_payload(reply))
+    with pytest.raises(ValueError, match="are arrays"):
+        recommendation_payload(reply, arrays=False)
 
 
 def test_binary_payload_rejects_reserved_marker_key():
     with pytest.raises(ProtocolError, match="reserved key"):
-        encode_frame(Frame("ok", {"__nd__": 0}), binary=True)
+        encode_frame(Frame("ok", {"__nd__": 0}))
 
 
 def test_binary_payload_rejects_unsupported_dtype():
@@ -428,17 +431,16 @@ def test_wrapped_array_element_count_is_rejected(wrapped_array_frame):
         FrameDecoder().feed(wrapped_array_frame)
 
 
-@pytest.mark.parametrize("binary", [False, True], ids=["json", "binary"])
 @pytest.mark.parametrize("text", [b"[" * 100_000,
                                   b'{"n":' + b"1" * 5000 + b"}"],
                          ids=["deep", "long_int"])
-def test_hostile_json_decodes_or_is_a_protocol_error(text, binary):
+def test_hostile_json_decodes_or_is_a_protocol_error(text):
     """JSON nested past the interpreter stack, or an integer literal over
     the int-conversion digit limit, raises ``RecursionError`` /
     ``ValueError`` inside ``json.loads``; the decoder refuses both."""
-    body = _JSON_LENGTH.pack(len(text)) + text if binary else text
-    code = _KIND_CODES["ok"] | (_BINARY_FLAG if binary else 0)
-    wire = _HEADER.pack(_MAGIC, PROTOCOL_VERSION, code, len(body)) + body
+    body = _JSON_LENGTH.pack(len(text)) + text
+    wire = _HEADER.pack(_MAGIC, PROTOCOL_VERSION, _KIND_CODES["ok"],
+                        len(body)) + body
     try:
         frames = FrameDecoder().feed(wire)
     except ProtocolError:
@@ -469,7 +471,7 @@ def _mutations(draw, wire: bytearray) -> bytearray:
         at = draw(st.integers(_HEADER.size - 4, max(_HEADER.size - 4,
                                                     len(wire) - 4)))
         wire[at:at + 4] = _JSON_LENGTH.pack(draw(st.integers(0, 2**32 - 1)))
-    elif wire[5] & _BINARY_FLAG:
+    else:
         # Every dim of the first array block, when there is one, made
         # huge: their product overflows any fixed-width element count.
         (json_length,) = _JSON_LENGTH.unpack_from(wire, _HEADER.size)
@@ -486,14 +488,13 @@ def _mutations(draw, wire: bytearray) -> bytearray:
 @st.composite
 def _damaged_frames(draw):
     kind = draw(st.sampled_from(ALL_KINDS))
-    binary = draw(st.booleans())
     payload = dict(draw(_marker_free_payloads))
     if kind == "mpi_msg":
         # Collectives and the goodbye ride reserved negative tags.
         payload.update(tag=draw(st.integers(-4, 99)))
     for index, array in enumerate(draw(st.lists(_ndarrays(), max_size=2))):
         payload[f"array_{index}"] = array
-    wire = bytearray(encode_frame(Frame(kind, payload), binary=binary))
+    wire = bytearray(encode_frame(Frame(kind, payload)))
     return bytes(_mutations(draw, wire))
 
 
@@ -502,7 +503,7 @@ def _damaged_frames(draw):
 def test_damaged_frames_decode_or_raise_protocol_error(wire):
     """The decoder is the trust boundary of every socket reader (async
     client, server, MPI rank): mutated, truncated and length-rewritten
-    encodings of every kind, in both encodings, either decode or raise
+    encodings of every kind either decode or raise
     :class:`ProtocolError` — never anything else."""
     try:
         frames = FrameDecoder().feed(wire)
@@ -546,12 +547,14 @@ def test_unknown_kind_code_is_rejected():
 
 
 def test_malformed_payload_is_rejected():
-    body = b"not json"
+    text = b"not json"
+    body = _JSON_LENGTH.pack(len(text)) + text
     wire = _HEADER.pack(_MAGIC, PROTOCOL_VERSION, _KIND_CODES["ok"],
                         len(body)) + body
     with pytest.raises(ProtocolError, match="malformed"):
         FrameDecoder().feed(wire)
-    body = b"[1,2]"  # valid JSON, wrong shape
+    text = b"[1,2]"  # valid JSON, wrong shape
+    body = _JSON_LENGTH.pack(len(text)) + text
     wire = _HEADER.pack(_MAGIC, PROTOCOL_VERSION, _KIND_CODES["ok"],
                         len(body)) + body
     with pytest.raises(ProtocolError, match="JSON object"):
@@ -714,4 +717,4 @@ def test_execute_top_n_batch_orders_and_dedupes(trained_snapshot):
     results = reply.payload["results"]
     assert [entry["user"] for entry in results] == [3, 1]
     solo = execute(service, Frame("top_n", {"user": 3, "n": 4}))
-    assert results[0] == solo.payload
+    assert _wire_view(results[0]) == _wire_view(solo.payload)

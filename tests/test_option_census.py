@@ -146,9 +146,6 @@ CENSUS = {
             "safety: serving parity, tests/test_serving_service.py serves "
             "the last sample so top_n == recommend_for_user on the chain"),
         "train": "drill: cluster-smoke excludes seen items",
-        "clip": (
-            "safety: serving parity, tests/test_serving_cluster.py "
-            "test_clip_applies_after_selection (sharded == single)"),
         "cache_size": f"{_SERVE_MIXED}: the LRU holds n_users / 16",
     },
     "python -m repro.serving": {
@@ -294,4 +291,4 @@ def test_every_reason_names_its_kind(surface):
 
 def test_the_census_total():
     """157 options before the census; each deletion lowers this."""
-    assert sum(map(len, LIVE.values())) == 125
+    assert sum(map(len, LIVE.values())) == 124

@@ -1,7 +1,7 @@
 """``PredictionService.top_n`` with nothing excluded ranks the cached
 score vector directly; the replies must equal the general path (every
 item a candidate, scores gathered through the candidate index) bit for
-bit, exact ties and clipping included."""
+bit, exact ties included."""
 
 from __future__ import annotations
 
@@ -20,16 +20,18 @@ def _general_path(service, user, n):
     candidates = np.arange(service.n_items, dtype=np.int64)
     gathered = scores[candidates]
     order = select_top_n(gathered, n)
-    selected = gathered[order].copy()
-    if service.clip is not None:
-        selected = np.clip(selected, service.clip[0], service.clip[1])
-    return candidates[order].copy(), selected
+    return candidates[order].copy(), gathered[order].copy()
 
 
-@pytest.mark.parametrize("clip", [None, (3.0, 3.2)])
-def test_unexcluded_top_n_equals_the_general_path(clip):
-    service = PredictionService(
-        make_bench_snapshot(N_USERS, N_ITEMS, K, seed=3), clip=clip)
+@pytest.mark.parametrize("cycle", [None, 4])
+def test_unexcluded_top_n_equals_the_general_path(cycle):
+    snapshot = make_bench_snapshot(N_USERS, N_ITEMS, K, seed=3)
+    if cycle is not None:
+        # Exact ties everywhere: the item rows repeat every ``cycle``
+        # items, and so does every user's score vector.
+        movies = snapshot.state.movie_factors
+        movies[:] = movies[np.arange(N_ITEMS) % cycle]
+    service = PredictionService(snapshot)
     # Exact score ties: items 5 and 9 repeat items 3 and 4.
     service._item_factors[5] = service._item_factors[3]
     service._item_factors[9] = service._item_factors[4]

@@ -240,13 +240,6 @@ def test_fewer_workers_than_shards_still_exact(snapshot, train):
                                         scorer.top_n(user, n=7))
 
 
-def test_clip_applies_after_selection(snapshot):
-    service = PredictionService(snapshot, clip=(1.0, 5.0))
-    with ShardedScorer(snapshot, n_shards=2, clip=(1.0, 5.0)) as scorer:
-        _assert_same_recommendation(service.top_n(2, n=6),
-                                    scorer.top_n(2, n=6))
-
-
 # ---------------------------------------------------------------------------
 # fold-in: cold start and incremental updates
 # ---------------------------------------------------------------------------

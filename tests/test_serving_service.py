@@ -3,6 +3,8 @@ multi-snapshot pooling and cold-start fold-in serving."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,10 +60,15 @@ class TestPredict:
             float(mean_state.predict(np.array([3]), np.array([7]))[0]),
             rtol=1e-12)
 
-    def test_offset_and_clip_applied(self, snapshot):
-        service = PredictionService(snapshot, clip=(0.0, 0.1))
-        scores = service.predict_batch(np.arange(5), np.arange(5))
-        assert (scores >= 0.0).all() and (scores <= 0.1).all()
+    def test_offset_applied(self, snapshot):
+        assert snapshot.offset == 0.0
+        plain = PredictionService(snapshot)
+        shifted = PredictionService(dataclasses.replace(snapshot, offset=3.0))
+        users, items = np.arange(5), np.arange(5)
+        assert shifted.predict_batch(users, items).tobytes() == \
+            (plain.predict_batch(users, items) + 3.0).tobytes()
+        assert shifted.top_n(2, n=6).scores.tobytes() == \
+            (plain.top_n(2, n=6).scores + 3.0).tobytes()
 
     def test_scalar_predict(self, snapshot):
         service = PredictionService(snapshot)

@@ -9,9 +9,11 @@ The contract pinned here (see ``repro.serving.wal.log``):
 * damage anywhere *interior* (valid data follows it, or a non-final
   segment, or a missing segment) raises :class:`WalCorruptionError`
   instead of silently dropping acked writes;
-* a CRC-valid record whose body does not decode (bad UTF-8 or JSON,
-  nesting past the parser's recursion limit, an integer past the
-  int-parsing digit limit) is a broken record like any other;
+* a CRC-valid record whose body does not decode as the binary array
+  payload (bad UTF-8 or JSON, nesting past the parser's recursion
+  limit, an integer past the int-parsing digit limit, a record body of
+  the old JSON form) raises :class:`WalCorruptionError` wherever it
+  sits: a torn append cannot produce a valid CRC;
 * any bytes spliced into or after a valid segment recover an exact
   prefix of the appended records or raise :class:`WalCorruptionError`;
 * rotation and compaction never change what replays.
@@ -24,10 +26,13 @@ import struct
 import sys
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serving.net.protocol import (ProtocolError, _JSON_LENGTH,
+                                        _decode_binary_payload)
 from repro.serving.wal import WalCorruptionError, WalError, WriteAheadLog
 from repro.serving.wal.log import (_RECORD_HEADER, MAX_RECORD_PAYLOAD,
                                    _encode_record)
@@ -52,12 +57,17 @@ def _raw_record(seqno: int, body: bytes) -> bytes:
     return _RECORD_HEADER.pack(len(body), crc, seqno) + body
 
 
-#: CRC-valid bodies that ``json.loads`` rejects with an error other than
-#: ``JSONDecodeError``: RecursionError, and (where the interpreter limits
-#: int parsing) ValueError.
+def _binary_body(json_part: bytes) -> bytes:
+    """A binary array payload body around ``json_part``, no arrays."""
+    return _JSON_LENGTH.pack(len(json_part)) + json_part
+
+
+#: CRC-valid binary bodies whose JSON part ``json.loads`` rejects with an
+#: error other than ``JSONDecodeError``: RecursionError, and (where the
+#: interpreter limits int parsing) ValueError.
 HOSTILE_BODIES = {
-    "deep_nesting": b"[" * 100_000 + b"]" * 100_000,
-    "long_integer": b'{"v":' + b"9" * 5000 + b"}",
+    "deep_nesting": _binary_body(b"[" * 100_000 + b"]" * 100_000),
+    "long_integer": _binary_body(b'{"v":' + b"9" * 5000 + b"}"),
 }
 
 
@@ -100,6 +110,26 @@ def test_reopen_recovers_everything_bit_exactly(tmp_path):
         assert reopened.append({"more": True}) == len(payloads) + 1
 
 
+def test_rating_arrays_recover_bit_exactly(tmp_path):
+    """A mutation record's items and values are raw int64 / float64
+    blocks: what the log holds, live and after a reopen, is the very
+    array the leader applied."""
+    items = np.array([4, 9, 2**40], dtype=np.int64)
+    values = np.array([0.1 + 0.2, 1e-308, -0.0])
+    with WriteAheadLog(tmp_path) as log:
+        log.append({"kind": "rate", "user": 3, "items": items,
+                    "values": values})
+        live = next(log.records()).payload
+    with WriteAheadLog(tmp_path) as reopened:
+        recovered = next(reopened.records()).payload
+    for payload in (live, recovered):
+        assert payload["items"].dtype == np.int64
+        assert payload["items"].tobytes() == items.tobytes()
+        assert payload["values"].dtype == np.float64
+        assert payload["values"].tobytes() == values.tobytes()
+        assert (payload["kind"], payload["user"]) == ("rate", 3)
+
+
 def test_torn_tail_is_truncated_not_fatal(tmp_path):
     with WriteAheadLog(tmp_path) as log:
         _fill(log, 3)
@@ -140,15 +170,18 @@ def test_crc_flip_in_the_interior_refuses_to_recover(tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_BODIES))
-def test_an_undecodable_final_record_is_a_torn_tail(tmp_path, name):
+def test_an_undecodable_final_record_refuses_to_recover(tmp_path, name):
+    """A torn append cannot write a valid CRC, so a whole final record
+    that does not decode is damage, not a tail to truncate."""
     body = _hostile(name)
     with WriteAheadLog(tmp_path) as log:
-        payloads = _fill(log, 2)
+        _fill(log, 2)
     segment = _segments(tmp_path)[-1]
-    segment.write_bytes(segment.read_bytes() + _raw_record(3, body))
-    with WriteAheadLog(tmp_path) as log:
-        assert [record.payload for record in log.records()] == payloads
-        assert log.truncated_bytes == _RECORD_HEADER.size + len(body)
+    damaged = segment.read_bytes() + _raw_record(3, body)
+    segment.write_bytes(damaged)
+    with pytest.raises(WalCorruptionError, match="record 3 .* not decode"):
+        WriteAheadLog(tmp_path)
+    assert segment.read_bytes() == damaged
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_BODIES))
@@ -159,8 +192,23 @@ def test_an_undecodable_interior_record_refuses_to_recover(tmp_path, name):
     segment = _segments(tmp_path)[-1]
     segment.write_bytes(segment.read_bytes() + _raw_record(3, body)
                         + _encode_record(4, {"after": 4}))
-    with pytest.raises(WalCorruptionError, match="interior"):
+    with pytest.raises(WalCorruptionError, match="record 3 .* not decode"):
         WriteAheadLog(tmp_path)
+
+
+def test_a_json_form_final_record_is_refused_not_truncated(tmp_path):
+    """A segment written before records took the binary array payload
+    holds JSON bodies.  Its one acked record must not read as a torn
+    tail and vanish: recovery refuses the log and leaves it as it is."""
+    record = {"kind": "foldin", "user": 60, "items": [0, 1],
+              "values": [4.5, 3.0], "write_id": "a1-1"}
+    body = json.dumps(record, separators=(",", ":"),
+                      sort_keys=True).encode("utf8")
+    segment = tmp_path / f"wal-{1:020d}.seg"
+    segment.write_bytes(_raw_record(1, body))
+    with pytest.raises(WalCorruptionError, match="record 1 .* not decode"):
+        WriteAheadLog(tmp_path)
+    assert segment.read_bytes() == _raw_record(1, body)
 
 
 def test_bytes_spliced_before_the_final_record_refuse_to_recover(tmp_path):
@@ -178,9 +226,10 @@ def test_bytes_spliced_before_the_final_record_refuse_to_recover(tmp_path):
 
 def _decodes_to_a_record(body: bytes) -> bool:
     try:
-        return isinstance(json.loads(body.decode("utf8")), dict)
-    except (ValueError, RecursionError):
+        _decode_binary_payload(body)
+    except ProtocolError:
         return False
+    return True
 
 
 @settings(max_examples=150, deadline=None)
@@ -191,7 +240,8 @@ def test_spliced_bytes_recover_an_exact_prefix_or_refuse(tmp_path_factory,
     undecodable body — spliced anywhere into or after a valid segment:
     recovery yields an exact prefix of the appended records or raises
     WalCorruptionError, nothing else.  Damage in front of an intact
-    final record always raises; bytes after the segment drop nothing."""
+    final record always raises; bytes after the segment drop nothing,
+    and raise when they are a whole record with the next seqno."""
     directory = tmp_path_factory.mktemp("wal")
     n_records = data.draw(st.integers(min_value=1, max_value=6),
                           label="n_records")
@@ -203,10 +253,13 @@ def test_spliced_bytes_recover_an_exact_prefix_or_refuse(tmp_path_factory,
     garbage = st.binary(min_size=1, max_size=64)
     body = st.one_of(st.binary(max_size=64),
                      st.sampled_from(sorted(HOSTILE_BODIES.values())))
-    framed = st.builds(
-        _raw_record, st.integers(min_value=1, max_value=n_records + 1),
+    framed = st.tuples(
+        st.integers(min_value=1, max_value=n_records + 1),
         body.filter(lambda b: not _decodes_to_a_record(b)))
     splice = data.draw(st.one_of(garbage, framed), label="splice")
+    next_record = isinstance(splice, tuple) and splice[0] == n_records + 1
+    if isinstance(splice, tuple):
+        splice = _raw_record(*splice)
     at = data.draw(st.integers(min_value=0, max_value=len(raw)), label="at")
     segment.write_bytes(raw[:at] + splice + raw[at:])
 
@@ -214,8 +267,9 @@ def test_spliced_bytes_recover_an_exact_prefix_or_refuse(tmp_path_factory,
         with WriteAheadLog(directory) as log:
             recovered = [record.payload for record in log.records()]
     except WalCorruptionError:
-        assert at < len(raw)
+        assert at < len(raw) or next_record
         return
+    assert not (at == len(raw) and next_record)
     assert recovered == payloads[:len(recovered)]
     assert at > final
     if at == len(raw):
