@@ -8,7 +8,8 @@ Walks the serving-cluster subsystem (`repro.serving.cluster`):
    (:class:`ShardedScorer`) and verify the ranking is bit-identical to
    the single-process :class:`PredictionService`;
 3. fold in a cold-start user, then apply an incremental rank-k update
-   when they rate more items;
+   when they rate more items (both run on the gateway's own factors;
+   each query carries the user's row to the workers);
 4. keep training (longer chain, same snapshot file) and let a
    :class:`SnapshotWatcher` hot-swap the new posterior in while queries
    keep flowing.
@@ -64,6 +65,7 @@ def main() -> None:
 
             # 3. Cold start + incremental fold-in: the second call is a
             #    rank-k posterior update, not a re-fold of the history.
+            #    Both are the inherited PredictionService calls.
             cold = scorer.fold_in(np.array([0, 3, 9]),
                                   np.array([5.0, 4.0, 4.5]))
             before = scorer.top_n(cold, n=5)

@@ -57,10 +57,10 @@ def main() -> None:
         print(f"resumed to sweep {resumed.state.iteration}, "
               f"RMSE {resumed.final_rmse:.4f}")
 
-        # 3. Serve.  mode="mean" uses the running posterior-mean factors
+        # 3. Serve.  The service uses the running posterior-mean factors
         #    stored in the snapshot (better point predictions than any
         #    single Gibbs sample).
-        service = PredictionService(snapshot_path, mode="mean", train=train)
+        service = PredictionService(snapshot_path, train=train)
         users, movies, values = split.test_triplets()
         served = service.predict_batch(users, movies)
         rmse = float(np.sqrt(np.mean((served - values) ** 2)))

@@ -324,13 +324,27 @@ def save_snapshot(snapshot: Snapshot, path: PathLike) -> None:
     # The temporary name must end in ".npz" so numpy writes *exactly* this
     # path (it appends the suffix otherwise) — a stale leftover from a
     # killed process can then never be mistaken for the fresh archive.
+    # The archive's bytes are fsynced before the rename makes them visible
+    # (a crash can then never leave the final name holding a torn file),
+    # and the directory after it, so the rename itself survives a crash.
     tmp = path.with_name(path.name + ".tmp.npz")
     try:
         np.savez_compressed(tmp, **payload)
+        _fsync_path(tmp)
         os.replace(tmp, path)
+        _fsync_path(path.parent)
     finally:
         if tmp.exists():  # pragma: no cover - crash-path hygiene
             tmp.unlink()
+
+
+def _fsync_path(path: Path) -> None:
+    """fsync a file's data, or a directory's entries, by path."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_snapshot(path: PathLike, verify: bool = True) -> Snapshot:

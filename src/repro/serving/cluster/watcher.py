@@ -1,11 +1,16 @@
 """Hot snapshot reload: watch a training run's checkpoints and swap them in.
 
 A training process with ``CheckpointConfig`` keeps atomically overwriting
-one snapshot file (or dropping versioned files into a directory).
+one snapshot file (or dropping versioned files into a directory);
+:func:`~repro.core.checkpoint.save_snapshot` fsyncs each archive before
+renaming it into place, so a file the watcher can see is already durable.
 :class:`SnapshotWatcher` polls that location, and whenever the newest
 candidate's ``(path, mtime, size)`` signature changes it loads the file —
 which re-verifies the SHA-256 integrity checksum — and hands the snapshot
-to :meth:`ShardedScorer.load_version` for the double-buffered swap.
+to :meth:`ShardedScorer.load_version`: new item shards are staged in
+fresh segments, folded-in users are re-folded against the new item
+factors, and the gateway's factors are swapped under its lock, so a
+fold-in is never lost across a swap.
 A snapshot that fails validation (truncated copy, checksum mismatch,
 shape drift) is *rejected and recorded*; the cluster keeps serving the
 previous version, so only fully-validated snapshots ever go live.
@@ -28,6 +33,9 @@ from repro.utils.validation import check_positive
 
 __all__ = ["SnapshotWatcher"]
 
+#: How many polls may try one failing candidate before it is given up on.
+MAX_ATTEMPTS = 3
+
 
 class SnapshotWatcher:
     """Polls a snapshot path (file or directory) and hot-swaps new versions.
@@ -42,38 +50,25 @@ class SnapshotWatcher:
         the candidate).
     interval:
         Poll period in seconds for the background thread.
-    prime:
-        When True (default) the currently-present candidate's signature is
-        recorded at construction *without* loading it — the scorer was
-        normally just built from that very snapshot, and re-loading it
-        would burn a swap for nothing.
-    max_attempts:
-        How many polls may retry one failing candidate before it is given
-        up on.  Retrying distinguishes *transient* failures (segment
-        memory momentarily exhausted mid-swap) — where the final
-        checkpoint of a finished training run must eventually be served —
-        from a genuinely corrupt file, which would otherwise be
-        re-checksummed on every poll forever.
+
+    The candidate present at construction is recorded *without* being
+    loaded: the scorer was just built from that very snapshot, and
+    re-loading it would burn a swap for nothing.
     """
 
     def __init__(self, scorer: ShardedScorer, path: PathLike,
-                 interval: float = 0.5, prime: bool = True,
-                 max_attempts: int = 3):
+                 interval: float = 0.5):
         check_positive("interval", interval)
-        check_positive("max_attempts", max_attempts)
         self.scorer = scorer
         self.path = Path(path)
         self.interval = float(interval)
-        self.max_attempts = int(max_attempts)
         self.n_reloads = 0
         self.n_rejected = 0
         self.last_error: Optional[str] = None
-        self._last_signature = None
         self._attempts = 0
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
-        if prime:
-            self._last_signature = self._signature(self._candidate())
+        self._last_signature = self._signature(self._candidate())
 
     # -- candidate discovery ----------------------------------------------
 
@@ -109,19 +104,20 @@ class SnapshotWatcher:
     def check_once(self) -> bool:
         """Load-and-swap if the candidate changed; True on a new version.
 
-        A failing candidate is retried for up to ``max_attempts`` polls
-        (then ignored until its signature changes): the file itself never
-        transitions from invalid to valid — the trainer writes atomically
-        — but a swap can also fail for *gateway-side* reasons (transient
-        segment-memory exhaustion), and a training run's final checkpoint
-        must not be skipped forever because of one.
+        A failing candidate is retried for up to :data:`MAX_ATTEMPTS`
+        polls (then ignored until its signature changes): the file itself
+        never transitions from invalid to valid — the trainer writes
+        atomically — but a swap can also fail for *gateway-side* reasons
+        (transient segment-memory exhaustion), and a training run's final
+        checkpoint must not be skipped forever because of one, while a
+        genuinely corrupt file must not be re-checksummed on every poll.
         """
         candidate = self._candidate()
         signature = self._signature(candidate)
         if signature is None:
             return False
         if signature == self._last_signature:
-            if self._attempts == 0 or self._attempts >= self.max_attempts:
+            if self._attempts == 0 or self._attempts >= MAX_ATTEMPTS:
                 return False  # already served, or given up on
         else:
             self._last_signature = signature

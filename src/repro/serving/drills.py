@@ -425,7 +425,8 @@ def smoke_drill() -> dict:
 
 
 def cluster_drill(latency_out: Optional[str] = None) -> dict:
-    """2-shard gateway, one hot snapshot swap, bit parity throughout."""
+    """2-shard gateway, one hot snapshot swap, bit parity throughout;
+    then a fold-in and a rating on the gateway's own factors, served."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cluster.npz"
         data = train_snapshot(path, data_seed=7)

@@ -81,8 +81,7 @@ class FoldInState:
         """Absorb ``k`` new ratings; returns the updated factor row.
 
         ``item_rows`` are the ``(k, K)`` factor rows of the newly rated
-        items (the caller gathers them — the service from its local item
-        block, the cluster gateway from the owning shards).
+        items (the caller gathers them from its item block).
         """
         item_rows = np.asarray(item_rows, dtype=np.float64)
         items = np.asarray(items, dtype=np.int64).ravel()
@@ -114,22 +113,17 @@ class FoldInState:
         return rebuilt
 
 
-#: Maps rated item ids to their ``(k, K)`` factor rows — the single
-#: service indexes its local item block, the cluster gateway gathers from
-#: the owning shards.
+#: Maps rated item ids to their ``(k, K)`` factor rows (the service
+#: indexes its item block).
 ItemRowsFor = Callable[[np.ndarray], np.ndarray]
 
 
 class FoldInRegistry:
-    """Per-user incremental fold-in bookkeeping, shared by both serving
-    front-ends.
-
-    The single-process :class:`~repro.serving.service.PredictionService`
-    and the sharded gateway must produce *bit-identical* factor rows for
-    the same fold-in history, so the registration and rank-k update logic
-    lives here exactly once; the front-ends only differ in how they fetch
-    item rows (the ``item_rows_for`` callable) and where they store the
-    resulting row.
+    """Per-user incremental fold-in bookkeeping of a
+    :class:`~repro.serving.service.PredictionService` (the sharded
+    gateway inherits it, so both produce *bit-identical* factor rows for
+    the same fold-in history).  The service fetches item rows through the
+    ``item_rows_for`` callable and stores the resulting row.
     """
 
     def __init__(self, prior: GaussianPrior, alpha: float):
@@ -155,8 +149,7 @@ class FoldInRegistry:
         """Validate ``user`` is folded-in and apply the rank-k update.
 
         ``item_rows_for`` runs only after validation, so an invalid id
-        costs no item-row fetch (which is an IPC round-trip for the
-        cluster gateway).
+        costs no item-row fetch.
         """
         if not n_train_users <= user < n_users:
             raise ValidationError(

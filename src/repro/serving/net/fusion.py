@@ -1,8 +1,8 @@
 """Cross-user query fusion: coalesce concurrent ``top_n`` requests.
 
 Under load many connections ask for rankings at once, and a request's
-cost is mostly fixed overhead — a gateway dispatch (delta flush, one IPC
-round-trip per worker) per user.  :class:`QueryFuser` merges requests
+cost is mostly fixed overhead — a gateway dispatch (one IPC round-trip
+per worker) per user.  :class:`QueryFuser` merges requests
 arriving together into one
 :meth:`~repro.serving.cluster.ShardedScorer.top_n_batch` call per
 *window*: one fan-out, each worker sweeping its shard once for all

@@ -20,9 +20,12 @@
   connections; the rest wait in one FIFO of frames, at most
   ``max_queue_depth`` per class (reads, writes), and the excess is shed.
 * **One owner thread** — the event loop owns the gateway, so no lock
-  guards gateway state.  Only a sharded scorer's calls (worker IPC, on
-  one private thread) and a leader's log append (on the coordinator's
-  WAL thread) leave it.
+  guards gateway state.  Only a leader's log append (on the
+  coordinator's WAL thread) and the calls of a gateway whose class is
+  not ``IN_PROCESS`` leave it: a
+  :class:`~repro.serving.cluster.ShardedScorer` ranks on worker
+  processes, so every one of its calls, reads and WAL applies alike,
+  runs on one private scorer thread, under the scorer's own lock.
 * **Query fusion (default)** — concurrent ``top_n`` requests coalesce
   into one batched gateway call
   (:class:`~repro.serving.net.fusion.QueryFuser`), bit-identical per
@@ -226,7 +229,8 @@ class NetServer:
     Parameters
     ----------
     service:
-        The gateway to serve (``PredictionService`` or ``ShardedScorer``).
+        The gateway to serve (``PredictionService`` or ``ShardedScorer``,
+        which is one whose class is not ``IN_PROCESS``).
     host, port:
         Bind address; port ``0`` picks a free port (read :attr:`port`
         after :meth:`start`).
@@ -285,9 +289,11 @@ class NetServer:
         self._execute_ms = self.registry.histogram(
             "serving.server.execute_ms", **self._metrics_labels)
         #: The private thread of a gateway that blocks on worker IPC
-        #: (anything but an in-process PredictionService); see _gateway.
+        #: (anything but a PredictionService whose class is IN_PROCESS);
+        #: see _gateway.
         self._scorer_thread: Optional[ThreadPoolExecutor] = (
             None if isinstance(service, PredictionService)
+            and service.IN_PROCESS
             else ThreadPoolExecutor(max_workers=1,
                                     thread_name_prefix="repro-net-scorer"))
         #: time.monotonic() until which gateway calls wait (see stall).

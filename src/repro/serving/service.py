@@ -33,7 +33,7 @@ from repro.core.state import BPMFState
 from repro.core.checkpoint import PathLike, Snapshot, coerce_snapshot
 from repro.serving.foldin import FoldInRegistry, fold_in_users
 from repro.sparse.csr import RatingMatrix
-from repro.utils.validation import ValidationError, check_in, check_positive
+from repro.utils.validation import ValidationError, check_positive
 
 __all__ = ["PredictionService", "check_user_range", "check_item_range"]
 
@@ -68,14 +68,9 @@ class PredictionService:
     snapshots:
         One snapshot (or path), or a sequence of them.  Several snapshots —
         e.g. independent chains, or snapshots taken along one chain — are
-        combined into a single factor model: ``mode="mean"`` pools their
-        posterior-mean accumulators (weighted by sample counts), while
-        ``mode="last"`` averages their last Gibbs samples.
-    mode:
-        ``"mean"`` (default) serves from posterior-mean factors, falling
-        back to the last sample for snapshots that never left burn-in;
-        ``"last"`` serves from the last Gibbs sample — the mode that
-        reproduces in-memory ``recommend_for_user`` results exactly.
+        combined into a single factor model by pooling their posterior-mean
+        accumulators (weighted by sample counts); a snapshot that never
+        left burn-in contributes its last Gibbs sample with weight 1.
     train:
         Optional training rating matrix; when provided, ``top_n`` excludes
         items the user already rated (the standard serving rule).
@@ -86,11 +81,13 @@ class PredictionService:
     #: Dotted prefix this gateway's :meth:`stats` surfaces under in a
     #: :class:`~repro.obs.metrics.MetricsRegistry` snapshot.
     METRICS_PREFIX = "serving.service"
+    #: Every call runs in this process without blocking on another one,
+    #: so a :class:`~repro.serving.net.server.NetServer` makes it on its
+    #: event loop.
+    IN_PROCESS = True
 
     def __init__(self, snapshots: Union[SnapshotLike, Sequence[SnapshotLike]],
-                 mode: str = "mean", train: Optional[RatingMatrix] = None,
-                 cache_size: int = 256):
-        check_in("mode", mode, ("mean", "last"))
+                 train: Optional[RatingMatrix] = None, cache_size: int = 256):
         check_positive("cache_size", cache_size)
         if isinstance(snapshots, (Snapshot, str)) or hasattr(snapshots, "__fspath__"):
             snapshots = [snapshots]
@@ -108,8 +105,7 @@ class PredictionService:
             raise ValidationError(
                 f"snapshots disagree on the rating offset: {sorted(offsets)}")
 
-        user_factors, item_factors = self._combine(loaded, mode)
-        self.mode = mode
+        user_factors, item_factors = self._combine(loaded)
         self.offset = float(loaded[0].offset)
         # C-contiguous blocks: top_n is one GEMV against the item block.
         # The user block lives in a geometrically grown buffer so fold-in
@@ -138,13 +134,9 @@ class PredictionService:
         self._foldin = FoldInRegistry(self._user_prior, self._alpha)
 
     @staticmethod
-    def _combine(loaded: List[Snapshot], mode: str) -> Tuple[np.ndarray, np.ndarray]:
-        if mode == "last":
-            user = np.mean([snap.state.user_factors for snap in loaded], axis=0)
-            item = np.mean([snap.state.movie_factors for snap in loaded], axis=0)
-            return user, item
-        # "mean": pool the running sums so chains with more retained samples
-        # weigh proportionally; snapshots without samples fall back to their
+    def _combine(loaded: List[Snapshot]) -> Tuple[np.ndarray, np.ndarray]:
+        # Pool the running sums so chains with more retained samples weigh
+        # proportionally; snapshots without samples fall back to their
         # last state with weight 1.
         user_sum = np.zeros_like(loaded[0].state.user_factors)
         item_sum = np.zeros_like(loaded[0].state.movie_factors)

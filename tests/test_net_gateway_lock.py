@@ -7,7 +7,8 @@ state.  What is pinned here:
 * an in-process gateway is scored on the loop thread, fused windows
   and their partition retries included;
 * a gateway that is not in process never scores on the loop: its calls
-  run on the server's private scorer thread;
+  run on the server's private scorer thread — a real sharded scorer's
+  reads and WAL applies included, though it is a PredictionService;
 * a ``stall``ed gateway holds fused reads on the loop (which keeps
   reading and shedding), and a read whose deadline passes while it waits
   in its window is shed, not scored; reads resume after the stall;
@@ -36,6 +37,7 @@ import numpy as np
 import pytest
 
 from repro.bench.serving import make_bench_snapshot
+from repro.serving.cluster import ShardedScorer
 from repro.serving.net import (Frame, FrameDecoder, ReplicaSet,
                                ServingClient, encode_frame)
 from repro.serving.net.protocol import ERROR_DEADLINE, hello_frame
@@ -97,8 +99,8 @@ def _spy_fleet(snapshot, spies, **options):
 # ---------------------------------------------------------------------------
 
 class _RemoteGateway:
-    """A gateway that is not a PredictionService (like ShardedScorer),
-    recording the thread its batch calls run on."""
+    """A gateway that is not a PredictionService, recording the thread
+    its batch calls run on."""
 
     def __init__(self, service: PredictionService):
         self._service = service
@@ -129,6 +131,63 @@ def test_a_gateway_that_is_not_in_process_never_scores_on_the_loop(
                 _same(reference.top_n(user, n=5), client.top_n(user, n=5))
     assert len(gateways[0].calls) == 3
     for thread_name, ident in gateways[0].calls:
+        assert thread_name.startswith("repro-net-scorer")
+        assert ident != loop_thread
+
+
+class _ShardedSpy(ShardedScorer):
+    """A real 2-shard gateway recording the thread of each batch read
+    and each applied write."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []  # (call, thread name, thread ident)
+
+    def _record(self, call: str) -> None:
+        self.calls.append((call, threading.current_thread().name,
+                           threading.get_ident()))
+
+    def top_n_batch(self, users, n=10, exclude_seen=True):
+        self._record("top_n_batch")
+        return super().top_n_batch(users, n=n, exclude_seen=exclude_seen)
+
+    def fold_in_batch(self, item_lists, value_lists):
+        self._record("fold_in_batch")
+        return super().fold_in_batch(item_lists, value_lists)
+
+    def add_ratings(self, user, items, values):
+        self._record("add_ratings")
+        return super().add_ratings(user, items, values)
+
+
+def test_a_sharded_scorer_never_scores_or_applies_on_the_loop(
+        snapshot, reference, tmp_path):
+    """The sharded scorer is a PredictionService, yet its calls (reads and
+    WAL applies alike) run on the private scorer thread."""
+    gateways = []
+
+    def make(index):
+        gateways.append(_ShardedSpy(snapshot, n_shards=2))
+        return gateways[-1]
+
+    expected = PredictionService(snapshot)
+    cold_expected = expected.fold_in(np.array([0, 1]), np.array([4.0, 3.0]))
+    expected.add_ratings(cold_expected, np.array([2]), np.array([1.5]))
+    with ReplicaSet(make, n_replicas=1,
+                    wal_dir=str(tmp_path / "wal")) as replicas:
+        loop_thread = replicas.replicas[0].ident
+        with ServingClient(replicas.addresses) as client:
+            for user in (0, 3, 8):
+                _same(reference.top_n(user, n=5), client.top_n(user, n=5))
+            cold = client.fold_in(np.array([0, 1]), np.array([4.0, 3.0]))
+            client.rate(cold, np.array([2]), np.array([1.5]))
+            _same(expected.top_n(cold, n=5), client.top_n(cold, n=5))
+    assert cold == cold_expected
+    calls = [call for call, _, _ in gateways[0].calls]
+    assert calls.count("top_n_batch") == 4
+    assert calls.count("fold_in_batch") == 1
+    assert calls.count("add_ratings") == 1
+    for _, thread_name, ident in gateways[0].calls:
         assert thread_name.startswith("repro-net-scorer")
         assert ident != loop_thread
 

@@ -686,7 +686,7 @@ def test_golden_repl_transcript(trained_snapshot, capsys, monkeypatch):
                 "quit\n"
                 "top 0 99\n")  # after quit: never served
     expected = _legacy_transcript(
-        PredictionService(trained_snapshot, mode="mean"), commands)
+        PredictionService(trained_snapshot), commands)
     monkeypatch.setattr("sys.stdin", io.StringIO(commands))
     assert main(["serve", "--snapshot", str(trained_snapshot)]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -10,6 +10,7 @@ checkpoint resumed on two threads).
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -309,6 +310,33 @@ class TestExactResume:
         save_snapshot(snapshot_from_result(result), path)
         assert load_snapshot(path).state.n_users == 50  # fresh data won
         assert not stale.exists()
+
+    def test_publish_fsyncs_the_archive_then_renames_then_the_directory(
+            self, data, tmp_path, monkeypatch):
+        """A snapshot is durable before it is visible: the temporary
+        archive's bytes are fsynced before ``os.replace`` names it, and the
+        parent directory after, so the rename survives a crash too."""
+        path = tmp_path / "durable.npz"
+        snapshot = snapshot_from_result(
+            GibbsSampler(HALF).run(data.split.train, data.split, seed=1))
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(source, target):
+            events.append(("replace", os.stat(source).st_ino))
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        save_snapshot(snapshot, path)
+        archive, directory = path.stat().st_ino, tmp_path.stat().st_ino
+        assert events == [("fsync", archive), ("replace", archive),
+                          ("fsync", directory)]
+        assert load_snapshot(path).state.n_users == 50
 
     def test_resume_from_final_snapshot_is_a_noop_run(self, data, tmp_path):
         path = tmp_path / "final.npz"

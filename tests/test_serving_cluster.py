@@ -1,4 +1,4 @@
-"""Sharded serving cluster: parity, hot swap, fold-in deltas, teardown.
+"""Sharded serving cluster: parity, hot swap, fold-in, teardown.
 
 The load-bearing guarantee is *bit-identity*: for every tested shard
 count the gateway's ``top_n``/``top_n_batch``/``predict_batch`` must
@@ -11,6 +11,7 @@ depends only on the factor values, so no Gibbs sampling is burned.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -332,6 +333,77 @@ def test_load_version_rejects_shape_and_offset_drift(snapshot):
         assert scorer.version == 0 and scorer.n_swaps == 0
 
 
+def test_every_inherited_call_holds_the_lock_a_swap_takes(snapshot):
+    """A hot swap never lands inside a gateway call: the calls the scorer
+    inherits from PredictionService run holding the lock load_version
+    takes, so a fold-in cannot be lost across a swap.  Each probe asks
+    from another thread, mid-call, whether the lock is free."""
+    held = []
+    with ShardedScorer(snapshot, n_shards=2) as scorer:
+        def try_lock():
+            free = scorer._lock.acquire(blocking=False)
+            if free:
+                scorer._lock.release()
+            held.append(not free)
+
+        def probing(method):
+            def call(*args, **kwargs):
+                thread = threading.Thread(target=try_lock)
+                thread.start()
+                thread.join()
+                return method(*args, **kwargs)
+            return call
+
+        scorer._check_users = probing(scorer._check_users)
+        scorer._check_items = probing(scorer._check_items)
+        scorer._append_user_rows = probing(scorer._append_user_rows)
+        scorer._foldin.digest = probing(scorer._foldin.digest)
+        scorer.predict(0, 1)
+        scorer.predict_batch(np.array([1, 2]), np.array([3, 4]))
+        cold = scorer.fold_in(np.array([0, 4]), np.array([5.0, 2.0]))
+        scorer.fold_in_batch([np.array([1])], [np.array([3.0])])
+        scorer.add_ratings(cold, np.array([9]), np.array([4.0]))
+        scorer.state_digest()
+        scorer.top_n(cold, n=3)
+    assert len(held) == 9 and all(held), held
+
+
+def test_fold_in_storm_across_swaps_loses_no_user(snapshot):
+    """Fold-ins racing hot swaps: every acknowledged user keeps its id,
+    its row and its incremental state, whatever the interleaving."""
+    replacements = [make_bench_snapshot(N_USERS, N_ITEMS, K, seed=seed)
+                    for seed in range(61, 69)]
+    folded, failures = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ShardedScorer(snapshot, n_shards=2) as scorer:
+            def fold(offset):
+                try:
+                    for step in range(50):
+                        item = (offset * 50 + step) % N_ITEMS
+                        folded.append(scorer.fold_in(np.array([item]),
+                                                     np.array([4.0])))
+                except Exception as error:  # noqa: BLE001 - recorded
+                    failures.append(error)
+
+            threads = [threading.Thread(target=fold, args=(offset,))
+                       for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for replacement in replacements:
+                scorer.load_version(replacement)
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            n_users, states = scorer.n_users, scorer._foldin.states
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures, failures[:3]
+    assert sorted(folded) == list(range(N_USERS, N_USERS + 200))
+    assert n_users == N_USERS + 200 and sorted(states) == sorted(folded)
+
+
 def test_swap_under_query_storm_loses_no_requests(snapshot, train):
     """The kill/swap test: a query storm across a hot swap.
 
@@ -449,7 +521,7 @@ def test_watcher_retries_transient_failures_then_gives_up(snapshot,
     path = tmp_path / "model.npz"
     save_snapshot(snapshot, path)
     with ShardedScorer(path, n_shards=1) as scorer:
-        watcher = SnapshotWatcher(scorer, path, max_attempts=3)
+        watcher = SnapshotWatcher(scorer, path)
         save_snapshot(make_bench_snapshot(N_USERS, N_ITEMS, K, seed=44), path)
         real, calls = scorer.load_version, {"n": 0}
 
@@ -461,7 +533,7 @@ def test_watcher_retries_transient_failures_then_gives_up(snapshot,
 
         scorer.load_version = flaky
         assert watcher.check_once() is False and watcher.n_rejected == 1
-        # Same signature, but within max_attempts: retried and served.
+        # Same signature, but within MAX_ATTEMPTS: retried and served.
         assert watcher.check_once() is True
         assert scorer.version == 1 and watcher.n_reloads == 1
 

@@ -46,14 +46,15 @@ def snapshot(snapshot_path):
 
 class TestPredict:
     def test_batch_matches_state_predict(self, data, snapshot):
-        service = PredictionService(snapshot, mode="last")
+        service = PredictionService(snapshot)
         users, movies, _ = data.split.test_triplets()
         np.testing.assert_allclose(
             service.predict_batch(users, movies),
-            snapshot.state.predict(users, movies), rtol=1e-12, atol=1e-12)
+            snapshot.posterior_mean_state().predict(users, movies),
+            rtol=1e-12, atol=1e-12)
 
     def test_mean_mode_uses_posterior_mean_factors(self, snapshot):
-        service = PredictionService(snapshot, mode="mean")
+        service = PredictionService(snapshot)
         mean_state = snapshot.posterior_mean_state()
         np.testing.assert_allclose(
             service.predict(3, 7),
@@ -92,20 +93,21 @@ class TestPredict:
 class TestTopN:
     def test_matches_recommend_for_user(self, data, snapshot):
         """Acceptance criterion: snapshot top_n == in-memory recommendation."""
-        service = PredictionService(snapshot, mode="last",
-                                    train=data.split.train)
+        service = PredictionService(snapshot, train=data.split.train)
+        mean_state = snapshot.posterior_mean_state()
         for user in (0, 7, 23):
             served = service.top_n(user, n=8)
-            reference = recommend_for_user(snapshot.state, user, n=8,
+            reference = recommend_for_user(mean_state, user, n=8,
                                            exclude=data.split.train)
             assert served.items.tolist() == reference.items.tolist()
             np.testing.assert_allclose(served.scores, reference.scores,
                                        rtol=1e-9, atol=1e-12)
 
     def test_without_exclusion_ranks_all_items(self, snapshot):
-        service = PredictionService(snapshot, mode="last")
+        service = PredictionService(snapshot)
         served = service.top_n(2, n=8, exclude_seen=False)
-        reference = recommend_for_user(snapshot.state, 2, n=8)
+        reference = recommend_for_user(snapshot.posterior_mean_state(), 2,
+                                       n=8)
         assert served.items.tolist() == reference.items.tolist()
 
     def test_batch_api(self, data, snapshot):
@@ -158,8 +160,8 @@ class TestTopN:
 class TestFoldInServing:
     def test_fold_in_user_served_like_a_trained_user(self, data, snapshot):
         """Acceptance criterion: top_n parity holds for a fold-in user."""
-        service = PredictionService(snapshot, mode="last",
-                                    train=data.split.train)
+        service = PredictionService(snapshot, train=data.split.train)
+        mean_state = snapshot.posterior_mean_state()
         items = np.array([1, 4, 9, 16])
         values = np.array([4.0, 3.5, 2.0, 5.0])
         cold = service.fold_in(items, values)
@@ -169,9 +171,9 @@ class TestFoldInServing:
         # Reference: append the folded vector to the in-memory state and
         # run the ordinary recommendation path on it.
         augmented = BPMFState(
-            user_factors=np.vstack([snapshot.state.user_factors,
+            user_factors=np.vstack([mean_state.user_factors,
                                     service._user_factors[cold]]),
-            movie_factors=snapshot.state.movie_factors,
+            movie_factors=mean_state.movie_factors,
             user_prior=snapshot.state.user_prior,
             movie_prior=snapshot.state.movie_prior)
         reference = recommend_for_user(augmented, cold, n=6)
@@ -181,7 +183,7 @@ class TestFoldInServing:
 
     def test_many_fold_ins_grow_the_buffer_correctly(self, snapshot, rng):
         """Sequential registrations survive buffer doubling intact."""
-        service = PredictionService(snapshot, mode="last")
+        service = PredictionService(snapshot)
         base = snapshot.state.n_users
         expected = {}
         for i in range(70):  # more than the initial 50-row capacity
@@ -193,8 +195,9 @@ class TestFoldInServing:
         for user, row in expected.items():
             np.testing.assert_array_equal(service._user_factors[user], row)
         # Original training rows were never disturbed by the growth.
-        np.testing.assert_array_equal(service._user_factors[:base],
-                                      snapshot.state.user_factors)
+        np.testing.assert_array_equal(
+            service._user_factors[:base],
+            snapshot.posterior_mean_state().user_factors)
 
     def test_fold_in_batch_ids_and_predictions(self, snapshot):
         service = PredictionService(snapshot)
@@ -233,17 +236,11 @@ class TestMultiSnapshot:
             save_snapshot(snap, path)
             paths.append(path)
             snaps.append(snap)
-        service = PredictionService(paths, mode="mean")
+        service = PredictionService(paths)
         assert service.n_snapshots == 2
         total = snaps[0].mean_count + snaps[1].mean_count
         expected = (snaps[0].mean_user_sum + snaps[1].mean_user_sum) / total
         np.testing.assert_allclose(service._user_factors, expected,
-                                   rtol=1e-12, atol=1e-12)
-
-    def test_last_mode_averages_states(self, data, snapshot):
-        service = PredictionService([snapshot, snapshot], mode="last")
-        np.testing.assert_allclose(service._user_factors,
-                                   snapshot.state.user_factors,
                                    rtol=1e-12, atol=1e-12)
 
     def test_shape_mismatch_rejected(self, data, snapshot, tmp_path):

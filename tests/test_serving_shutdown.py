@@ -38,9 +38,7 @@ def snapshot_path(tmp_path_factory):
 
 
 def _segment_names(scorer: ShardedScorer) -> list:
-    version = scorer._active
-    return [block.name for block in version.item_blocks] \
-        + [version.user_block.name]
+    return [block.name for block in scorer._active.item_blocks]
 
 
 def _assert_unlinked(segment_names) -> None:
