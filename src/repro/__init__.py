@@ -41,7 +41,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    "BPMF",
     "BPMFConfig",
     "BPMFResult",
     "GibbsSampler",
@@ -79,7 +78,7 @@ __all__ = [
 # Every public name resolves on first access, importing only the layer
 # that defines it: ``import repro`` alone loads no subpackage.
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
-    "repro.core": ("BPMF", "BPMFConfig", "BPMFResult", "GibbsSampler",
+    "repro.core": ("BPMFConfig", "BPMFResult", "GibbsSampler",
                    "HybridUpdatePolicy", "MacauGibbsSampler",
                    "SamplerOptions", "SideInfo", "UpdateMethod",
                    "recommend_for_user", "run_chains"),

@@ -15,7 +15,9 @@ from repro.bench.runner import available_experiments, run_experiment
 from repro.utils.logging import set_verbosity
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser (the option census and the README check
+    read its flags)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Regenerate the paper's figures as text tables.",
@@ -31,7 +33,11 @@ def main(argv: list[str] | None = None) -> int:
                         choices=("debug", "info", "warning", "error"),
                         help="emit library logs on stderr at this level "
                              "(default: logging stays untouched)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     if args.log_level:
         set_verbosity(args.log_level)
 

@@ -76,7 +76,6 @@ __all__ = [
     "MacauGibbsSampler",
     "SideInfo",
     "sample_link_matrix",
-    "BPMF",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
@@ -107,5 +106,4 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
                              "recommend_batch", "ranking_metrics"),
     "repro.core.sideinfo": ("MacauGibbsSampler", "SideInfo",
                             "sample_link_matrix"),
-    "repro.core.model": ("BPMF",),
 })

@@ -48,7 +48,6 @@ bitwise-identical rows to the full-matrix plan.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -149,12 +148,7 @@ class _Phase:
                  buckets: Sequence[DegreeBucket]):
         k = prior.num_latent
         # choose() returns RANK_ONE exactly below rank_one_limit.
-        method = engine.update_method
-        if method is None:
-            self.rank_one_below = engine.policy.rank_one_limit(k)
-        else:
-            self.rank_one_below = math.inf \
-                if method is UpdateMethod.RANK_ONE else 0
+        self.rank_one_below = engine.policy.rank_one_limit(k)
         self.alpha = np.float64(alpha)
         self.inv_alpha = np.float64(1.0 / alpha)
         self.shift = np.float64(1.0 / np.sqrt(alpha))
@@ -204,7 +198,9 @@ class UpdateEngine:
     A *phase* resamples every item of one entity class (all movies, or all
     users) from its conditional Gaussian, holding the other class's factors
     fixed.  Engines differ only in execution strategy; all draw from the
-    same distribution and consume the same noise rows.
+    same distribution and consume the same noise rows.  Each item's kernel
+    is ``policy.choose(degree, K)``, the paper's hybrid rule: a test that
+    wants one kernel everywhere moves the policy's thresholds.
 
     Subclasses implement :meth:`update_items`.
     """
@@ -217,9 +213,7 @@ class UpdateEngine:
     #: ``parallel_map=None`` instead of wrapping it in a thread pool.
     manages_parallelism: bool = False
 
-    def __init__(self, update_method: Optional[UpdateMethod] = None,
-                 policy: Optional[HybridUpdatePolicy] = None):
-        self.update_method = update_method
+    def __init__(self, policy: Optional[HybridUpdatePolicy] = None):
         self.policy = policy or HybridUpdatePolicy()
 
     def close(self) -> None:
@@ -271,11 +265,6 @@ class UpdateEngine:
         """
         raise NotImplementedError
 
-    def _choose_method(self, degree: int, num_latent: int) -> UpdateMethod:
-        if self.update_method is not None:
-            return self.update_method
-        return self.policy.choose(degree, num_latent)
-
 
 class ReferenceUpdateEngine(UpdateEngine):
     """The original per-item Python loop (semantic oracle for parity tests)."""
@@ -291,7 +280,7 @@ class ReferenceUpdateEngine(UpdateEngine):
             idx, values = axis.slice(item)
             target[item] = sample_item(
                 source[idx], values, prior, alpha, noise=noise[item],
-                method=self.update_method, policy=self.policy)
+                policy=self.policy)
 
         if parallel_map is None:
             for item in items:
@@ -307,7 +296,7 @@ class BatchedUpdateEngine(UpdateEngine):
     back-substitution per kind.
 
     A bucket in the rank-one regime (``policy.choose`` gives ``RANK_ONE``
-    for its degree and ``K``, or ``RANK_ONE`` is forced) is drawn in data
+    for its degree and ``K``; degree 0 always does) is drawn in data
     space, as :func:`repro.core.updates.sample_item_rank_one` does per
     item: with ``W = X L^-T`` gathered from the whitened source rows
     (``Lambda = L L^T`` factored once per phase), the products with ``W``
@@ -388,13 +377,10 @@ class BatchedUpdateEngine(UpdateEngine):
             d = bucket.degree
             out = aug[row:row + stop - start]
             row += stop - start
-            if d == 0:
-                out[...] = a0
-                continue
             z = np.empty((stop - start, d, k + 1))
             z[:, :, :k] = source[bucket.neighbours[start:stop]]
             z[:, :, k] = bucket.values[start:stop]
-            if self._choose_method(d, k) is UpdateMethod.PARALLEL_CHOLESKY:
+            if self.policy.choose(d, k) is UpdateMethod.PARALLEL_CHOLESKY:
                 # Mirror the parallel kernel's blocked Gram accumulation.
                 out[...] = a0
                 n_blocks = min(self.policy.n_subtasks(d), d)
@@ -574,7 +560,6 @@ def available_engines() -> Tuple[str, ...]:
 
 
 def make_update_engine(engine: str,
-                       update_method: Optional[UpdateMethod] = None,
                        policy: Optional[HybridUpdatePolicy] = None,
                        n_workers: Optional[int] = None) -> UpdateEngine:
     """Instantiate an update engine by registry name.
@@ -589,7 +574,7 @@ def make_update_engine(engine: str,
             f"unknown update engine {engine!r}; "
             f"available: {', '.join(ENGINE_NAMES)}")
     engine_class = _engine_class(engine)
-    kwargs = dict(update_method=update_method, policy=policy)
+    kwargs = dict(policy=policy)
     if engine_class.manages_parallelism:
         kwargs["n_workers"] = n_workers
     elif n_workers is not None:

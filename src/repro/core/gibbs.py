@@ -41,7 +41,7 @@ from repro.core.metrics import rmse
 from repro.core.predict import FactorMeanAccumulator, PosteriorPredictor
 from repro.core.priors import BPMFConfig, NormalWishartPrior
 from repro.core.state import BPMFState, initialize_state
-from repro.core.updates import HybridUpdatePolicy, UpdateMethod
+from repro.core.updates import HybridUpdatePolicy
 from repro.core.wishart import normal_wishart_posterior, sample_normal_wishart
 from repro.obs.trace import maybe_span
 from repro.sparse.csr import CompressedAxis, RatingMatrix
@@ -64,19 +64,17 @@ ITEM_CHUNK = 64
 class SamplerOptions:
     """Execution options orthogonal to the statistical model.
 
-    ``update_method`` forces one of the three kernels for every item;
-    ``None`` (default) uses the hybrid policy, as the paper does: the
-    data-space rank-one kernel below a degree boundary that depends on
-    ``K`` (:meth:`HybridUpdatePolicy.rank_one_limit`), the Gram path above
-    it, the blocked Gram path from ``parallel_threshold``.  Under the
-    ``"reference"`` engine the kernel runs literally, one item at a time;
-    the ``"batched"`` engine runs the same formulas stacked over each
-    bucket (a forced ``SERIAL_CHOLESKY`` or ``PARALLEL_CHOLESKY`` only
-    changes the Gram accumulation).  All kernels sample the same
-    distribution, so this changes cost profile, never statistics; the
-    rank-one kernel takes another square root of it, so forcing it moves
-    the chain.  Use ``engine="reference"`` when per-kernel timing fidelity
-    matters (as the Figure 2 driver does).
+    ``policy`` picks each item's kernel from its rating count, as the
+    paper does: the data-space rank-one kernel below a degree boundary
+    that depends on ``K`` (:meth:`HybridUpdatePolicy.rank_one_limit`; a
+    degree-0 item always takes it), the Gram path above it, the blocked
+    Gram path from ``parallel_threshold``.  Under the ``"reference"``
+    engine the kernel runs literally, one item at a time; the
+    ``"batched"`` engine runs the same formulas stacked over each bucket.
+    All kernels sample the same distribution, so moving a threshold
+    changes the cost profile, never the statistics; the rank-one kernel
+    takes another square root of it, so moving its boundary moves the
+    chain.
 
     ``engine`` selects how a phase's item updates are *executed*:
     ``"batched"`` (default) runs them through the stacked-BLAS
@@ -105,7 +103,6 @@ class SamplerOptions:
     (``run(..., resume=...)``) is bit-identical to an uninterrupted run.
     """
 
-    update_method: Optional[UpdateMethod] = None
     policy: HybridUpdatePolicy = field(default_factory=HybridUpdatePolicy)
     engine: str = "batched"
     n_workers: Optional[int] = None
@@ -234,8 +231,8 @@ class GibbsSampler:
         self.config = config or BPMFConfig()
         options = self.options = options or SamplerOptions()
         self._engine = make_update_engine(
-            options.engine, update_method=options.update_method,
-            policy=options.policy, n_workers=options.n_workers)
+            options.engine, policy=options.policy,
+            n_workers=options.n_workers)
         threads = ThreadPoolBackend(
             options.n_threads,
             1 if isinstance(self._engine, BatchedUpdateEngine) else ITEM_CHUNK)

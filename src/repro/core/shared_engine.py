@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.core.batch_engine import BatchedUpdateEngine
 from repro.core.priors import GaussianPrior
-from repro.core.updates import HybridUpdatePolicy, UpdateMethod
+from repro.core.updates import HybridUpdatePolicy
 from repro.sparse.buckets import (
     DegreeBucket,
     SuperBucketPlan,
@@ -318,16 +318,16 @@ class WorkerPool:
 # ---------------------------------------------------------------------------
 
 def _worker_main(worker_id: int, untrack_attachments: bool,
-                 engine_config: Tuple, task_queue, result_queue) -> None:
+                 policy: HybridUpdatePolicy, task_queue,
+                 result_queue) -> None:
     """Execute plan/phase messages until a stop message arrives.
 
-    The worker owns a private :class:`BatchedUpdateEngine` built from the
-    parent's configuration and packs its member buckets into blocks with
+    The worker owns a private :class:`BatchedUpdateEngine` built with the
+    parent's policy and packs its member buckets into blocks with
     the same routine, so the kernel is literally the same code (and the
     same per-item arithmetic) the single-process engine runs.
     """
-    update_method, policy = engine_config
-    engine = BatchedUpdateEngine(update_method=update_method, policy=policy)
+    engine = BatchedUpdateEngine(policy=policy)
     segments: Dict[str, shared_memory.SharedMemory] = {}
     plans: Dict[int, dict] = {}
 
@@ -454,9 +454,9 @@ class SharedMemoryUpdateEngine(BatchedUpdateEngine):
 
     Parameters
     ----------
-    update_method, policy:
-        As for :class:`BatchedUpdateEngine`; the workers inherit them, so
-        method selection behaves identically.
+    policy:
+        As for :class:`BatchedUpdateEngine`; the workers inherit it, so
+        kernel selection behaves identically.
     n_workers:
         Worker process count; default: the machine's CPU count.
     tasks_per_worker:
@@ -480,20 +480,18 @@ class SharedMemoryUpdateEngine(BatchedUpdateEngine):
     #: simulated world, whose per-rank subsets jointly hold the data once.
     MAX_PHASE_PLANS = 64
 
-    def __init__(self, update_method: Optional[UpdateMethod] = None,
-                 policy: Optional[HybridUpdatePolicy] = None,
+    def __init__(self, policy: Optional[HybridUpdatePolicy] = None,
                  n_workers: Optional[int] = None,
                  tasks_per_worker: int = 8):
-        super().__init__(update_method, policy)
+        super().__init__(policy)
         if n_workers is None:
             n_workers = max(1, os.cpu_count() or 1)
         check_positive("n_workers", n_workers)
         check_positive("tasks_per_worker", tasks_per_worker)
         self.n_workers = int(n_workers)
         self.tasks_per_worker = int(tasks_per_worker)
-        config = (self.update_method, self.policy)
         self._pool = WorkerPool(self.n_workers, _worker_main,
-                                extra_args=(config,),
+                                extra_args=(self.policy,),
                                 name_prefix="repro-shared-worker")
         self._sequence = itertools.count()
         self._plan_ids = itertools.count()

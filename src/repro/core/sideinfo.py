@@ -189,7 +189,7 @@ class MacauGibbsSampler(GibbsSampler):
                 mean=feature_means[item], precision=prior.precision)
             factors[item] = sample_item(
                 source[idx], values, item_prior, self.config.alpha, rng=rng,
-                method=self.options.update_method, policy=self.options.policy)
+                policy=self.options.policy)
 
     # -- GibbsSampler interface --------------------------------------------
 

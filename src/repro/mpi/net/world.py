@@ -223,8 +223,7 @@ class SocketCommWorld(CommWorld):
     def connect(cls, rank: int, n_ranks: int,
                 rendezvous: Tuple[str, int],
                 timeout: float = CONNECT_TIMEOUT,
-                injector: Optional[FaultInjector] = None,
-                op_timeout: float = DEFAULT_OP_TIMEOUT) -> "SocketCommWorld":
+                injector: Optional[FaultInjector] = None) -> "SocketCommWorld":
         """Join the world: rendezvous at ``rendezvous``, then full-mesh.
 
         Every rank binds an ephemeral data listener and reports it to the
@@ -232,10 +231,11 @@ class SocketCommWorld(CommWorld):
         address map, after which rank ``r`` dials every lower rank and
         accepts every higher one.  With ``injector`` set, connects check
         the chaos ``net.connect`` site and every mesh socket is wrapped
-        in :class:`ChaosSocket` (``net.send``/``net.recv`` sites).
+        in :class:`ChaosSocket` (``net.send``/``net.recv`` sites).  Every
+        verb waits at most :data:`DEFAULT_OP_TIMEOUT`.
         """
         return cls._join(rank, n_ranks, rendezvous, timeout, injector,
-                         op_timeout, server=None)
+                         DEFAULT_OP_TIMEOUT, server=None)
 
     @classmethod
     def _join(cls, rank: int, n_ranks: int, rendezvous: Tuple[str, int],
@@ -561,8 +561,7 @@ class SocketCommWorld(CommWorld):
 def start_local_world(
         n_ranks: int,
         injectors: Optional[Sequence[Optional[FaultInjector]]] = None,
-        op_timeout: float = DEFAULT_OP_TIMEOUT,
-        host: str = "127.0.0.1") -> List[SocketCommWorld]:
+        op_timeout: float = DEFAULT_OP_TIMEOUT) -> List[SocketCommWorld]:
     """Stand up ``n_ranks`` socket worlds inside this process.
 
     Every rank gets its own :class:`SocketCommWorld` over real localhost
@@ -580,8 +579,8 @@ def start_local_world(
         raise ValidationError("need one injector slot per rank")
     # The rendezvous listener is bound before any rank starts, so no rank
     # can dial it before rank 0 listens (and nobody can take the port).
-    server = socket.create_server((host, 0), backlog=max(n_ranks, 1))
-    rendezvous = (host, int(server.getsockname()[1]))
+    server = socket.create_server(("127.0.0.1", 0), backlog=max(n_ranks, 1))
+    rendezvous = ("127.0.0.1", int(server.getsockname()[1]))
     worlds: List[Optional[SocketCommWorld]] = [None] * n_ranks
     errors: List[Optional[BaseException]] = [None] * n_ranks
     abandoned = threading.Event()

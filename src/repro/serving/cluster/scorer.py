@@ -39,7 +39,7 @@ import functools
 import itertools
 import threading
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -210,9 +210,10 @@ class ShardedScorer(PredictionService):
 
     Parameters
     ----------
-    snapshots, train:
-        As for :class:`~repro.serving.service.PredictionService`, whose
-        factors, offset and seen-item exclusion the gateway inherits.
+    snapshot, train:
+        As for :class:`~repro.serving.service.PredictionService` (one
+        snapshot, not a list), whose factors, offset and seen-item
+        exclusion the gateway inherits.
     n_shards:
         Number of contiguous item shards.
     n_workers:
@@ -235,11 +236,11 @@ class ShardedScorer(PredictionService):
     add_ratings = _under_lock(PredictionService.add_ratings)
     state_digest = _under_lock(PredictionService.state_digest)
 
-    def __init__(self, snapshots: Union[SnapshotLike, Sequence[SnapshotLike]],
-                 n_shards: int = 2, train: Optional[RatingMatrix] = None,
+    def __init__(self, snapshot: SnapshotLike, n_shards: int = 2,
+                 train: Optional[RatingMatrix] = None,
                  n_workers: Optional[int] = None):
         check_positive("n_shards", n_shards)
-        super().__init__(snapshots, train=train)
+        super().__init__(snapshot, train=train)
         self.n_shards = int(n_shards)
         self._bounds = shard_bounds(self.n_items, self.n_shards)
         if n_workers is None:
@@ -436,11 +437,14 @@ class ShardedScorer(PredictionService):
 
         The snapshot is fully loaded (integrity-checked when read from
         disk), shape-validated against the serving configuration, and
-        staged into *fresh* segments before anything is swapped; folded-in
-        users are re-folded against the new item factors so they survive
-        the swap.  The flip happens under the gateway lock, after which
-        the old version's segments are retired — requests never observe a
-        half-loaded version.  Returns the new version id.
+        staged into *fresh* segments before anything is swapped.  The
+        gateway adopts the new snapshot's priors and ``alpha`` with its
+        factors, and folded-in users are re-folded under them, so they
+        survive the swap and a user folded in afterwards gets the row a
+        fresh service on that snapshot gives.  The flip happens under the
+        gateway lock, after which the old version's segments are retired
+        — requests never observe a half-loaded version.  Returns the new
+        version id.
         """
         staging = PredictionService(source, train=self._train)
         if (staging.n_items, staging.num_latent) \
@@ -457,8 +461,7 @@ class ShardedScorer(PredictionService):
             # Folded-in users' stored rating values (and their sufficient
             # statistics) had *this* offset removed; swapping in a
             # re-centred snapshot would silently shift their predictions
-            # by the offset delta.  Same invariant PredictionService
-            # enforces across pooled snapshots.
+            # by the offset delta.
             raise ValidationError(
                 f"snapshot was centred with offset {staging.offset}, the "
                 f"cluster serves offset {self.offset}")
@@ -467,13 +470,17 @@ class ShardedScorer(PredictionService):
             if self._closed:
                 raise ValidationError("ShardedScorer is closed")
             # Re-fold every registered cold-start user against the new
-            # item factors, preserving their ids (buffer order).
-            refreshed = self._foldin.refreshed(staging._item_factors)
+            # item factors and prior, preserving their ids (buffer order).
+            refreshed = self._foldin.refreshed(
+                staging._item_factors, staging._user_prior, staging._alpha)
             replacement = _VersionState(next(self._version_ids),
                                         staging._item_factors, self._bounds)
             old, self._active = self._active, replacement
             self._foldin = refreshed
             self._item_factors = staging._item_factors
+            self._user_prior = staging._user_prior
+            self._movie_prior = staging._movie_prior
+            self._alpha = staging._alpha
             self._user_buffer = self._user_factors = staging._user_factors
             if refreshed.states:
                 self._append_user_rows(np.array(

@@ -99,13 +99,15 @@ class FoldInState:
         self._row = np.linalg.solve(self.precision, self.linear)
         return self.row()
 
-    def refreshed(self, item_factors: np.ndarray) -> "FoldInState":
-        """Rebuild against new item factors (after a snapshot hot-swap).
+    def refreshed(self, item_factors: np.ndarray, prior: GaussianPrior,
+                  alpha: float) -> "FoldInState":
+        """Rebuild against a new snapshot's item factors, prior and
+        ``alpha`` (after a hot swap).
 
         The rating history carries over; the statistics are recomputed
-        from scratch because ``X`` changed under them.
+        from scratch because ``X`` and the prior changed under them.
         """
-        rebuilt = FoldInState(self.prior, self.alpha)
+        rebuilt = FoldInState(prior, alpha)
         if self.n_ratings:
             rebuilt.update(np.asarray(item_factors,
                                       dtype=np.float64)[self.items],
@@ -157,10 +159,12 @@ class FoldInRegistry:
                 f"[{n_train_users}, {n_users}), got {user}")
         return self.states[user].update(item_rows_for(items), items, values)
 
-    def refreshed(self, item_factors: np.ndarray) -> "FoldInRegistry":
-        """A new registry rebuilt against new item factors (hot swap)."""
-        fresh = FoldInRegistry(self.prior, self.alpha)
-        fresh.states = {user: state.refreshed(item_factors)
+    def refreshed(self, item_factors: np.ndarray, prior: GaussianPrior,
+                  alpha: float) -> "FoldInRegistry":
+        """A new registry rebuilt against a new snapshot's item factors,
+        prior and ``alpha`` (hot swap)."""
+        fresh = FoldInRegistry(prior, alpha)
+        fresh.states = {user: state.refreshed(item_factors, prior, alpha)
                         for user, state in sorted(self.states.items())}
         return fresh
 

@@ -1,8 +1,10 @@
 """Online prediction/ranking service over persisted posterior snapshots.
 
-:class:`PredictionService` is the read path of the system: it loads one or
-more snapshots (averaging multiple chains when given several), precomputes
-a C-contiguous item-factor block for fast ranked retrieval, and answers
+:class:`PredictionService` is the read path of the system: it loads one
+snapshot, serves its posterior-mean factors
+(:meth:`~repro.core.checkpoint.Snapshot.posterior_mean_state`),
+precomputes a C-contiguous item-factor block for fast ranked retrieval,
+and answers
 
 * ``predict(user, item)`` / ``predict_batch`` — rating predictions with
   the training offset restored;
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -61,16 +63,14 @@ def check_item_range(items: np.ndarray, n_items: int) -> None:
 
 
 class PredictionService:
-    """Serves predictions and rankings from posterior snapshots.
+    """Serves predictions and rankings from a posterior snapshot.
 
     Parameters
     ----------
-    snapshots:
-        One snapshot (or path), or a sequence of them.  Several snapshots —
-        e.g. independent chains, or snapshots taken along one chain — are
-        combined into a single factor model by pooling their posterior-mean
-        accumulators (weighted by sample counts); a snapshot that never
-        left burn-in contributes its last Gibbs sample with weight 1.
+    snapshot:
+        A :class:`~repro.core.checkpoint.Snapshot` or the path of one.  The
+        service serves its posterior-mean factors; a snapshot that never
+        left burn-in serves its last Gibbs sample.
     train:
         Optional training rating matrix; when provided, ``top_n`` excludes
         items the user already rated (the standard serving rule).
@@ -86,38 +86,28 @@ class PredictionService:
     #: event loop.
     IN_PROCESS = True
 
-    def __init__(self, snapshots: Union[SnapshotLike, Sequence[SnapshotLike]],
+    def __init__(self, snapshot: SnapshotLike,
                  train: Optional[RatingMatrix] = None, cache_size: int = 256):
         check_positive("cache_size", cache_size)
-        if isinstance(snapshots, (Snapshot, str)) or hasattr(snapshots, "__fspath__"):
-            snapshots = [snapshots]
-        loaded = [coerce_snapshot(source) for source in snapshots]
-        if not loaded:
-            raise ValidationError("at least one snapshot is required")
-
-        shapes = {(snap.state.n_users, snap.state.n_movies, snap.state.num_latent)
-                  for snap in loaded}
-        if len(shapes) > 1:
+        if not isinstance(snapshot, (Snapshot, str)) \
+                and not hasattr(snapshot, "__fspath__"):
             raise ValidationError(
-                f"snapshots disagree on factor shapes: {sorted(shapes)}")
-        offsets = {float(snap.offset) for snap in loaded}
-        if len(offsets) > 1:
-            raise ValidationError(
-                f"snapshots disagree on the rating offset: {sorted(offsets)}")
-
-        user_factors, item_factors = self._combine(loaded)
-        self.offset = float(loaded[0].offset)
+                "PredictionService serves one snapshot (or its path), "
+                f"not {type(snapshot).__name__}")
+        snapshot = coerce_snapshot(snapshot)
+        state = snapshot.posterior_mean_state()
+        self.offset = float(snapshot.offset)
         # C-contiguous blocks: top_n is one GEMV against the item block.
         # The user block lives in a geometrically grown buffer so fold-in
         # registration is amortized O(K), not O(n_users) per request;
         # `_user_factors` is always the view of the rows in use.
-        self._user_buffer = np.ascontiguousarray(user_factors)
+        self._user_buffer = np.ascontiguousarray(state.user_factors)
         self._user_factors = self._user_buffer
-        self._item_factors = np.ascontiguousarray(item_factors)
-        self._n_train_users = int(user_factors.shape[0])
-        self._user_prior: GaussianPrior = loaded[0].state.user_prior.copy()
-        self._movie_prior: GaussianPrior = loaded[0].state.movie_prior.copy()
-        self._alpha = loaded[0].alpha
+        self._item_factors = np.ascontiguousarray(state.movie_factors)
+        self._n_train_users = state.n_users
+        self._user_prior: GaussianPrior = state.user_prior
+        self._movie_prior: GaussianPrior = state.movie_prior
+        self._alpha = snapshot.alpha
         self._train = train
         if train is not None and (train.n_users != self._n_train_users
                                   or train.n_movies != self.n_items):
@@ -128,29 +118,9 @@ class PredictionService:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_invalidations = 0
-        self.n_snapshots = len(loaded)
         # Incremental-update state per folded-in user id (rank-k posterior
         # updates when a known cold-start user rates new items).
         self._foldin = FoldInRegistry(self._user_prior, self._alpha)
-
-    @staticmethod
-    def _combine(loaded: List[Snapshot]) -> Tuple[np.ndarray, np.ndarray]:
-        # Pool the running sums so chains with more retained samples weigh
-        # proportionally; snapshots without samples fall back to their
-        # last state with weight 1.
-        user_sum = np.zeros_like(loaded[0].state.user_factors)
-        item_sum = np.zeros_like(loaded[0].state.movie_factors)
-        count = 0
-        for snap in loaded:
-            if snap.mean_count > 0 and snap.mean_user_sum is not None:
-                user_sum += snap.mean_user_sum
-                item_sum += snap.mean_movie_sum
-                count += snap.mean_count
-            else:
-                user_sum += snap.state.user_factors
-                item_sum += snap.state.movie_factors
-                count += 1
-        return user_sum / count, item_sum / count
 
     # -- shape properties --------------------------------------------------
 

@@ -30,7 +30,6 @@ from repro.serving.wal.replay import (
 )
 from repro.serving.wal.shipper import (
     CATCHUP_BATCH,
-    MUTATION_KINDS,
     FollowerCoordinator,
     LeaderCoordinator,
     WalUnavailableError,
@@ -50,6 +49,5 @@ __all__ = [
     "validate_mutation",
     "LeaderCoordinator",
     "FollowerCoordinator",
-    "MUTATION_KINDS",
     "CATCHUP_BATCH",
 ]

@@ -56,6 +56,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
+from repro.core.checkpoint import _fsync_path
 from repro.obs.trace import maybe_span
 from repro.serving.net.protocol import (
     ProtocolError,
@@ -299,6 +300,9 @@ class WriteAheadLog:
         self._close_handle()
         self._handle_path = self.directory / _segment_name(first_seqno)
         self._handle = open(self._handle_path, "ab")
+        # Without a directory fsync a crash can drop the new file's entry,
+        # and with it every record already synced into the file.
+        _fsync_path(self.directory)
 
     def _close_handle(self) -> None:
         if self._handle is not None:
@@ -456,6 +460,8 @@ class WriteAheadLog:
                 removed += 1
             else:
                 break
+        if removed:
+            _fsync_path(self.directory)
         return removed
 
     def close(self) -> None:

@@ -73,10 +73,7 @@ from repro.serving.wal.replay import (
 )
 
 __all__ = ["LeaderCoordinator", "FollowerCoordinator", "WalUnavailableError",
-           "MUTATION_KINDS", "CATCHUP_BATCH"]
-
-#: Request kinds the coordinators own (routed before the plain executor).
-MUTATION_KINDS = frozenset({"rate", "foldin"})
+           "CATCHUP_BATCH"]
 
 #: Records per ``wal_catchup`` reply (and the follower's pull size).
 CATCHUP_BATCH = 256
@@ -134,9 +131,11 @@ class _Link:
     again once the peer has closed it.
     """
 
-    def __init__(self, address: Tuple[str, int], timeout: float = 10.0):
+    #: Seconds a dial or a round-trip may take.
+    timeout = 10.0
+
+    def __init__(self, address: Tuple[str, int]):
         self.address = (str(address[0]), int(address[1]))
-        self.timeout = float(timeout)
         self._connection = None
         self._dialing = asyncio.Lock()
 
@@ -202,9 +201,8 @@ class _FollowerLink:
     leader's view of that follower's replication lag.
     """
 
-    def __init__(self, address: Tuple[str, int], timeout: float,
-                 backoff: Backoff):
-        self.link = _Link(address, timeout=timeout)
+    def __init__(self, address: Tuple[str, int], backoff: Backoff):
+        self.link = _Link(address)
         self.backoff = backoff
         self.failures = 0
         self.dead_until = 0.0
@@ -235,10 +233,9 @@ class LeaderCoordinator(_TraceMixin):
     log:
         The (possibly freshly recovered) :class:`WriteAheadLog`.  The
         coordinator owns it from here on and closes it with itself.
-    ship_timeout, ship_cooldown:
-        Per-follower socket timeout and the *base* skip window after a
-        failed shipment (it self-heals any gap by catch-up once shipping
-        resumes).
+    ship_cooldown:
+        The *base* skip window after a failed shipment (it self-heals any
+        gap by catch-up once shipping resumes).
     ship_backoff_max, ship_backoff_seed:
         Cap and jitter seed for the per-follower exponential backoff:
         consecutive failures double the skip window from ``ship_cooldown``
@@ -249,8 +246,7 @@ class LeaderCoordinator(_TraceMixin):
     role = "leader"
 
     def __init__(self, service, log: WriteAheadLog,
-                 ship_timeout: float = 10.0, ship_cooldown: float = 1.0,
-                 ship_backoff_max: float = 30.0,
+                 ship_cooldown: float = 1.0, ship_backoff_max: float = 30.0,
                  ship_backoff_seed: Optional[int] = None,
                  tracer: Optional[Tracer] = None):
         self.service = service
@@ -262,7 +258,6 @@ class LeaderCoordinator(_TraceMixin):
         self.replayer = MutationReplayer(service)
         self.instance = secrets.token_hex(4)
         self._followers: Dict[Tuple[str, int], _FollowerLink] = {}
-        self._ship_timeout = float(ship_timeout)
         self._ship_cooldown = float(ship_cooldown)
         self._ship_backoff_max = max(float(ship_backoff_max),
                                      float(ship_cooldown))
@@ -316,9 +311,8 @@ class LeaderCoordinator(_TraceMixin):
                 if seed is not None:
                     seed = int(seed) + int(address[1])
                 self._followers[address] = _FollowerLink(
-                    address, self._ship_timeout,
-                    Backoff(base=self._ship_cooldown,
-                            cap=self._ship_backoff_max, seed=seed))
+                    address, Backoff(base=self._ship_cooldown,
+                                     cap=self._ship_backoff_max, seed=seed))
 
     # -- the write path ----------------------------------------------------
 
@@ -474,7 +468,7 @@ class FollowerCoordinator(_TraceMixin):
     role = "follower"
 
     def __init__(self, service, leader_address: Tuple[str, int],
-                 timeout: float = 10.0, tracer: Optional[Tracer] = None):
+                 tracer: Optional[Tracer] = None):
         self.service = service
         self._tracer = tracer
         #: How gateway calls run (see :class:`LeaderCoordinator`).
@@ -482,7 +476,7 @@ class FollowerCoordinator(_TraceMixin):
         self.leader_address = (str(leader_address[0]),
                                int(leader_address[1]))
         self.replayer = MutationReplayer(service)
-        self._link = _Link(self.leader_address, timeout=timeout)
+        self._link = _Link(self.leader_address)
         self._leader_instance: Optional[str] = None
         #: Highest leader seqno this follower has *heard of* (from
         #: shipment and catch-up headers) — the reference point for its

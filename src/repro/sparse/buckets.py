@@ -17,6 +17,7 @@ sweep.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -150,19 +151,28 @@ def build_bucket_plan(axis: CompressedAxis,
 #: gathered blocks.
 MAX_CACHED_PLANS = 128
 
-#: ``(id(axis), items-bytes) -> BucketPlan``, LRU-ordered.  The
-#: cache never keeps the axis alive: a ``weakref.finalize`` per axis evicts
-#: all of its entries when it is collected, so a recycled ``id()`` can never
-#: serve a stale plan.
+#: ``(id(axis), items-bytes) -> BucketPlan``, LRU-ordered, and touched
+#: only under ``_PLAN_LOCK``: a serving process folds users in from
+#: several threads.  The cache never keeps the axis alive: a
+#: ``weakref.finalize`` per axis queues its id in ``_DEAD_AXES`` when it
+#: is collected, and every lookup first evicts the queued ids' entries, so
+#: a recycled ``id()`` can never serve a stale plan.  The finalizer only
+#: queues, because it runs wherever the collector does, which may be a
+#: thread inside the cache.
 _PLAN_CACHE: "OrderedDict[Tuple[int, Optional[bytes]], BucketPlan]" = \
     OrderedDict()
+_PLAN_LOCK = threading.Lock()
+_DEAD_AXES: List[int] = []
 _AXIS_FINALIZERS: dict = {}
 
 
-def _evict_axis_plans(axis_id: int) -> None:
-    _AXIS_FINALIZERS.pop(axis_id, None)
-    for key in [key for key in _PLAN_CACHE if key[0] == axis_id]:
-        del _PLAN_CACHE[key]
+def _evict_dead_axes() -> None:
+    """Drop every entry of a collected axis (the caller holds the lock)."""
+    while _DEAD_AXES:
+        axis_id = _DEAD_AXES.pop()
+        _AXIS_FINALIZERS.pop(axis_id, None)
+        for key in [key for key in _PLAN_CACHE if key[0] == axis_id]:
+            del _PLAN_CACHE[key]
 
 
 def cached_bucket_plan(axis: CompressedAxis,
@@ -177,18 +187,20 @@ def cached_bucket_plan(axis: CompressedAxis,
     """
     key = (id(axis),
            None if items is None else np.asarray(items, np.int64).tobytes())
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = build_bucket_plan(axis, items)
-        while len(_PLAN_CACHE) >= MAX_CACHED_PLANS:
-            _PLAN_CACHE.popitem(last=False)
-        if id(axis) not in _AXIS_FINALIZERS:
-            _AXIS_FINALIZERS[id(axis)] = weakref.finalize(
-                axis, _evict_axis_plans, id(axis))
-        _PLAN_CACHE[key] = plan
-    else:
-        # Refresh recency so the eviction above is LRU, not FIFO.
-        _PLAN_CACHE.move_to_end(key)
+    with _PLAN_LOCK:
+        _evict_dead_axes()
+        plan = _PLAN_CACHE.get(key)
+        if plan is None:
+            plan = build_bucket_plan(axis, items)
+            while len(_PLAN_CACHE) >= MAX_CACHED_PLANS:
+                _PLAN_CACHE.popitem(last=False)
+            if id(axis) not in _AXIS_FINALIZERS:
+                _AXIS_FINALIZERS[id(axis)] = weakref.finalize(
+                    axis, _DEAD_AXES.append, id(axis))
+            _PLAN_CACHE[key] = plan
+        else:
+            # Refresh recency so the eviction above is LRU, not FIFO.
+            _PLAN_CACHE.move_to_end(key)
     return plan
 
 

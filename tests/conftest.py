@@ -20,6 +20,7 @@ import pytest
 from hypothesis import settings
 
 from repro.core.priors import BPMFConfig
+from repro.core.updates import HybridUpdatePolicy, UpdateMethod
 from repro.datasets.chembl import ChemblLikeConfig, make_chembl_like
 from repro.datasets.synthetic import SyntheticConfig, make_low_rank_dataset
 from repro.sparse.coo import CooMatrix
@@ -137,6 +138,24 @@ def assert_same_chain():
         assert result.items_updated == reference.items_updated
 
     return check
+
+
+@pytest.fixture(scope="session")
+def forcing():
+    """A policy that gives every item of degree ``1 .. ceiling - 1`` the
+    kernel ``method``; degree 0 takes the rank-one kernel under every
+    policy (``rank_one_limit`` is at least 1)."""
+    def policy(method, grain=512, ceiling=10 ** 9):
+        if method is UpdateMethod.RANK_ONE:
+            return HybridUpdatePolicy(parallel_threshold=ceiling,
+                                      rank_one_threshold=ceiling,
+                                      block_grain=grain)
+        parallel = method is UpdateMethod.PARALLEL_CHOLESKY
+        return HybridUpdatePolicy(
+            parallel_threshold=1 if parallel else ceiling,
+            rank_one_threshold=1, block_grain=grain)
+
+    return policy
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,9 @@ change has not changed the sampled chain.
 from __future__ import annotations
 
 import gc
+import sys
+import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -69,12 +72,12 @@ def _phase_inputs(axis, n_source, k, seed):
     return source, prior, noise
 
 
-def _run_both(axis, n_source, k, method=None, policy=None, items=None, seed=0):
+def _run_both(axis, n_source, k, policy=None, items=None, seed=0):
     """Run one phase through both engines on identical inputs."""
     source, prior, noise = _phase_inputs(axis, n_source, k, seed)
     outputs = []
     for engine_cls in (ReferenceUpdateEngine, BatchedUpdateEngine):
-        engine = engine_cls(update_method=method, policy=policy)
+        engine = engine_cls(policy=policy)
         target = np.zeros((axis.n, k))
         engine.update_items(target, source, axis, prior, 2.0, noise,
                             items=items)
@@ -89,16 +92,19 @@ class TestPhaseParity:
     @pytest.mark.parametrize("method", [None, UpdateMethod.RANK_ONE,
                                         UpdateMethod.SERIAL_CHOLESKY,
                                         UpdateMethod.PARALLEL_CHOLESKY])
-    def test_mixed_degrees_all_methods(self, k, method):
-        """Heterogeneous degrees spanning all three policy regimes."""
+    def test_mixed_degrees_all_methods(self, k, method, forcing):
+        """Heterogeneous degrees spanning all three policy regimes, or
+        every degree from 1 in the one regime ``method``."""
         rng = np.random.default_rng(7)
-        # Policy with tiny thresholds so every regime is exercised cheaply.
-        policy = HybridUpdatePolicy(parallel_threshold=12,
-                                    rank_one_threshold=4, block_grain=5)
+        # Tiny thresholds so every regime is exercised cheaply.
+        if method is None:
+            policy = HybridUpdatePolicy(parallel_threshold=12,
+                                        rank_one_threshold=4, block_grain=5)
+        else:
+            policy = forcing(method, grain=5, ceiling=25)
         degrees = rng.integers(0, 25, size=30)
         axis = _random_axis(rng, 30, 40, degrees)
-        reference, batched = _run_both(axis, 40, k, method=method,
-                                       policy=policy, seed=k)
+        reference, batched = _run_both(axis, 40, k, policy=policy, seed=k)
         np.testing.assert_allclose(batched, reference, **TOL)
 
     @pytest.mark.parametrize("k", [1, 8, 32])
@@ -330,13 +336,13 @@ class TestSamplerParity:
         assert bat.final_rmse == pytest.approx(ref.final_rmse, rel=1e-6)
 
     @pytest.mark.parametrize("method", list(UpdateMethod))
-    def test_sweep_parity_forced_methods(self, data, method):
+    def test_sweep_parity_forced_methods(self, data, method, forcing):
         config = BPMFConfig(num_latent=8, burn_in=0, n_samples=1, alpha=4.0)
         ref = GibbsSampler(config, SamplerOptions(
-            engine="reference", update_method=method)).run(
+            engine="reference", policy=forcing(method))).run(
             data.split.train, data.split, seed=1)
         bat = GibbsSampler(config, SamplerOptions(
-            engine="batched", update_method=method)).run(
+            engine="batched", policy=forcing(method))).run(
             data.split.train, data.split, seed=1)
         np.testing.assert_allclose(bat.state.user_factors,
                                    ref.state.user_factors, rtol=1e-6, atol=1e-8)
@@ -416,10 +422,120 @@ class TestEngineSelection:
         axis = make_axis(3)
         plan_old = cached_bucket_plan(axis)
         del axis
-        gc.collect()  # finalizer evicts the dead axis's entries (id reuse safe)
+        gc.collect()  # the dead axis's entries go before the next lookup
         fresh = make_axis(3)
         plan_new = cached_bucket_plan(fresh)
         assert plan_new is not plan_old
+
+    def test_a_dead_axis_is_evicted_despite_a_concurrent_insert(
+            self, monkeypatch):
+        """Evicting a collected axis's plans survives another thread
+        inserting into the cache at the same moment.
+
+        The cache below hands control to an inserting thread the first
+        time anything iterates it, as an eviction does, and resumes once
+        that thread has inserted or is waiting for the cache's lock.
+        Unguarded, the insert lands mid-iteration, the eviction raises
+        "OrderedDict mutated during iteration" inside the axis's
+        finalizer, and the dead axis's entries stay cached.
+        """
+        from repro.sparse import buckets
+
+        rng = np.random.default_rng(17)
+
+        def make_axis():
+            return _random_axis(rng, 10, 12, rng.integers(0, 5, size=10))
+
+        progress = threading.Event()
+        inserting, other = [], make_axis()
+
+        def insert():
+            cached_bucket_plan(other)
+            progress.set()
+
+        class SignallingLock:
+            """A lock that reports a thread about to wait for it."""
+
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def __enter__(self):
+                if not self._lock.acquire(blocking=False):
+                    progress.set()
+                    self._lock.acquire()
+
+            def __exit__(self, *exc_info):
+                self._lock.release()
+
+        class HandOverCache(OrderedDict):
+            def __iter__(self):
+                for position, key in enumerate(super().__iter__()):
+                    yield key
+                    if position == 0 and not inserting:
+                        inserting.append(threading.Thread(target=insert))
+                        inserting[0].start()
+                        assert progress.wait(timeout=30.0)
+
+        dying = make_axis()
+        gc.collect()
+        cached_bucket_plan(dying)
+        cached_bucket_plan(dying, np.array([1, 2]))
+        dead = id(dying)
+        # The cache's entries move into the handing-over cache and back,
+        # so the module's bookkeeping stays whole for later tests.
+        original = buckets._PLAN_CACHE
+        cache = HandOverCache(original)
+        monkeypatch.setattr(buckets, "_PLAN_CACHE", cache)
+        monkeypatch.setattr(buckets, "_PLAN_LOCK", SignallingLock(),
+                            raising=False)
+        try:
+            del dying
+            gc.collect()
+            cached_bucket_plan(make_axis())
+            for thread in inserting:
+                thread.join(timeout=30.0)
+        finally:
+            original.clear()
+            original.update(cache)
+        assert inserting and not inserting[0].is_alive()
+        assert not [key for key in list(cache.keys()) if key[0] == dead]
+        assert (id(other), None) in cache.keys()
+
+    def test_plan_cache_stress_under_thread_switches(self, monkeypatch):
+        """Four threads churn short-lived axes through the cache with a
+        tiny switch interval: no finalizer raises, and once the dead axes
+        are evicted every cached plan belongs to a live axis."""
+        from repro.sparse import buckets
+
+        errors = []
+        monkeypatch.setattr(sys, "unraisablehook", errors.append)
+
+        def churn(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(60):
+                axis = _random_axis(rng, 8, 6, rng.integers(0, 4, size=8))
+                cached_bucket_plan(axis)
+                cached_bucket_plan(axis, np.array([0, 3]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(seed,))
+                       for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        gc.collect()
+        keep = _random_axis(np.random.default_rng(0), 4, 4, [1, 1, 1, 1])
+        cached_bucket_plan(keep)
+        assert not errors
+        live = {axis_id for axis_id, finalizer
+                in buckets._AXIS_FINALIZERS.items() if finalizer.alive}
+        assert {key[0] for key in list(buckets._PLAN_CACHE.keys())} <= live
 
 
 class TestSuperBuckets:

@@ -1,7 +1,8 @@
 """README command lines against the parsers they drive.
 
-Every ``python -m repro.serving`` / ``python -m repro.mpi.net`` command
-line in README.md must name a subcommand and flags that the module's
+Every ``python -m repro.serving`` / ``python -m repro.mpi.net`` /
+``python -m repro.bench`` command line in README.md must name a
+subcommand (``repro.serving``) and flags that the module's
 ``build_parser()`` accepts, so a deleted or renamed flag cannot survive
 in the documentation.
 """
@@ -15,12 +16,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.__main__ import build_parser as bench_parser
 from repro.mpi.net.__main__ import build_parser as mpi_parser
 from repro.serving.__main__ import build_parser as serving_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-MODULES = ("repro.serving", "repro.mpi.net")
+MODULES = ("repro.serving", "repro.mpi.net", "repro.bench")
 
 
 def _command_lines():
@@ -78,7 +80,8 @@ def test_readme_command_line_flags_exist(module, argv):
         known = _options(subcommands[argv[0]])
         flags = argv[1:]
     else:
-        known = _options(mpi_parser())
+        parser = mpi_parser() if module == "repro.mpi.net" else bench_parser()
+        known = _options(parser)
         flags = argv
     unknown = [flag for flag in flags
                if flag.startswith("--") and flag.split("=")[0] not in known]

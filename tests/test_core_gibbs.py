@@ -224,19 +224,20 @@ class TestGibbsSampler:
         noise_std = small_dataset.config.noise_std
         assert result.final_rmse < 2.5 * noise_std
 
-    def test_forced_update_methods_agree(self, tiny_dataset, tiny_config):
+    def test_forced_update_methods_agree(self, tiny_dataset, tiny_config,
+                                         forcing):
         """Forcing either Cholesky kernel must not change the sampled chain:
         they share one square root of the conditional covariance.  The
         rank-one kernel draws through another root (the kernel tests pin
         its mean and covariance), so its chain is a different draw, and
         the one the batched engine samples under the same forcing.
 
-        Run on the reference engine: only there does ``update_method``
-        select the literal kernel.
+        Run on the reference engine: only there does the policy select
+        the literal kernel.
         """
         def run(method, engine="reference"):
             return GibbsSampler(tiny_config, SamplerOptions(
-                engine=engine, update_method=method)).run(
+                engine=engine, policy=forcing(method))).run(
                 tiny_dataset.split.train, tiny_dataset.split, seed=4)
 
         np.testing.assert_allclose(

@@ -20,7 +20,9 @@ import pytest
 from repro.bench.serving import make_bench_snapshot
 from repro.core.recommend import merge_top_n, select_top_n
 from repro.core.checkpoint import save_snapshot
+from repro.core.priors import GaussianPrior
 from repro.serving.cluster import ClusterError, ShardedScorer, SnapshotWatcher
+from repro.serving.foldin import FoldInState
 from repro.serving.service import PredictionService
 from repro.sparse.csr import RatingMatrix
 from repro.sparse.shard import shard_bounds, slice_item_range
@@ -316,6 +318,31 @@ def test_load_version_swaps_to_the_new_posterior(snapshot, train):
         # And their incremental state still works post-swap.
         scorer.add_ratings(folded, np.array([9]), np.array([4.0]))
         assert np.isfinite(scorer.top_n(folded, n=5).scores).all()
+
+
+def test_load_version_adopts_the_new_fold_in_prior(snapshot):
+    """A swap serves the new snapshot's user prior and alpha: a user
+    folded in after it gets, byte for byte, the row a fresh service on
+    that snapshot gives, and one folded in before it is re-folded under
+    the new prior."""
+    replacement = make_bench_snapshot(N_USERS, N_ITEMS, K, seed=99)
+    prior = replacement.state.user_prior
+    replacement.state.user_prior = GaussianPrior(mean=prior.mean + 0.5,
+                                                 precision=prior.precision)
+    items, values = np.array([0, 4, 9]), np.array([5.0, 2.0, 4.0])
+    fresh = PredictionService(replacement)
+    user = fresh.fold_in(items, values)
+    expected = fresh.state().user_factors[user]
+    refold = FoldInState(fresh.state().user_prior, replacement.alpha)
+    refold.update(fresh.state().movie_factors[items], items,
+                  values - replacement.offset)
+    with ShardedScorer(snapshot, n_shards=2) as scorer:
+        before = scorer.fold_in(items, values)
+        scorer.load_version(replacement)
+        after = scorer.fold_in(items, values)
+        rows = scorer.state().user_factors
+    assert rows[after].tobytes() == expected.tobytes()
+    assert rows[before].tobytes() == refold.row().tobytes()
 
 
 def test_load_version_rejects_shape_and_offset_drift(snapshot):

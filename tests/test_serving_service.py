@@ -1,5 +1,5 @@
 """PredictionService tests: parity with the in-memory paths, caching,
-multi-snapshot pooling and cold-start fold-in serving."""
+one snapshot per service and cold-start fold-in serving."""
 
 from __future__ import annotations
 
@@ -224,40 +224,12 @@ class TestFoldInServing:
 
 
 class TestMultiSnapshot:
-    def test_mean_mode_pools_accumulators(self, data, tmp_path):
-        config = BPMFConfig(num_latent=5, alpha=4.0, burn_in=1, n_samples=3)
-        paths = []
-        snaps = []
-        for seed in (0, 1):
-            result = GibbsSampler(config).run(data.split.train, data.split,
-                                              seed=seed)
-            snap = snapshot_from_result(result)
-            path = tmp_path / f"chain{seed}.npz"
-            save_snapshot(snap, path)
-            paths.append(path)
-            snaps.append(snap)
-        service = PredictionService(paths)
-        assert service.n_snapshots == 2
-        total = snaps[0].mean_count + snaps[1].mean_count
-        expected = (snaps[0].mean_user_sum + snaps[1].mean_user_sum) / total
-        np.testing.assert_allclose(service._user_factors, expected,
-                                   rtol=1e-12, atol=1e-12)
-
-    def test_shape_mismatch_rejected(self, data, snapshot, tmp_path):
-        other_data = make_low_rank_dataset(SyntheticConfig(
-            n_users=20, n_movies=15, rank=2, density=0.4, seed=1))
-        config = BPMFConfig(num_latent=5, alpha=4.0, burn_in=1, n_samples=1)
-        result = GibbsSampler(config).run(other_data.split.train,
-                                          other_data.split, seed=0)
-        with pytest.raises(ValidationError, match="shapes"):
-            PredictionService([snapshot, snapshot_from_result(result)])
-
-    def test_offset_mismatch_rejected(self, data, snapshot):
-        config = BPMFConfig(num_latent=5, alpha=4.0, burn_in=2, n_samples=4)
-        result = GibbsSampler(config).run(data.split.train, data.split, seed=3)
-        shifted = snapshot_from_result(result, offset=2.0)
-        with pytest.raises(ValidationError, match="offset"):
-            PredictionService([snapshot, shifted])
+    def test_a_list_of_snapshots_is_refused(self, snapshot):
+        """The service serves one snapshot's posterior mean; pooling
+        chains is not its job."""
+        for many in ([snapshot, snapshot], [snapshot]):
+            with pytest.raises(ValidationError, match="one snapshot"):
+                PredictionService(many)
 
     def test_empty_snapshot_list_rejected(self):
         with pytest.raises(ValidationError):

@@ -22,6 +22,7 @@ The contract pinned here (see ``repro.serving.wal.log``):
 from __future__ import annotations
 
 import json
+import os
 import struct
 import sys
 import zlib
@@ -313,6 +314,32 @@ def test_compaction_drops_covered_segments_and_reopens(tmp_path):
         assert log.append({"post": True}) == 6
         # The active segment is never dropped.
         assert log.compact(retain_from_seqno=10**6) == 2
+
+
+def test_segment_creates_and_compaction_unlinks_fsync_the_directory(
+        tmp_path, monkeypatch):
+    """A segment's directory entry is durable before its first record is
+    synced, and a compaction's unlinks are durable once it returns."""
+    events = []
+    directory = tmp_path.stat().st_ino
+    real_fsync, real_unlink = os.fsync, os.unlink
+
+    def fsync(fd):
+        events.append("dir" if os.fstat(fd).st_ino == directory else "file")
+        real_fsync(fd)
+
+    def unlink(path, *args, **kwargs):
+        events.append("unlink")
+        real_unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "unlink", unlink)
+    with WriteAheadLog(tmp_path, segment_bytes=1) as log:
+        _fill(log, 3)
+        assert events == ["dir", "file"] * 3
+        events.clear()
+        assert log.compact(retain_from_seqno=3) == 2
+        assert events == ["unlink", "unlink", "dir"]
 
 
 def test_sync_every_batches_fsyncs(tmp_path):
