@@ -336,10 +336,10 @@ class BatchedUpdateEngine(UpdateEngine):
     subsets, ``parallel_map`` threads and shared-memory workers, which
     each build their own blocks — never changes an output bit.
 
-    Bucket plans are structural (sparsity-only) and cached per
-    ``(axis, items)`` pair in the module-level cache of
-    :mod:`repro.sparse.buckets`, so repeated sweeps — and *other* engine
-    instances touching the same axis — pay no planning cost.
+    Bucket plans are structural (sparsity-only) and memoised on the axis
+    per planned item subset (:func:`repro.sparse.buckets.cached_bucket_plan`),
+    so repeated sweeps — and *other* engine instances touching the same
+    axis — pay no planning cost.
     """
 
     name = "batched"

@@ -8,11 +8,11 @@ recommender:
   ``.npz`` archives — are written by the samplers' checkpoint hook in
   :mod:`repro.core.checkpoint` and re-exported here;
 * :mod:`repro.serving.service` — :class:`PredictionService`: predictions,
-  batched lookups and top-N ranked retrieval over one or more
-  snapshots, with an LRU score cache;
+  batched lookups and top-N ranked retrieval over one snapshot, with
+  an LRU score cache;
 * :mod:`repro.serving.foldin` — conditional-Gaussian fold-in for
-  cold-start users, executed through the batched block-Cholesky engine,
-  plus incremental rank-k posterior updates (:class:`FoldInState`);
+  cold-start users and their incremental updates, one rating at a time
+  in history order (:class:`FoldInState`);
 * :mod:`repro.serving.cluster` — the sharded, hot-reloading serving
   cluster: :class:`ShardedScorer` (parallel top-N over shared-memory
   item shards, bit-identical to the single process) and
@@ -37,9 +37,6 @@ __all__ = [
     "coerce_snapshot",
     "restore_generator",
     "snapshot_from_result",
-    "fold_in_users",
-    "fold_in_user",
-    "fold_in_posterior",
     "FoldInState",
     "PredictionService",
     "ShardedScorer",
@@ -61,8 +58,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
                               "Snapshot", "save_snapshot", "load_snapshot",
                               "coerce_snapshot", "restore_generator",
                               "snapshot_from_result"),
-    "repro.serving.foldin": ("fold_in_users", "fold_in_user",
-                             "fold_in_posterior", "FoldInState"),
+    "repro.serving.foldin": ("FoldInState",),
     "repro.serving.service": ("PredictionService",),
     "repro.serving.cluster": ("ShardedScorer", "SnapshotWatcher",
                               "ClusterError"),

@@ -232,7 +232,7 @@ class ShardedScorer(PredictionService):
 
     # The inherited calls that read or write the factors a swap replaces.
     predict_batch = _under_lock(PredictionService.predict_batch)
-    fold_in_batch = _under_lock(PredictionService.fold_in_batch)
+    fold_in = _under_lock(PredictionService.fold_in)
     add_ratings = _under_lock(PredictionService.add_ratings)
     state_digest = _under_lock(PredictionService.state_digest)
 

@@ -419,7 +419,7 @@ def smoke_drill() -> dict:
                                        exclude=data.split.train)
         require(reference.items.tolist() == top.items.tolist(),
                 "service top-N disagrees with recommend_for_user")
-    return finish(None, {"rmse": rmse, "fold_in_user": cold},
+    return finish(None, {"rmse": rmse, "cold_user": cold},
                   f"SMOKE OK: serving rmse={rmse:.4f}, resumed to sweep 7, "
                   f"fold-in user {cold} served")
 

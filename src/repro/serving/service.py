@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,11 +33,12 @@ from repro.core.priors import GaussianPrior
 from repro.core.recommend import Recommendation, select_top_n
 from repro.core.state import BPMFState
 from repro.core.checkpoint import PathLike, Snapshot, coerce_snapshot
-from repro.serving.foldin import FoldInRegistry, fold_in_users
+from repro.serving.foldin import FoldInRegistry
 from repro.sparse.csr import RatingMatrix
 from repro.utils.validation import ValidationError, check_positive
 
-__all__ = ["PredictionService", "check_user_range", "check_item_range"]
+__all__ = ["PredictionService", "check_user_range", "check_item_range",
+           "check_folded_in_user"]
 
 SnapshotLike = Union[Snapshot, PathLike]
 
@@ -60,6 +61,15 @@ def check_item_range(items: np.ndarray, n_items: int) -> None:
     """Reject item indices outside ``[0, n_items)`` (shared, see above)."""
     if items.size and (int(items.min()) < 0 or int(items.max()) >= n_items):
         raise ValidationError(f"item index outside [0, {n_items})")
+
+
+def check_folded_in_user(user: int, n_train_users: int, n_users: int) -> None:
+    """Reject ``add_ratings`` for a user who was not folded in (shared
+    by the gateways and the write-ahead log's pre-append validation)."""
+    if not n_train_users <= user < n_users:
+        raise ValidationError(
+            f"add_ratings only applies to folded-in users "
+            f"[{n_train_users}, {n_users}), got {user}")
 
 
 class PredictionService:
@@ -274,49 +284,43 @@ class PredictionService:
         """Register an unseen user from their observed ratings.
 
         ``values`` are raw ratings on the served scale; the training offset
-        is removed before the conditional posterior is computed.  Returns
-        the new user id (``>= n_train_users``), immediately usable with
-        :meth:`predict` and :meth:`top_n`.
+        is removed before the conditional posterior is computed
+        (:class:`~repro.serving.foldin.FoldInState`).  Returns the new user
+        id (``>= n_train_users``), immediately usable with :meth:`predict`
+        and :meth:`top_n`.
         """
-        return self.fold_in_batch([items], [values])[0]
-
-    def fold_in_batch(self, item_lists: Sequence[np.ndarray],
-                      value_lists: Sequence[np.ndarray]) -> List[int]:
-        """Register several unseen users in one stacked fold-in pass."""
-        item_lists = [np.asarray(items, dtype=np.int64)
-                      for items in item_lists]
-        value_lists = [np.asarray(vals, dtype=np.float64) - self.offset
-                       for vals in value_lists]
-        rows = fold_in_users(self._item_factors, self._user_prior,
-                             self._alpha, item_lists, value_lists)
-        first = self.n_users
-        self._append_user_rows(rows)
-        self._foldin.register(first, item_lists, value_lists,
-                              lambda items: self._item_factors[items])
-        for new_id in range(first, first + rows.shape[0]):
-            # A buffer id can never be recycled, but drop any entry anyway
-            # so a stale vector cannot survive an id-accounting bug.
-            self._invalidate_cached_scores(new_id)
-        return list(range(first, first + rows.shape[0]))
+        items = np.asarray(items, dtype=np.int64).ravel()
+        values = np.asarray(values, dtype=np.float64).ravel() - self.offset
+        check_item_range(items, self.n_items)
+        user = self.n_users
+        row = self._foldin.fold_in(user, self._item_factors[items], items,
+                                   values)
+        self._append_user_rows(row[None, :])
+        # A buffer id can never be recycled, but drop any entry anyway so
+        # a stale vector cannot survive an id-accounting bug.
+        self._invalidate_cached_scores(user)
+        return user
 
     def add_ratings(self, user: int, items: np.ndarray,
                     values: np.ndarray) -> np.ndarray:
         """Incrementally update a folded-in user who rated new items.
 
-        A rank-``k`` update of the user's conditional posterior
-        (:class:`~repro.serving.foldin.FoldInState`) — their full history
-        is *not* re-folded.  The user's factor row is rewritten in place
-        and their cached score vector invalidated, so the next ``top_n``
-        reflects the new ratings.  Only folded-in users carry the
-        incremental state; training users' rows belong to the sampler.
+        The new ratings join the user's conditional-posterior statistics
+        (:class:`~repro.serving.foldin.FoldInState`) one at a time, after
+        their history — which is *not* re-folded — so the row is the one a
+        single ``fold_in`` of the whole history gives, bit for bit.  The
+        user's factor row is rewritten in place and their cached score
+        vector invalidated, so the next ``top_n`` reflects the new
+        ratings.  Only folded-in users carry the incremental state;
+        training users' rows belong to the sampler.
         """
         user = int(user)
         items = np.asarray(items, dtype=np.int64).ravel()
         values = np.asarray(values, dtype=np.float64).ravel() - self.offset
         self._check_items(items)
-        row = self._foldin.update(user, self._n_train_users, self.n_users,
-                                  items, values,
-                                  lambda items: self._item_factors[items])
+        check_folded_in_user(user, self._n_train_users, self.n_users)
+        row = self._foldin.update(user, self._item_factors[items], items,
+                                  values)
         self._user_buffer[user] = row
         self._invalidate_cached_scores(user)
         return row

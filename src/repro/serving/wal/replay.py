@@ -66,7 +66,7 @@ def validate_mutation(service, kind: str, payload: Dict[str, object]) -> None:
     ``TypeError``/``ValueError`` for malformed payloads, matching the
     executor's error surface).
     """
-    from repro.serving.service import check_item_range
+    from repro.serving.service import check_folded_in_user, check_item_range
 
     items = np.asarray(payload["items"], dtype=np.int64).ravel()
     values = np.asarray(payload["values"], dtype=np.float64).ravel()
@@ -74,11 +74,8 @@ def validate_mutation(service, kind: str, payload: Dict[str, object]) -> None:
         raise ValidationError("items and values must align")
     check_item_range(items, service.n_items)
     if kind == "rate":
-        user = int(payload["user"])
-        if not service.n_train_users <= user < service.n_users:
-            raise ValidationError(
-                f"add_ratings only applies to folded-in users "
-                f"[{service.n_train_users}, {service.n_users}), got {user}")
+        check_folded_in_user(int(payload["user"]), service.n_train_users,
+                             service.n_users)
     elif kind != "foldin":
         raise ValidationError(f"unknown mutation kind {kind!r}")
 

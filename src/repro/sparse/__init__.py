@@ -14,28 +14,7 @@ splitting, and the row/column reordering used by the distributed
 partitioner to improve locality and balance.
 """
 
-from repro.sparse.coo import CooMatrix
-from repro.sparse.csr import CompressedAxis, RatingMatrix
-from repro.sparse.buckets import DegreeBucket, BucketPlan, build_bucket_plan
-from repro.sparse.shard import shard_bounds, slice_item_range
-from repro.sparse.split import train_test_split
-from repro.sparse.io import (
-    save_ratings_text,
-    load_ratings_text,
-    save_ratings_npz,
-    load_ratings_npz,
-    save_split_npz,
-    load_split_npz,
-)
-from repro.sparse.reorder import (
-    degree_order,
-    identity_order,
-    bandwidth,
-    reverse_cuthill_mckee,
-    bipartite_rcm,
-    apply_permutation,
-    balanced_block_order,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CooMatrix",
@@ -61,3 +40,20 @@ __all__ = [
     "apply_permutation",
     "balanced_block_order",
 ]
+
+# Lazy (PEP 562): a module that needs only the compressed axes (an
+# in-process PredictionService, say) loads no planner, reorderer or I/O.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.sparse.coo": ("CooMatrix",),
+    "repro.sparse.csr": ("CompressedAxis", "RatingMatrix"),
+    "repro.sparse.buckets": ("DegreeBucket", "BucketPlan",
+                             "build_bucket_plan"),
+    "repro.sparse.shard": ("shard_bounds", "slice_item_range"),
+    "repro.sparse.split": ("train_test_split",),
+    "repro.sparse.io": ("save_ratings_text", "load_ratings_text",
+                        "save_ratings_npz", "load_ratings_npz",
+                        "save_split_npz", "load_split_npz"),
+    "repro.sparse.reorder": ("degree_order", "identity_order", "bandwidth",
+                             "reverse_cuthill_mckee", "bipartite_rcm",
+                             "apply_permutation", "balanced_block_order"),
+})

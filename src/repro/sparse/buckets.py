@@ -17,9 +17,6 @@ sweep.
 
 from __future__ import annotations
 
-import threading
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -142,65 +139,25 @@ def build_bucket_plan(axis: CompressedAxis,
 
 
 # ---------------------------------------------------------------------------
-# shared plan cache
+# per-axis plan memo
 # ---------------------------------------------------------------------------
-
-#: Upper bound on cached plans.  Large enough for any one process's working
-#: set (two axes per dataset x the ranks of a simulated world); bounds memory when one process churns through many
-#: datasets, since every cached plan holds ~2x its axis's rating data in
-#: gathered blocks.
-MAX_CACHED_PLANS = 128
-
-#: ``(id(axis), items-bytes) -> BucketPlan``, LRU-ordered, and touched
-#: only under ``_PLAN_LOCK``: a serving process folds users in from
-#: several threads.  The cache never keeps the axis alive: a
-#: ``weakref.finalize`` per axis queues its id in ``_DEAD_AXES`` when it
-#: is collected, and every lookup first evicts the queued ids' entries, so
-#: a recycled ``id()`` can never serve a stale plan.  The finalizer only
-#: queues, because it runs wherever the collector does, which may be a
-#: thread inside the cache.
-_PLAN_CACHE: "OrderedDict[Tuple[int, Optional[bytes]], BucketPlan]" = \
-    OrderedDict()
-_PLAN_LOCK = threading.Lock()
-_DEAD_AXES: List[int] = []
-_AXIS_FINALIZERS: dict = {}
-
-
-def _evict_dead_axes() -> None:
-    """Drop every entry of a collected axis (the caller holds the lock)."""
-    while _DEAD_AXES:
-        axis_id = _DEAD_AXES.pop()
-        _AXIS_FINALIZERS.pop(axis_id, None)
-        for key in [key for key in _PLAN_CACHE if key[0] == axis_id]:
-            del _PLAN_CACHE[key]
-
 
 def cached_bucket_plan(axis: CompressedAxis,
                        items: Optional[np.ndarray] = None) -> BucketPlan:
     """Build (or reuse) the bucket plan for one ``(axis, items)`` pair.
 
     Plans are structural, so every engine instance touching the same axis
-    object — repeated sweeps of one sampler, a fold-in call per request, the
-    per-rank subsets of the distributed sampler — shares one plan instead of
-    re-deriving it.  Keyed by axis *identity*: axes are immutable, so a
-    changed matrix is a new object and misses the cache by construction.
+    object — repeated sweeps of one sampler, the per-rank subsets of the
+    distributed sampler — shares one plan instead of re-deriving it.  The
+    memo lives on the axis, keyed by the items' bytes: axes are immutable,
+    so a changed matrix is a new object and misses by construction, and
+    its plans die with it.  Nothing iterates or evicts the memo, so it
+    needs no lock; ``setdefault`` hands racing threads one plan.
     """
-    key = (id(axis),
-           None if items is None else np.asarray(items, np.int64).tobytes())
-    with _PLAN_LOCK:
-        _evict_dead_axes()
-        plan = _PLAN_CACHE.get(key)
-        if plan is None:
-            plan = build_bucket_plan(axis, items)
-            while len(_PLAN_CACHE) >= MAX_CACHED_PLANS:
-                _PLAN_CACHE.popitem(last=False)
-            if id(axis) not in _AXIS_FINALIZERS:
-                _AXIS_FINALIZERS[id(axis)] = weakref.finalize(
-                    axis, _DEAD_AXES.append, id(axis))
-            _PLAN_CACHE[key] = plan
-        else:
-            # Refresh recency so the eviction above is LRU, not FIFO.
-            _PLAN_CACHE.move_to_end(key)
+    key = None if items is None else np.asarray(items, np.int64).tobytes()
+    plan = axis.plan_memo.get(key)
+    if plan is None:
+        plan = axis.plan_memo.setdefault(key, build_bucket_plan(axis, items))
     return plan
 
 

@@ -8,8 +8,8 @@ compressed along *both* axes.  The per-axis structure is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +31,10 @@ class CompressedAxis:
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
+    #: Bucket plans of this axis keyed by the planned items' bytes
+    #: (:func:`repro.sparse.buckets.cached_bucket_plan`).
+    plan_memo: Dict[Optional[bytes], object] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.indptr.ndim != 1 or self.indices.ndim != 1 or self.values.ndim != 1:

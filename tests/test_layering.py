@@ -19,7 +19,9 @@
   a 2-rank socket chain, imported the way the socket benchmark imports
   it, loads no module of the performance model (``repro.parallel``,
   ``repro.distributed.scaling``); an in-process
-  :class:`PredictionService` fold-in and ``top_n`` loads no scipy.
+  :class:`PredictionService` fold-in, ``add_ratings`` and ``top_n`` load
+  no scipy, no training engine and no sparse module beyond the
+  compressed axes.
 
 * Every module imports on its own, in a fresh ``repro`` namespace: a
   cycle that an eager package ``__init__`` used to hide fails here.
@@ -227,6 +229,8 @@ def test_a_socket_chain_loads_no_performance_model():
 
 
 def test_an_in_process_fold_in_and_top_n_load_no_scipy():
+    """Nor the training engine, the planner, or the sparse utilities the
+    service never calls."""
     out = _run_python(_LOADED + """
     import numpy as np
     from repro.bench.serving import make_bench_snapshot
@@ -234,8 +238,12 @@ def test_an_in_process_fold_in_and_top_n_load_no_scipy():
 
     service = PredictionService(make_bench_snapshot(30, 20, 4))
     user = service.fold_in(np.array([0, 3]), np.array([4.0, 2.5]))
+    service.add_ratings(user, np.array([7]), np.array([3.0]))
     assert len(service.top_n(user, n=5).items) == 5
-    print(loaded("scipy"))
+    print(loaded("scipy", "repro.core.batch_engine", "repro.core.updates",
+                 "repro.sparse.buckets", "repro.sparse.reorder",
+                 "repro.sparse.io", "repro.sparse.shard",
+                 "repro.sparse.split"))
     """)
     assert out.strip() == "[]"
 
@@ -262,7 +270,8 @@ def test_every_module_imports_on_its_own():
 
 @pytest.mark.parametrize("package", [
     "repro", "repro.core", "repro.serving", "repro.serving.net",
-    "repro.bench", "repro.distributed", "repro.mpi", "repro.parallel"])
+    "repro.bench", "repro.distributed", "repro.mpi", "repro.parallel",
+    "repro.sparse"])
 def test_lazy_exports_resolve_every_public_name(package):
     module = importlib.import_module(package)
     assert set(module.__all__) <= set(dir(module))

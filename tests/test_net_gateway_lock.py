@@ -151,9 +151,9 @@ class _ShardedSpy(ShardedScorer):
         self._record("top_n_batch")
         return super().top_n_batch(users, n=n, exclude_seen=exclude_seen)
 
-    def fold_in_batch(self, item_lists, value_lists):
-        self._record("fold_in_batch")
-        return super().fold_in_batch(item_lists, value_lists)
+    def fold_in(self, items, values):
+        self._record("fold_in")
+        return super().fold_in(items, values)
 
     def add_ratings(self, user, items, values):
         self._record("add_ratings")
@@ -185,7 +185,7 @@ def test_a_sharded_scorer_never_scores_or_applies_on_the_loop(
     assert cold == cold_expected
     calls = [call for call, _, _ in gateways[0].calls]
     assert calls.count("top_n_batch") == 4
-    assert calls.count("fold_in_batch") == 1
+    assert calls.count("fold_in") == 1
     assert calls.count("add_ratings") == 1
     for _, thread_name, ident in gateways[0].calls:
         assert thread_name.startswith("repro-net-scorer")

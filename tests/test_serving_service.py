@@ -201,9 +201,8 @@ class TestFoldInServing:
 
     def test_fold_in_batch_ids_and_predictions(self, snapshot):
         service = PredictionService(snapshot)
-        ids = service.fold_in_batch(
-            [np.array([0, 1]), np.array([2])],
-            [np.array([4.0, 2.0]), np.array([3.0])])
+        ids = [service.fold_in(np.array([0, 1]), np.array([4.0, 2.0])),
+               service.fold_in(np.array([2]), np.array([3.0]))]
         assert ids == [service.n_train_users, service.n_train_users + 1]
         assert np.isfinite(service.predict(ids[1], 5))
 
